@@ -1,12 +1,13 @@
 //! A1–A3 — ablations on the design choices DESIGN.md calls out:
-//! optimizer passes, classifier backend, and incremental regexp matching.
+//! optimizer passes, classifier lookup structure, and incremental regexp
+//! matching.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hilti::passes::OptLevel;
 use hilti::value::Value;
 use hilti_rt::addr::Addr;
-use hilti_rt::classifier::{Backend, Classifier, FieldMatcher, FieldValue};
+use hilti_rt::classifier::FieldValue;
 use hilti_rt::regexp::Regex;
 
 const KERNEL: &str = r#"
@@ -63,38 +64,21 @@ fn bench_optimizer(c: &mut Criterion) {
     group.finish();
 }
 
-fn build_classifier(backend: Backend, n_rules: usize) -> Classifier<u32> {
-    let mut c = Classifier::with_backend(backend);
-    for i in 0..n_rules {
-        let net: hilti_rt::addr::Network = format!("10.{}.{}.0/24", (i / 250) % 250, i % 250)
-            .parse()
-            .expect("net");
-        c.add(
-            vec![FieldMatcher::Net(net), FieldMatcher::Wildcard],
-            i as u32,
-        )
-        .expect("rule");
-    }
-    c.compile();
-    c
-}
-
 fn bench_classifier(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_classifier");
-    for rules in [16usize, 256, 1024] {
-        for (name, backend) in [
-            ("linear", Backend::LinearScan),
-            ("indexed", Backend::FieldIndexed),
-        ] {
-            let cls = build_classifier(backend, rules);
-            group.bench_with_input(BenchmarkId::new(name, rules), &cls, |b, cls| {
-                let probe = [
-                    FieldValue::Addr(Addr::v4(10, 1, 77, 1)),
-                    FieldValue::Addr(Addr::v4(192, 168, 0, 1)),
-                ];
-                b.iter(|| cls.matches(&probe))
-            });
-        }
+    // A source no rule covers: the scan reads every rule.
+    let probe = [
+        FieldValue::Addr(Addr::v4(9, 1, 77, 1)),
+        FieldValue::Addr(Addr::v4(192, 168, 0, 1)),
+    ];
+    for rules in [16usize, 256, 1024, 4096] {
+        let cls = bench::experiments::ablation_classifier(rules).expect("rules");
+        group.bench_with_input(BenchmarkId::new("linear", rules), &cls, |b, cls| {
+            b.iter(|| cls.matches_linear(&probe))
+        });
+        group.bench_with_input(BenchmarkId::new("compiled", rules), &cls, |b, cls| {
+            b.iter(|| cls.matches(&probe))
+        });
     }
     group.finish();
 }

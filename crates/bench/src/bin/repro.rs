@@ -411,14 +411,21 @@ fn ablations() {
         a.stats_full.blocks_threaded
     );
 
-    println!("\n[A2] Classifier backend (paper §5: linked list 'does not scale')");
-    for rules in [16, 128, 1024] {
-        let a = classifier_ablation(rules, 20_000).expect("classifier ablation");
+    println!("\n[A2] Classifier lookup (paper §5: linked list 'does not scale')");
+    for (rules, lookups) in [
+        (16, 20_000),
+        (128, 20_000),
+        (1024, 20_000),
+        (4096, 20_000),
+        (100_000, 2_000),
+    ] {
+        let a = classifier_ablation(rules, lookups).expect("classifier ablation");
+        let per = |ns: u64| ns as f64 / a.lookups as f64;
         println!(
-            "  rules={:<5} linear {} | indexed {} | speedup {:.1}x",
+            "  rules={:<6} linear scan {:>10.0} ns/lookup | compiled tuple space {:>5.0} ns/lookup | speedup {:.1}x",
             a.rules,
-            ms(a.ns_linear),
-            ms(a.ns_indexed),
+            per(a.ns_linear),
+            per(a.ns_compiled),
             a.speedup
         );
     }

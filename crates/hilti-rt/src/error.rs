@@ -7,6 +7,7 @@
 //! exception types the abstract machine exposes to programs (e.g.
 //! `Hilti::IndexError` in Figure 5 of the paper).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The exception classes the HILTI runtime can raise.
@@ -65,29 +66,33 @@ impl fmt::Display for ExceptionKind {
 }
 
 /// A runtime error: an exception kind plus a human-readable message.
+///
+/// The message is a `Cow` so that errors raised with a literal — the
+/// per-packet ones a `catch` drops again at once, like the classifier's
+/// "no matching rule" — cost no allocation; `format!`ed messages are owned.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RtError {
     pub kind: ExceptionKind,
-    pub message: String,
+    pub message: Cow<'static, str>,
 }
 
 impl RtError {
-    pub fn new(kind: ExceptionKind, message: impl Into<String>) -> Self {
+    pub fn new(kind: ExceptionKind, message: impl Into<Cow<'static, str>>) -> Self {
         RtError {
             kind,
             message: message.into(),
         }
     }
 
-    pub fn index(message: impl Into<String>) -> Self {
+    pub fn index(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::IndexError, message)
     }
 
-    pub fn value(message: impl Into<String>) -> Self {
+    pub fn value(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::ValueError, message)
     }
 
-    pub fn arithmetic(message: impl Into<String>) -> Self {
+    pub fn arithmetic(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::ArithmeticError, message)
     }
 
@@ -95,27 +100,27 @@ impl RtError {
         Self::new(ExceptionKind::WouldBlock, "insufficient input")
     }
 
-    pub fn frozen(message: impl Into<String>) -> Self {
+    pub fn frozen(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::Frozen, message)
     }
 
-    pub fn pattern(message: impl Into<String>) -> Self {
+    pub fn pattern(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::PatternError, message)
     }
 
-    pub fn type_error(message: impl Into<String>) -> Self {
+    pub fn type_error(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::TypeError, message)
     }
 
-    pub fn io(message: impl Into<String>) -> Self {
+    pub fn io(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::IoError, message)
     }
 
-    pub fn runtime(message: impl Into<String>) -> Self {
+    pub fn runtime(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::RuntimeError, message)
     }
 
-    pub fn resource_exhausted(message: impl Into<String>) -> Self {
+    pub fn resource_exhausted(message: impl Into<Cow<'static, str>>) -> Self {
         Self::new(ExceptionKind::ResourceExhausted, message)
     }
 }

@@ -264,6 +264,17 @@ impl Program {
         vm::call(&self.compiled, &mut self.ctx, func, args)
     }
 
+    /// Resolves a function name once, for [`Program::run_id`].
+    pub fn func_id(&self, func: &str) -> RtResult<vm::FuncId> {
+        vm::resolve(&self.compiled, func)
+    }
+
+    /// [`Program::run`] without the per-call name lookup: the entry for
+    /// hosts that call one function per packet.
+    pub fn run_id(&mut self, func: vm::FuncId, args: &[Value]) -> RtResult<Value> {
+        vm::call_id(&self.compiled, &mut self.ctx, func, args)
+    }
+
     /// Calls a void HILTI function on the compiled engine.
     pub fn run_void(&mut self, func: &str, args: &[Value]) -> RtResult<()> {
         self.run(func, args).map(|_| ())
@@ -363,6 +374,71 @@ rec:
         let interpreted = p.run_interpreted("M::fib", &[Value::Int(18)]).unwrap();
         assert!(compiled.equals(&interpreted));
         assert!(compiled.equals(&Value::Int(2584)));
+    }
+
+    #[test]
+    fn resolved_function_ids_run_like_names() {
+        let mut p = Program::from_source(
+            "module M\nint<64> twice(int<64> n) {\n    n = int.mul n 2\n    return n\n}\n",
+        )
+        .unwrap();
+        let twice = p.func_id("M::twice").unwrap();
+        for n in [1, 21] {
+            let by_id = p.run_id(twice, &[Value::Int(n)]).unwrap();
+            assert!(by_id.equals(&p.run("M::twice", &[Value::Int(n)]).unwrap()));
+            assert!(by_id.equals(&Value::Int(2 * n)));
+        }
+        assert_eq!(
+            p.func_id("M::thrice").unwrap_err().kind,
+            hilti_rt::error::ExceptionKind::ValueError
+        );
+    }
+
+    /// A lookup on a classifier that was never compiled raises a catchable
+    /// error, and not the IndexError that would read as "no rule matched".
+    #[test]
+    fn classifier_lookup_before_compile_is_catchable() {
+        let src = r#"
+module M
+type Rule = struct { net src }
+string probe(bool compile, bool get) {
+    local ref<classifier<Rule, bool>> c
+    local bool b
+    c = new classifier<Rule, bool>
+    classifier.add c (10.0.0.0/8) True
+    if.else compile do_compile lookup
+do_compile:
+    classifier.compile c
+lookup:
+    try {
+        try {
+            if.else get do_get do_matches
+do_get:
+            b = classifier.get c (10.1.2.3)
+            jump done
+do_matches:
+            b = classifier.matches c (10.1.2.3)
+done:
+        } catch ( ref<Hilti::IndexError> e ) {
+            return "index error"
+        }
+    } catch ( ref<Hilti::ValueError> e2 ) {
+        return "value error"
+    }
+    return "found"
+}
+"#;
+        let mut p = Program::from_source(src).unwrap();
+        for get in [true, false] {
+            for (compile, expected) in [(false, "value error"), (true, "found")] {
+                let args = [Value::Bool(compile), Value::Bool(get)];
+                assert_eq!(p.run("M::probe", &args).unwrap().render(), expected);
+                assert_eq!(
+                    p.run_interpreted("M::probe", &args).unwrap().render(),
+                    expected
+                );
+            }
+        }
     }
 
     /// The deterministic execution profiler must agree across engines: the

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use hilti_rt::bytestring::Bytes;
-use hilti_rt::classifier::{Backend, Classifier, FieldMatcher, FieldValue};
+use hilti_rt::classifier::{with_scratch, Classifier, FieldMatcher, FieldValue};
 use hilti_rt::containers::ExpireStrategy;
 use hilti_rt::error::{ExceptionKind, RtError, RtResult};
 use hilti_rt::file::LogFile;
@@ -275,14 +275,7 @@ pub fn instantiate(ty: &Type, extra: &[Value], ctx: &mut dyn ExecCtx) -> RtResul
                 fields: vec![Value::Null; fields.len()],
             })))
         }
-        Type::Classifier(_, _) => {
-            // An int extra of 1 selects the indexed backend (ablation A2).
-            let backend = match extra.first() {
-                Some(Value::Int(1)) => Backend::FieldIndexed,
-                _ => Backend::LinearScan,
-            };
-            Value::Classifier(Rc::new(RefCell::new(Classifier::with_backend(backend))))
-        }
+        Type::Classifier(_, _) => Value::Classifier(Rc::new(RefCell::new(Classifier::new()))),
         Type::TimerMgr => Value::TimerMgr(Rc::new(RefCell::new(TimerMgr::new()))),
         Type::Channel(_) => {
             let cap = match extra.first() {
@@ -1152,16 +1145,14 @@ pub fn eval(
         }
         ClassifierGet => {
             arity(args, 2, op)?;
-            let key = classifier_key(&args[1])?;
-            let v = as_classifier(&args[0])?.borrow().get(&key)?;
-            Evaluated::value(v)
+            let c = as_classifier(&args[0])?.borrow();
+            Evaluated::value(with_classifier_key(&args[1], |key| c.get(key))?)
         }
         ClassifierMatches => {
             arity(args, 2, op)?;
-            let key = classifier_key(&args[1])?;
-            Evaluated::value(Value::Bool(
-                as_classifier(&args[0])?.borrow().matches(&key).is_some(),
-            ))
+            let c = as_classifier(&args[0])?.borrow();
+            let hit = with_classifier_key(&args[1], |key| c.matches(key))?;
+            Evaluated::value(Value::Bool(hit.is_some()))
         }
         ClassifierSize => {
             arity(args, 1, op)?;
@@ -1694,11 +1685,22 @@ fn classifier_fields(v: &Value) -> RtResult<Vec<FieldMatcher>> {
     }
 }
 
-fn classifier_key(v: &Value) -> RtResult<Vec<FieldValue>> {
-    match v {
-        Value::Tuple(t) => t.iter().map(to_field_value).collect(),
-        single => Ok(vec![to_field_value(single)?]),
-    }
+/// Runs a lookup on the key a tuple (or single value) stands for. The key
+/// lives in stack scratch: a lookup per packet must not allocate.
+fn with_classifier_key<R>(
+    v: &Value,
+    lookup: impl FnOnce(&[FieldValue]) -> RtResult<R>,
+) -> RtResult<R> {
+    let fields = match v {
+        Value::Tuple(t) => t.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    with_scratch(fields.len(), FieldValue::Int(0), |key| {
+        for (k, f) in key.iter_mut().zip(fields) {
+            *k = to_field_value(f)?;
+        }
+        lookup(key)
+    })
 }
 
 /// Maps a textual exception name (`Hilti::IndexError`) to its kind.

@@ -50,7 +50,7 @@ pub struct CallableVal {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExceptionVal {
     pub kind: ExceptionKind,
-    pub message: String,
+    pub message: std::borrow::Cow<'static, str>,
 }
 
 /// An input source: yields (timestamp, packet bytes) until exhausted.

@@ -743,7 +743,7 @@ impl Frame {
         Frame::new(prog, func, args)
     }
 
-    fn new(prog: &CompiledProgram, func: u32, args: Vec<Value>) -> Frame {
+    fn new(prog: &CompiledProgram, func: u32, args: impl IntoIterator<Item = Value>) -> Frame {
         Frame::new_pooled(prog, func, args, &mut Vec::new())
     }
 
@@ -754,19 +754,7 @@ impl Frame {
     fn new_pooled(
         prog: &CompiledProgram,
         func: u32,
-        mut args: Vec<Value>,
-        pool: &mut Vec<Vec<Value>>,
-    ) -> Frame {
-        Frame::new_from_buf(prog, func, &mut args, pool)
-    }
-
-    /// Like [`Frame::new_pooled`], but drains the arguments out of a caller
-    /// owned buffer so the dispatch loop's argument vector is reused across
-    /// calls instead of being reallocated per call.
-    fn new_from_buf(
-        prog: &CompiledProgram,
-        func: u32,
-        args: &mut Vec<Value>,
+        args: impl IntoIterator<Item = Value>,
         pool: &mut Vec<Vec<Value>>,
     ) -> Frame {
         let cf = &prog.funcs[func as usize];
@@ -779,8 +767,8 @@ impl Frame {
             }
             None => vec![Value::Null; n],
         };
-        for (i, a) in args.drain(..).enumerate().take(cf.n_params as usize) {
-            slots[i] = a;
+        for (slot, a) in slots.iter_mut().zip(args).take(cf.n_params as usize) {
+            *slot = a;
         }
         Frame {
             func,
@@ -790,6 +778,18 @@ impl Frame {
             ret_slot: None,
             ret_global: None,
         }
+    }
+
+    /// Like [`Frame::new_pooled`], but drains the arguments out of a caller
+    /// owned buffer so the dispatch loop's argument vector is reused across
+    /// calls instead of being reallocated per call.
+    fn new_from_buf(
+        prog: &CompiledProgram,
+        func: u32,
+        args: &mut Vec<Value>,
+        pool: &mut Vec<Vec<Value>>,
+    ) -> Frame {
+        Frame::new_pooled(prog, func, args.drain(..), pool)
     }
 }
 
@@ -802,6 +802,19 @@ pub enum Outcome {
     Suspended(Vec<Frame>),
 }
 
+/// A function of one [`CompiledProgram`], resolved by name once so that a
+/// host calling it per packet skips the lookup.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FuncId(u32);
+
+/// Resolves a fully qualified function name.
+pub fn resolve(prog: &CompiledProgram, func: &str) -> RtResult<FuncId> {
+    prog.func_index
+        .get(func)
+        .map(|&fi| FuncId(fi))
+        .ok_or_else(|| RtError::value(format!("unknown function {func}")))
+}
+
 /// Executes `func` with `args` to completion (non-resumable).
 pub fn call(
     prog: &CompiledProgram,
@@ -809,19 +822,30 @@ pub fn call(
     func: &str,
     args: &[Value],
 ) -> RtResult<Value> {
-    let fi = *prog
-        .func_index
-        .get(func)
-        .ok_or_else(|| RtError::value(format!("unknown function {func}")))?;
+    call_id(prog, ctx, resolve(prog, func)?, args)
+}
+
+/// [`call`] for a function resolved earlier, against the same program.
+pub fn call_id(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    func: FuncId,
+    args: &[Value],
+) -> RtResult<Value> {
+    let FuncId(fi) = func;
+    let Some(cf) = prog.funcs.get(fi as usize) else {
+        return Err(RtError::value("function id of another program"));
+    };
     ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args.to_vec())];
+    let frames = vec![Frame::new(prog, fi, args.iter().cloned())];
     let spent_before = ctx.fuel_spent;
     let result = run(prog, ctx, frames, false);
     ctx.telemetry_flush_run(spent_before);
     match result? {
         Outcome::Done(v) => Ok(v),
         Outcome::Suspended(_) => Err(RtError::runtime(format!(
-            "{func} suspended outside a fiber"
+            "{} suspended outside a fiber",
+            cf.name
         ))),
     }
 }
@@ -833,12 +857,9 @@ pub fn start_resumable(
     func: &str,
     args: &[Value],
 ) -> RtResult<Outcome> {
-    let fi = *prog
-        .func_index
-        .get(func)
-        .ok_or_else(|| RtError::value(format!("unknown function {func}")))?;
+    let FuncId(fi) = resolve(prog, func)?;
     ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args.to_vec())];
+    let frames = vec![Frame::new(prog, fi, args.iter().cloned())];
     let spent_before = ctx.fuel_spent;
     let result = run(prog, ctx, frames, true);
     ctx.telemetry_flush_run(spent_before);

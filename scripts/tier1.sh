@@ -6,6 +6,9 @@
 #   clippy           — lint wall; warnings are errors
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate and validate
 #   bench smoke      — telemetry-overhead bench compiles and runs (test mode)
+#   benchmark smoke  — the repo benchmark (BENCHMARK.json) builds, passes its
+#                      own tests, and runs every workload with its output
+#                      checks on tiny inputs, then the firewall at full size
 #
 # The example/repro/bench steps need the real dev-dependencies; offline
 # mirrors that stub them out (stubs/ in the workspace manifest) stop
@@ -77,3 +80,13 @@ echo "tier1: repro artifacts OK"
 # Telemetry overhead bench in --test mode: one pass per benchmark, enough
 # to prove the off/on pairs still build and run.
 cargo bench -q -p bench --bench telemetry "$@" -- --test
+
+# The repo benchmark is a package of its own outside the workspace, so
+# nothing above builds it. Its tests cover the generators and the oracle;
+# the smoke run drives every workload on tiny inputs through the checks
+# that compare each output with its reference; the last run is the
+# firewall at full size (4 096 rules, every verdict against the oracle).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke >/dev/null
+benchmark/run.sh --workload firewall_4k --seconds 1 --trace 0 >/dev/null
+echo "tier1: benchmark smoke OK"

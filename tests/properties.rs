@@ -188,27 +188,97 @@ int<64> f(int<64> a, int<64> b, int<64> c) {
         prop_assert_eq!(&parsed.questions[0].name, &name);
     }
 
-    /// Classifier backends agree for arbitrary probes.
+    /// The compiled classifier answers every probe as the priority-ordered
+    /// scan does, on rule sets that mix v4 and v6 nets of every prefix
+    /// length, hosts, ports, ints and wildcards at arity 1-4, with default
+    /// and explicit priorities, ties, and repeated keys.
     #[test]
-    fn classifier_backends_equivalent(
-        probes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..30),
-    ) {
-        use hilti_rt::classifier::{Backend, Classifier, FieldMatcher, FieldValue};
-        let mk = |backend| {
-            let mut c = Classifier::with_backend(backend);
-            for i in 0u8..20 {
-                let net: hilti_rt::addr::Network =
-                    format!("10.{}.0.0/16", i).parse().unwrap();
-                c.add(vec![FieldMatcher::Net(net)], i).unwrap();
+    fn classifier_compiled_equals_linear(seed in any::<u64>()) {
+        use hilti_rt::addr::{Addr, Network, Port};
+        use hilti_rt::classifier::{Classifier, FieldMatcher, FieldValue};
+
+        fn below(s: &mut u64, n: u64) -> u64 {
+            *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            hilti_rt::hashutil::mix64(*s) % n
+        }
+        // Few distinct values per type, so that nets cover probes, keys
+        // repeat, and rules and probes disagree on a field's type.
+        fn addr(s: &mut u64, v6: bool) -> Addr {
+            const V4: [&str; 3] = ["10.1.2.3", "10.1.200.7", "172.16.0.1"];
+            const V6: [&str; 3] = ["2001:db8::1", "2001:db8:ff::2", "::1"];
+            let bases = if v6 { V6 } else { V4 };
+            let base: Addr = bases[below(s, 3) as usize].parse().unwrap();
+            // Vary one of the low four bytes; the family stays.
+            let flip = below(s, 3) << (8 * below(s, 4));
+            Addr::from_v6_u128(base.raw() ^ u128::from(flip))
+        }
+        fn port(s: &mut u64) -> Port {
+            match below(s, 3) {
+                0 => Port::tcp(80),
+                1 => Port::udp(80),
+                _ => Port::udp(53),
             }
-            c.compile();
-            c
-        };
-        let lin = mk(Backend::LinearScan);
-        let idx = mk(Backend::FieldIndexed);
-        for (a, b) in probes {
-            let key = [FieldValue::Addr(hilti_rt::addr::Addr::v4(10, a % 25, b, 1))];
-            prop_assert_eq!(lin.matches(&key), idx.matches(&key));
+        }
+        fn fresh(s: &mut u64) -> FieldMatcher {
+            let v6 = below(s, 2) == 0;
+            match below(s, 6) {
+                0 => FieldMatcher::Wildcard,
+                1 | 2 => {
+                    let max = if v6 { 128 } else { 32 };
+                    let len = below(s, max + 1) as u8;
+                    FieldMatcher::Net(Network::new(addr(s, v6), len).unwrap())
+                }
+                3 => FieldMatcher::Host(addr(s, v6)),
+                4 => FieldMatcher::Port(port(s)),
+                _ => FieldMatcher::Int(below(s, 3)),
+            }
+        }
+        /// Another matcher of the same shape: same kind, family and length.
+        fn reroll(s: &mut u64, like: &FieldMatcher) -> FieldMatcher {
+            match like {
+                FieldMatcher::Wildcard => FieldMatcher::Wildcard,
+                FieldMatcher::Net(n) => {
+                    let a = addr(s, n.prefix().is_v6());
+                    FieldMatcher::Net(Network::new(a, n.len()).unwrap())
+                }
+                FieldMatcher::Host(a) => FieldMatcher::Host(addr(s, a.is_v6())),
+                FieldMatcher::Port(_) => FieldMatcher::Port(port(s)),
+                FieldMatcher::Int(_) => FieldMatcher::Int(below(s, 3)),
+            }
+        }
+        let s = &mut { seed };
+
+        let arity = 1 + below(s, 4) as usize;
+        let mut rules: Vec<Vec<FieldMatcher>> = Vec::new();
+        let mut c = Classifier::new();
+        for i in 0..below(s, 64) as u32 {
+            // Most rules share an earlier rule's shape, some its very key.
+            let earlier = (!rules.is_empty()).then(|| below(s, rules.len() as u64) as usize);
+            let fields: Vec<FieldMatcher> = match (earlier, below(s, 8)) {
+                (Some(r), 0) => rules[r].clone(),
+                (Some(r), 1..=5) => rules[r].iter().map(|f| reroll(s, f)).collect(),
+                _ => (0..arity).map(|_| fresh(s)).collect(),
+            };
+            rules.push(fields.clone());
+            match below(s, 3) {
+                0 => c.add(fields, i).unwrap(),
+                _ => c.add_with_priority(fields, i, below(s, 3) as i64 - 1).unwrap(),
+            }
+        }
+        c.compile();
+
+        for _ in 0..60 {
+            // One probe in eight has the wrong arity and matches nothing.
+            let n = if below(s, 8) == 0 { arity + 1 } else { arity };
+            let key: Vec<FieldValue> = (0..n)
+                .map(|_| match below(s, 4) {
+                    0 => FieldValue::Addr(addr(s, false)),
+                    1 => FieldValue::Addr(addr(s, true)),
+                    2 => FieldValue::Port(port(s)),
+                    _ => FieldValue::Int(below(s, 3)),
+                })
+                .collect();
+            prop_assert_eq!(c.matches(&key).unwrap(), c.matches_linear(&key).unwrap());
         }
     }
 }
