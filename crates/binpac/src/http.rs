@@ -771,24 +771,6 @@ impl BinpacHttp {
         self.shared.borrow_mut().outstanding.remove(uid);
     }
 
-    /// Flushes all still-open connections (end of trace).
-    pub fn finish_all(&mut self, ts: Time) -> RtResult<()> {
-        // Sorted (via live_uids), not HashMap order: the flush order decides
-        // event order and must be deterministic.
-        for uid in self.live_uids() {
-            // ConnId is embedded in events only; reuse a placeholder for
-            // the final flush of connections we never saw close.
-            let id = ConnId {
-                orig_h: hilti_rt::addr::Addr::v4(0, 0, 0, 0),
-                orig_p: hilti_rt::addr::Port::tcp(0),
-                resp_h: hilti_rt::addr::Addr::v4(0, 0, 0, 0),
-                resp_p: hilti_rt::addr::Port::tcp(0),
-            };
-            self.finish_conn(&uid, id, ts)?;
-        }
-        Ok(())
-    }
-
     /// Takes the accumulated events.
     pub fn take_events(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.shared.borrow_mut().events)
@@ -1193,7 +1175,10 @@ mod more_http_tests {
         assert!(bodies.contains(&("C1".to_string(), b"AAA".to_vec())));
         assert!(bodies.contains(&("C2".to_string(), b"BBB".to_vec())));
         assert_eq!(h.live_sessions(), 2);
-        h.finish_all(t(3)).unwrap();
+        // End-of-trace flush: one `finish_conn` per live uid, in sorted order.
+        for uid in h.live_uids() {
+            h.finish_conn(&uid, conn_id(), t(3)).unwrap();
+        }
         assert_eq!(h.live_sessions(), 0);
     }
 

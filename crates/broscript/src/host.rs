@@ -198,6 +198,68 @@ pub struct ScriptHost {
     profiler: Option<Profiler>,
 }
 
+impl HostBlueprint {
+    /// The front end over an already-merged script: builtin-record
+    /// injection and — for the compiled engine — Bro-to-HILTI compilation
+    /// plus the HILTI IR front end (link/check/optimize).
+    fn of(
+        script: Script,
+        engine: Engine,
+        tiering: Option<hilti::tier::TieringMode>,
+    ) -> RtResult<HostBlueprint> {
+        let script = script.with_builtin_records();
+        let ir = match engine {
+            Engine::Interpreted => None,
+            Engine::Compiled => {
+                let src = compile_script(&script)?;
+                Some(hilti::Program::front_end(
+                    &[&src],
+                    hilti::passes::OptLevel::Full,
+                    hilti::host::BuildOptions {
+                        tiering,
+                        ..Default::default()
+                    },
+                )?)
+            }
+        };
+        Ok(HostBlueprint { script, engine, ir })
+    }
+
+    /// The per-thread half of every host build, consuming the blueprint
+    /// (so a single-host build never clones the IR): the compiled engine
+    /// lowers the optimized IR to bytecode, registers the builtin library
+    /// as host functions and runs `Bro::init_globals`; the interpreter
+    /// just instantiates over the AST.
+    pub(crate) fn into_host(self, profiler: Option<Profiler>) -> RtResult<ScriptHost> {
+        let script = Rc::new(self.script);
+        let rt: Rc<RefCell<BroRt>> = Rc::new(RefCell::new(BroRt::default()));
+        let (interp, program) = match self.ir {
+            None => (Some(Interp::new(script.clone(), rt.clone())?), None),
+            Some(ir) => {
+                let mut program = hilti::Program::from_ir(ir)?;
+                for (name, _) in BUILTINS {
+                    let rt2 = rt.clone();
+                    let name2 = name.to_string();
+                    program.register_host_fn(name, move |args| {
+                        call_builtin(&name2, args, &rt2)
+                            .unwrap_or_else(|| Err(RtError::value("missing builtin")))
+                    });
+                }
+                program.run_void("Bro::init_globals", &[])?;
+                (None, Some(program))
+            }
+        };
+        Ok(ScriptHost {
+            engine: self.engine,
+            script,
+            interp,
+            program,
+            rt,
+            profiler,
+        })
+    }
+}
+
 impl ScriptHost {
     /// Parses and loads `sources` (merged, like loading several .bro files)
     /// onto the chosen engine.
@@ -217,11 +279,7 @@ impl ScriptHost {
         profiler: Option<Profiler>,
         tiering: Option<hilti::tier::TieringMode>,
     ) -> RtResult<Self> {
-        let mut script = Script::default();
-        for s in sources {
-            script = script.merge(parse_script(s)?);
-        }
-        Self::from_script_tiered(script, engine, profiler, tiering)
+        Self::blueprint(sources, engine, tiering)?.into_host(profiler)
     }
 
     pub fn from_script(
@@ -238,50 +296,7 @@ impl ScriptHost {
         profiler: Option<Profiler>,
         tiering: Option<hilti::tier::TieringMode>,
     ) -> RtResult<Self> {
-        let script = Rc::new(script.with_builtin_records());
-        let rt: Rc<RefCell<BroRt>> = Rc::new(RefCell::new(BroRt::default()));
-        match engine {
-            Engine::Interpreted => {
-                let interp = Interp::new(script.clone(), rt.clone())?;
-                Ok(ScriptHost {
-                    engine,
-                    script,
-                    interp: Some(interp),
-                    program: None,
-                    rt,
-                    profiler,
-                })
-            }
-            Engine::Compiled => {
-                let src = compile_script(&script)?;
-                let mut program = hilti::Program::from_sources_opts(
-                    &[&src],
-                    hilti::passes::OptLevel::Full,
-                    hilti::host::BuildOptions {
-                        tiering,
-                        ..Default::default()
-                    },
-                )?;
-                // Register the builtin library as host functions.
-                for (name, _) in BUILTINS {
-                    let rt2 = rt.clone();
-                    let name2 = name.to_string();
-                    program.register_host_fn(name, move |args| {
-                        call_builtin(&name2, args, &rt2)
-                            .unwrap_or_else(|| Err(RtError::value("missing builtin")))
-                    });
-                }
-                program.run_void("Bro::init_globals", &[])?;
-                Ok(ScriptHost {
-                    engine,
-                    script,
-                    interp: None,
-                    program: Some(program),
-                    rt,
-                    profiler,
-                })
-            }
-        }
+        HostBlueprint::of(script, engine, tiering)?.into_host(profiler)
     }
 
     /// Runs the shareable front end of a host build **once**: script
@@ -301,65 +316,13 @@ impl ScriptHost {
         for s in sources {
             script = script.merge(parse_script(s)?);
         }
-        let script = script.with_builtin_records();
-        let ir = match engine {
-            Engine::Interpreted => None,
-            Engine::Compiled => {
-                let src = compile_script(&script)?;
-                Some(hilti::Program::front_end(
-                    &[&src],
-                    hilti::passes::OptLevel::Full,
-                    hilti::host::BuildOptions {
-                        tiering,
-                        ..Default::default()
-                    },
-                )?)
-            }
-        };
-        Ok(HostBlueprint { script, engine, ir })
+        HostBlueprint::of(script, engine, tiering)
     }
 
-    /// Per-thread construction from a shared [`HostBlueprint`]: for the
-    /// compiled engine this lowers the pre-optimized IR to bytecode,
-    /// registers the builtin library and runs `Bro::init_globals`; the
-    /// interpreter just instantiates over the cloned AST.
+    /// Per-thread construction from a shared [`HostBlueprint`] (cloned, so
+    /// the blueprint stays available to other threads and to respawns).
     pub fn from_blueprint(bp: &HostBlueprint, profiler: Option<Profiler>) -> RtResult<Self> {
-        let script = Rc::new(bp.script.clone());
-        let rt: Rc<RefCell<BroRt>> = Rc::new(RefCell::new(BroRt::default()));
-        match bp.engine {
-            Engine::Interpreted => {
-                let interp = Interp::new(script.clone(), rt.clone())?;
-                Ok(ScriptHost {
-                    engine: bp.engine,
-                    script,
-                    interp: Some(interp),
-                    program: None,
-                    rt,
-                    profiler,
-                })
-            }
-            Engine::Compiled => {
-                let ir = bp.ir.as_ref().expect("compiled blueprint carries IR");
-                let mut program = hilti::Program::from_ir(ir.clone())?;
-                for (name, _) in BUILTINS {
-                    let rt2 = rt.clone();
-                    let name2 = name.to_string();
-                    program.register_host_fn(name, move |args| {
-                        call_builtin(&name2, args, &rt2)
-                            .unwrap_or_else(|| Err(RtError::value("missing builtin")))
-                    });
-                }
-                program.run_void("Bro::init_globals", &[])?;
-                Ok(ScriptHost {
-                    engine: bp.engine,
-                    script,
-                    interp: None,
-                    program: Some(program),
-                    rt,
-                    profiler,
-                })
-            }
-        }
+        bp.clone().into_host(profiler)
     }
 
     pub fn engine(&self) -> Engine {

@@ -20,19 +20,21 @@
 //! [`netpkt::events::Event`]s into script values (the measured
 //! "HILTI-to-Bro glue" for the compiled engine) and triggers handlers on
 //! whichever engine is selected. [`scripts`] bundles the analysis scripts
-//! used by the evaluation (`http.bro`, `dns.bro`, `track.bro`, `fib.bro`),
-//! and [`pipeline`] wires traces → parsers → scripts → logs for the
-//! experiments.
+//! used by the evaluation (`http.bro`, `dns.bro`, `track.bro`, `fib.bro`).
+//! The end-to-end path traces → parsers → scripts → logs exists once, as
+//! the crate-private delivery core (a flow front end plus a per-flow
+//! analyzer), with two drivers: [`pipeline`] runs it inline for the
+//! experiments, [`parallel`] shards it across worker threads.
 
 pub mod ast;
 pub mod compile;
+mod delivery;
 pub mod host;
 pub mod interp;
 pub mod parallel;
 pub mod parse;
 pub mod pipeline;
 pub mod scripts;
-pub mod slab;
 
 pub use ast::Script;
 pub use host::{Engine, ScriptHost};

@@ -9,6 +9,8 @@ use broscript::parallel::{run_dns_analysis_parallel, run_http_analysis_parallel,
 use broscript::pipeline::{
     run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
 };
+use hilti_rt::error::RtResult;
+use netpkt::pcap::RawPacket;
 use netpkt::synth::{chaos_dns_trace, chaos_http_trace, ChaosConfig};
 
 fn chaos_gov() -> Governance {
@@ -92,45 +94,68 @@ fn dns_chaos_output_independent_of_worker_count() {
     }
 }
 
+/// The sequential pipeline and the parallel one are two drivers of one
+/// delivery core, so every combination must agree, not just the ones
+/// somebody thought to write a test for: protocol × parser stack × script
+/// engine × governance × worker count over the chaos traces. Governed
+/// rows (idle expiry, quarantine, telemetry, tracing) compare every output
+/// field; ungoverned rows — no quarantine, and a 1 KiB per-flow budget
+/// that the BinPAC++ HTTP sessions blow — compare them too where the run
+/// survives, and the fatal error where the chaos trace aborts it.
 #[test]
-fn http_parallel_one_worker_matches_sequential() {
-    let trace = chaos_http_trace(&ChaosConfig::new(0xC0FFEE));
-    let gov = chaos_gov();
-    for stack in [ParserStack::Standard, ParserStack::Binpac] {
-        let seq = run_http_analysis_governed(&trace, stack, Engine::Interpreted, &gov)
-            .unwrap_or_else(|e| panic!("{stack:?} seq: {e}"));
-        let par = run_http_analysis_parallel(&trace, stack, Engine::Interpreted, &opts(1))
-            .unwrap_or_else(|e| panic!("{stack:?} par: {e}"));
-        assert_identical(&seq, &par, &format!("http {stack:?} seq vs par(1)"));
-    }
-}
-
-#[test]
-fn dns_parallel_one_worker_matches_sequential() {
-    let trace = chaos_dns_trace(11, 20, 5);
-    let gov = chaos_gov();
-    for stack in [ParserStack::Standard, ParserStack::Binpac] {
-        let seq = run_dns_analysis_governed(&trace, stack, Engine::Interpreted, &gov)
-            .unwrap_or_else(|e| panic!("{stack:?} seq: {e}"));
-        let par = run_dns_analysis_parallel(&trace, stack, Engine::Interpreted, &opts(1))
-            .unwrap_or_else(|e| panic!("{stack:?} par: {e}"));
-        assert_identical(&seq, &par, &format!("dns {stack:?} seq vs par(1)"));
-    }
-}
-
-#[test]
-fn compiled_engine_parallel_matches_sequential() {
-    // The HILTI-compiled script engine through the parallel path: each
-    // shard owns a private program image and VM context (§3.2).
-    let trace = chaos_http_trace(&ChaosConfig::new(7));
-    let gov = chaos_gov();
-    let seq = run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Compiled, &gov)
-        .expect("sequential compiled");
-    for n in [1, 4] {
-        let par =
-            run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Compiled, &opts(n))
-                .unwrap_or_else(|e| panic!("compiled x{n}: {e}"));
-        assert_identical(&seq, &par, &format!("compiled x{n} vs sequential"));
+fn equivalence_matrix_parallel_matches_sequential() {
+    let http = chaos_http_trace(&ChaosConfig::new(0xC0FFEE));
+    let dns = chaos_dns_trace(11, 20, 5);
+    let governed = Governance {
+        tracing: true,
+        ..chaos_gov()
+    };
+    let ungoverned = Governance {
+        per_flow_heap: Some(1024),
+        ..Governance::default()
+    };
+    type Seq = fn(&[RawPacket], ParserStack, Engine, &Governance) -> RtResult<AnalysisResult>;
+    type Par = fn(&[RawPacket], ParserStack, Engine, &PipelineOptions) -> RtResult<AnalysisResult>;
+    let protos: [(&str, &[RawPacket], Seq, Par); 2] = [
+        (
+            "http",
+            &http,
+            run_http_analysis_governed,
+            run_http_analysis_parallel,
+        ),
+        (
+            "dns",
+            &dns,
+            run_dns_analysis_governed,
+            run_dns_analysis_parallel,
+        ),
+    ];
+    for (proto, trace, run_seq, run_par) in protos {
+        for stack in [ParserStack::Standard, ParserStack::Binpac] {
+            for engine in [Engine::Interpreted, Engine::Compiled] {
+                for (gname, gov) in [("ungoverned", ungoverned), ("chaos", governed)] {
+                    let seq = run_seq(trace, stack, engine, &gov);
+                    for workers in [1, 2, 4] {
+                        let o = PipelineOptions {
+                            workers,
+                            governance: gov,
+                            ..Default::default()
+                        };
+                        let par = run_par(trace, stack, engine, &o);
+                        let what = format!("{proto} {stack:?} {engine:?} {gname} x{workers}");
+                        match (&seq, &par) {
+                            (Ok(s), Ok(p)) => assert_identical(s, p, &what),
+                            (Err(s), Err(p)) => assert_eq!(s, p, "{what}: fatal error"),
+                            _ => panic!(
+                                "{what}: sequential ok={}, parallel ok={}",
+                                seq.is_ok(),
+                                par.is_ok()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
