@@ -29,7 +29,10 @@
 //!   wrapping global allocator and held to the same 15% regression
 //!   budget — and enforces the zero-copy target on live counters:
 //!   `pipeline.bytes_copied == 0` (with `bytes_borrowed > 0`) on an
-//!   in-order trace.
+//!   in-order trace. `dns_binpac_allocs_per_pkt_milli` and
+//!   `http_binpac_allocs_per_pkt_milli` are the same count for the two
+//!   BinPAC++ pipelines, checked live as exact counts: any increase over
+//!   the baseline fails, on any host.
 //!
 //! Measured documents go to `target/bench-gate/`; committed baselines
 //! live at the repo root. The gate FAILS if any benchmark regresses more
@@ -56,14 +59,16 @@ use std::time::Instant;
 
 use broscript::host::Engine;
 use broscript::parallel::{run_http_analysis_parallel, PipelineOptions};
-use broscript::pipeline::{run_http_analysis_governed, Governance, ParserStack};
+use broscript::pipeline::{
+    run_dns_analysis_governed, run_http_analysis_governed, Governance, ParserStack,
+};
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
 use hilti::tier::TieringMode;
 use hilti::value::Value;
 use hilti::Program;
 use hilti_rt::telemetry::json;
-use netpkt::synth::{http_trace, throughput_trace, SynthConfig};
+use netpkt::synth::{dns_trace, http_trace, throughput_trace, SynthConfig};
 
 const SCHEMA: &str = "hilti.bench.v1";
 const FAIL_PCT: f64 = 15.0;
@@ -132,6 +137,13 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     f();
     ALLOCS.load(Ordering::Relaxed) - before
 }
+
+/// The BinPAC++ pipelines' allocations per packet: exact, host-independent
+/// counts, so unlike every timing in this file they may not rise at all.
+const EXACT_ALLOC_IDS: [&str; 2] = [
+    "dns_binpac_allocs_per_pkt_milli",
+    "http_binpac_allocs_per_pkt_milli",
+];
 
 /// One measured benchmark: median and minimum ns/iter across samples.
 /// The median is the headline number; the gate compares *minima*, which
@@ -329,6 +341,43 @@ fn throughput_suite(smoke: bool) -> Suite {
             min_ns: per_pkt_milli,
         },
     );
+    // The same count for the generated parsers on the VM (one whole parse
+    // per DNS datagram; HTTP with bodies and pipelining), where a per-PDU
+    // allocation that creeps back in costs the most.
+    let n = if smoke { 40 } else { 1_000 };
+    let dns = dns_trace(&SynthConfig::new(11, n));
+    let http = http_trace(&SynthConfig::new(11, n / 4));
+    for (id, pkts, allocs) in [
+        (
+            EXACT_ALLOC_IDS[0],
+            dns.len(),
+            count_allocs(|| {
+                run_dns_analysis_governed(&dns, ParserStack::Binpac, Engine::Compiled, &gov)
+                    .expect("analysis");
+            }),
+        ),
+        (
+            EXACT_ALLOC_IDS[1],
+            http.len(),
+            count_allocs(|| {
+                run_http_analysis_governed(&http, ParserStack::Binpac, Engine::Compiled, &gov)
+                    .expect("analysis");
+            }),
+        ),
+    ] {
+        let per_pkt_milli = allocs.saturating_mul(1000) / (pkts as u64).max(1);
+        println!(
+            "gate: throughput/{id}: {allocs} heap allocations ({:.2} per packet)",
+            per_pkt_milli as f64 / 1000.0,
+        );
+        out.insert(
+            id,
+            Stat {
+                median_ns: per_pkt_milli,
+                min_ns: per_pkt_milli,
+            },
+        );
+    }
     for (id, workers) in [
         ("throughput_http_std_x1", 1usize),
         ("throughput_http_std_x2", 2),
@@ -528,7 +577,8 @@ fn compare(name: &str, measured: &Suite, baseline_path: &Path) -> (u32, u32) {
             continue;
         };
         let delta_pct = (st.min_ns as f64 / base_st.min_ns.max(1) as f64 - 1.0) * 100.0;
-        let verdict = if delta_pct > FAIL_PCT {
+        let exact = EXACT_ALLOC_IDS.contains(id);
+        let verdict = if delta_pct > FAIL_PCT || (exact && st.min_ns > base_st.min_ns) {
             fails += 1;
             "FAIL"
         } else if delta_pct > WARN_PCT {

@@ -440,7 +440,7 @@ impl BinpacDns {
                 }
                 sh.events.push(Event::DnsReply {
                     ts,
-                    uid: uid.as_ref().to_owned(),
+                    uid: uid.clone(),
                     id,
                     trans_id,
                     rcode,
@@ -449,7 +449,7 @@ impl BinpacDns {
             } else {
                 sh.events.push(Event::DnsRequest {
                     ts,
-                    uid: uid.as_ref().to_owned(),
+                    uid: uid.clone(),
                     id,
                     trans_id,
                     query,
@@ -468,6 +468,12 @@ impl BinpacDns {
             recorder: None,
             span_slot: 0,
         })
+    }
+
+    /// The generated parser (and through it the parser VM's context), for
+    /// hosts and tests that configure the engine itself.
+    pub fn parser_mut(&mut self) -> &mut BinpacParser {
+        &mut self.parser
     }
 
     /// Parse-stage span hook: every subsequent `datagram` records a

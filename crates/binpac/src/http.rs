@@ -453,7 +453,7 @@ impl BinpacHttp {
                 .push_back(method.clone());
             sh.events.push(Event::HttpRequest {
                 ts: cur.ts,
-                uid: cur.uid.as_ref().to_owned(),
+                uid: cur.uid.clone(),
                 id: cur.id,
                 method,
                 uri,
@@ -475,7 +475,7 @@ impl BinpacHttp {
             let reason = slot_text(&args[0], 2)?;
             sh.events.push(Event::HttpReply {
                 ts: cur.ts,
-                uid: cur.uid.as_ref().to_owned(),
+                uid: cur.uid.clone(),
                 id: cur.id,
                 status,
                 reason,
@@ -498,7 +498,7 @@ impl BinpacHttp {
                 let value = slot_text(&args[0], 1)?;
                 sh.events.push(Event::HttpHeader {
                     ts: cur.ts,
-                    uid: cur.uid.as_ref().to_owned(),
+                    uid: cur.uid.clone(),
                     is_orig: orig,
                     name,
                     value,
@@ -530,14 +530,14 @@ impl BinpacHttp {
                 if !body.is_empty() {
                     sh.events.push(Event::HttpBodyData {
                         ts: cur.ts,
-                        uid: cur.uid.as_ref().to_owned(),
+                        uid: cur.uid.clone(),
                         is_orig: orig,
                         data: body,
                     });
                 }
                 sh.events.push(Event::HttpMessageDone {
                     ts: cur.ts,
-                    uid: cur.uid.as_ref().to_owned(),
+                    uid: cur.uid.clone(),
                     is_orig: orig,
                     body_len: len,
                 });
@@ -626,6 +626,12 @@ impl BinpacHttp {
         let mut uids: Vec<Arc<str>> = self.sessions.keys().cloned().collect();
         uids.sort();
         uids
+    }
+
+    /// The generated parser (and through it the parser VM's context), for
+    /// hosts and tests that configure the engine itself.
+    pub fn parser_mut(&mut self) -> &mut BinpacParser {
+        &mut self.parser
     }
 
     /// Attaches telemetry to the parser VM: retired-instruction counters
@@ -1168,7 +1174,7 @@ mod more_http_tests {
         let bodies: Vec<(String, Vec<u8>)> = evs
             .iter()
             .filter_map(|e| match e {
-                Event::HttpBodyData { uid, data, .. } => Some((uid.clone(), data.clone())),
+                Event::HttpBodyData { uid, data, .. } => Some((uid.to_string(), data.clone())),
                 _ => None,
             })
             .collect();

@@ -7,10 +7,14 @@
 //! (§3.2). Host hooks registered by name become the events of the `.evt`
 //! configuration layer (Figure 7).
 
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use hilti::fiber::{Fiber, FiberState, Step};
 use hilti::host::Program;
 use hilti::passes::OptLevel;
 use hilti::value::Value;
+use hilti::vm::FuncId;
 use hilti_rt::bytestring::{Bytes, FeedChunk};
 use hilti_rt::error::{RtError, RtResult};
 use hilti_rt::limits::AllocBudget;
@@ -33,6 +37,15 @@ pub struct ParserIr {
 pub struct BinpacParser {
     program: Program,
     module: String,
+    /// Unit name → its generated entry points, resolved when the program
+    /// is lowered so that a parse per packet looks nothing up by name.
+    units: HashMap<String, UnitEntry>,
+}
+
+struct UnitEntry {
+    parse: FuncId,
+    /// Present for stream units (those compiled with a `drive_*` loop).
+    drive: Option<(Rc<str>, FuncId)>,
 }
 
 impl BinpacParser {
@@ -68,9 +81,24 @@ impl BinpacParser {
     /// The per-thread half of [`BinpacParser::compile`]: bytecode lowering
     /// and a fresh execution context from a shared front end.
     pub fn from_ir(ir: &ParserIr) -> RtResult<BinpacParser> {
+        let program = Program::from_ir(ir.ir.clone())?;
+        let prefix = format!("{}::parse_", ir.module);
+        let mut units = HashMap::new();
+        for func in program.compiled().func_index.keys() {
+            let Some(unit) = func.strip_prefix(&prefix) else {
+                continue;
+            };
+            let drive = format!("{}::drive_{unit}", ir.module);
+            let entry = UnitEntry {
+                parse: program.func_id(func)?,
+                drive: program.func_id(&drive).ok().map(|id| (drive.into(), id)),
+            };
+            units.insert(unit.to_owned(), entry);
+        }
         Ok(BinpacParser {
-            program: Program::from_ir(ir.ir.clone())?,
+            program,
             module: ir.module.clone(),
+            units,
         })
     }
 
@@ -108,8 +136,14 @@ impl BinpacParser {
     }
 
     fn run_datagram(&mut self, unit: &str, data: Bytes) -> RtResult<Value> {
-        let ret = self.program.run(
-            &format!("{}::parse_{unit}", self.module),
+        let Some(entry) = self.units.get(unit) else {
+            return Err(RtError::value(format!(
+                "unknown function {}::parse_{unit}",
+                self.module
+            )));
+        };
+        let ret = self.program.run_id(
+            entry.parse,
             &[Value::Bytes(data.clone()), Value::BytesIter(data.begin())],
         )?;
         // parse_* returns (struct, iterator).
@@ -123,10 +157,12 @@ impl BinpacParser {
     /// Starts a stream session over `drive_<unit>`.
     pub fn session(&self, unit: &str) -> Session {
         let data = Bytes::new();
-        let fiber = Fiber::new(
-            &format!("{}::drive_{unit}", self.module),
-            vec![Value::Bytes(data.clone())],
-        );
+        let args = vec![Value::Bytes(data.clone())];
+        let fiber = match self.units.get(unit).and_then(|e| e.drive.as_ref()) {
+            Some((name, id)) => Fiber::resolved(name, *id, args),
+            // Not a stream unit: the first resume reports the missing loop.
+            None => Fiber::new(&format!("{}::drive_{unit}", self.module), args),
+        };
         Session {
             data,
             fiber,
@@ -202,14 +238,12 @@ pub fn field_of(program: &Program, value: &Value, name: &str) -> RtResult<Value>
         )));
     };
     let s = s.borrow();
-    let fields = program
+    let idx = program
         .context()
-        .struct_fields
+        .struct_layouts
         .get(&*s.type_name)
-        .ok_or_else(|| RtError::type_error(format!("unknown unit type {}", s.type_name)))?;
-    let idx = fields
-        .iter()
-        .position(|f| f == name)
+        .ok_or_else(|| RtError::type_error(format!("unknown unit type {}", s.type_name)))?
+        .index_of(name)
         .ok_or_else(|| RtError::index(format!("unit {} has no field {name}", s.type_name)))?;
     Ok(s.fields[idx].clone())
 }

@@ -463,7 +463,7 @@ struct AnalyzerMetrics {
 /// Builds standard-parser DNS events for one datagram (the handwritten
 /// counterpart of the BinPAC++ adapter). `false` if it is not DNS.
 pub(crate) fn standard_dns_events(
-    uid: &str,
+    uid: &Arc<str>,
     id: ConnId,
     ts: Time,
     payload: &[u8],
@@ -475,7 +475,7 @@ pub(crate) fn standard_dns_events(
     if msg.is_response {
         sink.push(Event::DnsReply {
             ts,
-            uid: uid.to_owned(),
+            uid: uid.clone(),
             id,
             trans_id: msg.id,
             rcode: msg.rcode,
@@ -484,7 +484,7 @@ pub(crate) fn standard_dns_events(
     } else if let Some(q) = msg.questions.into_iter().next() {
         sink.push(Event::DnsRequest {
             ts,
-            uid: uid.to_owned(),
+            uid: uid.clone(),
             id,
             trans_id: msg.id,
             query: q.name,

@@ -193,9 +193,19 @@ pub struct ScriptHost {
     engine: Engine,
     script: Rc<Script>,
     interp: Option<Interp>,
-    program: Option<hilti::Program>,
+    compiled: Option<CompiledScript>,
     rt: Rc<RefCell<BroRt>>,
     profiler: Option<Profiler>,
+}
+
+/// The compiled engine's program, with the entry points every event goes
+/// through resolved when the program is lowered rather than per dispatch.
+struct CompiledScript {
+    program: hilti::Program,
+    set_time: hilti::vm::FuncId,
+    /// Event name → its `Bro::event_<name>` hook, for the events the
+    /// script handles.
+    events: HashMap<String, hilti::vm::HookId>,
 }
 
 impl HostBlueprint {
@@ -233,7 +243,7 @@ impl HostBlueprint {
     pub(crate) fn into_host(self, profiler: Option<Profiler>) -> RtResult<ScriptHost> {
         let script = Rc::new(self.script);
         let rt: Rc<RefCell<BroRt>> = Rc::new(RefCell::new(BroRt::default()));
-        let (interp, program) = match self.ir {
+        let (interp, compiled) = match self.ir {
             None => (Some(Interp::new(script.clone(), rt.clone())?), None),
             Some(ir) => {
                 let mut program = hilti::Program::from_ir(ir)?;
@@ -246,14 +256,29 @@ impl HostBlueprint {
                     });
                 }
                 program.run_void("Bro::init_globals", &[])?;
-                (None, Some(program))
+                let set_time = program.func_id("Bro::set_time")?;
+                let events = program
+                    .compiled()
+                    .hook_index
+                    .keys()
+                    .filter_map(|hook| {
+                        let event = hook.strip_prefix("Bro::event_")?;
+                        Some((event.to_owned(), program.hook_id(hook)?))
+                    })
+                    .collect();
+                let compiled = CompiledScript {
+                    program,
+                    set_time,
+                    events,
+                };
+                (None, Some(compiled))
             }
         };
         Ok(ScriptHost {
             engine: self.engine,
             script,
             interp,
-            program,
+            compiled,
             rt,
             profiler,
         })
@@ -329,9 +354,15 @@ impl ScriptHost {
         self.engine
     }
 
+    fn program_mut(&mut self) -> &mut hilti::Program {
+        &mut self.compiled.as_mut().expect("engine").program
+    }
+
     /// Tier-up and inline-cache state of the compiled engine, if any.
     pub fn tier_report(&self) -> Option<hilti::tier::TierReport> {
-        self.program.as_ref().map(|p| p.context().tier_report())
+        self.compiled
+            .as_ref()
+            .map(|c| c.program.context().tier_report())
     }
 
     /// Applies resource limits (fuel, heap, call depth) to whichever
@@ -340,7 +371,7 @@ impl ScriptHost {
     pub fn set_limits(&mut self, limits: hilti_rt::limits::ResourceLimits) {
         match self.engine {
             Engine::Interpreted => self.interp.as_mut().expect("engine").set_limits(limits),
-            Engine::Compiled => self.program.as_mut().expect("engine").set_limits(limits),
+            Engine::Compiled => self.program_mut().set_limits(limits),
         }
     }
 
@@ -350,11 +381,7 @@ impl ScriptHost {
     /// instruction counter and only the pipeline-level metrics apply.
     pub fn set_telemetry(&mut self, telemetry: &hilti_rt::telemetry::Telemetry) {
         if self.engine == Engine::Compiled {
-            self.program
-                .as_mut()
-                .expect("engine")
-                .context_mut()
-                .set_telemetry(telemetry);
+            self.program_mut().context_mut().set_telemetry(telemetry);
         }
     }
 
@@ -367,10 +394,8 @@ impl ScriptHost {
             }
             Engine::Compiled => {
                 self.rt.borrow_mut().advance(t);
-                self.program
-                    .as_mut()
-                    .expect("engine")
-                    .run_void("Bro::set_time", &[Value::Time(t)])
+                let c = self.compiled.as_mut().expect("engine");
+                c.program.run_id(c.set_time, &[Value::Time(t)]).map(|_| ())
             }
         }
     }
@@ -414,11 +439,13 @@ impl ScriptHost {
             .map(|p| p.enter(Component::ScriptExecution));
         match self.engine {
             Engine::Interpreted => self.interp.as_mut().expect("engine").dispatch(event, args),
-            Engine::Compiled => self
-                .program
-                .as_mut()
-                .expect("engine")
-                .run_hook(&format!("Bro::event_{event}"), args),
+            Engine::Compiled => {
+                let c = self.compiled.as_mut().expect("engine");
+                match c.events.get(event) {
+                    Some(&hook) => c.program.run_hook_id(hook, args),
+                    None => Ok(()), // the script has no handler for it
+                }
+            }
         }
     }
 
@@ -435,11 +462,7 @@ impl ScriptHost {
             .map(|p| p.enter(Component::ScriptExecution));
         match self.engine {
             Engine::Interpreted => self.interp.as_mut().expect("engine").call(func, args),
-            Engine::Compiled => self
-                .program
-                .as_mut()
-                .expect("engine")
-                .run(&format!("Bro::{func}"), args),
+            Engine::Compiled => self.program_mut().run(&format!("Bro::{func}"), args),
         }
     }
 
@@ -447,7 +470,7 @@ impl ScriptHost {
     pub fn take_output(&mut self) -> Vec<String> {
         match self.engine {
             Engine::Interpreted => std::mem::take(&mut self.interp.as_mut().expect("engine").out),
-            Engine::Compiled => self.program.as_mut().expect("engine").take_output(),
+            Engine::Compiled => self.program_mut().take_output(),
         }
     }
 
@@ -695,6 +718,39 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(v.render(), "-");
+    }
+
+    /// The engine counters cover script execution: one dispatch moves
+    /// `engine.instructions_retired` by exactly the fuel the handler (and
+    /// nothing else) spent, and an event without a handler runs nothing.
+    #[test]
+    fn dispatch_credits_the_handler_to_engine_telemetry() {
+        use hilti_rt::telemetry::Telemetry;
+
+        let script = r#"
+global hits: count = 0;
+event ping(n: count) {
+    hits = hits + n;
+    print hits;
+}
+"#;
+        let mut host = ScriptHost::new(&[script], Engine::Compiled, None).unwrap();
+        let tel = Telemetry::new();
+        host.set_telemetry(&tel);
+        let fuel = |h: &ScriptHost| h.compiled.as_ref().unwrap().program.context().fuel_spent();
+        let retired = || tel.snapshot().counter("engine.instructions_retired");
+
+        let (fuel0, retired0) = (fuel(&host), retired());
+        host.dispatch("ping", &[Value::Int(2)]).unwrap();
+        let spent = fuel(&host) - fuel0;
+        assert!(spent > 2, "a handler is more than its terminator: {spent}");
+        assert_eq!(retired() - retired0, spent);
+        assert_eq!(tel.snapshot().counter("engine.runs"), 1);
+
+        host.dispatch("no_such_event", &[]).unwrap();
+        assert_eq!(fuel(&host) - fuel0, spent);
+        assert_eq!(tel.snapshot().counter("engine.runs"), 1);
+        assert_eq!(host.take_output(), vec!["2"]);
     }
 
     #[test]

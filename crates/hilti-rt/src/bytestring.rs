@@ -91,6 +91,12 @@ impl ArenaSlice {
         self.len == 0
     }
 
+    /// The window `[from, to)` of this slice, over the same arena.
+    fn sub(&self, from: usize, to: usize) -> ArenaSlice {
+        debug_assert!(from <= to && to <= self.len);
+        ArenaSlice::new(Arc::clone(&self.arena), self.off + from, to - from)
+    }
+
     /// Narrows the slice from the front (trim support).
     fn advance(&mut self, n: usize) {
         debug_assert!(n <= self.len);
@@ -206,6 +212,45 @@ impl Inner {
     fn byte_at(&self, offset: u64) -> u8 {
         let c = &self.chunks[self.chunk_containing(offset)];
         c.as_slice()[(offset - c.start) as usize]
+    }
+
+    /// Whether `[from, to)` can be read: a well-formed range inside the
+    /// retained, available data. Past the frontier is WouldBlock while the
+    /// string is open and IndexError once frozen.
+    fn check_range(&self, from: u64, to: u64) -> RtResult<()> {
+        if to < from {
+            return Err(RtError::value(format!("bad range {from}..{to}")));
+        }
+        if from < self.base {
+            return Err(RtError::index("range begins before trimmed base"));
+        }
+        if to > self.end {
+            return if self.frozen {
+                Err(RtError::index("range extends past frozen end"))
+            } else {
+                Err(RtError::would_block())
+            };
+        }
+        Ok(())
+    }
+
+    /// The bytes of a range [`Inner::check_range`] accepted, concatenated.
+    fn copy_range(&self, from: u64, to: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity((to - from) as usize);
+        if to > from {
+            let mut i = self.chunk_containing(from);
+            let mut pos = from;
+            while pos < to {
+                let c = &self.chunks[i];
+                let s = c.as_slice();
+                let a = (pos - c.start) as usize;
+                let b = (((to - c.start) as usize).min(s.len())).max(a);
+                out.extend_from_slice(&s[a..b]);
+                pos = c.start + b as u64;
+                i += 1;
+            }
+        }
+        out
     }
 
     /// All retained bytes, concatenated.
@@ -493,35 +538,40 @@ impl Bytes {
     /// Copies out `[from, to)` as a `Vec<u8>`. All requested data must be
     /// available; otherwise WouldBlock/IndexError as for [`Bytes::at`].
     pub fn extract(&self, from: u64, to: u64) -> RtResult<Vec<u8>> {
-        if to < from {
-            return Err(RtError::value(format!("bad range {from}..{to}")));
-        }
         let inner = self.inner.borrow();
-        if from < inner.base {
-            return Err(RtError::index("range begins before trimmed base"));
-        }
-        if to > inner.end {
-            return if inner.frozen {
-                Err(RtError::index("range extends past frozen end"))
-            } else {
-                Err(RtError::would_block())
-            };
-        }
-        let mut out = Vec::with_capacity((to - from) as usize);
-        if to > from {
-            let mut i = inner.chunk_containing(from);
-            let mut pos = from;
-            while pos < to {
-                let c = &inner.chunks[i];
-                let s = c.as_slice();
-                let a = (pos - c.start) as usize;
-                let b = (((to - c.start) as usize).min(s.len())).max(a);
-                out.extend_from_slice(&s[a..b]);
-                pos = c.start + b as u64;
-                i += 1;
+        inner.check_range(from, to)?;
+        Ok(inner.copy_range(from, to))
+    }
+
+    /// `[from, to)` as a frozen byte string of its own (offsets from 0) —
+    /// what a parser stores for a field. A range inside one arena-borrowed
+    /// chunk shares the arena instead of copying; anything else is copied
+    /// once. Availability is checked as for [`Bytes::extract`].
+    pub fn sub(&self, from: u64, to: u64) -> RtResult<Bytes> {
+        let inner = self.inner.borrow();
+        inner.check_range(from, to)?;
+        let data = if from == to {
+            None
+        } else {
+            let c = &inner.chunks[inner.chunk_containing(from)];
+            match &c.data {
+                ChunkData::Borrowed(s) if to <= c.end() => Some(ChunkData::Borrowed(
+                    s.sub((from - c.start) as usize, (to - c.start) as usize),
+                )),
+                _ => Some(ChunkData::Owned(inner.copy_range(from, to))),
             }
-        }
-        Ok(out)
+        };
+        Ok(Bytes {
+            inner: Rc::new(RefCell::new(Inner {
+                chunks: data
+                    .map(|data| vec![Chunk { start: 0, data }])
+                    .unwrap_or_default(),
+                base: 0,
+                end: to - from,
+                frozen: true,
+                budget: None,
+            })),
+        })
     }
 
     /// Calls `f` with the contiguous slice of available data starting at
@@ -846,6 +896,44 @@ mod tests {
         assert_eq!(b.begin_offset(), 4);
         // Extraction across the retained region still works.
         assert_eq!(b.extract(5, 8).unwrap(), b"567");
+    }
+
+    #[test]
+    fn sub_shares_a_borrowed_chunk_and_copies_anything_else() {
+        let a = arena(b"....GET /index.html....");
+        let b = Bytes::from_slice(b"own:");
+        b.append_shared(ArenaSlice::new(a.clone(), 4, 15)).unwrap();
+        b.append(b":tail").unwrap();
+
+        // Inside the borrowed chunk: a window onto the same arena.
+        let uri = b.sub(8, 19).unwrap();
+        assert_eq!(uri.to_vec(), b"/index.html");
+        assert_eq!(uri.borrowed_len(), 11);
+        assert!(uri.is_frozen());
+        assert_eq!((uri.begin_offset(), uri.end_offset()), (0, 11));
+        // Owned source, or a range across chunks: one copy.
+        assert_eq!(b.sub(0, 3).unwrap().borrowed_len(), 0);
+        let across = b.sub(2, 21).unwrap();
+        assert_eq!(across.to_vec(), b"n:GET /index.html:t");
+        assert_eq!(across.borrowed_len(), 0);
+        // Same content as the copying extraction, for every range.
+        for from in 0..=b.end_offset() {
+            for to in from..=b.end_offset() {
+                assert_eq!(
+                    b.sub(from, to).unwrap().to_vec(),
+                    b.extract(from, to).unwrap()
+                );
+            }
+        }
+        assert!(b.sub(5, 5).unwrap().is_empty());
+        // And the same availability rules.
+        assert_eq!(b.sub(3, 2).unwrap_err().kind, ExceptionKind::ValueError);
+        assert_eq!(b.sub(0, 99).unwrap_err().kind, ExceptionKind::WouldBlock);
+        b.freeze();
+        assert_eq!(b.sub(0, 99).unwrap_err().kind, ExceptionKind::IndexError);
+        b.trim(6).unwrap();
+        assert_eq!(b.sub(5, 8).unwrap_err().kind, ExceptionKind::IndexError);
+        assert_eq!(b.sub(8, 19).unwrap().to_vec(), b"/index.html");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use hilti_rt::regexp::Regex;
 use crate::ir::{Const, Function, Opcode, Operand, Terminator, TypeDef};
 use crate::linker::Linked;
 use crate::types::Type;
-use crate::value::Value;
+use crate::value::{StructLayout, Value};
 
 /// A resolved operand.
 #[derive(Clone, Debug)]
@@ -165,6 +165,29 @@ pub enum CInstr {
         else_pc: u32,
     },
 
+    // --- struct field sites ----------------------------------------------
+    // How `struct.get` / `struct.set` lower, on every tier: the field name
+    // is resolved to a slot once per site, not per access. The site's cache
+    // maps the operand's struct type to the slot; lowering fills it in when
+    // the operand's declared type names the struct, otherwise the first
+    // execution does, through `ops::struct_field_index`. Tiered bodies are
+    // clones of the generic one and so share its sites.
+    /// `struct.get` with a (type name → field slot) cache.
+    StructGet {
+        target: Option<u16>,
+        obj: COperand,
+        field: Rc<str>,
+        ic: Rc<RefCell<IcSite>>,
+    },
+    /// `struct.set` with the same cache shape.
+    StructSet {
+        target: Option<u16>,
+        obj: COperand,
+        value: COperand,
+        field: Rc<str>,
+        ic: Rc<RefCell<IcSite>>,
+    },
+
     // --- inline-cache tier -----------------------------------------------
     // Emitted by `crate::tier` when a hot function is re-lowered with
     // runtime feedback, never by lowering or the static specializer. Each
@@ -174,21 +197,6 @@ pub enum CInstr {
     // `IcSite::cap` entries, after which the site de-optimizes). Semantics
     // — including error kinds and messages — are byte-identical to the
     // generic path, so tier-up is observationally invisible.
-    /// `struct.get` with a monomorphic (type-name → field-index) cache.
-    StructGetIC {
-        target: Option<u16>,
-        obj: COperand,
-        field: Rc<str>,
-        ic: Rc<RefCell<IcSite>>,
-    },
-    /// `struct.set` with the same cache shape.
-    StructSetIC {
-        target: Option<u16>,
-        obj: COperand,
-        value: COperand,
-        field: Rc<str>,
-        ic: Rc<RefCell<IcSite>>,
-    },
     /// `overlay.get` caching the resolved overlay type descriptor.
     OverlayGetIC {
         target: Option<u16>,
@@ -314,10 +322,10 @@ impl IntBit {
     }
 }
 
-/// Per-site inline cache of an IC-tier instruction. Sites are private to
-/// one tiered function body inside one `Context`, so plain `RefCell`
-/// interior mutability is enough — the parallel pipeline keeps one tier
-/// state per shard and never shares sites across threads.
+/// Per-site cache of a struct field site or an IC-tier instruction. Sites
+/// are private to one thread's bytecode (a `Program` is lowered per thread),
+/// so plain `RefCell` interior mutability is enough — the parallel pipeline
+/// lowers one program per shard and never shares sites across threads.
 #[derive(Debug, Default)]
 pub struct IcSite {
     /// Cached resolutions, most recently added last. Linear scan: sites are
@@ -334,12 +342,28 @@ pub struct IcSite {
     pub misses: u64,
 }
 
+/// Entries a site holds before it de-optimizes.
+pub const IC_CAP: usize = 4;
+
 impl IcSite {
     pub fn new(cap: usize) -> Rc<RefCell<IcSite>> {
         Rc::new(RefCell::new(IcSite {
             cap,
             ..IcSite::default()
         }))
+    }
+
+    /// The cached slot of a struct field site for a struct of `type_name`.
+    /// Instances made by `new` share their layout's name, so the pointer
+    /// comparison usually decides; host-built structs compare as text.
+    pub fn struct_slot(&self, type_name: &Rc<str>) -> Option<usize> {
+        self.entries.iter().find_map(|e| match e {
+            IcEntry::Struct {
+                type_name: t,
+                field_idx,
+            } if Rc::ptr_eq(t, type_name) || **t == **type_name => Some(*field_idx as usize),
+            _ => None,
+        })
     }
 
     /// Records a miss that resolved successfully; refills the cache or, at
@@ -500,13 +524,13 @@ impl CInstr {
                 then_pc,
                 else_pc,
             } => format!("if s{cond} goto @{then_pc} else @{else_pc}"),
-            // IC variants render exactly like the generic `Op` they
-            // replaced (mnemonic, idents, then value operands), keeping
-            // traces diffable across tiers.
-            CInstr::StructGetIC {
+            // Field sites and IC variants render like a generic `Op`
+            // (mnemonic, idents, then value operands), keeping traces
+            // diffable across tiers and against the interpreter's.
+            CInstr::StructGet {
                 target, obj, field, ..
             } => assignment(*target, format!("struct.get {field} {}", obj.render())),
-            CInstr::StructSetIC {
+            CInstr::StructSet {
                 target,
                 obj,
                 value,
@@ -572,11 +596,11 @@ impl CInstr {
             CInstr::MoveSlot { .. } => "spec.move",
             CInstr::LoadImm { .. } => "spec.load.imm",
             CInstr::BrBool { .. } => "spec.br.bool",
+            CInstr::StructGet { .. } => "struct.get",
+            CInstr::StructSet { .. } => "struct.set",
             // Observational modes pin execution to the generic tier, so
             // these only matter for completeness; they count under the
             // mnemonic of the op they replaced.
-            CInstr::StructGetIC { .. } => "struct.get",
-            CInstr::StructSetIC { .. } => "struct.set",
             CInstr::OverlayGetIC { .. } => "overlay.get",
             CInstr::CallCallableIC { .. } => "callable.call",
         }
@@ -594,9 +618,9 @@ pub struct CompiledProgram {
     /// Global initializers, slot order (evaluated per context).
     pub global_inits: Vec<Option<Value>>,
     pub global_names: Vec<String>,
-    /// Struct type → field names. Behind `Rc`: every per-thread `Context`
+    /// Struct type → layout. Behind `Rc`: every per-thread `Context`
     /// shares the table instead of deep-cloning it.
-    pub struct_fields: Rc<HashMap<String, Vec<String>>>,
+    pub struct_layouts: Rc<HashMap<String, StructLayout>>,
     /// Overlay types, shared the same way.
     pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
 }
@@ -612,14 +636,14 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
     let mut prog = CompiledProgram::default();
 
     // Type tables (built flat, then shared behind Rc).
-    let mut struct_fields: HashMap<String, Vec<String>> = HashMap::new();
+    let mut struct_layouts: HashMap<String, StructLayout> = HashMap::new();
     let mut overlays: HashMap<String, Rc<OverlayType>> = HashMap::new();
     for (name, def) in &linked.types {
         match def {
             TypeDef::Struct(fields) => {
-                struct_fields.insert(
+                struct_layouts.insert(
                     name.clone(),
-                    fields.iter().map(|(n, _)| n.clone()).collect(),
+                    StructLayout::new(name, fields.iter().map(|(n, _)| n.clone()).collect()),
                 );
             }
             TypeDef::Overlay(o) => {
@@ -628,7 +652,7 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
             TypeDef::Enum(_) | TypeDef::Bitset(_) => {}
         }
     }
-    prog.struct_fields = Rc::new(struct_fields);
+    prog.struct_layouts = Rc::new(struct_layouts);
     prog.overlays = Rc::new(overlays);
 
     // Global slots.
@@ -673,7 +697,13 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
 
     // Lower every body.
     for f in bodies {
-        let lowered = lower_function(f, &prog.func_index, &prog.hook_index, &global_index)?;
+        let lowered = lower_function(
+            f,
+            &prog.func_index,
+            &prog.hook_index,
+            &global_index,
+            &prog.struct_layouts,
+        )?;
         prog.funcs.push(lowered);
     }
     Ok(prog)
@@ -738,6 +768,7 @@ fn lower_function(
     func_index: &HashMap<String, u32>,
     hook_index: &HashMap<String, u32>,
     global_index: &HashMap<&str, u32>,
+    struct_layouts: &HashMap<String, StructLayout>,
 ) -> RtResult<CFunc> {
     // Slot layout: params, then locals in declaration order.
     let mut slots = SlotMap {
@@ -795,6 +826,31 @@ fn lower_function(
                 }
             }
         }
+    };
+
+    // A field site for `field` of `obj`, resolved here when the operand is
+    // a parameter or local declared as one of the program's struct types.
+    // The seeded entry is still guarded at run time (values are dynamically
+    // typed), so a wrong declaration costs one cache miss, nothing else.
+    let field_site = |obj: &Operand, field: &str| {
+        let ic = IcSite::new(IC_CAP);
+        let declared = match obj {
+            Operand::Var(name) => f.params.iter().chain(&f.locals).find(|(n, _)| n == name),
+            Operand::Const(_) => None,
+        };
+        let resolved = declared
+            .and_then(|(_, ty)| match ty.strip_ref() {
+                Type::Struct(s) => struct_layouts.get(&**s),
+                _ => None,
+            })
+            .and_then(|layout| Some((layout, layout.index_of(field)?)));
+        if let Some((layout, idx)) = resolved {
+            ic.borrow_mut().refill(IcEntry::Struct {
+                type_name: Rc::clone(&layout.name),
+                field_idx: idx as u32,
+            });
+        }
+        ic
     };
 
     let mut code: Vec<CInstr> = Vec::with_capacity(pc as usize);
@@ -958,9 +1014,23 @@ fn lower_function(
                 }
                 Opcode::PopHandler => CInstr::PopHandler,
                 Opcode::Yield => CInstr::Yield,
-                // Everything else lowers generically; the typed fast tier
-                // is a separate pass (`crate::specialize`) so it can be
-                // switched off for ablation without changing lowering.
+                Opcode::StructGet if vargs.len() == 1 && !idents.is_empty() => CInstr::StructGet {
+                    target: ctarget,
+                    obj: operand(vargs[0])?,
+                    field: Rc::from(idents[0].as_str()),
+                    ic: field_site(vargs[0], &idents[0]),
+                },
+                Opcode::StructSet if vargs.len() == 2 && !idents.is_empty() => CInstr::StructSet {
+                    target: ctarget,
+                    obj: operand(vargs[0])?,
+                    value: operand(vargs[1])?,
+                    field: Rc::from(idents[0].as_str()),
+                    ic: field_site(vargs[0], &idents[0]),
+                },
+                // Everything else — a malformed struct access included —
+                // lowers generically; the typed fast tier is a separate
+                // pass (`crate::specialize`) so it can be switched off for
+                // ablation without changing lowering.
                 _ => CInstr::Op {
                     opcode: instr.opcode,
                     target: ctarget,
@@ -1119,6 +1189,36 @@ int<64> f(int<64> a, int<64> b) {
             "{:#?}",
             f.code
         );
+    }
+
+    #[test]
+    fn struct_field_sites_resolve_at_lowering_when_the_type_is_declared() {
+        let prog = compiled(
+            r#"
+module M
+type T = struct { int<64> a, int<64> b }
+int<64> f(ref<T> typed, any untyped) {
+    local int<64> v
+    v = struct.get typed b
+    struct.set untyped b v
+    return v
+}
+"#,
+        );
+        let f = prog.func("M::f").unwrap();
+        let layout = &prog.struct_layouts["T"];
+        let CInstr::StructGet { ic, .. } = &f.code[0] else {
+            panic!("{:#?}", f.code);
+        };
+        // Resolved from the declaration, against the name `new T` hands out.
+        assert_eq!(ic.borrow().struct_slot(&layout.name), Some(1));
+        assert_eq!(f.code[0].render(), "s2 = struct.get b s0");
+        let CInstr::StructSet { ic, .. } = &f.code[1] else {
+            panic!("{:#?}", f.code);
+        };
+        // `any`: left to the first execution.
+        assert!(ic.borrow().entries.is_empty());
+        assert_eq!(f.code[1].render(), "struct.set b s1 s2");
     }
 
     #[test]

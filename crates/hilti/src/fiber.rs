@@ -15,11 +15,13 @@
 //! semantics (and the property benchmarked in §5's fiber micro-benchmark,
 //! reproduced as experiment E1).
 
+use std::rc::Rc;
+
 use hilti_rt::error::{RtError, RtResult};
 
 use crate::bytecode::CompiledProgram;
 use crate::value::Value;
-use crate::vm::{self, Context, Frame, Outcome};
+use crate::vm::{self, Context, Frame, FuncId, Outcome};
 
 /// Execution state of a fiber.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -45,7 +47,10 @@ pub enum Step {
 
 /// A suspendable computation over a compiled program.
 pub struct Fiber {
-    func: String,
+    func: Rc<str>,
+    /// The entry function, once resolved: by the host up front
+    /// ([`Fiber::resolved`]) or by the first resume.
+    id: Option<FuncId>,
     args: Vec<Value>,
     frames: Option<Vec<Frame>>,
     state: FiberState,
@@ -55,8 +60,20 @@ pub struct Fiber {
 impl Fiber {
     /// Creates a fiber that will execute `func(args)` when first resumed.
     pub fn new(func: &str, args: Vec<Value>) -> Fiber {
+        Fiber::fresh(Rc::from(func), None, args)
+    }
+
+    /// [`Fiber::new`] for a function the host resolved earlier against the
+    /// program the fiber will run on: a host that starts one fiber per
+    /// connection names and looks up its entry point once.
+    pub fn resolved(func: &Rc<str>, id: FuncId, args: Vec<Value>) -> Fiber {
+        Fiber::fresh(Rc::clone(func), Some(id), args)
+    }
+
+    fn fresh(func: Rc<str>, id: Option<FuncId>, args: Vec<Value>) -> Fiber {
         Fiber {
-            func: func.to_owned(),
+            func,
+            id,
             args,
             frames: None,
             state: FiberState::Fresh,
@@ -80,15 +97,16 @@ impl Fiber {
     /// cannot be resumed.
     pub fn resume(&mut self, prog: &CompiledProgram, ctx: &mut Context) -> RtResult<Step> {
         if let Some(sink) = ctx.telemetry_sink() {
-            sink.emit(
-                "fiber_resume",
-                vec![("function", self.func.as_str().into())],
-            );
+            sink.emit("fiber_resume", vec![("function", (&*self.func).into())]);
         }
         let outcome = match self.state {
             FiberState::Fresh => {
                 self.state = FiberState::Failed; // until proven otherwise
-                vm::start_resumable(prog, ctx, &self.func, &std::mem::take(&mut self.args))
+                let id = match self.id {
+                    Some(id) => id,
+                    None => vm::resolve(prog, &self.func)?,
+                };
+                vm::start_resumable(prog, ctx, id, &std::mem::take(&mut self.args))
             }
             FiberState::Suspended => {
                 let frames = self.frames.take().expect("suspended fiber has frames");
@@ -112,10 +130,7 @@ impl Fiber {
                 self.frames = Some(frames);
                 self.state = FiberState::Suspended;
                 if let Some(sink) = ctx.telemetry_sink() {
-                    sink.emit(
-                        "fiber_suspend",
-                        vec![("function", self.func.as_str().into())],
-                    );
+                    sink.emit("fiber_suspend", vec![("function", (&*self.func).into())]);
                 }
                 Ok(Step::Suspended)
             }

@@ -9,7 +9,7 @@
 //! fibers for incremental processing, and access to output, logs, and
 //! profiling.
 
-use hilti_rt::error::{RtError, RtResult};
+use hilti_rt::error::RtResult;
 
 use crate::bytecode::{compile, CompiledProgram};
 use crate::check;
@@ -287,18 +287,22 @@ impl Program {
 
     /// Runs all bodies of a hook (host-driven callbacks, §3.2).
     pub fn run_hook(&mut self, hook: &str, args: &[Value]) -> RtResult<()> {
-        let Some(hi) = self.compiled.hook_index.get(hook).copied() else {
-            return Ok(()); // a hook with no bodies does nothing
-        };
-        let bodies = self.compiled.hooks[hi as usize].clone();
-        for body in bodies {
-            let frames = vec![vm::Frame::new_public(&self.compiled, body, args.to_vec())];
-            match vm::run(&self.compiled, &mut self.ctx, frames, false)? {
-                vm::Outcome::Done(_) => {}
-                vm::Outcome::Suspended(_) => return Err(RtError::runtime("hook body suspended")),
-            }
+        match self.hook_id(hook) {
+            Some(id) => self.run_hook_id(id, args),
+            None => Ok(()), // a hook with no bodies does nothing
         }
-        Ok(())
+    }
+
+    /// Resolves a hook name once, for [`Program::run_hook_id`]; `None` for
+    /// a hook with no bodies.
+    pub fn hook_id(&self, hook: &str) -> Option<vm::HookId> {
+        vm::resolve_hook(&self.compiled, hook)
+    }
+
+    /// [`Program::run_hook`] without the per-dispatch name lookup: the
+    /// entry for hosts that raise one event per packet.
+    pub fn run_hook_id(&mut self, hook: vm::HookId, args: &[Value]) -> RtResult<()> {
+        vm::run_hook(&self.compiled, &mut self.ctx, hook, args)
     }
 
     /// Creates a fiber for an incremental computation.
@@ -574,6 +578,48 @@ hook void on_banner(string sw) {
             .unwrap();
         p.run_hook("M::nonexistent", &[]).unwrap(); // no bodies: no-op
         assert_eq!(p.take_output(), vec!["OpenSSH_3.9p1"]);
+    }
+
+    /// A hook dispatch is an engine run like any other: its bodies'
+    /// instructions reach `engine.instructions_retired`, once per dispatch,
+    /// and a resolved hook id runs exactly what the name runs.
+    #[test]
+    fn hook_dispatch_is_counted_and_resolvable_once() {
+        use hilti_rt::telemetry::Telemetry;
+
+        let mut p = Program::from_source(
+            r#"
+module M
+global int<64> seen = 0
+hook void on_n(int<64> n) {
+    seen = int.add seen n
+}
+hook void on_n(int<64> n) {
+    seen = int.add seen 1
+}
+int<64> get() {
+    return seen
+}
+"#,
+        )
+        .unwrap();
+        let tel = Telemetry::new();
+        p.context_mut().set_telemetry(&tel);
+        let on_n = p.hook_id("M::on_n").expect("declared hook");
+        assert!(p.hook_id("M::nonexistent").is_none());
+
+        let before = p.context().fuel_spent();
+        p.run_hook_id(on_n, &[Value::Int(5)]).unwrap();
+        let by_id = p.context().fuel_spent() - before;
+        p.run_hook("M::on_n", &[Value::Int(5)]).unwrap();
+        let by_name = p.context().fuel_spent() - before - by_id;
+        assert!(by_id > 0);
+        assert_eq!(by_id, by_name);
+
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter("engine.runs"), 2, "one run per dispatch");
+        assert_eq!(snap.counter("engine.instructions_retired"), by_id + by_name);
+        assert!(p.run("M::get", &[]).unwrap().equals(&Value::Int(12)));
     }
 
     #[test]

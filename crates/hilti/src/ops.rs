@@ -29,7 +29,9 @@ use hilti_rt::timer::TimerMgr;
 
 use crate::ir::Opcode;
 use crate::types::Type;
-use crate::value::{CallableVal, ExceptionVal, MapVal, SetVal, StructVal, TimerEntry, Value};
+use crate::value::{
+    CallableVal, ExceptionVal, MapVal, SetVal, StructLayout, StructVal, TimerEntry, Value,
+};
 
 /// A heap container registered for global-time expiration.
 #[derive(Clone)]
@@ -49,8 +51,8 @@ pub trait ExecCtx {
     fn register_expiring(&mut self, handle: ExpiringHandle);
     /// Expires entries in registered containers up to `t`.
     fn advance_expiring(&mut self, t: Time);
-    /// Looks up a struct type's field names, in declaration order.
-    fn struct_fields(&self, type_name: &str) -> Option<Vec<String>>;
+    /// Looks up a struct type's layout in the program's type table.
+    fn struct_layout(&self, type_name: &str) -> Option<&StructLayout>;
     /// Looks up an overlay type.
     fn overlay(&self, type_name: &str) -> Option<Rc<OverlayType>>;
     /// Opens (or returns the already-open) named output file.
@@ -266,15 +268,10 @@ pub fn instantiate(ty: &Type, extra: &[Value], ctx: &mut dyn ExecCtx) -> RtResul
             }
             Value::Map(Rc::new(RefCell::new(m)))
         }
-        Type::Struct(name) => {
-            let fields = ctx
-                .struct_fields(name)
-                .ok_or_else(|| RtError::type_error(format!("unknown struct type {name}")))?;
-            Value::Struct(Rc::new(RefCell::new(StructVal {
-                type_name: Rc::from(&**name),
-                fields: vec![Value::Null; fields.len()],
-            })))
-        }
+        Type::Struct(name) => ctx
+            .struct_layout(name)
+            .ok_or_else(|| RtError::type_error(format!("unknown struct type {name}")))?
+            .instantiate(),
         Type::Classifier(_, _) => Value::Classifier(Rc::new(RefCell::new(Classifier::new()))),
         Type::TimerMgr => Value::TimerMgr(Rc::new(RefCell::new(TimerMgr::new()))),
         Type::Channel(_) => {
@@ -443,9 +440,11 @@ pub fn eval(
         // --- strings -------------------------------------------------------
         StringConcat => {
             arity(args, 2, op)?;
-            let mut s = args[0].as_str()?.to_owned();
-            s.push_str(args[1].as_str()?);
-            Evaluated::value(Value::str(&s))
+            let (a, b) = (args[0].as_str()?, args[1].as_str()?);
+            let mut s = String::with_capacity(a.len() + b.len());
+            s.push_str(a);
+            s.push_str(b);
+            Evaluated::value(Value::String(Rc::from(s)))
         }
         StringLength => {
             arity(args, 1, op)?;
@@ -559,8 +558,7 @@ pub fn eval(
             arity(args, 2, op)?;
             let a = args[0].as_bytes_iter()?;
             let b = args[1].as_bytes_iter()?;
-            let data = a.bytes().extract(a.offset(), b.offset())?;
-            Evaluated::value(Value::Bytes(Bytes::frozen_from_slice(&data)))
+            Evaluated::value(Value::Bytes(a.bytes().sub(a.offset(), b.offset())?))
         }
         BytesFind => {
             // (bytes, needle, from_iter) → tuple(bool found, iter pos).
@@ -597,9 +595,10 @@ pub fn eval(
         }
         BytesToString => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&String::from_utf8_lossy(
-                &args[0].as_bytes()?.to_vec(),
-            )))
+            let b = args[0].as_bytes()?;
+            Evaluated::value(b.with_available(b.begin_offset(), |data| {
+                Value::str(&String::from_utf8_lossy(data))
+            })?)
         }
         BytesToInt => {
             arity(args, 2, op)?;
@@ -660,9 +659,9 @@ pub fn eval(
             if !b.is_frozen() {
                 return Err(RtError::would_block());
             }
-            let data = b.extract(it.offset().min(b.end_offset()), b.end_offset())?;
+            let rest = b.sub(it.offset().min(b.end_offset()), b.end_offset())?;
             Evaluated::value(Value::Tuple(Rc::new(vec![
-                Value::Bytes(Bytes::frozen_from_slice(&data)),
+                Value::Bytes(rest),
                 Value::BytesIter(b.end()),
             ])))
         }
@@ -1068,31 +1067,21 @@ pub fn eval(
         // --- structs --------------------------------------------------------------------
         StructGet => {
             arity(args, 1, op)?;
-            let s = as_struct(&args[0])?.borrow();
             let field = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("struct.get needs a field ident"))?;
-            let idx = struct_field_index(ctx, &s.type_name, field)?;
-            let v = s.fields[idx].clone();
-            if matches!(v, Value::Null) {
-                return Err(RtError::new(
-                    ExceptionKind::IndexError,
-                    format!("field {field} is unset"),
-                ));
-            }
-            Evaluated::value(v)
+            Evaluated::value(struct_get(&args[0], field, |t| {
+                struct_field_index(ctx, t, field)
+            })?)
         }
         StructSet => {
             arity(args, 2, op)?;
-            let rc = as_struct(&args[0])?;
             let field = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("struct.set needs a field ident"))?;
-            let idx = {
-                let s = rc.borrow();
-                struct_field_index(ctx, &s.type_name, field)?
-            };
-            rc.borrow_mut().fields[idx] = args[1].clone();
+            struct_set(&args[0], args[1].clone(), |t| {
+                struct_field_index(ctx, t, field)
+            })?;
             Evaluated::null()
         }
         StructIsSet => {
@@ -1668,14 +1657,48 @@ fn expire_strategy(v: &Value) -> RtResult<ExpireStrategy> {
     }
 }
 
-fn struct_field_index(ctx: &dyn ExecCtx, type_name: &str, field: &str) -> RtResult<usize> {
-    let fields = ctx
-        .struct_fields(type_name)
-        .ok_or_else(|| RtError::type_error(format!("unknown struct type {type_name}")))?;
-    fields
-        .iter()
-        .position(|f| f == field)
+/// Resolves a field name to its slot through the program's type table:
+/// the one place a struct field is looked up by name. The interpreter calls
+/// it per access; compiled code calls it when a field site's cache misses.
+pub(crate) fn struct_field_index(
+    ctx: &dyn ExecCtx,
+    type_name: &str,
+    field: &str,
+) -> RtResult<usize> {
+    ctx.struct_layout(type_name)
+        .ok_or_else(|| RtError::type_error(format!("unknown struct type {type_name}")))?
+        .index_of(field)
         .ok_or_else(|| RtError::index(format!("struct {type_name} has no field {field}")))
+}
+
+/// `struct.get`: reading an unset field raises. `index` maps the struct's
+/// type name to the field's slot.
+pub(crate) fn struct_get(
+    obj: &Value,
+    field: &str,
+    index: impl FnOnce(&Rc<str>) -> RtResult<usize>,
+) -> RtResult<Value> {
+    let s = as_struct(obj)?.borrow();
+    let idx = index(&s.type_name)?;
+    match &s.fields[idx] {
+        Value::Null => Err(RtError::new(
+            ExceptionKind::IndexError,
+            format!("field {field} is unset"),
+        )),
+        v => Ok(v.clone()),
+    }
+}
+
+/// `struct.set`, with `index` as for [`struct_get`].
+pub(crate) fn struct_set(
+    obj: &Value,
+    value: Value,
+    index: impl FnOnce(&Rc<str>) -> RtResult<usize>,
+) -> RtResult<()> {
+    let rc = as_struct(obj)?;
+    let idx = index(&rc.borrow().type_name)?;
+    rc.borrow_mut().fields[idx] = value;
+    Ok(())
 }
 
 fn classifier_fields(v: &Value) -> RtResult<Vec<FieldMatcher>> {
@@ -1740,7 +1763,7 @@ mod tests {
         out: Vec<String>,
         time: Time,
         expiring: Vec<ExpiringHandle>,
-        structs: HashMap<String, Vec<String>>,
+        structs: HashMap<String, StructLayout>,
         files: HashMap<String, LogFile>,
     }
 
@@ -1749,7 +1772,7 @@ mod tests {
             let mut structs = HashMap::new();
             structs.insert(
                 "Conn".to_owned(),
-                vec!["orig".to_owned(), "resp".to_owned()],
+                StructLayout::new("Conn", vec!["orig".to_owned(), "resp".to_owned()]),
             );
             TestCtx {
                 out: Vec::new(),
@@ -1786,8 +1809,8 @@ mod tests {
                 }
             }
         }
-        fn struct_fields(&self, name: &str) -> Option<Vec<String>> {
-            self.structs.get(name).cloned()
+        fn struct_layout(&self, name: &str) -> Option<&StructLayout> {
+            self.structs.get(name)
         }
         fn overlay(&self, _name: &str) -> Option<Rc<OverlayType>> {
             Some(Rc::new(OverlayType::ipv4_header()))

@@ -137,16 +137,16 @@ pub(crate) enum TOp {
         binder: Option<u16>,
     },
     PopHandler,
-    /// `struct.get` hit path; shares the tiered `CFunc`'s cache site. A
-    /// miss — or any raising path — deopts to the IC arm in the generic
-    /// loop, which owns resolution, refill and error semantics.
-    StructGetIC {
+    /// `struct.get` hit path; shares the `CFunc`'s field site. A miss — or
+    /// any raising path — deopts to the field-site arm in the generic loop,
+    /// which owns resolution, refill and error semantics.
+    StructGet {
         target: Option<u16>,
         obj: TSrc,
         ic: Rc<RefCell<IcSite>>,
     },
     /// `struct.set` hit path; same sharing and deopt rules.
-    StructSetIC {
+    StructSet {
         target: Option<u16>,
         obj: TSrc,
         value: TSrc,
@@ -266,20 +266,20 @@ fn lower(instr: &CInstr) -> TOp {
             binder: *binder,
         },
         CInstr::PopHandler => TOp::PopHandler,
-        CInstr::StructGetIC {
+        CInstr::StructGet {
             target, obj, ic, ..
-        } => TOp::StructGetIC {
+        } => TOp::StructGet {
             target: *target,
             obj: TSrc::from_operand(obj),
             ic: Rc::clone(ic),
         },
-        CInstr::StructSetIC {
+        CInstr::StructSet {
             target,
             obj,
             value,
             ic,
             ..
-        } => TOp::StructSetIC {
+        } => TOp::StructSet {
             target: *target,
             obj: TSrc::from_operand(obj),
             value: TSrc::from_operand(value),

@@ -8,8 +8,9 @@
 //! Titzer's baseline-compiler study, arXiv 2305.13241): start every
 //! function in the generic tier, *watch* it, and once it is hot re-lower it
 //! through the same specialization pass using the observed operand types,
-//! plus monomorphic inline caches at struct-field/overlay access sites and
-//! callee-resolved call sites.
+//! plus monomorphic inline caches at overlay access sites and
+//! callee-resolved call sites. (Struct field sites are cached on every
+//! tier already — lowering emits them — and tiered bodies share them.)
 //!
 //! ## Determinism
 //!
@@ -30,9 +31,9 @@
 //!   `int` specializes because the typed instruction still validates its
 //!   operands at run time and raises the identical catchable `TypeError`
 //!   the generic `ops::eval` path would — the runtime check *is* the
-//!   guard. Inline caches key on struct type name / overlay name / callee
-//!   name and fall back to the generic resolution (refilling, then
-//!   de-optimizing past [`TierConfig::ic_cap`]) on a miss.
+//!   guard. Inline caches key on overlay name / callee name and fall
+//!   back to the generic resolution (refilling, then de-optimizing past
+//!   [`TierConfig::ic_cap`]) on a miss.
 //! * **Observational modes pin the generic tier.** Tracing, instruction
 //!   stats, the execution profiler, and fault injection all bypass tiered
 //!   code entirely, so their outputs stay comparable across builds.
@@ -43,7 +44,7 @@
 
 use std::rc::Rc;
 
-use crate::bytecode::{CFunc, CInstr, CompiledProgram, IcSite};
+use crate::bytecode::{CFunc, CInstr, CompiledProgram, IcSite, IC_CAP};
 use crate::ir::Opcode;
 use crate::specialize::{specialize_func_with_types, SpecStats};
 use crate::threaded::ThreadedFunc;
@@ -115,8 +116,9 @@ pub struct TierConfig {
     /// body (catches hot loops inside rarely-called functions; this is the
     /// per-function retired-instruction signal PR 3's profiler surfaces).
     pub hot_retired: u64,
-    /// Inline-cache entries per site before the site de-optimizes back to
-    /// generic resolution.
+    /// Inline-cache entries per overlay/callable site before the site
+    /// de-optimizes back to generic resolution (struct field sites are
+    /// made by lowering, with [`IC_CAP`]).
     pub ic_cap: usize,
 }
 
@@ -125,7 +127,7 @@ impl Default for TierConfig {
         TierConfig {
             hot_invocations: 16,
             hot_retired: 2048,
-            ic_cap: 4,
+            ic_cap: IC_CAP,
         }
     }
 }
@@ -304,8 +306,8 @@ impl TierEngine {
             let mut ic_sites = Vec::new();
             for instr in &code.code {
                 let (kind, ic) = match instr {
-                    CInstr::StructGetIC { ic, .. } => ("struct.get", ic),
-                    CInstr::StructSetIC { ic, .. } => ("struct.set", ic),
+                    CInstr::StructGet { ic, .. } => ("struct.get", ic),
+                    CInstr::StructSet { ic, .. } => ("struct.set", ic),
                     CInstr::OverlayGetIC { ic, .. } => ("overlay.get", ic),
                     CInstr::CallCallableIC { ic, .. } => ("callable.call", ic),
                     _ => continue,
@@ -385,29 +387,6 @@ fn tier_up(generic: &CFunc, obs: &[Obs], config: &TierConfig) -> CFunc {
 fn insert_inline_caches(cf: &mut CFunc, cap: usize) {
     for instr in &mut cf.code {
         let replacement = match instr {
-            CInstr::Op {
-                opcode: Opcode::StructGet,
-                target,
-                args,
-                idents,
-            } if args.len() == 1 && !idents.is_empty() => Some(CInstr::StructGetIC {
-                target: *target,
-                obj: args[0].clone(),
-                field: Rc::from(idents[0].as_str()),
-                ic: IcSite::new(cap),
-            }),
-            CInstr::Op {
-                opcode: Opcode::StructSet,
-                target,
-                args,
-                idents,
-            } if args.len() == 2 && !idents.is_empty() => Some(CInstr::StructSetIC {
-                target: *target,
-                obj: args[0].clone(),
-                value: args[1].clone(),
-                field: Rc::from(idents[0].as_str()),
-                ic: IcSite::new(cap),
-            }),
             CInstr::Op {
                 opcode: Opcode::OverlayGet,
                 target,
@@ -512,9 +491,12 @@ int<64> f(any x) {
             r#"
 module M
 type T = struct { int<64> a, int<64> b }
-int<64> getb(any s) {
+type Hdr = overlay { len: int<16> at 2 unpack UInt16BigEndian }
+int<64> getb(any s, ref<bytes> pkt) {
     local int<64> v
+    local int<16> l
     v = struct.get s b
+    l = overlay.get Hdr len pkt
     return v
 }
 "#,
@@ -528,7 +510,7 @@ int<64> getb(any s) {
             tiered
                 .code
                 .iter()
-                .any(|i| matches!(i, CInstr::StructGetIC { .. })),
+                .any(|i| matches!(i, CInstr::OverlayGetIC { .. })),
             "{:#?}",
             tiered.code
         );
@@ -536,8 +518,10 @@ int<64> getb(any s) {
         // exactly like the generic op it replaced.
         assert_eq!(generic.code.len(), tiered.code.len());
         for (g, t) in generic.code.iter().zip(tiered.code.iter()) {
-            if matches!(t, CInstr::StructGetIC { .. }) {
-                assert_eq!(g.render(), t.render());
+            assert_eq!(g.render(), t.render());
+            // The struct field site is lowering's, shared with the clone.
+            if let (CInstr::StructGet { ic: a, .. }, CInstr::StructGet { ic: b, .. }) = (g, t) {
+                assert!(Rc::ptr_eq(a, b));
             }
         }
     }

@@ -39,6 +39,37 @@ pub struct StructVal {
     pub fields: Vec<Value>,
 }
 
+/// A struct type's run-time layout; the program's type table holds one per
+/// declared struct. Every instance made by `new` shares `name`, so a field
+/// site can recognize the type by pointer before it compares text.
+#[derive(Debug)]
+pub struct StructLayout {
+    pub name: Rc<str>,
+    /// Field names, in declaration order.
+    pub fields: Vec<String>,
+}
+
+impl StructLayout {
+    pub fn new(name: &str, fields: Vec<String>) -> StructLayout {
+        StructLayout {
+            name: Rc::from(name),
+            fields,
+        }
+    }
+
+    pub fn index_of(&self, field: &str) -> Option<usize> {
+        self.fields.iter().position(|f| f == field)
+    }
+
+    /// A fresh instance with every field unset.
+    pub fn instantiate(&self) -> Value {
+        Value::Struct(Rc::new(RefCell::new(StructVal {
+            type_name: Rc::clone(&self.name),
+            fields: vec![Value::Null; self.fields.len()],
+        })))
+    }
+}
+
 /// A bound function value (closure), HILTI's `callable`.
 #[derive(Debug, Clone)]
 pub struct CallableVal {

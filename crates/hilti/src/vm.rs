@@ -31,7 +31,7 @@ use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite,
 use crate::ops::{self, ExecCtx, ExpiringHandle};
 use crate::threaded::{TOp, TSrc, ThreadedFunc};
 use crate::tier::{TierCode, TierConfig, TierEngine, TierPoll, TierReport, TieringMode};
-use crate::value::{CallableVal, Value};
+use crate::value::{CallableVal, StructLayout, Value};
 
 /// A host-registered function (the inverse direction of the C stubs:
 /// HILTI code calling into the application, §3.4).
@@ -62,7 +62,7 @@ pub struct Context {
     pub scheduled: Vec<(u64, CallableVal)>,
     /// Struct/overlay tables shared with the program (`Rc`: spawning a
     /// virtual-thread context must not deep-copy whole type tables).
-    pub struct_fields: Rc<HashMap<String, Vec<String>>>,
+    pub struct_layouts: Rc<HashMap<String, StructLayout>>,
     pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
     /// When set, every executed instruction is appended to `trace_log`
     /// (`hiltic run --trace`; the paper's §3.1 debugging support).
@@ -174,7 +174,7 @@ impl Context {
             counters: hilti_rt::telemetry::Registry::new(),
             thread_id: 0,
             scheduled: Vec::new(),
-            struct_fields: Rc::clone(&prog.struct_fields),
+            struct_layouts: Rc::clone(&prog.struct_layouts),
             overlays: Rc::clone(&prog.overlays),
             trace: false,
             trace_log: Vec::new(),
@@ -614,9 +614,9 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         | CInstr::CmpInt { .. }
         | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
+        CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
         // Observational modes pin execution to the generic tier, so these
         // never appear in a profile; classes mirror the generic ops anyway.
-        CInstr::StructGetIC { .. } | CInstr::StructSetIC { .. } => "struct",
         CInstr::OverlayGetIC { .. } => "overlay",
         CInstr::CallCallableIC { .. } => "callable",
     }
@@ -658,8 +658,8 @@ impl ExecCtx for Context {
         }
     }
 
-    fn struct_fields(&self, type_name: &str) -> Option<Vec<String>> {
-        self.struct_fields.get(type_name).cloned()
+    fn struct_layout(&self, type_name: &str) -> Option<&StructLayout> {
+        self.struct_layouts.get(type_name)
     }
 
     fn overlay(&self, type_name: &str) -> Option<Rc<OverlayType>> {
@@ -738,11 +738,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Builds a fresh activation record (public for the host API).
-    pub fn new_public(prog: &CompiledProgram, func: u32, args: Vec<Value>) -> Frame {
-        Frame::new(prog, func, args)
-    }
-
     fn new(prog: &CompiledProgram, func: u32, args: impl IntoIterator<Item = Value>) -> Frame {
         Frame::new_pooled(prog, func, args, &mut Vec::new())
     }
@@ -815,6 +810,41 @@ pub fn resolve(prog: &CompiledProgram, func: &str) -> RtResult<FuncId> {
         .ok_or_else(|| RtError::value(format!("unknown function {func}")))
 }
 
+/// A hook of one [`CompiledProgram`], resolved by name once: the other
+/// by-name entry a host takes per packet (see [`FuncId`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct HookId(u32);
+
+/// Resolves a fully qualified hook name; `None` for a hook without bodies,
+/// which runs nothing.
+pub fn resolve_hook(prog: &CompiledProgram, hook: &str) -> Option<HookId> {
+    prog.hook_index.get(hook).map(|&hi| HookId(hi))
+}
+
+/// Runs every body of `hook` to completion, in priority order (hook bodies
+/// do not suspend). One dispatch is one engine run: the instructions its
+/// bodies retire are credited to telemetry once, on the way out.
+pub fn run_hook(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    hook: HookId,
+    args: &[Value],
+) -> RtResult<()> {
+    let Some(bodies) = prog.hooks.get(hook.0 as usize) else {
+        return Err(RtError::value("hook id of another program"));
+    };
+    let spent_before = ctx.fuel_spent;
+    let result = bodies.iter().try_for_each(|&body| {
+        let frames = vec![Frame::new(prog, body, args.iter().cloned())];
+        match run(prog, ctx, frames, false)? {
+            Outcome::Done(_) => Ok(()),
+            Outcome::Suspended(_) => Err(RtError::runtime("hook body suspended")),
+        }
+    });
+    ctx.telemetry_flush_run(spent_before);
+    result
+}
+
 /// Executes `func` with `args` to completion (non-resumable).
 pub fn call(
     prog: &CompiledProgram,
@@ -854,10 +884,13 @@ pub fn call_id(
 pub fn start_resumable(
     prog: &CompiledProgram,
     ctx: &mut Context,
-    func: &str,
+    func: FuncId,
     args: &[Value],
 ) -> RtResult<Outcome> {
-    let FuncId(fi) = resolve(prog, func)?;
+    let FuncId(fi) = func;
+    if fi as usize >= prog.funcs.len() {
+        return Err(RtError::value("function id of another program"));
+    }
     ctx.tier_note_call(prog.funcs.len(), fi, args);
     let frames = vec![Frame::new(prog, fi, args.iter().cloned())];
     let spent_before = ctx.fuel_spent;
@@ -1390,19 +1423,20 @@ pub fn run(
                 callee.ret_global = store_global;
                 frames.push(callee);
             }
-            // --- inline-cache tier: guard, generic fallback on miss -----
-            // Semantics (including error kinds, messages, and evaluation
-            // order) replicate the generic `ops::eval` arms exactly; only
-            // the *resolution* — type-name → field index, overlay name →
-            // descriptor, callee name → function index — is cached.
-            CInstr::StructGetIC {
+            // --- struct field sites: slot from the site cache ------------
+            // `ops::struct_get` / `struct_set` are the semantics (the
+            // interpreter runs the same two functions); the site only
+            // answers "which slot", falling back to the type table once.
+            CInstr::StructGet {
                 target,
                 obj,
                 field,
                 ic,
             } => {
                 let v = operand_value(ctx, frame, obj);
-                match struct_get_ic(ctx, &v, field, ic) {
+                let in_tier = tiered.is_some();
+                match ops::struct_get(&v, field, |t| struct_site_index(ctx, ic, t, field, in_tier))
+                {
                     Ok(val) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1416,7 +1450,7 @@ pub fn run(
                     Err(e) => raise!(e),
                 }
             }
-            CInstr::StructSetIC {
+            CInstr::StructSet {
                 target,
                 obj,
                 value,
@@ -1425,10 +1459,11 @@ pub fn run(
             } => {
                 let v = operand_value(ctx, frame, obj);
                 let val = operand_value(ctx, frame, value);
-                match struct_set_ic(ctx, &v, val, field, ic) {
+                let in_tier = tiered.is_some();
+                match ops::struct_set(&v, val, |t| struct_site_index(ctx, ic, t, field, in_tier)) {
                     Ok(()) => {
                         let frame = frames.last_mut().expect("frame exists");
-                        // Generic struct.set evaluates to Null.
+                        // `struct.set` evaluates to Null.
                         if let Some(t) = target {
                             frame.slots[*t as usize] = Value::Null;
                         }
@@ -1440,6 +1475,11 @@ pub fn run(
                     Err(e) => raise!(e),
                 }
             }
+            // --- inline-cache tier: guard, generic fallback on miss -----
+            // Semantics (including error kinds, messages, and evaluation
+            // order) replicate the generic `ops::eval` arms exactly; only
+            // the *resolution* — overlay name → descriptor, callee name →
+            // function index — is cached.
             CInstr::OverlayGetIC {
                 target,
                 args,
@@ -1891,12 +1931,12 @@ fn run_threaded(
                 cur.pc += 1;
                 fuel -= 1;
             }
-            TOp::StructGetIC { target, obj, ic } => {
+            TOp::StructGet { target, obj, ic } => {
                 if fuel < 1 {
                     break TExit::Stuck;
                 }
                 // Hit path only. Any miss, type error, or unset field
-                // deopts *before* touching the counters; the generic IC
+                // deopts *before* touching the counters; the generic
                 // arm then re-executes the op, owning resolution, refill,
                 // hit/miss accounting and error semantics — so counters
                 // never double-book.
@@ -1911,20 +1951,7 @@ fn run_threaded(
                 let s = Rc::clone(s);
                 let val = {
                     let sb = s.borrow();
-                    let tn: &str = &sb.type_name;
-                    let site = ic.borrow();
-                    let idx = if site.deopt {
-                        None
-                    } else {
-                        site.entries.iter().find_map(|e| match e {
-                            IcEntry::Struct {
-                                type_name,
-                                field_idx,
-                            } if &**type_name == tn => Some(*field_idx as usize),
-                            _ => None,
-                        })
-                    };
-                    let Some(idx) = idx else {
+                    let Some(idx) = ic.borrow().struct_slot(&sb.type_name) else {
                         break TExit::Stuck;
                     };
                     sb.fields[idx].clone()
@@ -1940,7 +1967,7 @@ fn run_threaded(
                 cur.pc += 1;
                 fuel -= 1;
             }
-            TOp::StructSetIC {
+            TOp::StructSet {
                 target,
                 obj,
                 value,
@@ -1958,23 +1985,7 @@ fn run_threaded(
                     break TExit::Stuck;
                 };
                 let s = Rc::clone(s);
-                let idx = {
-                    let sb = s.borrow();
-                    let tn: &str = &sb.type_name;
-                    let site = ic.borrow();
-                    if site.deopt {
-                        None
-                    } else {
-                        site.entries.iter().find_map(|e| match e {
-                            IcEntry::Struct {
-                                type_name,
-                                field_idx,
-                            } if &**type_name == tn => Some(*field_idx as usize),
-                            _ => None,
-                        })
-                    }
-                };
-                let Some(idx) = idx else {
+                let Some(idx) = ic.borrow().struct_slot(&s.borrow().type_name) else {
                     break TExit::Stuck;
                 };
                 let val = tsrc!(value);
@@ -2152,96 +2163,43 @@ pub fn run_callable(
     }
 }
 
-// --- inline-cache resolution -----------------------------------------------
-// Shared by the IC dispatch arms. Each helper replicates the generic
-// `ops::eval` semantics byte for byte (error kinds, messages, evaluation
-// order); the cache only short-circuits the *resolution* step. A miss falls
-// back to the generic lookup and refills the site — until `IcSite::cap`
-// distinct entries have been seen, at which point the site de-optimizes and
-// resolves generically forever.
+// --- site-cache resolution --------------------------------------------------
+// Shared by the field-site and IC dispatch arms. The cache only
+// short-circuits the *resolution* step. A miss falls back to the generic
+// lookup and refills the site — until `IcSite::cap` distinct entries have
+// been seen, at which point the site de-optimizes and resolves generically
+// forever.
 
-/// Resolves a struct field index through the site cache, keyed on the
-/// struct's type name.
-fn struct_ic_index(
+/// Resolves a struct field's slot through its site, keyed on the struct's
+/// type name; a miss asks `ops::struct_field_index` and remembers the
+/// answer. The site's own hit/miss counts are always kept; the `ic.*`
+/// telemetry counters describe tiered code only (`in_tier`), so snapshots
+/// of untiered runs do not depend on how many programs were lowered.
+fn struct_site_index(
     ctx: &Context,
     ic: &RefCell<IcSite>,
-    type_name: &str,
+    type_name: &Rc<str>,
     field: &str,
+    in_tier: bool,
 ) -> RtResult<usize> {
     let mut site = ic.borrow_mut();
-    if !site.deopt {
-        let cached = site.entries.iter().find_map(|e| match e {
-            IcEntry::Struct {
-                type_name: t,
-                field_idx,
-            } if &**t == type_name => Some(*field_idx as usize),
-            _ => None,
-        });
-        if let Some(idx) = cached {
-            site.hits += 1;
+    if let Some(idx) = site.struct_slot(type_name) {
+        site.hits += 1;
+        if in_tier {
             ctx.ic_hit();
-            return Ok(idx);
         }
+        return Ok(idx);
     }
     site.misses += 1;
-    ctx.ic_miss();
-    // Generic resolution — identical to `ops::struct_field_index`, minus
-    // the per-access `Vec<String>` clone the `ExecCtx` interface forces.
-    let fields = ctx
-        .struct_fields
-        .get(type_name)
-        .ok_or_else(|| RtError::type_error(format!("unknown struct type {type_name}")))?;
-    let idx = fields
-        .iter()
-        .position(|f| f == field)
-        .ok_or_else(|| RtError::index(format!("struct {type_name} has no field {field}")))?;
+    if in_tier {
+        ctx.ic_miss();
+    }
+    let idx = ops::struct_field_index(ctx, type_name, field)?;
     site.refill(IcEntry::Struct {
-        type_name: Rc::from(type_name),
+        type_name: Rc::clone(type_name),
         field_idx: idx as u32,
     });
     Ok(idx)
-}
-
-/// `struct.get` through the site cache.
-fn struct_get_ic(ctx: &Context, v: &Value, field: &str, ic: &RefCell<IcSite>) -> RtResult<Value> {
-    let Value::Struct(s) = v else {
-        return Err(RtError::type_error(format!(
-            "expected struct, got {}",
-            v.type_name()
-        )));
-    };
-    let sb = s.borrow();
-    let idx = struct_ic_index(ctx, ic, &sb.type_name, field)?;
-    let val = sb.fields[idx].clone();
-    if matches!(val, Value::Null) {
-        return Err(RtError::new(
-            ExceptionKind::IndexError,
-            format!("field {field} is unset"),
-        ));
-    }
-    Ok(val)
-}
-
-/// `struct.set` through the site cache.
-fn struct_set_ic(
-    ctx: &Context,
-    v: &Value,
-    val: Value,
-    field: &str,
-    ic: &RefCell<IcSite>,
-) -> RtResult<()> {
-    let Value::Struct(s) = v else {
-        return Err(RtError::type_error(format!(
-            "expected struct, got {}",
-            v.type_name()
-        )));
-    };
-    let idx = {
-        let sb = s.borrow();
-        struct_ic_index(ctx, ic, &sb.type_name, field)?
-    };
-    s.borrow_mut().fields[idx] = val;
-    Ok(())
 }
 
 /// `overlay.get` with the resolved overlay descriptor cached. The site is

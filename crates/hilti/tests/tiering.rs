@@ -38,6 +38,23 @@ int<64> setb(any s, int<64> v) {
     return v
 }
 
+int<64> getb_typed(ref<T1> s) {
+    local int<64> v
+    v = struct.get s b
+    return v
+}
+
+int<64> setb_typed(ref<T1> s, int<64> v) {
+    struct.set s b v
+    return v
+}
+
+bool hasb(any s) {
+    local bool r
+    r = struct.is_set s b
+    return r
+}
+
 any mk1() {
     local any s
     s = new T1
@@ -489,4 +506,132 @@ fn threaded_ic_miss_deopts_and_recovers() {
     let mix = p.context().tier_mix();
     assert!(mix.threaded > 0, "never entered threaded code: {mix:?}");
     assert!(mix.generic > 0, "deopt path never ran: {mix:?}");
+}
+
+/// All four tiering modes — or just the one named by `HILTI_TIERING`, so
+/// the CI tier matrix runs the struct oracle once per tier.
+fn modes_under_test() -> Vec<TieringMode> {
+    match TieringMode::from_env() {
+        Some(m) => vec![m],
+        None => vec![
+            TieringMode::Off,
+            TieringMode::Lazy,
+            TieringMode::Eager,
+            TieringMode::Threaded,
+        ],
+    }
+}
+
+/// A struct the program never declared, as a host might hand one in.
+fn ghost() -> Value {
+    Value::Struct(std::rc::Rc::new(std::cell::RefCell::new(
+        hilti::value::StructVal {
+            type_name: std::rc::Rc::from("Ghost"),
+            fields: vec![Value::Int(1)],
+        },
+    )))
+}
+
+/// What a call sequence looks like from outside: each call's value or
+/// exception (kind *and* message), then the fuel the sequence charged.
+fn struct_transcript(
+    p: &mut Program,
+    run: fn(&mut Program, &str, &[Value]) -> hilti_rt::error::RtResult<Value>,
+) -> Vec<String> {
+    let s1 = p.run("M::mk1", &[]).unwrap();
+    let s2 = p.run("M::mk2", &[]).unwrap();
+    let unset = p.run("M::mk_unset", &[]).unwrap();
+    let nob = p.run("M::mk_nob", &[]).unwrap();
+    let fuel0 = p.context().fuel_spent();
+    let calls: Vec<(&str, Vec<Value>)> = vec![
+        // Hits on an untyped and on a statically typed site.
+        ("M::getb", vec![s1.clone()]),
+        ("M::getb_typed", vec![s1.clone()]),
+        ("M::setb", vec![s1.clone(), Value::Int(41)]),
+        ("M::setb_typed", vec![s1.clone(), Value::Int(42)]),
+        ("M::getb", vec![s1.clone()]),
+        // A second receiver type where `b` sits in another slot — also
+        // through the site whose declared type says T1.
+        ("M::getb", vec![s2.clone()]),
+        ("M::getb_typed", vec![s2.clone()]),
+        ("M::setb_typed", vec![s2.clone(), Value::Int(7)]),
+        ("M::getb", vec![s2.clone()]),
+        ("M::hasb", vec![unset.clone()]),
+        // Unset field, unknown field, unknown struct type, not a struct.
+        ("M::getb", vec![unset.clone()]),
+        ("M::getb_typed", vec![unset.clone()]),
+        ("M::getb", vec![nob.clone()]),
+        ("M::setb", vec![nob.clone(), Value::Int(1)]),
+        ("M::getb_typed", vec![nob.clone()]),
+        ("M::getb", vec![ghost()]),
+        ("M::setb", vec![ghost(), Value::Int(1)]),
+        ("M::hasb", vec![ghost()]),
+        ("M::getb", vec![Value::Int(3)]),
+        ("M::setb_typed", vec![Value::str("x"), Value::Int(1)]),
+        ("M::getb", vec![Value::Null]),
+        // And the sites still answer correctly afterwards.
+        ("M::getb", vec![s1.clone()]),
+        ("M::getb_typed", vec![s2.clone()]),
+    ];
+    let mut out = Vec::new();
+    // Three rounds: under lazy/threaded the later ones run tiered code.
+    for round in 0..3 {
+        for (func, args) in &calls {
+            out.push(match run(p, func, args) {
+                Ok(v) => format!("{round} {func} = {}", v.render()),
+                Err(e) => format!("{round} {func} ! {:?}: {}", e.kind, e.message),
+            });
+        }
+    }
+    out.push(format!("fuel {}", p.context().fuel_spent() - fuel0));
+    out
+}
+
+#[test]
+fn struct_ops_agree_across_engines_and_tiers() {
+    // One resolution mechanism serves every engine, so they must agree on
+    // values, on exception kinds and messages, and on fuel: the
+    // tree-walking interpreter (the oracle), the statically specialized VM
+    // and each tiering mode.
+    let vm = |p: &mut Program, f: &str, a: &[Value]| p.run(f, a);
+    let interp = |p: &mut Program, f: &str, a: &[Value]| p.run_interpreted(f, a);
+    let fresh = || Program::from_sources_opts(&[SRC], OptLevel::Full, Default::default()).unwrap();
+
+    let oracle = struct_transcript(&mut fresh(), interp);
+    for line in [
+        "0 M::getb = 1",
+        "0 M::getb_typed = 2",
+        "0 M::getb ! IndexError: field b is unset",
+        "0 M::getb ! IndexError: struct NoB has no field b",
+        "0 M::setb ! IndexError: struct NoB has no field b",
+        "0 M::getb ! TypeError: unknown struct type Ghost",
+        "0 M::setb ! TypeError: unknown struct type Ghost",
+        "0 M::hasb ! TypeError: unknown struct type Ghost",
+        "0 M::getb ! TypeError: expected struct, got int",
+        "0 M::setb_typed ! TypeError: expected struct, got string",
+        "0 M::getb ! TypeError: expected struct, got null",
+    ] {
+        assert!(oracle.iter().any(|l| l == line), "{line}\n{oracle:#?}");
+    }
+    assert_eq!(struct_transcript(&mut fresh(), vm), oracle, "static VM");
+    for mode in modes_under_test() {
+        assert_eq!(struct_transcript(&mut build(mode), vm), oracle, "{mode:?}");
+    }
+
+    // `--profile` output: attribution per function and per opcode class
+    // (struct ops under `struct`), identical on every engine and tier.
+    let profile_of =
+        |p: &mut Program,
+         run: fn(&mut Program, &str, &[Value]) -> hilti_rt::error::RtResult<Value>| {
+            p.context_mut().profile = true;
+            let transcript = struct_transcript(p, run);
+            let profile = p.context_mut().take_exec_profile();
+            (transcript, profile.functions(), profile.classes())
+        };
+    let want = profile_of(&mut fresh(), interp);
+    assert!(want.2.iter().any(|(class, n)| *class == "struct" && *n > 0));
+    assert_eq!(profile_of(&mut fresh(), vm), want, "static VM profile");
+    for mode in modes_under_test() {
+        assert_eq!(profile_of(&mut build(mode), vm), want, "{mode:?} profile");
+    }
 }

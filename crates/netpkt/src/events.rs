@@ -8,6 +8,8 @@
 //! exactly the property the paper's evaluation exploits when comparing the
 //! two (§6.4, §6.5).
 
+use std::sync::Arc;
+
 use hilti_rt::addr::{Addr, Port};
 use hilti_rt::time::Time;
 
@@ -46,17 +48,17 @@ pub struct DnsAnswer {
 pub enum Event {
     ConnectionEstablished {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         id: ConnId,
     },
     ConnectionFinished {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         id: ConnId,
     },
     HttpRequest {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         id: ConnId,
         method: String,
         uri: String,
@@ -64,7 +66,7 @@ pub enum Event {
     },
     HttpReply {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         id: ConnId,
         status: u32,
         reason: String,
@@ -72,7 +74,7 @@ pub enum Event {
     },
     HttpHeader {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         /// True if sent by the originator (client).
         is_orig: bool,
         name: String,
@@ -81,20 +83,20 @@ pub enum Event {
     /// A chunk of message body, in order.
     HttpBodyData {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         is_orig: bool,
         data: Vec<u8>,
     },
     /// End of one HTTP message (request or reply side).
     HttpMessageDone {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         is_orig: bool,
         body_len: u64,
     },
     DnsRequest {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         id: ConnId,
         trans_id: u16,
         query: String,
@@ -102,7 +104,7 @@ pub enum Event {
     },
     DnsReply {
         ts: Time,
-        uid: String,
+        uid: Arc<str>,
         id: ConnId,
         trans_id: u16,
         rcode: u16,

@@ -14,6 +14,7 @@
 //! traffic on port 80.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use hilti_rt::time::Time;
 
@@ -79,7 +80,7 @@ impl Direction {
 
 /// Incremental HTTP parser for one connection (both directions).
 pub struct HttpConnParser {
-    uid: String,
+    uid: Arc<str>,
     id: ConnId,
     client: Direction,
     server: Direction,
@@ -93,7 +94,7 @@ pub struct HttpConnParser {
 impl HttpConnParser {
     pub fn new(uid: String, id: ConnId) -> Self {
         HttpConnParser {
-            uid,
+            uid: uid.into(),
             id,
             client: Direction::new(true),
             server: Direction::new(false),
@@ -322,7 +323,7 @@ impl HttpConnParser {
     fn parse_request_line(
         line: &str,
         ts: Time,
-        uid: &str,
+        uid: &Arc<str>,
         id: ConnId,
         outstanding: &mut VecDeque<String>,
         sink: &mut Vec<Event>,
@@ -344,7 +345,7 @@ impl HttpConnParser {
         outstanding.push_back(method.to_owned());
         sink.push(Event::HttpRequest {
             ts,
-            uid: uid.to_owned(),
+            uid: uid.clone(),
             id,
             method: method.to_owned(),
             uri: uri.to_owned(),
@@ -356,7 +357,7 @@ impl HttpConnParser {
     fn parse_status_line(
         line: &str,
         ts: Time,
-        uid: &str,
+        uid: &Arc<str>,
         id: ConnId,
         last_status: &mut Option<u32>,
         sink: &mut Vec<Event>,
@@ -375,7 +376,7 @@ impl HttpConnParser {
         *last_status = Some(status);
         sink.push(Event::HttpReply {
             ts,
-            uid: uid.to_owned(),
+            uid: uid.clone(),
             id,
             status,
             reason,

@@ -307,7 +307,7 @@ fn track_bro_matches_figure8_output_shape() {
             if delivery.established_now {
                 let ev = netpkt::events::Event::ConnectionEstablished {
                     ts: pkt.ts,
-                    uid: delivery.flow.uid.to_string(),
+                    uid: delivery.flow.uid.clone(),
                     id: delivery.flow.id,
                 };
                 host.dispatch_event(&ev).unwrap();
