@@ -1,5 +1,4 @@
-//! Dispatch-tier microbenchmarks: the bytecode specializer on vs. off,
-//! plus the adaptive tier ladder up to direct-threaded execution.
+//! Dispatch microbenchmarks: the bytecode specializer on vs. off.
 //!
 //! Two kernels bracket the VM's hot paths: a tight integer loop (pure
 //! straight-line arithmetic plus a fused compare-and-branch back-edge —
@@ -11,7 +10,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
-use hilti::tier::TieringMode;
 use hilti::value::Value;
 use hilti::Program;
 
@@ -117,60 +115,9 @@ fn bench_governance_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn build_tiered(src: &str, mode: TieringMode) -> Program {
-    Program::from_sources_opts(
-        &[src],
-        OptLevel::Full,
-        BuildOptions {
-            tiering: Some(mode),
-            ..Default::default()
-        },
-    )
-    .expect("kernel builds")
-}
-
-/// Profile-guided adaptive tiering on the call-dominated kernel. `off`
-/// runs generic bytecode forever (the speedup baseline), `lazy` re-lowers
-/// through the specializer once the invocation/retired counters cross the
-/// hotness thresholds, `eager` tiers every function on first dispatch,
-/// and `threaded` additionally flattens hot specialized code into the
-/// direct-threaded top tier. The bench-regression gate (`gate.rs`)
-/// asserts lazy >= 1.2x off and threaded >= 3x off on this workload and
-/// records all medians in BENCH_dispatch.json.
-fn bench_tiering(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch_tiering");
-    for (name, mode) in [
-        ("fib25_tiering_off", TieringMode::Off),
-        ("fib25_tiering_lazy", TieringMode::Lazy),
-        ("fib25_tiering_eager", TieringMode::Eager),
-        ("fib25_tiering_threaded", TieringMode::Threaded),
-    ] {
-        group.bench_function(name, |b| {
-            let mut p = build_tiered(FIB, mode);
-            b.iter(|| p.run("Fib::fib", &[Value::Int(25)]).expect("run"))
-        });
-    }
-    group.finish();
-}
-
-/// The direct-threaded top tier on both kernel shapes, paired with the
-/// generic (`spec_off`) entries above for the >= 3x acceptance target.
-fn bench_threaded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch_threaded");
-    group.bench_function("int_loop_threaded", |b| {
-        let mut p = build_tiered(INT_LOOP, TieringMode::Threaded);
-        b.iter(|| p.run("M::kernel", &[Value::Int(10_000)]).expect("run"))
-    });
-    group.bench_function("fib_threaded", |b| {
-        let mut p = build_tiered(FIB, TieringMode::Threaded);
-        b.iter(|| p.run("Fib::fib", &[Value::Int(18)]).expect("run"))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_int_loop, bench_fib, bench_governance_overhead, bench_tiering, bench_threaded
+    targets = bench_int_loop, bench_fib, bench_governance_overhead
 }
 criterion_main!(benches);

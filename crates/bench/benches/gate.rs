@@ -2,16 +2,10 @@
 //!
 //! Runs a small, fixed set of benchmarks spanning the three performance
 //! surfaces this repo guards — bytecode dispatch (static specialization
-//! and adaptive tiering), the parallel pipeline, and telemetry overhead —
-//! and writes one `hilti.bench.v1` JSON document per suite:
+//! on/off), the parallel pipeline, and telemetry overhead — and writes
+//! one `hilti.bench.v1` JSON document per suite:
 //!
-//! * `BENCH_dispatch.json`  — fib/int-loop kernels, spec on/off and
-//!   tiering off/lazy/eager/threaded (the tiering acceptance targets live
-//!   here: `fib25_tiering_lazy` must run ≥ 1.2x faster than
-//!   `fib25_tiering_off`, and the direct-threaded top tier must run ≥ 3x
-//!   faster than generic dispatch on both kernels —
-//!   `fib25_tiering_threaded` vs `fib25_tiering_off` and
-//!   `int_loop_threaded` vs `int_loop_spec_off`).
+//! * `BENCH_dispatch.json`  — fib/int-loop kernels, spec on/off.
 //! * `BENCH_pipeline.json`  — governed HTTP analysis, sequential and
 //!   4-worker sharded.
 //! * `BENCH_telemetry.json` — the same pipeline with telemetry off/on
@@ -64,7 +58,6 @@ use broscript::pipeline::{
 };
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
-use hilti::tier::TieringMode;
 use hilti::value::Value;
 use hilti::Program;
 use hilti_rt::telemetry::json;
@@ -73,14 +66,6 @@ use netpkt::synth::{dns_trace, http_trace, throughput_trace, SynthConfig};
 const SCHEMA: &str = "hilti.bench.v1";
 const FAIL_PCT: f64 = 15.0;
 const WARN_PCT: f64 = 5.0;
-/// Acceptance target: lazy tiering over the generic-forever baseline on
-/// the call-dominated fib(25) kernel.
-const TIERING_MIN_SPEEDUP: f64 = 1.2;
-/// Acceptance target: the direct-threaded top tier over generic dispatch,
-/// on both the call-dominated and the straight-line kernel. Checked on
-/// live minima, but only on hosts with >= 2 cores — on a single shared
-/// core the generic/threaded pair can't be timed comparably.
-const THREADED_MIN_SPEEDUP: f64 = 3.0;
 /// Acceptance target: 4-worker throughput over sequential on the
 /// high-flow-count trace — checked only on machines with >= 4 cores
 /// (flow-sharded parallelism cannot beat sequential on fewer).
@@ -188,13 +173,6 @@ fn spec_opts(specialize: bool) -> BuildOptions {
     }
 }
 
-fn tier_opts(mode: TieringMode) -> BuildOptions {
-    BuildOptions {
-        tiering: Some(mode),
-        ..Default::default()
-    }
-}
-
 /// One suite: ordered benchmark id → measured statistics.
 type Suite = BTreeMap<&'static str, Stat>;
 
@@ -202,7 +180,7 @@ fn dispatch_suite(smoke: bool) -> Suite {
     let (samples, iters, fib_n, loop_n) = if smoke {
         (3, 1, 12, 500)
     } else {
-        (7, 25, 25, 20_000)
+        (7, 25, 18, 20_000)
     };
     let mut out = Suite::new();
     for (id, specialize) in [("int_loop_spec_on", true), ("int_loop_spec_off", false)] {
@@ -216,36 +194,10 @@ fn dispatch_suite(smoke: bool) -> Suite {
     }
     for (id, specialize) in [("fib18_spec_on", true), ("fib18_spec_off", false)] {
         let mut p = build_kernel(FIB, spec_opts(specialize));
-        let n = if smoke { fib_n } else { 18 };
         out.insert(
             id,
             measure(samples, iters, || {
-                p.run("Fib::fib", &[Value::Int(n)]).expect("run");
-            }),
-        );
-    }
-    for (id, mode) in [
-        ("fib25_tiering_off", TieringMode::Off),
-        ("fib25_tiering_lazy", TieringMode::Lazy),
-        ("fib25_tiering_eager", TieringMode::Eager),
-        ("fib25_tiering_threaded", TieringMode::Threaded),
-    ] {
-        let mut p = build_kernel(FIB, tier_opts(mode));
-        out.insert(
-            id,
-            measure(samples, 1, || {
                 p.run("Fib::fib", &[Value::Int(fib_n)]).expect("run");
-            }),
-        );
-    }
-    // The straight-line kernel under the threaded top tier; paired with
-    // `int_loop_spec_off` for the second ≥ 3x live check.
-    {
-        let mut p = build_kernel(INT_LOOP, tier_opts(TieringMode::Threaded));
-        out.insert(
-            "int_loop_threaded",
-            measure(samples, iters, || {
-                p.run("M::kernel", &[Value::Int(loop_n)]).expect("run");
             }),
         );
     }
@@ -737,59 +689,6 @@ fn main() -> ExitCode {
             let (f, w) = compare(name, suite, &baseline_path);
             fails += f;
             warns += w;
-        }
-    }
-
-    // The tiering acceptance target, checked on live medians (not the
-    // baseline): lazy must beat generic-forever by the required factor.
-    if !smoke {
-        let dispatch = &suites[0].1;
-        let off = dispatch["fib25_tiering_off"].min_ns as f64;
-        let lazy = dispatch["fib25_tiering_lazy"].min_ns as f64;
-        let speedup = off / lazy.max(1.0);
-        let verdict = if speedup >= TIERING_MIN_SPEEDUP {
-            "ok"
-        } else {
-            fails += 1;
-            "FAIL"
-        };
-        println!(
-            "gate: dispatch/fib25 tiering lazy speedup {speedup:.2}x (target >= {TIERING_MIN_SPEEDUP}x) {verdict}"
-        );
-    }
-
-    // The direct-threaded acceptance target, checked on live minima for
-    // both kernel shapes. Mirrors the throughput gate's constrained-host
-    // pattern: on a single-core host the check reports SKIP.
-    if !smoke {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let dispatch = &suites[0].1;
-        for (what, base_id, threaded_id) in [
-            ("fib25", "fib25_tiering_off", "fib25_tiering_threaded"),
-            ("int_loop", "int_loop_spec_off", "int_loop_threaded"),
-        ] {
-            let generic = dispatch[base_id].min_ns as f64;
-            let threaded = dispatch[threaded_id].min_ns as f64;
-            let speedup = generic / threaded.max(1.0);
-            if cores >= 2 {
-                let verdict = if speedup >= THREADED_MIN_SPEEDUP {
-                    "ok"
-                } else {
-                    fails += 1;
-                    "FAIL"
-                };
-                println!(
-                    "gate: dispatch/{what} threaded speedup {speedup:.2}x \
-                     (target >= {THREADED_MIN_SPEEDUP}x vs generic) {verdict}"
-                );
-            } else {
-                println!(
-                    "gate: dispatch/{what} threaded speedup {speedup:.2}x — SKIP \
-                     ({cores} core(s) available; target {THREADED_MIN_SPEEDUP}x needs >= 2)"
-                );
-            }
         }
     }
 

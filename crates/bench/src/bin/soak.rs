@@ -171,7 +171,6 @@ fn main() {
         quarantine: true,
         inject_fault_after: None,
         telemetry: true,
-        tiering: None,
         delivery_deadline_ms: cfg.deadline_ms,
         tracing: cfg.live_stats.is_some() || cfg.trace_out.is_some(),
         force_copy: false,

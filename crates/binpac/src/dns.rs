@@ -470,12 +470,6 @@ impl BinpacDns {
         })
     }
 
-    /// The generated parser (and through it the parser VM's context), for
-    /// hosts and tests that configure the engine itself.
-    pub fn parser_mut(&mut self) -> &mut BinpacParser {
-        &mut self.parser
-    }
-
     /// Parse-stage span hook: every subsequent `datagram` records a
     /// `Stage::Parse` span into `rec` (see `BinpacHttp::set_recorder`).
     pub fn set_recorder(&mut self, rec: hilti_rt::trace::SharedRecorder) {

@@ -628,12 +628,6 @@ impl BinpacHttp {
         uids
     }
 
-    /// The generated parser (and through it the parser VM's context), for
-    /// hosts and tests that configure the engine itself.
-    pub fn parser_mut(&mut self) -> &mut BinpacParser {
-        &mut self.parser
-    }
-
     /// Attaches telemetry to the parser VM: retired-instruction counters
     /// flushed per parse step, plus fiber suspend/resume and
     /// resource-limit events on the sink.

@@ -8,11 +8,6 @@
 //! a wrapping global allocator (per thread, so the parallel test harness
 //! does not disturb the counts) and hold the seeded DNS and HTTP traces to
 //! recorded budgets; a count is host-independent and repeats exactly.
-//!
-//! `HILTI_TIERING=off|lazy|eager|threaded` additionally arms that tiering
-//! mode on the parser VMs (the CI tier matrix does): struct field access
-//! is what the tiers used to differ on, and the budgets hold on all of
-//! them because every tier runs the same field sites.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,9 +15,8 @@ use std::sync::Arc;
 
 use binpac::dns::BinpacDns;
 use binpac::http::BinpacHttp;
-use hilti::host::{BuildOptions, Program};
+use hilti::host::Program;
 use hilti::passes::OptLevel;
-use hilti::tier::TieringMode;
 use hilti::Value;
 use hilti_rt::time::Time;
 use netpkt::decode::decode_frame;
@@ -35,10 +29,10 @@ use netpkt::TraceBuffer;
 /// Allocations per DNS datagram handed to `BinpacDns::datagram_chunk` on
 /// `dns_trace(11, 2_000)`. Was 416.4 while every `struct.get`/`struct.set`
 /// cloned the unit's field-name list.
-const DNS_ALLOCS_PER_PDU: f64 = 78.0;
+const DNS_ALLOCS_PER_PDU: f64 = 69.0;
 /// Allocations per payload-carrying delivery fed to `BinpacHttp` on
 /// `http_trace(11, 300)`.
-const HTTP_ALLOCS_PER_PDU: f64 = 109.0;
+const HTTP_ALLOCS_PER_PDU: f64 = 101.0;
 
 struct CountingAlloc;
 
@@ -140,14 +134,8 @@ fn http_pass(bp: &mut BinpacHttp, packets: &[RawPacket]) -> Pass {
 fn dns_datagrams_stay_within_the_allocation_budget() {
     let packets = dns_trace(&SynthConfig::new(11, 2_000));
     let mut bp = BinpacDns::new(OptLevel::Full, None).unwrap();
-    if let Some(mode) = TieringMode::from_env() {
-        bp.parser_mut()
-            .program_mut()
-            .context_mut()
-            .set_tiering(mode);
-    }
     // The first pass pays what is paid once per program — field sites
-    // filling, functions tiering up; the second is the steady state.
+    // filling; the second is the steady state.
     let warm = dns_pass(&mut bp, &packets);
     let steady = dns_pass(&mut bp, &packets);
     eprintln!("dns: {:.2} allocations per datagram", steady.per_pdu());
@@ -166,12 +154,6 @@ fn dns_datagrams_stay_within_the_allocation_budget() {
 fn http_deliveries_stay_within_the_allocation_budget() {
     let packets = http_trace(&SynthConfig::new(11, 300));
     let mut bp = BinpacHttp::new(OptLevel::Full, None).unwrap();
-    if let Some(mode) = TieringMode::from_env() {
-        bp.parser_mut()
-            .program_mut()
-            .context_mut()
-            .set_tiering(mode);
-    }
     let warm = http_pass(&mut bp, &packets);
     let steady = http_pass(&mut bp, &packets);
     eprintln!("http: {:.2} allocations per delivery", steady.per_pdu());
@@ -214,40 +196,24 @@ done:
     return v
 }
 "#;
-    let modes = match TieringMode::from_env() {
-        Some(m) => vec![Some(m)],
-        None => vec![
-            None,
-            Some(TieringMode::Off),
-            Some(TieringMode::Lazy),
-            Some(TieringMode::Eager),
-            Some(TieringMode::Threaded),
-        ],
+    let mut p = Program::from_sources(&[SRC], OptLevel::Full).unwrap();
+    let churn = p.func_id("M::churn").unwrap();
+    let s = p.run("M::make", &[]).unwrap();
+    let mut cost = |n: i64| {
+        let before = allocs();
+        let v = p.run_id(churn, &[s.clone(), Value::Int(n)]).unwrap();
+        (allocs() - before, v.as_int().unwrap())
     };
-    for tiering in modes {
-        let options = BuildOptions {
-            tiering,
-            ..Default::default()
-        };
-        let mut p = Program::from_sources_opts(&[SRC], OptLevel::Full, options).unwrap();
-        let churn = p.func_id("M::churn").unwrap();
-        let s = p.run("M::make", &[]).unwrap();
-        let mut cost = |n: i64| {
-            let before = allocs();
-            let v = p.run_id(churn, &[s.clone(), Value::Int(n)]).unwrap();
-            (allocs() - before, v.as_int().unwrap())
-        };
-        // Warm: the two field sites fill, the function tiers up.
-        let (_, total) = cost(5_000);
-        assert_eq!(total, 5_000);
-        // A call's fixed cost (frame, argument buffer) — and not one
-        // allocation more for a thousand times the struct traffic.
-        let (one, _) = cost(1);
-        let (thousand, total) = cost(1_000);
-        assert_eq!(total, 6_001);
-        assert_eq!(
-            thousand, one,
-            "{tiering:?}: 1000 get/set pairs allocated {thousand}, one pair {one}"
-        );
-    }
+    // Warm: the two field sites fill.
+    let (_, total) = cost(5_000);
+    assert_eq!(total, 5_000);
+    // A call's fixed cost (frame, argument buffer) — and not one
+    // allocation more for a thousand times the struct traffic.
+    let (one, _) = cost(1);
+    let (thousand, total) = cost(1_000);
+    assert_eq!(total, 6_001);
+    assert_eq!(
+        thousand, one,
+        "1000 get/set pairs allocated {thousand}, one pair {one}"
+    );
 }

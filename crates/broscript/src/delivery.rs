@@ -364,17 +364,12 @@ pub(crate) struct Blueprint {
 }
 
 impl Blueprint {
-    pub(crate) fn build(
-        proto: Proto,
-        stack: ParserStack,
-        engine: Engine,
-        gov: &Governance,
-    ) -> RtResult<Blueprint> {
+    pub(crate) fn build(proto: Proto, stack: ParserStack, engine: Engine) -> RtResult<Blueprint> {
         let script = match proto {
             Proto::Http => scripts::HTTP_BRO,
             Proto::Dns => scripts::DNS_BRO,
         };
-        let host = ScriptHost::blueprint(&[script], engine, gov.tiering)?;
+        let host = ScriptHost::blueprint(&[script], engine, None)?;
         let ir = match (proto, stack) {
             (_, ParserStack::Standard) => None,
             (Proto::Http, ParserStack::Binpac) => Some(BinpacHttp::front_end(OptLevel::Full)?),

@@ -212,11 +212,7 @@ impl HostBlueprint {
     /// The front end over an already-merged script: builtin-record
     /// injection and — for the compiled engine — Bro-to-HILTI compilation
     /// plus the HILTI IR front end (link/check/optimize).
-    fn of(
-        script: Script,
-        engine: Engine,
-        tiering: Option<hilti::tier::TieringMode>,
-    ) -> RtResult<HostBlueprint> {
+    fn of(script: Script, engine: Engine) -> RtResult<HostBlueprint> {
         let script = script.with_builtin_records();
         let ir = match engine {
             Engine::Interpreted => None,
@@ -225,10 +221,7 @@ impl HostBlueprint {
                 Some(hilti::Program::front_end(
                     &[&src],
                     hilti::passes::OptLevel::Full,
-                    hilti::host::BuildOptions {
-                        tiering,
-                        ..Default::default()
-                    },
+                    hilti::host::BuildOptions::default(),
                 )?)
             }
         };
@@ -289,22 +282,7 @@ impl ScriptHost {
     /// Parses and loads `sources` (merged, like loading several .bro files)
     /// onto the chosen engine.
     pub fn new(sources: &[&str], engine: Engine, profiler: Option<Profiler>) -> RtResult<Self> {
-        Self::new_tiered(sources, engine, profiler, None)
-    }
-
-    /// Like [`ScriptHost::new`], but selects profile-guided adaptive
-    /// tiering for the compiled engine instead of the static
-    /// specialization pass. `None` keeps the default static tier; the
-    /// interpreter ignores the setting. Each host owns its own tier
-    /// state, so parallel pipeline shards tier independently without
-    /// sharing (or locking) anything.
-    pub fn new_tiered(
-        sources: &[&str],
-        engine: Engine,
-        profiler: Option<Profiler>,
-        tiering: Option<hilti::tier::TieringMode>,
-    ) -> RtResult<Self> {
-        Self::blueprint(sources, engine, tiering)?.into_host(profiler)
+        Self::blueprint(sources, engine, None)?.into_host(profiler)
     }
 
     pub fn from_script(
@@ -312,16 +290,7 @@ impl ScriptHost {
         engine: Engine,
         profiler: Option<Profiler>,
     ) -> RtResult<Self> {
-        Self::from_script_tiered(script, engine, profiler, None)
-    }
-
-    pub fn from_script_tiered(
-        script: Script,
-        engine: Engine,
-        profiler: Option<Profiler>,
-        tiering: Option<hilti::tier::TieringMode>,
-    ) -> RtResult<Self> {
-        HostBlueprint::of(script, engine, tiering)?.into_host(profiler)
+        HostBlueprint::of(script, engine)?.into_host(profiler)
     }
 
     /// Runs the shareable front end of a host build **once**: script
@@ -332,16 +301,20 @@ impl ScriptHost {
     /// materializes a private host from it with
     /// [`ScriptHost::from_blueprint`], paying only bytecode lowering and
     /// globals init instead of a full compile.
+    ///
+    /// The third parameter is vestigial (it selected a tiering mode) and
+    /// can only be `None`; it stays until `benchmark/src/staged.rs`, which
+    /// passes it, may change.
     pub fn blueprint(
         sources: &[&str],
         engine: Engine,
-        tiering: Option<hilti::tier::TieringMode>,
+        _vestigial: Option<std::convert::Infallible>,
     ) -> RtResult<HostBlueprint> {
         let mut script = Script::default();
         for s in sources {
             script = script.merge(parse_script(s)?);
         }
-        HostBlueprint::of(script, engine, tiering)
+        HostBlueprint::of(script, engine)
     }
 
     /// Per-thread construction from a shared [`HostBlueprint`] (cloned, so
@@ -356,13 +329,6 @@ impl ScriptHost {
 
     fn program_mut(&mut self) -> &mut hilti::Program {
         &mut self.compiled.as_mut().expect("engine").program
-    }
-
-    /// Tier-up and inline-cache state of the compiled engine, if any.
-    pub fn tier_report(&self) -> Option<hilti::tier::TierReport> {
-        self.compiled
-            .as_ref()
-            .map(|c| c.program.context().tier_report())
     }
 
     /// Applies resource limits (fuel, heap, call depth) to whichever

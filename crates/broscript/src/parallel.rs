@@ -901,7 +901,7 @@ pub(crate) fn run_parallel(
     // Run the expensive front end (script + grammar compilation down to
     // optimized IR) once, here, so its errors surface before any thread
     // spawns; shards only lower bytecode from the shared blueprint.
-    let blueprint = Arc::new(Blueprint::build(proto, stack, engine, &gov)?);
+    let blueprint = Arc::new(Blueprint::build(proto, stack, engine)?);
 
     // One SPSC ring per shard; each shard thread builds its own `!Send`
     // state, drains the ring in batches, and returns its report on join.

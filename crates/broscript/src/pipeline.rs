@@ -110,11 +110,6 @@ pub struct Governance {
     /// [`AnalysisResult::telemetry`]. Off by default; the cost when on is
     /// a handful of relaxed atomic increments per packet.
     pub telemetry: bool,
-    /// Profile-guided adaptive tiering for the compiled script engine
-    /// (`None` keeps the default static specialization pass). Tier state
-    /// is per-host, so each parallel shard tiers independently; outputs
-    /// stay byte-identical in every mode.
-    pub tiering: Option<hilti::tier::TieringMode>,
     /// Wall-clock watchdog per delivery: every parser feed and script
     /// event dispatch must finish within this many milliseconds or it
     /// trips `Hilti::ResourceExhausted` on that flow (quarantined like
@@ -250,7 +245,7 @@ pub(crate) fn run_sequential(
     let profiler = Profiler::new();
     let tel = gov.telemetry.then(Telemetry::new);
     let rec = gov.tracing.then(|| FlightRecorder::new(0).shared());
-    let Blueprint { host, parsers } = Blueprint::build(proto, stack, engine, gov)?;
+    let Blueprint { host, parsers } = Blueprint::build(proto, stack, engine)?;
     // One shared arena for the whole trace; deliveries borrow from it.
     let trace = TraceBuffer::from_packets(packets);
     let wiring = Wiring {

@@ -24,7 +24,6 @@ fn chaos_gov() -> Governance {
         quarantine: true,
         inject_fault_after: None,
         telemetry: true,
-        tiering: None,
         delivery_deadline_ms: None,
         tracing: false,
         force_copy: false,
@@ -150,7 +149,6 @@ fn governance_with_generous_limits_changes_nothing() {
         quarantine: true,
         inject_fault_after: None,
         telemetry: false,
-        tiering: None,
         delivery_deadline_ms: None,
         tracing: false,
         force_copy: false,

@@ -21,7 +21,6 @@ fn chaos_gov() -> Governance {
         quarantine: true,
         inject_fault_after: None,
         telemetry: true,
-        tiering: None,
         delivery_deadline_ms: None,
         tracing: false,
         force_copy: false,
@@ -216,83 +215,4 @@ fn batch_size_never_changes_output() {
             }
         }
     }
-}
-
-/// All four tiering modes — or just the one named by `HILTI_TIERING`, so
-/// the CI tier matrix splits the differential cost across jobs.
-fn modes_under_test() -> Vec<hilti::tier::TieringMode> {
-    use hilti::tier::TieringMode;
-    match TieringMode::from_env() {
-        Some(m) => vec![m],
-        None => vec![
-            TieringMode::Off,
-            TieringMode::Lazy,
-            TieringMode::Eager,
-            TieringMode::Threaded,
-        ],
-    }
-}
-
-#[test]
-fn tiering_modes_parallel_output_identical() {
-    // Adaptive tiering may only change dispatch speed, never output: for
-    // every tiering mode the sequential, 1-, 2- and 4-worker compiled
-    // runs must match the static-specialization baseline byte for byte.
-    // Each shard carries its own tier engine, so worker counts also vary
-    // where (and whether) hot functions cross the threaded threshold.
-    let trace = chaos_http_trace(&ChaosConfig::new(11));
-    let quiet = Governance {
-        telemetry: false,
-        ..chaos_gov()
-    };
-    let base = run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Compiled, &quiet)
-        .expect("static baseline");
-    assert!(base.packets > 0 && !base.http_log.is_empty());
-    for mode in modes_under_test() {
-        let gov = Governance {
-            tiering: Some(mode),
-            ..quiet
-        };
-        let seq = run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Compiled, &gov)
-            .unwrap_or_else(|e| panic!("{mode:?} sequential: {e}"));
-        assert_identical(&base, &seq, &format!("{mode:?} seq vs static"));
-        for n in [1, 2, 4] {
-            let par = run_http_analysis_parallel(
-                &trace,
-                ParserStack::Binpac,
-                Engine::Compiled,
-                &PipelineOptions {
-                    workers: n,
-                    governance: gov,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{mode:?} x{n}: {e}"));
-            assert_identical(&base, &par, &format!("{mode:?} x{n} vs static"));
-        }
-    }
-}
-
-#[test]
-fn tiering_telemetry_merge_is_deterministic() {
-    // With telemetry on, per-shard tier state (engine.tierup, ic.*) flows
-    // into the merged snapshot; for a fixed worker count the merge must be
-    // byte-identical across reruns.
-    use hilti::tier::TieringMode;
-
-    let trace = chaos_http_trace(&ChaosConfig::new(13));
-    let gov = Governance {
-        tiering: Some(TieringMode::Lazy),
-        ..chaos_gov()
-    };
-    let opts = PipelineOptions {
-        workers: 4,
-        governance: gov,
-        ..Default::default()
-    };
-    let a = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Compiled, &opts)
-        .expect("first run");
-    let b = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Compiled, &opts)
-        .expect("second run");
-    assert_identical(&a, &b, "lazy x4 rerun");
 }

@@ -21,7 +21,6 @@ fn gov(tracing: bool) -> Governance {
         quarantine: true,
         inject_fault_after: None,
         telemetry: true,
-        tiering: None,
         delivery_deadline_ms: None,
         tracing,
         force_copy: false,
@@ -241,69 +240,4 @@ fn injected_stall_produces_postmortem_dump() {
         !dump.records.is_empty(),
         "stalled shard still processed its ring after waking"
     );
-}
-
-#[test]
-fn recording_identity_holds_under_tiering_modes() {
-    // The flight recorder sits outside the hilti dispatch loop, so tiered
-    // (including direct-threaded) script execution keeps running while
-    // recording — and recording must still never perturb the output, for
-    // every tiering mode, sequentially and across worker counts. (Output
-    // identity *across* modes is covered by the parallel suite; telemetry
-    // legitimately differs between tiered and untiered runs via the
-    // `engine.tierup` counter, so the comparison here is off-vs-on within
-    // one mode and worker count.)
-    use hilti::tier::TieringMode;
-    let modes = match TieringMode::from_env() {
-        Some(m) => vec![m],
-        None => vec![
-            TieringMode::Off,
-            TieringMode::Lazy,
-            TieringMode::Eager,
-            TieringMode::Threaded,
-        ],
-    };
-
-    let trace = http_trace(&SynthConfig::new(31, 10));
-    for mode in modes {
-        let g = |tracing| Governance {
-            tiering: Some(mode),
-            ..gov(tracing)
-        };
-        let off =
-            run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Compiled, &g(false))
-                .unwrap();
-        let on =
-            run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Compiled, &g(true))
-                .unwrap();
-        assert_identical(&off, &on, &format!("{mode:?} seq recorder off vs on"));
-        assert!(on.trace.is_some() && off.trace.is_none());
-        for workers in [2, 4] {
-            let popts = |tracing| PipelineOptions {
-                workers,
-                governance: g(tracing),
-                ..Default::default()
-            };
-            let par_off = run_http_analysis_parallel(
-                &trace,
-                ParserStack::Binpac,
-                Engine::Compiled,
-                &popts(false),
-            )
-            .unwrap();
-            let par_on = run_http_analysis_parallel(
-                &trace,
-                ParserStack::Binpac,
-                Engine::Compiled,
-                &popts(true),
-            )
-            .unwrap();
-            assert_identical(
-                &par_off,
-                &par_on,
-                &format!("{mode:?} x{workers} recorder off vs on"),
-            );
-            assert!(par_on.trace.is_some() && par_off.trace.is_none());
-        }
-    }
 }

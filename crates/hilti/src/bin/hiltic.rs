@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! hiltic run  [-O0] [--interp] [--trace] [--stats] [--no-specialize]
-//!             [--tiering=off|lazy|eager|threaded]
 //!             [--fuel N] [--max-heap N] [--max-depth N]
 //!             [--profile out.json] [--metrics-out out.json]
 //!             [--trace-out out.json]
@@ -18,25 +17,10 @@
 //! hiltic dump-bytecode file.hlt ...      # lowered (specialized) bytecode
 //! ```
 //!
-//! `--no-specialize` disables the typed bytecode fast tier (the ablation
-//! switch). `--tiering` selects profile-guided adaptive tiering instead
-//! of the static specialization pass: `off` runs generic bytecode
-//! forever (the speedup baseline), `lazy` re-lowers a function once its
-//! invocation/retired-instruction counters cross the hotness thresholds,
-//! `eager` tiers every function on first dispatch, and `threaded` uses
-//! `lazy`'s schedule but additionally compiles promoted functions into
-//! direct-threaded ops — operands, branch targets and inline-cache
-//! handles pre-bound at tier-up, no fetch/decode loop. Tiered code uses
-//! the operand types observed at call edges and installs monomorphic
-//! inline caches at struct/overlay/callable sites; output, exceptions
-//! and fuel are identical in every mode. `--stats` prints the executed
-//! instruction mix to stderr,
-//! sorted by count with each opcode's share of retired instructions,
-//! plus the per-tier retirement mix (generic vs specialized fast loop vs
-//! threaded executor) when any instruction retired off the generic path.
-//! (Note `--stats` itself is an observational mode that pins the generic
-//! tier, so a tiered retirement mix only shows up when stats are read
-//! programmatically or via `--metrics-out`-style integrations.)
+//! `--no-specialize` disables the bytecode specialization pass (the
+//! ablation switch); output, exceptions and fuel are identical either
+//! way. `--stats` prints the executed instruction mix to stderr, sorted
+//! by count with each opcode's share of retired instructions.
 //! `--fuel`, `--max-heap` and `--max-depth` bound execution steps, bytes
 //! of tracked heap state, and call depth; exceeding any of them raises
 //! the catchable `Hilti::ResourceExhausted` exception.
@@ -64,7 +48,6 @@ use std::process::ExitCode;
 
 use hilti::host::{BuildOptions, Program};
 use hilti::passes::OptLevel;
-use hilti::tier::TieringMode;
 use hilti::vm::ExecProfile;
 use hilti_rt::limits::ResourceLimits;
 use hilti_rt::telemetry::{json, Telemetry};
@@ -134,7 +117,6 @@ fn main() -> ExitCode {
     let mut trace = false;
     let mut stats = false;
     let mut specialize = true;
-    let mut tiering: Option<TieringMode> = None;
     let mut entry = "Main::run".to_owned();
     let mut limits = ResourceLimits::default();
     let mut profile_out: Option<String> = None;
@@ -150,16 +132,6 @@ fn main() -> ExitCode {
             "--trace" => trace = true,
             "--stats" => stats = true,
             "--no-specialize" => specialize = false,
-            t if t.starts_with("--tiering=") => {
-                let mode = &t["--tiering=".len()..];
-                match TieringMode::parse(mode) {
-                    Some(m) => tiering = Some(m),
-                    None => {
-                        eprintln!("--tiering needs off, lazy, eager or threaded (got {mode:?})");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--entry" => match it.next() {
                 Some(e) => entry = e.clone(),
                 None => {
@@ -200,6 +172,10 @@ fn main() -> ExitCode {
                 Ok(n) => limits.max_call_depth = Some(n.min(u32::MAX as u64) as u32),
                 Err(code) => return code,
             },
+            f if f.starts_with('-') => {
+                eprintln!("hiltic: unknown flag {f}");
+                return ExitCode::FAILURE;
+            }
             f => files.push(f.to_owned()),
         }
     }
@@ -223,7 +199,6 @@ fn main() -> ExitCode {
 
     let options = BuildOptions {
         specialize,
-        tiering,
         ..Default::default()
     };
     // Flight recorder (`--trace-out`): the front-end build is the parse
@@ -329,21 +304,6 @@ fn main() -> ExitCode {
                 for (name, count) in mix {
                     let pct = count as f64 * 100.0 / total.max(1) as f64;
                     eprintln!("stats: {count:>10} {pct:>6.2}%  {name}");
-                }
-                // Per-tier retirement mix (generic dispatch / specialized
-                // fast loop / threaded executor). Under --stats the VM pins
-                // the generic tier, so this reports where fuel retired —
-                // all generic here by design — and documents the armed
-                // tiering mode for the run.
-                let tiers = program.context_mut().tier_mix();
-                if let Some(mode) = program.context_mut().tiering() {
-                    eprintln!(
-                        "stats: tier mix (tiering={}): generic {} / specialized {} / threaded {}",
-                        mode.as_str(),
-                        tiers.generic,
-                        tiers.specialized,
-                        tiers.threaded
-                    );
                 }
             }
             if let Some(path) = &profile_out {

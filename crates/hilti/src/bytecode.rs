@@ -95,7 +95,7 @@ pub enum CInstr {
         inner: Box<CInstr>,
     },
 
-    // --- specialized tier ------------------------------------------------
+    // --- typed instructions ----------------------------------------------
     // Emitted by `crate::specialize`, never by lowering itself. These are
     // the typed superinstructions of the clone-free fast path: the VM
     // executes them inline on `frame.slots`, with no operand marshalling
@@ -166,12 +166,11 @@ pub enum CInstr {
     },
 
     // --- struct field sites ----------------------------------------------
-    // How `struct.get` / `struct.set` lower, on every tier: the field name
-    // is resolved to a slot once per site, not per access. The site's cache
-    // maps the operand's struct type to the slot; lowering fills it in when
-    // the operand's declared type names the struct, otherwise the first
-    // execution does, through `ops::struct_field_index`. Tiered bodies are
-    // clones of the generic one and so share its sites.
+    // How `struct.get` / `struct.set` lower: the field name is resolved to
+    // a slot once per site, not per access. The site's cache maps the
+    // operand's struct type to the slot; lowering fills it in when the
+    // operand's declared type names the struct, otherwise the first
+    // execution does, through `ops::struct_field_index`.
     /// `struct.get` with a (type name → field slot) cache.
     StructGet {
         target: Option<u16>,
@@ -185,31 +184,6 @@ pub enum CInstr {
         obj: COperand,
         value: COperand,
         field: Rc<str>,
-        ic: Rc<RefCell<IcSite>>,
-    },
-
-    // --- inline-cache tier -----------------------------------------------
-    // Emitted by `crate::tier` when a hot function is re-lowered with
-    // runtime feedback, never by lowering or the static specializer. Each
-    // variant replaces a generic `Op` at an access/call site and carries a
-    // per-site cache (`IcSite`). The guard is checked first; on a miss the
-    // site falls back to exactly the generic resolution (and refills, up to
-    // `IcSite::cap` entries, after which the site de-optimizes). Semantics
-    // — including error kinds and messages — are byte-identical to the
-    // generic path, so tier-up is observationally invisible.
-    /// `overlay.get` caching the resolved overlay type descriptor.
-    OverlayGetIC {
-        target: Option<u16>,
-        args: Box<[COperand]>,
-        oname: Rc<str>,
-        field: Rc<str>,
-        ic: Rc<RefCell<IcSite>>,
-    },
-    /// `callable.call` caching the callee-name → function-index resolution.
-    CallCallableIC {
-        target: Option<u16>,
-        callable: COperand,
-        args: Box<[COperand]>,
         ic: Rc<RefCell<IcSite>>,
     },
 }
@@ -322,7 +296,7 @@ impl IntBit {
     }
 }
 
-/// Per-site cache of a struct field site or an IC-tier instruction. Sites
+/// Per-site cache of a struct field site. Sites
 /// are private to one thread's bytecode (a `Program` is lowered per thread),
 /// so plain `RefCell` interior mutability is enough — the parallel pipeline
 /// lowers one program per shard and never shares sites across threads.
@@ -336,7 +310,7 @@ pub struct IcSite {
     /// A pathologically polymorphic site: the cache is abandoned and every
     /// execution resolves generically (still correct, no longer cached).
     pub deopt: bool,
-    /// Guard hits since tier-up.
+    /// Guard hits.
     pub hits: u64,
     /// Guard misses (each one fell back to generic resolution).
     pub misses: u64,
@@ -386,10 +360,6 @@ impl IcSite {
 pub enum IcEntry {
     /// Struct type name → field index (for `struct.get`/`struct.set`).
     Struct { type_name: Rc<str>, field_idx: u32 },
-    /// Resolved overlay type descriptor (for `overlay.get`).
-    Overlay { overlay: Rc<OverlayType> },
-    /// Callee name → function index; `None` means a host function.
-    Callee { name: Rc<str>, func: Option<u32> },
 }
 
 /// A lowered function.
@@ -524,9 +494,9 @@ impl CInstr {
                 then_pc,
                 else_pc,
             } => format!("if s{cond} goto @{then_pc} else @{else_pc}"),
-            // Field sites and IC variants render like a generic `Op`
-            // (mnemonic, idents, then value operands), keeping traces
-            // diffable across tiers and against the interpreter's.
+            // Field sites render like a generic `Op` (mnemonic, idents,
+            // then value operands), keeping traces diffable against the
+            // interpreter's.
             CInstr::StructGet {
                 target, obj, field, ..
             } => assignment(*target, format!("struct.get {field} {}", obj.render())),
@@ -540,32 +510,13 @@ impl CInstr {
                 *target,
                 format!("struct.set {field} {} {}", obj.render(), value.render()),
             ),
-            CInstr::OverlayGetIC {
-                target,
-                args,
-                oname,
-                field,
-                ..
-            } => assignment(
-                *target,
-                format!("overlay.get {oname} {field} {}", call_args(args)),
-            ),
-            CInstr::CallCallableIC {
-                target,
-                callable,
-                args,
-                ..
-            } => assignment(
-                *target,
-                format!("callable.call {} ({})", callable.render(), call_args(args)),
-            ),
         }
     }
 
     /// Bucket name for the instruction-mix histogram (`Context::stats`).
     /// Generic data instructions count under their IR mnemonic; specialized
     /// variants under distinct `spec.*` names so the histogram shows how
-    /// much of the stream runs on the fast tier.
+    /// much of the stream runs typed.
     pub fn stat_name(&self) -> &'static str {
         match self {
             CInstr::Op { opcode, .. } => opcode.mnemonic(),
@@ -598,11 +549,6 @@ impl CInstr {
             CInstr::BrBool { .. } => "spec.br.bool",
             CInstr::StructGet { .. } => "struct.get",
             CInstr::StructSet { .. } => "struct.set",
-            // Observational modes pin execution to the generic tier, so
-            // these only matter for completeness; they count under the
-            // mnemonic of the op they replaced.
-            CInstr::OverlayGetIC { .. } => "overlay.get",
-            CInstr::CallCallableIC { .. } => "callable.call",
         }
     }
 }
@@ -629,6 +575,45 @@ impl CompiledProgram {
     pub fn func(&self, name: &str) -> Option<&CFunc> {
         self.func_index.get(name).map(|i| &self.funcs[*i as usize])
     }
+
+    /// The state of every struct field site, in function and code order.
+    pub fn site_report(&self) -> Vec<SiteReport> {
+        let mut sites = Vec::new();
+        for f in &self.funcs {
+            for instr in &f.code {
+                let instr = match instr {
+                    CInstr::GlobalStore { inner, .. } => &**inner,
+                    other => other,
+                };
+                let (kind, ic) = match instr {
+                    CInstr::StructGet { ic, .. } => ("struct.get", ic),
+                    CInstr::StructSet { ic, .. } => ("struct.set", ic),
+                    _ => continue,
+                };
+                let site = ic.borrow();
+                sites.push(SiteReport {
+                    function: f.name.clone(),
+                    kind,
+                    entries: site.entries.len(),
+                    deopt: site.deopt,
+                    hits: site.hits,
+                    misses: site.misses,
+                });
+            }
+        }
+        sites
+    }
+}
+
+/// One struct field site in [`CompiledProgram::site_report`].
+#[derive(Clone, Debug)]
+pub struct SiteReport {
+    pub function: String,
+    pub kind: &'static str,
+    pub entries: usize,
+    pub deopt: bool,
+    pub hits: u64,
+    pub misses: u64,
 }
 
 /// Lowers a linked program to bytecode.
@@ -1028,7 +1013,7 @@ fn lower_function(
                     ic: field_site(vargs[0], &idents[0]),
                 },
                 // Everything else — a malformed struct access included —
-                // lowers generically; the typed fast tier is a separate
+                // lowers generically; the typed instructions are a separate
                 // pass (`crate::specialize`) so it can be switched off for
                 // ablation without changing lowering.
                 _ => CInstr::Op {
@@ -1164,7 +1149,7 @@ no:
 
     #[test]
     fn lowering_is_fully_generic_without_specializer() {
-        // The typed fast tier lives in `crate::specialize`; plain lowering
+        // Typed instructions come from `crate::specialize`; plain lowering
         // must emit only generic instructions so the spec-off ablation
         // measures the true generic dispatch path.
         let prog = compiled(

@@ -32,17 +32,8 @@ pub struct BuildOptions {
     pub prune_roots: Option<Vec<String>>,
     /// Run the bytecode specialization pass (`crate::specialize`): typed
     /// fast-path instructions and fused compare-and-branch. On by default;
-    /// switch off to ablate the tier (see `bench/benches/dispatch.rs`).
+    /// switch off to ablate the pass (see `bench/benches/dispatch.rs`).
     pub specialize: bool,
-    /// Profile-guided adaptive tiering (see `crate::tier`). `None` (the
-    /// default) keeps the static behaviour: specialize everything at build
-    /// time per `specialize`. `Some(mode)` switches to runtime feedback:
-    /// the static pass is skipped, every function starts generic, and the
-    /// context's tier engine re-lowers hot functions with observed types
-    /// and inline caches (`off` never tiers — the measurement baseline;
-    /// `threaded` additionally compiles promoted functions into
-    /// direct-threaded ops, the top rung of the tier ladder).
-    pub tiering: Option<crate::tier::TieringMode>,
 }
 
 impl Default for BuildOptions {
@@ -51,7 +42,6 @@ impl Default for BuildOptions {
             instrument: false,
             prune_roots: None,
             specialize: true,
-            tiering: None,
         }
     }
 }
@@ -94,7 +84,7 @@ impl Program {
     }
 
     /// Builds a program from textual units with explicit build options
-    /// (e.g. `specialize: false` for the dispatch-tier ablation).
+    /// (e.g. `specialize: false` for the dispatch ablation).
     pub fn from_sources_opts(
         srcs: &[&str],
         opt: OptLevel,
@@ -197,17 +187,12 @@ impl Program {
             options,
         } = ir;
         let mut compiled = compile(&linked)?;
-        // Adaptive tiering replaces the static pass entirely: all functions
-        // start generic and hot ones re-specialize with runtime feedback.
-        let spec_stats = if options.specialize && options.tiering.is_none() {
+        let spec_stats = if options.specialize {
             crate::specialize::specialize_program(&mut compiled)
         } else {
             SpecStats::default()
         };
-        let mut ctx = Context::for_program(&compiled);
-        if let Some(mode) = options.tiering {
-            ctx.set_tiering(mode);
-        }
+        let ctx = Context::for_program(&compiled);
         Ok(Program {
             linked,
             compiled,

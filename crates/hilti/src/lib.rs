@@ -26,13 +26,9 @@
 //! * [`bytecode`] + [`vm`] — lowering to flat register bytecode and the
 //!   fiber-capable virtual machine (the *compiled* engine; see DESIGN.md
 //!   for the LLVM substitution rationale).
-//! * [`specialize`] — the typed bytecode fast tier: rewrites generic
+//! * [`specialize`] — static bytecode specialization: rewrites generic
 //!   instructions into direct typed variants and fused compare-and-branch
 //!   superinstructions the VM executes clone-free.
-//! * [`tier`] — profile-guided adaptive tiering: hot functions
-//!   re-specialize against observed types with inline caches, and (under
-//!   `--tiering=threaded`) compile further into direct-threaded ops with
-//!   operands and branch targets pre-bound at tier-up.
 //! * [`fiber`] — suspendable computations for transparent incremental
 //!   processing (§3.2).
 //! * [`threads`] — the Erlang-style virtual-thread scheduler with
@@ -68,9 +64,7 @@ pub mod ops;
 pub mod parser;
 pub mod passes;
 pub mod specialize;
-pub(crate) mod threaded;
 pub mod threads;
-pub mod tier;
 pub mod types;
 pub mod value;
 pub mod vm;

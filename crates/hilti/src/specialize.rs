@@ -1,4 +1,4 @@
-//! Bytecode specialization: the typed fast tier of the compiled engine.
+//! Bytecode specialization: the typed instructions of the compiled engine.
 //!
 //! This pass rewrites generic [`CInstr::Op`] instructions into direct,
 //! typed variants when operand types are statically known from the checked
@@ -23,13 +23,6 @@
 //!    fused instruction still writes the bool flag slot and the original
 //!    branch stays at its pc (it remains reachable through explicit jump
 //!    labels), so no liveness or CFG analysis is needed.
-//!
-//! This pass is also the feeder for the tier above it: under
-//! `--tiering=threaded`, the adaptive tier re-runs it with observed types
-//! and then hands the specialized body to [`crate::threaded::compile`],
-//! which flattens it into pre-bound direct-threaded ops — so every rewrite
-//! here (including the fused `BrIfInt` and its two-unit fuel charge) has a
-//! 1:1 pc-preserving counterpart on the top rung.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
@@ -77,26 +70,16 @@ pub fn specialize_program(prog: &mut CompiledProgram) -> SpecStats {
 }
 
 fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
-    let types = cf.slot_types.clone();
-    specialize_func_with_types(cf, &types, stats);
-}
-
-/// Same rewrite, but against an externally supplied slot-type vector. The
-/// adaptive tier (see [`crate::tier`]) calls this with the *declared* types
-/// refined by runtime observation — e.g. an `any` parameter that has only
-/// ever carried `int<64>` — which is safe because specialized instructions
-/// still check operand values at run time and raise the identical catchable
-/// `TypeError` the generic path would.
-pub(crate) fn specialize_func_with_types(
-    cf: &mut CFunc,
-    slot_types: &[Type],
-    stats: &mut SpecStats,
-) {
-    let is_int: Vec<bool> = slot_types
+    let is_int: Vec<bool> = cf
+        .slot_types
         .iter()
         .map(|t| matches!(t, Type::Int(_)))
         .collect();
-    let is_bool: Vec<bool> = slot_types.iter().map(|t| matches!(t, Type::Bool)).collect();
+    let is_bool: Vec<bool> = cf
+        .slot_types
+        .iter()
+        .map(|t| matches!(t, Type::Bool))
+        .collect();
 
     // An operand usable by a typed int instruction: a slot statically
     // declared int, or an integer constant. Globals (shared, any write

@@ -19,18 +19,15 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
-use hilti_rt::bytestring::Bytes;
 use hilti_rt::error::{ExceptionKind, RtError, RtResult};
 use hilti_rt::file::LogFile;
 use hilti_rt::limits::{AllocBudget, ResourceLimits};
-use hilti_rt::overlay::{OverlayType, Unpacked};
+use hilti_rt::overlay::OverlayType;
 use hilti_rt::telemetry::{EventSink, Telemetry};
 use hilti_rt::time::Time;
 
 use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntSrc};
 use crate::ops::{self, ExecCtx, ExpiringHandle};
-use crate::threaded::{TOp, TSrc, ThreadedFunc};
-use crate::tier::{TierCode, TierConfig, TierEngine, TierPoll, TierReport, TieringMode};
 use crate::value::{CallableVal, StructLayout, Value};
 
 /// A host-registered function (the inverse direction of the C stubs:
@@ -79,7 +76,7 @@ pub struct Context {
     /// fuel) to the executing function and its opcode class
     /// (`hiltic run --profile`). Counting-based and deterministic, so
     /// interpreter and VM profiles are directly comparable. Disables the
-    /// specialized fast tier so every instruction is observed.
+    /// typed fast loop so every instruction is observed.
     pub profile: bool,
     exec_profile: ExecProfile,
     /// Total fuel units successfully charged over this context's lifetime.
@@ -112,34 +109,32 @@ pub struct Context {
     /// consulted only every [`WATCHDOG_CHECK_UNITS`] units, keeping the
     /// disarmed hot path to one predictable branch.
     watchdog_acc: u64,
-    /// Profile-guided adaptive tiering (see [`crate::tier`]). `None` means
-    /// the feature is not armed at all (the static-specialization default);
-    /// per-context state keeps the parallel pipeline's shards lock-free.
-    tier: Option<TierEngine>,
-    /// Retired-instruction (fuel-unit) attribution per execution tier:
-    /// generic dispatch, the specialized fast loop, and the direct-threaded
-    /// executor. Always-on — counts are added in whole batches at the fast
-    /// tiers' exit points — and surfaced by `hiltic run --stats`; kept out
-    /// of telemetry snapshots so merged-snapshot byte-identity across
-    /// worker counts is unaffected.
+    /// Retired-instruction (fuel-unit) attribution: one at a time on the
+    /// dispatch path, or in the typed fast loop. Always-on — the fast loop
+    /// adds its count in one batch on exit — and surfaced by `hiltic run
+    /// --stats`; kept out of telemetry snapshots.
     tier_retired: TierMix,
+    /// Scratch owned by the outermost [`run`] on this context: the operand
+    /// buffer and the free list of frame slot vectors. Held here so an
+    /// entry per event or per packet reuses them; `run` takes both for its
+    /// duration, so a nested run (hook, fired timer) starts with empty ones.
+    argbuf: Vec<Value>,
+    frame_pool: Vec<Vec<Value>>,
 }
 
-/// Per-tier retired-instruction counts; see [`Context::tier_mix`].
+/// Where instructions retired; see [`Context::tier_mix`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierMix {
-    /// Retired on the generic decode-dispatch path (including all
-    /// observational modes, which pin it).
+    /// Retired one at a time on the dispatch path (every instruction, in
+    /// the observational modes).
     pub generic: u64,
-    /// Retired in the specialized fast loop.
+    /// Retired in the typed fast loop.
     pub specialized: u64,
-    /// Retired by the direct-threaded executor.
-    pub threaded: u64,
 }
 
 impl TierMix {
     pub fn total(&self) -> u64 {
-        self.generic + self.specialized + self.threaded
+        self.generic + self.specialized
     }
 }
 
@@ -147,10 +142,10 @@ impl TierMix {
 pub const TRACE_CAP: usize = 1_000_000;
 
 /// Fuel units between wall-clock reads when a watchdog deadline is armed.
-/// Also caps the specialized fast tier's local fuel while armed, so the
+/// Also caps the typed fast loop's local fuel while armed, so the
 /// inner loop always returns to a generic charge point (and its clock
 /// check) within this many units — bounding detection latency to a few
-/// thousand instructions even for programs the fast tier could otherwise
+/// thousand instructions even for programs the fast loop could otherwise
 /// spin in forever.
 pub(crate) const WATCHDOG_CHECK_UNITS: u64 = 4096;
 
@@ -191,91 +186,16 @@ impl Context {
             fault_error: None,
             watchdog_at: None,
             watchdog_acc: 0,
-            tier: None,
             tier_retired: TierMix::default(),
+            argbuf: Vec::new(),
+            frame_pool: Vec::new(),
         }
     }
 
-    /// How many instructions each execution tier has retired over this
-    /// context's lifetime (`hiltic run --stats` reports this mix).
+    /// How many instructions retired on the dispatch path and in the typed
+    /// fast loop over this context's lifetime (`hiltic run --stats`).
     pub fn tier_mix(&self) -> TierMix {
         self.tier_retired
-    }
-
-    /// Arms profile-guided adaptive tiering with default thresholds.
-    /// `TieringMode::Off` still installs the engine (so the mode is
-    /// reportable) but never tiers anything up — that is the measurement
-    /// baseline of the generic dispatch path.
-    pub fn set_tiering(&mut self, mode: TieringMode) {
-        self.set_tiering_config(mode, TierConfig::default());
-    }
-
-    /// Arms adaptive tiering with explicit thresholds (tests use tiny ones
-    /// so tier-up happens within small kernels).
-    pub fn set_tiering_config(&mut self, mode: TieringMode, config: TierConfig) {
-        self.tier = Some(TierEngine::new(mode, config));
-    }
-
-    /// The armed tiering mode, if any.
-    pub fn tiering(&self) -> Option<TieringMode> {
-        self.tier.as_ref().map(|e| e.mode())
-    }
-
-    /// Tier-up decisions and inline-cache states for introspection; empty
-    /// when tiering is not armed.
-    pub fn tier_report(&self) -> TierReport {
-        self.tier.as_ref().map(|e| e.report()).unwrap_or_default()
-    }
-
-    /// Polls the tier engine for the function on top of the frame stack:
-    /// counts one generic dispatch iteration against its hotness budget and
-    /// returns the tiered body to execute, if there is one. Emits the
-    /// `tier_up` telemetry event at the moment of tier-up.
-    #[inline]
-    pub(crate) fn tier_poll(&mut self, prog: &CompiledProgram, func: u32) -> Option<TierCode> {
-        let eng = self.tier.as_mut()?;
-        match eng.poll(prog, func) {
-            TierPoll::Generic => None,
-            TierPoll::Code(code) => Some(code),
-            TierPoll::TieredNow { code, name } => {
-                if let Some(t) = &self.telemetry {
-                    t.tierups.inc();
-                    t.sink.emit("tier_up", vec![("function", name.into())]);
-                }
-                Some(code)
-            }
-        }
-    }
-
-    /// The direct-threaded body of `func` if it is already tiered up in
-    /// threaded mode — a plain lookup with no hotness side effects, used
-    /// by the threaded executor to chain hot-to-hot calls in-loop.
-    #[inline]
-    fn tier_threaded(&self, func: u32) -> Option<Rc<ThreadedFunc>> {
-        self.tier.as_ref().and_then(|e| e.threaded_code(func))
-    }
-
-    /// Feeds an invocation edge (with its argument values) to the tier
-    /// engine's per-function counters and observed-type lattice.
-    #[inline]
-    pub(crate) fn tier_note_call(&mut self, nfuncs: usize, func: u32, args: &[Value]) {
-        if let Some(eng) = self.tier.as_mut() {
-            eng.note_call(nfuncs, func, args);
-        }
-    }
-
-    #[inline]
-    fn ic_hit(&self) {
-        if let Some(t) = &self.telemetry {
-            t.ic_hits.inc();
-        }
-    }
-
-    #[inline]
-    fn ic_miss(&self) {
-        if let Some(t) = &self.telemetry {
-            t.ic_misses.inc();
-        }
     }
 
     /// Installs resource limits, resetting the fuel meter and creating a
@@ -301,8 +221,8 @@ impl Context {
         self.watchdog_acc = WATCHDOG_CHECK_UNITS;
     }
 
-    /// Whether a delivery deadline is armed (caps the specialized
-    /// fast-dispatch tier's run length so charge points stay frequent).
+    /// Whether a delivery deadline is armed (caps the typed fast loop's
+    /// run length so charge points stay frequent).
     #[inline]
     pub(crate) fn deadline_armed(&self) -> bool {
         self.watchdog_at.is_some()
@@ -331,8 +251,8 @@ impl Context {
         self.fault_error = Some(err);
     }
 
-    /// Whether a fault injection is armed (disables the specialized
-    /// fast-dispatch tier so the trigger point is deterministic).
+    /// Whether a fault injection is armed (disables the typed fast loop
+    /// so the trigger point is deterministic).
     #[inline]
     pub(crate) fn fault_armed(&self) -> bool {
         self.fault_countdown != u64::MAX
@@ -395,9 +315,6 @@ impl Context {
         self.telemetry = Some(RunTelemetry {
             instructions: telemetry.counter("engine.instructions_retired"),
             runs: telemetry.counter("engine.runs"),
-            tierups: telemetry.counter("engine.tierup"),
-            ic_hits: telemetry.counter("ic.hit"),
-            ic_misses: telemetry.counter("ic.miss"),
             sink: telemetry.sink.clone(),
         });
     }
@@ -523,9 +440,6 @@ impl Context {
 struct RunTelemetry {
     instructions: hilti_rt::telemetry::Counter,
     runs: hilti_rt::telemetry::Counter,
-    tierups: hilti_rt::telemetry::Counter,
-    ic_hits: hilti_rt::telemetry::Counter,
-    ic_misses: hilti_rt::telemetry::Counter,
     sink: EventSink,
 }
 
@@ -615,10 +529,6 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
         CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
-        // Observational modes pin execution to the generic tier, so these
-        // never appear in a profile; classes mirror the generic ops anyway.
-        CInstr::OverlayGetIC { .. } => "overlay",
-        CInstr::CallCallableIC { .. } => "callable",
     }
 }
 
@@ -738,15 +648,11 @@ pub struct Frame {
 }
 
 impl Frame {
-    fn new(prog: &CompiledProgram, func: u32, args: impl IntoIterator<Item = Value>) -> Frame {
-        Frame::new_pooled(prog, func, args, &mut Vec::new())
-    }
-
     /// Builds an activation record, reusing a slot vector from `pool` when
     /// one is available (calls are the hottest allocation site in compiled
     /// code; recycling frames is the analog of the paper's custom
     /// free-list for fiber stacks, §5).
-    fn new_pooled(
+    fn new(
         prog: &CompiledProgram,
         func: u32,
         args: impl IntoIterator<Item = Value>,
@@ -773,18 +679,6 @@ impl Frame {
             ret_slot: None,
             ret_global: None,
         }
-    }
-
-    /// Like [`Frame::new_pooled`], but drains the arguments out of a caller
-    /// owned buffer so the dispatch loop's argument vector is reused across
-    /// calls instead of being reallocated per call.
-    fn new_from_buf(
-        prog: &CompiledProgram,
-        func: u32,
-        args: &mut Vec<Value>,
-        pool: &mut Vec<Vec<Value>>,
-    ) -> Frame {
-        Frame::new_pooled(prog, func, args.drain(..), pool)
     }
 }
 
@@ -835,8 +729,7 @@ pub fn run_hook(
     };
     let spent_before = ctx.fuel_spent;
     let result = bodies.iter().try_for_each(|&body| {
-        let frames = vec![Frame::new(prog, body, args.iter().cloned())];
-        match run(prog, ctx, frames, false)? {
+        match enter(prog, ctx, body, args.iter().cloned(), false)? {
             Outcome::Done(_) => Ok(()),
             Outcome::Suspended(_) => Err(RtError::runtime("hook body suspended")),
         }
@@ -866,10 +759,8 @@ pub fn call_id(
     let Some(cf) = prog.funcs.get(fi as usize) else {
         return Err(RtError::value("function id of another program"));
     };
-    ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args.iter().cloned())];
     let spent_before = ctx.fuel_spent;
-    let result = run(prog, ctx, frames, false);
+    let result = enter(prog, ctx, fi, args.iter().cloned(), false);
     ctx.telemetry_flush_run(spent_before);
     match result? {
         Outcome::Done(v) => Ok(v),
@@ -891,10 +782,8 @@ pub fn start_resumable(
     if fi as usize >= prog.funcs.len() {
         return Err(RtError::value("function id of another program"));
     }
-    ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args.iter().cloned())];
     let spent_before = ctx.fuel_spent;
-    let result = run(prog, ctx, frames, true);
+    let result = enter(prog, ctx, fi, args.iter().cloned(), true);
     ctx.telemetry_flush_run(spent_before);
     result
 }
@@ -927,103 +816,154 @@ fn int_src(frame: &Frame, s: IntSrc) -> RtResult<i64> {
     }
 }
 
-/// Lean operand reader for the threaded executor: the `Option` return
-/// stays in registers, where the generic `RtResult` moves a formatted
-/// error through memory on every call. `None` (wrong type, bad slot)
-/// exits to the generic loop, which re-executes the op and owns the
-/// error message.
+/// Fuel parity with the tree-walking interpreter: one unit per IR body
+/// instruction plus one per block terminator. Lowering emits exactly one
+/// CInstr for each of those, so every instruction costs 1 — except the
+/// fused compare-and-branch, which covers a body instruction *and* a
+/// terminator.
 #[inline(always)]
-fn int_operand(frame: &Frame, s: IntSrc) -> Option<i64> {
-    match s {
-        IntSrc::Imm(i) => Some(i),
-        IntSrc::Slot(s) => match frame.slots.get(s as usize) {
-            Some(Value::Int(i)) => Some(*i),
-            _ => None,
-        },
+fn fuel_cost(instr: &CInstr) -> u64 {
+    match instr {
+        CInstr::BrIfInt { .. } => 2,
+        _ => 1,
     }
 }
 
-/// The main dispatch loop.
+/// Executes `instr` inline on `frame.slots` if it is a typed instruction
+/// (`AddInt` … `Jump`): no operand clone, no `ops::eval` round trip.
+/// `Ok(false)` means it is some other instruction. An `Err` (an operand of
+/// the wrong type — the same catchable TypeError `ops::eval` raises) leaves
+/// the frame untouched. Both the fast loop and the one-at-a-time path of
+/// [`run`] execute typed instructions through here.
+#[inline(always)]
+fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
+    match instr {
+        CInstr::AddInt { dst, a, b } => {
+            let v = int_src(frame, *a)?.wrapping_add(int_src(frame, *b)?);
+            frame.slots[*dst as usize] = Value::Int(v);
+            frame.pc += 1;
+        }
+        CInstr::SubInt { dst, a, b } => {
+            let v = int_src(frame, *a)?.wrapping_sub(int_src(frame, *b)?);
+            frame.slots[*dst as usize] = Value::Int(v);
+            frame.pc += 1;
+        }
+        CInstr::MulInt { dst, a, b } => {
+            let v = int_src(frame, *a)?.wrapping_mul(int_src(frame, *b)?);
+            frame.slots[*dst as usize] = Value::Int(v);
+            frame.pc += 1;
+        }
+        CInstr::BitInt { op, dst, a, b } => {
+            let v = op.apply(int_src(frame, *a)?, int_src(frame, *b)?);
+            frame.slots[*dst as usize] = Value::Int(v);
+            frame.pc += 1;
+        }
+        CInstr::CmpInt { cmp, dst, a, b } => {
+            let v = cmp.apply(int_src(frame, *a)?, int_src(frame, *b)?);
+            frame.slots[*dst as usize] = Value::Bool(v);
+            frame.pc += 1;
+        }
+        CInstr::BrIfInt {
+            cmp,
+            a,
+            b,
+            dst,
+            then_pc,
+            else_pc,
+        } => {
+            let taken = cmp.apply(int_src(frame, *a)?, int_src(frame, *b)?);
+            // The flag slot is still written: later reads of the
+            // comparison result stay valid.
+            frame.slots[*dst as usize] = Value::Bool(taken);
+            frame.pc = if taken { *then_pc } else { *else_pc };
+        }
+        CInstr::MoveSlot { dst, src } => {
+            frame.slots[*dst as usize] = frame.slots[*src as usize].clone();
+            frame.pc += 1;
+        }
+        CInstr::LoadImm { dst, v } => {
+            frame.slots[*dst as usize] = v.clone();
+            frame.pc += 1;
+        }
+        CInstr::BrBool {
+            cond,
+            then_pc,
+            else_pc,
+        } => {
+            let taken = frame.slots[*cond as usize].as_bool()?;
+            frame.pc = if taken { *then_pc } else { *else_pc };
+        }
+        CInstr::Jump(pc) => frame.pc = *pc,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Runs `func` on a frame stack of its own; the first frame comes from the
+/// context's pool like every later one.
+fn enter(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    func: u32,
+    args: impl IntoIterator<Item = Value>,
+    resumable: bool,
+) -> RtResult<Outcome> {
+    let frames = vec![Frame::new(prog, func, args, &mut ctx.frame_pool)];
+    run(prog, ctx, frames, resumable)
+}
+
+/// Executes `frames` until the outermost function returns, an exception
+/// escapes, or (when `resumable`) execution suspends.
 pub fn run(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    frames: Vec<Frame>,
+    resumable: bool,
+) -> RtResult<Outcome> {
+    let mut argbuf = std::mem::take(&mut ctx.argbuf);
+    let mut frame_pool = std::mem::take(&mut ctx.frame_pool);
+    let result = dispatch(prog, ctx, frames, resumable, &mut argbuf, &mut frame_pool);
+    // Operands of the last instruction must not outlive the run.
+    argbuf.clear();
+    ctx.argbuf = argbuf;
+    ctx.frame_pool = frame_pool;
+    result
+}
+
+/// The main dispatch loop. `argbuf` is the re-used operand buffer and
+/// `frame_pool` the free list recycling frame slot vectors across calls.
+fn dispatch(
     prog: &CompiledProgram,
     ctx: &mut Context,
     mut frames: Vec<Frame>,
     resumable: bool,
+    argbuf: &mut Vec<Value>,
+    frame_pool: &mut Vec<Vec<Value>>,
 ) -> RtResult<Outcome> {
-    // Re-used argument buffer to avoid per-instruction allocation, and a
-    // free list recycling frame slot vectors across calls.
-    let mut argbuf: Vec<Value> = Vec::with_capacity(8);
-    let mut frame_pool: Vec<Vec<Value>> = Vec::new();
-    // One-shot escape hatch from the threaded executor: when it exits
-    // `Stuck`, exactly one instruction runs on the generic path below
-    // (charging, raising, or IC-resolving it) before re-entering.
-    let mut skip_threaded = false;
     'dispatch: loop {
-        let func = match frames.last() {
-            Some(f) => f.func,
-            None => return Ok(Outcome::Done(Value::Null)),
+        let Some(frame) = frames.last_mut() else {
+            return Ok(Outcome::Done(Value::Null));
         };
-        // Observational modes (trace/stats/profile, armed fault injection)
-        // pin execution to the generic tier: the adaptive tier is skipped
-        // entirely so every instruction is observed one by one and the
-        // outputs stay comparable across builds.
-        let observing = ctx.trace || ctx.stats || ctx.profile || ctx.fault_armed();
-        // Adaptive tiering: one poll per dispatch iteration counts against
-        // the current function's hotness budget; once it tiers up, the
-        // re-lowered body (same pcs, same fuel costs — see `crate::tier`)
-        // replaces the generic one from this iteration on.
-        let tiered: Option<TierCode> = if observing {
-            None
-        } else {
-            ctx.tier_poll(prog, func)
-        };
+        let cf: &CFunc = &prog.funcs[frame.func as usize];
 
-        // Threaded tier: a function promoted under `--tiering=threaded`
-        // runs its pre-bound ops in `run_threaded` until something needs
-        // the generic loop (deopt site, IC miss, error, fuel window), then
-        // resumes here at the exact same pc — the tiered bytecode below is
-        // its deopt target, one op per pc.
-        if !std::mem::take(&mut skip_threaded) {
-            if let Some(tf) = tiered.as_ref().and_then(|tc| tc.threaded.clone()) {
-                match run_threaded(prog, ctx, &mut frames, tf, &mut argbuf, &mut frame_pool) {
-                    TExit::Frame => {}
-                    TExit::Stuck => skip_threaded = true,
-                }
-                continue 'dispatch;
-            }
-        }
-
-        let frame = frames.last_mut().expect("frame exists");
-        let cf: &CFunc = match &tiered {
-            Some(code) => &code.cfunc,
-            None => &prog.funcs[frame.func as usize],
-        };
-        // When a threaded body exists, the specialized inner loop stays
-        // off: the one generic instruction between executor sessions is
-        // what guarantees a charge point (and watchdog clock read) every
-        // `WATCHDOG_CHECK_UNITS`, and what resolves the op the executor
-        // deopted on.
-        let has_threaded = tiered.as_ref().is_some_and(|tc| tc.threaded.is_some());
-
-        // Fast tier: consecutive specialized instructions execute in a
-        // tight inner loop that keeps the frame borrow, skipping the
-        // per-instruction re-dispatch overhead of the generic path
-        // (trace/stats/profile builds skip this so every instruction is
-        // still observed one by one; so do armed fault injections, which
-        // must trigger at a deterministic charge point on the generic
-        // path).
+        // Fast loop: consecutive typed instructions execute in a tight
+        // inner loop that keeps the frame borrow, skipping the
+        // per-instruction re-dispatch overhead of the path below.
+        // Observational modes (trace/stats/profile) skip it so every
+        // instruction is still observed one by one; so do armed fault
+        // injections, which must trigger at a deterministic charge point.
         // On a type error the loop breaks *without* advancing pc or
-        // charging fuel; the generic body re-executes the pure instruction
+        // charging fuel; the path below re-executes the pure instruction
         // and raises — or charges — through the one exception path. Fuel
-        // lives in a local for the duration of the loop: each arm checks
-        // *before* executing and decrements only on success, so the meter
+        // lives in a local for the duration of the loop: checked *before*
+        // each instruction and decremented only on success, so the meter
         // can never be outrun and never double-charges.
-        if !observing && !has_threaded {
+        if !(ctx.trace || ctx.stats || ctx.profile || ctx.fault_armed()) {
             let fuel_start = ctx.fuel_left;
             // An armed watchdog needs periodic charge points: cap the
-            // local countdown so the inner loop falls back to the generic
-            // path (and its amortized clock check) within a bounded number
-            // of instructions, even for loops the fast tier handles fully.
+            // local countdown so the inner loop falls back to the path
+            // below (and its amortized clock check) within a bounded number
+            // of instructions, even for loops it handles fully.
             let clamp = if ctx.deadline_armed() {
                 fuel_start.min(WATCHDOG_CHECK_UNITS)
             } else {
@@ -1031,148 +971,19 @@ pub fn run(
             };
             let mut fuel = clamp;
             while let Some(instr) = cf.code.get(frame.pc as usize) {
-                match instr {
-                    CInstr::AddInt { dst, a, b } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        match (int_src(frame, *a), int_src(frame, *b)) {
-                            (Ok(x), Ok(y)) => {
-                                frame.slots[*dst as usize] = Value::Int(x.wrapping_add(y));
-                                frame.pc += 1;
-                                fuel -= 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    CInstr::SubInt { dst, a, b } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        match (int_src(frame, *a), int_src(frame, *b)) {
-                            (Ok(x), Ok(y)) => {
-                                frame.slots[*dst as usize] = Value::Int(x.wrapping_sub(y));
-                                frame.pc += 1;
-                                fuel -= 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    CInstr::MulInt { dst, a, b } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        match (int_src(frame, *a), int_src(frame, *b)) {
-                            (Ok(x), Ok(y)) => {
-                                frame.slots[*dst as usize] = Value::Int(x.wrapping_mul(y));
-                                frame.pc += 1;
-                                fuel -= 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    CInstr::BitInt { op, dst, a, b } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        match (int_src(frame, *a), int_src(frame, *b)) {
-                            (Ok(x), Ok(y)) => {
-                                frame.slots[*dst as usize] = Value::Int(op.apply(x, y));
-                                frame.pc += 1;
-                                fuel -= 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    CInstr::CmpInt { cmp, dst, a, b } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        match (int_src(frame, *a), int_src(frame, *b)) {
-                            (Ok(x), Ok(y)) => {
-                                frame.slots[*dst as usize] = Value::Bool(cmp.apply(x, y));
-                                frame.pc += 1;
-                                fuel -= 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    CInstr::BrIfInt {
-                        cmp,
-                        a,
-                        b,
-                        dst,
-                        then_pc,
-                        else_pc,
-                    } => {
-                        // Fused compare + branch: costs its two
-                        // constituent instructions.
-                        if fuel < 2 {
-                            break;
-                        }
-                        match (int_src(frame, *a), int_src(frame, *b)) {
-                            (Ok(x), Ok(y)) => {
-                                let taken = cmp.apply(x, y);
-                                frame.slots[*dst as usize] = Value::Bool(taken);
-                                frame.pc = if taken { *then_pc } else { *else_pc };
-                                fuel -= 2;
-                            }
-                            _ => break,
-                        }
-                    }
-                    CInstr::MoveSlot { dst, src } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        frame.slots[*dst as usize] = frame.slots[*src as usize].clone();
-                        frame.pc += 1;
-                        fuel -= 1;
-                    }
-                    CInstr::LoadImm { dst, v } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        frame.slots[*dst as usize] = v.clone();
-                        frame.pc += 1;
-                        fuel -= 1;
-                    }
-                    CInstr::BrBool {
-                        cond,
-                        then_pc,
-                        else_pc,
-                    } => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        match frame.slots[*cond as usize].as_bool() {
-                            Ok(true) => {
-                                frame.pc = *then_pc;
-                                fuel -= 1;
-                            }
-                            Ok(false) => {
-                                frame.pc = *else_pc;
-                                fuel -= 1;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    CInstr::Jump(pc) => {
-                        if fuel < 1 {
-                            break;
-                        }
-                        frame.pc = *pc;
-                        fuel -= 1;
-                    }
-                    _ => break,
+                let cost = fuel_cost(instr);
+                if fuel < cost || !matches!(step_typed(frame, instr), Ok(true)) {
+                    break;
                 }
+                fuel -= cost;
             }
             // The loop only ever decrements, so the delta is exact.
             let used = clamp - fuel;
             ctx.fuel_spent = ctx.fuel_spent.wrapping_add(used);
             ctx.fuel_left = fuel_start - used;
             if ctx.watchdog_at.is_some() {
-                // Count the fast tier's work toward the next clock read;
-                // the check itself happens at the next generic charge.
+                // Count the fast loop's work toward the next clock read;
+                // the check itself happens at the next charge below.
                 ctx.watchdog_acc = ctx.watchdog_acc.saturating_add(used);
             }
             ctx.tier_retired.specialized += used;
@@ -1242,21 +1053,13 @@ pub fn run(
             }};
         }
 
-        // Fuel parity with the tree-walking interpreter: one unit per IR
-        // body instruction plus one per block terminator. Lowering emits
-        // exactly one CInstr for each of those, so every instruction here
-        // costs 1 — except the fused compare-and-branch, which covers a
-        // body instruction *and* a terminator. Instructions that bailed
-        // out of the fast tier above were not charged there, so this is
-        // the single charge point.
-        let fuel_cost = match instr {
-            CInstr::BrIfInt { .. } => 2,
-            _ => 1,
-        };
-        if let Err(e) = ctx.charge_fuel(fuel_cost) {
+        // Instructions that bailed out of the fast loop above were not
+        // charged there, so this is the single charge point.
+        let cost = fuel_cost(instr);
+        if let Err(e) = ctx.charge_fuel(cost) {
             raise!(e);
         }
-        ctx.tier_retired.generic += fuel_cost;
+        ctx.tier_retired.generic += cost;
         if ctx.profile {
             // Charged to the function retiring the instruction; the fused
             // compare-and-branch splits into its two constituent units so
@@ -1280,7 +1083,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match ops::eval(*opcode, &argbuf, idents, ctx) {
+                match ops::eval(*opcode, argbuf, idents, ctx) {
                     Ok(evaluated) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1303,7 +1106,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match ops::instantiate(ty, &argbuf, ctx) {
+                match ops::instantiate(ty, argbuf, ctx) {
                     Ok(v) => {
                         let frame = frames.last_mut().expect("frame exists");
                         frame.slots[*target as usize] = v.clone();
@@ -1327,8 +1130,7 @@ pub fn run(
                     argbuf.push(operand_value(ctx, frame, a));
                 }
                 frame.pc += 1;
-                ctx.tier_note_call(prog.funcs.len(), *func, &argbuf);
-                let mut callee = Frame::new_from_buf(prog, *func, &mut argbuf, &mut frame_pool);
+                let mut callee = Frame::new(prog, *func, argbuf.drain(..), frame_pool);
                 callee.ret_slot = *target;
                 callee.ret_global = store_global;
                 frames.push(callee);
@@ -1338,7 +1140,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match call_host(prog, ctx, name, &argbuf) {
+                match call_host(prog, ctx, name, argbuf) {
                     Ok(v) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1358,14 +1160,10 @@ pub fn run(
                     argbuf.push(operand_value(ctx, frame, a));
                 }
                 frame.pc += 1;
-                let bodies = prog.hooks[*hook as usize].clone();
-                let hook_args = std::mem::take(&mut argbuf);
-                argbuf = Vec::with_capacity(8);
-                for body in bodies {
+                for &body in &prog.hooks[*hook as usize] {
                     // Hook bodies run synchronously, in priority order
                     // (nested execution; hooks do not suspend).
-                    let sub = vec![Frame::new(prog, body, hook_args.clone())];
-                    match run(prog, ctx, sub, false)? {
+                    match enter(prog, ctx, body, argbuf.iter().cloned(), false)? {
                         Outcome::Done(_) => {}
                         Outcome::Suspended(_) => unreachable!("non-resumable"),
                     }
@@ -1416,9 +1214,8 @@ pub fn run(
                 };
                 frame.pc += 1;
                 let mut full_args = c.bound.clone();
-                full_args.append(&mut argbuf);
-                ctx.tier_note_call(prog.funcs.len(), fi, &full_args);
-                let mut callee = Frame::new_pooled(prog, fi, full_args, &mut frame_pool);
+                full_args.append(argbuf);
+                let mut callee = Frame::new(prog, fi, full_args, frame_pool);
                 callee.ret_slot = *target;
                 callee.ret_global = store_global;
                 frames.push(callee);
@@ -1434,9 +1231,7 @@ pub fn run(
                 ic,
             } => {
                 let v = operand_value(ctx, frame, obj);
-                let in_tier = tiered.is_some();
-                match ops::struct_get(&v, field, |t| struct_site_index(ctx, ic, t, field, in_tier))
-                {
+                match ops::struct_get(&v, field, |t| struct_site_index(ctx, ic, t, field)) {
                     Ok(val) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1459,8 +1254,7 @@ pub fn run(
             } => {
                 let v = operand_value(ctx, frame, obj);
                 let val = operand_value(ctx, frame, value);
-                let in_tier = tiered.is_some();
-                match ops::struct_set(&v, val, |t| struct_site_index(ctx, ic, t, field, in_tier)) {
+                match ops::struct_set(&v, val, |t| struct_site_index(ctx, ic, t, field)) {
                     Ok(()) => {
                         let frame = frames.last_mut().expect("frame exists");
                         // `struct.set` evaluates to Null.
@@ -1475,164 +1269,20 @@ pub fn run(
                     Err(e) => raise!(e),
                 }
             }
-            // --- inline-cache tier: guard, generic fallback on miss -----
-            // Semantics (including error kinds, messages, and evaluation
-            // order) replicate the generic `ops::eval` arms exactly; only
-            // the *resolution* — overlay name → descriptor, callee name →
-            // function index — is cached.
-            CInstr::OverlayGetIC {
-                target,
-                args,
-                oname,
-                field,
-                ic,
-            } => {
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
+            // --- typed instructions: clone-free, inline on frame.slots ---
+            CInstr::AddInt { .. }
+            | CInstr::SubInt { .. }
+            | CInstr::MulInt { .. }
+            | CInstr::BitInt { .. }
+            | CInstr::CmpInt { .. }
+            | CInstr::BrIfInt { .. }
+            | CInstr::MoveSlot { .. }
+            | CInstr::LoadImm { .. }
+            | CInstr::BrBool { .. }
+            | CInstr::Jump(_) => {
+                if let Err(e) = step_typed(frame, instr) {
+                    raise!(e);
                 }
-                match overlay_get_ic(ctx, &argbuf, oname, field, ic) {
-                    Ok(val) => {
-                        let frame = frames.last_mut().expect("frame exists");
-                        if let Some(t) = target {
-                            frame.slots[*t as usize] = val.clone();
-                        }
-                        if let Some(g) = store_global {
-                            ctx.globals[g as usize] = val;
-                        }
-                        frame.pc += 1;
-                    }
-                    Err(e) => raise!(e),
-                }
-            }
-            CInstr::CallCallableIC {
-                target,
-                callable,
-                args,
-                ic,
-            } => {
-                if let Some(max) = ctx.limits.max_call_depth {
-                    if frames.len() >= max as usize {
-                        raise!(RtError::resource_exhausted("call depth limit exceeded"));
-                    }
-                }
-                let frame = frames.last_mut().expect("frame exists");
-                let cval = operand_value(ctx, frame, callable);
-                let Value::Callable(c) = cval else {
-                    raise!(RtError::type_error(format!(
-                        "callable.call on {}",
-                        cval.type_name()
-                    )));
-                };
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
-                let Some(fi) = callable_ic_resolve(ctx, prog, &c.func, ic) else {
-                    // Host-function callable (or unknown name, which
-                    // `call_host` reports exactly like the generic arm).
-                    match call_host(prog, ctx, &c.func, &{
-                        let mut full = c.bound.clone();
-                        full.extend(argbuf.iter().cloned());
-                        full
-                    }) {
-                        Ok(v) => {
-                            let frame = frames.last_mut().expect("frame exists");
-                            if let Some(t) = target {
-                                frame.slots[*t as usize] = v.clone();
-                            }
-                            if let Some(g) = store_global {
-                                ctx.globals[g as usize] = v;
-                            }
-                            frame.pc += 1;
-                            continue 'dispatch;
-                        }
-                        Err(e) => raise!(e),
-                    }
-                };
-                frame.pc += 1;
-                let mut full_args = c.bound.clone();
-                full_args.append(&mut argbuf);
-                ctx.tier_note_call(prog.funcs.len(), fi, &full_args);
-                let mut callee = Frame::new_pooled(prog, fi, full_args, &mut frame_pool);
-                callee.ret_slot = *target;
-                callee.ret_global = store_global;
-                frames.push(callee);
-            }
-            // --- specialized tier: clone-free, inline on frame.slots ----
-            CInstr::AddInt { dst, a, b } => match (int_src(frame, *a), int_src(frame, *b)) {
-                (Ok(x), Ok(y)) => {
-                    frame.slots[*dst as usize] = Value::Int(x.wrapping_add(y));
-                    frame.pc += 1;
-                }
-                (Err(e), _) | (_, Err(e)) => raise!(e),
-            },
-            CInstr::SubInt { dst, a, b } => match (int_src(frame, *a), int_src(frame, *b)) {
-                (Ok(x), Ok(y)) => {
-                    frame.slots[*dst as usize] = Value::Int(x.wrapping_sub(y));
-                    frame.pc += 1;
-                }
-                (Err(e), _) | (_, Err(e)) => raise!(e),
-            },
-            CInstr::MulInt { dst, a, b } => match (int_src(frame, *a), int_src(frame, *b)) {
-                (Ok(x), Ok(y)) => {
-                    frame.slots[*dst as usize] = Value::Int(x.wrapping_mul(y));
-                    frame.pc += 1;
-                }
-                (Err(e), _) | (_, Err(e)) => raise!(e),
-            },
-            CInstr::BitInt { op, dst, a, b } => match (int_src(frame, *a), int_src(frame, *b)) {
-                (Ok(x), Ok(y)) => {
-                    frame.slots[*dst as usize] = Value::Int(op.apply(x, y));
-                    frame.pc += 1;
-                }
-                (Err(e), _) | (_, Err(e)) => raise!(e),
-            },
-            CInstr::CmpInt { cmp, dst, a, b } => match (int_src(frame, *a), int_src(frame, *b)) {
-                (Ok(x), Ok(y)) => {
-                    frame.slots[*dst as usize] = Value::Bool(cmp.apply(x, y));
-                    frame.pc += 1;
-                }
-                (Err(e), _) | (_, Err(e)) => raise!(e),
-            },
-            CInstr::BrIfInt {
-                cmp,
-                a,
-                b,
-                dst,
-                then_pc,
-                else_pc,
-            } => {
-                match (int_src(frame, *a), int_src(frame, *b)) {
-                    (Ok(x), Ok(y)) => {
-                        let taken = cmp.apply(x, y);
-                        // The flag slot is still written: later reads of
-                        // the comparison result stay valid.
-                        frame.slots[*dst as usize] = Value::Bool(taken);
-                        frame.pc = if taken { *then_pc } else { *else_pc };
-                    }
-                    (Err(e), _) | (_, Err(e)) => raise!(e),
-                }
-            }
-            CInstr::MoveSlot { dst, src } => {
-                frame.slots[*dst as usize] = frame.slots[*src as usize].clone();
-                frame.pc += 1;
-            }
-            CInstr::LoadImm { dst, v } => {
-                frame.slots[*dst as usize] = v.clone();
-                frame.pc += 1;
-            }
-            CInstr::BrBool {
-                cond,
-                then_pc,
-                else_pc,
-            } => match frame.slots[*cond as usize].as_bool() {
-                Ok(true) => frame.pc = *then_pc,
-                Ok(false) => frame.pc = *else_pc,
-                Err(e) => raise!(e),
-            },
-            CInstr::Jump(pc) => {
-                frame.pc = *pc;
             }
             CInstr::Branch {
                 cond,
@@ -1694,454 +1344,6 @@ pub fn run(
     }
 }
 
-/// Why the threaded executor handed control back to the generic loop.
-enum TExit {
-    /// The top frame changed to one without a threaded body — a call into
-    /// cold code, or a return past this session's entry frame. Re-poll and
-    /// continue wherever the new top frame is.
-    Frame,
-    /// The op at the current pc needs the generic path: a deopt site, a
-    /// type error, an IC miss, an over-limit call, or the local fuel
-    /// window running dry. Nothing was charged for that op; the generic
-    /// loop executes exactly one instruction (charging, raising, tracing
-    /// and counting it through the usual single path) before re-entering.
-    Stuck,
-}
-
-/// The direct-threaded executor (see `crate::threaded`): runs pre-bound
-/// ops for the top frame — and chains into hot callees without leaving the
-/// loop — until something needs the generic dispatch path.
-///
-/// Fuel mirrors the specialized fast loop exactly: a local countdown,
-/// checked before each op and decremented on success, clamped to one
-/// watchdog window while a delivery deadline is armed, and booked back in
-/// a single batch on exit. Ops that would raise exit `Stuck` *without*
-/// advancing pc or charging, so the generic re-execution charges once and
-/// raises through the one exception path — byte-identical governance.
-fn run_threaded(
-    prog: &CompiledProgram,
-    ctx: &mut Context,
-    frames: &mut Vec<Frame>,
-    entry: Rc<ThreadedFunc>,
-    argbuf: &mut Vec<Value>,
-    frame_pool: &mut Vec<Vec<Value>>,
-) -> TExit {
-    let fuel_start = ctx.fuel_left;
-    let clamp = if ctx.deadline_armed() {
-        fuel_start.min(WATCHDOG_CHECK_UNITS)
-    } else {
-        fuel_start
-    };
-    let mut fuel = clamp;
-    let mut code = entry;
-    // Threaded bodies of callers suspended by in-loop calls this session;
-    // popping one resumes the caller without re-polling.
-    let mut callers: Vec<Rc<ThreadedFunc>> = Vec::new();
-    // The executor *owns* the top frame for the session: calls push the
-    // suspended caller onto `frames` and swap the callee in, returns swap
-    // the caller back — so the hot loop never re-borrows the frame stack.
-    // Every exit path re-pushes `cur`, restoring the `run` invariant that
-    // the executing frame is `frames.last()`.
-    let mut cur = match frames.pop() {
-        Some(f) => f,
-        None => return TExit::Stuck,
-    };
-
-    /// Reads a pre-bound operand into an owned value.
-    macro_rules! tsrc {
-        ($a:expr) => {
-            match $a {
-                TSrc::Slot(s) => cur.slots[*s as usize].clone(),
-                TSrc::Global(g) => ctx.globals[*g as usize].clone(),
-                TSrc::Value(v) => v.clone(),
-            }
-        };
-    }
-
-    let exit = loop {
-        let Some(op) = code.ops.get(cur.pc as usize) else {
-            // Out-of-range pc: the generic loop owns the error.
-            break TExit::Stuck;
-        };
-        match op {
-            TOp::AddInt { dst, a, b } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                match (int_operand(&cur, *a), int_operand(&cur, *b)) {
-                    (Some(x), Some(y)) => {
-                        cur.slots[*dst as usize] = Value::Int(x.wrapping_add(y));
-                        cur.pc += 1;
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::SubInt { dst, a, b } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                match (int_operand(&cur, *a), int_operand(&cur, *b)) {
-                    (Some(x), Some(y)) => {
-                        cur.slots[*dst as usize] = Value::Int(x.wrapping_sub(y));
-                        cur.pc += 1;
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::MulInt { dst, a, b } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                match (int_operand(&cur, *a), int_operand(&cur, *b)) {
-                    (Some(x), Some(y)) => {
-                        cur.slots[*dst as usize] = Value::Int(x.wrapping_mul(y));
-                        cur.pc += 1;
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::BitInt { op, dst, a, b } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                match (int_operand(&cur, *a), int_operand(&cur, *b)) {
-                    (Some(x), Some(y)) => {
-                        cur.slots[*dst as usize] = Value::Int(op.apply(x, y));
-                        cur.pc += 1;
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::CmpInt { cmp, dst, a, b } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                match (int_operand(&cur, *a), int_operand(&cur, *b)) {
-                    (Some(x), Some(y)) => {
-                        cur.slots[*dst as usize] = Value::Bool(cmp.apply(x, y));
-                        cur.pc += 1;
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::BrIfInt {
-                cmp,
-                a,
-                b,
-                dst,
-                then_pc,
-                else_pc,
-            } => {
-                // Fused compare + branch: costs its two constituents.
-                if fuel < 2 {
-                    break TExit::Stuck;
-                }
-                match (int_operand(&cur, *a), int_operand(&cur, *b)) {
-                    (Some(x), Some(y)) => {
-                        let taken = cmp.apply(x, y);
-                        cur.slots[*dst as usize] = Value::Bool(taken);
-                        cur.pc = if taken { *then_pc } else { *else_pc };
-                        fuel -= 2;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::MoveSlot { dst, src } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                cur.slots[*dst as usize] = cur.slots[*src as usize].clone();
-                cur.pc += 1;
-                fuel -= 1;
-            }
-            TOp::LoadImm { dst, v } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                cur.slots[*dst as usize] = v.clone();
-                cur.pc += 1;
-                fuel -= 1;
-            }
-            TOp::BrBool {
-                cond,
-                then_pc,
-                else_pc,
-            } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                match cur.slots.get(*cond as usize) {
-                    Some(Value::Bool(b)) => {
-                        cur.pc = if *b { *then_pc } else { *else_pc };
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::Jump(pc) => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                cur.pc = *pc;
-                fuel -= 1;
-            }
-            TOp::Branch {
-                cond,
-                then_pc,
-                else_pc,
-            } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                let condv = match cond {
-                    TSrc::Slot(s) => cur.slots.get(*s as usize),
-                    TSrc::Global(g) => ctx.globals.get(*g as usize),
-                    TSrc::Value(v) => Some(v),
-                };
-                match condv {
-                    Some(Value::Bool(b)) => {
-                        cur.pc = if *b { *then_pc } else { *else_pc };
-                        fuel -= 1;
-                    }
-                    _ => break TExit::Stuck,
-                }
-            }
-            TOp::PushHandler { pc, kind, binder } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                cur.handlers.push(Handler {
-                    pc: *pc,
-                    kind: Rc::clone(kind),
-                    binder: *binder,
-                });
-                cur.pc += 1;
-                fuel -= 1;
-            }
-            TOp::PopHandler => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                cur.handlers.pop();
-                cur.pc += 1;
-                fuel -= 1;
-            }
-            TOp::StructGet { target, obj, ic } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                // Hit path only. Any miss, type error, or unset field
-                // deopts *before* touching the counters; the generic
-                // arm then re-executes the op, owning resolution, refill,
-                // hit/miss accounting and error semantics — so counters
-                // never double-book.
-                let objv = match obj {
-                    TSrc::Slot(s) => &cur.slots[*s as usize],
-                    TSrc::Global(g) => &ctx.globals[*g as usize],
-                    TSrc::Value(v) => v,
-                };
-                let Value::Struct(s) = objv else {
-                    break TExit::Stuck;
-                };
-                let s = Rc::clone(s);
-                let val = {
-                    let sb = s.borrow();
-                    let Some(idx) = ic.borrow().struct_slot(&sb.type_name) else {
-                        break TExit::Stuck;
-                    };
-                    sb.fields[idx].clone()
-                };
-                if matches!(val, Value::Null) {
-                    break TExit::Stuck;
-                }
-                ic.borrow_mut().hits += 1;
-                ctx.ic_hit();
-                if let Some(t) = target {
-                    cur.slots[*t as usize] = val;
-                }
-                cur.pc += 1;
-                fuel -= 1;
-            }
-            TOp::StructSet {
-                target,
-                obj,
-                value,
-                ic,
-            } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                let objv = match obj {
-                    TSrc::Slot(s) => &cur.slots[*s as usize],
-                    TSrc::Global(g) => &ctx.globals[*g as usize],
-                    TSrc::Value(v) => v,
-                };
-                let Value::Struct(s) = objv else {
-                    break TExit::Stuck;
-                };
-                let s = Rc::clone(s);
-                let Some(idx) = ic.borrow().struct_slot(&s.borrow().type_name) else {
-                    break TExit::Stuck;
-                };
-                let val = tsrc!(value);
-                s.borrow_mut().fields[idx] = val;
-                ic.borrow_mut().hits += 1;
-                ctx.ic_hit();
-                if let Some(t) = target {
-                    // Generic struct.set evaluates to Null.
-                    cur.slots[*t as usize] = Value::Null;
-                }
-                cur.pc += 1;
-                fuel -= 1;
-            }
-            TOp::Return(src) => {
-                // The outermost return must produce `Outcome::Done` on the
-                // generic path: never unwind past the stack's last frame.
-                if fuel < 1 || frames.is_empty() {
-                    break TExit::Stuck;
-                }
-                let value = match src {
-                    None => Value::Null,
-                    Some(s) => tsrc!(s),
-                };
-                fuel -= 1;
-                let mut finished =
-                    std::mem::replace(&mut cur, frames.pop().expect("non-empty checked"));
-                // Recycle the finished frame's slot storage (bounded).
-                if frame_pool.len() < 64 {
-                    // Parked uncleared: stale values are dropped in one
-                    // pass when the storage is reused (generic consumers
-                    // `clear` + `resize`, which handles this too).
-                    frame_pool.push(std::mem::take(&mut finished.slots));
-                }
-                match (finished.ret_slot, finished.ret_global) {
-                    (Some(t), None) => cur.slots[t as usize] = value,
-                    (None, Some(g)) => ctx.globals[g as usize] = value,
-                    (Some(t), Some(g)) => {
-                        cur.slots[t as usize] = value.clone();
-                        ctx.globals[g as usize] = value;
-                    }
-                    (None, None) => {}
-                }
-                match callers.pop() {
-                    Some(c) => code = c,
-                    // Returned past the session's entry frame: the caller
-                    // may be anything — re-poll from the dispatch loop.
-                    None => break TExit::Frame,
-                }
-            }
-            TOp::Call {
-                func,
-                args,
-                ret_slot,
-                ret_global,
-            } => {
-                if fuel < 1 {
-                    break TExit::Stuck;
-                }
-                if let Some(max) = ctx.limits.max_call_depth {
-                    // Over the limit the generic arm charges and then
-                    // raises; deopt pre-charge so it does exactly that.
-                    if frames.len() + 1 >= max as usize {
-                        break TExit::Stuck;
-                    }
-                }
-                // Self-recursion (the dominant hot-call shape) reuses the
-                // current body without consulting the tier engine; tiered
-                // code is installed once and never replaced, so this is
-                // exactly what the lookup would return.
-                let hot = if *func == cur.func {
-                    Some(Rc::clone(&code))
-                } else {
-                    ctx.tier_threaded(*func)
-                };
-                match hot {
-                    Some(tf) => {
-                        // Hot-to-hot: build the callee frame directly from
-                        // the caller's slots — no argument buffer round
-                        // trip. (`note_call` is skipped: for a function
-                        // with installed code it is a no-op by
-                        // construction.)
-                        let callee_cf = &prog.funcs[*func as usize];
-                        let n = callee_cf.n_slots as usize;
-                        // Recycled frames keep their stale values (the
-                        // return path skips `clear`); one fused pass here
-                        // drops them and null-initializes — much cheaper
-                        // than `clear` + `resize`, whose separate drop and
-                        // extend loops dominate the call cost for 48-byte
-                        // values.
-                        let mut slots = match frame_pool.pop() {
-                            Some(mut v) => {
-                                if v.len() == n {
-                                    for s in v.iter_mut() {
-                                        *s = Value::Null;
-                                    }
-                                } else {
-                                    v.clear();
-                                    v.resize(n, Value::Null);
-                                }
-                                v
-                            }
-                            None => vec![Value::Null; n],
-                        };
-                        for (i, a) in args.iter().enumerate().take(callee_cf.n_params as usize) {
-                            slots[i] = tsrc!(a);
-                        }
-                        cur.pc += 1;
-                        fuel -= 1;
-                        let callee = Frame {
-                            func: *func,
-                            pc: 0,
-                            slots,
-                            handlers: Vec::new(),
-                            ret_slot: *ret_slot,
-                            ret_global: *ret_global,
-                        };
-                        frames.push(std::mem::replace(&mut cur, callee));
-                        callers.push(std::mem::replace(&mut code, tf));
-                    }
-                    None => {
-                        // Cold callee: replicate the generic Call arm
-                        // exactly — argument buffer, invocation edge to
-                        // the tier engine, pooled frame — then hand the
-                        // new top frame back to the dispatch loop.
-                        argbuf.clear();
-                        for a in args.iter() {
-                            argbuf.push(tsrc!(a));
-                        }
-                        cur.pc += 1;
-                        fuel -= 1;
-                        ctx.tier_note_call(prog.funcs.len(), *func, argbuf);
-                        let mut callee = Frame::new_from_buf(prog, *func, argbuf, frame_pool);
-                        callee.ret_slot = *ret_slot;
-                        callee.ret_global = *ret_global;
-                        frames.push(std::mem::replace(&mut cur, callee));
-                        break TExit::Frame;
-                    }
-                }
-            }
-            TOp::Deopt => break TExit::Stuck,
-        }
-    };
-    // Restore the `run` invariant: the executing frame tops the stack.
-    frames.push(cur);
-    // The loop only ever decrements, so the delta is exact; book it back
-    // in one batch, exactly like the specialized fast loop.
-    let used = clamp - fuel;
-    ctx.fuel_spent = ctx.fuel_spent.wrapping_add(used);
-    ctx.fuel_left = fuel_start - used;
-    if ctx.watchdog_at.is_some() {
-        ctx.watchdog_acc = ctx.watchdog_acc.saturating_add(used);
-    }
-    ctx.tier_retired.threaded += used;
-    exit
-}
-
 /// Runs a callable value synchronously (used for fired timers).
 pub fn run_callable(
     prog: &CompiledProgram,
@@ -2152,9 +1354,7 @@ pub fn run_callable(
     let mut args = c.bound.clone();
     args.extend(extra.iter().cloned());
     if let Some(fi) = prog.func_index.get(&*c.func).copied() {
-        ctx.tier_note_call(prog.funcs.len(), fi, &args);
-        let frames = vec![Frame::new(prog, fi, args)];
-        match run(prog, ctx, frames, false)? {
+        match enter(prog, ctx, fi, args, false)? {
             Outcome::Done(v) => Ok(v),
             Outcome::Suspended(_) => unreachable!("non-resumable"),
         }
@@ -2163,132 +1363,29 @@ pub fn run_callable(
     }
 }
 
-// --- site-cache resolution --------------------------------------------------
-// Shared by the field-site and IC dispatch arms. The cache only
-// short-circuits the *resolution* step. A miss falls back to the generic
-// lookup and refills the site — until `IcSite::cap` distinct entries have
-// been seen, at which point the site de-optimizes and resolves generically
-// forever.
-
 /// Resolves a struct field's slot through its site, keyed on the struct's
-/// type name; a miss asks `ops::struct_field_index` and remembers the
-/// answer. The site's own hit/miss counts are always kept; the `ic.*`
-/// telemetry counters describe tiered code only (`in_tier`), so snapshots
-/// of untiered runs do not depend on how many programs were lowered.
+/// type name. The cache only short-circuits the *resolution* step: a miss
+/// asks `ops::struct_field_index` and remembers the answer — until
+/// `IcSite::cap` distinct types have been seen, at which point the site
+/// de-optimizes and resolves through the type table forever.
 fn struct_site_index(
     ctx: &Context,
     ic: &RefCell<IcSite>,
     type_name: &Rc<str>,
     field: &str,
-    in_tier: bool,
 ) -> RtResult<usize> {
     let mut site = ic.borrow_mut();
     if let Some(idx) = site.struct_slot(type_name) {
         site.hits += 1;
-        if in_tier {
-            ctx.ic_hit();
-        }
         return Ok(idx);
     }
     site.misses += 1;
-    if in_tier {
-        ctx.ic_miss();
-    }
     let idx = ops::struct_field_index(ctx, type_name, field)?;
     site.refill(IcEntry::Struct {
         type_name: Rc::clone(type_name),
         field_idx: idx as u32,
     });
     Ok(idx)
-}
-
-/// `overlay.get` with the resolved overlay descriptor cached. The site is
-/// keyed by the (site-static) overlay name, so it is trivially monomorphic;
-/// the win is skipping the name → descriptor map lookup and `Rc` clone.
-fn overlay_get_ic(
-    ctx: &Context,
-    args: &[Value],
-    oname: &str,
-    field: &str,
-    ic: &RefCell<IcSite>,
-) -> RtResult<Value> {
-    let overlay = {
-        let mut site = ic.borrow_mut();
-        let cached = if site.deopt {
-            None
-        } else {
-            site.entries.iter().find_map(|e| match e {
-                IcEntry::Overlay { overlay } => Some(Rc::clone(overlay)),
-                _ => None,
-            })
-        };
-        match cached {
-            Some(o) => {
-                site.hits += 1;
-                ctx.ic_hit();
-                o
-            }
-            None => {
-                site.misses += 1;
-                ctx.ic_miss();
-                let o = ctx
-                    .overlays
-                    .get(oname)
-                    .cloned()
-                    .ok_or_else(|| RtError::type_error(format!("unknown overlay {oname}")))?;
-                site.refill(IcEntry::Overlay {
-                    overlay: Rc::clone(&o),
-                });
-                o
-            }
-        }
-    };
-    // Same evaluation order as the generic arm: overlay resolution first,
-    // then the base offset, then the bytes access.
-    let base = match args.get(1) {
-        Some(v) => v.as_int()?.max(0) as u64,
-        None => args[0].as_bytes()?.begin_offset(),
-    };
-    let unpacked = overlay.get(args[0].as_bytes()?, base, field)?;
-    Ok(match unpacked {
-        Unpacked::UInt(u) => Value::Int(u as i64),
-        Unpacked::Addr(a) => Value::Addr(a),
-        Unpacked::Bytes(b) => Value::Bytes(Bytes::frozen_from_slice(&b)),
-    })
-}
-
-/// Resolves a callable's target through the site cache: `Some(idx)` for a
-/// HILTI function, `None` for the host-function path (including unknown
-/// names, which `call_host` reports exactly like the generic arm). The
-/// fast path compares the interned callee name by pointer first.
-fn callable_ic_resolve(
-    ctx: &Context,
-    prog: &CompiledProgram,
-    name: &Rc<str>,
-    ic: &RefCell<IcSite>,
-) -> Option<u32> {
-    let mut site = ic.borrow_mut();
-    if !site.deopt {
-        let cached = site.entries.iter().find_map(|e| match e {
-            IcEntry::Callee { name: n, func } if Rc::ptr_eq(n, name) || **n == **name => {
-                Some(*func)
-            }
-            _ => None,
-        });
-        if let Some(func) = cached {
-            site.hits += 1;
-            ctx.ic_hit();
-            return func;
-        }
-    }
-    site.misses += 1;
-    ctx.ic_miss();
-    let func = prog.func_index.get(&**name).copied();
-    site.refill(IcEntry::Callee {
-        name: Rc::clone(name),
-        func,
-    });
-    func
 }
 
 /// Calls a host-registered or builtin function.

@@ -538,9 +538,8 @@ int<64> read_two(ref<bytes> data) {
     assert!(p.context().fuel_remaining().unwrap() < after_first);
 }
 
-/// Recursion with a print (a threaded-tier deopt site) on every call, so
-/// tiered execution constantly crosses the threaded ↔ generic boundary
-/// while fuel runs down.
+/// Recursion with a print on every call, so execution constantly leaves
+/// the typed fast loop (host call, call, return) while fuel runs down.
 const REC_PRINT_SRC: &str = r#"
 module G
 int<64> pfib(int<64> n) {
@@ -562,50 +561,12 @@ rec:
 }
 "#;
 
-fn tiered(src: &str, mode: hilti::tier::TieringMode) -> Program {
-    use hilti::tier::TierConfig;
-    let mut p = Program::from_sources_opts(
-        &[src],
-        OptLevel::None,
-        BuildOptions {
-            tiering: Some(mode),
-            ..Default::default()
-        },
-    )
-    .expect("test program compiles");
-    // Tiny thresholds so the sweep workloads tier up almost immediately.
-    p.context_mut().set_tiering_config(
-        mode,
-        TierConfig {
-            hot_invocations: 2,
-            hot_retired: 16,
-            ic_cap: 4,
-        },
-    );
-    p
-}
-
-/// All four tiering modes — or just the one named by `HILTI_TIERING`, so
-/// the CI tier matrix splits the differential cost across jobs.
-fn modes_under_test() -> Vec<hilti::tier::TieringMode> {
-    use hilti::tier::TieringMode;
-    match TieringMode::from_env() {
-        Some(m) => vec![m],
-        None => vec![
-            TieringMode::Off,
-            TieringMode::Lazy,
-            TieringMode::Eager,
-            TieringMode::Threaded,
-        ],
-    }
-}
-
 #[test]
-fn fuel_parity_across_tiering_modes_with_deopt_sites() {
-    // The strongest tier-parity property: at *every* fuel limit, every
-    // tiering mode reproduces the interpreter's outcome and output prefix
-    // exactly — through warmup, tier-up, threaded execution and the deopt
-    // single-steps around each print.
+fn fuel_parity_at_every_limit_across_calls_and_host_calls() {
+    // The strongest parity property: at *every* fuel limit, the VM with
+    // the specializer on and off reproduces the interpreter's outcome and
+    // output prefix exactly — through every switch between the fast loop
+    // and the one-at-a-time path around each call, return and print.
     let mut interp = build(REC_PRINT_SRC, false);
     let args = [Value::Int(9)];
     interp.set_limits(fuel(1_000_000));
@@ -622,41 +583,47 @@ fn fuel_parity_across_tiering_modes_with_deopt_sites() {
         })
         .collect();
 
-    for mode in modes_under_test() {
-        // One program per mode: tier state deliberately persists across the
-        // sweep, so later limits run fully tiered from the first call.
-        let mut p = tiered(REC_PRINT_SRC, mode);
+    for specialize in [true, false] {
+        // One program for the whole sweep: field sites and pooled frames
+        // deliberately persist from one limit to the next.
+        let mut p = build(REC_PRINT_SRC, specialize);
         for (f, (want, want_out)) in oracle.iter().enumerate() {
             p.set_limits(fuel(f as u64));
             let got = outcome(p.run("G::pfib", &args));
             let out = p.take_output();
-            assert_eq!(*want, got, "{mode:?} diverged from interpreter at fuel={f}");
-            assert_eq!(*want_out, out, "{mode:?} output diverged at fuel={f}");
+            assert_eq!(
+                *want, got,
+                "specialize={specialize} diverged from interpreter at fuel={f}"
+            );
+            assert_eq!(
+                *want_out, out,
+                "specialize={specialize} output diverged at fuel={f}"
+            );
         }
     }
 }
 
 #[test]
-fn call_depth_limit_parity_across_tiering_modes() {
-    // The threaded executor deopts *before* charging when the next call
-    // would cross the depth limit, so the generic arm performs its exact
-    // charge-then-raise sequence: same error, same fuel, every mode.
+fn call_depth_limit_charges_the_same_fuel_on_every_engine() {
+    // Crossing the depth limit is charge-then-raise: same error and same
+    // fuel on the interpreter and on the VM, specializer on or off, cold
+    // or after earlier runs on the same context.
     let limits = ResourceLimits {
         max_call_depth: Some(24),
         fuel: Some(1_000_000),
         ..Default::default()
     };
 
-    let mut oracle = build(RECURSE_SRC, true);
-    oracle.set_limits(limits.clone());
-    let e = oracle.run("G::down", &[Value::Int(1000)]).unwrap_err();
+    let mut oracle = build(RECURSE_SRC, false);
+    oracle.set_limits(limits);
+    let e = oracle
+        .run_interpreted("G::down", &[Value::Int(1000)])
+        .unwrap_err();
     assert_eq!(e.kind, ExceptionKind::ResourceExhausted);
     let want_fuel = oracle.context().fuel_spent();
 
-    for mode in modes_under_test() {
-        let mut p = tiered(RECURSE_SRC, mode);
-        // Warm until `down` is tiered (and threaded-compiled) before the
-        // erroring deep run.
+    for specialize in [true, false] {
+        let mut p = build(RECURSE_SRC, specialize);
         for _ in 0..4 {
             assert!(p
                 .run("G::down", &[Value::Int(8)])
@@ -664,13 +631,17 @@ fn call_depth_limit_parity_across_tiering_modes() {
                 .equals(&Value::Int(8)));
         }
         let warm_fuel = p.context().fuel_spent();
-        p.set_limits(limits.clone());
+        p.set_limits(limits);
         let e = p.run("G::down", &[Value::Int(1000)]).unwrap_err();
-        assert_eq!(e.kind, ExceptionKind::ResourceExhausted, "{mode:?}");
+        assert_eq!(
+            e.kind,
+            ExceptionKind::ResourceExhausted,
+            "specialize={specialize}"
+        );
         assert_eq!(
             p.context().fuel_spent() - warm_fuel,
             want_fuel,
-            "{mode:?} charged a different total on the depth-limited run"
+            "specialize={specialize} charged a different total on the depth-limited run"
         );
     }
 }

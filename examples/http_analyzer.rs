@@ -106,20 +106,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Parallel pipeline: same trace, N flow-sharded workers, output
-    // byte-identical to the sequential run by construction. The tier
-    // ladder level comes from HILTI_TIERING (set by scripts/tier1.sh and
-    // the CI tier matrix) — tiering may only change dispatch speed, so
-    // the byte-identity assertions below hold at every level.
-    let tiering = hilti::tier::TieringMode::from_env();
-    if let Some(mode) = tiering {
-        println!("tiering: {} (HILTI_TIERING)", mode.as_str());
-    }
+    // byte-identical to the sequential run by construction.
     let opts = PipelineOptions {
         workers,
-        governance: Governance {
-            tiering,
-            ..Default::default()
-        },
         ..Default::default()
     };
     let start = std::time::Instant::now();
@@ -146,7 +135,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tracing: true,
             // Dispatch-plane metrics feed the live-stats queue-depth field.
             telemetry: true,
-            tiering,
             ..Default::default()
         },
         ..Default::default()

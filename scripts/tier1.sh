@@ -19,22 +19,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Propagate the tier ladder level to every test and smoke run below: the
-# differential suites and the http_analyzer example read HILTI_TIERING
-# (TieringMode::from_env), so `HILTI_TIERING=threaded scripts/tier1.sh`
-# drives the whole gate at one tier. Exported explicitly so the setting
-# survives into cargo's child processes even when passed inline.
-export HILTI_TIERING="${HILTI_TIERING:-}"
-if [ -n "$HILTI_TIERING" ]; then
-    echo "tier1: running with HILTI_TIERING=$HILTI_TIERING"
-fi
-
 cargo build --release "$@"
-# --workspace: the root manifest is a package too, so a bare `cargo test`
-# would cover only hilti-platform. This runs every crate's suites,
-# including broscript's six differential ones (parallel, chaos,
-# supervision, telemetry, tracing, zerocopy).
-cargo test -q --workspace "$@"
+# The root manifest's default-members cover the whole workspace, so this
+# runs every crate's suites, including broscript's six differential ones
+# (parallel, chaos, supervision, telemetry, tracing, zerocopy).
+cargo test -q "$@"
 cargo clippy --workspace "$@" -- -D warnings
 
 # Everything below may pull in dev-dependencies beyond what the stubbed

@@ -21,7 +21,6 @@
 
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
-use hilti::tier::{TierConfig, TieringMode};
 use hilti::{Program, Value};
 use proptest::prelude::*;
 
@@ -393,42 +392,16 @@ int<64> kernel(int<64> a, int<64> b) {
     assert_eq!(oracle, outcome(opt.run("Fuzz::kernel", &args)));
 }
 
-/// Builds the generated source with adaptive tiering armed at tiny
-/// thresholds, so `lazy` re-lowers mid-kernel (the counters cross inside
-/// the first run) and `eager` tiers on first dispatch.
-fn build_tiered(src: &str, opt: OptLevel, specialize: bool, mode: TieringMode) -> Program {
-    let mut p = Program::from_sources_opts(
-        &[src],
-        opt,
-        BuildOptions {
-            specialize,
-            tiering: Some(mode),
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("generated program rejected: {e}\n{src}"));
-    p.context_mut().set_tiering_config(
-        mode,
-        TierConfig {
-            hot_invocations: 1,
-            hot_retired: 8,
-            ic_cap: 4,
-        },
-    );
-    p
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The adaptive-tiering dimension: off × lazy × eager, crossed with
-    /// the static specializer switch, must agree with the interpreter
-    /// oracle on outcome (value or exception kind), printed output *and*
-    /// total fuel — tier-up and inline caches may only change dispatch
-    /// speed, never observable behaviour. Unoptimized IR throughout, so
-    /// fuel parity with the oracle is exact.
+    /// Unmetered runs: the VM, specializer on and off, must agree with the
+    /// interpreter oracle on outcome (value or exception kind), printed
+    /// output *and* total fuel spent — specialization may only change
+    /// dispatch speed, never observable behaviour. Unoptimized IR
+    /// throughout, so fuel parity with the oracle is exact.
     #[test]
-    fn tiering_modes_agree_with_oracle(
+    fn engines_agree_on_total_fuel(
         recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..10),
         consts in prop::collection::vec(-50i64..50, 4),
         ret in 0u8..SLOTS,
@@ -443,62 +416,14 @@ proptest! {
         let oracle_out = oracle_p.take_output();
         let oracle_fuel = oracle_p.context().fuel_spent();
 
-        for mode in [TieringMode::Off, TieringMode::Lazy, TieringMode::Eager] {
-            for specialize in [true, false] {
-                let mut p = build_tiered(&src, OptLevel::None, specialize, mode);
-                let (r, out) = run_vm(&mut p, &args);
-                prop_assert_eq!(
-                    &oracle, &r,
-                    "tiering={:?} spec={} outcome diverged\n{}", mode, specialize, src
-                );
-                prop_assert_eq!(
-                    &oracle_out, &out,
-                    "tiering={:?} spec={} printed differently\n{}", mode, specialize, src
-                );
-                prop_assert_eq!(
-                    oracle_fuel, p.context().fuel_spent(),
-                    "tiering={:?} spec={} fuel diverged\n{}", mode, specialize, src
-                );
-            }
-        }
-    }
-
-    /// Fuel exhaustion under adaptive tiering: a limited run must trip
-    /// `Hilti::ResourceExhausted` at exactly the same point in every
-    /// tiering mode — tiered code charges instruction-identical fuel.
-    #[test]
-    fn tiering_fuel_exhaustion_parity(
-        recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..8),
-        consts in prop::collection::vec(-50i64..50, 4),
-        ret in 0u8..SLOTS,
-        a in -1000i64..1000,
-        fuel_limit in 0u64..400,
-    ) {
-        let src = emit(&recipe, &consts, ret);
-        let args = [Value::Int(a), Value::Int(9)];
-        let limits = hilti_rt::limits::ResourceLimits {
-            fuel: Some(fuel_limit),
-            ..Default::default()
-        };
-
-        let mut interp = build(&src, OptLevel::None, true);
-        interp.set_limits(limits);
-        let oracle = outcome(interp.run_interpreted("Fuzz::kernel", &args));
-        let oracle_out = interp.take_output();
-        let oracle_left = interp.context().fuel_remaining();
-
-        for mode in [TieringMode::Off, TieringMode::Lazy, TieringMode::Eager] {
-            let mut vm = build_tiered(&src, OptLevel::None, true, mode);
-            vm.set_limits(limits);
-            let (r, out) = run_vm(&mut vm, &args);
-            prop_assert_eq!(&oracle, &r, "tiering={:?} outcome diverged under fuel\n{}", mode, src);
-            prop_assert_eq!(&oracle_out, &out, "tiering={:?} output diverged under fuel\n{}", mode, src);
+        for specialize in [true, false] {
+            let mut p = build(&src, OptLevel::None, specialize);
+            let (r, out) = run_vm(&mut p, &args);
+            prop_assert_eq!(&oracle, &r, "spec={} outcome diverged\n{}", specialize, src);
+            prop_assert_eq!(&oracle_out, &out, "spec={} printed differently\n{}", specialize, src);
             prop_assert_eq!(
-                oracle_left,
-                vm.context().fuel_remaining(),
-                "tiering={:?} remaining fuel diverged\n{}",
-                mode,
-                src
+                oracle_fuel, p.context().fuel_spent(),
+                "spec={} fuel diverged\n{}", specialize, src
             );
         }
     }
