@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `repro [--out DIR] [all|fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|ablations ...]`
+//! Usage: `repro [--out DIR] [all|fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|allocs|opcost|ablations ...]`
 //!
 //! Each section prints the paper-reported value next to the measured one.
 //! Absolute numbers differ (the paper ran on real traces with an
@@ -96,6 +96,9 @@ fn main() {
     }
     if run("allocs") {
         allocs();
+    }
+    if run("opcost") {
+        opcost();
     }
     if run("ablations") {
         ablations();
@@ -390,6 +393,13 @@ fn allocs() {
             "  {proto}: standard {std_n} allocs | BinPAC++ {pac_n} allocs | +{:.0}%",
             (pac_n as f64 / std_n.max(1) as f64 - 1.0) * 100.0
         );
+    }
+}
+
+fn opcost() {
+    println!("\n[K1] Script statement cost on the compiled engine (kernel numbers, evidence only)");
+    for row in opcost_table().expect("opcost table") {
+        println!("  {:<28} {:>8.0} ns", row.label, row.ns);
     }
 }
 

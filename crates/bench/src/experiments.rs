@@ -675,6 +675,114 @@ pub fn regexp_ablation(repeats: usize) -> RtResult<RegexpAblation> {
 }
 
 // ---------------------------------------------------------------------------
+// Per-statement script cost (the table that scopes script-host work)
+
+/// One row of [`opcost_table`].
+pub struct OpCost {
+    pub label: &'static str,
+    /// Nanoseconds per dispatch for the two entry rows, per executed
+    /// statement (over the empty handler) for the rest.
+    pub ns: f64,
+}
+
+/// What one script statement costs on the compiled engine: an event with
+/// the statement `reps` times in its handler is dispatched in a loop, and
+/// the empty handler's time is taken off. The first two rows are the
+/// fixed cost of a dispatch itself (no handler for the event; a handler
+/// with an empty body). The last two are the VM's generic and typed paths
+/// on the same arithmetic, from HILTI source (a compiled script only has
+/// `any` slots). Kernel numbers: evidence for where script time goes,
+/// never a claim.
+pub fn opcost_table() -> RtResult<Vec<OpCost>> {
+    use broscript::host::ScriptHost;
+
+    const GLOBALS: &str = "global t: table[string] of count;\n\
+        event setup(k: string) { t[k] = 1; }\n";
+    let cat25 = "s = cat(n, \"\\t\", k, \"\\t\", s, \"\\t\", k, \"\\t\", k, \"\\t\", k, \"\\t\", \
+        k, \"\\t\", n, \"\\t\", k, \"\\t\", n, \"\\t\", n, \"\\t\", n, \"\\t\", k);";
+    // (label, statement, repetitions in the body, dispatches per sample)
+    let statements: [(&'static str, &str, usize, usize); 10] = [
+        ("k in t + branch", "if ( k in t ) n = n;", 8, 50_000),
+        ("t[k]", "n = t[k];", 8, 50_000),
+        ("t[k] = v", "t[k] = n;", 8, 50_000),
+        ("n < 5 + branch (generic)", "if ( n < 5 ) n = 0;", 8, 50_000),
+        ("to_lower(s)", "k = to_lower(s);", 8, 50_000),
+        ("network_time()", "network_time();", 8, 50_000),
+        ("cat, 25 arguments", cat25, 4, 20_000),
+        ("log_write", "log_write(\"x.log\", k);", 1, 50_000),
+        ("sha1(120 B)", "k = sha1(s);", 2, 20_000),
+        (
+            "mime_type(sub_str(..))",
+            "k = mime_type(sub_str(s, 0, 256), \"-\");",
+            2,
+            20_000,
+        ),
+    ];
+
+    let args = [
+        Value::str("CHhAvVGS1DHFjwGM9"),
+        Value::Int(7),
+        Value::str(&"Content-Type: text/html; ".repeat(5)[..120]),
+    ];
+    // Best of three samples of `n` calls of `f`, in ns per call.
+    fn best_of_three(n: usize, mut f: impl FnMut() -> RtResult<()>) -> RtResult<f64> {
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let start = Instant::now();
+            for _ in 0..n {
+                f()?;
+            }
+            best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
+        }
+        Ok(best)
+    }
+    let sample = |body: &str, event: &str, n: usize| -> RtResult<f64> {
+        let script =
+            format!("{GLOBALS}event probe(k: string, n: count, s: string) {{\n{body}\n}}\n");
+        let mut host = ScriptHost::new(&[&script], Engine::Compiled, None)?;
+        host.dispatch("setup", &args[..1])?;
+        best_of_three(n, || host.dispatch(event, &args))
+    };
+
+    let empty = sample("", "probe", 100_000)?;
+    let mut rows = vec![
+        OpCost {
+            label: "dispatch, no handler",
+            ns: sample("", "no_such_event", 100_000)?,
+        },
+        OpCost {
+            label: "dispatch, empty handler",
+            ns: empty,
+        },
+    ];
+    for (label, stmt, reps, n) in statements {
+        let body = vec![stmt; reps].join("\n");
+        rows.push(OpCost {
+            label,
+            ns: (sample(&body, "probe", n)? - empty).max(0.0) / reps as f64,
+        });
+    }
+
+    // The same `n + 1`, 16 times, on `any` slots and on `int<64>` slots.
+    let kernel = |ty: &str, body_reps: usize| -> RtResult<f64> {
+        let src = format!(
+            "module M\nhook void probe({ty} n) {{\n    local {ty} x\n{}}}\n",
+            "    x = int.add n 1\n".repeat(body_reps)
+        );
+        let mut prog = hilti::Program::from_source(&src)?;
+        let hook = prog.hook_id("M::probe").expect("probe has a body");
+        best_of_three(200_000, || prog.run_hook_id(hook, &args[1..2]))
+    };
+    for (label, ty) in [("n + 1 (generic)", "any"), ("n + 1 (typed)", "int<64>")] {
+        rows.push(OpCost {
+            label,
+            ns: (kernel(ty, 17)? - kernel(ty, 1)?).max(0.0) / 16.0,
+        });
+    }
+    Ok(rows)
+}
+
+// ---------------------------------------------------------------------------
 // Helpers for Table 2 / Table 3 style reporting
 
 pub struct TableRow {
@@ -801,6 +909,13 @@ mod tests {
             );
             assert_eq!(r.per_worker.len(), workers);
         }
+    }
+
+    #[test]
+    fn opcost_rows_run() {
+        let rows = opcost_table().unwrap();
+        assert_eq!(rows.len(), 14);
+        assert!(rows.iter().all(|r| r.ns.is_finite()));
     }
 
     #[test]

@@ -444,9 +444,9 @@ impl BinpacHttp {
             let _g = glue(&prof);
             let mut sh = s.borrow_mut();
             let cur = sh.cur()?.clone();
-            let method = slot_text(&args[0], 0)?;
-            let uri = slot_text(&args[0], 1)?;
-            let version = slot_text(&args[0], 2)?;
+            let method = slot_text(args[0], 0)?;
+            let uri = slot_text(args[0], 1)?;
+            let version = slot_text(args[0], 2)?;
             sh.outstanding
                 .entry(cur.uid.clone())
                 .or_default()
@@ -468,11 +468,11 @@ impl BinpacHttp {
             let _g = glue(&prof);
             let mut sh = s.borrow_mut();
             let cur = sh.cur()?.clone();
-            let version = slot_text(&args[0], 0)?;
-            let status: u32 = slot_text(&args[0], 1)?
+            let version = slot_text(args[0], 0)?;
+            let status: u32 = slot_text(args[0], 1)?
                 .parse()
                 .map_err(|_| RtError::value("bad status"))?;
-            let reason = slot_text(&args[0], 2)?;
+            let reason = slot_text(args[0], 2)?;
             sh.events.push(Event::HttpReply {
                 ts: cur.ts,
                 uid: cur.uid.clone(),
@@ -494,8 +494,8 @@ impl BinpacHttp {
                 let _g = prof.as_ref().map(|p| p.enter(Component::Glue));
                 let mut sh = s.borrow_mut();
                 let cur = sh.cur()?.clone();
-                let name = slot_text(&args[0], 0)?;
-                let value = slot_text(&args[0], 1)?;
+                let name = slot_text(args[0], 0)?;
+                let value = slot_text(args[0], 1)?;
                 sh.events.push(Event::HttpHeader {
                     ts: cur.ts,
                     uid: cur.uid.clone(),
@@ -525,7 +525,7 @@ impl BinpacHttp {
                 let _g = prof.as_ref().map(|p| p.enter(Component::Glue));
                 let mut sh = s.borrow_mut();
                 let cur = sh.cur()?.clone();
-                let body = slot_bytes(&args[0], body_idx)?;
+                let body = slot_bytes(args[0], body_idx)?;
                 let len = body.len() as u64;
                 if !body.is_empty() {
                     sh.events.push(Event::HttpBodyData {

@@ -106,7 +106,7 @@ impl BinpacParser {
     pub fn register_hook(
         &mut self,
         name: &str,
-        f: impl FnMut(&[Value]) -> RtResult<Value> + 'static,
+        f: impl FnMut(&[&Value]) -> RtResult<Value> + 'static,
     ) {
         self.program.register_host_fn(name, f);
     }
@@ -239,7 +239,7 @@ pub fn field_of(program: &Program, value: &Value, name: &str) -> RtResult<Value>
     };
     let s = s.borrow();
     let idx = program
-        .context()
+        .compiled()
         .struct_layouts
         .get(&*s.type_name)
         .ok_or_else(|| RtError::type_error(format!("unknown unit type {}", s.type_name)))?

@@ -219,8 +219,8 @@ impl<'a> Gen<'a> {
             .or_else(|| {
                 BUILTINS
                     .iter()
-                    .find(|(b, _)| *b == name)
-                    .map(|(_, t)| t.clone())
+                    .find(|(b, _, _)| *b == name)
+                    .map(|(_, t, _)| t.clone())
             })
     }
 

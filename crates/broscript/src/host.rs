@@ -8,11 +8,12 @@
 //! attached); script handler execution itself is charged to
 //! [`Component::ScriptExecution`].
 //!
-//! The builtin functions ([`call_builtin`]) are shared verbatim by both
-//! engines — one implementation, invoked directly by the interpreter and
-//! registered as host functions (`call.c`) for the compiled program — so
-//! outputs are comparable byte for byte.
+//! The builtin functions ([`BUILTINS`]) are shared verbatim by both engines
+//! — one function per builtin, looked up by name by the interpreter and
+//! registered as the host function (`call.c`) of that name for the compiled
+//! program — so outputs are comparable byte for byte.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -26,7 +27,7 @@ use hilti_rt::time::Time;
 
 use netpkt::events::{dns_rcodes, dns_types, Event};
 
-use crate::ast::Script;
+use crate::ast::{STy, Script};
 use crate::compile::compile_script;
 use crate::interp::Interp;
 use crate::parse::parse_script;
@@ -46,11 +47,14 @@ impl BroRt {
         }
     }
 
+    /// The named log stream, opened on first use.
     pub fn log(&mut self, name: &str) -> LogFile {
-        self.logs
-            .entry(name.to_owned())
-            .or_insert_with(|| LogFile::in_memory(name))
-            .clone()
+        if let Some(log) = self.logs.get(name) {
+            return log.clone();
+        }
+        let log = LogFile::in_memory(name);
+        self.logs.insert(name.to_owned(), log.clone());
+        log
     }
 
     pub fn log_lines(&self, name: &str) -> Vec<String> {
@@ -58,115 +62,138 @@ impl BroRt {
     }
 }
 
-/// Invokes a builtin; `None` if the name is not a builtin.
-pub fn call_builtin(
-    name: &str,
-    args: &[Value],
-    rt: &Rc<RefCell<BroRt>>,
-) -> Option<RtResult<Value>> {
-    let result = match name {
-        "cat" => Ok(Value::str(
-            &args.iter().map(Value::render).collect::<Vec<_>>().join(""),
-        )),
-        "sha1" => args
-            .first()
-            .ok_or_else(|| RtError::type_error("sha1 needs one argument"))
-            .map(|v| Value::str(&sha1_hex(v.render().as_bytes()))),
-        "mime_type" => {
-            // (body_prefix, declared_content_type) — "-" means undeclared.
-            let body = args.first().map(Value::render).unwrap_or_default();
-            let declared = args.get(1).map(Value::render).unwrap_or_default();
-            let declared_opt = if declared.is_empty() || declared == "-" {
-                None
-            } else {
-                Some(declared.as_str())
-            };
-            Ok(Value::str(
-                &netpkt::http::sniff_mime(body.as_bytes(), declared_opt)
-                    .unwrap_or_else(|| "-".into()),
-            ))
-        }
-        "qtype_name" => args
-            .first()
-            .ok_or_else(|| RtError::type_error("qtype_name needs one argument"))
-            .and_then(Value::as_int)
-            .map(|t| Value::str(&dns_types::name(t as u16))),
-        "rcode_name" => args
-            .first()
-            .ok_or_else(|| RtError::type_error("rcode_name needs one argument"))
-            .and_then(Value::as_int)
-            .map(|r| Value::str(&dns_rcodes::name(r as u16))),
-        "join" => {
-            let sep = args.get(1).map(Value::render).unwrap_or_default();
-            match args.first() {
-                Some(Value::Vector(v)) => Ok(Value::str(
-                    &v.borrow()
-                        .iter()
-                        .map(Value::render)
-                        .collect::<Vec<_>>()
-                        .join(&sep),
-                )),
-                other => Err(RtError::type_error(format!(
-                    "join needs a vector, got {other:?}"
-                ))),
-            }
-        }
-        "to_lower" => args
-            .first()
-            .ok_or_else(|| RtError::type_error("to_lower needs one argument"))
-            .map(|v| Value::str(&v.render().to_lowercase())),
-        "starts_with" => {
-            let s = args.first().map(Value::render).unwrap_or_default();
-            let p = args.get(1).map(Value::render).unwrap_or_default();
-            Ok(Value::Bool(s.starts_with(&p)))
-        }
-        "sub_str" => {
-            let s = args.first().map(Value::render).unwrap_or_default();
-            let start = args
-                .get(1)
-                .and_then(|v| v.as_int().ok())
-                .unwrap_or(0)
-                .max(0) as usize;
-            let len = args
-                .get(2)
-                .and_then(|v| v.as_int().ok())
-                .unwrap_or(0)
-                .max(0) as usize;
-            Ok(Value::str(
-                &s.chars().skip(start).take(len).collect::<String>(),
-            ))
-        }
-        "to_count" => {
-            let s = args.first().map(Value::render).unwrap_or_default();
-            Ok(Value::Int(s.trim().parse().unwrap_or(0)))
-        }
-        "network_time" => Ok(Value::Time(rt.borrow().net_time)),
-        "log_write" => {
-            let stream = args.first().map(Value::render).unwrap_or_default();
-            let line = args.get(1).map(Value::render).unwrap_or_default();
-            let log = rt.borrow_mut().log(&stream);
-            log.write_line(&line).map(|_| Value::Null)
-        }
-        _ => return None,
-    };
-    Some(result)
+/// A builtin function: borrowed arguments plus the shared script runtime.
+pub type Builtin = fn(&[&Value], &RefCell<BroRt>) -> RtResult<Value>;
+
+/// Every builtin: name, result type (for the compiler's type table) and
+/// implementation.
+pub const BUILTINS: &[(&str, STy, Builtin)] = &[
+    ("cat", STy::Str, cat),
+    ("sha1", STy::Str, sha1),
+    ("mime_type", STy::Str, mime_type),
+    ("qtype_name", STy::Str, qtype_name),
+    ("rcode_name", STy::Str, rcode_name),
+    ("join", STy::Str, join),
+    ("to_lower", STy::Str, to_lower),
+    ("starts_with", STy::Bool, starts_with),
+    ("sub_str", STy::Str, sub_str),
+    ("to_count", STy::Count, to_count),
+    ("network_time", STy::Time, network_time),
+    ("log_write", STy::Void, log_write),
+];
+
+/// Invokes a builtin by name; `None` if the name is not a builtin.
+pub fn call_builtin(name: &str, args: &[&Value], rt: &RefCell<BroRt>) -> Option<RtResult<Value>> {
+    let (_, _, builtin) = BUILTINS.iter().find(|(n, _, _)| *n == name)?;
+    Some(builtin(args, rt))
 }
 
-/// Names of all builtins (used by the compiler's type table).
-pub const BUILTINS: &[(&str, crate::ast::STy)] = &[
-    ("cat", crate::ast::STy::Str),
-    ("sha1", crate::ast::STy::Str),
-    ("mime_type", crate::ast::STy::Str),
-    ("qtype_name", crate::ast::STy::Str),
-    ("rcode_name", crate::ast::STy::Str),
-    ("join", crate::ast::STy::Str),
-    ("to_lower", crate::ast::STy::Str),
-    ("starts_with", crate::ast::STy::Bool),
-    ("sub_str", crate::ast::STy::Str),
-    ("to_count", crate::ast::STy::Count),
-    ("network_time", crate::ast::STy::Time),
-    ("log_write", crate::ast::STy::Void),
-];
+/// The text of an argument: a string as it is, anything else rendered;
+/// empty for a missing argument.
+fn text<'a>(args: &[&'a Value], i: usize) -> Cow<'a, str> {
+    match args.get(i) {
+        Some(Value::String(s)) => Cow::Borrowed(s),
+        Some(other) => Cow::Owned(other.render()),
+        None => Cow::Borrowed(""),
+    }
+}
+
+fn first<'a>(args: &[&'a Value], builtin: &str) -> RtResult<&'a Value> {
+    args.first()
+        .copied()
+        .ok_or_else(|| RtError::type_error(format!("{builtin} needs one argument")))
+}
+
+fn cat(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    Ok(Value::String(Rc::from(Value::render_joined(args, ""))))
+}
+
+fn sha1(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    first(args, "sha1")?;
+    Ok(Value::str(&sha1_hex(text(args, 0).as_bytes())))
+}
+
+/// (body_prefix, declared_content_type) — "-" means undeclared.
+fn mime_type(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    let declared = text(args, 1);
+    let declared = (!declared.is_empty() && declared != "-").then_some(&*declared);
+    let sniffed = netpkt::http::sniff_mime(text(args, 0).as_bytes(), declared);
+    Ok(Value::str(sniffed.as_deref().unwrap_or("-")))
+}
+
+fn qtype_name(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    let t = first(args, "qtype_name")?.as_int()?;
+    Ok(Value::str(&dns_types::name(t as u16)))
+}
+
+fn rcode_name(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    let r = first(args, "rcode_name")?.as_int()?;
+    Ok(Value::str(&dns_rcodes::name(r as u16)))
+}
+
+fn join(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    match args.first() {
+        Some(Value::Vector(v)) => {
+            let v = v.borrow();
+            let items: Vec<&Value> = v.iter().collect();
+            Ok(Value::str(&Value::render_joined(&items, &text(args, 1))))
+        }
+        other => Err(RtError::type_error(format!(
+            "join needs a vector, got {other:?}"
+        ))),
+    }
+}
+
+fn to_lower(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    let v = first(args, "to_lower")?;
+    Ok(Value::String(match v {
+        // The common case — an ASCII header name or host — needs at most
+        // one copy, and none when it is lower case already.
+        Value::String(s) if s.is_ascii() => {
+            let mut lowered = Rc::clone(s);
+            if s.bytes().any(|b| b.is_ascii_uppercase()) {
+                lowered = Rc::from(&**s);
+                Rc::get_mut(&mut lowered)
+                    .expect("just allocated")
+                    .make_ascii_lowercase();
+            }
+            lowered
+        }
+        other => Rc::from(text(&[other], 0).to_lowercase()),
+    }))
+}
+
+fn starts_with(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    Ok(Value::Bool(text(args, 0).starts_with(&*text(args, 1))))
+}
+
+fn sub_str(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    let index = |i: usize| {
+        args.get(i)
+            .and_then(|v| v.as_int().ok())
+            .unwrap_or(0)
+            .max(0) as usize
+    };
+    let sub: String = text(args, 0)
+        .chars()
+        .skip(index(1))
+        .take(index(2))
+        .collect();
+    Ok(Value::str(&sub))
+}
+
+fn to_count(args: &[&Value], _rt: &RefCell<BroRt>) -> RtResult<Value> {
+    Ok(Value::Int(text(args, 0).trim().parse().unwrap_or(0)))
+}
+
+fn network_time(_args: &[&Value], rt: &RefCell<BroRt>) -> RtResult<Value> {
+    Ok(Value::Time(rt.borrow().net_time))
+}
+
+fn log_write(args: &[&Value], rt: &RefCell<BroRt>) -> RtResult<Value> {
+    let log = rt.borrow_mut().log(&text(args, 0));
+    log.write_line(&text(args, 1)).map(|_| Value::Null)
+}
 
 /// Which engine executes the script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -240,13 +267,9 @@ impl HostBlueprint {
             None => (Some(Interp::new(script.clone(), rt.clone())?), None),
             Some(ir) => {
                 let mut program = hilti::Program::from_ir(ir)?;
-                for (name, _) in BUILTINS {
-                    let rt2 = rt.clone();
-                    let name2 = name.to_string();
-                    program.register_host_fn(name, move |args| {
-                        call_builtin(&name2, args, &rt2)
-                            .unwrap_or_else(|| Err(RtError::value("missing builtin")))
-                    });
+                for &(name, _, builtin) in BUILTINS {
+                    let rt = rt.clone();
+                    program.register_host_fn(name, move |args| builtin(args, &rt));
                 }
                 program.run_void("Bro::init_globals", &[])?;
                 let set_time = program.func_id("Bro::set_time")?;
@@ -352,7 +375,14 @@ impl ScriptHost {
     }
 
     /// Advances script network time (drives container expiration).
+    ///
+    /// Network time only moves forward and expiry is a function of it, so
+    /// an event at the time already reached — every event of a packet after
+    /// its first — has nothing to advance and does not enter the engine.
     pub fn advance_time(&mut self, t: Time) -> RtResult<()> {
+        if t <= self.rt.borrow().net_time {
+            return Ok(());
+        }
         match self.engine {
             Engine::Interpreted => {
                 self.interp.as_mut().expect("engine").advance_time(t);
@@ -366,35 +396,44 @@ impl ScriptHost {
         }
     }
 
+    /// Whether the script has a handler for `event`.
+    fn handles(&self, event: &str) -> bool {
+        match &self.compiled {
+            Some(c) => c.events.contains_key(event),
+            None => self.script.handlers.iter().any(|h| h.event == event),
+        }
+    }
+
     /// Dispatches one protocol event to the script's handlers.
     pub fn dispatch_event(&mut self, ev: &Event) -> RtResult<()> {
         self.advance_time(ev.ts())?;
+        // An event nobody handles costs no argument conversion.
+        if !self.handles(ev.name()) {
+            return Ok(());
+        }
         // Conversion of host event data into script values: free-standing
         // for the interpreter, but the measured *glue* for HILTI.
-        let (name, args) = {
+        let args = {
             let _g = (self.engine == Engine::Compiled)
                 .then(|| self.profiler.as_ref().map(|p| p.enter(Component::Glue)))
                 .flatten();
             // Figure 8 compatibility: if the script declares
             // `event connection_established(c: connection)`, hand it the
             // record form instead of the flat argument list.
-            if let Event::ConnectionEstablished { uid, id, .. } = ev {
-                let record_style = self
-                    .script
-                    .handlers_for("connection_established")
-                    .first()
-                    .map(|h| h.params.len() == 1)
-                    .unwrap_or(false);
-                if record_style {
-                    ("connection_established", vec![connection_value(uid, id)])
-                } else {
-                    event_args(ev)
+            match ev {
+                Event::ConnectionEstablished { uid, id, .. }
+                    if self
+                        .script
+                        .handlers_for("connection_established")
+                        .first()
+                        .is_some_and(|h| h.params.len() == 1) =>
+                {
+                    vec![connection_value(uid, id)]
                 }
-            } else {
-                event_args(ev)
+                _ => event_args(ev),
             }
         };
-        self.dispatch(name, &args)
+        self.dispatch(ev.name(), &args)
     }
 
     /// Dispatches a raw event by name.
@@ -482,21 +521,18 @@ pub fn connection_value(uid: &str, id: &netpkt::events::ConnId) -> Value {
     })))
 }
 
-/// Converts a host event into (event name, script argument values) — the
-/// canonical event signatures scripts are written against.
-pub fn event_args(ev: &Event) -> (&'static str, Vec<Value>) {
+/// Converts a host event into its script argument values — the canonical
+/// signature scripts write `event <Event::name>` handlers against.
+pub fn event_args(ev: &Event) -> Vec<Value> {
     match ev {
-        Event::ConnectionEstablished { uid, id, .. } => (
-            "connection_established",
-            vec![
-                Value::str(uid),
-                Value::Addr(id.orig_h),
-                Value::Port(id.orig_p),
-                Value::Addr(id.resp_h),
-                Value::Port(id.resp_p),
-            ],
-        ),
-        Event::ConnectionFinished { uid, .. } => ("connection_finished", vec![Value::str(uid)]),
+        Event::ConnectionEstablished { uid, id, .. } => vec![
+            Value::str(uid),
+            Value::Addr(id.orig_h),
+            Value::Port(id.orig_p),
+            Value::Addr(id.resp_h),
+            Value::Port(id.resp_p),
+        ],
+        Event::ConnectionFinished { uid, .. } => vec![Value::str(uid)],
         Event::HttpRequest {
             uid,
             id,
@@ -504,17 +540,14 @@ pub fn event_args(ev: &Event) -> (&'static str, Vec<Value>) {
             uri,
             version,
             ..
-        } => (
-            "http_request",
-            vec![
-                Value::str(uid),
-                Value::Addr(id.orig_h),
-                Value::Addr(id.resp_h),
-                Value::str(method),
-                Value::str(uri),
-                Value::str(version),
-            ],
-        ),
+        } => vec![
+            Value::str(uid),
+            Value::Addr(id.orig_h),
+            Value::Addr(id.resp_h),
+            Value::str(method),
+            Value::str(uri),
+            Value::str(version),
+        ],
         Event::HttpReply {
             uid,
             id,
@@ -522,59 +555,47 @@ pub fn event_args(ev: &Event) -> (&'static str, Vec<Value>) {
             reason,
             version,
             ..
-        } => (
-            "http_reply",
-            vec![
-                Value::str(uid),
-                Value::Addr(id.orig_h),
-                Value::Addr(id.resp_h),
-                Value::Int(i64::from(*status)),
-                Value::str(reason),
-                Value::str(version),
-            ],
-        ),
+        } => vec![
+            Value::str(uid),
+            Value::Addr(id.orig_h),
+            Value::Addr(id.resp_h),
+            Value::Int(i64::from(*status)),
+            Value::str(reason),
+            Value::str(version),
+        ],
         Event::HttpHeader {
             uid,
             is_orig,
             name,
             value,
             ..
-        } => (
-            "http_header",
-            vec![
-                Value::str(uid),
-                Value::Bool(*is_orig),
-                Value::str(name),
-                Value::str(value),
-            ],
-        ),
+        } => vec![
+            Value::str(uid),
+            Value::Bool(*is_orig),
+            Value::str(name),
+            Value::str(value),
+        ],
         Event::HttpBodyData {
             uid, is_orig, data, ..
-        } => (
-            "http_body_data",
-            vec![
-                Value::str(uid),
-                Value::Bool(*is_orig),
-                // Byte-to-char (latin-1 style) mapping: bijective, so the
-                // script-level body is independent of how the parser
-                // chunked it (the standard stack delivers per-packet
-                // chunks, BinPAC++ one blob; hashes must still agree).
-                Value::str(&data.iter().map(|&b| b as char).collect::<String>()),
-            ],
-        ),
+        } => vec![
+            Value::str(uid),
+            Value::Bool(*is_orig),
+            // Byte-to-char (latin-1 style) mapping: bijective, so the
+            // script-level body is independent of how the parser
+            // chunked it (the standard stack delivers per-packet
+            // chunks, BinPAC++ one blob; hashes must still agree).
+            Value::str(&data.iter().map(|&b| b as char).collect::<String>()),
+        ],
         Event::HttpMessageDone {
             uid,
             is_orig,
             body_len,
             ..
-        } => (
-            "http_message_done",
-            vec![
-                Value::str(uid),
-                Value::Bool(*is_orig),
-                Value::Int(*body_len as i64),
-            ],
-        ),
+        } => vec![
+            Value::str(uid),
+            Value::Bool(*is_orig),
+            Value::Int(*body_len as i64),
+        ],
         Event::DnsRequest {
             uid,
             id,
@@ -582,17 +603,14 @@ pub fn event_args(ev: &Event) -> (&'static str, Vec<Value>) {
             query,
             qtype,
             ..
-        } => (
-            "dns_request",
-            vec![
-                Value::str(uid),
-                Value::Addr(id.orig_h),
-                Value::Addr(id.resp_h),
-                Value::Int(i64::from(*trans_id)),
-                Value::str(query),
-                Value::Int(i64::from(*qtype)),
-            ],
-        ),
+        } => vec![
+            Value::str(uid),
+            Value::Addr(id.orig_h),
+            Value::Addr(id.resp_h),
+            Value::Int(i64::from(*trans_id)),
+            Value::str(query),
+            Value::Int(i64::from(*qtype)),
+        ],
         Event::DnsReply {
             uid,
             id,
@@ -606,18 +624,15 @@ pub fn event_args(ev: &Event) -> (&'static str, Vec<Value>) {
                 .iter()
                 .map(|a| Value::Int(i64::from(a.ttl)))
                 .collect();
-            (
-                "dns_reply",
-                vec![
-                    Value::str(uid),
-                    Value::Addr(id.orig_h),
-                    Value::Addr(id.resp_h),
-                    Value::Int(i64::from(*trans_id)),
-                    Value::Int(i64::from(*rcode)),
-                    Value::Vector(Rc::new(RefCell::new(rdata))),
-                    Value::Vector(Rc::new(RefCell::new(ttls))),
-                ],
-            )
+            vec![
+                Value::str(uid),
+                Value::Addr(id.orig_h),
+                Value::Addr(id.resp_h),
+                Value::Int(i64::from(*trans_id)),
+                Value::Int(i64::from(*rcode)),
+                Value::Vector(Rc::new(RefCell::new(rdata))),
+                Value::Vector(Rc::new(RefCell::new(ttls))),
+            ]
         }
     }
 }
@@ -628,20 +643,20 @@ mod tests {
 
     #[test]
     fn builtins_shared_semantics() {
-        let rt = Rc::new(RefCell::new(BroRt::default()));
-        let v = call_builtin("cat", &[Value::str("a"), Value::Int(1)], &rt)
+        let rt = RefCell::new(BroRt::default());
+        let v = call_builtin("cat", &[&Value::str("a"), &Value::Int(1)], &rt)
             .unwrap()
             .unwrap();
         assert_eq!(v.render(), "a1");
-        let v = call_builtin("sha1", &[Value::str("abc")], &rt)
+        let v = call_builtin("sha1", &[&Value::str("abc")], &rt)
             .unwrap()
             .unwrap();
         assert_eq!(v.render(), "a9993e364706816aba3e25717850c26c9cd0d89d");
-        let v = call_builtin("qtype_name", &[Value::Int(1)], &rt)
+        let v = call_builtin("qtype_name", &[&Value::Int(1)], &rt)
             .unwrap()
             .unwrap();
         assert_eq!(v.render(), "A");
-        let v = call_builtin("to_count", &[Value::str("42")], &rt)
+        let v = call_builtin("to_count", &[&Value::str("42")], &rt)
             .unwrap()
             .unwrap();
         assert!(v.equals(&Value::Int(42)));
@@ -650,10 +665,10 @@ mod tests {
 
     #[test]
     fn log_write_accumulates() {
-        let rt = Rc::new(RefCell::new(BroRt::default()));
+        let rt = RefCell::new(BroRt::default());
         call_builtin(
             "log_write",
-            &[Value::str("x.log"), Value::str("line1")],
+            &[&Value::str("x.log"), &Value::str("line1")],
             &rt,
         )
         .unwrap()
@@ -663,10 +678,10 @@ mod tests {
 
     #[test]
     fn mime_builtin_magic_and_fallback() {
-        let rt = Rc::new(RefCell::new(BroRt::default()));
+        let rt = RefCell::new(BroRt::default());
         let v = call_builtin(
             "mime_type",
-            &[Value::str("GIF89a..."), Value::str("-")],
+            &[&Value::str("GIF89a..."), &Value::str("-")],
             &rt,
         )
         .unwrap()
@@ -674,13 +689,13 @@ mod tests {
         assert_eq!(v.render(), "image/gif");
         let v = call_builtin(
             "mime_type",
-            &[Value::str("opaque"), Value::str("text/css")],
+            &[&Value::str("opaque"), &Value::str("text/css")],
             &rt,
         )
         .unwrap()
         .unwrap();
         assert_eq!(v.render(), "text/css");
-        let v = call_builtin("mime_type", &[Value::str("opaque"), Value::str("-")], &rt)
+        let v = call_builtin("mime_type", &[&Value::str("opaque"), &Value::str("-")], &rt)
             .unwrap()
             .unwrap();
         assert_eq!(v.render(), "-");
@@ -728,7 +743,7 @@ event ping(n: count) {
             resp_h: "1.2.3.4".parse().unwrap(),
             resp_p: Port::tcp(80),
         };
-        let (name, args) = event_args(&Event::HttpRequest {
+        let args = event_args(&Event::HttpRequest {
             ts: Time::from_secs(1),
             uid: "C1".into(),
             id,
@@ -736,7 +751,6 @@ event ping(n: count) {
             uri: "/".into(),
             version: "1.1".into(),
         });
-        assert_eq!(name, "http_request");
         assert_eq!(args.len(), 6);
         assert_eq!(args[3].render(), "GET");
     }

@@ -172,7 +172,8 @@ impl Interp {
         let script = self.script.clone();
         let Some(f) = script.functions.iter().find(|f| f.name == name) else {
             // Builtin?
-            if let Some(r) = call_builtin(name, args, &self.rt) {
+            let args: Vec<&Value> = args.iter().collect();
+            if let Some(r) = call_builtin(name, &args, &self.rt) {
                 return r;
             }
             return Err(RtError::value(format!("unknown function {name}")));

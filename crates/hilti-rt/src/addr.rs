@@ -12,31 +12,46 @@ use std::str::FromStr;
 use crate::error::RtError;
 
 /// An IP address; IPv4 and IPv6 handled transparently, as in HILTI's `addr`.
+///
+/// The 128-bit value is held as two 64-bit halves, so the type (and every
+/// value, key and instruction embedding it) is 8-byte aligned rather than
+/// the 16 a bare `u128` would force. Field order makes the derived `Ord`
+/// the numeric order of the 128-bit value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Addr(u128);
+pub struct Addr {
+    hi: u64,
+    lo: u64,
+}
 
 /// Offset of the IPv4-mapped range `::ffff:0:0/96` within the 128-bit space.
 const V4_MAPPED_PREFIX: u128 = 0xffff_0000_0000u128;
 
 impl Addr {
+    const fn from_raw(raw: u128) -> Self {
+        Addr {
+            hi: (raw >> 64) as u64,
+            lo: raw as u64,
+        }
+    }
+
     /// Builds an IPv4 address from its four octets.
     pub fn v4(a: u8, b: u8, c: u8, d: u8) -> Self {
-        Addr(V4_MAPPED_PREFIX | u128::from(u32::from_be_bytes([a, b, c, d])))
+        Addr::from_v4_u32(u32::from_be_bytes([a, b, c, d]))
     }
 
     /// Builds an IPv4 address from a host-order `u32`.
     pub fn from_v4_u32(raw: u32) -> Self {
-        Addr(V4_MAPPED_PREFIX | u128::from(raw))
+        Addr::from_raw(V4_MAPPED_PREFIX | u128::from(raw))
     }
 
     /// Builds an IPv6 address from a host-order `u128`.
     pub fn from_v6_u128(raw: u128) -> Self {
-        Addr(raw)
+        Addr::from_raw(raw)
     }
 
     /// Builds an address from the 16-byte network-order representation.
     pub fn from_v6_bytes(bytes: [u8; 16]) -> Self {
-        Addr(u128::from_be_bytes(bytes))
+        Addr::from_raw(u128::from_be_bytes(bytes))
     }
 
     /// Builds an IPv4 address from the 4-byte network-order representation.
@@ -46,7 +61,7 @@ impl Addr {
 
     /// True if this address lies in the IPv4-mapped range.
     pub fn is_v4(&self) -> bool {
-        (self.0 >> 32) == 0xffff && (self.0 >> 48) == 0
+        self.hi == 0 && (self.lo >> 32) == 0xffff
     }
 
     /// True for IPv6 (i.e. not IPv4-mapped).
@@ -56,12 +71,12 @@ impl Addr {
 
     /// The raw 128-bit representation (IPv4 mapped into `::ffff:0:0/96`).
     pub fn raw(&self) -> u128 {
-        self.0
+        (u128::from(self.hi) << 64) | u128::from(self.lo)
     }
 
     /// The IPv4 host-order value, if this is an IPv4 address.
     pub fn as_v4_u32(&self) -> Option<u32> {
-        self.is_v4().then_some(self.0 as u32)
+        self.is_v4().then_some(self.lo as u32)
     }
 
     /// Masks the address, keeping the top `bits` bits. For IPv4 addresses
@@ -75,10 +90,10 @@ impl Addr {
         };
         if effective == 0 {
             // A /0 on IPv6; keep nothing.
-            return Addr(0);
+            return Addr::from_raw(0);
         }
         let keep = u128::MAX << (128 - effective);
-        Addr(self.0 & keep)
+        Addr::from_raw(self.raw() & keep)
     }
 }
 
@@ -87,7 +102,7 @@ impl fmt::Display for Addr {
         if let Some(v4) = self.as_v4_u32() {
             write!(f, "{}", Ipv4Addr::from(v4))
         } else {
-            write!(f, "{}", Ipv6Addr::from(self.0))
+            write!(f, "{}", Ipv6Addr::from(self.raw()))
         }
     }
 }
@@ -106,7 +121,7 @@ impl FromStr for Addr {
             return Ok(Addr::from_v4_u32(u32::from(v4)));
         }
         if let Ok(v6) = s.parse::<Ipv6Addr>() {
-            return Ok(Addr(u128::from(v6)));
+            return Ok(Addr::from_raw(u128::from(v6)));
         }
         Err(RtError::value(format!("invalid address literal: {s:?}")))
     }

@@ -55,13 +55,7 @@ struct Stamped<V> {
 /// A hash map with optional per-entry expiration — HILTI's `map` type.
 pub struct ExpiringMap<K, V> {
     entries: HashMap<K, Stamped<V>>,
-    /// Deadline-ordered queue of (deadline, seq) records; `seq_keys` maps a
-    /// record back to its key. Records whose seq no longer matches the
-    /// entry's authoritative `stamp_seq` are stale and skipped on pop.
-    queue: BinaryHeap<Reverse<(Time, u64)>>,
-    seq_keys: HashMap<u64, K>,
-    next_seq: u64,
-    policy: Option<(ExpireStrategy, Interval)>,
+    deadlines: Deadlines<K>,
     /// Entries evicted over the container's lifetime (observability; the
     /// paper stresses measuring state-management behaviour, §3.3).
     evicted: u64,
@@ -70,15 +64,52 @@ pub struct ExpiringMap<K, V> {
     budget: Option<AllocBudget>,
 }
 
+/// The expiration side of an [`ExpiringMap`], apart from the entry table so
+/// that a deadline can be stamped while an entry of the table is held.
+struct Deadlines<K> {
+    /// Deadline-ordered queue of (deadline, seq) records; `seq_keys` maps a
+    /// record back to its key. Records whose seq no longer matches the
+    /// entry's authoritative `stamp_seq` are stale and skipped on pop.
+    queue: BinaryHeap<Reverse<(Time, u64)>>,
+    seq_keys: HashMap<u64, K>,
+    next_seq: u64,
+    policy: Option<(ExpireStrategy, Interval)>,
+}
+
+impl<K: Clone> Deadlines<K> {
+    /// Enqueues a fresh deadline record for `key`, returning
+    /// (deadline, seq). With no policy, returns the never-expires sentinel.
+    fn stamp(&mut self, key: &K, now: Time) -> (Time, u64) {
+        match self.policy {
+            Some((_, timeout)) => {
+                let deadline = now + timeout;
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.queue.push(Reverse((deadline, seq)));
+                self.seq_keys.insert(seq, key.clone());
+                (deadline, seq)
+            }
+            None => (Time::from_nanos(u64::MAX), u64::MAX),
+        }
+    }
+
+    fn forget(&mut self) {
+        self.queue.clear();
+        self.seq_keys.clear();
+    }
+}
+
 impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// A map without expiration (plain hash map semantics).
     pub fn new() -> Self {
         ExpiringMap {
             entries: HashMap::new(),
-            queue: BinaryHeap::new(),
-            seq_keys: HashMap::new(),
-            next_seq: 0,
-            policy: None,
+            deadlines: Deadlines {
+                queue: BinaryHeap::new(),
+                seq_keys: HashMap::new(),
+                next_seq: 0,
+                policy: None,
+            },
             evicted: 0,
             budget: None,
         }
@@ -104,13 +135,6 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         self.budget.as_ref()
     }
 
-    fn charge_entry(&self) -> RtResult<()> {
-        match &self.budget {
-            Some(b) => b.charge(Self::entry_cost()),
-            None => Ok(()),
-        }
-    }
-
     fn credit_entries(&self, n: u64) {
         if let Some(b) = &self.budget {
             b.credit(n * Self::entry_cost());
@@ -120,18 +144,17 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// Sets the expiration policy, like `map.timeout` / `set.timeout`.
     /// Affects entries inserted or touched from now on.
     pub fn set_timeout(&mut self, strategy: ExpireStrategy, timeout: Interval) {
-        self.policy = Some((strategy, timeout));
+        self.deadlines.policy = Some((strategy, timeout));
     }
 
     /// Clears the expiration policy; existing deadlines are forgotten.
     pub fn clear_timeout(&mut self) {
-        self.policy = None;
-        self.queue.clear();
-        self.seq_keys.clear();
+        self.deadlines.policy = None;
+        self.deadlines.forget();
     }
 
     pub fn policy(&self) -> Option<(ExpireStrategy, Interval)> {
-        self.policy
+        self.deadlines.policy
     }
 
     pub fn len(&self) -> usize {
@@ -147,22 +170,6 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         self.evicted
     }
 
-    /// Enqueues a fresh deadline record for `key`, returning
-    /// (deadline, seq). With no policy, returns the never-expires sentinel.
-    fn stamp(&mut self, key: &K, now: Time) -> (Time, u64) {
-        match self.policy {
-            Some((_, timeout)) => {
-                let deadline = now + timeout;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.queue.push(Reverse((deadline, seq)));
-                self.seq_keys.insert(seq, key.clone());
-                (deadline, seq)
-            }
-            None => (Time::from_nanos(u64::MAX), u64::MAX),
-        }
-    }
-
     /// Inserts or replaces; the entry's timeout (re)starts at `now`.
     ///
     /// An attached budget is charged for genuinely new keys but *not*
@@ -174,7 +181,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
                 b.charge_unchecked(Self::entry_cost());
             }
         }
-        let (deadline, stamp_seq) = self.stamp(&key, now);
+        let (deadline, stamp_seq) = self.deadlines.stamp(&key, now);
         self.entries
             .insert(
                 key,
@@ -191,49 +198,47 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// `Hilti::ResourceExhausted` (leaving the map unchanged) when an
     /// attached budget cannot cover a new entry.
     pub fn try_insert(&mut self, key: K, value: V, now: Time) -> RtResult<Option<V>> {
-        if !self.entries.contains_key(&key) {
-            self.charge_entry()?;
-        }
-        let (deadline, stamp_seq) = self.stamp(&key, now);
-        Ok(self
-            .entries
-            .insert(
-                key,
-                Stamped {
+        // One probe: the entry says whether the key is new (the budget is
+        // charged first, so a refusal leaves map and queue untouched), then
+        // takes the freshly stamped value.
+        match self.entries.entry(key) {
+            HmEntry::Occupied(mut o) => {
+                let (deadline, stamp_seq) = self.deadlines.stamp(o.key(), now);
+                let stamped = Stamped {
                     value,
                     deadline,
                     stamp_seq,
-                },
-            )
-            .map(|s| s.value))
+                };
+                Ok(Some(std::mem::replace(o.get_mut(), stamped).value))
+            }
+            HmEntry::Vacant(v) => {
+                if let Some(b) = &self.budget {
+                    b.charge(Self::entry_cost())?;
+                }
+                let (deadline, stamp_seq) = self.deadlines.stamp(v.key(), now);
+                v.insert(Stamped {
+                    value,
+                    deadline,
+                    stamp_seq,
+                });
+                Ok(None)
+            }
+        }
     }
 
     /// Reads an entry. Under [`ExpireStrategy::Access`] this refreshes the
     /// entry's deadline.
     pub fn get(&mut self, key: &K, now: Time) -> Option<&V> {
-        let refresh = matches!(self.policy, Some((ExpireStrategy::Access, _)));
-        if refresh && self.entries.contains_key(key) {
-            let (deadline, stamp_seq) = self.stamp(key, now);
-            if let Some(s) = self.entries.get_mut(key) {
-                s.deadline = deadline;
-                s.stamp_seq = stamp_seq;
-            }
-        }
-        self.entries.get(key).map(|s| &s.value)
+        self.get_mut(key, now).map(|v| &*v)
     }
 
     /// Mutable access; always counts as an access for the policy.
     pub fn get_mut(&mut self, key: &K, now: Time) -> Option<&mut V> {
-        if matches!(self.policy, Some((ExpireStrategy::Access, _)))
-            && self.entries.contains_key(key)
-        {
-            let (deadline, stamp_seq) = self.stamp(key, now);
-            if let Some(s) = self.entries.get_mut(key) {
-                s.deadline = deadline;
-                s.stamp_seq = stamp_seq;
-            }
+        let s = self.entries.get_mut(key)?;
+        if matches!(self.deadlines.policy, Some((ExpireStrategy::Access, _))) {
+            (s.deadline, s.stamp_seq) = self.deadlines.stamp(key, now);
         }
-        self.entries.get_mut(key).map(|s| &mut s.value)
+        Some(&mut s.value)
     }
 
     /// Membership test without refreshing the deadline (HILTI's
@@ -249,13 +254,13 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         now: Time,
         default: impl FnOnce() -> V,
     ) -> &mut V {
-        let refresh = match self.policy {
+        let refresh = match self.deadlines.policy {
             Some((ExpireStrategy::Access, _)) => true,
             Some((ExpireStrategy::Create, _)) => !self.entries.contains_key(&key),
             None => false,
         };
         let (deadline, stamp_seq) = if refresh {
-            self.stamp(&key, now)
+            self.deadlines.stamp(&key, now)
         } else {
             self.entries
                 .get(&key)
@@ -299,12 +304,12 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// pairs (so callers can run cleanup hooks, as HILTI timers would).
     pub fn advance(&mut self, now: Time) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        while let Some(Reverse((deadline, _))) = self.queue.peek() {
+        while let Some(Reverse((deadline, _))) = self.deadlines.queue.peek() {
             if *deadline > now {
                 break;
             }
-            let Reverse((_, seq)) = self.queue.pop().expect("peeked entry");
-            let Some(key) = self.seq_keys.remove(&seq) else {
+            let Reverse((_, seq)) = self.deadlines.queue.pop().expect("peeked entry");
+            let Some(key) = self.deadlines.seq_keys.remove(&seq) else {
                 continue;
             };
             // Only evict if this queue record is still the authoritative
@@ -330,8 +335,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     pub fn clear(&mut self) {
         self.credit_entries(self.entries.len() as u64);
         self.entries.clear();
-        self.queue.clear();
-        self.seq_keys.clear();
+        self.deadlines.forget();
     }
 }
 
@@ -355,7 +359,7 @@ impl<K, V> std::fmt::Debug for ExpiringMap<K, V> {
             f,
             "ExpiringMap {{ len: {}, policy: {:?} }}",
             self.entries.len(),
-            self.policy
+            self.deadlines.policy
         )
     }
 }
@@ -637,6 +641,6 @@ mod tests {
         // Stale queue records get drained as time advances.
         m.advance(t(10_000));
         assert!(m.is_empty());
-        assert!(m.queue.is_empty());
+        assert!(m.deadlines.queue.is_empty());
     }
 }

@@ -20,60 +20,63 @@ enum Sink {
     Disk(fs::File),
 }
 
-/// A line-oriented output file, safe to share across threads.
+/// A line-oriented output file, safe to share across threads. One
+/// pointer: cloning a handle (every `file.open` of an already-open log, every
+/// script `log_write`) copies neither the name nor the sink.
 #[derive(Clone)]
-pub struct LogFile {
+pub struct LogFile(Arc<Shared>);
+
+struct Shared {
     name: String,
-    sink: Arc<Mutex<Sink>>,
+    sink: Mutex<Sink>,
 }
 
 impl std::fmt::Debug for LogFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LogFile({})", self.name)
+        write!(f, "LogFile({})", self.0.name)
     }
 }
 
 impl LogFile {
     /// A purely in-memory log (the default for tests and the repro harness).
     pub fn in_memory(name: impl Into<String>) -> Self {
-        LogFile {
+        LogFile(Arc::new(Shared {
             name: name.into(),
-            sink: Arc::new(Mutex::new(Sink::Memory(Vec::new()))),
-        }
+            sink: Mutex::new(Sink::Memory(Vec::new())),
+        }))
     }
 
     /// A log backed by a file on disk (truncates any existing file).
     pub fn on_disk(name: impl Into<String>, path: &Path) -> RtResult<Self> {
         let file = fs::File::create(path)
             .map_err(|e| RtError::io(format!("create {}: {e}", path.display())))?;
-        Ok(LogFile {
+        Ok(LogFile(Arc::new(Shared {
             name: name.into(),
-            sink: Arc::new(Mutex::new(Sink::Disk(file))),
-        })
+            sink: Mutex::new(Sink::Disk(file)),
+        })))
     }
 
     /// The logical log name (`http.log`, `dns.log`, ...).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Appends one line (newline added automatically).
     pub fn write_line(&self, line: &str) -> RtResult<()> {
-        let mut sink = self.sink.lock();
+        let mut sink = self.0.sink.lock();
         match &mut *sink {
             Sink::Memory(lines) => {
                 lines.push(line.to_owned());
                 Ok(())
             }
-            Sink::Disk(f) => {
-                writeln!(f, "{line}").map_err(|e| RtError::io(format!("write {}: {e}", self.name)))
-            }
+            Sink::Disk(f) => writeln!(f, "{line}")
+                .map_err(|e| RtError::io(format!("write {}: {e}", self.0.name))),
         }
     }
 
     /// Lines captured so far (empty for disk-backed logs).
     pub fn lines(&self) -> Vec<String> {
-        match &*self.sink.lock() {
+        match &*self.0.sink.lock() {
             Sink::Memory(lines) => lines.clone(),
             Sink::Disk(_) => Vec::new(),
         }
@@ -83,7 +86,7 @@ impl LogFile {
     /// readers pair this with [`LogFile::len`] to avoid copying the whole
     /// log on every poll.
     pub fn lines_from(&self, start: usize) -> Vec<String> {
-        match &*self.sink.lock() {
+        match &*self.0.sink.lock() {
             Sink::Memory(lines) => lines[start.min(lines.len())..].to_vec(),
             Sink::Disk(_) => Vec::new(),
         }
@@ -91,7 +94,7 @@ impl LogFile {
 
     /// Number of lines written (in-memory sinks only).
     pub fn len(&self) -> usize {
-        match &*self.sink.lock() {
+        match &*self.0.sink.lock() {
             Sink::Memory(lines) => lines.len(),
             Sink::Disk(_) => 0,
         }
@@ -103,7 +106,7 @@ impl LogFile {
 
     /// Clears captured lines (in-memory sinks only).
     pub fn clear(&self) {
-        if let Sink::Memory(lines) = &mut *self.sink.lock() {
+        if let Sink::Memory(lines) = &mut *self.0.sink.lock() {
             lines.clear();
         }
     }

@@ -130,10 +130,13 @@ pub fn sha1_hex(data: &[u8]) -> String {
     h.finish_hex()
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 fn hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+        s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
     s
 }

@@ -114,6 +114,57 @@ proptest! {
         }
     }
 
+    /// `Addr` is stored as two 64-bit halves and must behave as the 128-bit
+    /// value they stand for: numeric order (sorted `set.members` /
+    /// `map.keys`, and the logs built from them, depend on it), equality
+    /// and hashing that agree with it, and lossless text and raw forms —
+    /// for IPv6 values, IPv4-mapped ones, and pairs sharing a high half.
+    #[test]
+    fn addr_behaves_as_its_u128(
+        halves in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        v4 in any::<u32>(),
+        same_high_half in any::<bool>(),
+    ) {
+        use std::hash::{Hash, Hasher};
+        use std::net::{Ipv4Addr, Ipv6Addr};
+        let hash = |a: &Addr| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            a.hash(&mut h);
+            h.finish()
+        };
+        let (ah, al, bh, bl) = halves;
+        let bh = if same_high_half { ah } else { bh };
+        let raws = [
+            (u128::from(ah) << 64) | u128::from(al),
+            (u128::from(bh) << 64) | u128::from(bl),
+            Addr::from_v4_u32(v4).raw(),
+        ];
+        for x in raws {
+            let a = Addr::from_v6_u128(x);
+            prop_assert_eq!(a.raw(), x);
+            let same = Addr::from_v6_bytes(x.to_be_bytes());
+            prop_assert_eq!(a, same);
+            prop_assert_eq!(hash(&a), hash(&same));
+            prop_assert_eq!(a.to_string().parse::<Addr>().unwrap(), a);
+            let mapped = (x >> 32) == 0xffff;
+            prop_assert_eq!(a.is_v4(), mapped);
+            if mapped {
+                prop_assert_eq!(a.as_v4_u32(), Some(x as u32));
+                prop_assert_eq!(a.to_string(), Ipv4Addr::from(x as u32).to_string());
+            } else {
+                prop_assert_eq!(a.as_v4_u32(), None);
+                prop_assert_eq!(a.to_string(), Ipv6Addr::from(x).to_string());
+            }
+            for y in raws {
+                let b = Addr::from_v6_u128(y);
+                prop_assert_eq!(a.cmp(&b), x.cmp(&y));
+                prop_assert_eq!(a == b, x == y);
+            }
+        }
+        prop_assert_eq!(Addr::from_v4_u32(v4), Addr::from_v4_bytes(v4.to_be_bytes()));
+        prop_assert_eq!(Addr::from_v4_u32(v4).to_string(), Ipv4Addr::from(v4).to_string());
+    }
+
     /// Regexp literal-matching agrees with string equality.
     #[test]
     fn regexp_literal_exact(s in "[a-z]{1,12}", t in "[a-z]{1,12}") {

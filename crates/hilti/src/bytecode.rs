@@ -50,10 +50,14 @@ pub enum CInstr {
         func: u32,
         args: Box<[COperand]>,
     },
-    /// Call to a host-registered (C-level) function.
+    /// Call to a host-registered (C-level) function. `host` indexes
+    /// [`CompiledProgram::host_names`] — the callee is resolved here, when
+    /// the program is lowered, not by name on every call; `name` stays for
+    /// rendering.
     CallHost {
         target: Option<u16>,
         name: Rc<str>,
+        host: u32,
         args: Box<[COperand]>,
     },
     /// Run all bodies of a hook.
@@ -187,6 +191,11 @@ pub enum CInstr {
         ic: Rc<RefCell<IcSite>>,
     },
 }
+
+// An immediate operand is a `Value` with the slot/global cases folded into
+// its spare tags; a function's code is a dense array of these.
+const _: () = assert!(std::mem::size_of::<COperand>() <= 32);
+const _: () = assert!(std::mem::size_of::<CInstr>() <= 96);
 
 /// Integer operand of a specialized instruction: a frame slot statically
 /// known to hold `int<n>`, or an immediate constant.
@@ -423,9 +432,9 @@ impl CInstr {
             CInstr::Call { target, func, args } => {
                 assignment(*target, format!("call #{func} ({})", call_args(args)))
             }
-            CInstr::CallHost { target, name, args } => {
-                assignment(*target, format!("call.c {name} ({})", call_args(args)))
-            }
+            CInstr::CallHost {
+                target, name, args, ..
+            } => assignment(*target, format!("call.c {name} ({})", call_args(args))),
             CInstr::RunHook { hook, args } => {
                 format!("hook.run #{hook} ({})", call_args(args))
             }
@@ -569,6 +578,10 @@ pub struct CompiledProgram {
     pub struct_layouts: Rc<HashMap<String, StructLayout>>,
     /// Overlay types, shared the same way.
     pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
+    /// Every host function the program calls by `call.c`, each once; a
+    /// call site carries its position here. Slot 0 is always the
+    /// `Hilti::print` builtin.
+    pub host_names: Vec<Rc<str>>,
 }
 
 impl CompiledProgram {
@@ -618,7 +631,10 @@ pub struct SiteReport {
 
 /// Lowers a linked program to bytecode.
 pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
-    let mut prog = CompiledProgram::default();
+    let mut prog = CompiledProgram {
+        host_names: vec![Rc::from("Hilti::print")],
+        ..CompiledProgram::default()
+    };
 
     // Type tables (built flat, then shared behind Rc).
     let mut struct_layouts: HashMap<String, StructLayout> = HashMap::new();
@@ -688,6 +704,7 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
             &prog.hook_index,
             &global_index,
             &prog.struct_layouts,
+            &mut prog.host_names,
         )?;
         prog.funcs.push(lowered);
     }
@@ -738,6 +755,18 @@ pub fn const_value(c: &Const) -> RtResult<Value> {
     })
 }
 
+/// Interns a host callee: its shared name and its id in `host_names`.
+fn host_callee(host_names: &mut Vec<Rc<str>>, callee: &str) -> (Rc<str>, u32) {
+    let id = match host_names.iter().position(|n| &**n == callee) {
+        Some(id) => id,
+        None => {
+            host_names.push(Rc::from(callee));
+            host_names.len() - 1
+        }
+    };
+    (Rc::clone(&host_names[id]), id as u32)
+}
+
 struct SlotMap {
     slots: HashMap<String, u16>,
 }
@@ -754,6 +783,7 @@ fn lower_function(
     hook_index: &HashMap<String, u32>,
     global_index: &HashMap<&str, u32>,
     struct_layouts: &HashMap<String, StructLayout>,
+    host_names: &mut Vec<Rc<str>>,
 ) -> RtResult<CFunc> {
     // Slot layout: params, then locals in declaration order.
     let mut slots = SlotMap {
@@ -873,9 +903,11 @@ fn lower_function(
                                 .into_boxed_slice(),
                         }
                     } else {
+                        let (name, host) = host_callee(host_names, callee);
                         CInstr::CallHost {
                             target: ctarget,
-                            name: Rc::from(callee.as_str()),
+                            name,
+                            host,
                             args: vargs
                                 .iter()
                                 .map(|a| operand(a))
@@ -888,9 +920,11 @@ fn lower_function(
                     let callee = idents
                         .first()
                         .ok_or_else(|| RtError::value("call.c without callee"))?;
+                    let (name, host) = host_callee(host_names, callee);
                     CInstr::CallHost {
                         target: ctarget,
-                        name: Rc::from(callee.as_str()),
+                        name,
+                        host,
                         args: vargs
                             .iter()
                             .map(|a| operand(a))

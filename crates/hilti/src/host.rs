@@ -304,7 +304,7 @@ impl Program {
     pub fn register_host_fn(
         &mut self,
         name: &str,
-        f: impl FnMut(&[Value]) -> RtResult<Value> + 'static,
+        f: impl FnMut(&[&Value]) -> RtResult<Value> + 'static,
     ) {
         self.ctx.register_host_fn(name, f);
     }
@@ -534,6 +534,42 @@ int<64> f(int<64> x) {
         p.register_host_fn("host_double", |args| Ok(Value::Int(args[0].as_int()? * 2)));
         let v = p.run("M::f", &[Value::Int(21)]).unwrap();
         assert!(v.equals(&Value::Int(43)));
+    }
+
+    /// An instruction reads its operands where they live. A vector held in
+    /// one frame slot and handed to a host function still has exactly one
+    /// owner while the function runs — on the generic path (specializer
+    /// off) and next to typed instructions (on) alike.
+    #[test]
+    fn operands_are_borrowed_not_cloned() {
+        let src = r#"
+module M
+int<64> owners() {
+    local ref<vector<int<64>>> v
+    local int<64> n
+    v = new vector<int<64>>
+    vector.push_back v 1
+    n = call strong_count (v)
+    n = int.add n 0
+    return n
+}
+"#;
+        for specialize in [true, false] {
+            let options = BuildOptions {
+                specialize,
+                ..Default::default()
+            };
+            let mut p = Program::from_sources_opts(&[src], OptLevel::Full, options).unwrap();
+            p.register_host_fn("strong_count", |args| match args[0] {
+                Value::Vector(v) => Ok(Value::Int(std::rc::Rc::strong_count(v) as i64)),
+                other => panic!("expected the vector, got {other:?}"),
+            });
+            let owners = p.run("M::owners", &[]).unwrap();
+            assert!(
+                owners.equals(&Value::Int(1)),
+                "specialize={specialize}: {owners:?}"
+            );
+        }
     }
 
     #[test]

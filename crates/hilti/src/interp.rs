@@ -21,7 +21,7 @@ use hilti_rt::error::{RtError, RtResult};
 use crate::bytecode::const_value;
 use crate::ir::{Const, Function, Instr, Opcode, Operand, Terminator};
 use crate::linker::Linked;
-use crate::ops::{self, ExecCtx};
+use crate::ops;
 use crate::value::Value;
 use crate::vm::Context;
 
@@ -67,29 +67,15 @@ enum Next {
 
 impl<'a> Interp<'a> {
     fn call_function(&mut self, name: &str, args: &[Value]) -> RtResult<Value> {
-        if name == "Hilti::print" {
-            let line = args
-                .iter()
-                .map(Value::render)
-                .collect::<Vec<_>>()
-                .join(", ");
-            self.ctx.output(line);
-            return Ok(Value::Null);
+        match self.linked.functions.get(name) {
+            Some(func) => self.run_body(func, args),
+            // A host function or the `Hilti::print` builtin, through the
+            // context's table.
+            None => {
+                let args: Vec<&Value> = args.iter().collect();
+                self.ctx.call_host_named(name, &args)
+            }
         }
-        let Some(func) = self.linked.functions.get(name) else {
-            // Host function?
-            return self.call_host(name, args);
-        };
-        self.run_body(func, args)
-    }
-
-    fn call_host(&mut self, name: &str, args: &[Value]) -> RtResult<Value> {
-        // Reach through the context's host-function table.
-        let Some(f) = self.ctx.host_fn(name) else {
-            return Err(RtError::value(format!("unknown function {name}")));
-        };
-        let mut f = f.borrow_mut();
-        f(args)
     }
 
     fn run_hook(&mut self, name: &str, args: &[Value]) -> RtResult<()> {
@@ -317,7 +303,8 @@ impl<'a> Interp<'a> {
             }
             New => {
                 let ty = type_ref.ok_or_else(|| RtError::value("new without type"))?;
-                let v = ops::instantiate(&ty, &values, self.ctx)?;
+                let refs: Vec<&Value> = values.iter().collect();
+                let v = ops::instantiate(&ty, &refs, &mut self.ctx.env)?;
                 let t = instr
                     .target
                     .as_ref()
@@ -347,15 +334,13 @@ impl<'a> Interp<'a> {
                 // The interpreter has no fibers; yield is a no-op.
             }
             _ => {
-                let evaluated = ops::eval(instr.opcode, &values, &idents, self.ctx)?;
+                let refs: Vec<&Value> = values.iter().collect();
+                let value = ops::eval(instr.opcode, &refs, &idents, &mut self.ctx.env)?;
                 if let Some(t) = &instr.target {
-                    self.store(t, evaluated.value, locals)?;
+                    self.store(t, value, locals)?;
                 }
-                for fired in evaluated.fired {
-                    let mut full = fired.bound.clone();
-                    let name = fired.func.to_string();
-                    let result = self.call_function(&name, &std::mem::take(&mut full));
-                    result?;
+                for fired in std::mem::take(&mut self.ctx.env.fired) {
+                    self.call_function(&fired.func, &fired.bound)?;
                 }
             }
         }

@@ -63,6 +63,10 @@ pub trait ExecCtx {
     fn schedule_thread(&mut self, tid: u64, callable: CallableVal) -> RtResult<()>;
     /// The executing virtual thread's id.
     fn thread_id(&self) -> u64;
+    /// Takes a timer callable that came due during an instruction
+    /// (`timer_mgr.advance`). The engine invokes what was handed over, in
+    /// order, once the instruction has completed.
+    fn fire(&mut self, callable: CallableVal);
     /// Profiler hooks.
     fn profiler_start(&mut self, name: &str);
     fn profiler_stop(&mut self, name: &str);
@@ -75,28 +79,7 @@ pub trait ExecCtx {
     }
 }
 
-/// Result of evaluating a data instruction: the produced value plus any
-/// timer callables that fired and must now be invoked by the engine.
-#[derive(Debug)]
-pub struct Evaluated {
-    pub value: Value,
-    pub fired: Vec<CallableVal>,
-}
-
-impl Evaluated {
-    fn value(v: Value) -> Evaluated {
-        Evaluated {
-            value: v,
-            fired: Vec::new(),
-        }
-    }
-
-    fn null() -> Evaluated {
-        Evaluated::value(Value::Null)
-    }
-}
-
-fn arity(args: &[Value], n: usize, op: Opcode) -> RtResult<()> {
+fn arity(args: &[&Value], n: usize, op: Opcode) -> RtResult<()> {
     if args.len() != n {
         return Err(RtError::type_error(format!(
             "{} expects {n} operands, got {}",
@@ -107,7 +90,7 @@ fn arity(args: &[Value], n: usize, op: Opcode) -> RtResult<()> {
     Ok(())
 }
 
-fn arity_min(args: &[Value], n: usize, op: Opcode) -> RtResult<()> {
+fn arity_min(args: &[&Value], n: usize, op: Opcode) -> RtResult<()> {
     if args.len() < n {
         return Err(RtError::type_error(format!(
             "{} expects at least {n} operands, got {}",
@@ -243,7 +226,7 @@ fn to_field_value(v: &Value) -> RtResult<FieldValue> {
 
 /// Instantiates a default value of `ty` — the `new` instruction. `extra`
 /// carries type-specific parameters (e.g. channel capacity).
-pub fn instantiate(ty: &Type, extra: &[Value], ctx: &mut dyn ExecCtx) -> RtResult<Value> {
+pub fn instantiate(ty: &Type, extra: &[&Value], ctx: &mut dyn ExecCtx) -> RtResult<Value> {
     Ok(match ty.strip_ref() {
         Type::Bytes => {
             let b = Bytes::new();
@@ -292,42 +275,47 @@ pub fn instantiate(ty: &Type, extra: &[Value], ctx: &mut dyn ExecCtx) -> RtResul
     })
 }
 
-/// Evaluates one data instruction. `const_hints` carries constant operands
-/// that are not values (identifiers: struct fields, overlay names, ...);
-/// engines pass them through from the IR.
+/// Evaluates one data instruction and returns the value it produces.
+///
+/// `args` are the value operands, read where they live: the VM points into
+/// the frame's slots, the global array and the instruction's constants, so
+/// an instruction that only inspects an operand never touches its reference
+/// count, and one that keeps it (a store into a container) clones exactly
+/// that one. `idents` carries the constant operands that are not values
+/// (struct fields, overlay names, ...), passed through from the IR. Timer
+/// callables that come due are handed to [`ExecCtx::fire`].
 pub fn eval(
     op: Opcode,
-    args: &[Value],
+    args: &[&Value],
     idents: &[String],
     ctx: &mut dyn ExecCtx,
-) -> RtResult<Evaluated> {
+) -> RtResult<Value> {
     use Opcode::*;
-    let now = ctx.global_time();
     Ok(match op {
         // --- generic -----------------------------------------------------
         Assign => {
             arity(args, 1, op)?;
-            Evaluated::value(args[0].clone())
+            args[0].clone()
         }
         Equal => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].equals(&args[1])))
+            Value::Bool(args[0].equals(args[1]))
         }
         Unequal => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(!args[0].equals(&args[1])))
+            Value::Bool(!args[0].equals(args[1]))
         }
         Select => {
             arity(args, 3, op)?;
-            Evaluated::value(if args[0].as_bool()? {
+            if args[0].as_bool()? {
                 args[1].clone()
             } else {
                 args[2].clone()
-            })
+            }
         }
         DeepCopy => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::from_portable(&args[0].to_portable()?))
+            Value::from_portable(&args[0].to_portable()?)
         }
 
         // --- integers ----------------------------------------------------
@@ -350,11 +338,11 @@ pub fn eval(
         })?,
         IntNeg => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_int()?.wrapping_neg()))
+            Value::Int(args[0].as_int()?.wrapping_neg())
         }
         IntAbs => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_int()?.wrapping_abs()))
+            Value::Int(args[0].as_int()?.wrapping_abs())
         }
         IntMin => bin_int(args, op, |a, b| Ok(a.min(b)))?,
         IntMax => bin_int(args, op, |a, b| Ok(a.max(b)))?,
@@ -370,11 +358,11 @@ pub fn eval(
         IntShr => bin_int(args, op, |a, b| Ok(((a as u64) >> (b as u32 & 63)) as i64))?,
         IntToDouble => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Double(args[0].as_int()? as f64))
+            Value::Double(args[0].as_int()? as f64)
         }
         IntToString => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&args[0].as_int()?.to_string()))
+            Value::str(&args[0].as_int()?.to_string())
         }
         IntFromBytes => {
             // (bytes, base) — parse ASCII digits.
@@ -386,25 +374,25 @@ pub fn eval(
                 .trim();
             let v = i64::from_str_radix(s, base)
                 .map_err(|_| RtError::value(format!("bad integer literal {s:?}")))?;
-            Evaluated::value(Value::Int(v))
+            Value::Int(v)
         }
 
         // --- booleans ----------------------------------------------------
         BoolAnd => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_bool()? && args[1].as_bool()?))
+            Value::Bool(args[0].as_bool()? && args[1].as_bool()?)
         }
         BoolOr => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_bool()? || args[1].as_bool()?))
+            Value::Bool(args[0].as_bool()? || args[1].as_bool()?)
         }
         BoolXor => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_bool()? ^ args[1].as_bool()?))
+            Value::Bool(args[0].as_bool()? ^ args[1].as_bool()?)
         }
         BoolNot => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Bool(!args[0].as_bool()?))
+            Value::Bool(!args[0].as_bool()?)
         }
 
         // --- bitsets (int<64> with named bits) -----------------------------
@@ -422,7 +410,7 @@ pub fn eval(
             if b == 0.0 {
                 return Err(RtError::arithmetic("division by zero"));
             }
-            Evaluated::value(Value::Double(args[0].as_double()? / b))
+            Value::Double(args[0].as_double()? / b)
         }
         DoubleLt => bin_double_cmp(args, op, |a, b| a < b)?,
         DoubleGt => bin_double_cmp(args, op, |a, b| a > b)?,
@@ -430,11 +418,11 @@ pub fn eval(
         DoubleGeq => bin_double_cmp(args, op, |a, b| a >= b)?,
         DoubleAbs => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Double(args[0].as_double()?.abs()))
+            Value::Double(args[0].as_double()?.abs())
         }
         DoubleToInt => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_double()? as i64))
+            Value::Int(args[0].as_double()? as i64)
         }
 
         // --- strings -------------------------------------------------------
@@ -444,17 +432,17 @@ pub fn eval(
             let mut s = String::with_capacity(a.len() + b.len());
             s.push_str(a);
             s.push_str(b);
-            Evaluated::value(Value::String(Rc::from(s)))
+            Value::String(Rc::from(s))
         }
         StringLength => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_str()?.chars().count() as i64))
+            Value::Int(args[0].as_str()?.chars().count() as i64)
         }
         StringFind => {
             arity(args, 2, op)?;
             let hay = args[0].as_str()?;
             let needle = args[1].as_str()?;
-            Evaluated::value(Value::Int(hay.find(needle).map(|p| p as i64).unwrap_or(-1)))
+            Value::Int(hay.find(needle).map(|p| p as i64).unwrap_or(-1))
         }
         StringSubstr => {
             arity(args, 3, op)?;
@@ -462,13 +450,11 @@ pub fn eval(
             let from = args[1].as_int()?.max(0) as usize;
             let len = args[2].as_int()?.max(0) as usize;
             let sub: String = s.chars().skip(from).take(len).collect();
-            Evaluated::value(Value::str(&sub))
+            Value::str(&sub)
         }
         StringToBytes => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Bytes(Bytes::frozen_from_slice(
-                args[0].as_str()?.as_bytes(),
-            )))
+            Value::Bytes(Bytes::frozen_from_slice(args[0].as_str()?.as_bytes()))
         }
         StringToInt => {
             arity(args, 1, op)?;
@@ -477,21 +463,19 @@ pub fn eval(
                 .trim()
                 .parse()
                 .map_err(|_| RtError::value("bad integer literal"))?;
-            Evaluated::value(Value::Int(v))
+            Value::Int(v)
         }
         StringUpper => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&args[0].as_str()?.to_uppercase()))
+            Value::str(&args[0].as_str()?.to_uppercase())
         }
         StringLower => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&args[0].as_str()?.to_lowercase()))
+            Value::str(&args[0].as_str()?.to_lowercase())
         }
         StringStartsWith => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(
-                args[0].as_str()?.starts_with(args[1].as_str()?),
-            ))
+            Value::Bool(args[0].as_str()?.starts_with(args[1].as_str()?))
         }
         StringFmt => {
             // fmt string with `{}` placeholders + values.
@@ -506,23 +490,23 @@ pub fn eval(
                     let v = args.get(next).ok_or_else(|| {
                         RtError::value("string.fmt: more placeholders than values")
                     })?;
-                    out.push_str(&v.render());
+                    v.render_into(&mut out);
                     next += 1;
                 } else {
                     out.push(c);
                 }
             }
-            Evaluated::value(Value::str(&out))
+            Value::str(&out)
         }
         StringRender => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&args[0].render()))
+            Value::str(&args[0].render())
         }
 
         // --- bytes ---------------------------------------------------------
         BytesAppend => {
             arity(args, 2, op)?;
-            let data = match &args[1] {
+            let data = match args[1] {
                 Value::Bytes(b) => b.to_vec(),
                 Value::String(s) => s.as_bytes().to_vec(),
                 other => {
@@ -533,38 +517,38 @@ pub fn eval(
                 }
             };
             args[0].as_bytes()?.append(&data)?;
-            Evaluated::null()
+            Value::Null
         }
         BytesFreeze => {
             arity(args, 1, op)?;
             args[0].as_bytes()?.freeze();
-            Evaluated::null()
+            Value::Null
         }
         BytesUnfreeze => {
             arity(args, 1, op)?;
             args[0].as_bytes()?.unfreeze();
-            Evaluated::null()
+            Value::Null
         }
         BytesIsFrozen => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Bool(args[0].as_bytes()?.is_frozen()))
+            Value::Bool(args[0].as_bytes()?.is_frozen())
         }
         BytesLength => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_bytes()?.len() as i64))
+            Value::Int(args[0].as_bytes()?.len() as i64)
         }
         BytesSub => {
             // (iter_begin, iter_end) → new frozen bytes of that range.
             arity(args, 2, op)?;
             let a = args[0].as_bytes_iter()?;
             let b = args[1].as_bytes_iter()?;
-            Evaluated::value(Value::Bytes(a.bytes().sub(a.offset(), b.offset())?))
+            Value::Bytes(a.bytes().sub(a.offset(), b.offset())?)
         }
         BytesFind => {
             // (bytes, needle, from_iter) → tuple(bool found, iter pos).
             arity(args, 3, op)?;
             let hay = args[0].as_bytes()?;
-            let needle = match &args[1] {
+            let needle = match args[1] {
                 Value::Bytes(b) => b.to_vec(),
                 Value::String(s) => s.as_bytes().to_vec(),
                 other => {
@@ -576,14 +560,14 @@ pub fn eval(
             };
             let from = args[2].as_bytes_iter()?;
             match hay.find(from.offset(), &needle)? {
-                Some(pos) => Evaluated::value(Value::Tuple(Rc::new(vec![
+                Some(pos) => Value::Tuple(Rc::new(vec![
                     Value::Bool(true),
                     Value::BytesIter(hay.iter_at(pos)),
-                ]))),
-                None => Evaluated::value(Value::Tuple(Rc::new(vec![
+                ])),
+                None => Value::Tuple(Rc::new(vec![
                     Value::Bool(false),
                     Value::BytesIter(hay.end()),
-                ]))),
+                ])),
             }
         }
         BytesTrim => {
@@ -591,14 +575,14 @@ pub fn eval(
             let b = args[0].as_bytes()?;
             let to = args[1].as_bytes_iter()?;
             b.trim(to.offset())?;
-            Evaluated::null()
+            Value::Null
         }
         BytesToString => {
             arity(args, 1, op)?;
             let b = args[0].as_bytes()?;
-            Evaluated::value(b.with_available(b.begin_offset(), |data| {
+            b.with_available(b.begin_offset(), |data| {
                 Value::str(&String::from_utf8_lossy(data))
-            })?)
+            })?
         }
         BytesToInt => {
             arity(args, 2, op)?;
@@ -609,26 +593,26 @@ pub fn eval(
                 .trim();
             let v = i64::from_str_radix(s, base)
                 .map_err(|_| RtError::value(format!("bad integer literal {s:?}")))?;
-            Evaluated::value(Value::Int(v))
+            Value::Int(v)
         }
         BytesBegin => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::BytesIter(args[0].as_bytes()?.begin()))
+            Value::BytesIter(args[0].as_bytes()?.begin())
         }
         BytesEnd => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::BytesIter(args[0].as_bytes()?.end()))
+            Value::BytesIter(args[0].as_bytes()?.end())
         }
         BytesAt => {
             arity(args, 2, op)?;
             let b = args[0].as_bytes()?;
             let off = args[1].as_int()? as u64;
-            Evaluated::value(Value::BytesIter(b.iter_at(off)))
+            Value::BytesIter(b.iter_at(off))
         }
         BytesStartsWith => {
             arity(args, 2, op)?;
             let b = args[0].as_bytes()?;
-            let prefix = match &args[1] {
+            let prefix = match args[1] {
                 Value::Bytes(p) => p.to_vec(),
                 Value::String(s) => s.as_bytes().to_vec(),
                 other => {
@@ -642,11 +626,11 @@ pub fn eval(
                 b.begin_offset(),
                 b.begin_offset() + (prefix.len() as u64).min(b.len() as u64),
             )?;
-            Evaluated::value(Value::Bool(avail.len() >= prefix.len() && avail == prefix))
+            Value::Bool(avail.len() >= prefix.len() && avail == prefix)
         }
         BytesCopy => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Bytes(args[0].as_bytes()?.deep_copy()))
+            Value::Bytes(args[0].as_bytes()?.deep_copy())
         }
         BytesEod => {
             // (iter) -> bytes from the iterator to the end of *frozen*
@@ -660,154 +644,141 @@ pub fn eval(
                 return Err(RtError::would_block());
             }
             let rest = b.sub(it.offset().min(b.end_offset()), b.end_offset())?;
-            Evaluated::value(Value::Tuple(Rc::new(vec![
-                Value::Bytes(rest),
-                Value::BytesIter(b.end()),
-            ])))
+            Value::Tuple(Rc::new(vec![Value::Bytes(rest), Value::BytesIter(b.end())]))
         }
 
         // --- bytes iterators ------------------------------------------------
         IterIncr => {
             arity(args, 2, op)?;
             let it = args[0].as_bytes_iter()?;
-            Evaluated::value(Value::BytesIter(
-                it.advance(args[1].as_int()?.max(0) as u64),
-            ))
+            Value::BytesIter(it.advance(args[1].as_int()?.max(0) as u64))
         }
         IterDeref => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(i64::from(args[0].as_bytes_iter()?.deref()?)))
+            Value::Int(i64::from(args[0].as_bytes_iter()?.deref()?))
         }
         IterOffset => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_bytes_iter()?.offset() as i64))
+            Value::Int(args[0].as_bytes_iter()?.offset() as i64)
         }
         IterDiff => {
             arity(args, 2, op)?;
             let a = args[0].as_bytes_iter()?;
             let b = args[1].as_bytes_iter()?;
-            Evaluated::value(Value::Int(a.distance(b)? as i64))
+            Value::Int(a.distance(b)? as i64)
         }
         IterAtFrozenEnd => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Bool(args[0].as_bytes_iter()?.at_frozen_end()))
+            Value::Bool(args[0].as_bytes_iter()?.at_frozen_end())
         }
         IterWouldBlock => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Bool(args[0].as_bytes_iter()?.would_block()))
+            Value::Bool(args[0].as_bytes_iter()?.would_block())
         }
 
         // --- addr / net / port ----------------------------------------------
         AddrFamily => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(if args[0].as_addr()?.is_v4() { 4 } else { 6 }))
+            Value::Int(if args[0].as_addr()?.is_v4() { 4 } else { 6 })
         }
         AddrMask => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Addr(
+            Value::Addr(
                 args[0]
                     .as_addr()?
                     .mask(args[1].as_int()?.clamp(0, 128) as u8),
-            ))
+            )
         }
         NetContains => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_net()?.contains(&args[1].as_addr()?)))
+            Value::Bool(args[0].as_net()?.contains(&args[1].as_addr()?))
         }
         NetFamily => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(if args[0].as_net()?.prefix().is_v4() {
+            Value::Int(if args[0].as_net()?.prefix().is_v4() {
                 4
             } else {
                 6
-            }))
+            })
         }
         NetPrefix => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Addr(args[0].as_net()?.prefix()))
+            Value::Addr(args[0].as_net()?.prefix())
         }
         NetLength => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(i64::from(args[0].as_net()?.len())))
+            Value::Int(i64::from(args[0].as_net()?.len()))
         }
         PortProtocol => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&args[0].as_port()?.protocol.to_string()))
+            Value::str(&args[0].as_port()?.protocol.to_string())
         }
         PortNumber => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(i64::from(args[0].as_port()?.number)))
+            Value::Int(i64::from(args[0].as_port()?.number))
         }
 
         // --- time / interval --------------------------------------------------
         TimeAdd => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Time(args[0].as_time()? + args[1].as_interval()?))
+            Value::Time(args[0].as_time()? + args[1].as_interval()?)
         }
         TimeSubTime => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Interval(args[0].as_time()? - args[1].as_time()?))
+            Value::Interval(args[0].as_time()? - args[1].as_time()?)
         }
         TimeSubInterval => {
             arity(args, 2, op)?;
             let i = args[1].as_interval()?;
-            Evaluated::value(Value::Time(
-                args[0].as_time()? + Interval::from_nanos(-i.nanos()),
-            ))
+            Value::Time(args[0].as_time()? + Interval::from_nanos(-i.nanos()))
         }
         TimeLt => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_time()? < args[1].as_time()?))
+            Value::Bool(args[0].as_time()? < args[1].as_time()?)
         }
         TimeGt => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_time()? > args[1].as_time()?))
+            Value::Bool(args[0].as_time()? > args[1].as_time()?)
         }
         TimeFromDouble => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Time(Time::from_secs_f64(args[0].as_double()?)))
+            Value::Time(Time::from_secs_f64(args[0].as_double()?))
         }
         TimeToDouble => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Double(args[0].as_time()?.as_secs_f64()))
+            Value::Double(args[0].as_time()?.as_secs_f64())
         }
         TimeNsecs => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_time()?.nanos() as i64))
+            Value::Int(args[0].as_time()?.nanos() as i64)
         }
         IntervalAdd => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Interval(
-                args[0].as_interval()? + args[1].as_interval()?,
-            ))
+            Value::Interval(args[0].as_interval()? + args[1].as_interval()?)
         }
         IntervalSub => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Interval(
-                args[0].as_interval()? - args[1].as_interval()?,
-            ))
+            Value::Interval(args[0].as_interval()? - args[1].as_interval()?)
         }
         IntervalLt => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_interval()? < args[1].as_interval()?))
+            Value::Bool(args[0].as_interval()? < args[1].as_interval()?)
         }
         IntervalGt => {
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(args[0].as_interval()? > args[1].as_interval()?))
+            Value::Bool(args[0].as_interval()? > args[1].as_interval()?)
         }
         IntervalFromDouble => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Interval(Interval::from_secs_f64(
-                args[0].as_double()?,
-            )))
+            Value::Interval(Interval::from_secs_f64(args[0].as_double()?))
         }
         IntervalToDouble => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Double(args[0].as_interval()?.as_secs_f64()))
+            Value::Double(args[0].as_interval()?.as_secs_f64())
         }
         IntervalNsecs => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_interval()?.nanos()))
+            Value::Int(args[0].as_interval()?.nanos())
         }
 
         // --- enums -------------------------------------------------------------
@@ -816,12 +787,12 @@ pub fn eval(
             let name = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("enum.from_int needs a type ident"))?;
-            Evaluated::value(Value::Enum(Rc::from(name.as_str()), args[0].as_int()?))
+            Value::Enum(Rc::from(name.as_str()), args[0].as_int()?)
         }
         EnumToInt => {
             arity(args, 1, op)?;
-            match &args[0] {
-                Value::Enum(_, v) => Evaluated::value(Value::Int(*v)),
+            match args[0] {
+                Value::Enum(_, v) => Value::Int(*v),
                 other => {
                     return Err(RtError::type_error(format!(
                         "enum.to_int needs enum, got {}",
@@ -839,229 +810,229 @@ pub fn eval(
             let v = t
                 .get(i.max(0) as usize)
                 .ok_or_else(|| RtError::index(format!("tuple index {i} out of range")))?;
-            Evaluated::value(v.clone())
+            v.clone()
         }
         TupleLength => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(args[0].as_tuple()?.len() as i64))
+            Value::Int(args[0].as_tuple()?.len() as i64)
         }
-        TuplePack => Evaluated::value(Value::Tuple(Rc::new(args.to_vec()))),
+        TuplePack => Value::Tuple(Rc::new(args.iter().map(|v| (*v).clone()).collect())),
 
         // --- lists ---------------------------------------------------------------
         ListPushBack | ListAppend => {
             arity(args, 2, op)?;
-            as_list(&args[0])?.borrow_mut().push_back(args[1].clone());
-            Evaluated::null()
+            as_list(args[0])?.borrow_mut().push_back(args[1].clone());
+            Value::Null
         }
         ListPushFront => {
             arity(args, 2, op)?;
-            as_list(&args[0])?.borrow_mut().push_front(args[1].clone());
-            Evaluated::null()
+            as_list(args[0])?.borrow_mut().push_front(args[1].clone());
+            Value::Null
         }
         ListPopFront => {
             arity(args, 1, op)?;
-            let v = as_list(&args[0])?
+            let v = as_list(args[0])?
                 .borrow_mut()
                 .pop_front()
                 .ok_or_else(|| RtError::index("pop from empty list"))?;
-            Evaluated::value(v)
+            v
         }
         ListPopBack => {
             arity(args, 1, op)?;
-            let v = as_list(&args[0])?
+            let v = as_list(args[0])?
                 .borrow_mut()
                 .pop_back()
                 .ok_or_else(|| RtError::index("pop from empty list"))?;
-            Evaluated::value(v)
+            v
         }
         ListFront => {
             arity(args, 1, op)?;
-            let l = as_list(&args[0])?.borrow();
+            let l = as_list(args[0])?.borrow();
             let v = l
                 .front()
                 .ok_or_else(|| RtError::index("front of empty list"))?;
-            Evaluated::value(v.clone())
+            v.clone()
         }
         ListBack => {
             arity(args, 1, op)?;
-            let l = as_list(&args[0])?.borrow();
+            let l = as_list(args[0])?.borrow();
             let v = l
                 .back()
                 .ok_or_else(|| RtError::index("back of empty list"))?;
-            Evaluated::value(v.clone())
+            v.clone()
         }
         ListLength => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(as_list(&args[0])?.borrow().len() as i64))
+            Value::Int(as_list(args[0])?.borrow().len() as i64)
         }
         ListClear => {
             arity(args, 1, op)?;
-            as_list(&args[0])?.borrow_mut().clear();
-            Evaluated::null()
+            as_list(args[0])?.borrow_mut().clear();
+            Value::Null
         }
 
         // --- vectors ----------------------------------------------------------------
         VectorPushBack => {
             arity(args, 2, op)?;
-            as_vector(&args[0])?.borrow_mut().push(args[1].clone());
-            Evaluated::null()
+            as_vector(args[0])?.borrow_mut().push(args[1].clone());
+            Value::Null
         }
         VectorPopBack => {
             arity(args, 1, op)?;
-            let v = as_vector(&args[0])?
+            let v = as_vector(args[0])?
                 .borrow_mut()
                 .pop()
                 .ok_or_else(|| RtError::index("pop from empty vector"))?;
-            Evaluated::value(v)
+            v
         }
         VectorGet => {
             arity(args, 2, op)?;
-            let v = as_vector(&args[0])?.borrow();
+            let v = as_vector(args[0])?.borrow();
             let i = args[1].as_int()?;
             let item = v
                 .get(i.max(0) as usize)
                 .ok_or_else(|| RtError::index(format!("vector index {i} out of range")))?;
-            Evaluated::value(item.clone())
+            item.clone()
         }
         VectorSet => {
             arity(args, 3, op)?;
-            let v = as_vector(&args[0])?;
+            let v = as_vector(args[0])?;
             let i = args[1].as_int()?.max(0) as usize;
             let mut v = v.borrow_mut();
             if i >= v.len() {
                 return Err(RtError::index(format!("vector index {i} out of range")));
             }
             v[i] = args[2].clone();
-            Evaluated::null()
+            Value::Null
         }
         VectorLength => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(as_vector(&args[0])?.borrow().len() as i64))
+            Value::Int(as_vector(args[0])?.borrow().len() as i64)
         }
         VectorReserve => {
             arity(args, 2, op)?;
-            as_vector(&args[0])?
+            as_vector(args[0])?
                 .borrow_mut()
                 .reserve(args[1].as_int()?.max(0) as usize);
-            Evaluated::null()
+            Value::Null
         }
         VectorClear => {
             arity(args, 1, op)?;
-            as_vector(&args[0])?.borrow_mut().clear();
-            Evaluated::null()
+            as_vector(args[0])?.borrow_mut().clear();
+            Value::Null
         }
 
         // --- sets --------------------------------------------------------------------
         SetInsert => {
             arity(args, 2, op)?;
             let k = args[1].to_key()?;
-            as_set(&args[0])?.borrow_mut().try_insert(k, now)?;
-            Evaluated::null()
+            as_set(args[0])?
+                .borrow_mut()
+                .try_insert(k, ctx.global_time())?;
+            Value::Null
         }
         SetExists => {
             arity(args, 2, op)?;
             let k = args[1].to_key()?;
-            Evaluated::value(Value::Bool(as_set(&args[0])?.borrow_mut().exists(&k, now)))
+            Value::Bool(as_set(args[0])?.borrow_mut().exists(&k, ctx.global_time()))
         }
         SetRemove => {
             arity(args, 2, op)?;
             let k = args[1].to_key()?;
-            Evaluated::value(Value::Bool(as_set(&args[0])?.borrow_mut().remove(&k)))
+            Value::Bool(as_set(args[0])?.borrow_mut().remove(&k))
         }
         SetSize => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(as_set(&args[0])?.borrow().len() as i64))
+            Value::Int(as_set(args[0])?.borrow().len() as i64)
         }
         SetTimeout => {
             // (set, strategy enum/int, interval)
             arity(args, 3, op)?;
-            let strategy = expire_strategy(&args[1])?;
+            let strategy = expire_strategy(args[1])?;
             let timeout = args[2].as_interval()?;
-            let rc = as_set(&args[0])?.clone();
+            let rc = as_set(args[0])?.clone();
             rc.borrow_mut().set_timeout(strategy, timeout);
             ctx.register_expiring(ExpiringHandle::Set(rc));
-            Evaluated::null()
+            Value::Null
         }
         SetClear => {
             arity(args, 1, op)?;
-            as_set(&args[0])?.borrow_mut().clear();
-            Evaluated::null()
+            as_set(args[0])?.borrow_mut().clear();
+            Value::Null
         }
         SetMembers => {
             // Sorted member list — deterministic iteration order for
             // `for` loops over sets (matches `map.keys`).
             arity(args, 1, op)?;
-            let s = as_set(&args[0])?.borrow();
+            let s = as_set(args[0])?.borrow();
             let mut keys: Vec<crate::value::Key> = s.iter().cloned().collect();
             keys.sort();
             let list: VecDeque<Value> = keys.iter().map(|k| k.to_value()).collect();
-            Evaluated::value(Value::List(Rc::new(RefCell::new(list))))
+            Value::List(Rc::new(RefCell::new(list)))
         }
 
         // --- maps ---------------------------------------------------------------------
         MapInsert => {
             arity(args, 3, op)?;
             let k = args[1].to_key()?;
-            as_map(&args[0])?
+            as_map(args[0])?
                 .borrow_mut()
-                .try_insert(k, args[2].clone(), now)?;
-            Evaluated::null()
+                .try_insert(k, args[2].clone(), ctx.global_time())?;
+            Value::Null
         }
         MapGet => {
             arity(args, 2, op)?;
             let k = args[1].to_key()?;
-            let m = as_map(&args[0])?;
+            let m = as_map(args[0])?;
             let v = m
                 .borrow_mut()
-                .get(&k, now)
+                .get(&k, ctx.global_time())
                 .cloned()
                 .ok_or_else(|| RtError::index("no such map element"))?;
-            Evaluated::value(v)
+            v
         }
         MapGetDefault => {
             arity(args, 3, op)?;
             let k = args[1].to_key()?;
-            let m = as_map(&args[0])?;
-            let v = m.borrow_mut().get(&k, now).cloned();
-            Evaluated::value(v.unwrap_or_else(|| args[2].clone()))
+            let m = as_map(args[0])?;
+            let v = m.borrow_mut().get(&k, ctx.global_time()).cloned();
+            v.unwrap_or_else(|| args[2].clone())
         }
         MapExists => {
             arity(args, 2, op)?;
             let k = args[1].to_key()?;
-            Evaluated::value(Value::Bool(as_map(&args[0])?.borrow().contains(&k)))
+            Value::Bool(as_map(args[0])?.borrow().contains(&k))
         }
         MapRemove => {
             arity(args, 2, op)?;
             let k = args[1].to_key()?;
-            Evaluated::value(Value::Bool(
-                as_map(&args[0])?.borrow_mut().remove(&k).is_some(),
-            ))
+            Value::Bool(as_map(args[0])?.borrow_mut().remove(&k).is_some())
         }
         MapSize => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(as_map(&args[0])?.borrow().len() as i64))
+            Value::Int(as_map(args[0])?.borrow().len() as i64)
         }
         MapTimeout => {
             arity(args, 3, op)?;
-            let strategy = expire_strategy(&args[1])?;
+            let strategy = expire_strategy(args[1])?;
             let timeout = args[2].as_interval()?;
-            let rc = as_map(&args[0])?.clone();
+            let rc = as_map(args[0])?.clone();
             rc.borrow_mut().set_timeout(strategy, timeout);
             ctx.register_expiring(ExpiringHandle::Map(rc));
-            Evaluated::null()
+            Value::Null
         }
         MapClear => {
             arity(args, 1, op)?;
-            as_map(&args[0])?.borrow_mut().clear();
-            Evaluated::null()
+            as_map(args[0])?.borrow_mut().clear();
+            Value::Null
         }
         MapKeys => {
             arity(args, 1, op)?;
-            let m = as_map(&args[0])?.borrow();
+            let m = as_map(args[0])?.borrow();
             let mut keys: Vec<crate::value::Key> = m.iter().map(|(k, _)| k.clone()).collect();
             keys.sort();
             let list: VecDeque<Value> = keys.iter().map(|k| k.to_value()).collect();
-            Evaluated::value(Value::List(Rc::new(RefCell::new(list))))
+            Value::List(Rc::new(RefCell::new(list)))
         }
 
         // --- structs --------------------------------------------------------------------
@@ -1070,32 +1041,30 @@ pub fn eval(
             let field = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("struct.get needs a field ident"))?;
-            Evaluated::value(struct_get(&args[0], field, |t| {
-                struct_field_index(ctx, t, field)
-            })?)
+            struct_get(args[0], field, |t| struct_field_index(ctx, t, field))?
         }
         StructSet => {
             arity(args, 2, op)?;
             let field = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("struct.set needs a field ident"))?;
-            struct_set(&args[0], args[1].clone(), |t| {
+            struct_set(args[0], args[1].clone(), |t| {
                 struct_field_index(ctx, t, field)
             })?;
-            Evaluated::null()
+            Value::Null
         }
         StructIsSet => {
             arity(args, 1, op)?;
-            let s = as_struct(&args[0])?.borrow();
+            let s = as_struct(args[0])?.borrow();
             let field = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("struct.is_set needs a field ident"))?;
             let idx = struct_field_index(ctx, &s.type_name, field)?;
-            Evaluated::value(Value::Bool(!matches!(s.fields[idx], Value::Null)))
+            Value::Bool(!matches!(s.fields[idx], Value::Null))
         }
         StructUnset => {
             arity(args, 1, op)?;
-            let rc = as_struct(&args[0])?;
+            let rc = as_struct(args[0])?;
             let field = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("struct.unset needs a field ident"))?;
@@ -1104,48 +1073,48 @@ pub fn eval(
                 struct_field_index(ctx, &s.type_name, field)?
             };
             rc.borrow_mut().fields[idx] = Value::Null;
-            Evaluated::null()
+            Value::Null
         }
 
         // --- classifier --------------------------------------------------------------------
         ClassifierAdd => {
             // (classifier, tuple-of-fields, value)
             arity(args, 3, op)?;
-            let fields = classifier_fields(&args[1])?;
-            as_classifier(&args[0])?
+            let fields = classifier_fields(args[1])?;
+            as_classifier(args[0])?
                 .borrow_mut()
                 .add(fields, args[2].clone())?;
-            Evaluated::null()
+            Value::Null
         }
         ClassifierAddPrio => {
             arity(args, 4, op)?;
-            let fields = classifier_fields(&args[1])?;
-            as_classifier(&args[0])?.borrow_mut().add_with_priority(
+            let fields = classifier_fields(args[1])?;
+            as_classifier(args[0])?.borrow_mut().add_with_priority(
                 fields,
                 args[2].clone(),
                 args[3].as_int()?,
             )?;
-            Evaluated::null()
+            Value::Null
         }
         ClassifierCompile => {
             arity(args, 1, op)?;
-            as_classifier(&args[0])?.borrow_mut().compile();
-            Evaluated::null()
+            as_classifier(args[0])?.borrow_mut().compile();
+            Value::Null
         }
         ClassifierGet => {
             arity(args, 2, op)?;
-            let c = as_classifier(&args[0])?.borrow();
-            Evaluated::value(with_classifier_key(&args[1], |key| c.get(key))?)
+            let c = as_classifier(args[0])?.borrow();
+            with_classifier_key(args[1], |key| c.get(key))?
         }
         ClassifierMatches => {
             arity(args, 2, op)?;
-            let c = as_classifier(&args[0])?.borrow();
-            let hit = with_classifier_key(&args[1], |key| c.matches(key))?;
-            Evaluated::value(Value::Bool(hit.is_some()))
+            let c = as_classifier(args[0])?.borrow();
+            let hit = with_classifier_key(args[1], |key| c.matches(key))?;
+            Value::Bool(hit.is_some())
         }
         ClassifierSize => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(as_classifier(&args[0])?.borrow().len() as i64))
+            Value::Int(as_classifier(args[0])?.borrow().len() as i64)
         }
 
         // --- regexp --------------------------------------------------------------------------
@@ -1155,32 +1124,28 @@ pub fn eval(
                 return Err(RtError::pattern("regexp.new needs pattern constants"));
             }
             let pats: Vec<&str> = idents.iter().map(String::as_str).collect();
-            Evaluated::value(Value::Regexp(Regex::set(&pats)?))
+            Value::Regexp(Regex::set(&pats)?)
         }
         RegexpMatchPrefix => {
             arity(args, 2, op)?;
-            let re = as_regexp(&args[0])?;
+            let re = as_regexp(args[0])?;
             let data = args[1].as_bytes()?.to_vec();
             match re.match_prefix(&data) {
-                MatchVerdict::Match { len, .. } => Evaluated::value(Value::Int(len as i64)),
-                MatchVerdict::NoMatch => Evaluated::value(Value::Int(-1)),
+                MatchVerdict::Match { len, .. } => Value::Int(len as i64),
+                MatchVerdict::NoMatch => Value::Int(-1),
             }
         }
         RegexpFind => {
             arity(args, 2, op)?;
-            let re = as_regexp(&args[0])?;
+            let re = as_regexp(args[0])?;
             let data = args[1].as_bytes()?.to_vec();
             match re.find(&data) {
-                Some((pos, pat, len)) => Evaluated::value(Value::Tuple(Rc::new(vec![
+                Some((pos, pat, len)) => Value::Tuple(Rc::new(vec![
                     Value::Int(pos as i64),
                     Value::Int(pat as i64),
                     Value::Int(len as i64),
-                ]))),
-                None => Evaluated::value(Value::Tuple(Rc::new(vec![
-                    Value::Int(-1),
-                    Value::Int(-1),
-                    Value::Int(0),
-                ]))),
+                ])),
+                None => Value::Tuple(Rc::new(vec![Value::Int(-1), Value::Int(-1), Value::Int(0)])),
             }
         }
         RegexpMatchToken => {
@@ -1189,7 +1154,7 @@ pub fn eval(
             // and the underlying bytes are not frozen — this is what makes
             // a BinPAC++ parser suspend its fiber mid-token (§3.2, §4).
             arity(args, 2, op)?;
-            let re = as_regexp(&args[0])?;
+            let re = as_regexp(args[0])?;
             let it = args[1].as_bytes_iter()?;
             let bytes = it.bytes();
             let mut matcher = re.matcher();
@@ -1200,26 +1165,23 @@ pub fn eval(
                 return Err(RtError::would_block());
             }
             match matcher.finish() {
-                MatchVerdict::Match { pattern, len } => {
-                    Evaluated::value(Value::Tuple(Rc::new(vec![
-                        Value::Int(pattern as i64),
-                        Value::BytesIter(it.advance(len)),
-                    ])))
+                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new(vec![
+                    Value::Int(pattern as i64),
+                    Value::BytesIter(it.advance(len)),
+                ])),
+                MatchVerdict::NoMatch => {
+                    Value::Tuple(Rc::new(vec![Value::Int(-1), Value::BytesIter(it.clone())]))
                 }
-                MatchVerdict::NoMatch => Evaluated::value(Value::Tuple(Rc::new(vec![
-                    Value::Int(-1),
-                    Value::BytesIter(it.clone()),
-                ]))),
             }
         }
         RegexpMatcherInit => {
             arity(args, 1, op)?;
-            let re = as_regexp(&args[0])?;
-            Evaluated::value(Value::Matcher(Rc::new(RefCell::new(re.matcher()))))
+            let re = as_regexp(args[0])?;
+            Value::Matcher(Rc::new(RefCell::new(re.matcher())))
         }
         RegexpMatcherFeed => {
             arity(args, 2, op)?;
-            let m = match &args[0] {
+            let m = match args[0] {
                 Value::Matcher(m) => m,
                 other => {
                     return Err(RtError::type_error(format!(
@@ -1230,14 +1192,14 @@ pub fn eval(
             };
             let data = args[1].as_bytes()?.to_vec();
             let status = m.borrow_mut().feed(&data);
-            Evaluated::value(Value::Int(match status {
+            Value::Int(match status {
                 hilti_rt::regexp::MatchStatus::Failed => 0,
                 hilti_rt::regexp::MatchStatus::Ongoing => 1,
-            }))
+            })
         }
         RegexpMatcherFinish => {
             arity(args, 1, op)?;
-            let m = match &args[0] {
+            let m = match args[0] {
                 Value::Matcher(m) => m,
                 other => {
                     return Err(RtError::type_error(format!(
@@ -1247,25 +1209,21 @@ pub fn eval(
                 }
             };
             match m.borrow().finish() {
-                MatchVerdict::Match { pattern, len } => {
-                    Evaluated::value(Value::Tuple(Rc::new(vec![
-                        Value::Int(pattern as i64),
-                        Value::Int(len as i64),
-                    ])))
-                }
-                MatchVerdict::NoMatch => {
-                    Evaluated::value(Value::Tuple(Rc::new(vec![Value::Int(-1), Value::Int(0)])))
-                }
+                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new(vec![
+                    Value::Int(pattern as i64),
+                    Value::Int(len as i64),
+                ])),
+                MatchVerdict::NoMatch => Value::Tuple(Rc::new(vec![Value::Int(-1), Value::Int(0)])),
             }
         }
 
         // --- channels -----------------------------------------------------------------------
         ChannelWrite => {
             arity(args, 2, op)?;
-            match &args[0] {
+            match args[0] {
                 Value::Channel(c) => {
                     c.write(&args[1].to_portable()?)?;
-                    Evaluated::null()
+                    Value::Null
                 }
                 other => Err(RtError::type_error(format!(
                     "expected channel, got {}",
@@ -1275,8 +1233,8 @@ pub fn eval(
         }
         ChannelRead => {
             arity(args, 1, op)?;
-            match &args[0] {
-                Value::Channel(c) => Evaluated::value(Value::from_portable(&c.read()?)),
+            match args[0] {
+                Value::Channel(c) => Value::from_portable(&c.read()?),
                 other => Err(RtError::type_error(format!(
                     "expected channel, got {}",
                     other.type_name()
@@ -1285,16 +1243,12 @@ pub fn eval(
         }
         ChannelTryRead => {
             arity(args, 1, op)?;
-            match &args[0] {
+            match args[0] {
                 Value::Channel(c) => match c.try_read()? {
-                    Some(p) => Evaluated::value(Value::Tuple(Rc::new(vec![
-                        Value::Bool(true),
-                        Value::from_portable(&p),
-                    ]))),
-                    None => Evaluated::value(Value::Tuple(Rc::new(vec![
-                        Value::Bool(false),
-                        Value::Null,
-                    ]))),
+                    Some(p) => {
+                        Value::Tuple(Rc::new(vec![Value::Bool(true), Value::from_portable(&p)]))
+                    }
+                    None => Value::Tuple(Rc::new(vec![Value::Bool(false), Value::Null])),
                 },
                 other => Err(RtError::type_error(format!(
                     "expected channel, got {}",
@@ -1304,8 +1258,8 @@ pub fn eval(
         }
         ChannelSize => {
             arity(args, 1, op)?;
-            match &args[0] {
-                Value::Channel(c) => Evaluated::value(Value::Int(c.len() as i64)),
+            match args[0] {
+                Value::Channel(c) => Value::Int(c.len() as i64),
                 other => Err(RtError::type_error(format!(
                     "expected channel, got {}",
                     other.type_name()
@@ -1314,10 +1268,10 @@ pub fn eval(
         }
         ChannelClose => {
             arity(args, 1, op)?;
-            match &args[0] {
+            match args[0] {
                 Value::Channel(c) => {
                     c.close();
-                    Evaluated::null()
+                    Value::Null
                 }
                 other => Err(RtError::type_error(format!(
                     "expected channel, got {}",
@@ -1329,27 +1283,27 @@ pub fn eval(
         // --- timers -------------------------------------------------------------------------
         TimerMgrAdvance => {
             arity(args, 2, op)?;
-            let mgr = as_timer_mgr(&args[0])?;
+            let mgr = as_timer_mgr(args[0])?;
             let t = args[1].as_time()?;
             let fired = mgr.borrow_mut().advance(t);
-            Evaluated {
-                value: Value::Null,
-                fired: fired.into_iter().map(|e| e.action).collect(),
+            for entry in fired {
+                ctx.fire(entry.action);
             }
+            Value::Null
         }
         TimerMgrAdvanceGlobal => {
             arity(args, 1, op)?;
             let t = args[0].as_time()?;
             ctx.set_global_time(t);
             ctx.advance_expiring(t);
-            Evaluated::null()
+            Value::Null
         }
         TimerMgrSchedule => {
             // (mgr, time, callable) → int timer seq.
             arity(args, 3, op)?;
-            let mgr = as_timer_mgr(&args[0])?;
+            let mgr = as_timer_mgr(args[0])?;
             let t = args[1].as_time()?;
-            let c = as_callable(&args[2])?;
+            let c = as_callable(args[2])?;
             // Globally unique entry identity (TimerEntry's Eq keys on it).
             use std::sync::atomic::{AtomicU64, Ordering};
             static TIMER_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1361,26 +1315,26 @@ pub fn eval(
                     action: (**c).clone(),
                 },
             );
-            Evaluated::value(Value::Int(seq as i64))
+            Value::Int(seq as i64)
         }
         TimerMgrCancel => {
             // Cancellation by id requires the TimerId; we approximate with
             // a no-op returning false (HILTI programs in this workspace do
             // not cancel timers; the instruction exists for completeness).
             arity(args, 2, op)?;
-            Evaluated::value(Value::Bool(false))
+            Value::Bool(false)
         }
         TimerMgrCurrent => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Time(as_timer_mgr(&args[0])?.borrow().now()))
+            Value::Time(as_timer_mgr(args[0])?.borrow().now())
         }
         TimerMgrGlobalTime => {
             arity(args, 0, op)?;
-            Evaluated::value(Value::Time(ctx.global_time()))
+            Value::Time(ctx.global_time())
         }
         TimerMgrSize => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::Int(as_timer_mgr(&args[0])?.borrow().len() as i64))
+            Value::Int(as_timer_mgr(args[0])?.borrow().len() as i64)
         }
         TimerNew | TimerCancel => {
             return Err(RtError::type_error(
@@ -1394,10 +1348,10 @@ pub fn eval(
             let func = idents
                 .first()
                 .ok_or_else(|| RtError::type_error("callable.bind needs a function ident"))?;
-            Evaluated::value(Value::Callable(Rc::new(CallableVal {
+            Value::Callable(Rc::new(CallableVal {
                 func: Rc::from(func.as_str()),
-                bound: args.to_vec(),
-            })))
+                bound: args.iter().map(|v| (*v).clone()).collect(),
+            }))
         }
 
         // --- overlays -------------------------------------------------------------------------
@@ -1420,25 +1374,25 @@ pub fn eval(
                 None => args[0].as_bytes()?.begin_offset(),
             };
             let unpacked = overlay.get(args[0].as_bytes()?, base, field)?;
-            Evaluated::value(match unpacked {
+            match unpacked {
                 Unpacked::UInt(u) => Value::Int(u as i64),
                 Unpacked::Addr(a) => Value::Addr(a),
                 Unpacked::Bytes(b) => Value::Bytes(Bytes::frozen_from_slice(&b)),
-            })
+            }
         }
 
         // --- files ----------------------------------------------------------------------------
         FileOpen => {
             arity(args, 1, op)?;
             let name = args[0].as_str()?;
-            Evaluated::value(Value::File(ctx.open_file(name)))
+            Value::File(ctx.open_file(name))
         }
         FileWrite => {
             arity(args, 2, op)?;
-            match &args[0] {
+            match args[0] {
                 Value::File(f) => {
                     f.write_line(&args[1].render())?;
-                    Evaluated::null()
+                    Value::Null
                 }
                 other => Err(RtError::type_error(format!(
                     "expected file, got {}",
@@ -1448,20 +1402,20 @@ pub fn eval(
         }
         FileClose => {
             arity(args, 1, op)?;
-            Evaluated::null() // files are reference counted; close is advisory
+            Value::Null // files are reference counted; close is advisory
         }
 
         // --- packet i/o --------------------------------------------------------------------------
         IosrcOpen => {
             arity(args, 1, op)?;
-            ctx.open_iosrc(args[0].as_str()?).map(Evaluated::value)?
+            ctx.open_iosrc(args[0].as_str()?)?
         }
         IosrcRead => {
             arity(args, 1, op)?;
-            match &args[0] {
+            match args[0] {
                 Value::IOSrc(src) => {
                     let next = (src.borrow_mut().producer)();
-                    Evaluated::value(match next {
+                    match next {
                         Some((t, data)) => Value::Tuple(Rc::new(vec![
                             Value::Bool(true),
                             Value::Time(t),
@@ -1472,7 +1426,7 @@ pub fn eval(
                             Value::Time(Time::ZERO),
                             Value::Bytes(Bytes::new()),
                         ])),
-                    })
+                    }
                 }
                 other => Err(RtError::type_error(format!(
                     "expected iosrc, got {}",
@@ -1486,62 +1440,57 @@ pub fn eval(
             // (int vthread id, callable)
             arity(args, 2, op)?;
             let tid = args[0].as_int()? as u64;
-            let c = as_callable(&args[1])?;
+            let c = as_callable(args[1])?;
             ctx.schedule_thread(tid, (**c).clone())?;
-            Evaluated::null()
+            Value::Null
         }
         ThreadId => {
             arity(args, 0, op)?;
-            Evaluated::value(Value::Int(ctx.thread_id() as i64))
+            Value::Int(ctx.thread_id() as i64)
         }
 
         // --- profiling ------------------------------------------------------------------------------
         ProfilerStart => {
             let name = idents.first().map(String::as_str).unwrap_or("default");
             ctx.profiler_start(name);
-            Evaluated::null()
+            Value::Null
         }
         ProfilerStop => {
             let name = idents.first().map(String::as_str).unwrap_or("default");
             ctx.profiler_stop(name);
-            Evaluated::null()
+            Value::Null
         }
         ProfilerCount => {
             arity(args, 1, op)?;
             let name = idents.first().map(String::as_str).unwrap_or("default");
             ctx.profiler_count(name, args[0].as_int()?.max(0) as u64);
-            Evaluated::null()
+            Value::Null
         }
         ProfilerTime => {
             let name = idents.first().map(String::as_str).unwrap_or("default");
-            Evaluated::value(Value::Int(ctx.profiler_time(name) as i64))
+            Value::Int(ctx.profiler_time(name) as i64)
         }
 
         // --- debug -----------------------------------------------------------------------------------
         DebugPrint => {
-            let line = args
-                .iter()
-                .map(Value::render)
-                .collect::<Vec<_>>()
-                .join(", ");
-            ctx.output(line);
-            Evaluated::null()
+            ctx.output(Value::render_joined(args, ", "));
+            Value::Null
         }
         DebugAssert => {
             arity_min(args, 1, op)?;
             if !args[0].as_bool()? {
                 let msg = args
                     .get(1)
-                    .map(Value::render)
+                    .map(|v| v.render())
                     .unwrap_or_else(|| "assertion failed".into());
                 return Err(RtError::runtime(msg));
             }
-            Evaluated::null()
+            Value::Null
         }
         DebugInternalError => {
             let msg = args
                 .first()
-                .map(Value::render)
+                .map(|v| v.render())
                 .unwrap_or_else(|| "internal error".into());
             return Err(RtError::runtime(msg));
         }
@@ -1552,13 +1501,13 @@ pub fn eval(
                 .first()
                 .map(String::as_str)
                 .unwrap_or("Hilti::RuntimeError");
-            let msg = args.first().map(Value::render).unwrap_or_default();
+            let msg = args.first().map(|v| v.render()).unwrap_or_default();
             return Err(RtError::new(exception_kind_from_name(kind), msg));
         }
         ExceptionKindOf => {
             arity(args, 1, op)?;
-            match &args[0] {
-                Value::Exception(e) => Evaluated::value(Value::str(e.kind.name())),
+            match args[0] {
+                Value::Exception(e) => Value::str(e.kind.name()),
                 other => Err(RtError::type_error(format!(
                     "expected exception, got {}",
                     other.type_name()
@@ -1567,8 +1516,8 @@ pub fn eval(
         }
         ExceptionMessage => {
             arity(args, 1, op)?;
-            match &args[0] {
-                Value::Exception(e) => Evaluated::value(Value::str(&e.message)),
+            match args[0] {
+                Value::Exception(e) => Value::str(&e.message),
                 other => Err(RtError::type_error(format!(
                     "expected exception, got {}",
                     other.type_name()
@@ -1593,48 +1542,32 @@ pub fn eval(
 // the two paths against each other; keep them in sync when touching either.
 #[inline]
 fn bin_int(
-    args: &[Value],
+    args: &[&Value],
     op: Opcode,
     f: impl FnOnce(i64, i64) -> RtResult<i64>,
-) -> RtResult<Evaluated> {
+) -> RtResult<Value> {
     arity(args, 2, op)?;
-    Ok(Evaluated::value(Value::Int(f(
-        args[0].as_int()?,
-        args[1].as_int()?,
-    )?)))
+    Ok(Value::Int(f(args[0].as_int()?, args[1].as_int()?)?))
 }
 
 #[inline]
-fn bin_int_cmp(
-    args: &[Value],
-    op: Opcode,
-    f: impl FnOnce(i64, i64) -> bool,
-) -> RtResult<Evaluated> {
+fn bin_int_cmp(args: &[&Value], op: Opcode, f: impl FnOnce(i64, i64) -> bool) -> RtResult<Value> {
     arity(args, 2, op)?;
-    Ok(Evaluated::value(Value::Bool(f(
-        args[0].as_int()?,
-        args[1].as_int()?,
-    ))))
+    Ok(Value::Bool(f(args[0].as_int()?, args[1].as_int()?)))
 }
 
-fn bin_double(args: &[Value], op: Opcode, f: impl FnOnce(f64, f64) -> f64) -> RtResult<Evaluated> {
+fn bin_double(args: &[&Value], op: Opcode, f: impl FnOnce(f64, f64) -> f64) -> RtResult<Value> {
     arity(args, 2, op)?;
-    Ok(Evaluated::value(Value::Double(f(
-        args[0].as_double()?,
-        args[1].as_double()?,
-    ))))
+    Ok(Value::Double(f(args[0].as_double()?, args[1].as_double()?)))
 }
 
 fn bin_double_cmp(
-    args: &[Value],
+    args: &[&Value],
     op: Opcode,
     f: impl FnOnce(f64, f64) -> bool,
-) -> RtResult<Evaluated> {
+) -> RtResult<Value> {
     arity(args, 2, op)?;
-    Ok(Evaluated::value(Value::Bool(f(
-        args[0].as_double()?,
-        args[1].as_double()?,
-    ))))
+    Ok(Value::Bool(f(args[0].as_double()?, args[1].as_double()?)))
 }
 
 fn expire_strategy(v: &Value) -> RtResult<ExpireStrategy> {
@@ -1765,6 +1698,7 @@ mod tests {
         expiring: Vec<ExpiringHandle>,
         structs: HashMap<String, StructLayout>,
         files: HashMap<String, LogFile>,
+        fired: Vec<CallableVal>,
     }
 
     impl TestCtx {
@@ -1780,6 +1714,7 @@ mod tests {
                 expiring: Vec::new(),
                 structs,
                 files: HashMap::new(),
+                fired: Vec::new(),
             }
         }
     }
@@ -1830,6 +1765,9 @@ mod tests {
         fn thread_id(&self) -> u64 {
             7
         }
+        fn fire(&mut self, callable: CallableVal) {
+            self.fired.push(callable);
+        }
         fn profiler_start(&mut self, _n: &str) {}
         fn profiler_stop(&mut self, _n: &str) {}
         fn profiler_count(&mut self, _n: &str, _v: u64) {}
@@ -1838,15 +1776,25 @@ mod tests {
         }
     }
 
+    /// `ops::eval` over owned operands.
+    fn eval(
+        op: crate::ir::Opcode,
+        args: &[Value],
+        idents: &[String],
+        ctx: &mut TestCtx,
+    ) -> RtResult<Value> {
+        let refs: Vec<&Value> = args.iter().collect();
+        super::eval(op, &refs, idents, ctx)
+    }
+
     fn run(op: crate::ir::Opcode, args: &[Value]) -> RtResult<Value> {
-        let mut ctx = TestCtx::new();
-        eval(op, args, &[], &mut ctx).map(|e| e.value)
+        eval(op, args, &[], &mut TestCtx::new())
     }
 
     fn run_idents(op: crate::ir::Opcode, args: &[Value], idents: &[&str]) -> RtResult<Value> {
         let mut ctx = TestCtx::new();
         let idents: Vec<String> = idents.iter().map(|s| s.to_string()).collect();
-        eval(op, args, &idents, &mut ctx).map(|e| e.value)
+        eval(op, args, &idents, &mut ctx)
     }
 
     #[test]
@@ -1962,7 +1910,7 @@ mod tests {
         eval(SetInsert, &[set.clone(), Value::Int(5)], &[], &mut ctx).unwrap();
         ctx.set_global_time(Time::from_secs(20));
         ctx.advance_expiring(Time::from_secs(20));
-        let size = eval(SetSize, &[set], &[], &mut ctx).unwrap().value;
+        let size = eval(SetSize, &[set], &[], &mut ctx).unwrap();
         assert!(size.equals(&Value::Int(0)));
     }
 
@@ -1983,8 +1931,7 @@ mod tests {
             &["orig".into()],
             &mut ctx,
         )
-        .unwrap()
-        .value;
+        .unwrap();
         assert_eq!(v.render(), "A");
         // Unset field raises IndexError.
         assert_eq!(
@@ -1998,9 +1945,7 @@ mod tests {
             .kind,
             ExceptionKind::IndexError
         );
-        let isset = eval(StructIsSet, &[s], &["resp".into()], &mut ctx)
-            .unwrap()
-            .value;
+        let isset = eval(StructIsSet, &[s], &["resp".into()], &mut ctx).unwrap();
         assert!(isset.equals(&Value::Bool(false)));
     }
 
@@ -2087,9 +2032,7 @@ mod tests {
             Value::Addr("10.1.2.3".parse().unwrap()),
             Value::Addr("8.8.8.8".parse().unwrap()),
         ]));
-        let hit = eval(ClassifierGet, &[c.clone(), key], &[], &mut ctx)
-            .unwrap()
-            .value;
+        let hit = eval(ClassifierGet, &[c.clone(), key], &[], &mut ctx).unwrap();
         assert!(hit.equals(&Value::Bool(true)));
         let miss_key = Value::Tuple(Rc::new(vec![
             Value::Addr("11.0.0.1".parse().unwrap()),
@@ -2118,25 +2061,23 @@ mod tests {
             &mut ctx,
         )
         .unwrap();
-        let fired = eval(
+        eval(
             TimerMgrAdvance,
             &[mgr.clone(), Value::Time(Time::from_secs(5))],
             &[],
             &mut ctx,
         )
-        .unwrap()
-        .fired;
-        assert!(fired.is_empty());
-        let fired = eval(
+        .unwrap();
+        assert!(ctx.fired.is_empty());
+        eval(
             TimerMgrAdvance,
             &[mgr, Value::Time(Time::from_secs(10))],
             &[],
             &mut ctx,
         )
-        .unwrap()
-        .fired;
-        assert_eq!(fired.len(), 1);
-        assert_eq!(&*fired[0].func, "M::cb");
+        .unwrap();
+        assert_eq!(ctx.fired.len(), 1);
+        assert_eq!(&*ctx.fired[0].func, "M::cb");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! typed variants when operand types are statically known from the checked
 //! IR (carried through lowering as [`CFunc::slot_types`]). The specialized
 //! variants execute inline in the VM dispatch loop on `frame.slots` — no
-//! operand clone into the scratch buffer, no `Evaluated` wrapper, no trip
-//! through the `ops::eval` megamatch — which is where the bulk of the
+//! operand gathering, no tag checks beyond the one guard, no trip through
+//! the `ops::eval` megamatch — which is where the bulk of the
 //! per-instruction cost of hot integer/branch code goes (cf. Deegen-style
 //! typed interpreter opcodes; §6.5's compiled-vs-interpreted gap is the
 //! same story one level down).

@@ -255,7 +255,7 @@ struct HiltiWorker {
 
 fn run_job(st: &mut HiltiWorker, vthread: u64, func: &str, args: &[Portable]) {
     st.jobs_run += 1;
-    st.ctx.thread_id = vthread;
+    st.ctx.env.thread_id = vthread;
     let vals: Vec<Value> = args.iter().map(Value::from_portable).collect();
     if let Err(e) = vm::call(&st.prog, &mut st.ctx, func, &vals) {
         st.errors.push(format!("{func}: {e}"));
@@ -267,12 +267,12 @@ fn run_job(st: &mut HiltiWorker, vthread: u64, func: &str, args: &[Portable]) {
 /// targets run inline (they are serialized with us by construction);
 /// cross-worker targets ship as a new job with deep-copied bound arguments.
 fn drain_scheduled(st: &mut HiltiWorker) {
-    while !st.ctx.scheduled.is_empty() {
-        let batch: Vec<(u64, CallableVal)> = st.ctx.scheduled.drain(..).collect();
+    while !st.ctx.env.scheduled.is_empty() {
+        let batch: Vec<(u64, CallableVal)> = st.ctx.env.scheduled.drain(..).collect();
         for (tid, c) in batch {
             let target = placement(tid, st.pool.workers());
             if target == st.worker {
-                st.ctx.thread_id = tid;
+                st.ctx.env.thread_id = tid;
                 if let Err(e) = vm::run_callable(&st.prog, &mut st.ctx, &c, &[]) {
                     st.errors.push(format!("{}: {e}", c.func));
                 }
@@ -293,7 +293,7 @@ fn drain_scheduled(st: &mut HiltiWorker) {
             let func = c.func.to_string();
             if let Err(e) = st.pool.submit(target, move |st2: &mut HiltiWorker| {
                 st2.jobs_run += 1;
-                st2.ctx.thread_id = tid;
+                st2.ctx.env.thread_id = tid;
                 let c2 = CallableVal {
                     func: Rc::from(func.as_str()),
                     bound: bound.iter().map(Value::from_portable).collect(),

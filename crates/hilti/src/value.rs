@@ -150,20 +150,33 @@ pub enum Value {
 }
 
 /// The hashable subset of values usable as set members / map keys.
+///
+/// String-like keys share the value's `Rc<str>`: converting a value for a
+/// probe (`map.exists`, `map.get`, ...) is a reference-count bump, not a
+/// copy of the text, and `Key::to_value` hands the same string back. A key
+/// is therefore thread-local like every other value; the [`Portable`] form
+/// carries keys as portable values.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
     Bool(bool),
     Int(i64),
-    String(String),
+    String(Rc<str>),
     Bytes(Vec<u8>),
     Addr(Addr),
     Net(Network),
     Port(Port),
     Time(Time),
     Interval(Interval),
-    Enum(String, i64),
+    Enum(Rc<str>, i64),
     Tuple(Vec<Key>),
 }
+
+// The representation the VM is tuned for (DESIGN.md "Value representation
+// and the operand convention"): a frame slot, a map entry and an immediate
+// operand are all built from these, so growth here is paid per instruction.
+const _: () = assert!(std::mem::size_of::<Value>() <= 32);
+const _: () = assert!(std::mem::align_of::<Value>() <= 8);
+const _: () = assert!(std::mem::size_of::<Key>() <= 32);
 
 impl Key {
     /// Reconstructs the value form of this key.
@@ -171,14 +184,14 @@ impl Key {
         match self {
             Key::Bool(b) => Value::Bool(*b),
             Key::Int(i) => Value::Int(*i),
-            Key::String(s) => Value::String(Rc::from(s.as_str())),
+            Key::String(s) => Value::String(Rc::clone(s)),
             Key::Bytes(b) => Value::Bytes(Bytes::frozen_from_slice(b)),
             Key::Addr(a) => Value::Addr(*a),
             Key::Net(n) => Value::Net(*n),
             Key::Port(p) => Value::Port(*p),
             Key::Time(t) => Value::Time(*t),
             Key::Interval(i) => Value::Interval(*i),
-            Key::Enum(n, v) => Value::Enum(Rc::from(n.as_str()), *v),
+            Key::Enum(n, v) => Value::Enum(Rc::clone(n), *v),
             Key::Tuple(ks) => Value::Tuple(Rc::new(ks.iter().map(Key::to_value).collect())),
         }
     }
@@ -202,8 +215,8 @@ pub enum Portable {
     Tuple(Vec<Portable>),
     List(Vec<Portable>),
     Vector(Vec<Portable>),
-    Set(Vec<Key>),
-    Map(Vec<(Key, Portable)>),
+    Set(Vec<Portable>),
+    Map(Vec<(Portable, Portable)>),
     Struct(String, Vec<Portable>),
 }
 
@@ -348,14 +361,14 @@ impl Value {
         Ok(match self {
             Value::Bool(b) => Key::Bool(*b),
             Value::Int(i) => Key::Int(*i),
-            Value::String(s) => Key::String(s.to_string()),
+            Value::String(s) => Key::String(Rc::clone(s)),
             Value::Bytes(b) => Key::Bytes(b.to_vec()),
             Value::Addr(a) => Key::Addr(*a),
             Value::Net(n) => Key::Net(*n),
             Value::Port(p) => Key::Port(*p),
             Value::Time(t) => Key::Time(*t),
             Value::Interval(i) => Key::Interval(*i),
-            Value::Enum(n, v) => Key::Enum(n.to_string(), *v),
+            Value::Enum(n, v) => Key::Enum(Rc::clone(n), *v),
             Value::Tuple(vs) => Key::Tuple(
                 vs.iter()
                     .map(Value::to_key)
@@ -447,11 +460,16 @@ impl Value {
                     .map(Value::to_portable)
                     .collect::<RtResult<Vec<_>>>()?,
             ),
-            Value::Set(s) => Portable::Set(s.borrow().iter().cloned().collect()),
+            Value::Set(s) => Portable::Set(
+                s.borrow()
+                    .iter()
+                    .map(|k| k.to_value().to_portable())
+                    .collect::<RtResult<Vec<_>>>()?,
+            ),
             Value::Map(m) => Portable::Map(
                 m.borrow()
                     .iter()
-                    .map(|(k, v)| Ok((k.clone(), v.to_portable()?)))
+                    .map(|(k, v)| Ok((k.to_value().to_portable()?, v.to_portable()?)))
                     .collect::<RtResult<Vec<_>>>()?,
             ),
             Value::Struct(s) => {
@@ -506,14 +524,14 @@ impl Value {
             Portable::Set(keys) => {
                 let mut s = SetVal::new();
                 for k in keys {
-                    s.insert(k.clone(), Time::ZERO);
+                    s.insert(portable_key(k), Time::ZERO);
                 }
                 Value::Set(Rc::new(RefCell::new(s)))
             }
             Portable::Map(entries) => {
                 let mut m = MapVal::new();
                 for (k, v) in entries {
-                    m.insert(k.clone(), Value::from_portable(v), Time::ZERO);
+                    m.insert(portable_key(k), Value::from_portable(v), Time::ZERO);
                 }
                 Value::Map(Rc::new(RefCell::new(m)))
             }
@@ -526,63 +544,97 @@ impl Value {
 
     /// Renders the value the way `Hilti::print` does.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends the rendering to `out`: building one line from many values
+    /// (`cat`, `string.fmt`, `print`) takes no string per value.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        fn list<'a>(
+            out: &mut String,
+            open: &str,
+            items: impl Iterator<Item = &'a Value>,
+            close: char,
+        ) {
+            out.push_str(open);
+            join_into(out, items, ", ");
+            out.push(close);
+        }
+        // Hash containers render in sorted order of their rendered entries.
+        fn sorted(out: &mut String, mut entries: Vec<String>) {
+            entries.sort();
+            out.push('{');
+            out.push_str(&entries.join(", "));
+            out.push('}');
+        }
+        // Writing to a `String` cannot fail.
+        macro_rules! put {
+            ($($fmt:tt)*) => {{
+                let _ = write!(out, $($fmt)*);
+            }};
+        }
         match self {
-            Value::Null => "(null)".into(),
-            Value::Bool(b) => if *b { "True" } else { "False" }.into(),
-            Value::Int(i) => i.to_string(),
-            Value::Double(d) => format!("{d}"),
-            Value::String(s) => s.to_string(),
-            Value::Bytes(b) => String::from_utf8_lossy(&b.to_vec()).into_owned(),
-            Value::BytesIter(i) => format!("<bytes iterator @{}>", i.offset()),
-            Value::Addr(a) => a.to_string(),
-            Value::Net(n) => n.to_string(),
-            Value::Port(p) => p.to_string(),
-            Value::Time(t) => t.to_string(),
-            Value::Interval(i) => i.to_string(),
-            Value::Enum(n, v) => format!("{n}({v})"),
-            Value::Tuple(vs) => {
-                let inner: Vec<String> = vs.iter().map(Value::render).collect();
-                format!("({})", inner.join(", "))
-            }
-            Value::List(l) => {
-                let inner: Vec<String> = l.borrow().iter().map(Value::render).collect();
-                format!("[{}]", inner.join(", "))
-            }
-            Value::Vector(v) => {
-                let inner: Vec<String> = v.borrow().iter().map(Value::render).collect();
-                format!("[{}]", inner.join(", "))
-            }
+            Value::Null => out.push_str("(null)"),
+            Value::Bool(b) => out.push_str(if *b { "True" } else { "False" }),
+            Value::Int(i) => put!("{i}"),
+            Value::Double(d) => put!("{d}"),
+            Value::String(s) => out.push_str(s),
+            Value::Bytes(b) => out.push_str(&String::from_utf8_lossy(&b.to_vec())),
+            Value::BytesIter(i) => put!("<bytes iterator @{}>", i.offset()),
+            Value::Addr(a) => put!("{a}"),
+            Value::Net(n) => put!("{n}"),
+            Value::Port(p) => put!("{p}"),
+            Value::Time(t) => put!("{t}"),
+            Value::Interval(i) => put!("{i}"),
+            Value::Enum(n, v) => put!("{n}({v})"),
+            Value::Tuple(vs) => list(out, "(", vs.iter(), ')'),
+            Value::List(l) => list(out, "[", l.borrow().iter(), ']'),
+            Value::Vector(v) => list(out, "[", v.borrow().iter(), ']'),
             Value::Set(s) => {
-                let mut inner: Vec<String> =
-                    s.borrow().iter().map(|k| k.to_value().render()).collect();
-                inner.sort();
-                format!("{{{}}}", inner.join(", "))
+                let entries = s.borrow().iter().map(|k| k.to_value().render()).collect();
+                sorted(out, entries)
             }
             Value::Map(m) => {
-                let mut inner: Vec<String> = m
+                let entries = m
                     .borrow()
                     .iter()
                     .map(|(k, v)| format!("{}: {}", k.to_value().render(), v.render()))
                     .collect();
-                inner.sort();
-                format!("{{{}}}", inner.join(", "))
+                sorted(out, entries)
             }
             Value::Struct(s) => {
                 let s = s.borrow();
-                let inner: Vec<String> = s.fields.iter().map(Value::render).collect();
-                format!("{}({})", s.type_name, inner.join(", "))
+                out.push_str(&s.type_name);
+                list(out, "(", s.fields.iter(), ')')
             }
-            Value::Regexp(r) => format!("/{}/", r.sources().join("|")),
-            Value::Matcher(_) => "<matcher>".into(),
-            Value::Channel(c) => format!("<channel:{}>", c.len()),
-            Value::Classifier(c) => format!("<classifier:{} rules>", c.borrow().len()),
-            Value::Overlay(o) => format!("<overlay {}>", o.name),
-            Value::TimerMgr(t) => format!("<timer_mgr@{}>", t.borrow().now()),
-            Value::File(f) => format!("<file {}>", f.name()),
-            Value::IOSrc(s) => format!("<iosrc {}>", s.borrow().name),
-            Value::Callable(c) => format!("<callable {}>", c.func),
-            Value::Exception(e) => format!("{}: {}", e.kind, e.message),
+            Value::Regexp(r) => put!("/{}/", r.sources().join("|")),
+            Value::Matcher(_) => out.push_str("<matcher>"),
+            Value::Channel(c) => put!("<channel:{}>", c.len()),
+            Value::Classifier(c) => put!("<classifier:{} rules>", c.borrow().len()),
+            Value::Overlay(o) => put!("<overlay {}>", o.name),
+            Value::TimerMgr(t) => put!("<timer_mgr@{}>", t.borrow().now()),
+            Value::File(f) => put!("<file {}>", f.name()),
+            Value::IOSrc(s) => put!("<iosrc {}>", s.borrow().name),
+            Value::Callable(c) => put!("<callable {}>", c.func),
+            Value::Exception(e) => put!("{}: {}", e.kind, e.message),
         }
+    }
+
+    /// Renders `values` into one line, `sep` between them (`Hilti::print`,
+    /// `debug.print`).
+    pub fn render_joined(values: &[&Value], sep: &str) -> String {
+        // Strings are most of what gets joined; a guess for the rest keeps
+        // the line from growing by doubling.
+        let estimate = values.iter().map(|v| match v {
+            Value::String(s) => s.len() + sep.len(),
+            _ => 16 + sep.len(),
+        });
+        let mut out = String::with_capacity(estimate.sum());
+        join_into(&mut out, values.iter().copied(), sep);
+        out
     }
 
     /// True if the value is "truthy" in conditional position; only booleans
@@ -590,6 +642,24 @@ impl Value {
     pub fn truthy(&self) -> RtResult<bool> {
         self.as_bool()
     }
+}
+
+/// Appends the renderings of `items` to `out`, `sep` between them.
+fn join_into<'a>(out: &mut String, items: impl Iterator<Item = &'a Value>, sep: &str) {
+    for (i, v) in items.enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        v.render_into(out);
+    }
+}
+
+/// The key a portable set member / map key stands for. Snapshots are only
+/// taken of live containers, whose keys are hashable by construction.
+fn portable_key(p: &Portable) -> Key {
+    Value::from_portable(p)
+        .to_key()
+        .expect("portable container keys come from hashable keys")
 }
 
 #[cfg(test)]

@@ -31,8 +31,13 @@ use crate::ops::{self, ExecCtx, ExpiringHandle};
 use crate::value::{CallableVal, StructLayout, Value};
 
 /// A host-registered function (the inverse direction of the C stubs:
-/// HILTI code calling into the application, §3.4).
-pub type HostFn = Rc<RefCell<dyn FnMut(&[Value]) -> RtResult<Value>>>;
+/// HILTI code calling into the application, §3.4). Arguments are borrowed
+/// from the caller's frame, the globals or the instruction's constants.
+pub type HostFn = Box<dyn FnMut(&[&Value]) -> RtResult<Value>>;
+
+/// The host-function id of the `Hilti::print` builtin: lowering interns it
+/// first in every program, and no registration can take its place.
+pub(crate) const HOST_PRINT: u32 = 0;
 
 /// Per-virtual-thread execution context: thread-local globals, output,
 /// registered state containers, files, host functions, profiler (§5
@@ -41,26 +46,16 @@ pub type HostFn = Rc<RefCell<dyn FnMut(&[Value]) -> RtResult<Value>>>;
 pub struct Context {
     /// The thread-local global array, laid out by the linker.
     pub globals: Vec<Value>,
-    /// Program output (`Hilti::print`).
-    pub out: Vec<String>,
-    global_time: Time,
-    expiring: Vec<ExpiringHandle>,
-    files: HashMap<String, LogFile>,
-    host_fns: HashMap<String, HostFn>,
-    iosrc_factories: HashMap<String, Box<dyn FnMut() -> RtResult<Value>>>,
-    /// name → (accumulated ns, open span start).
-    profiler: HashMap<String, (u64, Option<Instant>)>,
-    /// Named `profiler.count` counters, registry-backed so repeated counts
-    /// of the same name never allocate.
-    counters: hilti_rt::telemetry::Registry,
-    /// The virtual thread this context belongs to.
-    pub thread_id: u64,
-    /// thread.schedule requests, drained by the thread runtime.
-    pub scheduled: Vec<(u64, CallableVal)>,
-    /// Struct/overlay tables shared with the program (`Rc`: spawning a
-    /// virtual-thread context must not deep-copy whole type tables).
-    pub struct_layouts: Rc<HashMap<String, StructLayout>>,
-    pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
+    /// What the shared instruction semantics work against. Apart from
+    /// `globals` so that an instruction can read its operands in place —
+    /// `&Value`s into the global array — while `ops::eval` holds this
+    /// mutably.
+    pub env: Env,
+    /// Host functions by id. Ids below the program's `host_names.len()` are
+    /// the program's own (a `call.c` site carries one); names the program
+    /// never calls directly get later ids, reachable by name only.
+    host_fns: Vec<Option<HostFn>>,
+    host_index: HashMap<String, u32>,
     /// When set, every executed instruction is appended to `trace_log`
     /// (`hiltic run --trace`; the paper's §3.1 debugging support).
     pub trace: bool,
@@ -94,9 +89,6 @@ pub struct Context {
     /// Remaining execution fuel; `u64::MAX` means "unlimited" (the
     /// decrement still happens but can never reach zero in practice).
     pub(crate) fuel_left: u64,
-    /// Shared heap budget handed to runtime values created by this
-    /// context (bytes, sets, maps). `None` when no limit is configured.
-    heap: Option<AllocBudget>,
     /// Deterministic fault injection: when the countdown hits zero the
     /// next fuel charge raises `fault_error` instead. `u64::MAX` = disarmed.
     fault_countdown: u64,
@@ -114,12 +106,47 @@ pub struct Context {
     /// adds its count in one batch on exit — and surfaced by `hiltic run
     /// --stats`; kept out of telemetry snapshots.
     tier_retired: TierMix,
-    /// Scratch owned by the outermost [`run`] on this context: the operand
-    /// buffer and the free list of frame slot vectors. Held here so an
-    /// entry per event or per packet reuses them; `run` takes both for its
-    /// duration, so a nested run (hook, fired timer) starts with empty ones.
-    argbuf: Vec<Value>,
+    /// The free list of frame slot vectors, owned by the outermost [`run`]
+    /// on this context. Held here so an entry per event or per packet
+    /// reuses them; `run` takes it for its duration, so a nested run (hook,
+    /// fired timer) starts with an empty one.
     frame_pool: Vec<Vec<Value>>,
+    /// The (empty) frame stack of the last finished entry, parked for the
+    /// next one the same way.
+    frame_stack: Vec<Frame>,
+}
+
+/// The execution environment of one [`Context`]: every runtime service an
+/// instruction's semantics may use besides its operands — output, global
+/// time, expiring containers, files, input sources, type tables, the thread
+/// runtime's mailbox, profiler spans. This is the [`ExecCtx`] both engines
+/// hand to `ops::eval`.
+pub struct Env {
+    /// Program output (`Hilti::print`).
+    pub out: Vec<String>,
+    global_time: Time,
+    expiring: Vec<ExpiringHandle>,
+    files: HashMap<String, LogFile>,
+    iosrc_factories: HashMap<String, Box<dyn FnMut() -> RtResult<Value>>>,
+    /// name → (accumulated ns, open span start).
+    profiler: HashMap<String, (u64, Option<Instant>)>,
+    /// Named `profiler.count` counters, registry-backed so repeated counts
+    /// of the same name never allocate.
+    counters: hilti_rt::telemetry::Registry,
+    /// The virtual thread this context belongs to.
+    pub thread_id: u64,
+    /// thread.schedule requests, drained by the thread runtime.
+    pub scheduled: Vec<(u64, CallableVal)>,
+    /// Struct/overlay tables shared with the program (`Rc`: spawning a
+    /// virtual-thread context must not deep-copy whole type tables).
+    pub struct_layouts: Rc<HashMap<String, StructLayout>>,
+    pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
+    /// Shared heap budget handed to runtime values created by this
+    /// context (bytes, sets, maps). `None` when no limit is configured.
+    heap: Option<AllocBudget>,
+    /// Timer callables that came due in the instruction just evaluated;
+    /// the engine drains and invokes them before the next instruction.
+    pub(crate) fired: Vec<CallableVal>,
 }
 
 /// Where instructions retired; see [`Context::tier_mix`].
@@ -159,18 +186,28 @@ impl Context {
             .collect();
         Context {
             globals,
-            out: Vec::new(),
-            global_time: Time::ZERO,
-            expiring: Vec::new(),
-            files: HashMap::new(),
-            host_fns: HashMap::new(),
-            iosrc_factories: HashMap::new(),
-            profiler: HashMap::new(),
-            counters: hilti_rt::telemetry::Registry::new(),
-            thread_id: 0,
-            scheduled: Vec::new(),
-            struct_layouts: Rc::clone(&prog.struct_layouts),
-            overlays: Rc::clone(&prog.overlays),
+            env: Env {
+                out: Vec::new(),
+                global_time: Time::ZERO,
+                expiring: Vec::new(),
+                files: HashMap::new(),
+                iosrc_factories: HashMap::new(),
+                profiler: HashMap::new(),
+                counters: hilti_rt::telemetry::Registry::new(),
+                thread_id: 0,
+                scheduled: Vec::new(),
+                struct_layouts: Rc::clone(&prog.struct_layouts),
+                overlays: Rc::clone(&prog.overlays),
+                heap: None,
+                fired: Vec::new(),
+            },
+            host_fns: prog.host_names.iter().map(|_| None).collect(),
+            host_index: prog
+                .host_names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (n.to_string(), i as u32))
+                .collect(),
             trace: false,
             trace_log: Vec::new(),
             stats: false,
@@ -181,14 +218,13 @@ impl Context {
             telemetry: None,
             limits: ResourceLimits::default(),
             fuel_left: u64::MAX,
-            heap: None,
             fault_countdown: u64::MAX,
             fault_error: None,
             watchdog_at: None,
             watchdog_acc: 0,
             tier_retired: TierMix::default(),
-            argbuf: Vec::new(),
             frame_pool: Vec::new(),
+            frame_stack: Vec::new(),
         }
     }
 
@@ -202,7 +238,7 @@ impl Context {
     /// fresh heap budget. Call before `run`; limits apply from then on.
     pub fn set_limits(&mut self, limits: ResourceLimits) {
         self.fuel_left = limits.fuel.unwrap_or(u64::MAX);
-        self.heap = limits.max_heap_bytes.map(AllocBudget::with_limit);
+        self.env.heap = limits.max_heap_bytes.map(AllocBudget::with_limit);
         self.arm_deadline_after_ms(limits.deadline_ms);
         self.limits = limits;
     }
@@ -240,7 +276,7 @@ impl Context {
 
     /// The heap budget values created by this context charge against.
     pub fn heap_budget(&self) -> Option<&AllocBudget> {
-        self.heap.as_ref()
+        self.env.heap.as_ref()
     }
 
     /// Arms deterministic fault injection: after `n` further fuel charges
@@ -380,14 +416,36 @@ impl Context {
         *self.instr_mix.entry(name).or_default() += 1;
     }
 
-    /// Registers a host function callable from HILTI code.
+    /// Registers a host function callable from HILTI code. A name the
+    /// program calls takes the id its `call.c` sites carry; any other name
+    /// is reachable through callables and the interpreter.
     pub fn register_host_fn(
         &mut self,
         name: &str,
-        f: impl FnMut(&[Value]) -> RtResult<Value> + 'static,
+        f: impl FnMut(&[&Value]) -> RtResult<Value> + 'static,
     ) {
-        self.host_fns
-            .insert(name.to_owned(), Rc::new(RefCell::new(f)));
+        let id = match self.host_index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.host_fns.len() as u32;
+                self.host_fns.push(None);
+                self.host_index.insert(name.to_owned(), id);
+                id
+            }
+        };
+        self.host_fns[id as usize] = Some(Box::new(f));
+    }
+
+    /// Calls a host function (or the `Hilti::print` builtin) by name: the
+    /// interpreter's path, and the VM's for callables bound to a name.
+    pub(crate) fn call_host_named(&mut self, name: &str, args: &[&Value]) -> RtResult<Value> {
+        call_host_named(
+            &mut self.host_fns,
+            &self.host_index,
+            &mut self.env,
+            name,
+            args,
+        )
     }
 
     /// Registers a named input source factory for `iosrc.open`.
@@ -396,43 +454,45 @@ impl Context {
         name: &str,
         factory: impl FnMut() -> RtResult<Value> + 'static,
     ) {
-        self.iosrc_factories
+        self.env
+            .iosrc_factories
             .insert(name.to_owned(), Box::new(factory));
     }
 
     /// Pre-registers a named output file (e.g. disk-backed); otherwise
     /// `file.open` creates in-memory logs.
     pub fn register_file(&mut self, file: LogFile) {
-        self.files.insert(file.name().to_owned(), file);
+        self.env.files.insert(file.name().to_owned(), file);
     }
 
     /// Access to a named log file's captured lines.
     pub fn file(&self, name: &str) -> Option<&LogFile> {
-        self.files.get(name)
+        self.env.files.get(name)
     }
 
     /// Takes the accumulated program output.
     pub fn take_output(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.out)
+        std::mem::take(&mut self.env.out)
     }
 
     /// Accumulated nanoseconds for a named profiler span.
     pub fn profile_ns(&self, name: &str) -> u64 {
-        self.profiler.get(name).map(|(t, _)| *t).unwrap_or(0)
+        self.env.profile_ns(name)
     }
 
     /// Named profiler counter value.
     pub fn profile_counter(&self, name: &str) -> u64 {
-        self.counters.counter_value(name)
+        self.env.counters.counter_value(name)
     }
 
     pub fn global_time(&self) -> Time {
-        self.global_time
+        self.env.global_time
     }
+}
 
-    /// Looks up a registered host function (used by both engines).
-    pub fn host_fn(&self, name: &str) -> Option<HostFn> {
-        self.host_fns.get(name).cloned()
+impl Env {
+    fn profile_ns(&self, name: &str) -> u64 {
+        self.profiler.get(name).map(|(t, _)| *t).unwrap_or(0)
     }
 }
 
@@ -532,7 +592,7 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
     }
 }
 
-impl ExecCtx for Context {
+impl ExecCtx for Env {
     fn output(&mut self, line: String) {
         self.out.push(line);
     }
@@ -599,6 +659,10 @@ impl ExecCtx for Context {
         self.thread_id
     }
 
+    fn fire(&mut self, callable: CallableVal) {
+        self.fired.push(callable);
+    }
+
     fn profiler_start(&mut self, name: &str) {
         let e = self.profiler.entry(name.to_owned()).or_insert((0, None));
         if e.1.is_none() {
@@ -659,18 +723,13 @@ impl Frame {
         pool: &mut Vec<Vec<Value>>,
     ) -> Frame {
         let cf = &prog.funcs[func as usize];
-        let n = cf.n_slots as usize;
-        let mut slots = match pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(n, Value::Null);
-                v
-            }
-            None => vec![Value::Null; n],
-        };
-        for (slot, a) in slots.iter_mut().zip(args).take(cf.n_params as usize) {
-            *slot = a;
-        }
+        // Pooled vectors are parked empty. Arguments go straight into the
+        // parameter slots (missing ones stay unset, surplus ones are
+        // dropped); only the locals are null-filled.
+        let mut slots = pool.pop().unwrap_or_default();
+        slots.reserve(cf.n_slots as usize);
+        slots.extend(args.into_iter().take(cf.n_params as usize));
+        slots.resize(cf.n_slots as usize, Value::Null);
         Frame {
             func,
             pc: 0,
@@ -728,12 +787,12 @@ pub fn run_hook(
         return Err(RtError::value("hook id of another program"));
     };
     let spent_before = ctx.fuel_spent;
-    let result = bodies.iter().try_for_each(|&body| {
-        match enter(prog, ctx, body, args.iter().cloned(), false)? {
+    let result = bodies
+        .iter()
+        .try_for_each(|&body| match enter(prog, ctx, body, args, false)? {
             Outcome::Done(_) => Ok(()),
             Outcome::Suspended(_) => Err(RtError::runtime("hook body suspended")),
-        }
-    });
+        });
     ctx.telemetry_flush_run(spent_before);
     result
 }
@@ -760,7 +819,7 @@ pub fn call_id(
         return Err(RtError::value("function id of another program"));
     };
     let spent_before = ctx.fuel_spent;
-    let result = enter(prog, ctx, fi, args.iter().cloned(), false);
+    let result = enter(prog, ctx, fi, args, false);
     ctx.telemetry_flush_run(spent_before);
     match result? {
         Outcome::Done(v) => Ok(v),
@@ -783,7 +842,7 @@ pub fn start_resumable(
         return Err(RtError::value("function id of another program"));
     }
     let spent_before = ctx.fuel_spent;
-    let result = enter(prog, ctx, fi, args.iter().cloned(), true);
+    let result = enter(prog, ctx, fi, args, true);
     ctx.telemetry_flush_run(spent_before);
     result
 }
@@ -796,11 +855,41 @@ pub fn resume(prog: &CompiledProgram, ctx: &mut Context, frames: Vec<Frame>) -> 
     result
 }
 
-fn operand_value(ctx: &Context, frame: &Frame, op: &COperand) -> Value {
+/// Reads an operand in place: a frame slot, a global or the instruction's
+/// own constant. Nothing is cloned — an instruction that keeps a value
+/// (a store into a container, an argument copied into a callee's frame)
+/// clones exactly that one.
+#[inline(always)]
+fn operand<'a>(globals: &'a [Value], slots: &'a [Value], op: &'a COperand) -> &'a Value {
     match op {
-        COperand::Slot(s) => frame.slots[*s as usize].clone(),
-        COperand::Global(g) => ctx.globals[*g as usize].clone(),
-        COperand::Value(v) => v.clone(),
+        COperand::Slot(s) => &slots[*s as usize],
+        COperand::Global(g) => &globals[*g as usize],
+        COperand::Value(v) => v,
+    }
+}
+
+/// Operand lists up to this long are gathered on the stack.
+const INLINE_OPERANDS: usize = 8;
+
+/// Gathers an instruction's operands as `&[&Value]` — the form `ops::eval`,
+/// `ops::instantiate` and host functions take — and hands them to `f`.
+#[inline(always)]
+fn with_operands<R>(
+    globals: &[Value],
+    slots: &[Value],
+    ops: &[COperand],
+    f: impl FnOnce(&[&Value]) -> R,
+) -> R {
+    if ops.len() <= INLINE_OPERANDS {
+        let null = Value::Null;
+        let mut buf = [&null; INLINE_OPERANDS];
+        for (b, op) in buf.iter_mut().zip(ops) {
+            *b = operand(globals, slots, op);
+        }
+        f(&buf[..ops.len()])
+    } else {
+        let all: Vec<&Value> = ops.iter().map(|op| operand(globals, slots, op)).collect();
+        f(&all)
     }
 }
 
@@ -899,16 +988,29 @@ fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
     Ok(true)
 }
 
-/// Runs `func` on a frame stack of its own; the first frame comes from the
-/// context's pool like every later one.
+/// Runs `func` on a frame stack of its own, its parameters copied from
+/// `args`; the first frame comes from the context's pool like every later
+/// one.
 fn enter(
     prog: &CompiledProgram,
     ctx: &mut Context,
     func: u32,
-    args: impl IntoIterator<Item = Value>,
+    args: &[Value],
     resumable: bool,
 ) -> RtResult<Outcome> {
-    let frames = vec![Frame::new(prog, func, args, &mut ctx.frame_pool)];
+    let first = Frame::new(prog, func, args.iter().cloned(), &mut ctx.frame_pool);
+    run_frame(prog, ctx, first, resumable)
+}
+
+/// Runs `first` on a frame stack of its own — the context's parked one.
+fn run_frame(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    first: Frame,
+    resumable: bool,
+) -> RtResult<Outcome> {
+    let mut frames = std::mem::take(&mut ctx.frame_stack);
+    frames.push(first);
     run(prog, ctx, frames, resumable)
 }
 
@@ -917,30 +1019,30 @@ fn enter(
 pub fn run(
     prog: &CompiledProgram,
     ctx: &mut Context,
-    frames: Vec<Frame>,
+    mut frames: Vec<Frame>,
     resumable: bool,
 ) -> RtResult<Outcome> {
-    let mut argbuf = std::mem::take(&mut ctx.argbuf);
     let mut frame_pool = std::mem::take(&mut ctx.frame_pool);
-    let result = dispatch(prog, ctx, frames, resumable, &mut argbuf, &mut frame_pool);
-    // Operands of the last instruction must not outlive the run.
-    argbuf.clear();
-    ctx.argbuf = argbuf;
+    let result = dispatch(prog, ctx, &mut frames, resumable, &mut frame_pool);
     ctx.frame_pool = frame_pool;
+    // Whatever an escaping exception left behind is dropped here; the
+    // stack's storage serves the next entry.
+    frames.clear();
+    ctx.frame_stack = frames;
     result
 }
 
-/// The main dispatch loop. `argbuf` is the re-used operand buffer and
-/// `frame_pool` the free list recycling frame slot vectors across calls.
+/// The main dispatch loop. `frame_pool` is the free list recycling frame
+/// slot vectors across calls.
 fn dispatch(
     prog: &CompiledProgram,
     ctx: &mut Context,
-    mut frames: Vec<Frame>,
+    frames: &mut Vec<Frame>,
     resumable: bool,
-    argbuf: &mut Vec<Value>,
     frame_pool: &mut Vec<Vec<Value>>,
 ) -> RtResult<Outcome> {
     'dispatch: loop {
+        let depth = frames.len();
         let Some(frame) = frames.last_mut() else {
             return Ok(Outcome::Done(Value::Null));
         };
@@ -1045,10 +1147,37 @@ fn dispatch(
                 let err: RtError = $err;
                 if resumable && err.kind == ExceptionKind::WouldBlock {
                     // Suspend *at* this instruction; resume retries it.
-                    return Ok(Outcome::Suspended(frames));
+                    return Ok(Outcome::Suspended(std::mem::take(frames)));
                 }
-                match dispatch_exception(&mut frames, err)? {
+                match dispatch_exception(frames, err)? {
                     () => continue 'dispatch,
+                }
+            }};
+        }
+
+        // Moves a produced value to where it is wanted: the wrapped global,
+        // else the target slot. (Under a `GlobalStore` the inner instruction
+        // targets the function's scratch slot, which nothing reads.)
+        macro_rules! store {
+            ($target:expr, $value:expr) => {{
+                match (store_global, $target) {
+                    (Some(g), _) => ctx.globals[g as usize] = $value,
+                    (None, Some(t)) => frame.slots[t as usize] = $value,
+                    (None, None) => {}
+                }
+            }};
+        }
+
+        // Completes a value-producing instruction: the value moves to its
+        // destination and execution goes on, or the error is raised.
+        macro_rules! complete {
+            ($target:expr, $result:expr) => {{
+                match $result {
+                    Ok(v) => {
+                        store!($target, v);
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
                 }
             }};
         }
@@ -1079,91 +1208,70 @@ fn dispatch(
                 args,
                 idents,
             } => {
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
-                match ops::eval(*opcode, argbuf, idents, ctx) {
-                    Ok(evaluated) => {
-                        let frame = frames.last_mut().expect("frame exists");
-                        if let Some(t) = target {
-                            frame.slots[*t as usize] = evaluated.value.clone();
-                        }
-                        if let Some(g) = store_global {
-                            ctx.globals[g as usize] = evaluated.value;
-                        }
-                        frame.pc += 1;
-                        // Fire timer callables synchronously (nested runs).
-                        for fired in evaluated.fired {
-                            run_callable(prog, ctx, &fired, &[])?;
-                        }
+                let result = with_operands(&ctx.globals, &frame.slots, args, |refs| {
+                    ops::eval(*opcode, refs, idents, &mut ctx.env)
+                });
+                complete!(*target, result);
+                // Timer callables the instruction found due run now,
+                // synchronously (nested runs).
+                if !ctx.env.fired.is_empty() {
+                    for fired in std::mem::take(&mut ctx.env.fired) {
+                        run_callable(prog, ctx, &fired, &[])?;
                     }
-                    Err(e) => raise!(e),
                 }
             }
             CInstr::New { target, ty, args } => {
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
-                match ops::instantiate(ty, argbuf, ctx) {
-                    Ok(v) => {
-                        let frame = frames.last_mut().expect("frame exists");
-                        frame.slots[*target as usize] = v.clone();
-                        if let Some(g) = store_global {
-                            ctx.globals[g as usize] = v;
-                        }
-                        frame.pc += 1;
-                    }
-                    Err(e) => raise!(e),
-                }
+                let result = with_operands(&ctx.globals, &frame.slots, args, |refs| {
+                    ops::instantiate(ty, refs, &mut ctx.env)
+                });
+                complete!(Some(*target), result);
             }
             CInstr::Call { target, func, args } => {
                 if let Some(max) = ctx.limits.max_call_depth {
-                    if frames.len() >= max as usize {
+                    if depth >= max as usize {
                         raise!(RtError::resource_exhausted("call depth limit exceeded"));
                     }
                 }
-                let frame = frames.last_mut().expect("frame exists");
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
-                frame.pc += 1;
-                let mut callee = Frame::new(prog, *func, argbuf.drain(..), frame_pool);
+                // The one copy a call makes: each argument, into the
+                // callee's parameter slot.
+                let mut callee = Frame::new(
+                    prog,
+                    *func,
+                    args.iter()
+                        .map(|a| operand(&ctx.globals, &frame.slots, a).clone()),
+                    frame_pool,
+                );
                 callee.ret_slot = *target;
                 callee.ret_global = store_global;
+                frame.pc += 1;
                 frames.push(callee);
             }
-            CInstr::CallHost { target, name, args } => {
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
-                match call_host(prog, ctx, name, argbuf) {
-                    Ok(v) => {
-                        let frame = frames.last_mut().expect("frame exists");
-                        if let Some(t) = target {
-                            frame.slots[*t as usize] = v.clone();
-                        }
-                        if let Some(g) = store_global {
-                            ctx.globals[g as usize] = v;
-                        }
-                        frame.pc += 1;
-                    }
-                    Err(e) => raise!(e),
-                }
+            CInstr::CallHost {
+                target,
+                name,
+                host,
+                args,
+            } => {
+                let result = with_operands(&ctx.globals, &frame.slots, args, |refs| {
+                    call_host(&mut ctx.host_fns, &mut ctx.env, *host, name, refs)
+                });
+                complete!(*target, result);
             }
             CInstr::RunHook { hook, args } => {
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
                 frame.pc += 1;
                 for &body in &prog.hooks[*hook as usize] {
                     // Hook bodies run synchronously, in priority order
-                    // (nested execution; hooks do not suspend).
-                    match enter(prog, ctx, body, argbuf.iter().cloned(), false)? {
+                    // (nested execution; hooks do not suspend), each on its
+                    // own copy of the arguments.
+                    let caller = frames.last().expect("frame exists");
+                    let first = Frame::new(
+                        prog,
+                        body,
+                        args.iter()
+                            .map(|a| operand(&ctx.globals, &caller.slots, a).clone()),
+                        &mut ctx.frame_pool,
+                    );
+                    match run_frame(prog, ctx, first, false)? {
                         Outcome::Done(_) => {}
                         Outcome::Suspended(_) => unreachable!("non-resumable"),
                     }
@@ -1175,50 +1283,44 @@ fn dispatch(
                 args,
             } => {
                 if let Some(max) = ctx.limits.max_call_depth {
-                    if frames.len() >= max as usize {
+                    if depth >= max as usize {
                         raise!(RtError::resource_exhausted("call depth limit exceeded"));
                     }
                 }
-                let frame = frames.last_mut().expect("frame exists");
-                let cval = operand_value(ctx, frame, callable);
-                let Value::Callable(c) = cval else {
-                    raise!(RtError::type_error(format!(
+                let c = match operand(&ctx.globals, &frame.slots, callable) {
+                    Value::Callable(c) => c,
+                    other => raise!(RtError::type_error(format!(
                         "callable.call on {}",
-                        cval.type_name()
-                    )));
+                        other.type_name()
+                    ))),
                 };
-                argbuf.clear();
-                for a in args.iter() {
-                    argbuf.push(operand_value(ctx, frame, a));
-                }
-                let Some(fi) = prog.func_index.get(&*c.func).copied() else {
-                    // Host-function callable.
-                    match call_host(prog, ctx, &c.func, &{
-                        let mut full = c.bound.clone();
-                        full.extend(argbuf.iter().cloned());
-                        full
-                    }) {
-                        Ok(v) => {
-                            let frame = frames.last_mut().expect("frame exists");
-                            if let Some(t) = target {
-                                frame.slots[*t as usize] = v.clone();
-                            }
-                            if let Some(g) = store_global {
-                                ctx.globals[g as usize] = v;
-                            }
-                            frame.pc += 1;
-                            continue 'dispatch;
-                        }
-                        Err(e) => raise!(e),
+                // Bound arguments first, then the call's own.
+                match prog.func_index.get(&*c.func).copied() {
+                    Some(fi) => {
+                        let own = args
+                            .iter()
+                            .map(|a| operand(&ctx.globals, &frame.slots, a).clone());
+                        let mut callee =
+                            Frame::new(prog, fi, c.bound.iter().cloned().chain(own), frame_pool);
+                        callee.ret_slot = *target;
+                        callee.ret_global = store_global;
+                        frame.pc += 1;
+                        frames.push(callee);
                     }
-                };
-                frame.pc += 1;
-                let mut full_args = c.bound.clone();
-                full_args.append(argbuf);
-                let mut callee = Frame::new(prog, fi, full_args, frame_pool);
-                callee.ret_slot = *target;
-                callee.ret_global = store_global;
-                frames.push(callee);
+                    None => {
+                        // Host-function callable.
+                        let mut refs: Vec<&Value> = c.bound.iter().collect();
+                        refs.extend(args.iter().map(|a| operand(&ctx.globals, &frame.slots, a)));
+                        let result = call_host_named(
+                            &mut ctx.host_fns,
+                            &ctx.host_index,
+                            &mut ctx.env,
+                            &c.func,
+                            &refs,
+                        );
+                        complete!(*target, result);
+                    }
+                }
             }
             // --- struct field sites: slot from the site cache ------------
             // `ops::struct_get` / `struct_set` are the semantics (the
@@ -1230,20 +1332,11 @@ fn dispatch(
                 field,
                 ic,
             } => {
-                let v = operand_value(ctx, frame, obj);
-                match ops::struct_get(&v, field, |t| struct_site_index(ctx, ic, t, field)) {
-                    Ok(val) => {
-                        let frame = frames.last_mut().expect("frame exists");
-                        if let Some(t) = target {
-                            frame.slots[*t as usize] = val.clone();
-                        }
-                        if let Some(g) = store_global {
-                            ctx.globals[g as usize] = val;
-                        }
-                        frame.pc += 1;
-                    }
-                    Err(e) => raise!(e),
-                }
+                let result =
+                    ops::struct_get(operand(&ctx.globals, &frame.slots, obj), field, |t| {
+                        struct_site_index(&ctx.env, ic, t, field)
+                    });
+                complete!(*target, result);
             }
             CInstr::StructSet {
                 target,
@@ -1252,22 +1345,13 @@ fn dispatch(
                 field,
                 ic,
             } => {
-                let v = operand_value(ctx, frame, obj);
-                let val = operand_value(ctx, frame, value);
-                match ops::struct_set(&v, val, |t| struct_site_index(ctx, ic, t, field)) {
-                    Ok(()) => {
-                        let frame = frames.last_mut().expect("frame exists");
-                        // `struct.set` evaluates to Null.
-                        if let Some(t) = target {
-                            frame.slots[*t as usize] = Value::Null;
-                        }
-                        if let Some(g) = store_global {
-                            ctx.globals[g as usize] = Value::Null;
-                        }
-                        frame.pc += 1;
-                    }
-                    Err(e) => raise!(e),
-                }
+                let result = ops::struct_set(
+                    operand(&ctx.globals, &frame.slots, obj),
+                    operand(&ctx.globals, &frame.slots, value).clone(),
+                    |t| struct_site_index(&ctx.env, ic, t, field),
+                );
+                // `struct.set` evaluates to Null.
+                complete!(*target, result.map(|()| Value::Null));
             }
             // --- typed instructions: clone-free, inline on frame.slots ---
             CInstr::AddInt { .. }
@@ -1288,17 +1372,17 @@ fn dispatch(
                 cond,
                 then_pc,
                 else_pc,
-            } => {
-                let v = operand_value(ctx, frame, cond);
-                match v.as_bool() {
-                    Ok(true) => frame.pc = *then_pc,
-                    Ok(false) => frame.pc = *else_pc,
-                    Err(e) => raise!(e),
-                }
-            }
+            } => match operand(&ctx.globals, &frame.slots, cond).as_bool() {
+                Ok(true) => frame.pc = *then_pc,
+                Ok(false) => frame.pc = *else_pc,
+                Err(e) => raise!(e),
+            },
             CInstr::Return(v) => {
+                // The frame is finished: a returned local moves out of its
+                // slot; a global or a constant is copied.
                 let value = match v {
-                    Some(op) => operand_value(ctx, frame, op),
+                    Some(COperand::Slot(s)) => std::mem::take(&mut frame.slots[*s as usize]),
+                    Some(op) => operand(&ctx.globals, &frame.slots, op).clone(),
                     None => Value::Null,
                 };
                 let mut finished = frames.pop().expect("frame exists");
@@ -1310,14 +1394,11 @@ fn dispatch(
                 }
                 match frames.last_mut() {
                     None => return Ok(Outcome::Done(value)),
-                    Some(caller) => {
-                        if let Some(t) = finished.ret_slot {
-                            caller.slots[t as usize] = value.clone();
-                        }
-                        if let Some(g) = finished.ret_global {
-                            ctx.globals[g as usize] = value;
-                        }
-                    }
+                    Some(caller) => match (finished.ret_global, finished.ret_slot) {
+                        (Some(g), _) => ctx.globals[g as usize] = value,
+                        (None, Some(t)) => caller.slots[t as usize] = value,
+                        (None, None) => {}
+                    },
                 }
             }
             CInstr::PushHandler { pc, kind, binder } => {
@@ -1335,7 +1416,7 @@ fn dispatch(
             CInstr::Yield => {
                 frame.pc += 1;
                 if resumable {
-                    return Ok(Outcome::Suspended(frames));
+                    return Ok(Outcome::Suspended(std::mem::take(frames)));
                 }
                 // Outside a fiber, yield is a no-op scheduling point.
             }
@@ -1351,15 +1432,20 @@ pub fn run_callable(
     c: &CallableVal,
     extra: &[Value],
 ) -> RtResult<Value> {
-    let mut args = c.bound.clone();
-    args.extend(extra.iter().cloned());
     if let Some(fi) = prog.func_index.get(&*c.func).copied() {
-        match enter(prog, ctx, fi, args, false)? {
+        let first = Frame::new(
+            prog,
+            fi,
+            c.bound.iter().chain(extra).cloned(),
+            &mut ctx.frame_pool,
+        );
+        match run_frame(prog, ctx, first, false)? {
             Outcome::Done(v) => Ok(v),
             Outcome::Suspended(_) => unreachable!("non-resumable"),
         }
     } else {
-        call_host(prog, ctx, &c.func, &args)
+        let args: Vec<&Value> = c.bound.iter().chain(extra).collect();
+        ctx.call_host_named(&c.func, &args)
     }
 }
 
@@ -1369,7 +1455,7 @@ pub fn run_callable(
 /// `IcSite::cap` distinct types have been seen, at which point the site
 /// de-optimizes and resolves through the type table forever.
 fn struct_site_index(
-    ctx: &Context,
+    env: &Env,
     ic: &RefCell<IcSite>,
     type_name: &Rc<str>,
     field: &str,
@@ -1380,7 +1466,7 @@ fn struct_site_index(
         return Ok(idx);
     }
     site.misses += 1;
-    let idx = ops::struct_field_index(ctx, type_name, field)?;
+    let idx = ops::struct_field_index(env, type_name, field)?;
     site.refill(IcEntry::Struct {
         type_name: Rc::clone(type_name),
         field_idx: idx as u32,
@@ -1388,28 +1474,39 @@ fn struct_site_index(
     Ok(idx)
 }
 
-/// Calls a host-registered or builtin function.
+/// Calls host function `id` — a `call.c` site's callee, resolved when the
+/// program was lowered. `name` only words the error for a function nobody
+/// registered.
 fn call_host(
-    _prog: &CompiledProgram,
-    ctx: &mut Context,
+    host_fns: &mut [Option<HostFn>],
+    env: &mut Env,
+    id: u32,
     name: &str,
-    args: &[Value],
+    args: &[&Value],
 ) -> RtResult<Value> {
-    // Builtins.
-    if name == "Hilti::print" {
-        let line = args
-            .iter()
-            .map(Value::render)
-            .collect::<Vec<_>>()
-            .join(", ");
-        ctx.output(line);
+    if id == HOST_PRINT {
+        env.output(Value::render_joined(args, ", "));
         return Ok(Value::Null);
     }
-    let Some(f) = ctx.host_fns.get(name).cloned() else {
-        return Err(RtError::value(format!("unknown function {name}")));
-    };
-    let mut f = f.borrow_mut();
-    f(args)
+    match host_fns.get_mut(id as usize) {
+        Some(Some(f)) => f(args),
+        _ => Err(RtError::value(format!("unknown function {name}"))),
+    }
+}
+
+/// [`call_host`] for a callee known by name only (a callable's target, the
+/// interpreter's `call`).
+fn call_host_named(
+    host_fns: &mut [Option<HostFn>],
+    host_index: &HashMap<String, u32>,
+    env: &mut Env,
+    name: &str,
+    args: &[&Value],
+) -> RtResult<Value> {
+    match host_index.get(name) {
+        Some(&id) => call_host(host_fns, env, id, name, args),
+        None => Err(RtError::value(format!("unknown function {name}"))),
+    }
 }
 
 /// Finds and dispatches to the innermost matching handler, unwinding
@@ -1697,12 +1794,7 @@ done:
             // producer closure state resets per open; fine for this test
             Ok(Value::IOSrc(std::rc::Rc::new(RefCell::new(src))))
         });
-        let opened = {
-            let prog = p.compiled().clone();
-            let mut ctx_src = crate::ops::ExecCtx::open_iosrc(p.context_mut(), "trace").unwrap();
-            let _ = &prog;
-            std::mem::replace(&mut ctx_src, Value::Null)
-        };
+        let opened = p.context_mut().env.open_iosrc("trace").unwrap();
         let v = p.run("M::drain", &[opened]).unwrap();
         assert!(v.equals(&Value::Int(3)));
     }

@@ -4,6 +4,7 @@
 #   build (release)  — the artifacts the benchmarks run against
 #   test             — unit + integration suites across the workspace
 #   clippy           — lint wall; warnings are errors
+#   opcost           — per-statement script cost table (printed, not gated)
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate and validate
 #   bench smoke      — telemetry-overhead bench compiles and runs (test mode)
 #   benchmark smoke  — the repo benchmark (BENCHMARK.json) builds, passes its
@@ -25,6 +26,10 @@ cargo build --release "$@"
 # (parallel, chaos, supervision, telemetry, tracing, zerocopy).
 cargo test -q "$@"
 cargo clippy --workspace "$@" -- -D warnings
+
+# What one script statement costs on the compiled engine. Kernel numbers,
+# printed as evidence of where script time goes; nothing is asserted.
+target/release/repro opcost
 
 # Everything below may pull in dev-dependencies beyond what the stubbed
 # workspace provides, so the stub check comes first.
