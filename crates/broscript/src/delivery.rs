@@ -22,7 +22,8 @@
 //! [`ParserState`] variant (plus its arm in [`build_engine`] and in
 //! [`Analyzer::parse`]), not a new loop.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use binpac::dns::BinpacDns;
@@ -35,7 +36,6 @@ use hilti_rt::limits::ResourceLimits;
 use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::telemetry::{Counter, Event as TelemetryEvent, FieldValue, Histogram, Telemetry};
 use hilti_rt::time::{Interval, Time};
-use hilti_rt::timer::TimerMgr;
 use hilti_rt::trace::{
     monotonic_ns, FlightRecorder, PostmortemDump, RecorderPart, SharedRecorder, Stage,
 };
@@ -143,6 +143,30 @@ struct FlowMeta {
     seq: u64,
 }
 
+/// When the front end sweeps idle flows: after a packet that carries trace
+/// time past some earlier packet's `ts + idle_timeout`. Deadlines only,
+/// and a clock that never runs backwards, like the `TimerMgr` it replaces.
+#[derive(Default)]
+struct IdleClock {
+    now: Time,
+    pending: BinaryHeap<Reverse<Time>>,
+}
+
+impl IdleClock {
+    /// Adds a packet at `ts` with deadline `deadline`; true when some
+    /// pending deadline (this one included) has passed.
+    fn passed(&mut self, ts: Time, deadline: Time) -> bool {
+        self.now = self.now.max(ts);
+        self.pending.push(Reverse(deadline));
+        let mut passed = false;
+        while self.pending.peek().is_some_and(|Reverse(d)| *d <= self.now) {
+            self.pending.pop();
+            passed = true;
+        }
+        passed
+    }
+}
+
 /// Front-end metric handles (the shared-decision counters).
 struct FrontMetrics {
     packets: Counter,
@@ -159,7 +183,7 @@ pub(crate) struct FlowFrontEnd {
     workers: usize,
     idle_timeout_ms: Option<u64>,
     flows: FlowTable,
-    timers: TimerMgr<Arc<str>>,
+    idle: IdleClock,
     meta: HashMap<Arc<str>, FlowMeta>,
     next_seq: u64,
     metrics: Option<FrontMetrics>,
@@ -186,7 +210,7 @@ impl FlowFrontEnd {
             workers,
             idle_timeout_ms: gov.idle_timeout_ms,
             flows: FlowTable::new(),
-            timers: TimerMgr::new(),
+            idle: IdleClock::default(),
             meta: HashMap::new(),
             next_seq: 0,
             metrics: telemetry.map(|t| FrontMetrics {
@@ -279,13 +303,13 @@ impl FlowFrontEnd {
         Some(d)
     }
 
-    /// Idle-flow expiry on trace time, after delivery `d`: each packet
-    /// re-arms its flow's deadline; fired timers trigger a (lazily
-    /// re-checked) sweep of the flow table. Returns the `(shard, uid)` of
-    /// every flow evicted — the owning analyzer must drop its state — and
-    /// hands `emit` one `timer_expiry` per flow. A *global* decision:
-    /// shard-local sweeps would fire at different packet positions for
-    /// different worker counts.
+    /// Idle-flow expiry on trace time, after delivery `d`: once some
+    /// packet's deadline passes, the flow table evicts the flows idle for
+    /// longer than the timeout, examining only those. Returns the `(shard,
+    /// uid)` of every flow evicted — the owning analyzer must drop its
+    /// state — and hands `emit` one `timer_expiry` per flow. A *global*
+    /// decision: shard-local sweeps would fire at different packet
+    /// positions for different worker counts.
     pub(crate) fn expire(
         &mut self,
         d: &Delivery,
@@ -294,9 +318,10 @@ impl FlowFrontEnd {
         let Some(ms) = self.idle_timeout_ms else {
             return Vec::new();
         };
-        self.timers
-            .schedule(d.ts + Interval::from_millis(ms as i64), d.uid.clone());
-        if self.timers.advance(d.ts).is_empty() {
+        if !self
+            .idle
+            .passed(d.ts, d.ts + Interval::from_millis(ms as i64))
+        {
             return Vec::new();
         }
         let cutoff = Time::from_nanos(d.ts.nanos().saturating_sub(ms.saturating_mul(1_000_000)));

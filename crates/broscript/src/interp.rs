@@ -121,10 +121,10 @@ impl Interp {
         for e in &self.expiring {
             match e {
                 Expiring::Set(s) => {
-                    s.borrow_mut().advance(t);
+                    s.borrow_mut().expire(t);
                 }
                 Expiring::Map(m) => {
-                    m.borrow_mut().advance(t);
+                    m.borrow_mut().expire(t);
                 }
             }
         }

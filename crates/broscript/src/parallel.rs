@@ -29,10 +29,10 @@
 //! **Determinism.** The result of an N-worker run is byte-identical to the
 //! 1-worker (and to the sequential [`crate::pipeline`]) run for every N
 //! and every batch size. Global decisions stay on the dispatcher: uid
-//! assignment, TCP reassembly, and idle-flow expiry (the timer wheel
-//! sweeps the shared flow table; shards receive `Evict` directives rather
-//! than sweeping locally, since a shard-local sweep would fire at
-//! different packet positions for different N). Shard-side effects — log
+//! assignment, TCP reassembly, and idle-flow expiry (the front end
+//! expires flows from the shared flow table; shards receive `Evict`
+//! directives rather than sweeping locally, since a shard-local sweep
+//! would fire at different packet positions for different N). Shard-side effects — log
 //! lines, printed lines, flow errors, telemetry events — are recorded in
 //! flat per-shard vectors, and each processing step seals an
 //! [`EffectBlock`]: the ranges it appended, keyed by the
@@ -268,7 +268,7 @@ enum ShardItem {
     /// is the dispatcher's enqueue timestamp when tracing is on (the
     /// shard's queue-wait span and delivery latency start there).
     Delivery(Delivery),
-    /// The dispatcher's timer wheel expired this flow: drop parser state.
+    /// The dispatcher's idle expiry evicted this flow: drop parser state.
     Evict { uid: Arc<str> },
     /// End-of-trace flush of one still-open flow.
     FinishFlow {

@@ -8,18 +8,20 @@
 //! interval(300)`, Figure 5) and the foundation of every long-running
 //! session table.
 //!
-//! Eviction is driven by `advance(now)`: the owner (a HILTI timer manager,
-//! or the host directly) pushes the clock forward and the container drops
-//! expired entries. Internally each container keeps a deadline-ordered queue
-//! with lazy invalidation — re-touching an entry does not have to search the
-//! queue, it just enqueues a fresh deadline and the stale one is discarded
-//! when popped.
+//! Eviction is driven by `advance(now)` (or `expire(now)`, which only
+//! counts): the owner (a HILTI timer manager, or the host directly) pushes
+//! the clock forward and the container drops expired entries. Each entry
+//! carries its own deadline, and the container keeps a
+//! [`DeadlineQueue`] holding at most one record per entry: a touch only
+//! rewrites the entry's deadline — no queue push, no key clone — and a
+//! record that comes due before its entry is re-armed at the entry's
+//! deadline. Entries are evicted in (deadline, touch order) order.
 
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry as HmEntry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::{Entry as HmEntry, VacantEntry};
+use std::collections::HashMap;
 use std::hash::Hash;
 
+use crate::deadline::{Arm, DeadlineQueue, Due};
 use crate::error::RtResult;
 use crate::limits::AllocBudget;
 use crate::time::{Interval, Time};
@@ -42,20 +44,52 @@ pub enum ExpireStrategy {
     Access,
 }
 
+type Policy = Option<(ExpireStrategy, Interval)>;
+
 #[derive(Clone, Debug)]
 struct Stamped<V> {
     value: V,
-    /// Deadline currently considered authoritative for this entry.
-    deadline: Time,
-    /// Sequence number of the queue record carrying that deadline; stale
-    /// queue records (from earlier touches) carry older numbers.
-    stamp_seq: u64,
+    due: Due,
+}
+
+/// Restarts `due`'s timeout at `now` if a creation (`create`) or an access
+/// restarts it under `policy`. `Some` when the entry needs a record queued
+/// under its key.
+fn restamp<K: Hash + Eq>(
+    deadlines: &mut DeadlineQueue<K>,
+    policy: Policy,
+    due: &mut Due,
+    now: Time,
+    create: bool,
+) -> Option<Arm<u64>> {
+    match policy {
+        Some((ExpireStrategy::Access, timeout)) => deadlines.stamp(due, now + timeout),
+        Some((ExpireStrategy::Create, timeout)) if create => deadlines.stamp(due, now + timeout),
+        _ => None,
+    }
+}
+
+/// Inserts a new entry, queueing its first deadline if `policy` gives it
+/// one.
+fn insert_new<'a, K: Hash + Eq + Clone, V>(
+    deadlines: &mut DeadlineQueue<K>,
+    policy: Policy,
+    v: VacantEntry<'a, K, Stamped<V>>,
+    value: V,
+    now: Time,
+) -> &'a mut V {
+    let mut due = Due::never();
+    if let Some(arm) = restamp(deadlines, policy, &mut due, now, true) {
+        deadlines.arm(arm, v.key().clone());
+    }
+    &mut v.insert(Stamped { value, due }).value
 }
 
 /// A hash map with optional per-entry expiration — HILTI's `map` type.
 pub struct ExpiringMap<K, V> {
     entries: HashMap<K, Stamped<V>>,
-    deadlines: Deadlines<K>,
+    deadlines: DeadlineQueue<K>,
+    policy: Policy,
     /// Entries evicted over the container's lifetime (observability; the
     /// paper stresses measuring state-management behaviour, §3.3).
     evicted: u64,
@@ -64,52 +98,13 @@ pub struct ExpiringMap<K, V> {
     budget: Option<AllocBudget>,
 }
 
-/// The expiration side of an [`ExpiringMap`], apart from the entry table so
-/// that a deadline can be stamped while an entry of the table is held.
-struct Deadlines<K> {
-    /// Deadline-ordered queue of (deadline, seq) records; `seq_keys` maps a
-    /// record back to its key. Records whose seq no longer matches the
-    /// entry's authoritative `stamp_seq` are stale and skipped on pop.
-    queue: BinaryHeap<Reverse<(Time, u64)>>,
-    seq_keys: HashMap<u64, K>,
-    next_seq: u64,
-    policy: Option<(ExpireStrategy, Interval)>,
-}
-
-impl<K: Clone> Deadlines<K> {
-    /// Enqueues a fresh deadline record for `key`, returning
-    /// (deadline, seq). With no policy, returns the never-expires sentinel.
-    fn stamp(&mut self, key: &K, now: Time) -> (Time, u64) {
-        match self.policy {
-            Some((_, timeout)) => {
-                let deadline = now + timeout;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.queue.push(Reverse((deadline, seq)));
-                self.seq_keys.insert(seq, key.clone());
-                (deadline, seq)
-            }
-            None => (Time::from_nanos(u64::MAX), u64::MAX),
-        }
-    }
-
-    fn forget(&mut self) {
-        self.queue.clear();
-        self.seq_keys.clear();
-    }
-}
-
 impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// A map without expiration (plain hash map semantics).
     pub fn new() -> Self {
         ExpiringMap {
             entries: HashMap::new(),
-            deadlines: Deadlines {
-                queue: BinaryHeap::new(),
-                seq_keys: HashMap::new(),
-                next_seq: 0,
-                policy: None,
-            },
+            deadlines: DeadlineQueue::new(),
+            policy: None,
             evicted: 0,
             budget: None,
         }
@@ -144,17 +139,18 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// Sets the expiration policy, like `map.timeout` / `set.timeout`.
     /// Affects entries inserted or touched from now on.
     pub fn set_timeout(&mut self, strategy: ExpireStrategy, timeout: Interval) {
-        self.deadlines.policy = Some((strategy, timeout));
+        self.policy = Some((strategy, timeout));
     }
 
     /// Clears the expiration policy; existing deadlines are forgotten.
     pub fn clear_timeout(&mut self) {
-        self.deadlines.policy = None;
-        self.deadlines.forget();
+        self.policy = None;
+        self.deadlines.clear();
+        self.entries.values_mut().for_each(|s| s.due.disarm());
     }
 
     pub fn policy(&self) -> Option<(ExpireStrategy, Interval)> {
-        self.deadlines.policy
+        self.policy
     }
 
     pub fn len(&self) -> usize {
@@ -170,57 +166,57 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         self.evicted
     }
 
+    /// Deadline records queued (a diagnostic, like `TimerMgr::heaped`): at
+    /// most one per live entry, plus those of entries removed (or
+    /// re-queued earlier) that have not come due yet.
+    pub fn queued(&self) -> usize {
+        self.deadlines.len()
+    }
+
     /// Inserts or replaces; the entry's timeout (re)starts at `now`.
     ///
     /// An attached budget is charged for genuinely new keys but *not*
     /// enforced here; use [`ExpiringMap::try_insert`] on paths where
     /// growth must be capped.
     pub fn insert(&mut self, key: K, value: V, now: Time) -> Option<V> {
-        if let Some(b) = &self.budget {
-            if !self.entries.contains_key(&key) {
-                b.charge_unchecked(Self::entry_cost());
-            }
-        }
-        let (deadline, stamp_seq) = self.deadlines.stamp(&key, now);
-        self.entries
-            .insert(
-                key,
-                Stamped {
-                    value,
-                    deadline,
-                    stamp_seq,
-                },
-            )
-            .map(|s| s.value)
+        let unenforced = |b: &AllocBudget, cost| {
+            b.charge_unchecked(cost);
+            Ok(())
+        };
+        self.put(key, value, now, unenforced)
+            .expect("an unenforced charge cannot fail")
     }
 
     /// Like [`ExpiringMap::insert`], but fails with
     /// `Hilti::ResourceExhausted` (leaving the map unchanged) when an
     /// attached budget cannot cover a new entry.
     pub fn try_insert(&mut self, key: K, value: V, now: Time) -> RtResult<Option<V>> {
-        // One probe: the entry says whether the key is new (the budget is
-        // charged first, so a refusal leaves map and queue untouched), then
-        // takes the freshly stamped value.
+        self.put(key, value, now, AllocBudget::charge)
+    }
+
+    /// One probe: the entry says whether the key is new (the budget is
+    /// charged first, so a refusal leaves map and queue untouched), then
+    /// takes the value and a fresh deadline.
+    fn put(
+        &mut self,
+        key: K,
+        value: V,
+        now: Time,
+        charge: impl FnOnce(&AllocBudget, u64) -> RtResult<()>,
+    ) -> RtResult<Option<V>> {
+        let (q, policy) = (&mut self.deadlines, self.policy);
         match self.entries.entry(key) {
             HmEntry::Occupied(mut o) => {
-                let (deadline, stamp_seq) = self.deadlines.stamp(o.key(), now);
-                let stamped = Stamped {
-                    value,
-                    deadline,
-                    stamp_seq,
-                };
-                Ok(Some(std::mem::replace(o.get_mut(), stamped).value))
+                if let Some(arm) = restamp(q, policy, &mut o.get_mut().due, now, true) {
+                    q.arm(arm, o.key().clone());
+                }
+                Ok(Some(std::mem::replace(&mut o.get_mut().value, value)))
             }
             HmEntry::Vacant(v) => {
                 if let Some(b) = &self.budget {
-                    b.charge(Self::entry_cost())?;
+                    charge(b, Self::entry_cost())?;
                 }
-                let (deadline, stamp_seq) = self.deadlines.stamp(v.key(), now);
-                v.insert(Stamped {
-                    value,
-                    deadline,
-                    stamp_seq,
-                });
+                insert_new(q, policy, v, value, now);
                 Ok(None)
             }
         }
@@ -235,8 +231,8 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     /// Mutable access; always counts as an access for the policy.
     pub fn get_mut(&mut self, key: &K, now: Time) -> Option<&mut V> {
         let s = self.entries.get_mut(key)?;
-        if matches!(self.deadlines.policy, Some((ExpireStrategy::Access, _))) {
-            (s.deadline, s.stamp_seq) = self.deadlines.stamp(key, now);
+        if let Some(arm) = restamp(&mut self.deadlines, self.policy, &mut s.due, now, false) {
+            self.deadlines.arm(arm, key.clone());
         }
         Some(&mut s.value)
     }
@@ -254,39 +250,19 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         now: Time,
         default: impl FnOnce() -> V,
     ) -> &mut V {
-        let refresh = match self.deadlines.policy {
-            Some((ExpireStrategy::Access, _)) => true,
-            Some((ExpireStrategy::Create, _)) => !self.entries.contains_key(&key),
-            None => false,
-        };
-        let (deadline, stamp_seq) = if refresh {
-            self.deadlines.stamp(&key, now)
-        } else {
-            self.entries
-                .get(&key)
-                .map(|s| (s.deadline, s.stamp_seq))
-                .unwrap_or((Time::from_nanos(u64::MAX), u64::MAX))
-        };
+        let (q, policy) = (&mut self.deadlines, self.policy);
         match self.entries.entry(key) {
-            HmEntry::Occupied(o) => {
-                let s = o.into_mut();
-                if refresh {
-                    s.deadline = deadline;
-                    s.stamp_seq = stamp_seq;
+            HmEntry::Occupied(mut o) => {
+                if let Some(arm) = restamp(q, policy, &mut o.get_mut().due, now, false) {
+                    q.arm(arm, o.key().clone());
                 }
-                &mut s.value
+                &mut o.into_mut().value
             }
             HmEntry::Vacant(v) => {
                 if let Some(b) = &self.budget {
                     b.charge_unchecked(Self::entry_cost());
                 }
-                &mut v
-                    .insert(Stamped {
-                        value: default(),
-                        deadline,
-                        stamp_seq,
-                    })
-                    .value
+                insert_new(q, policy, v, default(), now)
             }
         }
     }
@@ -300,30 +276,34 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         removed
     }
 
+    /// Drops every entry whose deadline has passed, handing each to
+    /// `evict` in deadline order; returns how many.
+    fn evict_due(&mut self, now: Time, mut evict: impl FnMut(K, V)) -> usize {
+        let mut n = 0;
+        while let Some((key, s)) = self
+            .deadlines
+            .pop_due(now, &mut self.entries, |s| &mut s.due)
+        {
+            evict(key, s.value);
+            n += 1;
+        }
+        self.evicted += n as u64;
+        self.credit_entries(n as u64);
+        n
+    }
+
     /// Drops every entry whose deadline has passed, returning the evicted
     /// pairs (so callers can run cleanup hooks, as HILTI timers would).
     pub fn advance(&mut self, now: Time) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        while let Some(Reverse((deadline, _))) = self.deadlines.queue.peek() {
-            if *deadline > now {
-                break;
-            }
-            let Reverse((_, seq)) = self.deadlines.queue.pop().expect("peeked entry");
-            let Some(key) = self.deadlines.seq_keys.remove(&seq) else {
-                continue;
-            };
-            // Only evict if this queue record is still the authoritative
-            // one; otherwise the entry was refreshed or replaced since.
-            let live = self.entries.get(&key).is_some_and(|s| s.stamp_seq == seq);
-            if live {
-                if let Some(s) = self.entries.remove(&key) {
-                    self.evicted += 1;
-                    out.push((key, s.value));
-                }
-            }
-        }
-        self.credit_entries(out.len() as u64);
+        self.evict_due(now, |k, v| out.push((k, v)));
         out
+    }
+
+    /// [`advance`](Self::advance) for a caller that only needs the count
+    /// (the engine's `timer_mgr.advance_global`).
+    pub fn expire(&mut self, now: Time) -> usize {
+        self.evict_due(now, |_, _| {})
     }
 
     /// Iterates over live entries (no deadline refresh).
@@ -335,7 +315,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     pub fn clear(&mut self) {
         self.credit_entries(self.entries.len() as u64);
         self.entries.clear();
-        self.deadlines.forget();
+        self.deadlines.clear();
     }
 }
 
@@ -359,7 +339,7 @@ impl<K, V> std::fmt::Debug for ExpiringMap<K, V> {
             f,
             "ExpiringMap {{ len: {}, policy: {:?} }}",
             self.entries.len(),
-            self.deadlines.policy
+            self.policy
         )
     }
 }
@@ -383,6 +363,11 @@ impl<K: Eq + Hash + Clone> ExpiringSet<K> {
         self.map.set_timeout(strategy, timeout);
     }
 
+    /// See [`ExpiringMap::clear_timeout`].
+    pub fn clear_timeout(&mut self) {
+        self.map.clear_timeout();
+    }
+
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -393,6 +378,11 @@ impl<K: Eq + Hash + Clone> ExpiringSet<K> {
 
     pub fn evicted(&self) -> u64 {
         self.map.evicted()
+    }
+
+    /// See [`ExpiringMap::queued`].
+    pub fn queued(&self) -> usize {
+        self.map.queued()
     }
 
     /// Attaches a shared byte budget (see [`ExpiringMap::set_budget`]).
@@ -431,7 +421,14 @@ impl<K: Eq + Hash + Clone> ExpiringSet<K> {
     }
 
     pub fn advance(&mut self, now: Time) -> Vec<K> {
-        self.map.advance(now).into_iter().map(|(k, _)| k).collect()
+        let mut out = Vec::new();
+        self.map.evict_due(now, |k, ()| out.push(k));
+        out
+    }
+
+    /// See [`ExpiringMap::expire`].
+    pub fn expire(&mut self, now: Time) -> usize {
+        self.map.expire(now)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &K> {
@@ -637,10 +634,11 @@ mod tests {
             m.insert(i % 100, i, t(i / 100));
             m.advance(t(i / 100));
         }
+        // Touches rewrite deadlines in place: one record per live key.
         assert!(m.len() <= 100);
-        // Stale queue records get drained as time advances.
+        assert_eq!(m.queued(), m.len());
         m.advance(t(10_000));
         assert!(m.is_empty());
-        assert!(m.deadlines.queue.is_empty());
+        assert_eq!(m.queued(), 0);
     }
 }

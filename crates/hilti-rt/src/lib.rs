@@ -3,7 +3,7 @@
 //! This crate implements the runtime substrate of the HILTI abstract machine
 //! (Vallentin et al., IMC 2014, §3.2 and §5 "Runtime Library"): the
 //! domain-specific value types, the stateful containers with built-in
-//! expiration, timers and timer managers, thread-safe channels, the
+//! expiration (and the deadline queue behind them), timers and timer managers, thread-safe channels, the
 //! incremental multi-pattern regular-expression engine, the ACL-style packet
 //! classifier, overlay unpacking primitives, profiling support, and small
 //! utilities (SHA-1, FNV hashing) that the host applications need.
@@ -22,6 +22,7 @@ pub mod bytestring;
 pub mod channel;
 pub mod classifier;
 pub mod containers;
+pub mod deadline;
 pub mod error;
 pub mod file;
 pub mod hashutil;

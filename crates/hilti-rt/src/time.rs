@@ -22,7 +22,7 @@ impl Time {
     pub const ZERO: Time = Time(0);
 
     /// Builds a time from raw nanoseconds since the epoch.
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         Time(ns)
     }
 

@@ -727,12 +727,12 @@ pub fn const_value(c: &Const) -> RtResult<Value> {
         Const::Time(t) => Value::Time(*t),
         Const::Interval(i) => Value::Interval(*i),
         Const::EnumLit(name, idx) => Value::Enum(Rc::from(name.as_str()), *idx),
-        Const::Tuple(elems) => Value::Tuple(Rc::new(
+        Const::Tuple(elems) => Value::Tuple(
             elems
                 .iter()
                 .map(const_value)
-                .collect::<RtResult<Vec<_>>>()?,
-        )),
+                .collect::<RtResult<Rc<[_]>>>()?,
+        ),
         Const::Patterns(pats) => {
             let refs: Vec<&str> = pats.iter().map(String::as_str).collect();
             Value::Regexp(Regex::set(&refs)?)

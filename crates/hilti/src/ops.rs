@@ -560,14 +560,11 @@ pub fn eval(
             };
             let from = args[2].as_bytes_iter()?;
             match hay.find(from.offset(), &needle)? {
-                Some(pos) => Value::Tuple(Rc::new(vec![
+                Some(pos) => Value::Tuple(Rc::new([
                     Value::Bool(true),
                     Value::BytesIter(hay.iter_at(pos)),
                 ])),
-                None => Value::Tuple(Rc::new(vec![
-                    Value::Bool(false),
-                    Value::BytesIter(hay.end()),
-                ])),
+                None => Value::Tuple(Rc::new([Value::Bool(false), Value::BytesIter(hay.end())])),
             }
         }
         BytesTrim => {
@@ -644,7 +641,7 @@ pub fn eval(
                 return Err(RtError::would_block());
             }
             let rest = b.sub(it.offset().min(b.end_offset()), b.end_offset())?;
-            Value::Tuple(Rc::new(vec![Value::Bytes(rest), Value::BytesIter(b.end())]))
+            Value::Tuple(Rc::new([Value::Bytes(rest), Value::BytesIter(b.end())]))
         }
 
         // --- bytes iterators ------------------------------------------------
@@ -816,7 +813,7 @@ pub fn eval(
             arity(args, 1, op)?;
             Value::Int(args[0].as_tuple()?.len() as i64)
         }
-        TuplePack => Value::Tuple(Rc::new(args.iter().map(|v| (*v).clone()).collect())),
+        TuplePack => Value::Tuple(args.iter().map(|v| (*v).clone()).collect()),
 
         // --- lists ---------------------------------------------------------------
         ListPushBack | ListAppend => {
@@ -1140,12 +1137,12 @@ pub fn eval(
             let re = as_regexp(args[0])?;
             let data = args[1].as_bytes()?.to_vec();
             match re.find(&data) {
-                Some((pos, pat, len)) => Value::Tuple(Rc::new(vec![
+                Some((pos, pat, len)) => Value::Tuple(Rc::new([
                     Value::Int(pos as i64),
                     Value::Int(pat as i64),
                     Value::Int(len as i64),
                 ])),
-                None => Value::Tuple(Rc::new(vec![Value::Int(-1), Value::Int(-1), Value::Int(0)])),
+                None => Value::Tuple(Rc::new([Value::Int(-1), Value::Int(-1), Value::Int(0)])),
             }
         }
         RegexpMatchToken => {
@@ -1165,12 +1162,12 @@ pub fn eval(
                 return Err(RtError::would_block());
             }
             match matcher.finish() {
-                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new(vec![
+                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new([
                     Value::Int(pattern as i64),
                     Value::BytesIter(it.advance(len)),
                 ])),
                 MatchVerdict::NoMatch => {
-                    Value::Tuple(Rc::new(vec![Value::Int(-1), Value::BytesIter(it.clone())]))
+                    Value::Tuple(Rc::new([Value::Int(-1), Value::BytesIter(it.clone())]))
                 }
             }
         }
@@ -1209,11 +1206,11 @@ pub fn eval(
                 }
             };
             match m.borrow().finish() {
-                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new(vec![
+                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new([
                     Value::Int(pattern as i64),
                     Value::Int(len as i64),
                 ])),
-                MatchVerdict::NoMatch => Value::Tuple(Rc::new(vec![Value::Int(-1), Value::Int(0)])),
+                MatchVerdict::NoMatch => Value::Tuple(Rc::new([Value::Int(-1), Value::Int(0)])),
             }
         }
 
@@ -1245,10 +1242,8 @@ pub fn eval(
             arity(args, 1, op)?;
             match args[0] {
                 Value::Channel(c) => match c.try_read()? {
-                    Some(p) => {
-                        Value::Tuple(Rc::new(vec![Value::Bool(true), Value::from_portable(&p)]))
-                    }
-                    None => Value::Tuple(Rc::new(vec![Value::Bool(false), Value::Null])),
+                    Some(p) => Value::Tuple(Rc::new([Value::Bool(true), Value::from_portable(&p)])),
+                    None => Value::Tuple(Rc::new([Value::Bool(false), Value::Null])),
                 },
                 other => Err(RtError::type_error(format!(
                     "expected channel, got {}",
@@ -1416,12 +1411,12 @@ pub fn eval(
                 Value::IOSrc(src) => {
                     let next = (src.borrow_mut().producer)();
                     match next {
-                        Some((t, data)) => Value::Tuple(Rc::new(vec![
+                        Some((t, data)) => Value::Tuple(Rc::new([
                             Value::Bool(true),
                             Value::Time(t),
                             Value::Bytes(Bytes::frozen_from_slice(&data)),
                         ])),
-                        None => Value::Tuple(Rc::new(vec![
+                        None => Value::Tuple(Rc::new([
                             Value::Bool(false),
                             Value::Time(Time::ZERO),
                             Value::Bytes(Bytes::new()),
@@ -1648,7 +1643,7 @@ fn with_classifier_key<R>(
     lookup: impl FnOnce(&[FieldValue]) -> RtResult<R>,
 ) -> RtResult<R> {
     let fields = match v {
-        Value::Tuple(t) => t.as_slice(),
+        Value::Tuple(t) => &t[..],
         single => std::slice::from_ref(single),
     };
     with_scratch(fields.len(), FieldValue::Int(0), |key| {
@@ -1736,10 +1731,10 @@ mod tests {
             for h in &self.expiring {
                 match h {
                     ExpiringHandle::Set(s) => {
-                        s.borrow_mut().advance(t);
+                        s.borrow_mut().expire(t);
                     }
                     ExpiringHandle::Map(m) => {
-                        m.borrow_mut().advance(t);
+                        m.borrow_mut().expire(t);
                     }
                 }
             }
@@ -2016,7 +2011,7 @@ mod tests {
             &mut ctx,
         )
         .unwrap();
-        let rule = Value::Tuple(Rc::new(vec![
+        let rule = Value::Tuple(Rc::new([
             Value::Net("10.0.0.0/8".parse().unwrap()),
             Value::Null,
         ]));
@@ -2028,13 +2023,13 @@ mod tests {
         )
         .unwrap();
         eval(ClassifierCompile, std::slice::from_ref(&c), &[], &mut ctx).unwrap();
-        let key = Value::Tuple(Rc::new(vec![
+        let key = Value::Tuple(Rc::new([
             Value::Addr("10.1.2.3".parse().unwrap()),
             Value::Addr("8.8.8.8".parse().unwrap()),
         ]));
         let hit = eval(ClassifierGet, &[c.clone(), key], &[], &mut ctx).unwrap();
         assert!(hit.equals(&Value::Bool(true)));
-        let miss_key = Value::Tuple(Rc::new(vec![
+        let miss_key = Value::Tuple(Rc::new([
             Value::Addr("11.0.0.1".parse().unwrap()),
             Value::Addr("8.8.8.8".parse().unwrap()),
         ]));

@@ -131,7 +131,7 @@ pub enum Value {
     Interval(Interval),
     /// (enum type name, label index).
     Enum(Rc<str>, i64),
-    Tuple(Rc<Vec<Value>>),
+    Tuple(Rc<[Value]>),
     List(Rc<RefCell<VecDeque<Value>>>),
     Vector(Rc<RefCell<Vec<Value>>>),
     Set(Rc<RefCell<SetVal>>),
@@ -192,7 +192,7 @@ impl Key {
             Key::Time(t) => Value::Time(*t),
             Key::Interval(i) => Value::Interval(*i),
             Key::Enum(n, v) => Value::Enum(Rc::clone(n), *v),
-            Key::Tuple(ks) => Value::Tuple(Rc::new(ks.iter().map(Key::to_value).collect())),
+            Key::Tuple(ks) => Value::Tuple(ks.iter().map(Key::to_value).collect()),
         }
     }
 }
@@ -348,7 +348,7 @@ impl Value {
         }
     }
 
-    pub fn as_tuple(&self) -> RtResult<&Rc<Vec<Value>>> {
+    pub fn as_tuple(&self) -> RtResult<&Rc<[Value]>> {
         match self {
             Value::Tuple(t) => Ok(t),
             other => Err(other.type_err("tuple")),
@@ -512,9 +512,7 @@ impl Value {
             Portable::Time(t) => Value::Time(*t),
             Portable::Interval(i) => Value::Interval(*i),
             Portable::Enum(n, v) => Value::Enum(Rc::from(n.as_str()), *v),
-            Portable::Tuple(ps) => {
-                Value::Tuple(Rc::new(ps.iter().map(Value::from_portable).collect()))
-            }
+            Portable::Tuple(ps) => Value::Tuple(ps.iter().map(Value::from_portable).collect()),
             Portable::List(ps) => Value::List(Rc::new(RefCell::new(
                 ps.iter().map(Value::from_portable).collect(),
             ))),
@@ -674,7 +672,7 @@ mod tests {
             Value::str("hello"),
             Value::Addr("10.0.0.1".parse().unwrap()),
             Value::Port(Port::tcp(80)),
-            Value::Tuple(Rc::new(vec![Value::Int(1), Value::str("x")])),
+            Value::Tuple(Rc::new([Value::Int(1), Value::str("x")])),
         ];
         for v in &vals {
             let k = v.to_key().unwrap();
@@ -723,7 +721,7 @@ mod tests {
     fn portable_roundtrip_is_deep() {
         let v = Value::Vector(Rc::new(RefCell::new(vec![
             Value::str("a"),
-            Value::Tuple(Rc::new(vec![Value::Int(1), Value::Bool(false)])),
+            Value::Tuple(Rc::new([Value::Int(1), Value::Bool(false)])),
         ])));
         let p = v.to_portable().unwrap();
         let v2 = Value::from_portable(&p);
@@ -758,7 +756,7 @@ mod tests {
         assert_eq!(Value::Bool(true).render(), "True");
         assert_eq!(Value::Int(42).render(), "42");
         assert_eq!(
-            Value::Tuple(Rc::new(vec![Value::Int(1), Value::str("x")])).render(),
+            Value::Tuple(Rc::new([Value::Int(1), Value::str("x")])).render(),
             "(1, x)"
         );
         let mut s = SetVal::new();

@@ -619,10 +619,10 @@ impl ExecCtx for Env {
         for h in &self.expiring {
             match h {
                 ExpiringHandle::Set(s) => {
-                    s.borrow_mut().advance(t);
+                    s.borrow_mut().expire(t);
                 }
                 ExpiringHandle::Map(m) => {
-                    m.borrow_mut().advance(t);
+                    m.borrow_mut().expire(t);
                 }
             }
         }

@@ -6,11 +6,16 @@
 //! three-way handshake, assigns Bro-style connection uids, and hands payload
 //! through per-direction [`StreamReassembler`]s to a pluggable application
 //! consumer. UDP "flows" are tracked by tuple only.
+//!
+//! Idle expiry walks only flows that may be due: each flow's last packet
+//! time is its deadline in a [`DeadlineQueue`] holding one record per flow,
+//! which a packet moves without a push (see [`FlowTable::expire_idle_uids`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use hilti_rt::addr::{Addr, Port};
+use hilti_rt::deadline::{DeadlineQueue, Due};
 use hilti_rt::hashutil::flow_hash;
 use hilti_rt::time::Time;
 
@@ -39,7 +44,8 @@ pub struct Flow {
     pub id: ConnId,
     pub uid: Arc<str>,
     pub first_ts: Time,
-    pub last_ts: Time,
+    /// The last packet's time — the flow's idle deadline.
+    last: Due<()>,
     pub tcp_state: Option<TcpState>,
     /// Reassembler for originator→responder payload (TCP only).
     pub orig_stream: Option<StreamReassembler>,
@@ -63,6 +69,14 @@ pub struct FlowDelivery<'a> {
     pub finished_now: bool,
 }
 
+impl Flow {
+    /// Timestamp of the flow's most recent packet (in arrival order, so a
+    /// reordered packet can move it backwards).
+    pub fn last_ts(&self) -> Time {
+        self.last.at()
+    }
+}
+
 /// Zero-copy counterpart of [`FlowDelivery`], produced by
 /// [`FlowTable::process_shared`]: the payload is a [`PayloadRef`] into
 /// the shared trace arena whenever the bytes are an in-order slice of
@@ -76,9 +90,16 @@ pub struct FlowDeliveryShared<'a> {
     pub finished_now: bool,
 }
 
+/// Canonical flow-table key: the symmetric hash, then both endpoints in
+/// sorted order.
+type FlowKey = (u64, Addr, Port, Addr, Port);
+
 /// The flow table.
 pub struct FlowTable {
-    flows: HashMap<(u64, Addr, Port, Addr, Port), Flow>,
+    flows: HashMap<FlowKey, Flow>,
+    /// One record per flow at its last packet time; `None` until the first
+    /// expiry request, so a table nobody expires queues nothing.
+    idle: Option<DeadlineQueue<FlowKey, ()>>,
     uid_counter: u64,
     established_total: u64,
 }
@@ -87,6 +108,7 @@ impl FlowTable {
     pub fn new() -> Self {
         FlowTable {
             flows: HashMap::new(),
+            idle: None,
             uid_counter: 0,
             established_total: 0,
         }
@@ -106,14 +128,7 @@ impl FlowTable {
     }
 
     /// Canonical lookup key: endpoints sorted, plus the symmetric hash.
-    fn key(
-        src: Addr,
-        dst: Addr,
-        sport: u16,
-        dport: u16,
-        sp: Port,
-        dp: Port,
-    ) -> (u64, Addr, Port, Addr, Port) {
+    fn key(src: Addr, dst: Addr, sport: u16, dport: u16, sp: Port, dp: Port) -> FlowKey {
         let h = flow_hash(src, sp, dst, dp);
         if (src.raw(), sport) <= (dst.raw(), dport) {
             (h, src, sp, dst, dp)
@@ -205,7 +220,7 @@ impl FlowTable {
         dport: u16,
         transport: &Transport,
         payload: &[u8],
-    ) -> ((u64, Addr, Port, Addr, Port), bool, bool, bool, SegmentOut) {
+    ) -> (FlowKey, bool, bool, bool, SegmentOut) {
         let proto = transport.protocol();
         let sp = Port {
             number: sport,
@@ -230,7 +245,7 @@ impl FlowTable {
                 },
                 uid: format!("C{}{:x}", uid_counter, key.0 & 0xffff_ffff).into(),
                 first_ts: ts,
-                last_ts: ts,
+                last: Due::unarmed(ts),
                 tcp_state: None,
                 orig_stream: None,
                 resp_stream: None,
@@ -238,7 +253,14 @@ impl FlowTable {
                 resp_pkts: 0,
             }
         });
-        flow.last_ts = ts;
+        match &mut self.idle {
+            Some(q) => {
+                if let Some(arm) = q.stamp(&mut flow.last, ts) {
+                    q.arm(arm, key);
+                }
+            }
+            None => flow.last = Due::unarmed(ts),
+        }
         let is_orig = src == flow.id.orig_h && sp == flow.id.orig_p;
         if is_orig {
             flow.orig_pkts += 1;
@@ -314,17 +336,28 @@ impl FlowTable {
 
     /// Removes flows idle since before `cutoff`, returning their uids in
     /// sorted order so callers can tear down per-flow analyzer state
-    /// deterministically.
+    /// deterministically. Examines only records due before `cutoff`; the
+    /// first call queues one record per flow, and from then on packets keep
+    /// them current.
     pub fn expire_idle_uids(&mut self, cutoff: Time) -> Vec<Arc<str>> {
-        let mut dead = Vec::new();
-        self.flows.retain(|_, f| {
-            if f.last_ts >= cutoff {
-                true
-            } else {
-                dead.push(f.uid.clone());
-                false
+        let flows = &mut self.flows;
+        let q = self.idle.get_or_insert_with(|| {
+            let mut q = DeadlineQueue::new();
+            for (key, f) in flows.iter_mut() {
+                let last = f.last_ts();
+                if let Some(arm) = q.stamp(&mut f.last, last) {
+                    q.arm(arm, *key);
+                }
             }
+            q
         });
+        let mut dead = Vec::new();
+        // Idle since before `cutoff` is due at `cutoff - 1ns` at the latest.
+        if let Some(latest) = cutoff.nanos().checked_sub(1) {
+            while let Some((_, f)) = q.pop_due(Time::from_nanos(latest), flows, |f| &mut f.last) {
+                dead.push(f.uid);
+            }
+        }
         dead.sort();
         dead
     }
@@ -643,6 +676,85 @@ mod tests {
         t.process(&late);
         assert_eq!(t.expire_idle(Time::from_secs(50)), 1);
         assert_eq!(t.len(), 1);
+    }
+
+    /// A datagram `10.0.0.1:sport -> 8.8.8.8:53` at `ms` milliseconds.
+    fn udp_at(sport: u16, ms: u64) -> DecodedPacket {
+        let mut p = udp_pkt("10.0.0.1", "8.8.8.8", sport, 53, b"x");
+        p.ts = Time::from_nanos(ms * 1_000_000);
+        p
+    }
+
+    /// The full-table sweep `expire_idle_uids` replaced: the oracle.
+    fn swept_uids(t: &FlowTable, cutoff: Time) -> Vec<Arc<str>> {
+        let mut dead: Vec<Arc<str>> = t
+            .flows()
+            .filter(|f| f.last_ts() < cutoff)
+            .map(|f| f.uid.clone())
+            .collect();
+        dead.sort();
+        dead
+    }
+
+    #[test]
+    fn idle_expiry_matches_a_full_sweep_under_reordering() {
+        for seed in 1..=20u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut t = FlowTable::new();
+            let mut clock = 0u64;
+            for i in 0..3_000 {
+                // Mostly forward; one packet in eight from up to 2 s back,
+                // which moves its flow's last packet time backwards.
+                clock += next() % 40;
+                let ms = match next() % 8 {
+                    0 => clock.saturating_sub(next() % 2_000),
+                    _ => clock,
+                };
+                t.process(&udp_at(1024 + (next() % 300) as u16, ms));
+                if next() % 16 == 0 {
+                    // The front end's cutoff under a 1 s idle timeout.
+                    let cutoff = Time::from_nanos(ms.saturating_sub(1_000) * 1_000_000);
+                    let want = swept_uids(&t, cutoff);
+                    let live = t.len() - want.len();
+                    assert_eq!(t.expire_idle_uids(cutoff), want, "seed {seed} packet {i}");
+                    assert_eq!(t.len(), live);
+                }
+            }
+        }
+    }
+
+    /// Records examined by the sweep that evicts an idle tail of 50 flows
+    /// next to `live` flows that saw packets since.
+    fn examined_for_tail(live: u16) -> u64 {
+        let mut t = FlowTable::new();
+        for p in 0..50 {
+            t.process(&udp_at(p, 1_000));
+        }
+        for p in 0..live {
+            t.process(&udp_at(1_000 + p, 60_000));
+        }
+        // The first request queues one record per flow; touches add none.
+        assert!(t.expire_idle_uids(Time::ZERO).is_empty());
+        for p in 0..live {
+            t.process(&udp_at(1_000 + p, 61_000));
+        }
+        let q = |t: &FlowTable| t.idle.as_ref().map_or(0, |q| q.examined());
+        let before = q(&t);
+        assert_eq!(t.expire_idle_uids(Time::from_secs(30)).len(), 50);
+        assert_eq!(t.len(), usize::from(live));
+        q(&t) - before
+    }
+
+    #[test]
+    fn a_sweep_examines_the_idle_tail_not_the_table() {
+        assert_eq!(examined_for_tail(100), 50);
+        assert_eq!(examined_for_tail(10_000), 50);
     }
 
     #[test]

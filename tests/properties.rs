@@ -154,7 +154,7 @@ int<64> f(int<64> a, int<64> b, int<64> c) {
         s in "[a-zA-Z0-9 ]{0,20}",
         flag in any::<bool>(),
     ) {
-        let v = Value::Tuple(std::rc::Rc::new(vec![
+        let v = Value::Tuple(std::rc::Rc::new([
             Value::str(&s),
             Value::Bool(flag),
             Value::Vector(std::rc::Rc::new(std::cell::RefCell::new(
