@@ -16,45 +16,35 @@
 //! | `table2.json` | Table 2    | Std vs BinPAC++ log agreement              |
 //! | `table3.json` | Table 3    | interpreter vs compiled log agreement      |
 //!
-//! Component keys are the snake_cased [`Component`] variants:
+//! Component keys are those of [`Breakdown::components`]:
 //! `protocol_parsing`, `script_execution`, `glue`, `other` — all four are
-//! always present, so downstream scripts never need existence checks.
+//! always present, so downstream scripts never need existence checks, and
+//! `total_ns` is their sum.
 
 use std::fmt::Write as _;
 
 use broscript::pipeline::AnalysisResult;
-use hilti_rt::profile::Component;
 use hilti_rt::telemetry::json;
 
 use crate::experiments::{
-    table_rows_dns, table_rows_http, total_ns, EngineComparison, ParserComparison, TableRow,
+    table_rows_dns, table_rows_http, Breakdown, EngineComparison, ParserComparison, TableRow,
 };
-
-/// Stable JSON key for a profiler component.
-pub fn component_key(c: Component) -> &'static str {
-    match c {
-        Component::ProtocolParsing => "protocol_parsing",
-        Component::ScriptExecution => "script_execution",
-        Component::Glue => "glue",
-        Component::Other => "other",
-    }
-}
 
 /// One side of a breakdown figure: total plus per-component ns and share.
 fn breakdown_json(r: &AnalysisResult) -> String {
-    let total = total_ns(r).max(1);
+    let b = Breakdown::of(r);
+    let total = b.total_ns();
     let mut s = String::from("{");
     let _ = write!(s, "\"total_ns\":{total},\"components\":{{");
-    for (i, c) in Component::ALL.iter().enumerate() {
+    for (i, (key, _, ns)) in b.components().into_iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        let ns = r.profiler.total(*c);
         let _ = write!(
             s,
             "{}:{{\"ns\":{ns},\"pct\":{:.2}}}",
-            json::quote(component_key(*c)),
-            ns as f64 / total as f64 * 100.0
+            json::quote(key),
+            ratio(ns, total) * 100.0
         );
     }
     s.push_str("}}");
@@ -80,8 +70,8 @@ pub fn fig9_json(http: &ParserComparison, dns: &ParserComparison) -> String {
             breakdown_json(&c.std_result),
             breakdown_json(&c.pac_result),
             ratio(
-                c.pac_result.profiler.total(Component::ProtocolParsing),
-                c.std_result.profiler.total(Component::ProtocolParsing)
+                Breakdown::of(&c.pac_result).parsing,
+                Breakdown::of(&c.std_result).parsing
             )
         );
     }
@@ -105,8 +95,8 @@ pub fn fig10_json(http: &EngineComparison, dns: &EngineComparison) -> String {
             breakdown_json(&c.interp_result),
             breakdown_json(&c.compiled_result),
             ratio(
-                c.compiled_result.profiler.total(Component::ScriptExecution),
-                c.interp_result.profiler.total(Component::ScriptExecution)
+                Breakdown::of(&c.compiled_result).script,
+                Breakdown::of(&c.interp_result).script
             )
         );
     }
@@ -230,16 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn component_totals_in_fig9_match_the_profiler() {
+    fn component_totals_in_fig9_match_the_recorder() {
         // The artifact must carry exactly the numbers the console printed:
-        // per-component ns taken straight from the profiler snapshot.
+        // per-component ns from the recorder's stage sums, and their total.
         let http = http_workload();
         let c = parser_comparison_http(&http).unwrap();
-        let doc = breakdown_json(&c.std_result);
-        for comp in Component::ALL {
-            let ns = c.std_result.profiler.total(comp);
-            let needle = format!("\"{}\":{{\"ns\":{ns},", component_key(comp));
-            assert!(doc.contains(&needle), "{needle} not in {doc}");
+        for r in [&c.std_result, &c.pac_result] {
+            let (b, doc) = (Breakdown::of(r), breakdown_json(r));
+            assert!(doc.starts_with(&format!("{{\"total_ns\":{},", b.total_ns())));
+            for (key, _, ns) in b.components() {
+                let needle = format!("\"{key}\":{{\"ns\":{ns},");
+                assert!(doc.contains(&needle), "{needle} not in {doc}");
+            }
         }
+        // Glue is where HILTI meets Bro: the BinPAC++ stack's hooks only.
+        assert_eq!(Breakdown::of(&c.std_result).glue, 0);
+        assert!(Breakdown::of(&c.pac_result).glue > 0);
     }
 }

@@ -7,7 +7,8 @@
 //! LLVM-native backend; we run synthetic workloads on a bytecode VM — see
 //! DESIGN.md), so the claims under reproduction are the *shapes*: parity
 //! checks, who is faster, and rough factors. Set `REPRO_SCALE=N` to scale
-//! workload sizes.
+//! workload sizes. The component breakdowns (Figures 9/10, E5 and E7) are
+//! the flight recorder's stage sums of traced runs (`Governance::tracing`).
 //!
 //! With `--out DIR` (or `REPRO_OUT=DIR`), the figure/table sections also
 //! write machine-readable JSON artifacts — `fig9.json`, `fig10.json`,
@@ -20,7 +21,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bench::*;
-use hilti_rt::profile::Component;
 
 /// Counting allocator: reproduces the §6.4 memory-allocation comparison
 /// ("Bro performs about 47% more memory allocations [with the BinPAC++
@@ -216,8 +216,8 @@ fn parsers(table2: bool, fig9: bool, out: Option<&Path>) {
         for (proto, c) in [("HTTP", &ch), ("DNS", &cd)] {
             print_breakdown(&format!("{proto} Standard"), &c.std_result);
             print_breakdown(&format!("{proto} BinPAC++"), &c.pac_result);
-            let sp = c.std_result.profiler.total(Component::ProtocolParsing);
-            let pp = c.pac_result.profiler.total(Component::ProtocolParsing);
+            let sp = Breakdown::of(&c.std_result).parsing;
+            let pp = Breakdown::of(&c.pac_result).parsing;
             println!(
                 "    -> {proto} parsing ratio Pac/Std = {:.2}x",
                 pp as f64 / sp.max(1) as f64
@@ -281,8 +281,8 @@ fn engines(table3: bool, fig10: bool, out: Option<&Path>) {
         for (proto, c) in [("HTTP", &eh), ("DNS", &ed)] {
             print_breakdown(&format!("{proto} Interpreted"), &c.interp_result);
             print_breakdown(&format!("{proto} Compiled"), &c.compiled_result);
-            let si = c.interp_result.profiler.total(Component::ScriptExecution);
-            let sc = c.compiled_result.profiler.total(Component::ScriptExecution);
+            let si = Breakdown::of(&c.interp_result).script;
+            let sc = Breakdown::of(&c.compiled_result).script;
             println!(
                 "    -> {proto} script ratio Hlt/Std = {:.2}x",
                 sc as f64 / si.max(1) as f64
@@ -301,21 +301,13 @@ fn engines(table3: bool, fig10: bool, out: Option<&Path>) {
 }
 
 fn print_breakdown(label: &str, r: &broscript::pipeline::AnalysisResult) {
-    let total = total_ns(r).max(1);
+    let b = Breakdown::of(r);
+    let total = b.total_ns().max(1);
     print!("    {label:<18} total {:>9} |", ms(total));
-    for (c, ns) in r.profiler.snapshot() {
-        print!(" {}: {:>5.1}%", short(c), ns as f64 / total as f64 * 100.0);
+    for (_, short, ns) in b.components() {
+        print!(" {short}: {:>5.1}%", ns as f64 / total as f64 * 100.0);
     }
     println!();
-}
-
-fn short(c: Component) -> &'static str {
-    match c {
-        Component::ProtocolParsing => "parse",
-        Component::ScriptExecution => "script",
-        Component::Glue => "glue",
-        Component::Other => "other",
-    }
 }
 
 fn fib() {

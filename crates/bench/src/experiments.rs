@@ -7,10 +7,12 @@ use hilti::passes::OptLevel;
 use hilti::threads::ThreadPool;
 use hilti::value::Value;
 use hilti_rt::error::RtResult;
-use hilti_rt::profile::Component;
+use hilti_rt::trace::Stage;
 
 use broscript::host::Engine;
-use broscript::pipeline::{run_dns_analysis, run_http_analysis, AnalysisResult, ParserStack};
+use broscript::pipeline::{
+    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
+};
 use netpkt::logs::{agreement, Agreement};
 use netpkt::pcap::RawPacket;
 use netpkt::synth::{dns_trace, http_trace, SynthConfig};
@@ -213,7 +215,63 @@ pub fn firewall_experiment(trace: &[RawPacket]) -> RtResult<FirewallResult> {
 }
 
 // ---------------------------------------------------------------------------
-// E4/E5: protocol parsing — Table 2 and Figure 9
+// E4–E7: Tables 2/3 and the Figure 9/10 breakdowns
+
+/// The runs behind Tables 2/3 and Figures 9/10 are traced: the figures'
+/// component times are read off the flight recorder. Tracing never changes
+/// the logs the tables compare.
+fn traced() -> Governance {
+    Governance {
+        tracing: true,
+        ..Governance::default()
+    }
+}
+
+/// Figures 9/10's four components of one traced run, in ns: the flight
+/// recorder's exclusive stage sums, mapped parse → protocol parsing,
+/// script → script execution, glue → HILTI-to-Bro glue, and decode (plus
+/// the sharded driver's dispatch and merge) → other. Queue wait is time a
+/// delivery spent waiting, not work, and belongs to no component.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Breakdown {
+    pub parsing: u64,
+    pub script: u64,
+    pub glue: u64,
+    pub other: u64,
+}
+
+impl Breakdown {
+    /// The breakdown of a run made with `Governance::tracing` on.
+    pub fn of(r: &AnalysisResult) -> Breakdown {
+        let report = r.trace.as_ref().expect("breakdowns come from traced runs");
+        let mut b = Breakdown::default();
+        for s in &report.latency.stages {
+            let component = match s.stage {
+                Stage::Parse => &mut b.parsing,
+                Stage::Script => &mut b.script,
+                Stage::Glue => &mut b.glue,
+                Stage::Decode | Stage::Dispatch | Stage::Merge => &mut b.other,
+                Stage::QueueWait => continue,
+            };
+            *component += s.total_ns;
+        }
+        b
+    }
+
+    /// `(JSON key, short label, ns)` per component, in the figures' order.
+    pub fn components(&self) -> [(&'static str, &'static str, u64); 4] {
+        [
+            ("protocol_parsing", "parse", self.parsing),
+            ("script_execution", "script", self.script),
+            ("glue", "glue", self.glue),
+            ("other", "other", self.other),
+        ]
+    }
+
+    pub fn total_ns(&self) -> u64 {
+        self.parsing + self.script + self.glue + self.other
+    }
+}
 
 pub struct ParserComparison {
     pub std_result: AnalysisResult,
@@ -227,8 +285,8 @@ pub struct ParserComparison {
 /// the interpreted script engine and compares logs (Table 2) and component
 /// times (Figure 9).
 pub fn parser_comparison_http(trace: &[RawPacket]) -> RtResult<ParserComparison> {
-    let std_result = run_http_analysis(trace, ParserStack::Standard, Engine::Interpreted)?;
-    let pac_result = run_http_analysis(trace, ParserStack::Binpac, Engine::Interpreted)?;
+    let run = |stack| run_http_analysis_governed(trace, stack, Engine::Interpreted, &traced());
+    let (std_result, pac_result) = (run(ParserStack::Standard)?, run(ParserStack::Binpac)?);
     Ok(ParserComparison {
         http_agreement: agreement(&std_result.http_log, &pac_result.http_log),
         files_agreement: agreement(&std_result.files_log, &pac_result.files_log),
@@ -239,8 +297,8 @@ pub fn parser_comparison_http(trace: &[RawPacket]) -> RtResult<ParserComparison>
 }
 
 pub fn parser_comparison_dns(trace: &[RawPacket]) -> RtResult<ParserComparison> {
-    let std_result = run_dns_analysis(trace, ParserStack::Standard, Engine::Interpreted)?;
-    let pac_result = run_dns_analysis(trace, ParserStack::Binpac, Engine::Interpreted)?;
+    let run = |stack| run_dns_analysis_governed(trace, stack, Engine::Interpreted, &traced());
+    let (std_result, pac_result) = (run(ParserStack::Standard)?, run(ParserStack::Binpac)?);
     Ok(ParserComparison {
         http_agreement: agreement(&std_result.http_log, &pac_result.http_log),
         files_agreement: agreement(&std_result.files_log, &pac_result.files_log),
@@ -249,9 +307,6 @@ pub fn parser_comparison_dns(trace: &[RawPacket]) -> RtResult<ParserComparison> 
         pac_result,
     })
 }
-
-// ---------------------------------------------------------------------------
-// E6/E7: script engines — Table 3 and Figure 10
 
 pub struct EngineComparison {
     pub interp_result: AnalysisResult,
@@ -264,8 +319,8 @@ pub struct EngineComparison {
 /// Runs the standard parser stack with both script engines and compares
 /// logs (Table 3) and component times (Figure 10).
 pub fn engine_comparison_http(trace: &[RawPacket]) -> RtResult<EngineComparison> {
-    let interp_result = run_http_analysis(trace, ParserStack::Standard, Engine::Interpreted)?;
-    let compiled_result = run_http_analysis(trace, ParserStack::Standard, Engine::Compiled)?;
+    let run = |engine| run_http_analysis_governed(trace, ParserStack::Standard, engine, &traced());
+    let (interp_result, compiled_result) = (run(Engine::Interpreted)?, run(Engine::Compiled)?);
     Ok(EngineComparison {
         http_agreement: agreement(&interp_result.http_log, &compiled_result.http_log),
         files_agreement: agreement(&interp_result.files_log, &compiled_result.files_log),
@@ -276,8 +331,8 @@ pub fn engine_comparison_http(trace: &[RawPacket]) -> RtResult<EngineComparison>
 }
 
 pub fn engine_comparison_dns(trace: &[RawPacket]) -> RtResult<EngineComparison> {
-    let interp_result = run_dns_analysis(trace, ParserStack::Standard, Engine::Interpreted)?;
-    let compiled_result = run_dns_analysis(trace, ParserStack::Standard, Engine::Compiled)?;
+    let run = |engine| run_dns_analysis_governed(trace, ParserStack::Standard, engine, &traced());
+    let (interp_result, compiled_result) = (run(Engine::Interpreted)?, run(Engine::Compiled)?);
     Ok(EngineComparison {
         http_agreement: agreement(&interp_result.http_log, &compiled_result.http_log),
         files_agreement: agreement(&interp_result.files_log, &compiled_result.files_log),
@@ -285,11 +340,6 @@ pub fn engine_comparison_dns(trace: &[RawPacket]) -> RtResult<EngineComparison> 
         interp_result,
         compiled_result,
     })
-}
-
-/// Renders a Figure 9/10-style component breakdown row.
-pub fn breakdown(r: &AnalysisResult) -> Vec<(Component, u64)> {
-    r.profiler.snapshot()
 }
 
 // ---------------------------------------------------------------------------
@@ -821,11 +871,6 @@ pub fn table_rows_dns(c: &ParserComparison) -> Vec<TableRow> {
 /// Formats nanoseconds as milliseconds with 1 decimal.
 pub fn ms(ns: u64) -> String {
     format!("{:.1}ms", ns as f64 / 1e6)
-}
-
-/// Sum of all components in a breakdown.
-pub fn total_ns(r: &AnalysisResult) -> u64 {
-    r.profiler.snapshot().iter().map(|(_, ns)| ns).sum()
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@ use std::rc::Rc;
 use hilti::passes::OptLevel;
 use hilti::value::Value;
 use hilti_rt::error::{ExceptionKind, RtError, RtResult};
-use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::time::Time;
+use hilti_rt::trace::{self, SharedRecorder, Stage};
 
 use netpkt::events::{ConnId, DnsAnswer, Event};
 
@@ -345,14 +345,12 @@ struct DnsShared {
 pub struct BinpacDns {
     parser: BinpacParser,
     shared: Rc<RefCell<DnsShared>>,
-    profiler: Option<Profiler>,
     /// Datagrams that failed to parse (crud on port 53).
     pub failed: u64,
     /// Wall-clock watchdog re-armed at the start of every datagram.
     deadline_ms: Option<u64>,
-    /// Parse-stage span hook, mirroring `BinpacHttp::set_recorder`.
-    recorder: Option<hilti_rt::trace::SharedRecorder>,
-    span_slot: u64,
+    /// Flight recorder for parse and glue spans, as in `BinpacHttp`.
+    rec: Option<SharedRecorder>,
 }
 
 fn slot(v: &Value, idx: usize) -> RtResult<Value> {
@@ -375,8 +373,10 @@ fn slot_int(v: &Value, idx: usize) -> RtResult<i64> {
 }
 
 impl BinpacDns {
-    pub fn new(opt: OptLevel, profiler: Option<Profiler>) -> RtResult<BinpacDns> {
-        Self::wire(BinpacParser::compile(&dns_grammar(), &[], opt)?, profiler)
+    /// Compiles the DNS grammar and wires the message hook; a recorder
+    /// gets a `Parse` span per datagram and a `Glue` span per message.
+    pub fn new(opt: OptLevel, rec: Option<SharedRecorder>) -> RtResult<BinpacDns> {
+        Self::wire(BinpacParser::compile(&dns_grammar(), &[], opt)?, rec)
     }
 
     /// The shareable front end of [`BinpacDns::new`]: grammar codegen and
@@ -388,97 +388,84 @@ impl BinpacDns {
     }
 
     /// Per-thread construction from a shared front end.
-    pub fn from_ir(ir: &ParserIr, profiler: Option<Profiler>) -> RtResult<BinpacDns> {
-        Self::wire(BinpacParser::from_ir(ir)?, profiler)
+    pub fn from_ir(ir: &ParserIr, rec: Option<SharedRecorder>) -> RtResult<BinpacDns> {
+        Self::wire(BinpacParser::from_ir(ir)?, rec)
     }
 
-    fn wire(mut parser: BinpacParser, profiler: Option<Profiler>) -> RtResult<BinpacDns> {
+    fn wire(mut parser: BinpacParser, rec: Option<SharedRecorder>) -> RtResult<BinpacDns> {
         let shared: Rc<RefCell<DnsShared>> = Rc::new(RefCell::new(DnsShared::default()));
 
-        let s = shared.clone();
-        let prof = profiler.clone();
+        let (s, hook_rec) = (shared.clone(), rec.clone());
         parser.register_hook("Dns::on_message", move |args| {
-            let _g = prof.as_ref().map(|p| p.enter(Component::Glue));
-            let msg = &args[0];
-            let mut sh = s.borrow_mut();
-            let Some((uid, id, ts)) = sh.current.clone() else {
-                return Err(RtError::runtime("DNS hook fired with no active datagram"));
-            };
-            let trans_id = slot_int(msg, slots::M_ID)? as u16;
-            let flags = slot_int(msg, slots::M_FLAGS)? as u16;
-            let is_response = flags & 0x8000 != 0;
-            let rcode = flags & 0xf;
-            // First question drives the query fields.
-            let (query, qtype) = match slot(msg, slots::M_QUESTIONS)? {
-                Value::Vector(qs) => {
-                    let qs = qs.borrow();
-                    match qs.first() {
-                        Some(q) => (
-                            slot(q, slots::Q_NAME)?.render(),
-                            slot_int(q, slots::Q_QTYPE)? as u16,
-                        ),
-                        None => (String::new(), 0),
-                    }
-                }
-                _ => (String::new(), 0),
-            };
-            if is_response {
-                let mut answers = Vec::new();
-                if let Value::Vector(ans) = slot(msg, slots::M_ANSWERS)? {
-                    for rr in ans.borrow().iter() {
-                        let rtype = slot_int(rr, slots::RR_RTYPE)? as u16;
-                        if rtype == 41 {
-                            continue; // OPT pseudo-record
+            trace::span(hook_rec.as_ref(), Stage::Glue, || {
+                let msg = &args[0];
+                let mut sh = s.borrow_mut();
+                let Some((uid, id, ts)) = sh.current.clone() else {
+                    return Err(RtError::runtime("DNS hook fired with no active datagram"));
+                };
+                let trans_id = slot_int(msg, slots::M_ID)? as u16;
+                let flags = slot_int(msg, slots::M_FLAGS)? as u16;
+                let is_response = flags & 0x8000 != 0;
+                let rcode = flags & 0xf;
+                // First question drives the query fields.
+                let (query, qtype) = match slot(msg, slots::M_QUESTIONS)? {
+                    Value::Vector(qs) => {
+                        let qs = qs.borrow();
+                        match qs.first() {
+                            Some(q) => (
+                                slot(q, slots::Q_NAME)?.render(),
+                                slot_int(q, slots::Q_QTYPE)? as u16,
+                            ),
+                            None => (String::new(), 0),
                         }
-                        answers.push(DnsAnswer {
-                            name: slot(rr, slots::RR_NAME)?.render(),
-                            rtype,
-                            ttl: slot_int(rr, slots::RR_TTL)? as u32,
-                            rdata: slot(rr, slots::RR_RDATA_TEXT)?.render(),
-                        });
                     }
+                    _ => (String::new(), 0),
+                };
+                if is_response {
+                    let mut answers = Vec::new();
+                    if let Value::Vector(ans) = slot(msg, slots::M_ANSWERS)? {
+                        for rr in ans.borrow().iter() {
+                            let rtype = slot_int(rr, slots::RR_RTYPE)? as u16;
+                            if rtype == 41 {
+                                continue; // OPT pseudo-record
+                            }
+                            answers.push(DnsAnswer {
+                                name: slot(rr, slots::RR_NAME)?.render(),
+                                rtype,
+                                ttl: slot_int(rr, slots::RR_TTL)? as u32,
+                                rdata: slot(rr, slots::RR_RDATA_TEXT)?.render(),
+                            });
+                        }
+                    }
+                    sh.events.push(Event::DnsReply {
+                        ts,
+                        uid: uid.clone(),
+                        id,
+                        trans_id,
+                        rcode,
+                        answers,
+                    });
+                } else {
+                    sh.events.push(Event::DnsRequest {
+                        ts,
+                        uid: uid.clone(),
+                        id,
+                        trans_id,
+                        query,
+                        qtype,
+                    });
                 }
-                sh.events.push(Event::DnsReply {
-                    ts,
-                    uid: uid.clone(),
-                    id,
-                    trans_id,
-                    rcode,
-                    answers,
-                });
-            } else {
-                sh.events.push(Event::DnsRequest {
-                    ts,
-                    uid: uid.clone(),
-                    id,
-                    trans_id,
-                    query,
-                    qtype,
-                });
-            }
-            Ok(Value::Null)
+                Ok(Value::Null)
+            })
         });
 
         Ok(BinpacDns {
             parser,
             shared,
-            profiler,
             failed: 0,
             deadline_ms: None,
-            recorder: None,
-            span_slot: 0,
+            rec,
         })
-    }
-
-    /// Parse-stage span hook: every subsequent `datagram` records a
-    /// `Stage::Parse` span into `rec` (see `BinpacHttp::set_recorder`).
-    pub fn set_recorder(&mut self, rec: hilti_rt::trace::SharedRecorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Packet slot (merge major) attributed to the next parse-stage spans.
-    pub fn set_span_slot(&mut self, slot: u64) {
-        self.span_slot = slot;
     }
 
     /// Arms a per-datagram wall-clock watchdog, mirroring
@@ -520,11 +507,19 @@ impl BinpacDns {
         ts: Time,
         payload: hilti_rt::bytestring::FeedChunk<'_>,
     ) -> RtResult<bool> {
-        let _p = self
-            .profiler
-            .as_ref()
-            .map(|p| p.enter(Component::ProtocolParsing));
-        let span_begin = self.recorder.is_some().then(hilti_rt::trace::monotonic_ns);
+        let rec = self.rec.clone();
+        trace::span(rec.as_ref(), Stage::Parse, || {
+            self.parse(uid, id, ts, payload)
+        })
+    }
+
+    fn parse(
+        &mut self,
+        uid: &std::sync::Arc<str>,
+        id: ConnId,
+        ts: Time,
+        payload: hilti_rt::bytestring::FeedChunk<'_>,
+    ) -> RtResult<bool> {
         if let Some(ms) = self.deadline_ms {
             self.parser
                 .program_mut()
@@ -532,7 +527,7 @@ impl BinpacDns {
                 .arm_deadline_after_ms(Some(ms));
         }
         self.shared.borrow_mut().current = Some((uid.clone(), id, ts));
-        let r = match self.parser.parse_datagram_chunk("Message", payload) {
+        match self.parser.parse_datagram_chunk("Message", payload) {
             Ok(_) => Ok(true),
             // Governance faults (deadline, fuel, heap) must escape to the
             // host; only input-dependent errors count as unparseable crud.
@@ -541,16 +536,7 @@ impl BinpacDns {
                 self.failed += 1;
                 Ok(false)
             }
-        };
-        if let (Some(rec), Some(begin)) = (&self.recorder, span_begin) {
-            rec.borrow_mut().record(
-                hilti_rt::trace::Stage::Parse,
-                self.span_slot,
-                Some(uid),
-                begin,
-            );
         }
-        r
     }
 
     pub fn take_events(&mut self) -> Vec<Event> {

@@ -24,8 +24,8 @@ use hilti::value::Value;
 use hilti_rt::bytestring::FeedChunk;
 use hilti_rt::error::{RtError, RtResult};
 use hilti_rt::limits::AllocBudget;
-use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::time::Time;
+use hilti_rt::trace::{self, SharedRecorder, Stage};
 
 use netpkt::events::{ConnId, Event};
 
@@ -360,17 +360,15 @@ pub struct BinpacHttp {
     parser: BinpacParser,
     shared: Rc<RefCell<Shared>>,
     sessions: HashMap<Arc<str>, ConnSessions>,
-    profiler: Option<Profiler>,
     /// Per-connection byte budget applied to newly created sessions.
     session_budget: Option<u64>,
     /// High-water mark of buffered bytes across all budgeted connections.
     peak_session_bytes: u64,
     /// Wall-clock watchdog re-armed at the start of every delivery.
     deadline_ms: Option<u64>,
-    /// Parse-stage span hook (flight recorder + current packet slot); set
-    /// only when the host pipeline traces, so the off path is one branch.
-    recorder: Option<hilti_rt::trace::SharedRecorder>,
-    span_slot: u64,
+    /// Flight recorder for parse and glue spans (labelled with its current
+    /// delivery); `None` unless the host pipeline traces.
+    rec: Option<SharedRecorder>,
 }
 
 /// Reads field `idx` from a unit struct value.
@@ -404,13 +402,34 @@ fn slot_bytes(v: &Value, idx: usize) -> RtResult<Vec<u8>> {
     }
 }
 
+/// Registers an event hook: `body` turns the unit value into events for
+/// the active session — the HILTI-to-Bro glue, recorded as a `Glue` span.
+fn on_event(
+    parser: &mut BinpacParser,
+    hook: &str,
+    shared: &Rc<RefCell<Shared>>,
+    rec: &Option<SharedRecorder>,
+    body: impl Fn(&mut Shared, Cur, &Value) -> RtResult<()> + 'static,
+) {
+    let (s, rec) = (shared.clone(), rec.clone());
+    parser.register_hook(hook, move |args| {
+        trace::span(rec.as_ref(), Stage::Glue, || {
+            let mut sh = s.borrow_mut();
+            let cur = sh.cur()?.clone();
+            body(&mut sh, cur, args[0])?;
+            Ok(Value::Null)
+        })
+    });
+}
+
 impl BinpacHttp {
-    /// Compiles the HTTP grammar and wires the event hooks. If a profiler
-    /// is supplied, hook (glue) time is charged to [`Component::Glue`].
-    pub fn new(opt: OptLevel, profiler: Option<Profiler>) -> RtResult<BinpacHttp> {
+    /// Compiles the HTTP grammar and wires the event hooks. With a
+    /// recorder, every feed records a `Parse` span and every event hook a
+    /// `Glue` span into it.
+    pub fn new(opt: OptLevel, rec: Option<SharedRecorder>) -> RtResult<BinpacHttp> {
         Self::wire(
             BinpacParser::compile(&http_grammar(), &["Request", "Reply"], opt)?,
-            profiler,
+            rec,
         )
     }
 
@@ -423,11 +442,11 @@ impl BinpacHttp {
 
     /// Per-thread construction from a shared front end: bytecode lowering
     /// plus event-hook wiring only.
-    pub fn from_ir(ir: &ParserIr, profiler: Option<Profiler>) -> RtResult<BinpacHttp> {
-        Self::wire(BinpacParser::from_ir(ir)?, profiler)
+    pub fn from_ir(ir: &ParserIr, rec: Option<SharedRecorder>) -> RtResult<BinpacHttp> {
+        Self::wire(BinpacParser::from_ir(ir)?, rec)
     }
 
-    fn wire(mut parser: BinpacParser, profiler: Option<Profiler>) -> RtResult<BinpacHttp> {
+    fn wire(mut parser: BinpacParser, rec: Option<SharedRecorder>) -> RtResult<BinpacHttp> {
         let shared: Rc<RefCell<Shared>> = Rc::new(RefCell::new(Shared::default()));
 
         // Slot layouts (grammar is fixed; indices are stable).
@@ -436,74 +455,69 @@ impl BinpacHttp {
         // Headers:     [name, value]
         // Request:     [request_line, headers, body]
         // Reply:       [status_line, headers, body]
-        let glue = |p: &Option<Profiler>| p.as_ref().map(|p| p.enter(Component::Glue));
+        on_event(
+            &mut parser,
+            "Http::on_request_line",
+            &shared,
+            &rec,
+            |sh, cur, line| {
+                let method = slot_text(line, 0)?;
+                let uri = slot_text(line, 1)?;
+                let version = slot_text(line, 2)?;
+                sh.outstanding
+                    .entry(cur.uid.clone())
+                    .or_default()
+                    .push_back(method.clone());
+                sh.events.push(Event::HttpRequest {
+                    ts: cur.ts,
+                    uid: cur.uid,
+                    id: cur.id,
+                    method,
+                    uri,
+                    version,
+                });
+                Ok(())
+            },
+        );
 
-        let s = shared.clone();
-        let prof = profiler.clone();
-        parser.register_hook("Http::on_request_line", move |args| {
-            let _g = glue(&prof);
-            let mut sh = s.borrow_mut();
-            let cur = sh.cur()?.clone();
-            let method = slot_text(args[0], 0)?;
-            let uri = slot_text(args[0], 1)?;
-            let version = slot_text(args[0], 2)?;
-            sh.outstanding
-                .entry(cur.uid.clone())
-                .or_default()
-                .push_back(method.clone());
-            sh.events.push(Event::HttpRequest {
-                ts: cur.ts,
-                uid: cur.uid.clone(),
-                id: cur.id,
-                method,
-                uri,
-                version,
-            });
-            Ok(Value::Null)
-        });
-
-        let s = shared.clone();
-        let prof = profiler.clone();
-        parser.register_hook("Http::on_reply_line", move |args| {
-            let _g = glue(&prof);
-            let mut sh = s.borrow_mut();
-            let cur = sh.cur()?.clone();
-            let version = slot_text(args[0], 0)?;
-            let status: u32 = slot_text(args[0], 1)?
-                .parse()
-                .map_err(|_| RtError::value("bad status"))?;
-            let reason = slot_text(args[0], 2)?;
-            sh.events.push(Event::HttpReply {
-                ts: cur.ts,
-                uid: cur.uid.clone(),
-                id: cur.id,
-                status,
-                reason,
-                version,
-            });
-            Ok(Value::Null)
-        });
+        on_event(
+            &mut parser,
+            "Http::on_reply_line",
+            &shared,
+            &rec,
+            |sh, cur, line| {
+                let version = slot_text(line, 0)?;
+                let status: u32 = slot_text(line, 1)?
+                    .parse()
+                    .map_err(|_| RtError::value("bad status"))?;
+                let reason = slot_text(line, 2)?;
+                sh.events.push(Event::HttpReply {
+                    ts: cur.ts,
+                    uid: cur.uid,
+                    id: cur.id,
+                    status,
+                    reason,
+                    version,
+                });
+                Ok(())
+            },
+        );
 
         for (hook, orig) in [
             ("Http::on_req_header", true),
             ("Http::on_resp_header", false),
         ] {
-            let s = shared.clone();
-            let prof = profiler.clone();
-            parser.register_hook(hook, move |args| {
-                let _g = prof.as_ref().map(|p| p.enter(Component::Glue));
-                let mut sh = s.borrow_mut();
-                let cur = sh.cur()?.clone();
-                let name = slot_text(args[0], 0)?;
-                let value = slot_text(args[0], 1)?;
+            on_event(&mut parser, hook, &shared, &rec, move |sh, cur, header| {
+                let name = slot_text(header, 0)?;
+                let value = slot_text(header, 1)?;
                 sh.events.push(Event::HttpHeader {
                     ts: cur.ts,
-                    uid: cur.uid.clone(),
+                    uid: cur.uid,
                     is_orig: orig,
                     name,
                     value,
                 });
-                Ok(Value::Null)
+                Ok(())
             });
         }
 
@@ -519,13 +533,8 @@ impl BinpacHttp {
             ("Http::on_request_done", true, 2usize),
             ("Http::on_reply_done", false, 2usize),
         ] {
-            let s = shared.clone();
-            let prof = profiler.clone();
-            parser.register_hook(hook, move |args| {
-                let _g = prof.as_ref().map(|p| p.enter(Component::Glue));
-                let mut sh = s.borrow_mut();
-                let cur = sh.cur()?.clone();
-                let body = slot_bytes(args[0], body_idx)?;
+            on_event(&mut parser, hook, &shared, &rec, move |sh, cur, msg| {
+                let body = slot_bytes(msg, body_idx)?;
                 let len = body.len() as u64;
                 if !body.is_empty() {
                     sh.events.push(Event::HttpBodyData {
@@ -537,11 +546,11 @@ impl BinpacHttp {
                 }
                 sh.events.push(Event::HttpMessageDone {
                     ts: cur.ts,
-                    uid: cur.uid.clone(),
+                    uid: cur.uid,
                     is_orig: orig,
                     body_len: len,
                 });
-                Ok(Value::Null)
+                Ok(())
             });
         }
 
@@ -549,37 +558,11 @@ impl BinpacHttp {
             parser,
             shared,
             sessions: HashMap::new(),
-            profiler,
             session_budget: None,
             peak_session_bytes: 0,
             deadline_ms: None,
-            recorder: None,
-            span_slot: 0,
+            rec,
         })
-    }
-
-    /// Parse-stage span hook: every subsequent `feed`/`finish_conn` records
-    /// a `Stage::Parse` span into `rec`, keyed by the packet slot last set
-    /// with [`BinpacHttp::set_span_slot`]. The recorder stays on the owning
-    /// thread (`Rc`), so this cannot introduce cross-thread traffic.
-    pub fn set_recorder(&mut self, rec: hilti_rt::trace::SharedRecorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Packet slot (merge major) attributed to the next parse-stage spans.
-    pub fn set_span_slot(&mut self, slot: u64) {
-        self.span_slot = slot;
-    }
-
-    fn record_parse_span(&mut self, uid: &Arc<str>, begin_ns: u64) {
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().record(
-                hilti_rt::trace::Stage::Parse,
-                self.span_slot,
-                Some(uid),
-                begin_ns,
-            );
-        }
     }
 
     /// The interned uid for a connection: the live session key when one
@@ -681,11 +664,20 @@ impl BinpacHttp {
         ts: Time,
         data: FeedChunk<'_>,
     ) -> RtResult<()> {
-        let _p = self
-            .profiler
-            .as_ref()
-            .map(|p| p.enter(Component::ProtocolParsing));
-        let span_begin = self.recorder.is_some().then(hilti_rt::trace::monotonic_ns);
+        let rec = self.rec.clone();
+        trace::span(rec.as_ref(), Stage::Parse, || {
+            self.feed_session(uid, id, is_orig, ts, data)
+        })
+    }
+
+    fn feed_session(
+        &mut self,
+        uid: &Arc<str>,
+        id: ConnId,
+        is_orig: bool,
+        ts: Time,
+        data: FeedChunk<'_>,
+    ) -> RtResult<()> {
         if let Some(ms) = self.deadline_ms {
             self.parser
                 .program_mut()
@@ -720,35 +712,26 @@ impl BinpacHttp {
         if let Some(b) = budget {
             self.peak_session_bytes = self.peak_session_bytes.max(b.peak());
         }
-        if let Some(begin) = span_begin {
-            self.record_parse_span(uid, begin);
-        }
         r
     }
 
     /// Ends a connection: freezes both directions (flushing read-to-close
     /// bodies) and drops its state.
     pub fn finish_conn(&mut self, uid: &str, id: ConnId, ts: Time) -> RtResult<()> {
-        let _p = self
-            .profiler
-            .as_ref()
-            .map(|p| p.enter(Component::ProtocolParsing));
-        let span_begin = self.recorder.is_some().then(hilti_rt::trace::monotonic_ns);
+        let rec = self.rec.clone();
+        trace::span(rec.as_ref(), Stage::Parse, || {
+            self.finish_sessions(uid, id, ts)
+        })
+    }
+
+    fn finish_sessions(&mut self, uid: &str, id: ConnId, ts: Time) -> RtResult<()> {
         if let Some(ms) = self.deadline_ms {
             self.parser
                 .program_mut()
                 .context_mut()
                 .arm_deadline_after_ms(Some(ms));
         }
-        let uid = self.intern_uid(uid);
-        let r = self.finish_conn_inner(&uid, id, ts);
-        if let Some(begin) = span_begin {
-            self.record_parse_span(&uid, begin);
-        }
-        r
-    }
-
-    fn finish_conn_inner(&mut self, uid: &Arc<str>, id: ConnId, ts: Time) -> RtResult<()> {
+        let uid = &self.intern_uid(uid);
         if let Some(mut sessions) = self.sessions.remove(uid.as_ref()) {
             self.set_current(uid, id, ts);
             self.parser.finish(&mut sessions.server)?;

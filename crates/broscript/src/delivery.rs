@@ -33,11 +33,10 @@ use hilti::passes::OptLevel;
 use hilti_rt::bytestring::FeedChunk;
 use hilti_rt::error::{RtError, RtResult};
 use hilti_rt::limits::ResourceLimits;
-use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::telemetry::{Counter, Event as TelemetryEvent, FieldValue, Histogram, Telemetry};
 use hilti_rt::time::{Interval, Time};
 use hilti_rt::trace::{
-    monotonic_ns, FlightRecorder, PostmortemDump, RecorderPart, SharedRecorder, Stage,
+    self, monotonic_ns, FlightRecorder, PostmortemDump, RecorderPart, SharedRecorder, Stage,
 };
 use netpkt::decode::decode_frame;
 use netpkt::events::{ConnId, Event};
@@ -416,11 +415,10 @@ enum ParserState {
 /// What an engine reports into: shared by the host, the parser stack and
 /// the analyzer's own accounting.
 pub(crate) struct Wiring {
-    pub profiler: Profiler,
     pub telemetry: Option<Telemetry>,
     /// Flight recorder: thread-local, shared (same-thread `Rc`) with the
-    /// binpac parsers so parse spans are recorded inside the
-    /// generated-parser stack.
+    /// script host and the binpac parsers, which record their glue and
+    /// parse spans into it under the delivery the analyzer labelled.
     pub rec: Option<SharedRecorder>,
 }
 
@@ -440,7 +438,7 @@ fn build_engine(
         (Proto::Http, ParserStack::Standard) => ParserState::StdHttp(HashMap::new()),
         (Proto::Dns, ParserStack::Standard) => ParserState::StdDns,
         (Proto::Http, ParserStack::Binpac) => {
-            let mut b = BinpacHttp::from_ir(ir(), Some(w.profiler.clone()))?;
+            let mut b = BinpacHttp::from_ir(ir(), w.rec.clone())?;
             if let Some(n) = gov.per_flow_heap {
                 b.set_session_budget(n);
             }
@@ -450,19 +448,13 @@ fn build_engine(
             if let Some(t) = &w.telemetry {
                 b.set_telemetry(t);
             }
-            if let Some(r) = &w.rec {
-                b.set_recorder(r.clone());
-            }
             b.set_delivery_deadline_ms(gov.delivery_deadline_ms);
             ParserState::BinpacHttp(b)
         }
         (Proto::Dns, ParserStack::Binpac) => {
-            let mut b = BinpacDns::from_ir(ir(), Some(w.profiler.clone()))?;
+            let mut b = BinpacDns::from_ir(ir(), w.rec.clone())?;
             if let Some(t) = &w.telemetry {
                 b.set_telemetry(t);
-            }
-            if let Some(r) = &w.rec {
-                b.set_recorder(r.clone());
             }
             b.set_delivery_deadline_ms(gov.delivery_deadline_ms);
             ParserState::BinpacDns(b)
@@ -548,7 +540,7 @@ pub(crate) struct Analyzer {
 
 impl Analyzer {
     /// Builds an analyzer around `host` (which the caller materialized
-    /// from the same blueprint, with `wiring.profiler` attached).
+    /// from the same blueprint, with `wiring.rec` attached).
     pub(crate) fn new(
         host: ScriptHost,
         bp: &ParserBlueprint,
@@ -614,9 +606,11 @@ impl Analyzer {
         self.quarantined.insert(uid.clone())
     }
 
-    fn span(&self, stage: Stage, slot: u64, uid: Option<&Arc<str>>, begin: Option<u64>) {
-        if let (Some(r), Some(b)) = (&self.wiring.rec, begin) {
-            r.borrow_mut().record(stage, slot, uid, b);
+    /// Labels the spans recorded from here on — the analyzer's own, the
+    /// parser stack's and the host's — with the delivery `(slot, uid)`.
+    fn label(&self, slot: u64, uid: Option<&Arc<str>>) {
+        if let Some(r) = &self.wiring.rec {
+            r.borrow_mut().set_current(slot, uid);
         }
     }
 
@@ -635,6 +629,7 @@ impl Analyzer {
         if skip {
             return Ok(());
         }
+        self.label(d.slot, Some(&d.uid));
         let forced_copy = self.gov.force_copy;
         if let Some(m) = self.metrics.as_ref().filter(|_| !d.payload.is_empty()) {
             let len = d.payload.len() as u64;
@@ -648,7 +643,7 @@ impl Analyzer {
                 _ => m.bytes_copied.add(len),
             }
         }
-        let tracing = self.wiring.rec.is_some();
+        let rec = self.wiring.rec.as_ref();
         let bytes = || d.payload.resolve(&self.trace);
         let chunk = || {
             if forced_copy {
@@ -659,30 +654,21 @@ impl Analyzer {
         };
         // `Ok(false)`: the payload is not a message of this protocol.
         let outcome: RtResult<bool> = match &mut self.parsers {
-            ParserState::StdHttp(map) => {
-                let begin = tracing.then(monotonic_ns);
-                {
-                    let _pp = self.wiring.profiler.enter(Component::ProtocolParsing);
-                    let parser = map
-                        .entry(d.uid.clone())
-                        .or_insert_with(|| HttpConnParser::new(d.uid.to_string(), d.id));
-                    if !d.payload.is_empty() {
-                        parser.feed(d.is_orig, bytes(), d.ts, &mut self.events);
-                    }
-                    if d.finished {
-                        parser.finish(d.ts, &mut self.events);
-                    }
+            ParserState::StdHttp(map) => trace::span(rec, Stage::Parse, || {
+                let parser = map
+                    .entry(d.uid.clone())
+                    .or_insert_with(|| HttpConnParser::new(d.uid.to_string(), d.id));
+                if !d.payload.is_empty() {
+                    parser.feed(d.is_orig, bytes(), d.ts, &mut self.events);
                 }
-                self.span(Stage::Parse, d.slot, Some(&d.uid), begin);
+                if d.finished {
+                    parser.finish(d.ts, &mut self.events);
+                }
                 Ok(true)
-            }
+            }),
             // (The binpac stacks record their own parse spans through the
-            // shared recorder — see `build_engine` — so only the span slot
-            // is refreshed here.)
+            // shared recorder — see `build_engine`.)
             ParserState::BinpacHttp(b) => {
-                if tracing {
-                    b.set_span_slot(d.slot);
-                }
                 let mut r = Ok(());
                 if !d.payload.is_empty() {
                     r = b.feed_chunk(&d.uid, d.id, d.is_orig, d.ts, chunk());
@@ -694,19 +680,16 @@ impl Analyzer {
                 b.drain_events_into(&mut self.events);
                 r.map(|()| true)
             }
-            ParserState::StdDns => {
-                let begin = tracing.then(monotonic_ns);
-                let ok = {
-                    let _pp = self.wiring.profiler.enter(Component::ProtocolParsing);
-                    standard_dns_events(&d.uid, d.id, d.ts, bytes(), &mut self.events)
-                };
-                self.span(Stage::Parse, d.slot, Some(&d.uid), begin);
-                Ok(ok)
-            }
+            ParserState::StdDns => trace::span(rec, Stage::Parse, || {
+                Ok(standard_dns_events(
+                    &d.uid,
+                    d.id,
+                    d.ts,
+                    bytes(),
+                    &mut self.events,
+                ))
+            }),
             ParserState::BinpacDns(b) => {
-                if tracing {
-                    b.set_span_slot(d.slot);
-                }
                 let r = b.datagram_chunk(&d.uid, d.id, d.ts, chunk());
                 b.drain_events_into(&mut self.events);
                 r
@@ -749,22 +732,23 @@ impl Analyzer {
         if self.events.is_empty() {
             return Ok(());
         }
-        let begin = self.wiring.rec.is_some().then(monotonic_ns);
-        let mut result = Ok(());
-        for ev in &self.events {
-            self.n_events += 1;
-            arm_script_limits(&mut self.host, &self.gov);
-            if let Err(e) = self.host.dispatch_event(ev) {
-                if !self.gov.quarantine {
-                    result = Err(e);
-                    break;
+        self.label(slot, uid);
+        trace::span(self.wiring.rec.as_ref(), Stage::Script, || {
+            let mut result = Ok(());
+            for ev in &self.events {
+                self.n_events += 1;
+                arm_script_limits(&mut self.host, &self.gov);
+                if let Err(e) = self.host.dispatch_event(ev) {
+                    if !self.gov.quarantine {
+                        result = Err(e);
+                        break;
+                    }
+                    errors.push(FlowError::new(ev.uid(), &e, ev.ts()));
                 }
-                errors.push(FlowError::new(ev.uid(), &e, ev.ts()));
             }
-        }
-        self.events.clear();
-        self.span(Stage::Script, slot, uid, begin);
-        result
+            self.events.clear();
+            result
+        })
     }
 
     /// End-to-end latency of a delivery that began at `begin_ns` — the
@@ -799,22 +783,16 @@ impl Analyzer {
         slot: u64,
         errors: &mut Vec<FlowError>,
     ) -> RtResult<()> {
-        let tracing = self.wiring.rec.is_some();
+        self.label(slot, Some(uid));
         match &mut self.parsers {
             ParserState::StdHttp(map) => {
                 if let Some(mut parser) = map.remove(uid) {
-                    let begin = tracing.then(monotonic_ns);
-                    {
-                        let _pp = self.wiring.profiler.enter(Component::ProtocolParsing);
-                        parser.finish(ts, &mut self.events);
-                    }
-                    self.span(Stage::Parse, slot, Some(uid), begin);
+                    trace::span(self.wiring.rec.as_ref(), Stage::Parse, || {
+                        parser.finish(ts, &mut self.events)
+                    });
                 }
             }
             ParserState::BinpacHttp(b) if b.has_conn(uid) => {
-                if tracing {
-                    b.set_span_slot(slot);
-                }
                 let r = b.finish_conn(uid, placeholder_id(), ts);
                 b.drain_events_into(&mut self.events);
                 if let Err(e) = r {

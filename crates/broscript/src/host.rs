@@ -4,9 +4,9 @@
 //! interpreter or the HILTI compiled program — and feeds it
 //! [`netpkt::events::Event`]s. For the compiled engine, the conversion of
 //! host event values into HILTI values is the "HILTI-to-Bro glue" that §6
-//! measures separately (charged to [`Component::Glue`] when a profiler is
-//! attached); script handler execution itself is charged to
-//! [`Component::ScriptExecution`].
+//! measures separately: with a flight recorder attached it is recorded as
+//! a [`Stage::Glue`] span, nested in the pipeline's `Script` span and
+//! charged to glue only.
 //!
 //! The builtin functions ([`BUILTINS`]) are shared verbatim by both engines
 //! — one function per builtin, looked up by name by the interpreter and
@@ -21,9 +21,9 @@ use std::rc::Rc;
 use hilti::value::Value;
 use hilti_rt::error::{RtError, RtResult};
 use hilti_rt::file::LogFile;
-use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::sha1::sha1_hex;
 use hilti_rt::time::Time;
+use hilti_rt::trace::{self, SharedRecorder, Stage};
 
 use netpkt::events::{dns_rcodes, dns_types, Event};
 
@@ -222,7 +222,8 @@ pub struct ScriptHost {
     interp: Option<Interp>,
     compiled: Option<CompiledScript>,
     rt: Rc<RefCell<BroRt>>,
-    profiler: Option<Profiler>,
+    /// Flight recorder for glue spans, labelled with its current delivery.
+    rec: Option<SharedRecorder>,
 }
 
 /// The compiled engine's program, with the entry points every event goes
@@ -260,7 +261,7 @@ impl HostBlueprint {
     /// lowers the optimized IR to bytecode, registers the builtin library
     /// as host functions and runs `Bro::init_globals`; the interpreter
     /// just instantiates over the AST.
-    pub(crate) fn into_host(self, profiler: Option<Profiler>) -> RtResult<ScriptHost> {
+    pub(crate) fn into_host(self, rec: Option<SharedRecorder>) -> RtResult<ScriptHost> {
         let script = Rc::new(self.script);
         let rt: Rc<RefCell<BroRt>> = Rc::new(RefCell::new(BroRt::default()));
         let (interp, compiled) = match self.ir {
@@ -296,24 +297,25 @@ impl HostBlueprint {
             interp,
             compiled,
             rt,
-            profiler,
+            rec,
         })
     }
 }
 
 impl ScriptHost {
     /// Parses and loads `sources` (merged, like loading several .bro files)
-    /// onto the chosen engine.
-    pub fn new(sources: &[&str], engine: Engine, profiler: Option<Profiler>) -> RtResult<Self> {
-        Self::blueprint(sources, engine, None)?.into_host(profiler)
+    /// onto the chosen engine. With a recorder, the compiled engine's event
+    /// conversion is recorded as `Glue` spans.
+    pub fn new(sources: &[&str], engine: Engine, rec: Option<SharedRecorder>) -> RtResult<Self> {
+        Self::blueprint(sources, engine, None)?.into_host(rec)
     }
 
     pub fn from_script(
         script: Script,
         engine: Engine,
-        profiler: Option<Profiler>,
+        rec: Option<SharedRecorder>,
     ) -> RtResult<Self> {
-        HostBlueprint::of(script, engine)?.into_host(profiler)
+        HostBlueprint::of(script, engine)?.into_host(rec)
     }
 
     /// Runs the shareable front end of a host build **once**: script
@@ -342,8 +344,8 @@ impl ScriptHost {
 
     /// Per-thread construction from a shared [`HostBlueprint`] (cloned, so
     /// the blueprint stays available to other threads and to respawns).
-    pub fn from_blueprint(bp: &HostBlueprint, profiler: Option<Profiler>) -> RtResult<Self> {
-        bp.clone().into_host(profiler)
+    pub fn from_blueprint(bp: &HostBlueprint, rec: Option<SharedRecorder>) -> RtResult<Self> {
+        bp.clone().into_host(rec)
     }
 
     pub fn engine(&self) -> Engine {
@@ -413,10 +415,11 @@ impl ScriptHost {
         }
         // Conversion of host event data into script values: free-standing
         // for the interpreter, but the measured *glue* for HILTI.
-        let args = {
-            let _g = (self.engine == Engine::Compiled)
-                .then(|| self.profiler.as_ref().map(|p| p.enter(Component::Glue)))
-                .flatten();
+        let rec = self
+            .rec
+            .as_ref()
+            .filter(|_| self.engine == Engine::Compiled);
+        let args = trace::span(rec, Stage::Glue, || {
             // Figure 8 compatibility: if the script declares
             // `event connection_established(c: connection)`, hand it the
             // record form instead of the flat argument list.
@@ -432,16 +435,12 @@ impl ScriptHost {
                 }
                 _ => event_args(ev),
             }
-        };
+        });
         self.dispatch(ev.name(), &args)
     }
 
     /// Dispatches a raw event by name.
     pub fn dispatch(&mut self, event: &str, args: &[Value]) -> RtResult<()> {
-        let _s = self
-            .profiler
-            .as_ref()
-            .map(|p| p.enter(Component::ScriptExecution));
         match self.engine {
             Engine::Interpreted => self.interp.as_mut().expect("engine").dispatch(event, args),
             Engine::Compiled => {
@@ -461,10 +460,6 @@ impl ScriptHost {
 
     /// Calls a script function (used by the Fibonacci benchmark).
     pub fn call(&mut self, func: &str, args: &[Value]) -> RtResult<Value> {
-        let _s = self
-            .profiler
-            .as_ref()
-            .map(|p| p.enter(Component::ScriptExecution));
         match self.engine {
             Engine::Interpreted => self.interp.as_mut().expect("engine").call(func, args),
             Engine::Compiled => self.program_mut().run(&format!("Bro::{func}"), args),

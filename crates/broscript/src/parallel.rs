@@ -8,7 +8,7 @@
 //! connection 5-tuple ([`netpkt::flow::shard_hash`], symmetric and
 //! worker-count-independent) to one of N shards. Each shard — its own
 //! `std::thread` fed by a bounded SPSC ring ([`hilti_rt::spsc`]) — owns a
-//! private engine context, parser stack, script host, profiler, and
+//! private engine context, parser stack, script host, flight recorder and
 //! telemetry registry, so the per-packet hot path takes no locks.
 //!
 //! Both sides are the crate's shared delivery core (`delivery.rs`): the
@@ -35,7 +35,7 @@
 //! would fire at different packet positions for different N). Shard-side effects — log
 //! lines, printed lines, flow errors, telemetry events — are recorded in
 //! flat per-shard vectors, and each processing step seals an
-//! [`EffectBlock`]: the ranges it appended, keyed by the
+//! `EffectBlock`: the ranges it appended, keyed by the
 //! position the sequential pipeline would have produced them in:
 //!
 //! * phase 0 — dispatcher `flow_open`/`flow_close` events,
@@ -62,7 +62,6 @@
 use std::sync::Arc;
 
 use hilti_rt::error::{RtError, RtResult};
-use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::spsc::{self, Producer};
 use hilti_rt::telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetrySnapshot};
 use hilti_rt::time::Time;
@@ -330,13 +329,12 @@ impl ShardState {
         panic_countdown: Option<u64>,
     ) -> RtResult<ShardState> {
         let wiring = Wiring {
-            profiler: Profiler::new(),
             telemetry: gov.telemetry.then(Telemetry::new),
             rec: gov
                 .tracing
                 .then(|| FlightRecorder::new(shard as u32).shared()),
         };
-        let host = ScriptHost::from_blueprint(&blueprint.host, Some(wiring.profiler.clone()))?;
+        let host = ScriptHost::from_blueprint(&blueprint.host, wiring.rec.clone())?;
         let analyzer = Analyzer::new(host, &blueprint.parsers, gov, trace, wiring)?;
         Ok(ShardState {
             analyzer,
@@ -463,11 +461,11 @@ impl ShardState {
         }
         self.seal(m, self.cur_key, false);
 
-        // Respawn: fresh engine pieces from the blueprint, same profiler
+        // Respawn: fresh engine pieces from the blueprint, same recorder
         // and telemetry registry. The new host starts with empty logs.
         self.log_cursors = [0; 3];
-        let profiler = Some(self.analyzer.wiring.profiler.clone());
-        let respawned = ScriptHost::from_blueprint(&self.blueprint.host, profiler)
+        let rec = self.analyzer.wiring.rec.clone();
+        let respawned = ScriptHost::from_blueprint(&self.blueprint.host, rec)
             .and_then(|host| self.analyzer.respawn(host, &self.blueprint.parsers));
         self.dead = respawned.is_err();
         self.faults.push(detail);
@@ -500,10 +498,7 @@ impl ShardState {
         let errors = &mut self.out.effects.flow_errors;
         match item {
             ShardItem::Delivery(d) => {
-                let parsed = {
-                    let _o = self.analyzer.wiring.profiler.enter(Component::Other);
-                    self.analyzer.parse(&d, errors)
-                };
+                let parsed = self.analyzer.parse(&d, errors);
                 if self.close_parse(parsed, m) {
                     self.dispatch(Key::new(d.slot, PH_DISPATCH), false);
                     self.analyzer.observe_delivery(d.begin_ns);
@@ -641,7 +636,6 @@ impl ShardState {
         ShardReport {
             out: self.out,
             snapshot: snapshot.unwrap_or_default(),
-            profiler: self.analyzer.wiring.profiler.clone(),
             n_events: self.analyzer.n_events,
             parse_failures: self.analyzer.parse_failures,
             peak_flow_bytes: self.analyzer.peak_flow_bytes(),
@@ -657,7 +651,6 @@ impl ShardState {
 struct ShardReport {
     out: Stream,
     snapshot: TelemetrySnapshot,
-    profiler: Profiler,
     n_events: u64,
     parse_failures: u64,
     peak_flow_bytes: u64,
@@ -942,7 +935,6 @@ pub(crate) fn run_parallel(
         handles.push(handle);
     }
 
-    let profiler = Profiler::new();
     let mut dtel = gov.telemetry.then(DispatcherEvents::default);
     // Dispatcher-side flight recorder: decode, ring-submission, and merge
     // spans live here; shard recorders cover queue wait / parse / script.
@@ -970,7 +962,6 @@ pub(crate) fn run_parallel(
     );
 
     for slot in 0..trace.len() {
-        let _o = profiler.enter(Component::Other);
         let major = slot as u64;
         let flow_key = Key::new(major, PH_FLOW);
         let Some(mut d) = front.ingest(slot, &mut keyed(&mut dtel, flow_key)) else {
@@ -1183,9 +1174,6 @@ pub(crate) fn run_parallel(
         .map(|m| m.telemetry.snapshot())
         .unwrap_or_default();
     warn_event_drops(&telemetry, "pipeline");
-    for r in live() {
-        profiler.absorb(&r.profiler);
-    }
     let (events, parse_failures) = (
         live().map(|r| r.n_events).sum(),
         live().map(|r| r.parse_failures).sum(),
@@ -1226,7 +1214,6 @@ pub(crate) fn run_parallel(
         files_log,
         dns_log,
         output,
-        profiler,
         events,
         packets: front.packets,
         flow_errors,

@@ -4,12 +4,11 @@
 //! This is the experiment driver behind Tables 2/3 and Figures 9/10: it
 //! replays a packet trace through either the *standard* handwritten parsers
 //! or the *BinPAC++* generated ones, feeds the resulting events into either
-//! script engine, and collects logs plus a per-component time breakdown
-//! ([`Profiler`]): protocol parsing, script execution, HILTI-to-Bro glue,
-//! and other (decode/flow bookkeeping).
+//! script engine, and collects logs. With [`Governance::tracing`] on, the
+//! run's [`TraceReport`] carries the time per stage — decode, parse, glue,
+//! script — from which the figures' component breakdown is derived.
 
 use hilti_rt::error::{RtError, RtResult};
-use hilti_rt::profile::{Component, Profiler};
 use hilti_rt::telemetry::{Telemetry, TelemetrySnapshot};
 use hilti_rt::time::Time;
 use hilti_rt::trace::{FlightRecorder, TraceReport};
@@ -37,7 +36,6 @@ pub struct AnalysisResult {
     pub http_log: Vec<String>,
     pub files_log: Vec<String>,
     pub dns_log: Vec<String>,
-    pub profiler: Profiler,
     pub events: u64,
     pub packets: u64,
     pub output: Vec<String>,
@@ -90,7 +88,9 @@ pub struct AnalysisResult {
 #[derive(Clone, Copy, Default)]
 pub struct Governance {
     /// Evict flows — and their parser state — idle for longer than this
-    /// many milliseconds of trace time, driven by a [`TimerMgr`].
+    /// many milliseconds of trace time. Checked after each packet against
+    /// a heap of per-packet deadlines; only flows past the cutoff are
+    /// examined.
     pub idle_timeout_ms: Option<u64>,
     /// Byte budget for each connection's buffered parser state
     /// (BinPAC++ stream sessions). Exceeding it raises
@@ -121,10 +121,11 @@ pub struct Governance {
     /// reproducibility matters.
     pub delivery_deadline_ms: Option<u64>,
     /// Flight-recorder tracing: record per-stage spans (dispatch, queue
-    /// wait, decode, parse, script, merge) into bounded per-shard rings
-    /// and surface them as [`AnalysisResult::trace`]. Off by default; the
-    /// off path is a single branch per would-be span, and the on path
-    /// never touches deterministic outputs.
+    /// wait, decode, parse, glue, script, merge) into bounded per-shard
+    /// rings and surface them as [`AnalysisResult::trace`]. The program's
+    /// only wall-clock attribution, Figures 9/10's included. Off by
+    /// default; the off path is a single branch per would-be span and
+    /// reads no clock, and the on path never touches deterministic outputs.
     pub tracing: bool,
     /// Degrade zero-copy deliveries to copies: every in-order payload is
     /// memcpy'd into the parser's buffer instead of borrowed from the
@@ -242,18 +243,16 @@ pub(crate) fn run_sequential(
     engine: Engine,
     gov: &Governance,
 ) -> RtResult<(AnalysisResult, (usize, usize))> {
-    let profiler = Profiler::new();
     let tel = gov.telemetry.then(Telemetry::new);
     let rec = gov.tracing.then(|| FlightRecorder::new(0).shared());
     let Blueprint { host, parsers } = Blueprint::build(proto, stack, engine)?;
     // One shared arena for the whole trace; deliveries borrow from it.
     let trace = TraceBuffer::from_packets(packets);
     let wiring = Wiring {
-        profiler: profiler.clone(),
         telemetry: tel.clone(),
         rec: rec.clone(),
     };
-    let host = host.into_host(Some(profiler.clone()))?;
+    let host = host.into_host(rec.clone())?;
     let mut analyzer = Analyzer::new(host, &parsers, *gov, trace.clone(), wiring)?;
     let mut front = FlowFrontEnd::new(
         trace.clone(),
@@ -273,7 +272,6 @@ pub(crate) fn run_sequential(
     };
 
     for slot in 0..trace.len() {
-        let other = profiler.enter(Component::Other);
         let Some(d) = front.ingest(slot, &mut emit) else {
             continue;
         };
@@ -281,7 +279,6 @@ pub(crate) fn run_sequential(
         for (_, dead) in front.expire(&d, &mut emit) {
             analyzer.evict(&dead);
         }
-        drop(other);
         analyzer.dispatch(d.slot, Some(&d.uid), &mut flow_errors)?;
         analyzer.observe_delivery(d.begin_ns);
     }
@@ -316,7 +313,6 @@ pub(crate) fn run_sequential(
         files_log: analyzer.host.log_lines("files.log"),
         dns_log: analyzer.host.log_lines("dns.log"),
         output: analyzer.host.take_output(),
-        profiler,
         events: analyzer.n_events,
         packets: front.packets,
         flows_expired: front.flows_expired,
@@ -396,13 +392,47 @@ mod tests {
         assert!(ag.percent() > 80.0, "{ag:?}");
     }
 
+    /// The figures' breakdown comes from the recorder's exclusive stage
+    /// sums: glue shows up exactly where HILTI meets Bro (the BinPAC++
+    /// event hooks, the compiled engine's argument conversion), and taking
+    /// nested glue out of parse and script loses no time.
     #[test]
-    fn profiler_attributes_components() {
+    fn recorder_attributes_components() {
+        use hilti_rt::trace::Stage;
         let trace = http_trace(&SynthConfig::new(21, 6));
-        let r = run_http_analysis(&trace, ParserStack::Binpac, Engine::Compiled).unwrap();
-        assert!(r.profiler.total(Component::ProtocolParsing) > 0);
-        assert!(r.profiler.total(Component::ScriptExecution) > 0);
-        assert!(r.profiler.total(Component::Glue) > 0);
-        assert!(r.profiler.total(Component::Other) > 0);
+        let gov = Governance {
+            tracing: true,
+            ..Governance::default()
+        };
+        for stack in [ParserStack::Standard, ParserStack::Binpac] {
+            for engine in [Engine::Interpreted, Engine::Compiled] {
+                let what = format!("{stack:?} + {engine:?}");
+                let r = run_http_analysis_governed(&trace, stack, engine, &gov).unwrap();
+                let report = r.trace.expect("tracing is on");
+                let total = |st: Stage| {
+                    let s = report.latency.stages.iter().find(|s| s.stage == st);
+                    s.map_or(0, |s| s.total_ns)
+                };
+                assert!(total(Stage::Parse) > 0, "{what}: parse");
+                assert!(total(Stage::Script) > 0, "{what}: script");
+                let meets = stack == ParserStack::Binpac || engine == Engine::Compiled;
+                assert_eq!(total(Stage::Glue) > 0, meets, "{what}: glue");
+                // Decode, parse, glue and script partition the time of the
+                // spans that enclose the rest.
+                assert_eq!(report.spans_dropped, 0, "{what}");
+                let components: u64 = [Stage::Decode, Stage::Parse, Stage::Glue, Stage::Script]
+                    .map(total)
+                    .iter()
+                    .sum();
+                let stages: u64 = report.latency.stages.iter().map(|s| s.total_ns).sum();
+                let outer: u64 = report
+                    .spans
+                    .iter()
+                    .filter(|s| s.stage != Stage::Glue)
+                    .map(|s| s.duration_ns())
+                    .sum();
+                assert_eq!((components, stages), (outer, outer), "{what}");
+            }
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! domain-specific value types, the stateful containers with built-in
 //! expiration (and the deadline queue behind them), timers and timer managers, thread-safe channels, the
 //! incremental multi-pattern regular-expression engine, the ACL-style packet
-//! classifier, overlay unpacking primitives, profiling support, and small
-//! utilities (SHA-1, FNV hashing) that the host applications need.
+//! classifier, overlay unpacking primitives, the flight recorder that
+//! attributes wall-clock time to pipeline stages, and small utilities
+//! (SHA-1, FNV hashing) that the host applications need.
 //!
 //! Everything here is engine-agnostic: both the HILTI bytecode VM and the
 //! reference IR interpreter (crate `hilti`) call into these types, exactly as
@@ -28,7 +29,6 @@ pub mod file;
 pub mod hashutil;
 pub mod limits;
 pub mod overlay;
-pub mod profile;
 pub mod regexp;
 pub mod sha1;
 pub mod spsc;

@@ -12,9 +12,8 @@
 //!
 //! Everything here is counting-based and deterministic: a
 //! [`TelemetrySnapshot`] contains no wall-time fields, so two runs over the
-//! same input produce byte-identical JSON. Wall-clock attribution stays in
-//! [`crate::profile::Profiler`], which shares this registry for its named
-//! counters.
+//! same input produce byte-identical JSON. Wall-clock attribution lives in
+//! the flight recorder ([`crate::trace`]), a side channel next to it.
 //!
 //! The metric and event names wired through the engines and the analysis
 //! pipeline are a stable interface, documented in DESIGN.md
@@ -908,6 +907,16 @@ mod tests {
         assert_eq!(c.get(), 0);
         c.inc();
         assert_eq!(reg.counter_value("x"), 1);
+    }
+
+    #[test]
+    fn registry_clones_share_state() {
+        let reg = Registry::new();
+        let other = reg.clone();
+        other.counter("shared").add(2);
+        assert_eq!(reg.counter_value("shared"), 2);
+        reg.reset();
+        assert_eq!(other.counter_value("shared"), 0);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   happens only at harvest time, after the owning thread is done. The
 //!   only timestamps that cross threads are plain `u64`s stamped by the
 //!   producer (e.g. a dispatcher enqueue time consumed by a shard).
+//! * **Stage sums are exclusive.** A `Glue` span nested in a `Parse` or
+//!   `Script` span is charged to `Glue` only: the enclosing span's
+//!   [`SpanRecord::self_ns`], its stage histogram and the top-K breakdown
+//!   all exclude it, so the per-stage totals partition the recorded time
+//!   instead of counting glue twice. The ring keeps raw begin/end, so
+//!   trace viewers still show the nesting.
 //! * **Wall-clock data never enters deterministic outputs.** Spans,
 //!   latency reports, and dumps travel in side-channels
 //!   ([`TraceReport`]); the *structure* of a dump (stage/packet/uid
@@ -26,6 +32,7 @@
 //! those viewers ignore.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -33,7 +40,7 @@ use std::time::Instant;
 use crate::telemetry::{json, HistogramSnapshot};
 
 /// Number of pipeline stages a span can be attributed to.
-pub const STAGES: usize = 6;
+pub const STAGES: usize = 7;
 
 /// Shard id used for spans recorded on the dispatcher thread.
 pub const DISPATCHER: u32 = u32::MAX;
@@ -48,7 +55,7 @@ pub const POSTMORTEM_SPANS: usize = 256;
 /// Slowest-deliveries kept per shard in a [`LatencyReport`].
 pub const TOP_K: usize = 5;
 
-/// The six stages of the delivery path. `hiltic` (no packet pipeline)
+/// The seven stages of the delivery path. `hiltic` (no packet pipeline)
 /// reuses `Parse` for its front end and `Script` for program execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
@@ -62,10 +69,14 @@ pub enum Stage {
     Decode = 2,
     /// Parser feed (binpac or standard stack) for one delivery.
     Parse = 3,
+    /// HILTI-to-Bro glue: a BinPAC++ event hook turning parsed units into
+    /// events, or the compiled engine converting an event's values into
+    /// script arguments. Always nested in a `Parse` or `Script` span.
+    Glue = 4,
     /// Script event execution for one delivery's event batch.
-    Script = 4,
+    Script = 5,
     /// Dispatcher: deterministic epoch merge of shard effects.
-    Merge = 5,
+    Merge = 6,
 }
 
 impl Stage {
@@ -74,6 +85,7 @@ impl Stage {
         Stage::QueueWait,
         Stage::Decode,
         Stage::Parse,
+        Stage::Glue,
         Stage::Script,
         Stage::Merge,
     ];
@@ -84,6 +96,7 @@ impl Stage {
             Stage::QueueWait => "queue_wait",
             Stage::Decode => "decode",
             Stage::Parse => "parse",
+            Stage::Glue => "glue",
             Stage::Script => "script",
             Stage::Merge => "merge",
         }
@@ -104,6 +117,19 @@ pub fn monotonic_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// Runs `body` as one `stage` span of `rec`, labelled with the recorder's
+/// current delivery ([`FlightRecorder::set_current`]). Without a recorder
+/// this is just `body()`: no clock is read.
+pub fn span<T>(rec: Option<&SharedRecorder>, stage: Stage, body: impl FnOnce() -> T) -> T {
+    let Some(rec) = rec else {
+        return body();
+    };
+    let begin = monotonic_ns();
+    let out = body();
+    rec.borrow_mut().record_current(stage, begin);
+    out
+}
+
 /// One fixed-size span record. `uid` is a cheap refcounted handle to the
 /// interned flow uid (no string copy on the hot path).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,6 +142,9 @@ pub struct SpanRecord {
     pub uid: Option<Arc<str>>,
     pub begin_ns: u64,
     pub end_ns: u64,
+    /// The part of `begin_ns..end_ns` charged to `stage`: the duration
+    /// minus any `Glue` spans nested in it.
+    pub self_ns: u64,
 }
 
 impl SpanRecord {
@@ -181,6 +210,13 @@ pub struct FlightRecorder {
     total: u64,
     stage_ns: [LocalHist; STAGES],
     delivery_ns: LocalHist,
+    /// `(begin_ns, duration)` of the `Glue` spans recorded since the last
+    /// other span: the candidates for nesting in the next one to end.
+    /// Bounded by the ring capacity.
+    glue: VecDeque<(u64, u64)>,
+    /// The delivery being processed, `(packet slot, uid)`: the label of
+    /// spans recorded with [`FlightRecorder::record_current`].
+    current: (u64, Option<Arc<str>>),
 }
 
 /// Single-thread shared handle: lets a pipeline and the parsers it owns
@@ -204,6 +240,8 @@ impl FlightRecorder {
             total: 0,
             stage_ns: std::array::from_fn(|_| LocalHist::default()),
             delivery_ns: LocalHist::default(),
+            glue: VecDeque::new(),
+            current: (0, None),
         }
     }
 
@@ -215,14 +253,23 @@ impl FlightRecorder {
         self.shard
     }
 
-    /// Timestamp for a span about to begin.
-    pub fn begin(&self) -> u64 {
-        monotonic_ns()
-    }
-
     /// Records a span ending now.
     pub fn record(&mut self, stage: Stage, packet: u64, uid: Option<&Arc<str>>, begin_ns: u64) {
         self.record_span(stage, packet, uid, begin_ns, monotonic_ns());
+    }
+
+    /// Sets the delivery the owning thread is processing. Components
+    /// nested in it (the generated parsers, the script host) label their
+    /// spans with it through [`FlightRecorder::record_current`] instead of
+    /// having the label passed down every call.
+    pub fn set_current(&mut self, packet: u64, uid: Option<&Arc<str>>) {
+        self.current = (packet, uid.cloned());
+    }
+
+    /// Records a span ending now, labelled with the current delivery.
+    pub fn record_current(&mut self, stage: Stage, begin_ns: u64) {
+        let (packet, uid) = self.current.clone();
+        self.record(stage, packet, uid.as_ref(), begin_ns);
     }
 
     /// Records a span with both endpoints supplied (used when the begin
@@ -235,7 +282,26 @@ impl FlightRecorder {
         begin_ns: u64,
         end_ns: u64,
     ) {
-        self.stage_ns[stage.index()].observe(end_ns.saturating_sub(begin_ns));
+        let duration = end_ns.saturating_sub(begin_ns);
+        let self_ns = if stage == Stage::Glue {
+            if self.glue.len() == self.cap {
+                self.glue.pop_front();
+            }
+            self.glue.push_back((begin_ns, duration));
+            duration
+        } else {
+            // Spans on one thread nest or are disjoint, so the pending glue
+            // that began inside this span is nested in it; glue that began
+            // earlier belonged to no enclosing span and is dropped too.
+            let nested: u64 = self
+                .glue
+                .drain(..)
+                .filter(|&(b, _)| b >= begin_ns)
+                .map(|(_, d)| d)
+                .sum();
+            duration.saturating_sub(nested)
+        };
+        self.stage_ns[stage.index()].observe(self_ns);
         let rec = SpanRecord {
             stage,
             shard: self.shard,
@@ -243,6 +309,7 @@ impl FlightRecorder {
             uid: uid.cloned(),
             begin_ns,
             end_ns,
+            self_ns,
         };
         if self.ring.len() < self.cap {
             self.ring.push(rec);
@@ -271,17 +338,14 @@ impl FlightRecorder {
 
     /// Retained spans, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.next..]);
-        out.extend_from_slice(&self.ring[..self.next]);
-        out
+        self.recent(self.ring.len())
     }
 
-    /// The most recent `n` spans, oldest first.
+    /// The most recent `n` spans, oldest first. Copies only those `n`.
     pub fn recent(&self, n: usize) -> Vec<SpanRecord> {
-        let all = self.spans();
-        let skip = all.len().saturating_sub(n);
-        all[skip..].to_vec()
+        let (newer, older) = self.ring.split_at(self.next);
+        let skip = self.ring.len().saturating_sub(n);
+        older.iter().chain(newer).skip(skip).cloned().collect()
     }
 
     /// Drains the last [`POSTMORTEM_SPANS`] records into a dump.
@@ -297,13 +361,7 @@ impl FlightRecorder {
     pub fn finish(self) -> RecorderPart {
         RecorderPart {
             shard: self.shard,
-            spans: {
-                let mut out = Vec::with_capacity(self.ring.len());
-                let (tail, head) = self.ring.split_at(self.next.min(self.ring.len()));
-                out.extend_from_slice(head);
-                out.extend_from_slice(tail);
-                out
-            },
+            spans: self.spans(),
             stage_ns: self.stage_ns.iter().map(LocalHist::snapshot).collect(),
             delivery_ns: self.delivery_ns.snapshot(),
             dropped: self.total - self.ring.len() as u64,
@@ -541,7 +599,8 @@ impl TraceReport {
     }
 
     /// Groups retained per-delivery spans (queue wait, decode, parse,
-    /// script) by packet slot and keeps the top-K slowest per shard.
+    /// glue, script) by packet slot and keeps the top-K slowest per shard,
+    /// charging each span its [`SpanRecord::self_ns`].
     /// Works on retained spans only, so under heavy ring wrap the table
     /// reflects the recent window — which is the window that matters for
     /// tail diagnosis.
@@ -564,7 +623,7 @@ impl TraceReport {
                 if e.1.is_none() {
                     e.1 = r.uid.clone();
                 }
-                e.2[r.stage.index()] += r.duration_ns();
+                e.2[r.stage.index()] += r.self_ns;
             }
         }
         let mut by_shard: BTreeMap<u32, Vec<SlowDelivery>> = BTreeMap::new();
@@ -669,6 +728,100 @@ mod tests {
         Arc::from(s)
     }
 
+    fn spin(d: std::time::Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    fn stage_sum(report: &TraceReport, st: Stage) -> u64 {
+        let s = report.latency.stages.iter().find(|s| s.stage == st);
+        s.map_or(0, |s| s.total_ns)
+    }
+
+    #[test]
+    fn span_charges_wall_time_to_its_stage() {
+        let rec = FlightRecorder::new(0).shared();
+        let out = span(Some(&rec), Stage::Parse, || {
+            spin(std::time::Duration::from_millis(5));
+            7
+        });
+        assert_eq!(out, 7);
+        let part = Rc::try_unwrap(rec).ok().unwrap().into_inner().finish();
+        let report = TraceReport::from_parts(vec![part], vec![]);
+        assert!(stage_sum(&report, Stage::Parse) >= 5_000_000);
+        assert_eq!(stage_sum(&report, Stage::Script), 0);
+    }
+
+    #[test]
+    fn span_without_recorder_only_runs_the_body() {
+        let mut ran = false;
+        let out = span(None, Stage::Script, || {
+            ran = true;
+            "done"
+        });
+        assert!(ran);
+        assert_eq!(out, "done");
+    }
+
+    #[test]
+    fn nested_glue_span_is_charged_to_glue_only() {
+        let rec = FlightRecorder::new(0).shared();
+        span(Some(&rec), Stage::Script, || {
+            spin(std::time::Duration::from_millis(3));
+            span(Some(&rec), Stage::Glue, || {
+                spin(std::time::Duration::from_millis(6))
+            });
+            spin(std::time::Duration::from_millis(3));
+        });
+        let spans = rec.borrow().spans();
+        let (glue, script) = (&spans[0], &spans[1]);
+        assert_eq!((glue.stage, script.stage), (Stage::Glue, Stage::Script));
+        assert!(glue.begin_ns >= script.begin_ns && glue.end_ns <= script.end_ns);
+        assert!(glue.self_ns >= 6_000_000, "glue={}", glue.self_ns);
+        // The inner time is not double-charged to the outer span.
+        assert_eq!(script.self_ns, script.duration_ns() - glue.duration_ns());
+        assert!(script.self_ns >= 6_000_000, "script={}", script.self_ns);
+    }
+
+    #[test]
+    fn finish_keeps_one_histogram_per_stage() {
+        let part = FlightRecorder::new(0).finish();
+        assert_eq!(part.stage_ns.len(), STAGES);
+        assert!(part.stage_ns.iter().all(|h| h.count == 0 && h.sum == 0));
+        let report = TraceReport::from_parts(vec![part], vec![]);
+        assert!(report.latency.stages.is_empty());
+        assert_eq!(report.latency.delivery_count, 0);
+    }
+
+    #[test]
+    fn report_sums_a_stage_across_shards() {
+        let mut a = FlightRecorder::new(0);
+        let mut b = FlightRecorder::new(1);
+        a.record_span(Stage::Glue, 1, None, 0, 40);
+        b.record_span(Stage::Glue, 2, None, 0, 25);
+        b.record_span(Stage::Glue, 3, None, 50, 60);
+        let report = TraceReport::from_parts(vec![b.finish(), a.finish()], vec![]);
+        let glue = &report.latency.stages[0];
+        assert_eq!((glue.stage, glue.count), (Stage::Glue, 3));
+        assert_eq!(stage_sum(&report, Stage::Glue), 40 + 25 + 10);
+        // Spans come back shard order, whatever order the parts arrive in.
+        let shards: Vec<_> = report.spans.iter().map(|s| s.shard).collect();
+        assert_eq!(shards, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn pending_glue_is_bounded_by_ring_capacity() {
+        let mut r = FlightRecorder::with_capacity(0, 2);
+        for b in [10, 20, 30] {
+            r.record_span(Stage::Glue, 1, None, b, b + 1);
+        }
+        // Only the newest `cap` glue spans are remembered for nesting.
+        r.record_span(Stage::Parse, 1, None, 0, 100);
+        assert_eq!(r.spans()[1].self_ns, 98);
+    }
+
     #[test]
     fn monotonic_ns_is_monotone_and_shared() {
         let a = monotonic_ns();
@@ -705,6 +858,68 @@ mod tests {
             part.spans.iter().map(|s| s.packet).collect::<Vec<_>>(),
             vec![2, 3, 4, 5]
         );
+    }
+
+    #[test]
+    fn recent_is_the_tail_of_spans_across_wrap() {
+        let cap = 5;
+        let mut r = FlightRecorder::with_capacity(0, cap);
+        for i in 0..(3 * cap as u64 + 2) {
+            let spans = r.spans();
+            for n in 0..=cap + 1 {
+                let tail = &spans[spans.len().saturating_sub(n)..];
+                assert_eq!(r.recent(n), tail, "after {i} spans, recent({n})");
+            }
+            r.record_span(Stage::Parse, i, None, i, i + 1);
+        }
+    }
+
+    #[test]
+    fn stage_sums_charge_nested_glue_to_glue_only() {
+        let mut r = FlightRecorder::new(0);
+        let u = uid("C1");
+        // Packet 1: parse 100 ns with 30 ns of glue inside it, then script
+        // 100 ns with two glue spans (10 + 5 ns) inside it.
+        r.record_span(Stage::Glue, 1, Some(&u), 20, 50);
+        r.record_span(Stage::Parse, 1, Some(&u), 0, 100);
+        r.record_span(Stage::Glue, 1, Some(&u), 120, 130);
+        r.record_span(Stage::Glue, 1, Some(&u), 150, 155);
+        r.record_span(Stage::Script, 1, Some(&u), 100, 200);
+        // Glue outside any enclosing span is charged to glue and taken
+        // from no later span.
+        r.record_span(Stage::Glue, 2, Some(&u), 300, 310);
+        r.record_span(Stage::Decode, 2, Some(&u), 320, 330);
+        // The ring keeps raw begin/end; `self_ns` is the exclusive part.
+        let spans = r.spans();
+        assert_eq!((spans[1].duration_ns(), spans[1].self_ns), (100, 70));
+        assert_eq!((spans[4].duration_ns(), spans[4].self_ns), (100, 85));
+        let report = TraceReport::from_parts(vec![r.finish()], vec![]);
+        let sum = |st: Stage| {
+            let s = report.latency.stages.iter().find(|s| s.stage == st);
+            s.map_or(0, |s| s.total_ns)
+        };
+        assert_eq!(sum(Stage::Parse), 70);
+        assert_eq!(sum(Stage::Glue), 30 + 10 + 5 + 10);
+        assert_eq!(sum(Stage::Script), 85);
+        assert_eq!(sum(Stage::Decode), 10);
+        // The top-K row follows the same rule: packet 1 is 200 ns, split
+        // parse 70 / glue 45 / script 85.
+        let top = &report.latency.slowest[0];
+        assert_eq!((top.packet, top.total_ns), (1, 200));
+        assert_eq!(top.stage_ns[Stage::Parse.index()], 70);
+        assert_eq!(top.stage_ns[Stage::Glue.index()], 45);
+        assert_eq!(top.stage_ns[Stage::Script.index()], 85);
+    }
+
+    #[test]
+    fn record_current_labels_with_the_current_delivery() {
+        let mut r = FlightRecorder::new(0);
+        let u = uid("C7");
+        r.set_current(42, Some(&u));
+        r.record_current(Stage::Glue, monotonic_ns());
+        let span = &r.spans()[0];
+        assert_eq!((span.stage, span.packet), (Stage::Glue, 42));
+        assert_eq!(span.uid.as_deref(), Some("C7"));
     }
 
     #[test]

@@ -359,8 +359,8 @@ pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
 /// not the generator. Every flow has a distinct 5-tuple (unique for
 /// `flows` < 2^22). Sessions are timestamp-interleaved within chunks of
 /// 64 flows, which exercises concurrent per-flow parser state without a
-/// whole-trace sort; occasional reordering/retransmission from
-/// [`TcpScripted::data`] keeps the owned-payload reassembly path warm.
+/// whole-trace sort; occasional reordering/retransmission of data
+/// segments keeps the owned-payload reassembly path warm.
 pub fn throughput_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
     let mut rng = StdRng::seed_from_u64(seed);
     let reqs: Vec<Vec<u8>> = PATH_STEMS

@@ -4,16 +4,18 @@
 #   build (release)  — the artifacts the benchmarks run against
 #   test             — unit + integration suites across the workspace
 #   clippy           — lint wall; warnings are errors
+#   doc              — rustdoc wall (broken or private intra-doc links)
 #   opcost           — per-statement script cost table (printed, not gated)
-#   repro smoke      — fig9/fig10 JSON artifacts regenerate and validate
+#   repro smoke      — fig9/fig10 JSON artifacts regenerate from traced runs
+#                      and validate
 #   bench smoke      — telemetry-overhead bench compiles and runs (test mode)
 #   benchmark smoke  — the repo benchmark (BENCHMARK.json) builds, passes its
 #                      own tests, and runs every workload with its output
 #                      checks on tiny inputs, then the firewall at full size
 #
-# The example/repro/bench steps need the real dev-dependencies; offline
-# mirrors that stub them out (stubs/ in the workspace manifest) stop
-# after the core build/test/clippy gates.
+# The example/bench steps need the real dev-dependencies; offline mirrors
+# that stub them out (stubs/ in the workspace manifest) stop after the core
+# build/test/clippy/doc gates, opcost and the repro artifacts.
 #
 # Usage: scripts/tier1.sh [extra cargo args, e.g. --offline]
 
@@ -26,22 +28,11 @@ cargo build --release "$@"
 # (parallel, chaos, supervision, telemetry, tracing, zerocopy).
 cargo test -q "$@"
 cargo clippy --workspace "$@" -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps "$@"
 
 # What one script statement costs on the compiled engine. Kernel numbers,
 # printed as evidence of where script time goes; nothing is asserted.
 target/release/repro opcost
-
-# Everything below may pull in dev-dependencies beyond what the stubbed
-# workspace provides, so the stub check comes first.
-if grep -q 'path = "stubs/' Cargo.toml; then
-    echo "tier1: stubbed workspace detected, skipping example/repro/bench smoke"
-    exit 0
-fi
-
-# 4-worker analyzer run that asserts its output against the sequential
-# pipeline.
-cargo run -q --release --example http_analyzer "$@" -- --workers 4 >/dev/null
-echo "tier1: http_analyzer example OK"
 
 # Repro artifacts: regenerate the figure JSON at the smallest scale and
 # check each document carries all four component keys. Failures are
@@ -69,6 +60,18 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "tier1: repro artifacts OK"
+
+# Everything below may pull in dev-dependencies beyond what the stubbed
+# workspace provides, so the stub check comes first.
+if grep -q 'path = "stubs/' Cargo.toml; then
+    echo "tier1: stubbed workspace detected, skipping example/bench smoke"
+    exit 0
+fi
+
+# 4-worker analyzer run that asserts its output against the sequential
+# pipeline.
+cargo run -q --release --example http_analyzer "$@" -- --workers 4 >/dev/null
+echo "tier1: http_analyzer example OK"
 
 # Telemetry overhead bench in --test mode: one pass per benchmark, enough
 # to prove the off/on pairs still build and run.

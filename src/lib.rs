@@ -8,7 +8,7 @@
 //! * [`hilti`] — the abstract machine: IR, parser, type checker, optimizer,
 //!   bytecode VM, interpreter, linker, fibers, virtual threads, host API.
 //! * [`hilti_rt`] — the runtime library: domain types, containers with state
-//!   management, timers, channels, regexp, classifier, profiler.
+//!   management, timers, channels, regexp, classifier, flight recorder.
 //! * [`netpkt`] — packet substrate: pcap I/O, decoding, reassembly, synthetic
 //!   traces, and the handwritten baseline protocol parsers.
 //! * [`hilti_bpf`], [`hilti_firewall`], [`binpac`], [`broscript`] — the four
