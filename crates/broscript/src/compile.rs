@@ -661,6 +661,7 @@ mod tests {
     use crate::interp::Interp;
     use crate::parse::parse_script;
     use hilti::value::Value;
+    use hilti_rt::time::Time;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -837,6 +838,51 @@ event go() {
 }
 "#,
             &[("go", vec![])],
+        );
+    }
+
+    /// `connection_state_remove` runs alike on both engines, and a removal
+    /// leaves network time where the last event put it.
+    #[test]
+    fn connection_state_remove_differential() {
+        let script = parse_script(
+            r#"
+global seen: table[string] of count;
+event note(uid: string) {
+    seen[uid] = |seen|;
+    print "note", uid, network_time();
+}
+event connection_state_remove(uid: string) {
+    print "remove", uid, uid in seen, network_time();
+    delete seen[uid];
+}
+event bro_done() {
+    print |seen|, network_time();
+}
+"#,
+        )
+        .unwrap();
+        let mut outs = Vec::new();
+        for engine in [Engine::Interpreted, Engine::Compiled] {
+            let mut host = ScriptHost::from_script(script.clone(), engine, None).unwrap();
+            host.advance_time(Time::from_secs(7)).unwrap();
+            host.dispatch("note", &[Value::str("C1")]).unwrap();
+            host.dispatch("note", &[Value::str("C2")]).unwrap();
+            host.remove_connection("C1").unwrap();
+            host.remove_connection("C3").unwrap();
+            host.done().unwrap();
+            outs.push(host.take_output());
+        }
+        assert_eq!(outs[0], outs[1], "engines disagree");
+        assert_eq!(
+            outs[0],
+            [
+                "note, C1, 7.000000",
+                "note, C2, 7.000000",
+                "remove, C1, True, 7.000000",
+                "remove, C3, False, 7.000000",
+                "1, 7.000000",
+            ]
         );
     }
 

@@ -45,7 +45,7 @@ use netpkt::http::HttpConnParser;
 use netpkt::{PayloadRef, TraceBuffer};
 
 use crate::host::{Engine, HostBlueprint, ScriptHost};
-use crate::pipeline::{FlowError, Governance, ParserStack};
+use crate::pipeline::{FlowError, Governance, HeldState, ParserStack};
 use crate::scripts;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -68,8 +68,15 @@ pub(crate) struct Delivery {
     pub is_orig: bool,
     pub ts: Time,
     pub payload: PayloadRef,
-    /// The flow closed with this segment.
+    /// The first FIN or RST of the flow: its parsers finish.
     pub finished: bool,
+    /// The connection closed with this segment (both FINs in, nothing
+    /// missing): once its events are dispatched, its state is released.
+    pub closed: bool,
+    /// The connection closed with an earlier segment: this one (its last
+    /// ACK, a retransmitted FIN) reaches no parser, and any payload was
+    /// dropped by the front end.
+    pub after_close: bool,
     /// Where end-to-end delivery latency starts ([`monotonic_ns`]): decode
     /// begin, or ring enqueue once a dispatcher restamps it. 0 when
     /// tracing is off.
@@ -138,6 +145,9 @@ struct FlowMeta {
     /// Whether the owning analyzer still holds parser state for the flow
     /// (the end-of-trace flush only targets live flows).
     live: bool,
+    /// The connection closed, and its owner released its state then: an
+    /// idle eviction later has nothing left to remove.
+    closed: bool,
     /// First-seen rank: the standard stack's flush order.
     seq: u64,
 }
@@ -168,6 +178,7 @@ impl IdleClock {
 
 /// Front-end metric handles (the shared-decision counters).
 struct FrontMetrics {
+    telemetry: Telemetry,
     packets: Counter,
     flows_opened: Counter,
     flows_closed: Counter,
@@ -213,6 +224,7 @@ impl FlowFrontEnd {
             meta: HashMap::new(),
             next_seq: 0,
             metrics: telemetry.map(|t| FrontMetrics {
+                telemetry: t.clone(),
                 packets: t.counter("pipeline.packets"),
                 flows_opened: t.counter("pipeline.flows_opened"),
                 flows_closed: t.counter("pipeline.flows_closed"),
@@ -253,6 +265,18 @@ impl FlowFrontEnd {
             .flows
             .process_shared(&f, frame_data, self.trace.frame_offset(slot));
         let uid = delivery.flow.uid.clone();
+        let after_close = delivery.flow.closed() && !delivery.closed_now;
+        let mut payload = delivery.payload;
+        if after_close && !payload.is_empty() {
+            // Data past both FINs: TCP says there is none, so it is
+            // dropped here and counted (registered on first use, so runs
+            // without any keep their snapshot).
+            if let Some(m) = &self.metrics {
+                let dropped = m.telemetry.counter("pipeline.bytes_after_close");
+                dropped.add(payload.len() as u64);
+            }
+            payload = PayloadRef::Empty;
+        }
         let d = Delivery {
             slot: slot as u64,
             shard,
@@ -260,7 +284,9 @@ impl FlowFrontEnd {
             is_orig: delivery.is_orig,
             ts,
             finished: delivery.finished_now,
-            payload: delivery.payload,
+            closed: delivery.closed_now,
+            after_close,
+            payload,
             begin_ns,
             uid,
         };
@@ -271,21 +297,30 @@ impl FlowFrontEnd {
         let (seq, mut opened) = (self.next_seq, false);
         let m = self.meta.entry(d.uid.clone()).or_insert_with(|| {
             opened = true;
-            let live = false;
             let shard = shard as u32;
-            FlowMeta { shard, live, seq }
+            FlowMeta {
+                shard,
+                live: false,
+                closed: false,
+                seq,
+            }
         });
         // Whether the owning analyzer holds parser state after this
-        // delivery. The standard HTTP parser is created on any delivery
-        // and kept until eviction (its `finish` is idempotent); a BinPAC++
-        // session exists iff payload arrived since the last
-        // finish/teardown; DNS keeps none. Quarantined flows stay "live"
-        // here — the analyzer's presence check makes their flush a no-op.
-        m.live = match (self.proto, self.stack) {
-            (Proto::Dns, _) => false,
-            (Proto::Http, ParserStack::Standard) => true,
-            (Proto::Http, ParserStack::Binpac) => (m.live || !d.payload.is_empty()) && !d.finished,
-        };
+        // delivery. None once the connection closed; before that, the
+        // standard HTTP parser is created on any delivery (its `finish` is
+        // idempotent), a BinPAC++ session exists iff payload arrived since
+        // the last finish/teardown, and DNS keeps none. Quarantined flows
+        // stay "live" here — the analyzer's presence check makes their
+        // flush a no-op.
+        m.closed = d.closed || d.after_close;
+        m.live = !m.closed
+            && match (self.proto, self.stack) {
+                (Proto::Dns, _) => false,
+                (Proto::Http, ParserStack::Standard) => true,
+                (Proto::Http, ParserStack::Binpac) => {
+                    (m.live || !d.payload.is_empty()) && !d.finished
+                }
+            };
         if opened {
             self.next_seq += 1;
             if let Some(m) = &self.metrics {
@@ -305,10 +340,10 @@ impl FlowFrontEnd {
     /// Idle-flow expiry on trace time, after delivery `d`: once some
     /// packet's deadline passes, the flow table evicts the flows idle for
     /// longer than the timeout, examining only those. Returns the `(shard,
-    /// uid)` of every flow evicted — the owning analyzer must drop its
-    /// state — and hands `emit` one `timer_expiry` per flow. A *global*
-    /// decision: shard-local sweeps would fire at different packet
-    /// positions for different worker counts.
+    /// uid)` of every evicted flow that had not closed — the owning
+    /// analyzer must remove it — and hands `emit` one `timer_expiry` per
+    /// evicted flow. A *global* decision: shard-local sweeps would fire at
+    /// different packet positions for different worker counts.
     pub(crate) fn expire(
         &mut self,
         d: &Delivery,
@@ -331,8 +366,9 @@ impl FlowFrontEnd {
                 emit("timer_expiry", &dead, d.ts);
             }
             self.flows_expired += 1;
-            if let Some(m) = self.meta.remove(&dead) {
-                evicted.push((m.shard as usize, dead));
+            match self.meta.remove(&dead) {
+                Some(m) if !m.closed => evicted.push((m.shard as usize, dead)),
+                _ => {}
             }
         }
         evicted
@@ -470,6 +506,7 @@ struct AnalyzerMetrics {
     bytes_borrowed: Counter,
     parse_failures: Counter,
     payload_bytes: Histogram,
+    connections_removed: Counter,
 }
 
 /// Builds standard-parser DNS events for one datagram (the handwritten
@@ -562,6 +599,7 @@ impl Analyzer {
                 bytes_borrowed: t.counter("pipeline.bytes_borrowed"),
                 parse_failures: t.counter("pipeline.parse_failures"),
                 payload_bytes: t.histogram("pipeline.payload_bytes"),
+                connections_removed: t.counter("pipeline.connections_removed"),
             }),
             wiring,
             n_events: 0,
@@ -617,12 +655,13 @@ impl Analyzer {
     /// Feeds one delivery to the flow's parser, appending the resulting
     /// events to the pending buffer.
     pub(crate) fn parse(&mut self, d: &Delivery, errors: &mut Vec<FlowError>) -> RtResult<()> {
-        // A stream sees every segment of a flow that is not quarantined
-        // (an empty one may still close it); a datagram parser sees
-        // payload only, and a bad datagram never condemns its flow.
+        // A stream sees every segment of a flow that is neither closed nor
+        // quarantined (an empty one may still finish it); a datagram
+        // parser sees payload only, and a bad datagram never condemns its
+        // flow.
         let skip = match self.parsers {
             ParserState::StdHttp(_) | ParserState::BinpacHttp(_) => {
-                self.quarantined.contains(&*d.uid)
+                d.after_close || self.quarantined.contains(&*d.uid)
             }
             ParserState::StdDns | ParserState::BinpacDns(_) => d.payload.is_empty(),
         };
@@ -653,6 +692,9 @@ impl Analyzer {
             }
         };
         // `Ok(false)`: the payload is not a message of this protocol.
+        // The first FIN or RST finishes a stream's parsers, and so does the
+        // close: data may have followed the first FIN.
+        let finish = d.finished || d.closed;
         let outcome: RtResult<bool> = match &mut self.parsers {
             ParserState::StdHttp(map) => trace::span(rec, Stage::Parse, || {
                 let parser = map
@@ -661,7 +703,7 @@ impl Analyzer {
                 if !d.payload.is_empty() {
                     parser.feed(d.is_orig, bytes(), d.ts, &mut self.events);
                 }
-                if d.finished {
+                if finish {
                     parser.finish(d.ts, &mut self.events);
                 }
                 Ok(true)
@@ -673,7 +715,7 @@ impl Analyzer {
                 if !d.payload.is_empty() {
                     r = b.feed_chunk(&d.uid, d.id, d.is_orig, d.ts, chunk());
                 }
-                if r.is_ok() && d.finished {
+                if r.is_ok() && finish {
                     r = b.finish_conn(&d.uid, d.id, d.ts);
                 }
                 // Events emitted before the fault still count.
@@ -760,9 +802,18 @@ impl Analyzer {
         }
     }
 
-    /// The front end expired this flow: drop its parser state and lift
-    /// its quarantine.
-    pub(crate) fn evict(&mut self, uid: &str) {
+    /// The connection ended — it closed with the delivery just
+    /// dispatched, or the front end expired it idle: drop its parser
+    /// state, lift its quarantine, and run the script's removal handler
+    /// under the per-event limits, a failure charged to the flow like an
+    /// event's. `slot` labels the script span.
+    pub(crate) fn remove_connection(
+        &mut self,
+        uid: &Arc<str>,
+        slot: u64,
+        ts: Time,
+        errors: &mut Vec<FlowError>,
+    ) -> RtResult<()> {
         match &mut self.parsers {
             ParserState::StdHttp(map) => {
                 map.remove(uid);
@@ -771,6 +822,34 @@ impl Analyzer {
             ParserState::StdDns | ParserState::BinpacDns(_) => {}
         }
         self.quarantined.remove(uid);
+        if let Some(m) = &self.metrics {
+            m.connections_removed.inc();
+        }
+        self.label(slot, Some(uid));
+        arm_script_limits(&mut self.host, &self.gov);
+        let removed = trace::span(self.wiring.rec.as_ref(), Stage::Script, || {
+            self.host.remove_connection(uid)
+        });
+        if let Err(e) = removed {
+            if !self.gov.quarantine {
+                return Err(e);
+            }
+            errors.push(FlowError::new(uid, &e, ts));
+        }
+        Ok(())
+    }
+
+    /// Per-connection state held right now: see [`HeldState`].
+    pub(crate) fn held(&self) -> HeldState {
+        let parsers = match &self.parsers {
+            ParserState::StdHttp(map) => map.len(),
+            ParserState::BinpacHttp(b) => b.live_sessions(),
+            ParserState::StdDns | ParserState::BinpacDns(_) => 0,
+        };
+        HeldState {
+            parsers: parsers as u64,
+            script_entries: self.host.global_entries(),
+        }
     }
 
     /// End-of-trace flush of one still-open flow; its events join the

@@ -458,6 +458,42 @@ impl ScriptHost {
         self.dispatch("bro_done", &[])
     }
 
+    /// Runs the script's `connection_state_remove(uid)` handler, if it has
+    /// one: the connection ended — closed, or expired idle — and whatever
+    /// the script keeps under its uid may go.
+    ///
+    /// Unlike [`dispatch_event`](Self::dispatch_event) this leaves network
+    /// time alone. A removal comes with a packet that usually carries no
+    /// event (a bare FIN, or whichever packet expired the flow), and
+    /// network time is the time of the last event: moving it here would
+    /// restamp every later log line wherever trace time steps backwards.
+    pub fn remove_connection(&mut self, uid: &str) -> RtResult<()> {
+        const REMOVE: &str = "connection_state_remove";
+        if !self.handles(REMOVE) {
+            return Ok(());
+        }
+        self.dispatch(REMOVE, &[Value::str(uid)])
+    }
+
+    /// Entries held in the script's global tables and sets.
+    pub fn global_entries(&self) -> u64 {
+        let entries = |v: &Value| match v {
+            Value::Map(m) => m.borrow().len() as u64,
+            Value::Set(s) => s.borrow().len() as u64,
+            _ => 0,
+        };
+        match &self.compiled {
+            Some(c) => c.program.context().globals.iter().map(entries).sum(),
+            None => self
+                .interp
+                .as_ref()
+                .expect("engine")
+                .globals()
+                .map(entries)
+                .sum(),
+        }
+    }
+
     /// Calls a script function (used by the Fibonacci benchmark).
     pub fn call(&mut self, func: &str, args: &[Value]) -> RtResult<Value> {
         match self.engine {
@@ -527,7 +563,6 @@ pub fn event_args(ev: &Event) -> Vec<Value> {
             Value::Addr(id.resp_h),
             Value::Port(id.resp_p),
         ],
-        Event::ConnectionFinished { uid, .. } => vec![Value::str(uid)],
         Event::HttpRequest {
             uid,
             id,
@@ -727,6 +762,24 @@ event ping(n: count) {
         assert_eq!(fuel(&host) - fuel0, spent);
         assert_eq!(tel.snapshot().counter("engine.runs"), 1);
         assert_eq!(host.take_output(), vec!["2"]);
+    }
+
+    /// A script without `connection_state_remove` pays nothing for a
+    /// removal: no engine run, no instruction.
+    #[test]
+    fn removal_without_a_handler_runs_nothing() {
+        use hilti_rt::telemetry::Telemetry;
+
+        let mut host = ScriptHost::new(&[crate::scripts::DNS_BRO], Engine::Compiled, None).unwrap();
+        let tel = Telemetry::new();
+        host.set_telemetry(&tel);
+        host.remove_connection("C1").unwrap();
+        assert_eq!(tel.snapshot().counter("engine.runs"), 0);
+        let mut host =
+            ScriptHost::new(&[crate::scripts::HTTP_BRO], Engine::Compiled, None).unwrap();
+        host.set_telemetry(&tel);
+        host.remove_connection("C1").unwrap();
+        assert_eq!(tel.snapshot().counter("engine.runs"), 1);
     }
 
     #[test]

@@ -134,6 +134,11 @@ impl Interp {
         self.rt.borrow().net_time
     }
 
+    /// The values of the script's globals.
+    pub(crate) fn globals(&self) -> impl Iterator<Item = &Value> {
+        self.globals.values()
+    }
+
     /// Dispatches an event to all matching handlers.
     pub fn dispatch(&mut self, event: &str, args: &[Value]) -> RtResult<()> {
         let script = self.script.clone();

@@ -43,7 +43,10 @@
 //!   events raised while parsing),
 //! * phase 2 — dispatcher `timer_expiry` events,
 //! * phase 3 — dispatch effects (script logs/output, engine sink events
-//!   raised while executing handlers).
+//!   raised while executing handlers),
+//! * phase 4 — removal of the connection the packet closed,
+//! * phase 5 — removal of each connection the packet expired, one minor
+//!   position per connection in the front end's (sorted) eviction order.
 //!
 //! Because each shard processes its items in key order, its blocks form
 //! (at most two) sorted streams, and every key has a unique producer
@@ -79,7 +82,7 @@ use crate::delivery::{
 };
 use crate::host::{Engine, ScriptHost};
 use crate::pipeline::{
-    warn_event_drops, AnalysisResult, FlowError, Governance, ParserStack, ShardFault,
+    warn_event_drops, AnalysisResult, FlowError, Governance, HeldState, ParserStack, ShardFault,
 };
 
 /// Default shard count: one per core, capped at 8 (the paper's evaluation
@@ -177,21 +180,29 @@ const PH_FLOW: u8 = 0;
 const PH_PARSE: u8 = 1;
 const PH_TIMER: u8 = 2;
 const PH_DISPATCH: u8 = 3;
+const PH_CLOSE: u8 = 4;
+const PH_EVICT: u8 = 5;
 
 /// Merge key: the position in the sequential output this effect belongs
 /// to. `major` is the packet slot for in-trace effects; end-of-trace
 /// flushes use majors past the packet count (one per candidate flow for
 /// the parse sweep, then one per candidate for the dispatch sweep, then
-/// one for `bro_done`).
+/// one for `bro_done`). `minor` orders the removals of one packet's
+/// expired connections, which may live on different shards.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct Key {
     major: u64,
     phase: u8,
+    minor: u32,
 }
 
 impl Key {
     fn new(major: u64, phase: u8) -> Key {
-        Key { major, phase }
+        Key {
+            major,
+            phase,
+            minor: 0,
+        }
     }
 }
 
@@ -267,8 +278,9 @@ enum ShardItem {
     /// is the dispatcher's enqueue timestamp when tracing is on (the
     /// shard's queue-wait span and delivery latency start there).
     Delivery(Delivery),
-    /// The dispatcher's idle expiry evicted this flow: drop parser state.
-    Evict { uid: Arc<str> },
+    /// The dispatcher's idle expiry evicted this open flow: remove it, at
+    /// `key` (phase [`PH_EVICT`] of the expiring packet).
+    Evict { uid: Arc<str>, key: Key, ts: Time },
     /// End-of-trace flush of one still-open flow.
     FinishFlow {
         parse_major: u64,
@@ -318,6 +330,8 @@ struct ShardState {
     /// Fault-triggered flight-recorder dumps captured on this shard
     /// (bounded; see [`ShardState::on_panic`]).
     postmortems: Vec<PostmortemDump>,
+    /// Per-connection state when the first end-of-trace item arrived.
+    held_at_end: Option<HeldState>,
 }
 
 impl ShardState {
@@ -351,6 +365,7 @@ impl ShardState {
             dead: false,
             panic_countdown,
             postmortems: Vec::new(),
+            held_at_end: None,
         })
     }
 
@@ -360,9 +375,9 @@ impl ShardState {
     fn begin(&mut self, item: &ShardItem) {
         let (major, phase, ts, uid) = match item {
             ShardItem::Delivery(d) => (d.slot, PH_PARSE, d.ts, Some(&d.uid)),
-            // Evictions carry no slot; a panic there is charged to the
-            // previous item's position.
-            ShardItem::Evict { uid } => {
+            ShardItem::Evict { uid, key, ts } => {
+                self.cur_key = *key;
+                self.cur_ts = *ts;
                 self.cur_uid = Some(uid.clone());
                 return;
             }
@@ -494,6 +509,9 @@ impl ShardState {
             self.tombstone(item);
             return;
         }
+        if matches!(item, ShardItem::FinishFlow { .. } | ShardItem::Done { .. }) {
+            self.held_at_end.get_or_insert_with(|| self.analyzer.held());
+        }
         let m = self.out.effects.mark();
         let errors = &mut self.out.effects.flow_errors;
         match item {
@@ -501,10 +519,13 @@ impl ShardState {
                 let parsed = self.analyzer.parse(&d, errors);
                 if self.close_parse(parsed, m) {
                     self.dispatch(Key::new(d.slot, PH_DISPATCH), false);
+                    if d.closed {
+                        self.remove(&d.uid, Key::new(d.slot, PH_CLOSE), d.ts);
+                    }
                     self.analyzer.observe_delivery(d.begin_ns);
                 }
             }
-            ShardItem::Evict { uid } => self.analyzer.evict(&uid),
+            ShardItem::Evict { uid, key, ts } => self.remove(&uid, key, ts),
             // Each candidate carries a parse major and a dispatch major so
             // that, merged, all parses precede all dispatches — the
             // sequential batch flush.
@@ -561,6 +582,22 @@ impl ShardState {
         self.collect_sink();
         self.collect_host_effects();
         self.seal(m, key, tail);
+    }
+
+    /// Removes an ended connection, sealing the handler's effects as one
+    /// block under `key`.
+    fn remove(&mut self, uid: &Arc<str>, key: Key, ts: Time) {
+        if self.fatal.is_some() {
+            return;
+        }
+        let m = self.out.effects.mark();
+        let errors = &mut self.out.effects.flow_errors;
+        if let Err(e) = self.analyzer.remove_connection(uid, key.major, ts, errors) {
+            self.fatal = Some((key, e));
+        }
+        self.collect_sink();
+        self.collect_host_effects();
+        self.seal(m, key, false);
     }
 
     /// Seals everything appended since `start` as one block under `key`.
@@ -639,6 +676,7 @@ impl ShardState {
             n_events: self.analyzer.n_events,
             parse_failures: self.analyzer.parse_failures,
             peak_flow_bytes: self.analyzer.peak_flow_bytes(),
+            held_at_end: self.held_at_end.unwrap_or_default(),
             fatal: self.fatal,
             faults: self.faults,
             trace,
@@ -654,6 +692,7 @@ struct ShardReport {
     n_events: u64,
     parse_failures: u64,
     peak_flow_bytes: u64,
+    held_at_end: HeldState,
     fatal: Option<(Key, RtError)>,
     /// Panics the supervisor caught on this shard (panic payloads).
     faults: Vec<String>,
@@ -972,9 +1011,14 @@ pub(crate) fn run_parallel(
         if drec.is_some() {
             d.begin_ns = monotonic_ns();
         }
+        let ts = d.ts;
         rings.stage(d.shard, ShardItem::Delivery(d), major);
-        for (w, uid) in expired {
-            rings.stage(w, ShardItem::Evict { uid }, major);
+        for (minor, (w, uid)) in expired.into_iter().enumerate() {
+            let key = Key {
+                minor: minor as u32,
+                ..Key::new(major, PH_EVICT)
+            };
+            rings.stage(w, ShardItem::Evict { uid, key, ts }, major);
         }
     }
 
@@ -1179,6 +1223,10 @@ pub(crate) fn run_parallel(
         live().map(|r| r.parse_failures).sum(),
     );
     let peak_flow_bytes = live().map(|r| r.peak_flow_bytes).max().unwrap_or(0);
+    let held_at_end = live().fold(HeldState::default(), |acc, r| HeldState {
+        parsers: acc.parsers + r.held_at_end.parsers,
+        script_entries: acc.script_entries + r.held_at_end.script_entries,
+    });
     // Trace side-channel: shard recorder parts plus the dispatcher's own,
     // with dispatcher-known fault dumps (stall injection, shedding) taken
     // from the harvested parts — those faults only become visible here.
@@ -1220,6 +1268,7 @@ pub(crate) fn run_parallel(
         flows_expired: front.flows_expired,
         peak_flow_bytes,
         parse_failures,
+        held_at_end,
         telemetry,
         dispatch_telemetry,
         shard_faults,

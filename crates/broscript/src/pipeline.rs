@@ -49,6 +49,10 @@ pub struct AnalysisResult {
     pub peak_flow_bytes: u64,
     /// Datagrams that failed protocol parsing (DNS runs).
     pub parse_failures: u64,
+    /// Per-connection state still held after the last packet, before the
+    /// end-of-trace flush: what a trace that never ended would go on
+    /// holding. Summed over shards, so equal for any worker count.
+    pub held_at_end: HeldState,
     /// Frozen per-run metrics and structured events, populated when
     /// [`Governance::telemetry`] is set (empty otherwise). The metric and
     /// event names are a stable interface — see DESIGN.md
@@ -80,6 +84,18 @@ pub struct AnalysisResult {
     /// [`dispatch_telemetry`](Self::dispatch_telemetry) — it lives next
     /// to the deterministic outputs, never inside them.
     pub trace: Option<TraceReport>,
+}
+
+/// Per-connection analysis state at one point of a run. A connection's
+/// state goes when it closes or expires idle, so on a trace that never
+/// ends these stay bounded by the connections still open.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeldState {
+    /// Connections with parser state: standard HTTP parsers or BinPAC++
+    /// sessions.
+    pub parsers: u64,
+    /// Entries in the script's global tables and sets.
+    pub script_entries: u64,
 }
 
 /// Resource-governance policy for an analysis run. The default is the
@@ -276,15 +292,23 @@ pub(crate) fn run_sequential(
             continue;
         };
         analyzer.parse(&d, &mut flow_errors)?;
-        for (_, dead) in front.expire(&d, &mut emit) {
-            analyzer.evict(&dead);
-        }
+        let expired = front.expire(&d, &mut emit);
         analyzer.dispatch(d.slot, Some(&d.uid), &mut flow_errors)?;
+        // Connections that ended go after the packet's events: first the
+        // one this packet closed, then those it expired.
+        if d.closed {
+            analyzer.remove_connection(&d.uid, d.slot, d.ts, &mut flow_errors)?;
+        }
+        for (_, dead) in expired {
+            analyzer.remove_connection(&dead, d.slot, d.ts, &mut flow_errors)?;
+        }
         analyzer.observe_delivery(d.begin_ns);
     }
 
     // End of trace: flush all still-open connections, then dispatch what
-    // the flush produced, then `bro_done`.
+    // the flush produced, then `bro_done`. Nothing is removed: the host
+    // goes with the run.
+    let held_at_end = analyzer.held();
     let (end, last_ts) = (front.packets, front.last_ts);
     for (_, uid) in front.finish_candidates() {
         analyzer.finish_flow(&uid, last_ts, end, &mut flow_errors)?;
@@ -318,6 +342,7 @@ pub(crate) fn run_sequential(
         flows_expired: front.flows_expired,
         peak_flow_bytes: analyzer.peak_flow_bytes(),
         parse_failures: analyzer.parse_failures,
+        held_at_end,
         flow_errors,
         telemetry,
         dispatch_telemetry: TelemetrySnapshot::default(),

@@ -8,6 +8,8 @@
 
 /// HTTP analysis: correlates requests with replies, writes `http.log`, and
 /// performs file analysis (MIME identification + SHA-1) into `files.log`.
+/// Its per-connection tables are emptied by `connection_state_remove`, so
+/// they hold only connections still open.
 pub const HTTP_BRO: &str = r#"
 # Per-connection request queues (pipelining-aware).
 global req_method: table[string] of vector of string;
@@ -136,6 +138,21 @@ event http_message_done(uid: string, is_orig: bool, body_len: count) {
     delete resp_ct[uid];
     delete resp_status[uid];
     delete resp_reason[uid];
+}
+
+# The connection ended: nothing more will be correlated under its uid.
+event connection_state_remove(uid: string) {
+    delete req_method[uid];
+    delete req_uri[uid];
+    delete req_version[uid];
+    delete req_host[uid];
+    delete req_len[uid];
+    delete req_next[uid];
+    delete cur_addrs[uid];
+    delete resp_status[uid];
+    delete resp_reason[uid];
+    delete resp_ct[uid];
+    delete resp_body[uid];
 }
 "#;
 

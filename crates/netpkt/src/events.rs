@@ -51,11 +51,6 @@ pub enum Event {
         uid: Arc<str>,
         id: ConnId,
     },
-    ConnectionFinished {
-        ts: Time,
-        uid: Arc<str>,
-        id: ConnId,
-    },
     HttpRequest {
         ts: Time,
         uid: Arc<str>,
@@ -117,7 +112,6 @@ impl Event {
     pub fn ts(&self) -> Time {
         match self {
             Event::ConnectionEstablished { ts, .. }
-            | Event::ConnectionFinished { ts, .. }
             | Event::HttpRequest { ts, .. }
             | Event::HttpReply { ts, .. }
             | Event::HttpHeader { ts, .. }
@@ -132,7 +126,6 @@ impl Event {
     pub fn uid(&self) -> &str {
         match self {
             Event::ConnectionEstablished { uid, .. }
-            | Event::ConnectionFinished { uid, .. }
             | Event::HttpRequest { uid, .. }
             | Event::HttpReply { uid, .. }
             | Event::HttpHeader { uid, .. }
@@ -147,7 +140,6 @@ impl Event {
     pub fn name(&self) -> &'static str {
         match self {
             Event::ConnectionEstablished { .. } => "connection_established",
-            Event::ConnectionFinished { .. } => "connection_finished",
             Event::HttpRequest { .. } => "http_request",
             Event::HttpReply { .. } => "http_reply",
             Event::HttpHeader { .. } => "http_header",

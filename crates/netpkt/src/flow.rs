@@ -10,6 +10,13 @@
 //! Idle expiry walks only flows that may be due: each flow's last packet
 //! time is its deadline in a [`DeadlineQueue`] holding one record per flow,
 //! which a packet moves without a push (see [`FlowTable::expire_idle_uids`]).
+//!
+//! A TCP connection *closes* once each direction has sent its FIN and, at
+//! the time that FIN arrived, had every byte before it delivered with
+//! nothing buffered (a direction that never carried payload counts as
+//! complete). Consumers release per-connection state then, instead of at
+//! idle expiry. A hole at FIN time, or a RST, leaves the connection open:
+//! such flows end by idle expiry or at the end of the trace.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,7 +60,15 @@ pub struct Flow {
     pub resp_stream: Option<StreamReassembler>,
     pub orig_pkts: u64,
     pub resp_pkts: u64,
+    /// The originator's FIN arrived with its stream complete.
+    orig_done: bool,
+    /// The responder's FIN arrived with its stream complete.
+    resp_done: bool,
 }
+
+// The two closure bits live in what was padding: a UDP-only workload keeps
+// one `Flow` per datagram pair and must not pay for them.
+const _: () = assert!(std::mem::size_of::<Flow>() == 248);
 
 /// What the flow table tells its consumer about one packet.
 pub struct FlowDelivery<'a> {
@@ -67,6 +82,9 @@ pub struct FlowDelivery<'a> {
     pub payload: Vec<u8>,
     /// True when this packet ends the connection (FIN/RST), once.
     pub finished_now: bool,
+    /// True exactly once, when this packet closes the connection (see the
+    /// module docs); [`Flow::closed`] stays true for later packets.
+    pub closed_now: bool,
 }
 
 impl Flow {
@@ -74,6 +92,12 @@ impl Flow {
     /// reordered packet can move it backwards).
     pub fn last_ts(&self) -> Time {
         self.last.at()
+    }
+
+    /// Whether the connection has closed: both directions' FINs arrived
+    /// with their streams complete.
+    pub fn closed(&self) -> bool {
+        self.orig_done && self.resp_done
     }
 }
 
@@ -88,11 +112,23 @@ pub struct FlowDeliveryShared<'a> {
     pub established_now: bool,
     pub payload: PayloadRef,
     pub finished_now: bool,
+    pub closed_now: bool,
 }
 
 /// Canonical flow-table key: the symmetric hash, then both endpoints in
 /// sorted order.
 type FlowKey = (u64, Addr, Port, Addr, Port);
+
+/// What [`FlowTable::process_core`] found out about one packet; each
+/// front end materializes `seg` its own way.
+struct Processed {
+    key: FlowKey,
+    is_orig: bool,
+    established_now: bool,
+    finished_now: bool,
+    closed_now: bool,
+    seg: SegmentOut,
+}
 
 /// The flow table.
 pub struct FlowTable {
@@ -139,7 +175,7 @@ impl FlowTable {
 
     /// Processes one decoded packet, returning the delivery description.
     pub fn process(&mut self, pkt: &DecodedPacket) -> FlowDelivery<'_> {
-        let (flow_idx, is_orig, established_now, finished_now, seg) = self.process_core(
+        let p = self.process_core(
             pkt.ts,
             pkt.src,
             pkt.dst,
@@ -148,17 +184,18 @@ impl FlowTable {
             &pkt.transport,
             &pkt.payload,
         );
-        let payload = match seg {
+        let payload = match p.seg {
             SegmentOut::Empty => Vec::new(),
             SegmentOut::Passthrough { skip } => pkt.payload[skip..].to_vec(),
             SegmentOut::Owned(v) => v,
         };
         FlowDelivery {
-            flow: self.flows.get(&flow_idx).expect("flow just touched"),
-            is_orig,
-            established_now,
+            flow: self.flows.get(&p.key).expect("flow just touched"),
+            is_orig: p.is_orig,
+            established_now: p.established_now,
             payload,
-            finished_now,
+            finished_now: p.finished_now,
+            closed_now: p.closed_now,
         }
     }
 
@@ -173,7 +210,7 @@ impl FlowTable {
         frame_base: u64,
     ) -> FlowDeliveryShared<'a> {
         let payload_bytes = &frame_data[frame.payload.clone()];
-        let (flow_idx, is_orig, established_now, finished_now, seg) = self.process_core(
+        let p = self.process_core(
             frame.ts,
             frame.src,
             frame.dst,
@@ -182,7 +219,7 @@ impl FlowTable {
             &frame.transport,
             payload_bytes,
         );
-        let payload = match seg {
+        let payload = match p.seg {
             SegmentOut::Empty => PayloadRef::Empty,
             SegmentOut::Passthrough { skip } => {
                 let len = (payload_bytes.len() - skip) as u32;
@@ -198,19 +235,20 @@ impl FlowTable {
             SegmentOut::Owned(v) => PayloadRef::Owned(v),
         };
         FlowDeliveryShared {
-            flow: self.flows.get(&flow_idx).expect("flow just touched"),
-            is_orig,
-            established_now,
+            flow: self.flows.get(&p.key).expect("flow just touched"),
+            is_orig: p.is_orig,
+            established_now: p.established_now,
             payload,
-            finished_now,
+            finished_now: p.finished_now,
+            closed_now: p.closed_now,
         }
     }
 
     /// The shared per-packet state machine: flow lookup/creation,
-    /// orientation, handshake and teardown tracking, and reassembly. The
-    /// payload comes back as a [`SegmentOut`] so each frontend decides
-    /// whether to materialize it.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// orientation, handshake, teardown and closure tracking, and
+    /// reassembly. The payload comes back as a [`SegmentOut`] so each
+    /// frontend decides whether to materialize it.
+    #[allow(clippy::too_many_arguments)]
     fn process_core(
         &mut self,
         ts: Time,
@@ -220,7 +258,7 @@ impl FlowTable {
         dport: u16,
         transport: &Transport,
         payload: &[u8],
-    ) -> (FlowKey, bool, bool, bool, SegmentOut) {
+    ) -> Processed {
         let proto = transport.protocol();
         let sp = Port {
             number: sport,
@@ -251,6 +289,8 @@ impl FlowTable {
                 resp_stream: None,
                 orig_pkts: 0,
                 resp_pkts: 0,
+                orig_done: false,
+                resp_done: false,
             }
         });
         match &mut self.idle {
@@ -270,6 +310,7 @@ impl FlowTable {
 
         let mut established_now = false;
         let mut finished_now = false;
+        let mut closed_now = false;
         let seg = match transport {
             Transport::Udp => {
                 if payload.is_empty() {
@@ -307,21 +348,36 @@ impl FlowTable {
                 // flows (no SYN observed) get a reassembler seeded on first
                 // data, so partial connections still parse — real traces
                 // contain plenty of those (§6.1's "crud").
-                let stream = if is_orig {
-                    &mut flow.orig_stream
+                let (stream, done) = if is_orig {
+                    (&mut flow.orig_stream, &mut flow.orig_done)
                 } else {
-                    &mut flow.resp_stream
+                    (&mut flow.resp_stream, &mut flow.resp_done)
                 };
-                if !payload.is_empty() {
+                let seg = if !payload.is_empty() {
                     let r = stream
                         .get_or_insert_with(|| StreamReassembler::new(tcp.seq.wrapping_sub(1)));
                     r.segment_ref(tcp.seq, payload)
                 } else {
                     SegmentOut::Empty
+                };
+                // A FIN (or its retransmission) completes its direction
+                // only if the stream holds no hole before it.
+                if tcp.fin() && !tcp.rst() && !*done {
+                    let end = tcp.seq.wrapping_add(payload.len() as u32);
+                    *done = stream.as_ref().is_none_or(|r| r.complete_at(end));
+                    closed_now = flow.closed();
                 }
+                seg
             }
         };
-        (key, is_orig, established_now, finished_now, seg)
+        Processed {
+            key,
+            is_orig,
+            established_now,
+            finished_now,
+            closed_now,
+            seg,
+        }
     }
 
     /// Iterates over all live flows.
@@ -612,6 +668,128 @@ mod tests {
         );
         assert!(t.process(&fin).finished_now);
         assert!(!t.process(&fin).finished_now);
+    }
+
+    /// One segment of the connection `10.0.0.1:4000 <-> 1.2.3.4:80`.
+    fn seg(from_client: bool, seq: u32, flags: u8, payload: &[u8]) -> DecodedPacket {
+        let (src, dst, sport, dport) = if from_client {
+            ("10.0.0.1", "1.2.3.4", 4000, 80)
+        } else {
+            ("1.2.3.4", "10.0.0.1", 80, 4000)
+        };
+        tcp_pkt(src, dst, sport, dport, seq, 0, flags, payload, 1)
+    }
+
+    const FIN: u8 = tcp_flags::FIN | tcp_flags::ACK;
+    const DATA: u8 = tcp_flags::ACK | tcp_flags::PSH;
+
+    /// A table past the handshake of a connection whose client and server
+    /// initial sequence numbers are `c` and `s`.
+    fn handshaken(c: u32, s: u32) -> FlowTable {
+        let mut t = FlowTable::new();
+        t.process(&seg(true, c, tcp_flags::SYN, b""));
+        t.process(&seg(false, s, tcp_flags::SYN | tcp_flags::ACK, b""));
+        t.process(&seg(true, c.wrapping_add(1), tcp_flags::ACK, b""));
+        t
+    }
+
+    /// `(closed_now, flow closed)` after feeding `p`.
+    fn closing(t: &mut FlowTable, p: DecodedPacket) -> (bool, bool) {
+        let d = t.process(&p);
+        (d.closed_now, d.flow.closed())
+    }
+
+    #[test]
+    fn in_order_fin_fin_closes_once_at_the_second_fin() {
+        let mut t = handshaken(100, 500);
+        assert_eq!(
+            closing(&mut t, seg(true, 101, DATA, b"GET")),
+            (false, false)
+        );
+        assert_eq!(
+            closing(&mut t, seg(false, 501, DATA, b"HTTP")),
+            (false, false)
+        );
+        let d = t.process(&seg(true, 104, FIN, b""));
+        assert!(d.finished_now, "the first FIN still finishes");
+        assert!(!d.closed_now && !d.flow.closed());
+        assert_eq!(closing(&mut t, seg(false, 505, FIN, b"")), (true, true));
+        // Later segments of the closed connection: the last ACK and a
+        // retransmitted FIN.
+        assert_eq!(
+            closing(&mut t, seg(true, 105, tcp_flags::ACK, b"")),
+            (false, true)
+        );
+        assert_eq!(closing(&mut t, seg(false, 505, FIN, b"")), (false, true));
+    }
+
+    #[test]
+    fn half_close_closes_at_the_server_fin_after_its_data() {
+        let mut t = handshaken(100, 500);
+        t.process(&seg(true, 101, DATA, b"GET"));
+        assert_eq!(closing(&mut t, seg(true, 104, FIN, b"")), (false, false));
+        // The server keeps sending after the client's FIN.
+        let d = t.process(&seg(false, 501, DATA, b"HTTP/1.1"));
+        assert_eq!(d.payload, b"HTTP/1.1");
+        assert!(!d.closed_now && !d.flow.closed());
+        assert_eq!(closing(&mut t, seg(false, 509, FIN, b"")), (true, true));
+    }
+
+    #[test]
+    fn a_hole_at_fin_time_keeps_the_connection_open_until_the_fin_is_resent() {
+        let mut t = handshaken(100, 500);
+        assert_eq!(closing(&mut t, seg(true, 101, FIN, b"")), (false, false));
+        // Server bytes 501..505 are missing when its data and FIN arrive.
+        assert!(t
+            .process(&seg(false, 505, DATA, b"tail"))
+            .payload
+            .is_empty());
+        assert_eq!(closing(&mut t, seg(false, 509, FIN, b"")), (false, false));
+        // The hole fills; that alone closes nothing.
+        let d = t.process(&seg(false, 501, DATA, b"head"));
+        assert_eq!(d.payload, b"headtail");
+        assert!(!d.closed_now && !d.flow.closed());
+        assert_eq!(closing(&mut t, seg(false, 509, FIN, b"")), (true, true));
+    }
+
+    #[test]
+    fn rst_never_closes() {
+        let mut t = handshaken(100, 500);
+        t.process(&seg(true, 101, FIN, b""));
+        let rst = tcp_flags::RST | tcp_flags::ACK;
+        assert_eq!(closing(&mut t, seg(false, 501, rst, b"")), (false, false));
+        assert_eq!(
+            closing(&mut t, seg(false, 501, rst | FIN, b"")),
+            (false, false)
+        );
+    }
+
+    #[test]
+    fn closure_survives_sequence_wraparound_across_the_fin() {
+        // The client's last data segment crosses 2^32 and carries its FIN.
+        let c = u32::MAX - 2;
+        let mut t = handshaken(c, 500);
+        assert_eq!(closing(&mut t, seg(false, 501, FIN, b"")), (false, false));
+        let d = t.process(&seg(true, c.wrapping_add(1), FIN, b"abcd"));
+        assert_eq!(d.payload, b"abcd");
+        assert!(d.closed_now && d.flow.closed());
+    }
+
+    #[test]
+    fn a_direction_that_never_carried_payload_is_complete() {
+        // Midstream: no handshake, so only the client direction ever gets
+        // a reassembler.
+        let mut t = FlowTable::new();
+        t.process(&seg(true, 9_000, DATA, b"mid"));
+        assert_eq!(closing(&mut t, seg(true, 9_003, FIN, b"")), (false, false));
+        assert_eq!(closing(&mut t, seg(false, 77, FIN, b"")), (true, true));
+    }
+
+    #[test]
+    fn udp_flows_never_close() {
+        let mut t = FlowTable::new();
+        let d = t.process(&udp_pkt("10.0.0.1", "8.8.8.8", 5000, 53, b"q"));
+        assert!(!d.closed_now && !d.flow.closed());
     }
 
     #[test]

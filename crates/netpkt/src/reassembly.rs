@@ -87,6 +87,13 @@ impl StreamReassembler {
         self.buffered
     }
 
+    /// True when every byte before sequence number `end` has been
+    /// delivered, none after it, and nothing is buffered: the stream is
+    /// complete if a FIN ends it at `end`.
+    pub fn complete_at(&self, end: u32) -> bool {
+        self.buffered == 0 && self.next_seq == end
+    }
+
     /// Relative stream offset of an absolute sequence number, taking
     /// wraparound into account. Offsets are relative to the first payload
     /// byte (ISN+1 = offset 0) and grow monotonically. The result is
