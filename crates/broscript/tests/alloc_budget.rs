@@ -8,16 +8,27 @@
 //! the bundled scripts — `http_message_done` for a reply and `dns_reply` —
 //! and hold them to recorded budgets. The counts include turning the host
 //! event into script values; they are host-independent and repeat exactly.
+//!
+//! [`whole_pipeline_allocations_do_not_rise`] counts the same way around
+//! whole sequential analyses — decode, flow table, reassembly, parser and
+//! scripts, setup included — on the Standard HTTP, BinPAC++ DNS and
+//! BinPAC++ HTTP paths, and fails on any increase over the pinned count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use broscript::host::{Engine, ScriptHost};
+use broscript::pipeline::{
+    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
+};
 use broscript::scripts::{DNS_BRO, HTTP_BRO};
 use hilti_rt::addr::{Addr, Port};
 use hilti_rt::time::Time;
+use hilti_rt::RtResult;
 use netpkt::events::{ConnId, DnsAnswer, Event};
+use netpkt::pcap::RawPacket;
+use netpkt::synth::{dns_trace, http_trace, throughput_trace, SynthConfig};
 
 /// Transactions measured, after the same number of warm-up ones.
 const TRANSACTIONS: u64 = 256;
@@ -195,4 +206,78 @@ fn dns_reply_stays_within_the_allocation_budget() {
     let total = steady_state(DNS_BRO, dns_transaction);
     let again = steady_state(DNS_BRO, dns_transaction);
     hold("dns_reply", total, again, DNS_REPLY_ALLOCS);
+}
+
+/// A sequential analysis entry point (`run_*_analysis_governed`).
+type Analysis = fn(&[RawPacket], ParserStack, Engine, &Governance) -> RtResult<AnalysisResult>;
+
+/// One whole-pipeline exact count: a trace, the analysis that replays it
+/// on the compiled engine (setup included), and the pinned allocation
+/// total. The traces are the ones the per-packet counts in `CHANGES.md`
+/// were recorded on.
+struct PipelineCount {
+    what: &'static str,
+    trace: fn() -> Vec<RawPacket>,
+    run: Analysis,
+    stack: ParserStack,
+    pinned: u64,
+}
+
+const PIPELINE_COUNTS: [PipelineCount; 3] = [
+    // 16.735 per packet. Was 16.595 before 5a2c2a9 ("release parser and
+    // script state at TCP close"): `ScriptHost::remove_connection` passes
+    // the uid to `connection_state_remove` as `Value::str(uid)`, a fresh
+    // `Rc<str>` per closed connection (+4 000), and compiling that handler
+    // costs +643 at setup; its deletes save 63 and the rest of the change 21.
+    // The same change removes each connection's parser from the delivery
+    // core's `StdHttp` map at close. Whether a later insert reuses the
+    // tombstone depends on the process's random hash seed, so about one run
+    // in seven resizes the map once more: 541 859 or 541 860, pinned high.
+    PipelineCount {
+        what: "Standard HTTP",
+        trace: || throughput_trace(0x7487, 4_000),
+        run: run_http_analysis_governed,
+        stack: ParserStack::Standard,
+        pinned: 541_860,
+    },
+    PipelineCount {
+        what: "BinPAC++ DNS",
+        trace: || dns_trace(&SynthConfig::new(11, 1_000)),
+        run: run_dns_analysis_governed,
+        stack: ParserStack::Binpac,
+        pinned: 170_387,
+    },
+    // 61.413 per packet. Was 61.046 before 5a2c2a9: the same uid copy
+    // (+250) and handler (+643, deletes −49), plus `BinpacHttp::finish_conn`
+    // now running at the close as well as at the first FIN, where
+    // `intern_uid` finds no session left and allocates `Arc::from(uid)`
+    // only to look it up (+250).
+    PipelineCount {
+        what: "BinPAC++ HTTP",
+        trace: || http_trace(&SynthConfig::new(11, 250)),
+        run: run_http_analysis_governed,
+        stack: ParserStack::Binpac,
+        pinned: 183_012,
+    },
+];
+
+#[test]
+fn whole_pipeline_allocations_do_not_rise() {
+    let mut over = Vec::new();
+    for c in &PIPELINE_COUNTS {
+        let trace = (c.trace)();
+        let before = ALLOCS.with(Cell::get);
+        (c.run)(&trace, c.stack, Engine::Compiled, &Governance::default()).expect("analysis");
+        let total = ALLOCS.with(Cell::get) - before;
+        let per_pkt = total as f64 / trace.len() as f64;
+        eprintln!(
+            "{}: {total} allocations over {} packets, {per_pkt:.3} per packet",
+            c.what,
+            trace.len()
+        );
+        if total > c.pinned {
+            over.push(format!("{}: {total}, pinned at {}", c.what, c.pinned));
+        }
+    }
+    assert!(over.is_empty(), "allocations rose: {over:?}");
 }

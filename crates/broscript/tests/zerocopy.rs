@@ -13,7 +13,9 @@ use broscript::pipeline::{
     run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
 };
 use hilti_rt::telemetry::TelemetrySnapshot;
-use netpkt::synth::{chaos_dns_trace, chaos_http_trace, http_trace, ChaosConfig, SynthConfig};
+use netpkt::synth::{
+    chaos_dns_trace, chaos_http_trace, http_trace, throughput_trace, ChaosConfig, SynthConfig,
+};
 
 fn gov(force_copy: bool) -> Governance {
     Governance {
@@ -137,19 +139,27 @@ fn dns_chaos_borrowed_matches_flat_sequential_and_parallel() {
 fn in_order_trace_is_fully_borrowed() {
     // An in-order synthetic trace must reach the parser without a single
     // payload memcpy: everything routes through the arena.
-    let trace = http_trace(&SynthConfig::new(42, 20));
-    for stack in [ParserStack::Standard, ParserStack::Binpac] {
-        let r = run_http_analysis_governed(&trace, stack, Engine::Interpreted, &gov(false))
-            .unwrap_or_else(|e| panic!("{stack:?}: {e}"));
-        assert_eq!(
-            counter(&r.telemetry, "pipeline.bytes_copied"),
-            0,
-            "{stack:?}: in-order deliveries must not copy"
-        );
-        assert!(
-            counter(&r.telemetry, "pipeline.bytes_borrowed") > 0,
-            "{stack:?}: deliveries must be arena-borrowed"
-        );
+    let traces = [
+        ("http", http_trace(&SynthConfig::new(42, 20))),
+        ("throughput", throughput_trace(0x7487, 500)),
+    ];
+    for (name, trace) in &traces {
+        for stack in [ParserStack::Standard, ParserStack::Binpac] {
+            for engine in [Engine::Interpreted, Engine::Compiled] {
+                let what = format!("{name} {stack:?} {engine:?}");
+                let r = run_http_analysis_governed(trace, stack, engine, &gov(false))
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(
+                    counter(&r.telemetry, "pipeline.bytes_copied"),
+                    0,
+                    "{what}: in-order deliveries must not copy"
+                );
+                assert!(
+                    counter(&r.telemetry, "pipeline.bytes_borrowed") > 0,
+                    "{what}: deliveries must be arena-borrowed"
+                );
+            }
+        }
     }
 }
 

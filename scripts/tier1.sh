@@ -2,7 +2,8 @@
 # Tier-1 gate: everything a PR must keep green.
 #
 #   build (release)  — the artifacts the benchmarks run against
-#   test             — unit + integration suites across the workspace
+#   test             — unit + integration suites across the workspace,
+#                      including the exact allocation counts (alloc_budget)
 #   clippy           — lint wall; warnings are errors
 #   doc              — rustdoc wall (broken or private intra-doc links)
 #   opcost           — per-statement script cost table (printed, not gated)

@@ -15,9 +15,9 @@ pub use std::hint::black_box;
 
 const DEFAULT_SAMPLE_SIZE: usize = 100;
 // Per-sample measurement budget; total time per bench is roughly
-// sample_size * TARGET_SAMPLE_TIME, capped by MAX_BENCH_TIME below.
+// sample_size * TARGET_SAMPLE_TIME, capped by MAX_TIME_PER_BENCH below.
 const TARGET_SAMPLE_TIME: Duration = Duration::from_millis(20);
-const MAX_BENCH_TIME: Duration = Duration::from_secs(5);
+const MAX_TIME_PER_BENCH: Duration = Duration::from_secs(5);
 
 #[derive(Clone)]
 struct Config {
@@ -228,7 +228,7 @@ impl Bencher {
         let mut total_iters: u64 = 0;
         let mut total_time = Duration::ZERO;
         let mut samples: u64 = 0;
-        while samples < self.samples_wanted && bench_start.elapsed() < MAX_BENCH_TIME {
+        while samples < self.samples_wanted && bench_start.elapsed() < MAX_TIME_PER_BENCH {
             let start = Instant::now();
             for _ in 0..iters_per_sample {
                 black_box(f());
@@ -271,7 +271,7 @@ impl Bencher {
         let mut total_iters: u64 = 0;
         let mut total_time = Duration::ZERO;
         let mut samples: u64 = 0;
-        while samples < self.samples_wanted && bench_start.elapsed() < MAX_BENCH_TIME {
+        while samples < self.samples_wanted && bench_start.elapsed() < MAX_TIME_PER_BENCH {
             total_time += f(iters_per_sample);
             total_iters += iters_per_sample;
             samples += 1;
