@@ -231,33 +231,39 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
     // costs +643 at setup; its deletes save 63 and the rest of the change 21.
     // The same change removes each connection's parser from the delivery
     // core's `StdHttp` map at close. Whether a later insert reuses the
-    // tombstone depends on the process's random hash seed, so about one run
-    // in seven resizes the map once more: 541 859 or 541 860, pinned high.
+    // tombstone depends on the process's random hash seed, so some runs
+    // resize the map once more: 541 849 or 541 850, pinned high. Was
+    // 541 860 until the constant folder evaluated through `ops::eval`,
+    // which dropped its operand `Vec` per candidate instruction (−10 here,
+    // −36 and −10 in the two counts below).
     PipelineCount {
         what: "Standard HTTP",
         trace: || throughput_trace(0x7487, 4_000),
         run: run_http_analysis_governed,
         stack: ParserStack::Standard,
-        pinned: 541_860,
+        pinned: 541_850,
     },
+    // 88.265 per packet. Was 88.283 (170 387) before the constant folder
+    // evaluated through `ops::eval`.
     PipelineCount {
         what: "BinPAC++ DNS",
         trace: || dns_trace(&SynthConfig::new(11, 1_000)),
         run: run_dns_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 170_387,
+        pinned: 170_351,
     },
-    // 61.413 per packet. Was 61.046 before 5a2c2a9: the same uid copy
-    // (+250) and handler (+643, deletes −49), plus `BinpacHttp::finish_conn`
-    // now running at the close as well as at the first FIN, where
-    // `intern_uid` finds no session left and allocates `Arc::from(uid)`
-    // only to look it up (+250).
+    // 61.410 per packet; 61.413 (183 012) before the constant folder
+    // evaluated through `ops::eval`. Was 61.046 before 5a2c2a9: the same
+    // uid copy (+250) and handler (+643, deletes −49), plus
+    // `BinpacHttp::finish_conn` now running at the close as well as at the
+    // first FIN, where `intern_uid` finds no session left and allocates
+    // `Arc::from(uid)` only to look it up (+250).
     PipelineCount {
         what: "BinPAC++ HTTP",
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 183_012,
+        pinned: 183_002,
     },
 ];
 

@@ -20,6 +20,7 @@ use hilti_rt::regexp::Regex;
 
 use crate::ir::{Const, Function, Opcode, Operand, Terminator, TypeDef};
 use crate::linker::Linked;
+use crate::ops::{IntArith, IntCmp};
 use crate::types::Type;
 use crate::value::{StructLayout, Value};
 
@@ -106,28 +107,11 @@ pub enum CInstr {
     // and no `ops::eval` round-trip. Operand slots are statically typed
     // (`CFunc::slot_types`), but values are still checked at run time so a
     // mistyped slot raises the same catchable TypeError as the generic
-    // path (locals start as Null).
-    /// `dst = a + b`, wrapping (semantics of `int.add` in `ops::eval`).
-    AddInt {
-        dst: u16,
-        a: IntSrc,
-        b: IntSrc,
-    },
-    /// `dst = a - b`, wrapping.
-    SubInt {
-        dst: u16,
-        a: IntSrc,
-        b: IntSrc,
-    },
-    /// `dst = a * b`, wrapping.
-    MulInt {
-        dst: u16,
-        a: IntSrc,
-        b: IntSrc,
-    },
-    /// Bitwise and shift forms (`int.and`/`or`/`xor`/`shl`/`shr`).
-    BitInt {
-        op: IntBit,
+    // path (locals start as Null). Each op's semantics is `ops::IntArith`
+    // / `ops::IntCmp`, the same statement `ops::eval` applies.
+    /// `dst = a <op> b` as int (`int.add` … `int.shr`).
+    ArithInt {
+        op: IntArith,
         dst: u16,
         a: IntSrc,
         b: IntSrc,
@@ -212,96 +196,6 @@ impl IntSrc {
             IntSrc::Slot(s) => format!("s{s}"),
             IntSrc::Imm(i) => i.to_string(),
         }
-    }
-}
-
-/// Comparison relation of [`CInstr::CmpInt`] / [`CInstr::BrIfInt`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IntCmp {
-    Eq,
-    Lt,
-    Gt,
-    Leq,
-    Geq,
-}
-
-impl IntCmp {
-    #[inline(always)]
-    pub fn apply(self, a: i64, b: i64) -> bool {
-        match self {
-            IntCmp::Eq => a == b,
-            IntCmp::Lt => a < b,
-            IntCmp::Gt => a > b,
-            IntCmp::Leq => a <= b,
-            IntCmp::Geq => a >= b,
-        }
-    }
-
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            IntCmp::Eq => "int.eq",
-            IntCmp::Lt => "int.lt",
-            IntCmp::Gt => "int.gt",
-            IntCmp::Leq => "int.leq",
-            IntCmp::Geq => "int.geq",
-        }
-    }
-
-    pub fn from_opcode(op: Opcode) -> Option<IntCmp> {
-        Some(match op {
-            Opcode::IntEq => IntCmp::Eq,
-            Opcode::IntLt => IntCmp::Lt,
-            Opcode::IntGt => IntCmp::Gt,
-            Opcode::IntLeq => IntCmp::Leq,
-            Opcode::IntGeq => IntCmp::Geq,
-            _ => return None,
-        })
-    }
-}
-
-/// Bitwise/shift operation of [`CInstr::BitInt`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IntBit {
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-}
-
-impl IntBit {
-    /// Exactly the `ops::eval` semantics: `shl` wraps the shift amount,
-    /// `shr` is a logical shift on the 64-bit pattern.
-    #[inline(always)]
-    pub fn apply(self, a: i64, b: i64) -> i64 {
-        match self {
-            IntBit::And => a & b,
-            IntBit::Or => a | b,
-            IntBit::Xor => a ^ b,
-            IntBit::Shl => a.wrapping_shl(b as u32),
-            IntBit::Shr => ((a as u64) >> (b as u32 & 63)) as i64,
-        }
-    }
-
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            IntBit::And => "int.and",
-            IntBit::Or => "int.or",
-            IntBit::Xor => "int.xor",
-            IntBit::Shl => "int.shl",
-            IntBit::Shr => "int.shr",
-        }
-    }
-
-    pub fn from_opcode(op: Opcode) -> Option<IntBit> {
-        Some(match op {
-            Opcode::IntAnd => IntBit::And,
-            Opcode::IntOr => IntBit::Or,
-            Opcode::IntXor => IntBit::Xor,
-            Opcode::IntShl => IntBit::Shl,
-            Opcode::IntShr => IntBit::Shr,
-            _ => return None,
-        })
     }
 }
 
@@ -417,6 +311,9 @@ impl CInstr {
                 .collect::<Vec<_>>()
                 .join(" ")
         }
+        fn typed(dst: u16, op: Opcode, a: &IntSrc, b: &IntSrc) -> String {
+            format!("s{dst} = {} {} {}", op.mnemonic(), a.render(), b.render())
+        }
         match self {
             CInstr::Op {
                 opcode,
@@ -468,21 +365,8 @@ impl CInstr {
             CInstr::GlobalStore { global, inner } => {
                 format!("g{global} <- {}", inner.render())
             }
-            CInstr::AddInt { dst, a, b } => {
-                format!("s{dst} = int.add {} {}", a.render(), b.render())
-            }
-            CInstr::SubInt { dst, a, b } => {
-                format!("s{dst} = int.sub {} {}", a.render(), b.render())
-            }
-            CInstr::MulInt { dst, a, b } => {
-                format!("s{dst} = int.mul {} {}", a.render(), b.render())
-            }
-            CInstr::BitInt { op, dst, a, b } => {
-                format!("s{dst} = {} {} {}", op.mnemonic(), a.render(), b.render())
-            }
-            CInstr::CmpInt { cmp, dst, a, b } => {
-                format!("s{dst} = {} {} {}", cmp.mnemonic(), a.render(), b.render())
-            }
+            CInstr::ArithInt { op, dst, a, b } => typed(*dst, op.opcode(), a, b),
+            CInstr::CmpInt { cmp, dst, a, b } => typed(*dst, cmp.opcode(), a, b),
             CInstr::BrIfInt {
                 cmp,
                 a,
@@ -491,10 +375,8 @@ impl CInstr {
                 then_pc,
                 else_pc,
             } => format!(
-                "s{dst} = {} {} {} ; if s{dst} goto @{then_pc} else @{else_pc}",
-                cmp.mnemonic(),
-                a.render(),
-                b.render()
+                "{} ; if s{dst} goto @{then_pc} else @{else_pc}",
+                typed(*dst, cmp.opcode(), a, b)
             ),
             CInstr::MoveSlot { dst, src } => format!("s{dst} = assign s{src}"),
             CInstr::LoadImm { dst, v } => format!("s{dst} = assign {}", v.render()),
@@ -541,15 +423,15 @@ impl CInstr {
             CInstr::PopHandler => "exception.pop_handler",
             CInstr::Yield => "yield",
             CInstr::GlobalStore { inner, .. } => inner.stat_name(),
-            CInstr::AddInt { .. } => "spec.int.add",
-            CInstr::SubInt { .. } => "spec.int.sub",
-            CInstr::MulInt { .. } => "spec.int.mul",
-            CInstr::BitInt { op, .. } => match op {
-                IntBit::And => "spec.int.and",
-                IntBit::Or => "spec.int.or",
-                IntBit::Xor => "spec.int.xor",
-                IntBit::Shl => "spec.int.shl",
-                IntBit::Shr => "spec.int.shr",
+            CInstr::ArithInt { op, .. } => match op {
+                IntArith::Add => "spec.int.add",
+                IntArith::Sub => "spec.int.sub",
+                IntArith::Mul => "spec.int.mul",
+                IntArith::And => "spec.int.and",
+                IntArith::Or => "spec.int.or",
+                IntArith::Xor => "spec.int.xor",
+                IntArith::Shl => "spec.int.shl",
+                IntArith::Shr => "spec.int.shr",
             },
             CInstr::CmpInt { .. } => "spec.int.cmp",
             CInstr::BrIfInt { .. } => "spec.int.br_if",

@@ -866,36 +866,91 @@ done:
         assert!(p.context_mut().take_instr_mix().is_empty());
     }
 
+    /// A statically typed slot read before initialization holds Null. Each
+    /// typed instruction — every `ArithInt` and `CmpInt` op, the fused
+    /// `BrIfInt` and `BrBool` — must then raise what the generic path
+    /// raises: the interpreter, the VM with the specializer and the VM
+    /// without it catch the same exception kind and message, with the same
+    /// fuel left, and the two VMs trace the same lines.
     #[test]
     fn specialized_type_error_is_catchable() {
-        // A statically int slot read before initialization holds Null; the
-        // specialized instruction must raise the same catchable TypeError
-        // as the generic path.
-        let src = r#"
+        const TEMPLATE: &str = r#"
 module M
-int<64> f() {
+string f() {
     local int<64> u
     local int<64> y
+    local bool b
+    local bool c
+    local string kind
+    local string msg
     try {
-        y = int.add u 1
+        BODY
     } catch ( exception e ) {
-        return -1
+        kind = exception.kind e
+        msg = exception.message e
+        msg = string.fmt "{}: {}" kind msg
+        return msg
     }
-    return y
+    return "no trap"
 }
 "#;
-        for specialize in [true, false] {
-            let mut p = Program::from_sources_opts(
-                &[src],
-                OptLevel::None,
-                BuildOptions {
+        let mut rows: Vec<(String, String)> = Vec::new();
+        for op in ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"] {
+            rows.push((format!("y = int.{op} u 1"), format!("spec.int.{op}")));
+        }
+        for cmp in ["eq", "lt", "gt", "leq", "geq"] {
+            let body = format!("b = int.{cmp} 1 u\n        y = assign 0");
+            rows.push((body, "spec.int.cmp".into()));
+        }
+        let branch = "if.else BOOL yes no\nyes:\n        y = assign 1\nno:";
+        let fused = format!("b = int.lt u 1\n        {}", branch.replace("BOOL", "b"));
+        rows.push((fused, "spec.int.br_if".into()));
+        rows.push((branch.replace("BOOL", "c"), "spec.br.bool".into()));
+
+        for (body, bucket) in rows {
+            let src = TEMPLATE.replace("BODY", &body);
+            let build = |specialize| {
+                let options = BuildOptions {
                     specialize,
                     ..Default::default()
-                },
-            )
-            .unwrap();
-            let v = p.run("M::f", &[]).unwrap();
-            assert!(v.equals(&Value::Int(-1)), "specialize={specialize}: {v:?}");
+                };
+                Program::from_sources_opts(&[&src], OptLevel::None, options).unwrap()
+            };
+            let observe = |mut p: Program, interp: bool| {
+                p.set_limits(hilti_rt::ResourceLimits {
+                    fuel: Some(1_000),
+                    ..Default::default()
+                });
+                let v = match interp {
+                    true => p.run_interpreted("M::f", &[]),
+                    false => p.run("M::f", &[]),
+                };
+                (v.unwrap().render(), p.context().fuel_remaining())
+            };
+            let on = build(true);
+            let code = &on.compiled().func("M::f").unwrap().code;
+            assert!(
+                code.iter().any(|i| i.stat_name() == bucket),
+                "{bucket} not emitted for {body}: {code:#?}"
+            );
+            let oracle = observe(build(false), true);
+            assert!(
+                oracle.0.starts_with("Hilti::TypeError: "),
+                "{body}: {oracle:?}"
+            );
+            assert_eq!(observe(on, false), oracle, "{body}: specializer on");
+            assert_eq!(
+                observe(build(false), false),
+                oracle,
+                "{body}: specializer off"
+            );
+            let traced = |specialize| {
+                let mut p = build(specialize);
+                p.context_mut().trace = true;
+                p.run("M::f", &[]).unwrap();
+                p.context_mut().take_trace()
+            };
+            assert_eq!(traced(true), traced(false), "{body}: traces");
         }
     }
 

@@ -319,9 +319,9 @@ pub fn eval(
         }
 
         // --- integers ----------------------------------------------------
-        IntAdd => bin_int(args, op, |a, b| Ok(a.wrapping_add(b)))?,
-        IntSub => bin_int(args, op, |a, b| Ok(a.wrapping_sub(b)))?,
-        IntMul => bin_int(args, op, |a, b| Ok(a.wrapping_mul(b)))?,
+        IntAdd => int_arith(args, IntArith::Add)?,
+        IntSub => int_arith(args, IntArith::Sub)?,
+        IntMul => int_arith(args, IntArith::Mul)?,
         IntDiv => bin_int(args, op, |a, b| {
             if b == 0 {
                 Err(RtError::arithmetic("division by zero"))
@@ -346,16 +346,16 @@ pub fn eval(
         }
         IntMin => bin_int(args, op, |a, b| Ok(a.min(b)))?,
         IntMax => bin_int(args, op, |a, b| Ok(a.max(b)))?,
-        IntEq => bin_int_cmp(args, op, |a, b| a == b)?,
-        IntLt => bin_int_cmp(args, op, |a, b| a < b)?,
-        IntGt => bin_int_cmp(args, op, |a, b| a > b)?,
-        IntLeq => bin_int_cmp(args, op, |a, b| a <= b)?,
-        IntGeq => bin_int_cmp(args, op, |a, b| a >= b)?,
-        IntAnd => bin_int(args, op, |a, b| Ok(a & b))?,
-        IntOr => bin_int(args, op, |a, b| Ok(a | b))?,
-        IntXor => bin_int(args, op, |a, b| Ok(a ^ b))?,
-        IntShl => bin_int(args, op, |a, b| Ok(a.wrapping_shl(b as u32)))?,
-        IntShr => bin_int(args, op, |a, b| Ok(((a as u64) >> (b as u32 & 63)) as i64))?,
+        IntEq => int_cmp(args, IntCmp::Eq)?,
+        IntLt => int_cmp(args, IntCmp::Lt)?,
+        IntGt => int_cmp(args, IntCmp::Gt)?,
+        IntLeq => int_cmp(args, IntCmp::Leq)?,
+        IntGeq => int_cmp(args, IntCmp::Geq)?,
+        IntAnd => int_arith(args, IntArith::And)?,
+        IntOr => int_arith(args, IntArith::Or)?,
+        IntXor => int_arith(args, IntArith::Xor)?,
+        IntShl => int_arith(args, IntArith::Shl)?,
+        IntShr => int_arith(args, IntArith::Shr)?,
         IntToDouble => {
             arity(args, 1, op)?;
             Value::Double(args[0].as_int()? as f64)
@@ -1531,10 +1531,79 @@ pub fn eval(
     })
 }
 
-// NOTE: the specialized bytecode tier (`crate::specialize`, executed
-// inline by the VM) mirrors the wrapping/shift/comparison semantics of the
-// int ops evaluated through these helpers. `tests/differential.rs` checks
-// the two paths against each other; keep them in sync when touching either.
+/// Declares a family of typed integer ops: the enum, each op's semantics
+/// (`apply`) and its opcode in both directions. A row is the one place its
+/// op is stated; `eval` and the VM's typed instructions both call `apply`.
+macro_rules! int_ops {
+    ($(#[$doc:meta])* $name:ident($a:ident, $b:ident) -> $out:ty {
+        $( $variant:ident = $opcode:ident => $body:expr, )*
+    }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $( $variant, )*
+        }
+
+        impl $name {
+            #[inline(always)]
+            pub fn apply(self, $a: i64, $b: i64) -> $out {
+                match self {
+                    $( $name::$variant => $body, )*
+                }
+            }
+
+            pub fn from_opcode(op: Opcode) -> Option<$name> {
+                match op {
+                    $( Opcode::$opcode => Some($name::$variant), )*
+                    _ => None,
+                }
+            }
+
+            pub fn opcode(self) -> Opcode {
+                match self {
+                    $( $name::$variant => Opcode::$opcode, )*
+                }
+            }
+        }
+    };
+}
+
+int_ops! {
+    /// Integer arithmetic, bitwise and shift ops. All wrap; `shl` wraps its
+    /// shift amount, `shr` is a logical shift of the 64-bit pattern.
+    IntArith(a, b) -> i64 {
+        Add = IntAdd => a.wrapping_add(b),
+        Sub = IntSub => a.wrapping_sub(b),
+        Mul = IntMul => a.wrapping_mul(b),
+        And = IntAnd => a & b,
+        Or = IntOr => a | b,
+        Xor = IntXor => a ^ b,
+        Shl = IntShl => a.wrapping_shl(b as u32),
+        Shr = IntShr => ((a as u64) >> (b as u32 & 63)) as i64,
+    }
+}
+
+int_ops! {
+    /// Integer comparisons.
+    IntCmp(a, b) -> bool {
+        Eq = IntEq => a == b,
+        Lt = IntLt => a < b,
+        Gt = IntGt => a > b,
+        Leq = IntLeq => a <= b,
+        Geq = IntGeq => a >= b,
+    }
+}
+
+#[inline(always)]
+fn int_arith(args: &[&Value], f: IntArith) -> RtResult<Value> {
+    bin_int(args, f.opcode(), |a, b| Ok(f.apply(a, b)))
+}
+
+#[inline(always)]
+fn int_cmp(args: &[&Value], f: IntCmp) -> RtResult<Value> {
+    bin_int_cmp(args, f.opcode(), |a, b| f.apply(a, b))
+}
+
 #[inline]
 fn bin_int(
     args: &[&Value],

@@ -14,7 +14,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ir::{Const, Function, Instr, Module, Opcode, Operand, Terminator};
+use crate::bytecode::{const_value, CompiledProgram};
+use crate::ir::{Const, Function, Instr, Opcode, Operand, Terminator};
+use crate::ops;
+use crate::value::Value;
+use crate::vm::Context;
 
 /// Optimization level.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
@@ -46,35 +50,21 @@ impl PassStats {
     }
 }
 
-/// Optimizes every function in a module.
-pub fn optimize_module(m: &mut Module, level: OptLevel) -> PassStats {
-    let mut stats = PassStats::default();
-    if level == OptLevel::None {
-        return stats;
-    }
-    for f in &mut m.functions {
-        merge(&mut stats, optimize_function(f));
-    }
-    for bodies in m.hooks.values_mut() {
-        for b in bodies {
-            merge(&mut stats, optimize_function(&mut b.func));
-        }
-    }
-    stats
-}
-
 /// Optimizes every function in a linked program.
 pub fn optimize_linked(l: &mut crate::linker::Linked, level: OptLevel) -> PassStats {
     let mut stats = PassStats::default();
     if level == OptLevel::None {
         return stats;
     }
+    // What constant folding evaluates against, built on first use: the
+    // folded instructions never touch it, but `ops::eval` takes one.
+    let mut scratch = None;
     for f in l.functions.values_mut() {
-        merge(&mut stats, optimize_function(f));
+        merge(&mut stats, optimize_function(f, &mut scratch));
     }
     for bodies in l.hooks.values_mut() {
         for f in bodies {
-            merge(&mut stats, optimize_function(f));
+            merge(&mut stats, optimize_function(f, &mut scratch));
         }
     }
     stats
@@ -89,22 +79,19 @@ fn merge(into: &mut PassStats, from: PassStats) {
 }
 
 /// Runs all passes on one function to a fixed point.
-pub fn optimize_function(f: &mut Function) -> PassStats {
+fn optimize_function(f: &mut Function, scratch: &mut Option<Context>) -> PassStats {
     let mut stats = PassStats::default();
     // Fixed-point with a hard round cap: conservative passes converge in a
     // handful of rounds; the cap guards against any pass miscounting a
     // no-op rewrite as progress.
-    for round_no in 0..16 {
+    for _ in 0..16 {
         let mut round = PassStats::default();
         round.copies_propagated += copy_propagate(f);
-        round.constants_folded += const_fold(f);
+        round.constants_folded += const_fold(f, scratch);
         round.cse_hits += cse(f);
         round.dead_removed += dce(f);
         round.blocks_threaded += jump_thread(f);
         let changed = round.total() > 0;
-        if std::env::var_os("HILTI_OPT_DEBUG").is_some() {
-            eprintln!("opt round {round_no}: {round:?}");
-        }
         merge(&mut stats, round);
         if !changed {
             break;
@@ -116,27 +103,50 @@ pub fn optimize_function(f: &mut Function) -> PassStats {
 // ---------------------------------------------------------------------------
 // Constant folding
 
-/// Evaluates pure instructions whose operands are all constants.
-fn const_fold(f: &mut Function) -> usize {
+/// The opcodes folded when every operand is a constant.
+fn foldable(op: Opcode) -> bool {
+    use Opcode::*;
+    matches!(
+        op,
+        IntAdd
+            | IntSub
+            | IntMul
+            | IntDiv
+            | IntMod
+            | IntNeg
+            | IntEq
+            | IntLt
+            | IntGt
+            | IntLeq
+            | IntGeq
+            | IntAnd
+            | IntOr
+            | IntXor
+            | IntShl
+            | IntShr
+            | IntToDouble
+            | DoubleToInt
+            | BoolAnd
+            | BoolOr
+            | BoolXor
+            | BoolNot
+            | StringConcat
+            | StringLength
+            | Equal
+            | Unequal
+    )
+}
+
+/// Replaces each foldable instruction whose operands are all constants by
+/// an `assign` of its result, computed by `ops::eval` itself.
+fn const_fold(f: &mut Function, scratch: &mut Option<Context>) -> usize {
     let mut folded = 0;
     for block in &mut f.blocks {
         for instr in &mut block.instrs {
-            if !instr.opcode.is_pure() || instr.target.is_none() {
+            if instr.target.is_none() || !foldable(instr.opcode) {
                 continue;
             }
-            if instr.opcode == Opcode::Assign {
-                continue; // nothing to fold
-            }
-            let consts: Option<Vec<&Const>> = instr
-                .args
-                .iter()
-                .map(|a| match a {
-                    Operand::Const(c) => Some(c),
-                    Operand::Var(_) => None,
-                })
-                .collect();
-            let Some(consts) = consts else { continue };
-            if let Some(result) = fold(instr.opcode, &consts) {
+            if let Some(result) = evaluate(instr, scratch) {
                 *instr = Instr {
                     target: instr.target.clone(),
                     opcode: Opcode::Assign,
@@ -149,98 +159,32 @@ fn const_fold(f: &mut Function) -> usize {
     folded
 }
 
-/// Folds one pure opcode over constant operands, where semantics are
-/// simple enough to evaluate at compile time.
-fn fold(op: Opcode, args: &[&Const]) -> Option<Const> {
-    use Const::*;
-    use Opcode::*;
-    let int2 = || -> Option<(i64, i64)> {
-        match (args.first()?, args.get(1)?) {
-            (Int(a), Int(b)) => Some((*a, *b)),
-            _ => None,
+/// `instr`'s result as a constant, or `None` when an operand is a
+/// variable, evaluation raises (`int.div x 0` keeps its run-time trap), or
+/// the result has no constant form.
+fn evaluate(instr: &Instr, scratch: &mut Option<Context>) -> Option<Const> {
+    // Every foldable op takes one or two operands.
+    let n = instr.args.len();
+    if !(1..=2).contains(&n) || instr.args.iter().any(|a| matches!(a, Operand::Var(_))) {
+        return None;
+    }
+    let mut values = [Value::Null, Value::Null];
+    for (v, a) in values.iter_mut().zip(&instr.args) {
+        if let Operand::Const(c) = a {
+            *v = const_value(c).ok()?;
         }
-    };
-    let bool2 = || -> Option<(bool, bool)> {
-        match (args.first()?, args.get(1)?) {
-            (Bool(a), Bool(b)) => Some((*a, *b)),
-            _ => None,
-        }
-    };
-    Some(match op {
-        IntAdd => int2().map(|(a, b)| Int(a.wrapping_add(b)))?,
-        IntSub => int2().map(|(a, b)| Int(a.wrapping_sub(b)))?,
-        IntMul => int2().map(|(a, b)| Int(a.wrapping_mul(b)))?,
-        IntDiv => {
-            let (a, b) = int2()?;
-            if b == 0 {
-                return None; // keep the runtime exception
-            }
-            Int(a.wrapping_div(b))
-        }
-        IntMod => {
-            let (a, b) = int2()?;
-            if b == 0 {
-                return None;
-            }
-            Int(a.wrapping_rem(b))
-        }
-        IntEq => int2().map(|(a, b)| Bool(a == b))?,
-        IntLt => int2().map(|(a, b)| Bool(a < b))?,
-        IntGt => int2().map(|(a, b)| Bool(a > b))?,
-        IntLeq => int2().map(|(a, b)| Bool(a <= b))?,
-        IntGeq => int2().map(|(a, b)| Bool(a >= b))?,
-        IntAnd => int2().map(|(a, b)| Int(a & b))?,
-        IntOr => int2().map(|(a, b)| Int(a | b))?,
-        IntXor => int2().map(|(a, b)| Int(a ^ b))?,
-        IntShl => int2().map(|(a, b)| Int(a.wrapping_shl(b as u32)))?,
-        IntShr => int2().map(|(a, b)| Int(((a as u64) >> (b as u32 & 63)) as i64))?,
-        IntNeg => match args.first()? {
-            Int(a) => Int(a.wrapping_neg()),
+    }
+    let refs = [&values[0], &values[1]];
+    let scratch = scratch.get_or_insert_with(|| Context::for_program(&CompiledProgram::default()));
+    Some(
+        match ops::eval(instr.opcode, &refs[..n], &[], &mut scratch.env).ok()? {
+            Value::Int(i) => Const::Int(i),
+            Value::Bool(b) => Const::Bool(b),
+            Value::Double(d) => Const::Double(d),
+            Value::String(s) => Const::Str(s.to_string()),
             _ => return None,
         },
-        BoolAnd => bool2().map(|(a, b)| Bool(a && b))?,
-        BoolOr => bool2().map(|(a, b)| Bool(a || b))?,
-        BoolXor => bool2().map(|(a, b)| Bool(a ^ b))?,
-        BoolNot => match args.first()? {
-            Bool(a) => Bool(!a),
-            _ => return None,
-        },
-        StringConcat => match (args.first()?, args.get(1)?) {
-            (Str(a), Str(b)) => Str(format!("{a}{b}")),
-            _ => return None,
-        },
-        StringLength => match args.first()? {
-            Str(a) => Int(a.chars().count() as i64),
-            _ => return None,
-        },
-        Equal => fold_equal(args)?,
-        Unequal => match fold_equal(args)? {
-            Bool(b) => Bool(!b),
-            _ => return None,
-        },
-        IntToDouble => match args.first()? {
-            Int(a) => Double(*a as f64),
-            _ => return None,
-        },
-        DoubleToInt => match args.first()? {
-            Double(a) => Int(*a as i64),
-            _ => return None,
-        },
-        _ => return None,
-    })
-}
-
-fn fold_equal(args: &[&Const]) -> Option<Const> {
-    use Const::*;
-    Some(match (args.first()?, args.get(1)?) {
-        (Int(a), Int(b)) => Bool(a == b),
-        (Bool(a), Bool(b)) => Bool(a == b),
-        (Str(a), Str(b)) => Bool(a == b),
-        (Addr(a), Addr(b)) => Bool(a == b),
-        (Port(a), Port(b)) => Bool(a == b),
-        (Addr(a), Net(n)) | (Net(n), Addr(a)) => Bool(n.contains(a)),
-        _ => return None,
-    })
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -542,13 +486,14 @@ pub fn instrument_functions(l: &mut crate::linker::Linked) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linker::link_with_priorities;
     use crate::parser::parse_module;
 
     fn optimized(src: &str, fname: &str) -> (Function, PassStats) {
         let m = parse_module(src).unwrap();
-        let mut f = m.function(fname).unwrap().clone();
-        let stats = optimize_function(&mut f);
-        (f, stats)
+        let mut linked = link_with_priorities(vec![m]).unwrap();
+        let stats = optimize_linked(&mut linked, OptLevel::Full);
+        (linked.function(fname).unwrap().clone(), stats)
     }
 
     #[test]
@@ -743,7 +688,7 @@ void f() {
 "#,
         )
         .unwrap();
-        let mut linked = crate::linker::link_with_priorities(vec![m]).unwrap();
+        let mut linked = link_with_priorities(vec![m]).unwrap();
         let stats = optimize_linked(&mut linked, OptLevel::Full);
         let f = linked.function("M::f").unwrap();
         assert_eq!(f.blocks[0].instrs.len(), 1, "{stats:?}");
@@ -751,16 +696,17 @@ void f() {
 
     #[test]
     fn optlevel_none_is_identity() {
-        let mut m = parse_module(
+        let m = parse_module(
             "module M\nint<64> f() {\n  local int<64> x\n  x = int.add 1 2\n  return x\n}\n",
         )
         .unwrap();
-        let orig = m.clone();
-        let stats = optimize_module(&mut m, OptLevel::None);
+        let mut linked = link_with_priorities(vec![m]).unwrap();
+        let orig = linked.clone();
+        let stats = optimize_linked(&mut linked, OptLevel::None);
         assert_eq!(stats.total(), 0);
         assert_eq!(
-            format!("{:?}", m.functions),
-            format!("{:?}", orig.functions)
+            format!("{:?}", linked.function("M::f")),
+            format!("{:?}", orig.function("M::f"))
         );
     }
 }

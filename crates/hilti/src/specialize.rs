@@ -12,9 +12,10 @@
 //!
 //! The pass runs in two phases over each function:
 //!
-//! 1. **Per-instruction rewrites.** `int.add/sub/mul`, the bitwise/shift
-//!    group, and integer comparisons whose operands are all provably
-//!    `int<n>` slots or integer immediates become `AddInt`-style variants;
+//! 1. **Per-instruction rewrites.** An integer op with an [`IntArith`]
+//!    form (`int.add` … `int.shr`) or an [`IntCmp`] form (`int.eq` …
+//!    `int.geq`) whose two operands are provably `int<n>` slots or integer
+//!    immediates becomes `ArithInt` / `CmpInt`, carrying that op;
 //!    `assign` into a local becomes `MoveSlot`/`LoadImm`; a branch on a
 //!    statically bool slot becomes `BrBool`.
 //! 2. **Superinstruction fusion.** A `CmpInt` immediately followed by a
@@ -23,6 +24,12 @@
 //!    fused instruction still writes the bool flag slot and the original
 //!    branch stays at its pc (it remains reachable through explicit jump
 //!    labels), so no liveness or CFG analysis is needed.
+//!
+//! The pass states no semantics of its own. `IntArith::apply` /
+//! `IntCmp::apply` in `crate::ops` are the one statement of each op: the
+//! generic `ops::eval` arm and the VM's typed step both call them. A new
+//! typed op is one row in the `int_ops!` table there, plus its `spec.*`
+//! bucket in `CInstr::stat_name`.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
@@ -34,8 +41,9 @@
 //! The pass is switched by `BuildOptions::specialize` (default on) so the
 //! A1 ablation can quantify it; see `bench/benches/dispatch.rs`.
 
-use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IntBit, IntCmp, IntSrc};
+use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IntSrc};
 use crate::ir::Opcode;
+use crate::ops::{IntArith, IntCmp};
 use crate::types::Type;
 use crate::value::Value;
 
@@ -104,64 +112,30 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
                 ..
             } => {
                 let dst = *dst;
-                match (*opcode, args.len()) {
-                    (Opcode::IntAdd | Opcode::IntSub | Opcode::IntMul, 2) => {
-                        match (int_src(&args[0]), int_src(&args[1])) {
-                            (Some(a), Some(b)) => {
-                                stats.arith += 1;
-                                Some(match *opcode {
-                                    Opcode::IntAdd => CInstr::AddInt { dst, a, b },
-                                    Opcode::IntSub => CInstr::SubInt { dst, a, b },
-                                    _ => CInstr::MulInt { dst, a, b },
-                                })
-                            }
-                            _ => None,
-                        }
-                    }
-                    (
-                        Opcode::IntAnd
-                        | Opcode::IntOr
-                        | Opcode::IntXor
-                        | Opcode::IntShl
-                        | Opcode::IntShr,
-                        2,
-                    ) => match (int_src(&args[0]), int_src(&args[1])) {
-                        (Some(a), Some(b)) => {
-                            let op = IntBit::from_opcode(*opcode).expect("bit opcode");
-                            stats.arith += 1;
-                            Some(CInstr::BitInt { op, dst, a, b })
-                        }
-                        _ => None,
-                    },
-                    (
-                        Opcode::IntEq
-                        | Opcode::IntLt
-                        | Opcode::IntGt
-                        | Opcode::IntLeq
-                        | Opcode::IntGeq,
-                        2,
-                    ) => match (int_src(&args[0]), int_src(&args[1])) {
-                        (Some(a), Some(b)) => {
-                            let cmp = IntCmp::from_opcode(*opcode).expect("cmp opcode");
-                            stats.cmps += 1;
-                            Some(CInstr::CmpInt { cmp, dst, a, b })
-                        }
-                        _ => None,
-                    },
+                let ints = match &**args {
+                    [a, b] => int_src(a).zip(int_src(b)),
+                    _ => None,
+                };
+                if let (Some(op), Some((a, b))) = (IntArith::from_opcode(*opcode), ints) {
+                    stats.arith += 1;
+                    Some(CInstr::ArithInt { op, dst, a, b })
+                } else if let (Some(cmp), Some((a, b))) = (IntCmp::from_opcode(*opcode), ints) {
+                    stats.cmps += 1;
+                    Some(CInstr::CmpInt { cmp, dst, a, b })
+                } else {
                     // `assign` needs no type guard: it copies any value,
                     // exactly like the generic path.
-                    (Opcode::Assign, 1) => match &args[0] {
-                        COperand::Slot(src) => {
+                    match (*opcode, &**args) {
+                        (Opcode::Assign, [COperand::Slot(src)]) => {
                             stats.moves += 1;
                             Some(CInstr::MoveSlot { dst, src: *src })
                         }
-                        COperand::Value(v) => {
+                        (Opcode::Assign, [COperand::Value(v)]) => {
                             stats.moves += 1;
                             Some(CInstr::LoadImm { dst, v: v.clone() })
                         }
-                        COperand::Global(_) => None,
-                    },
-                    _ => None,
+                        _ => None,
+                    }
                 }
             }
             CInstr::Branch {
@@ -253,7 +227,13 @@ done:
         let (prog, stats) = specialized(LOOP);
         let f = prog.func("M::sum").unwrap();
         assert!(
-            f.code.iter().any(|i| matches!(i, CInstr::AddInt { .. })),
+            f.code.iter().any(|i| matches!(
+                i,
+                CInstr::ArithInt {
+                    op: IntArith::Add,
+                    ..
+                }
+            )),
             "{:#?}",
             f.code
         );
@@ -355,7 +335,8 @@ int<64> f(int<64> a) {
         assert!(
             f.code.iter().any(|i| matches!(
                 i,
-                CInstr::AddInt {
+                CInstr::ArithInt {
+                    op: IntArith::Add,
                     b: IntSrc::Imm(7),
                     ..
                 }

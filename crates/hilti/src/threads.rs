@@ -17,7 +17,8 @@
 //!   over `&mut S`; each worker holds a [`PoolHandle`] so jobs can submit
 //!   further jobs to any worker, and [`WorkPool::quiesce`] drains such
 //!   cascades to a fixed point. The flow-sharded analysis pipeline
-//!   (`broscript::parallel`) runs its shards on this layer.
+//!   (`broscript::parallel`) does not use it: each of its shards is a
+//!   plain `std::thread` fed by a bounded `hilti_rt::spsc` ring.
 //! * [`ThreadPool`] — the HILTI virtual-thread scheduler built on
 //!   `WorkPool`: each worker materializes its own program image and
 //!   [`Context`], and `thread.schedule` requests that cross workers are

@@ -566,8 +566,8 @@ pub(crate) fn opcode_class(mnemonic: &'static str) -> &'static str {
 
 /// Profile class of a bytecode instruction. Specialized variants report
 /// the class of the IR instruction they replace, so `--no-specialize` and
-/// specialized runs profile identically; `BrIfInt` is handled at the call
-/// site (it retires one `int` and one `control` unit).
+/// specialized runs profile identically; `BrIfInt` reports its comparison,
+/// and the call site adds the `control` unit of its branch.
 fn cinstr_class(instr: &CInstr) -> &'static str {
     match instr {
         CInstr::Op { opcode, .. } => opcode_class(opcode.mnemonic()),
@@ -581,12 +581,7 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         CInstr::PushHandler { .. } | CInstr::PopHandler => "exception",
         CInstr::Yield => "yield",
         CInstr::GlobalStore { inner, .. } => cinstr_class(inner),
-        CInstr::AddInt { .. }
-        | CInstr::SubInt { .. }
-        | CInstr::MulInt { .. }
-        | CInstr::BitInt { .. }
-        | CInstr::CmpInt { .. }
-        | CInstr::BrIfInt { .. } => "int",
+        CInstr::ArithInt { .. } | CInstr::CmpInt { .. } | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
         CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
     }
@@ -909,7 +904,8 @@ fn int_src(frame: &Frame, s: IntSrc) -> RtResult<i64> {
 /// instruction plus one per block terminator. Lowering emits exactly one
 /// CInstr for each of those, so every instruction costs 1 — except the
 /// fused compare-and-branch, which covers a body instruction *and* a
-/// terminator.
+/// terminator. (The fast loop never charges an instruction that traps; the
+/// dispatch path charges a trapping `BrIfInt` its comparison alone.)
 #[inline(always)]
 fn fuel_cost(instr: &CInstr) -> u64 {
     match instr {
@@ -919,7 +915,7 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 }
 
 /// Executes `instr` inline on `frame.slots` if it is a typed instruction
-/// (`AddInt` … `Jump`): no operand clone, no `ops::eval` round trip.
+/// (`ArithInt` … `Jump`): no operand clone, no `ops::eval` round trip.
 /// `Ok(false)` means it is some other instruction. An `Err` (an operand of
 /// the wrong type — the same catchable TypeError `ops::eval` raises) leaves
 /// the frame untouched. Both the fast loop and the one-at-a-time path of
@@ -927,22 +923,7 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 #[inline(always)]
 fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
     match instr {
-        CInstr::AddInt { dst, a, b } => {
-            let v = int_src(frame, *a)?.wrapping_add(int_src(frame, *b)?);
-            frame.slots[*dst as usize] = Value::Int(v);
-            frame.pc += 1;
-        }
-        CInstr::SubInt { dst, a, b } => {
-            let v = int_src(frame, *a)?.wrapping_sub(int_src(frame, *b)?);
-            frame.slots[*dst as usize] = Value::Int(v);
-            frame.pc += 1;
-        }
-        CInstr::MulInt { dst, a, b } => {
-            let v = int_src(frame, *a)?.wrapping_mul(int_src(frame, *b)?);
-            frame.slots[*dst as usize] = Value::Int(v);
-            frame.pc += 1;
-        }
-        CInstr::BitInt { op, dst, a, b } => {
+        CInstr::ArithInt { op, dst, a, b } => {
             let v = op.apply(int_src(frame, *a)?, int_src(frame, *b)?);
             frame.slots[*dst as usize] = Value::Int(v);
             frame.pc += 1;
@@ -1098,37 +1079,32 @@ fn dispatch(
             )));
         };
 
+        // A fused compare-and-branch is traced, charged and profiled as its
+        // two constituent instructions, so all three match an unspecialized
+        // run; when its comparison traps, the branch never runs.
+        let fused_branch = match instr {
+            CInstr::BrIfInt { a, b, .. } => {
+                int_src(frame, *a).is_ok() && int_src(frame, *b).is_ok()
+            }
+            _ => false,
+        };
+
         if ctx.trace && ctx.trace_log.len() < TRACE_CAP {
             // Mnemonic-based rendering keeps traces diffable against an
-            // unspecialized build. A fused compare-and-branch is traced as
-            // its two constituent instructions for the same reason.
-            if let CInstr::BrIfInt {
-                cmp,
-                a,
-                b,
-                dst,
-                then_pc,
-                else_pc,
-            } = instr
-            {
-                ctx.trace_log.push(format!(
-                    "{}@{}: s{dst} = {} {} {}",
-                    cf.name,
-                    frame.pc,
-                    cmp.mnemonic(),
-                    a.render(),
-                    b.render()
-                ));
-                if ctx.trace_log.len() < TRACE_CAP {
-                    ctx.trace_log.push(format!(
-                        "{}@{}: if s{dst} goto @{then_pc} else @{else_pc}",
-                        cf.name,
-                        frame.pc + 1
-                    ));
+            // unspecialized build.
+            let text = instr.render();
+            match text.split_once(" ; ") {
+                Some((cmp, branch)) if matches!(instr, CInstr::BrIfInt { .. }) => {
+                    ctx.trace_log
+                        .push(format!("{}@{}: {cmp}", cf.name, frame.pc));
+                    if fused_branch && ctx.trace_log.len() < TRACE_CAP {
+                        ctx.trace_log
+                            .push(format!("{}@{}: {branch}", cf.name, frame.pc + 1));
+                    }
                 }
-            } else {
-                ctx.trace_log
-                    .push(format!("{}@{}: {}", cf.name, frame.pc, instr.render()));
+                _ => ctx
+                    .trace_log
+                    .push(format!("{}@{}: {text}", cf.name, frame.pc)),
             }
         }
         if ctx.stats {
@@ -1184,20 +1160,16 @@ fn dispatch(
 
         // Instructions that bailed out of the fast loop above were not
         // charged there, so this is the single charge point.
-        let cost = fuel_cost(instr);
+        let cost = 1 + fused_branch as u64;
         if let Err(e) = ctx.charge_fuel(cost) {
             raise!(e);
         }
         ctx.tier_retired.generic += cost;
         if ctx.profile {
-            // Charged to the function retiring the instruction; the fused
-            // compare-and-branch splits into its two constituent units so
-            // specialized and interpreted class breakdowns agree.
-            if matches!(instr, CInstr::BrIfInt { .. }) {
-                ctx.profile_record(&cf.name, "int", 1);
+            // Charged to the function retiring the instruction.
+            ctx.profile_record(&cf.name, cinstr_class(instr), 1);
+            if fused_branch {
                 ctx.profile_record(&cf.name, "control", 1);
-            } else {
-                ctx.profile_record(&cf.name, cinstr_class(instr), 1);
             }
         }
 
@@ -1354,10 +1326,7 @@ fn dispatch(
                 complete!(*target, result.map(|()| Value::Null));
             }
             // --- typed instructions: clone-free, inline on frame.slots ---
-            CInstr::AddInt { .. }
-            | CInstr::SubInt { .. }
-            | CInstr::MulInt { .. }
-            | CInstr::BitInt { .. }
+            CInstr::ArithInt { .. }
             | CInstr::CmpInt { .. }
             | CInstr::BrIfInt { .. }
             | CInstr::MoveSlot { .. }

@@ -359,6 +359,60 @@ fn stats_prints_percentages_sorted_descending() {
     assert!((pct_sum - 100.0).abs() < 1.0, "pct sum {pct_sum}: {err}");
 }
 
+/// `examples/hlt/typed_ops.hlt` reaches every typed integer instruction,
+/// and the specializer changes nothing in its trace, optimized or not.
+#[test]
+fn typed_ops_example_reaches_every_typed_instruction() {
+    let f = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/hlt/typed_ops.hlt"
+    );
+    let out = hiltic().args(["run", "--stats", f]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let mut buckets: Vec<&str> = err
+        .lines()
+        .filter_map(|l| l.split_whitespace().last())
+        .filter(|name| name.starts_with("spec.int."))
+        .collect();
+    buckets.sort_unstable();
+    assert_eq!(
+        buckets,
+        [
+            "spec.int.add",
+            "spec.int.and",
+            "spec.int.br_if",
+            "spec.int.cmp",
+            "spec.int.mul",
+            "spec.int.or",
+            "spec.int.shl",
+            "spec.int.shr",
+            "spec.int.sub",
+            "spec.int.xor",
+        ],
+        "{err}"
+    );
+
+    for opt in [&[][..], &["-O0"][..]] {
+        let traced = |extra: &[&str]| {
+            let out = hiltic()
+                .args(["run", "--trace"])
+                .args(opt)
+                .args(extra)
+                .arg(f)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{opt:?} {extra:?}: {out:?}");
+            out
+        };
+        let (on, off) = (traced(&[]), traced(&["--no-specialize"]));
+        assert_eq!(on.stdout, off.stdout, "{opt:?}");
+        assert_eq!(on.stderr, off.stderr, "{opt:?}");
+        let lines = String::from_utf8_lossy(&on.stderr).lines().count();
+        assert!(lines > 150, "{opt:?}: {lines} trace lines");
+    }
+}
+
 #[test]
 fn removed_tiering_flag_is_rejected_as_unknown() {
     let f = write_temp("tiering.hlt", FIB);

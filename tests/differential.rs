@@ -12,8 +12,12 @@
 //! All must agree on the outcome — the returned value, or the kind of
 //! exception raised — *and* on printed output (each kernel prints its
 //! result through `Hilti::print`, so host-call marshalling is covered
-//! too). Integer arithmetic wraps in HILTI, so the only reachable trap in
-//! these programs is division/modulo by zero — which the generator
+//! too). Kernels draw from every binary integer op and comparison, with
+//! slot and literal operands (constant-only instructions included, which
+//! the optimizer folds) and literals at the edges of `int<64>`: the
+//! minimum, -1, and shift amounts 63, 64 and -64. Integer arithmetic wraps
+//! in HILTI, so the only reachable trap in these programs is
+//! division/modulo by zero — which the generator
 //! deliberately does not avoid, so that trap behaviour is differentially
 //! tested too (e.g. that dead-code elimination never deletes a trapping
 //! instruction, constant folding never hides one, and the specialized
@@ -26,17 +30,44 @@ use proptest::prelude::*;
 
 const SLOTS: u8 = 6;
 
+/// The binary int ops a `Bin` step draws from.
+const BIN_OPS: [&str; 10] = [
+    "int.add", "int.sub", "int.mul", "int.div", "int.mod", "int.and", "int.or", "int.xor",
+    "int.shl", "int.shr",
+];
+
+/// The comparisons a `Diamond` step draws from.
+const CMP_OPS: [&str; 5] = ["int.eq", "int.lt", "int.gt", "int.leq", "int.geq"];
+
+/// An operand of a generated instruction: slot `t0..t5`, or an integer
+/// literal. Two literals make a constant-only instruction, which the
+/// optimizer folds and the specializer turns into immediates.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Slot(u8),
+    Imm(i64),
+}
+
+impl std::fmt::Display for Src {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Src::Slot(t) => write!(f, "t{t}"),
+            Src::Imm(i) => write!(f, "{i}"),
+        }
+    }
+}
+
 /// One step of a generated kernel, operating on int slots `t0..t5`.
 /// `t0`/`t1` start as the two function arguments, `t2..t5` as constants.
 #[derive(Debug, Clone)]
 enum Step {
-    /// `t[dst] = <add|sub|mul|div|mod> t[a] t[b]`
-    Bin { op: u8, dst: u8, a: u8, b: u8 },
-    /// `if t[a] <eq|lt|gt> t[b] { t[dst] = t[x] + t[y] } else { t[dst] = t[x] - t[y] }`
+    /// `t[dst] = BIN_OPS[op] a b`
+    Bin { op: u8, dst: u8, a: Src, b: Src },
+    /// `if CMP_OPS[cmp] a b { t[dst] = t[x] + t[y] } else { t[dst] = t[x] - t[y] }`
     Diamond {
         cmp: u8,
-        a: u8,
-        b: u8,
+        a: Src,
+        b: Src,
         dst: u8,
         x: u8,
         y: u8,
@@ -45,13 +76,64 @@ enum Step {
     Loop { iters: u8, dst: u8, src: u8 },
 }
 
+/// Integer literals, weighted toward the edges of `int<64>` arithmetic:
+/// the minimum (whose negation and `div -1` wrap), -1, and shift amounts
+/// at and past the word size.
+fn imm_strategy() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        5 => -50i64..50,
+        1 => Just(i64::MIN),
+        1 => Just(-1i64),
+        1 => Just(63i64),
+        1 => Just(64i64),
+        1 => Just(-64i64),
+    ]
+}
+
+fn src_strategy() -> impl Strategy<Value = Src> {
+    prop_oneof![
+        3 => (0u8..SLOTS).prop_map(Src::Slot),
+        1 => imm_strategy().prop_map(Src::Imm),
+    ]
+}
+
+fn bin_strategy() -> impl Strategy<Value = Step> {
+    let op = || 0..BIN_OPS.len() as u8;
+    prop_oneof![
+        3 => (op(), 0u8..SLOTS, src_strategy(), src_strategy())
+            .prop_map(|(op, dst, a, b)| Step::Bin { op, dst, a, b }),
+        // Constant-only, so the optimizer gets to fold every op.
+        1 => (op(), 0u8..SLOTS, imm_strategy(), imm_strategy()).prop_map(|(op, dst, a, b)| {
+            Step::Bin { op, dst, a: Src::Imm(a), b: Src::Imm(b) }
+        }),
+    ]
+}
+
+fn diamond_strategy() -> impl Strategy<Value = Step> {
+    let slot = || 0u8..SLOTS;
+    (
+        0..CMP_OPS.len() as u8,
+        src_strategy(),
+        src_strategy(),
+        slot(),
+        slot(),
+        slot(),
+    )
+        .prop_map(|(cmp, a, b, dst, x, y)| Step::Diamond {
+            cmp,
+            a,
+            b,
+            dst,
+            x,
+            y,
+        })
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     let slot = || 0u8..SLOTS;
     prop_oneof![
-        3 => (0u8..5, slot(), slot(), slot())
-            .prop_map(|(op, dst, a, b)| Step::Bin { op, dst, a, b }),
-        2 => (0u8..3, slot(), slot(), slot(), slot(), slot())
-            .prop_map(|(cmp, a, b, dst, x, y)| Step::Diamond { cmp, a, b, dst, x, y }),
+        3 => bin_strategy(),
+        2 => diamond_strategy(),
         1 => (1u8..5, slot(), slot())
             .prop_map(|(iters, dst, src)| Step::Loop { iters, dst, src }),
     ]
@@ -66,10 +148,8 @@ fn loop_heavy_step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         4 => (1u8..40, slot(), slot())
             .prop_map(|(iters, dst, src)| Step::Loop { iters, dst, src }),
-        2 => (0u8..3, slot(), slot(), slot(), slot(), slot())
-            .prop_map(|(cmp, a, b, dst, x, y)| Step::Diamond { cmp, a, b, dst, x, y }),
-        2 => (0u8..5, slot(), slot(), slot())
-            .prop_map(|(op, dst, a, b)| Step::Bin { op, dst, a, b }),
+        2 => diamond_strategy(),
+        2 => bin_strategy(),
     ]
 }
 
@@ -97,8 +177,8 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
     for (i, step) in recipe.iter().enumerate() {
         match *step {
             Step::Bin { op, dst, a, b } => {
-                let mnem = ["int.add", "int.sub", "int.mul", "int.div", "int.mod"][op as usize];
-                src.push_str(&format!("    t{dst} = {mnem} t{a} t{b}\n"));
+                let mnem = BIN_OPS[op as usize];
+                src.push_str(&format!("    t{dst} = {mnem} {a} {b}\n"));
             }
             Step::Diamond {
                 cmp,
@@ -108,8 +188,8 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
                 x,
                 y,
             } => {
-                let mnem = ["int.eq", "int.lt", "int.gt"][cmp as usize];
-                src.push_str(&format!("    c{i} = {mnem} t{a} t{b}\n"));
+                let mnem = CMP_OPS[cmp as usize];
+                src.push_str(&format!("    c{i} = {mnem} {a} {b}\n"));
                 src.push_str(&format!("    if.else c{i} then{i} else{i}\n"));
                 src.push_str(&format!("then{i}:\n"));
                 src.push_str(&format!("    t{dst} = int.add t{x} t{y}\n"));
@@ -129,8 +209,11 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
             }
         }
     }
-    // Print the result so output parity is differentially tested too.
-    src.push_str(&format!("    call Hilti::print t{ret}\n"));
+    // Print every slot so output parity is differentially tested too, and
+    // covers values that do not reach the result.
+    for t in 0..SLOTS {
+        src.push_str(&format!("    call Hilti::print t{t}\n"));
+    }
     src.push_str(&format!("    return t{ret}\n}}\n"));
     src
 }
@@ -170,7 +253,7 @@ proptest! {
     #[test]
     fn engines_and_optimizer_agree(
         recipe in prop::collection::vec(step_strategy(), 1..10),
-        consts in prop::collection::vec(-50i64..50, 4),
+        consts in prop::collection::vec(imm_strategy(), 4),
         ret in 0u8..SLOTS,
         a in -1000i64..1000,
         b in -1000i64..1000,
@@ -203,7 +286,7 @@ proptest! {
     #[test]
     fn loop_heavy_specializer_on_off_agree(
         recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..12),
-        consts in prop::collection::vec(-50i64..50, 4),
+        consts in prop::collection::vec(imm_strategy(), 4),
         ret in 0u8..SLOTS,
         a in -1000i64..1000,
         b in -1000i64..1000,
@@ -239,7 +322,7 @@ proptest! {
     #[test]
     fn fuel_exhaustion_is_engine_equivalent(
         recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..10),
-        consts in prop::collection::vec(-50i64..50, 4),
+        consts in prop::collection::vec(imm_strategy(), 4),
         ret in 0u8..SLOTS,
         a in -1000i64..1000,
         fuel_limit in 0u64..400,
@@ -322,8 +405,8 @@ fn fuel_sweep_hits_resource_exhausted_at_equivalent_points() {
         Step::Bin {
             op: 0,
             dst: 0,
-            a: 2,
-            b: 1,
+            a: Src::Slot(2),
+            b: Src::Slot(1),
         },
     ];
     let src = emit(&recipe, &[1, 2, 3, 4], 0);
@@ -403,7 +486,7 @@ proptest! {
     #[test]
     fn engines_agree_on_total_fuel(
         recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..10),
-        consts in prop::collection::vec(-50i64..50, 4),
+        consts in prop::collection::vec(imm_strategy(), 4),
         ret in 0u8..SLOTS,
         a in -1000i64..1000,
         b in -1000i64..1000,
