@@ -472,10 +472,11 @@ global int<64> failed = 0
 
 void parse_datagram(ref<bytes> data) {
     local iterator<bytes> it
-    local any r
+    local ref<Message> m
     it = bytes.begin data
     try {
-        r = call parse_Message (data, it)
+        m = new Message
+        it = call parse_Message (m, data, it)
         parsed = int.add parsed 1
     } catch ( exception e ) {
         failed = int.add failed 1

@@ -3,13 +3,18 @@
 //! Every unit `U` becomes a struct type plus a parse function
 //!
 //! ```text
-//! tuple<any, any> parse_U(ref<bytes> data, iterator<bytes> it, ...params)
+//! iterator<bytes> parse_U(ref<U> self, ref<bytes> data, iterator<bytes> it, ...params)
 //! ```
 //!
-//! returning the populated struct and the advanced input iterator. The
-//! generated code is *fully incremental by construction* (§4): every input
-//! access — token matches, integer bytes, length-delimited runs — raises
-//! `Hilti::WouldBlock` when input is exhausted, which suspends the
+//! that fills in the caller's fresh `new U` and returns the advanced input
+//! iterator. Temporaries are declared with the types the grammar already
+//! knows (`iterator<bytes>` for input positions, `int<64>` for integer
+//! fields read back), so the VM's specializer runs them on its typed
+//! instructions.
+//!
+//! The generated code is *fully incremental by construction* (§4): every
+//! input access — token matches, integer bytes, length-delimited runs —
+//! raises `Hilti::WouldBlock` when input is exhausted, which suspends the
 //! enclosing fiber; resuming retries the blocked instruction, so "parsers
 //! ... postpone parsing whenever they run out of input and transparently
 //! resume once more becomes available" with no hand-written state machine.
@@ -75,6 +80,34 @@ pub fn struct_slots(unit: &Unit) -> Vec<String> {
     out
 }
 
+/// Whether every field named `name` — through conditionals and switch
+/// cases — parses an integer, so a temporary holding it can be `int<64>`.
+fn int_field(unit: &Unit, name: &str) -> bool {
+    fn leaves<'a>(f: &'a Field, out: &mut Vec<&'a Field>) {
+        match &f.kind {
+            FieldKind::IfVar(_, inner) => leaves(inner, out),
+            FieldKind::SwitchInt { cases, default, .. } => {
+                for (_, c) in cases {
+                    leaves(c, out);
+                }
+                if let Some(d) = default {
+                    leaves(d, out);
+                }
+            }
+            _ => out.push(f),
+        }
+    }
+    let mut all = Vec::new();
+    for f in &unit.fields {
+        leaves(f, &mut all);
+    }
+    let named: Vec<&Field> = all.into_iter().filter(|f| f.name == name).collect();
+    !named.is_empty()
+        && named
+            .iter()
+            .all(|f| matches!(f.kind, FieldKind::UInt(_) | FieldKind::UIntLE(_)))
+}
+
 fn emit_struct(unit: &Unit, out: &mut String) {
     let slots = struct_slots(unit);
     out.push_str(&format!("type {} = struct {{", unit.name));
@@ -113,7 +146,8 @@ impl<'a> UnitGen<'a> {
 
     /// Resolves a variable reference: unit vars/params directly, earlier
     /// fields through the struct. Returns the expression variable name,
-    /// emitting a struct.get when needed.
+    /// emitting a struct.get when needed; its temporary is `int<64>` when
+    /// the field is an integer.
     fn resolve(&mut self, name: &str) -> String {
         let is_var = self
             .unit
@@ -125,25 +159,38 @@ impl<'a> UnitGen<'a> {
             name.to_owned()
         } else {
             let tmp = self.fresh("rv");
-            self.line(format!("local any {tmp}"));
+            let ty = if int_field(self.unit, name) {
+                "int<64>"
+            } else {
+                "any"
+            };
+            self.line(format!("local {ty} {tmp}"));
             self.line(format!("{tmp} = struct.get self {name}"));
             tmp
         }
+    }
+
+    /// Parses one `name` unit at `it` into a fresh struct, advancing `it`;
+    /// returns the variable holding the struct.
+    fn sub_unit(&mut self, name: &str) -> String {
+        let sv = self.fresh("sv");
+        self.line(format!("local ref<{name}> {sv}"));
+        self.line(format!("{sv} = new {name}"));
+        self.line(format!("it = call parse_{name} ({sv}, data, it)"));
+        sv
     }
 
     fn emit(&mut self, out: &mut String) {
         let u = self.unit;
         // Signature.
         let mut sig = format!(
-            "tuple<any, any> parse_{}(ref<bytes> data, iterator<bytes> it",
+            "iterator<bytes> parse_{0}(ref<{0}> self, ref<bytes> data, iterator<bytes> it",
             u.name
         );
         for (p, t) in &u.params {
             sig.push_str(&format!(", {t} {p}"));
         }
         sig.push_str(") {");
-        self.line("local any self".into());
-        self.line(format!("self = new {}", u.name));
         for (v, t) in &u.vars.clone() {
             self.line(format!("local {t} {v}"));
         }
@@ -154,9 +201,7 @@ impl<'a> UnitGen<'a> {
         if let Some(hook) = &u.done_hook.clone() {
             self.line(format!("call.c {hook} (self)"));
         }
-        self.line("local tuple<any, any> __ret".into());
-        self.line("__ret = tuple.pack self it".into());
-        self.line("return __ret".into());
+        self.line("return it".into());
 
         out.push_str(&sig);
         out.push('\n');
@@ -258,7 +303,7 @@ impl<'a> UnitGen<'a> {
                 let lenv = self.resolve(var);
                 let end = self.fresh("end");
                 let fv = self.fresh("fv");
-                self.line(format!("local any {end}"));
+                self.line(format!("local iterator<bytes> {end}"));
                 self.line(format!("{end} = iterator.incr it {lenv}"));
                 self.line(format!("local any {fv}"));
                 self.line(format!("{fv} = bytes.sub it {end}"));
@@ -268,7 +313,7 @@ impl<'a> UnitGen<'a> {
             FieldKind::BytesConst(n) => {
                 let end = self.fresh("end");
                 let fv = self.fresh("fv");
-                self.line(format!("local any {end}"));
+                self.line(format!("local iterator<bytes> {end}"));
                 self.line(format!("{end} = iterator.incr it {n}"));
                 self.line(format!("local any {fv}"));
                 self.line(format!("{fv} = bytes.sub it {end}"));
@@ -286,13 +331,7 @@ impl<'a> UnitGen<'a> {
                 self.line(format!("it = tuple.get {er} 1"));
             }
             FieldKind::SubUnit(name) => {
-                let sr = self.fresh("sr");
-                let sv = self.fresh("sv");
-                self.line(format!("local any {sr}"));
-                self.line(format!("{sr} = call parse_{name} (data, it)"));
-                self.line(format!("local any {sv}"));
-                self.line(format!("{sv} = tuple.get {sr} 0"));
-                self.line(format!("it = tuple.get {sr} 1"));
+                let sv = self.sub_unit(name);
                 self.store(f, &sv);
             }
             FieldKind::List(name, repeat) => {
@@ -324,13 +363,7 @@ impl<'a> UnitGen<'a> {
                         self.line(format!("{matched} = int.geq {tid} 0"));
                         self.line(format!("if.else {matched} {l_done} {l_item}"));
                         self.line(format!("{l_item}:"));
-                        let sr = self.fresh("sr");
-                        let sv = self.fresh("sv");
-                        self.line(format!("local any {sr}"));
-                        self.line(format!("{sr} = call parse_{name} (data, it)"));
-                        self.line(format!("local any {sv}"));
-                        self.line(format!("{sv} = tuple.get {sr} 0"));
-                        self.line(format!("it = tuple.get {sr} 1"));
+                        let sv = self.sub_unit(name);
                         self.line(format!("vector.push_back {vec} {sv}"));
                         self.line(format!("jump {l_loop}"));
                         self.line(format!("{l_done}:"));
@@ -359,13 +392,7 @@ impl<'a> UnitGen<'a> {
                         self.line(format!("{more} = int.lt {i} {cnt}"));
                         self.line(format!("if.else {more} {l_item} {l_done}"));
                         self.line(format!("{l_item}:"));
-                        let sr = self.fresh("sr");
-                        let sv = self.fresh("sv");
-                        self.line(format!("local any {sr}"));
-                        self.line(format!("{sr} = call parse_{name} (data, it)"));
-                        self.line(format!("local any {sv}"));
-                        self.line(format!("{sv} = tuple.get {sr} 0"));
-                        self.line(format!("it = tuple.get {sr} 1"));
+                        let sv = self.sub_unit(name);
                         self.line(format!("vector.push_back {vec} {sv}"));
                         self.line(format!("{i} = int.add {i} 1"));
                         self.line(format!("jump {l_loop}"));
@@ -427,7 +454,7 @@ void drive_{unit_name}(ref<bytes> data) {{
     local int<64> off0
     local int<64> off1
     local bool progressed
-    local any r
+    local ref<{unit_name}> u
     it = bytes.begin data
 loop:
     fin = iterator.at_frozen_end it
@@ -437,8 +464,8 @@ step:
     try {{
         try {{
             try {{
-                r = call parse_{unit_name} (data, it)
-                it = tuple.get r 1
+                u = new {unit_name}
+                it = call parse_{unit_name} (u, data, it)
             }} catch ( ref<Hilti::ValueError> pe ) {{
                 return
             }}
@@ -477,6 +504,42 @@ mod tests {
     fn driver_compiles_with_unit() {
         let mut src = generate(&ssh_banner_grammar()).unwrap();
         src.push_str(&generate_driver("Banner"));
+        hilti::Program::from_source(&src).unwrap();
+    }
+
+    #[test]
+    fn units_take_self_return_their_iterator_and_type_int_fields() {
+        use crate::grammar::{Field, FieldKind, Unit};
+        let g = Grammar::new("T")
+            .unit(Unit::new("Item").field(Field::named("v", FieldKind::UInt(1))))
+            .unit(
+                Unit::new("Rec")
+                    .field(Field::named("len", FieldKind::UInt(2)))
+                    .field(Field::named("body", FieldKind::BytesVar("len".into())))
+                    .field(Field::named(
+                        "items",
+                        FieldKind::List("Item".into(), Repeat::CountVar("body".into())),
+                    )),
+            );
+        let src = generate(&g).unwrap();
+        assert!(
+            src.contains(
+                "iterator<bytes> parse_Rec(ref<Rec> self, ref<bytes> data, iterator<bytes> it)"
+            ),
+            "{src}"
+        );
+        assert!(src.contains("it = call parse_Item (sv_"), "{src}");
+        assert!(!src.contains("tuple.pack"), "{src}");
+        // The temporary a field is read back into: `len` is an integer
+        // field, `body` is not.
+        let lines: Vec<&str> = src.lines().map(str::trim).collect();
+        let decl = |field: &str| {
+            let get = format!("= struct.get self {field}");
+            let at = lines.iter().position(|l| l.ends_with(&get)).unwrap();
+            lines[at - 1]
+        };
+        assert!(decl("len").starts_with("local int<64> rv_"), "{src}");
+        assert!(decl("body").starts_with("local any rv_"), "{src}");
         hilti::Program::from_source(&src).unwrap();
     }
 

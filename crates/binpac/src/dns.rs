@@ -55,6 +55,7 @@ tuple<any, any> parse_name(ref<bytes> data, iterator<bytes> it) {
     local iterator<bytes> retit
 
     name = assign ""
+    isfirst = assign True
     jumps = assign 0
     jumped = assign False
     cur = assign it
@@ -94,10 +95,10 @@ name_lbl2:
     endp = iterator.incr start len
     lblb = bytes.sub start endp
     lbls = bytes.to_string lblb
-    isfirst = equal name ""
     if.else isfirst name_app1 name_app2
 name_app1:
     name = assign lbls
+    isfirst = assign False
     jump name_next
 name_app2:
     name = string.concat name "."
@@ -134,16 +135,15 @@ pub fn dns_grammar() -> Grammar {
     // RDATA rendering (before the raw rdata bytes are consumed):
     // all-strings TXT joining is the deliberate Table 2 difference.
     let render: Vec<String> = r#"
-local any __rt
+local int<64> __rt
 __rt = struct.get self rtype
-local any __rl
+local int<64> __rl
 __rl = struct.get self rdlen
 local int<64> __off
 __off = iterator.offset it
 local string __rend
 local any __nr
 local bool __c
-local bool __c2
 __rend = assign ""
 __c = int.eq __rt 1
 if.else __c rr_a rr_c28
@@ -162,10 +162,12 @@ __rend = string.render __a6
 jump rr_rend_done
 rr_c5:
 __c = int.eq __rt 5
-__c2 = int.eq __rt 2
-__c = or __c __c2
-__c2 = int.eq __rt 12
-__c = or __c __c2
+if.else __c rr_name rr_c2
+rr_c2:
+__c = int.eq __rt 2
+if.else __c rr_name rr_c12
+rr_c12:
+__c = int.eq __rt 12
 if.else __c rr_name rr_c15
 rr_name:
 __nr = call parse_name (data, it)
@@ -264,23 +266,25 @@ struct.set self rdata_text __rend
             // Implausible counts are rejected before allocating anything
             // (fail-safe processing of untrusted counts, §7).
             r#"
-local any __qd
-local any __an
-local any __ns
-local any __ar
+local int<64> __qd
+local int<64> __an
+local int<64> __ns
+local int<64> __ar
 local bool __big
-local bool __b2
 __qd = struct.get self qdcount
 __an = struct.get self ancount
 __ns = struct.get self nscount
 __ar = struct.get self arcount
 __big = int.gt __qd 512
-__b2 = int.gt __an 512
-__big = or __big __b2
-__b2 = int.gt __ns 512
-__big = or __big __b2
-__b2 = int.gt __ar 512
-__big = or __big __b2
+if.else __big dns_toobig dns_an
+dns_an:
+__big = int.gt __an 512
+if.else __big dns_toobig dns_ns
+dns_ns:
+__big = int.gt __ns 512
+if.else __big dns_toobig dns_ar
+dns_ar:
+__big = int.gt __ar 512
 if.else __big dns_toobig dns_counts_ok
 dns_toobig:
 exception.throw Hilti::ValueError "DNS: implausible record count"

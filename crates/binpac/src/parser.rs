@@ -136,22 +136,24 @@ impl BinpacParser {
     }
 
     fn run_datagram(&mut self, unit: &str, data: Bytes) -> RtResult<Value> {
-        let Some(entry) = self.units.get(unit) else {
+        let layout = self.program.compiled().struct_layouts.get(unit);
+        let (Some(entry), Some(layout)) = (self.units.get(unit), layout) else {
             return Err(RtError::value(format!(
                 "unknown function {}::parse_{unit}",
                 self.module
             )));
         };
-        let ret = self.program.run_id(
+        // parse_* fills in the unit it is handed and returns the iterator.
+        let value = layout.instantiate();
+        self.program.run_id(
             entry.parse,
-            &[Value::Bytes(data.clone()), Value::BytesIter(data.begin())],
+            &[
+                value.clone(),
+                Value::Bytes(data.clone()),
+                Value::BytesIter(data.begin()),
+            ],
         )?;
-        // parse_* returns (struct, iterator).
-        let tuple = ret.as_tuple()?;
-        tuple
-            .first()
-            .cloned()
-            .ok_or_else(|| RtError::runtime("parser returned empty tuple"))
+        Ok(value)
     }
 
     /// Starts a stream session over `drive_<unit>`.

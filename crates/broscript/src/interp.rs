@@ -489,7 +489,9 @@ impl Interp {
                     .record(name)
                     .ok_or_else(|| RtError::type_error(format!("unknown record type {name}")))?
                     .to_vec();
-                let mut slots = vec![Value::Null; layout.len()];
+                let mut slots: Vec<Value> = std::iter::repeat_with(|| Value::Null)
+                    .take(layout.len())
+                    .collect();
                 for (f, e) in fields {
                     let idx = layout
                         .iter()

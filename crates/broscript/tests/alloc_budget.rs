@@ -232,28 +232,35 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
     // The same change removes each connection's parser from the delivery
     // core's `StdHttp` map at close. Whether a later insert reuses the
     // tombstone depends on the process's random hash seed, so some runs
-    // resize the map once more: 541 849 or 541 850, pinned high. Was
+    // resize the map once more: 541 833 or 541 834, pinned high. Was
     // 541 860 until the constant folder evaluated through `ops::eval`,
     // which dropped its operand `Vec` per candidate instruction (−10 here,
-    // −36 and −10 in the two counts below).
+    // −36 and −10 in the two counts below), and 541 850 until the
+    // specializer stopped building two per-function `Vec<bool>`s of slot
+    // types at setup (−16 here).
     PipelineCount {
         what: "Standard HTTP",
         trace: || throughput_trace(0x7487, 4_000),
         run: run_http_analysis_governed,
         stack: ParserStack::Standard,
-        pinned: 541_850,
+        pinned: 541_834,
     },
-    // 88.265 per packet. Was 88.283 (170 387) before the constant folder
-    // evaluated through `ops::eval`.
+    // 85.086 per packet. Was 88.283 (170 387) before the constant folder
+    // evaluated through `ops::eval`, and 88.265 (170 351) while every
+    // `parse_*` returned its unit and iterator as a tuple (and before the
+    // specializer's setup `Vec`s went, see above).
     PipelineCount {
         what: "BinPAC++ DNS",
         trace: || dns_trace(&SynthConfig::new(11, 1_000)),
         run: run_dns_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 170_351,
+        pinned: 164_216,
     },
-    // 61.410 per packet; 61.413 (183 012) before the constant folder
-    // evaluated through `ops::eval`. Was 61.046 before 5a2c2a9: the same
+    // 59.329 per packet. Was 61.410 (183 002) while every `parse_*`
+    // returned its unit and iterator as a tuple, one allocation per unit
+    // (the specializer's setup `Vec`s went at the same time), and 61.413
+    // (183 012) before the constant folder evaluated through
+    // `ops::eval`. Was 61.046 before 5a2c2a9: the same
     // uid copy (+250) and handler (+643, deletes −49), plus
     // `BinpacHttp::finish_conn` now running at the close as well as at the
     // first FIN, where `intern_uid` finds no session left and allocates
@@ -263,7 +270,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 183_002,
+        pinned: 176_801,
     },
 ];
 

@@ -806,12 +806,17 @@ impl BytesIter {
         !self.bytes.is_frozen() && self.offset >= self.bytes.end_offset()
     }
 
-    /// Advances by `n` positions (no bounds check until dereference).
+    /// Advances this iterator by `n` positions in place (no bounds check
+    /// until dereference).
+    pub fn advance_by(&mut self, n: u64) {
+        self.offset += n;
+    }
+
+    /// A copy of this iterator advanced by `n` positions.
     pub fn advance(&self, n: u64) -> BytesIter {
-        BytesIter {
-            bytes: self.bytes.clone(),
-            offset: self.offset + n,
-        }
+        let mut next = self.clone();
+        next.advance_by(n);
+        next
     }
 
     /// Distance to another iterator over the same string.
@@ -1005,6 +1010,18 @@ mod tests {
         assert!(j.distance(&i).is_err());
         let other = Bytes::from_slice(b"x");
         assert!(i.distance(&other.begin()).is_err());
+    }
+
+    #[test]
+    fn advance_by_steps_in_place() {
+        let b = Bytes::from_slice(b"hello");
+        let mut it = b.begin();
+        it.advance_by(1);
+        assert_eq!(it.deref().unwrap(), b'e');
+        assert_eq!(it.offset(), b.begin().advance(1).offset());
+        it.advance_by(0);
+        assert_eq!(it.offset(), 1);
+        assert!(it.bytes().same(&b));
     }
 
     #[test]

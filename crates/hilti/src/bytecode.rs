@@ -108,7 +108,8 @@ pub enum CInstr {
     // (`CFunc::slot_types`), but values are still checked at run time so a
     // mistyped slot raises the same catchable TypeError as the generic
     // path (locals start as Null). Each op's semantics is `ops::IntArith`
-    // / `ops::IntCmp`, the same statement `ops::eval` applies.
+    // / `ops::IntCmp` / `ops::iter_*`, the same statement `ops::eval`
+    // applies.
     /// `dst = a <op> b` as int (`int.add` … `int.shr`).
     ArithInt {
         op: IntArith,
@@ -151,6 +152,18 @@ pub enum CInstr {
         cond: u16,
         then_pc: u32,
         else_pc: u32,
+    },
+    /// `dst = iterator.incr src n` on a slot declared `iterator<bytes>`;
+    /// with `dst == src` the slot's iterator steps in place.
+    IterIncr {
+        dst: u16,
+        src: u16,
+        n: IntSrc,
+    },
+    /// `dst = iterator.deref src` on a slot declared `iterator<bytes>`.
+    IterDeref {
+        dst: u16,
+        src: u16,
     },
 
     // --- struct field sites ----------------------------------------------
@@ -385,6 +398,10 @@ impl CInstr {
                 then_pc,
                 else_pc,
             } => format!("if s{cond} goto @{then_pc} else @{else_pc}"),
+            CInstr::IterIncr { dst, src, n } => {
+                format!("s{dst} = iterator.incr s{src} {}", n.render())
+            }
+            CInstr::IterDeref { dst, src } => format!("s{dst} = iterator.deref s{src}"),
             // Field sites render like a generic `Op` (mnemonic, idents,
             // then value operands), keeping traces diffable against the
             // interpreter's.
@@ -438,6 +455,8 @@ impl CInstr {
             CInstr::MoveSlot { .. } => "spec.move",
             CInstr::LoadImm { .. } => "spec.load.imm",
             CInstr::BrBool { .. } => "spec.br.bool",
+            CInstr::IterIncr { .. } => "spec.iter.incr",
+            CInstr::IterDeref { .. } => "spec.iter.deref",
             CInstr::StructGet { .. } => "struct.get",
             CInstr::StructSet { .. } => "struct.set",
         }

@@ -868,10 +868,12 @@ done:
 
     /// A statically typed slot read before initialization holds Null. Each
     /// typed instruction — every `ArithInt` and `CmpInt` op, the fused
-    /// `BrIfInt` and `BrBool` — must then raise what the generic path
-    /// raises: the interpreter, the VM with the specializer and the VM
-    /// without it catch the same exception kind and message, with the same
-    /// fuel left, and the two VMs trace the same lines.
+    /// `BrIfInt`, `BrBool`, `IterIncr` and `IterDeref` — must then raise
+    /// what the generic path raises: the interpreter, the VM with the
+    /// specializer and the VM without it catch the same exception kind and
+    /// message, with the same fuel left, and the two VMs trace the same
+    /// lines. The iterator rows also pin `iterator.incr`'s error order
+    /// (iterator before count) and a deref past a frozen end.
     #[test]
     fn specialized_type_error_is_catchable() {
         const TEMPLATE: &str = r#"
@@ -881,6 +883,8 @@ string f() {
     local int<64> y
     local bool b
     local bool c
+    local iterator<bytes> it
+    local iterator<bytes> j
     local string kind
     local string msg
     try {
@@ -894,20 +898,42 @@ string f() {
     return "no trap"
 }
 "#;
-        let mut rows: Vec<(String, String)> = Vec::new();
+        const TYPE_ERROR: &str = "Hilti::TypeError: ";
+        let mut rows: Vec<(String, String, &str)> = Vec::new();
         for op in ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"] {
-            rows.push((format!("y = int.{op} u 1"), format!("spec.int.{op}")));
+            let body = format!("y = int.{op} u 1");
+            rows.push((body, format!("spec.int.{op}"), TYPE_ERROR));
         }
         for cmp in ["eq", "lt", "gt", "leq", "geq"] {
             let body = format!("b = int.{cmp} 1 u\n        y = assign 0");
-            rows.push((body, "spec.int.cmp".into()));
+            rows.push((body, "spec.int.cmp".into(), TYPE_ERROR));
         }
         let branch = "if.else BOOL yes no\nyes:\n        y = assign 1\nno:";
         let fused = format!("b = int.lt u 1\n        {}", branch.replace("BOOL", "b"));
-        rows.push((fused, "spec.int.br_if".into()));
-        rows.push((branch.replace("BOOL", "c"), "spec.br.bool".into()));
+        rows.push((fused, "spec.int.br_if".into(), TYPE_ERROR));
+        rows.push((
+            branch.replace("BOOL", "c"),
+            "spec.br.bool".into(),
+            TYPE_ERROR,
+        ));
+        let null_iter = "Hilti::TypeError: expected iterator<bytes>, got null";
+        // Iterator and count both Null: the iterator is reported.
+        let (incr, deref) = ("spec.iter.incr", "spec.iter.deref");
+        rows.push(("j = iterator.incr it u".into(), incr.into(), null_iter));
+        rows.push(("y = iterator.deref it".into(), deref.into(), null_iter));
+        let begin = "it = bytes.begin b\"ab\"\n        ";
+        rows.push((
+            format!("{begin}it = iterator.incr it u"),
+            incr.into(),
+            "Hilti::TypeError: expected int, got null",
+        ));
+        rows.push((
+            format!("{begin}j = iterator.incr it 2\n        y = iterator.deref j"),
+            deref.into(),
+            "Hilti::IndexError: offset 2 past frozen end 2",
+        ));
 
-        for (body, bucket) in rows {
+        for (body, bucket, raised) in rows {
             let src = TEMPLATE.replace("BODY", &body);
             let build = |specialize| {
                 let options = BuildOptions {
@@ -934,10 +960,7 @@ string f() {
                 "{bucket} not emitted for {body}: {code:#?}"
             );
             let oracle = observe(build(false), true);
-            assert!(
-                oracle.0.starts_with("Hilti::TypeError: "),
-                "{body}: {oracle:?}"
-            );
+            assert!(oracle.0.starts_with(raised), "{body}: {oracle:?}");
             assert_eq!(observe(on, false), oracle, "{body}: specializer on");
             assert_eq!(
                 observe(build(false), false),
@@ -952,6 +975,99 @@ string f() {
             };
             assert_eq!(traced(true), traced(false), "{body}: traces");
         }
+    }
+
+    /// A typed `IterDeref` at the frontier of open input suspends its fiber
+    /// as the generic op does: the fast loop leaves it uncharged, the
+    /// dispatch path charges, traces and suspends at it, and the resume
+    /// after an append retries it. Both VMs agree on fuel, trace and result
+    /// at each step, traced or not. The interpreter, which has no fibers,
+    /// agrees up to the block (it raises `WouldBlock` after the same
+    /// charges) and on the complete input, where the fiber pays one unit
+    /// more: the blocked deref, charged at its suspension and at its retry.
+    #[test]
+    fn specialized_deref_suspends_at_open_frontier() {
+        use crate::fiber::Step;
+        const SRC: &str = r#"
+module M
+int<64> read_two(ref<bytes> data) {
+    local iterator<bytes> it
+    local int<64> a
+    local int<64> b
+    it = bytes.begin data
+    a = iterator.deref it
+    it = iterator.incr it 1
+    b = iterator.deref it
+    a = int.shl a 8
+    a = int.or a b
+    return a
+}
+"#;
+        const FUEL: u64 = 1_000;
+        let build = |specialize| {
+            let options = BuildOptions {
+                specialize,
+                ..Default::default()
+            };
+            let mut p = Program::from_sources_opts(&[SRC], OptLevel::None, options).unwrap();
+            p.set_limits(hilti_rt::ResourceLimits {
+                fuel: Some(FUEL),
+                ..Default::default()
+            });
+            p
+        };
+        let spent = |p: &Program| FUEL - p.context().fuel_remaining().unwrap();
+        let input = |bytes: &[u8]| {
+            let data = hilti_rt::Bytes::new();
+            data.append(bytes).unwrap();
+            data
+        };
+        // (fuel at the block, fuel in total, result, trace)
+        let fiber_run = |specialize: bool, trace: bool| {
+            let mut p = build(specialize);
+            p.context_mut().trace = trace;
+            let data = input(&[0x01]);
+            let mut fiber = p.fiber("M::read_two", vec![Value::Bytes(data.clone())]);
+            assert!(matches!(p.resume(&mut fiber).unwrap(), Step::Suspended));
+            let blocked = spent(&p);
+            data.append(&[0x02]).unwrap();
+            let Step::Finished(v) = p.resume(&mut fiber).unwrap() else {
+                panic!("resumed fiber must finish");
+            };
+            (blocked, spent(&p), v.render(), p.context_mut().take_trace())
+        };
+        let typed = build(true);
+        let code = &typed.compiled().func("M::read_two").unwrap().code;
+        assert!(code.iter().any(|i| i.stat_name() == "spec.iter.deref"));
+        let on = fiber_run(true, false);
+        assert_eq!(on, fiber_run(false, false), "untraced");
+        assert_eq!(on.2, "258");
+        let traced = fiber_run(true, true);
+        assert_eq!(traced, fiber_run(false, true), "traced");
+        assert_eq!((traced.0, traced.1), (on.0, on.1));
+        // Traced at its suspension and again at its retry.
+        let n = traced.3.len();
+        assert!(
+            traced.3[n - 5].ends_with("s3 = iterator.deref s1")
+                && traced.3[n - 5] == traced.3[n - 4],
+            "{:#?}",
+            traced.3
+        );
+
+        let mut oracle = build(false);
+        let err = oracle
+            .run_interpreted("M::read_two", &[Value::Bytes(input(&[0x01]))])
+            .unwrap_err();
+        assert_eq!(err.kind, hilti_rt::error::ExceptionKind::WouldBlock);
+        assert_eq!(spent(&oracle), on.0, "fuel at the block");
+        let mut oracle = build(false);
+        let whole = input(&[0x01, 0x02]);
+        whole.freeze();
+        let v = oracle
+            .run_interpreted("M::read_two", &[Value::Bytes(whole)])
+            .unwrap();
+        assert_eq!(v.render(), on.2);
+        assert_eq!(spent(&oracle) + 1, on.1, "fuel in total");
     }
 
     #[test]

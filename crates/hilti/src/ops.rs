@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use hilti_rt::bytestring::Bytes;
+use hilti_rt::bytestring::{Bytes, BytesIter};
 use hilti_rt::classifier::{with_scratch, Classifier, FieldMatcher, FieldValue};
 use hilti_rt::containers::ExpireStrategy;
 use hilti_rt::error::{ExceptionKind, RtError, RtResult};
@@ -647,12 +647,12 @@ pub fn eval(
         // --- bytes iterators ------------------------------------------------
         IterIncr => {
             arity(args, 2, op)?;
-            let it = args[0].as_bytes_iter()?;
-            Value::BytesIter(it.advance(args[1].as_int()?.max(0) as u64))
+            let (it, n) = iter_incr_operands(args[0], args[1].as_int())?;
+            Value::BytesIter(it.advance(n))
         }
         IterDeref => {
             arity(args, 1, op)?;
-            Value::Int(i64::from(args[0].as_bytes_iter()?.deref()?))
+            Value::Int(iter_deref(args[0])?)
         }
         IterOffset => {
             arity(args, 1, op)?;
@@ -1592,6 +1592,23 @@ int_ops! {
         Leq = IntLeq => a <= b,
         Geq = IntGeq => a >= b,
     }
+}
+
+/// `iterator.incr`'s operands, stated once for `eval` and the VM's typed
+/// step: the iterator is checked before the count (`n` is the count
+/// already read, its error not yet raised), and a negative count advances
+/// by nothing.
+#[inline(always)]
+pub fn iter_incr_operands(it: &Value, n: RtResult<i64>) -> RtResult<(&BytesIter, u64)> {
+    let it = it.as_bytes_iter()?;
+    Ok((it, n?.max(0) as u64))
+}
+
+/// `iterator.deref`: the byte under the iterator, raising `WouldBlock` at
+/// the frontier of open input and `IndexError` past a frozen end.
+#[inline(always)]
+pub fn iter_deref(it: &Value) -> RtResult<i64> {
+    Ok(i64::from(it.as_bytes_iter()?.deref()?))
 }
 
 #[inline(always)]

@@ -17,7 +17,11 @@
 //!    `int.geq`) whose two operands are provably `int<n>` slots or integer
 //!    immediates becomes `ArithInt` / `CmpInt`, carrying that op;
 //!    `assign` into a local becomes `MoveSlot`/`LoadImm`; a branch on a
-//!    statically bool slot becomes `BrBool`.
+//!    statically bool slot becomes `BrBool`. On a slot declared
+//!    `iterator<bytes>`, `iterator.deref` becomes `IterDeref` and
+//!    `iterator.incr` by an int slot or immediate becomes `IterIncr` — the
+//!    per-byte steps of every generated parser, which then advance the
+//!    slot's iterator in place instead of cloning a new one.
 //! 2. **Superinstruction fusion.** A `CmpInt` immediately followed by a
 //!    branch on its result fuses into `BrIfInt` — the dominant
 //!    `cmp`+`br_if` pair of loop headers collapses to one dispatch. The
@@ -26,10 +30,11 @@
 //!    labels), so no liveness or CFG analysis is needed.
 //!
 //! The pass states no semantics of its own. `IntArith::apply` /
-//! `IntCmp::apply` in `crate::ops` are the one statement of each op: the
-//! generic `ops::eval` arm and the VM's typed step both call them. A new
-//! typed op is one row in the `int_ops!` table there, plus its `spec.*`
-//! bucket in `CInstr::stat_name`.
+//! `IntCmp::apply` / `iter_incr_operands` / `iter_deref` in `crate::ops`
+//! are the one statement of each op: the generic `ops::eval` arm and the
+//! VM's typed step both call them. A new typed integer op is one row in
+//! the `int_ops!` table there, plus its `spec.*` bucket in
+//! `CInstr::stat_name`.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
@@ -60,11 +65,14 @@ pub struct SpecStats {
     pub branches: usize,
     /// Compare-and-branch pairs fused into `BrIfInt`.
     pub fused: usize,
+    /// `iterator.incr` / `iterator.deref` replaced by `IterIncr` /
+    /// `IterDeref`.
+    pub iters: usize,
 }
 
 impl SpecStats {
     pub fn total(&self) -> usize {
-        self.arith + self.cmps + self.moves + self.branches + self.fused
+        self.arith + self.cmps + self.moves + self.branches + self.fused + self.iters
     }
 }
 
@@ -78,23 +86,20 @@ pub fn specialize_program(prog: &mut CompiledProgram) -> SpecStats {
 }
 
 fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
-    let is_int: Vec<bool> = cf
-        .slot_types
-        .iter()
-        .map(|t| matches!(t, Type::Int(_)))
-        .collect();
-    let is_bool: Vec<bool> = cf
-        .slot_types
-        .iter()
-        .map(|t| matches!(t, Type::Bool))
-        .collect();
+    let slot_types = &cf.slot_types;
+    let declared = |s: u16| slot_types.get(s as usize);
+    let is_bool = |s: u16| matches!(declared(s), Some(Type::Bool));
+    let iter_slot = |op: &COperand| match op {
+        COperand::Slot(s) if matches!(declared(*s), Some(Type::BytesIter)) => Some(*s),
+        _ => None,
+    };
 
     // An operand usable by a typed int instruction: a slot statically
     // declared int, or an integer constant. Globals (shared, any write
     // path) and untyped slots stay generic.
     let int_src = |op: &COperand| -> Option<IntSrc> {
         match op {
-            COperand::Slot(s) if is_int.get(*s as usize).copied().unwrap_or(false) => {
+            COperand::Slot(s) if matches!(declared(*s), Some(Type::Int(_))) => {
                 Some(IntSrc::Slot(*s))
             }
             COperand::Value(Value::Int(i)) => Some(IntSrc::Imm(*i)),
@@ -134,6 +139,16 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
                             stats.moves += 1;
                             Some(CInstr::LoadImm { dst, v: v.clone() })
                         }
+                        (Opcode::IterIncr, [it, n]) => {
+                            iter_slot(it).zip(int_src(n)).map(|(src, n)| {
+                                stats.iters += 1;
+                                CInstr::IterIncr { dst, src, n }
+                            })
+                        }
+                        (Opcode::IterDeref, [it]) => iter_slot(it).map(|src| {
+                            stats.iters += 1;
+                            CInstr::IterDeref { dst, src }
+                        }),
                         _ => None,
                     }
                 }
@@ -142,7 +157,7 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
                 cond: COperand::Slot(s),
                 then_pc,
                 else_pc,
-            } if is_bool.get(*s as usize).copied().unwrap_or(false) => {
+            } if is_bool(*s) => {
                 stats.branches += 1;
                 Some(CInstr::BrBool {
                     cond: *s,
@@ -347,17 +362,79 @@ int<64> f(int<64> a) {
     }
 
     #[test]
+    fn iterator_sites_specialize_on_declared_iterators_only() {
+        let src = r#"
+module M
+int<64> f(ref<bytes> data, any loose, int<64> k) {
+    local iterator<bytes> it
+    local iterator<bytes> end
+    local int<64> b
+    local any c
+    it = bytes.begin data
+    b = iterator.deref it
+    it = iterator.incr it 1
+    end = iterator.incr it k
+    c = iterator.deref loose
+    c = iterator.incr loose 1
+    return b
+}
+"#;
+        let (prog, stats) = specialized(src);
+        let f = prog.func("M::f").unwrap();
+        let typed: Vec<String> = f
+            .code
+            .iter()
+            .filter(|i| i.stat_name().starts_with("spec.iter."))
+            .map(CInstr::render)
+            .collect();
+        assert_eq!(
+            typed,
+            [
+                "s5 = iterator.deref s3",
+                "s3 = iterator.incr s3 1",
+                "s4 = iterator.incr s3 s2",
+            ],
+            "{:#?}",
+            f.code
+        );
+        assert_eq!(stats.iters, 3);
+        // The `any` operand keeps both generic ops.
+        let generic = f
+            .code
+            .iter()
+            .filter(|i| {
+                matches!(
+                    i,
+                    CInstr::Op {
+                        opcode: Opcode::IterIncr | Opcode::IterDeref,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(generic, 2, "{:#?}", f.code);
+    }
+
+    #[test]
     fn specialized_render_matches_generic() {
         // Trace parity: the specialized instruction renders exactly like
         // the generic one it replaced.
-        let m = parse_module(LOOP).unwrap();
+        let src = format!(
+            "{LOOP}\nint<64> walk(ref<bytes> d, int<64> n) {{\n    local iterator<bytes> it\n    \
+             local int<64> b\n    it = bytes.begin d\n    b = iterator.deref it\n    \
+             it = iterator.incr it n\n    it = iterator.incr it -2\n    return b\n}}\n"
+        );
+        let m = parse_module(&src).unwrap();
         let linked = link_with_priorities(vec![m]).unwrap();
         let plain = crate::bytecode::compile(&linked).unwrap();
         let mut spec = plain.clone();
-        specialize_program(&mut spec);
-        let pf = plain.func("M::sum").unwrap();
-        let sf = spec.func("M::sum").unwrap();
-        for (p, s) in pf.code.iter().zip(sf.code.iter()) {
+        assert_eq!(specialize_program(&mut spec).iters, 3);
+        let pairs = ["M::sum", "M::walk"].into_iter().flat_map(|name| {
+            let pf = plain.func(name).unwrap();
+            let sf = spec.func(name).unwrap();
+            pf.code.iter().zip(sf.code.iter())
+        });
+        for (p, s) in pairs {
             if matches!(s, CInstr::BrIfInt { .. }) {
                 // Fused: renders as "cmp ; branch"; the VM traces it as
                 // the two original lines.

@@ -65,7 +65,9 @@ impl StructLayout {
     pub fn instantiate(&self) -> Value {
         Value::Struct(Rc::new(RefCell::new(StructVal {
             type_name: Rc::clone(&self.name),
-            fields: vec![Value::Null; self.fields.len()],
+            fields: std::iter::repeat_with(|| Value::Null)
+                .take(self.fields.len())
+                .collect(),
         })))
     }
 }

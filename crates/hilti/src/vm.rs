@@ -583,6 +583,7 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         CInstr::GlobalStore { inner, .. } => cinstr_class(inner),
         CInstr::ArithInt { .. } | CInstr::CmpInt { .. } | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
+        CInstr::IterIncr { .. } | CInstr::IterDeref { .. } => "iterator",
         CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
     }
 }
@@ -720,11 +721,12 @@ impl Frame {
         let cf = &prog.funcs[func as usize];
         // Pooled vectors are parked empty. Arguments go straight into the
         // parameter slots (missing ones stay unset, surplus ones are
-        // dropped); only the locals are null-filled.
+        // dropped); only the locals are null-filled, each written as a
+        // fresh `Null` rather than cloned from one.
         let mut slots = pool.pop().unwrap_or_default();
         slots.reserve(cf.n_slots as usize);
         slots.extend(args.into_iter().take(cf.n_params as usize));
-        slots.resize(cf.n_slots as usize, Value::Null);
+        slots.resize_with(cf.n_slots as usize, || Value::Null);
         Frame {
             func,
             pc: 0,
@@ -915,11 +917,13 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 }
 
 /// Executes `instr` inline on `frame.slots` if it is a typed instruction
-/// (`ArithInt` … `Jump`): no operand clone, no `ops::eval` round trip.
-/// `Ok(false)` means it is some other instruction. An `Err` (an operand of
-/// the wrong type — the same catchable TypeError `ops::eval` raises) leaves
-/// the frame untouched. Both the fast loop and the one-at-a-time path of
-/// [`run`] execute typed instructions through here.
+/// (`ArithInt` … `IterDeref`, `Jump`): no operand clone, no `ops::eval`
+/// round trip. `Ok(false)` means it is some other instruction. An `Err`
+/// (an operand of the wrong type, or an iterator at the end of its input —
+/// what `ops::eval` raises) leaves the frame untouched. Both the fast loop
+/// and the one-at-a-time path of [`run`] execute typed instructions
+/// through here, so a `WouldBlock` leaves the fast loop uncharged and
+/// suspends on the path below.
 #[inline(always)]
 fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
     match instr {
@@ -962,6 +966,24 @@ fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
         } => {
             let taken = frame.slots[*cond as usize].as_bool()?;
             frame.pc = if taken { *then_pc } else { *else_pc };
+        }
+        CInstr::IterIncr { dst, src, n } => {
+            let n = int_src(frame, *n);
+            let (it, n) = ops::iter_incr_operands(&frame.slots[*src as usize], n)?;
+            if dst == src {
+                // `it = iterator.incr it k`: no new handle on the input.
+                if let Value::BytesIter(it) = &mut frame.slots[*dst as usize] {
+                    it.advance_by(n);
+                }
+            } else {
+                frame.slots[*dst as usize] = Value::BytesIter(it.advance(n));
+            }
+            frame.pc += 1;
+        }
+        CInstr::IterDeref { dst, src } => {
+            let v = ops::iter_deref(&frame.slots[*src as usize])?;
+            frame.slots[*dst as usize] = Value::Int(v);
+            frame.pc += 1;
         }
         CInstr::Jump(pc) => frame.pc = *pc,
         _ => return Ok(false),
@@ -1332,6 +1354,8 @@ fn dispatch(
             | CInstr::MoveSlot { .. }
             | CInstr::LoadImm { .. }
             | CInstr::BrBool { .. }
+            | CInstr::IterIncr { .. }
+            | CInstr::IterDeref { .. }
             | CInstr::Jump(_) => {
                 if let Err(e) = step_typed(frame, instr) {
                     raise!(e);

@@ -359,40 +359,25 @@ fn stats_prints_percentages_sorted_descending() {
     assert!((pct_sum - 100.0).abs() < 1.0, "pct sum {pct_sum}: {err}");
 }
 
-/// `examples/hlt/typed_ops.hlt` reaches every typed integer instruction,
-/// and the specializer changes nothing in its trace, optimized or not.
-#[test]
-fn typed_ops_example_reaches_every_typed_instruction() {
-    let f = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/hlt/typed_ops.hlt"
-    );
+/// The `--stats` buckets starting with `prefix` that running `f` reports,
+/// sorted.
+fn stats_buckets(f: &str, prefix: &str) -> Vec<String> {
     let out = hiltic().args(["run", "--stats", f]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
-    let mut buckets: Vec<&str> = err
+    let mut buckets: Vec<String> = err
         .lines()
         .filter_map(|l| l.split_whitespace().last())
-        .filter(|name| name.starts_with("spec.int."))
+        .filter(|name| name.starts_with(prefix))
+        .map(str::to_owned)
         .collect();
     buckets.sort_unstable();
-    assert_eq!(
-        buckets,
-        [
-            "spec.int.add",
-            "spec.int.and",
-            "spec.int.br_if",
-            "spec.int.cmp",
-            "spec.int.mul",
-            "spec.int.or",
-            "spec.int.shl",
-            "spec.int.shr",
-            "spec.int.sub",
-            "spec.int.xor",
-        ],
-        "{err}"
-    );
+    buckets
+}
 
+/// The specializer changes nothing in `f`'s `--trace`, optimized or not,
+/// and the trace runs to more than 150 lines.
+fn assert_trace_ignores_specializer(f: &str) {
     for opt in [&[][..], &["-O0"][..]] {
         let traced = |extra: &[&str]| {
             let out = hiltic()
@@ -411,6 +396,53 @@ fn typed_ops_example_reaches_every_typed_instruction() {
         let lines = String::from_utf8_lossy(&on.stderr).lines().count();
         assert!(lines > 150, "{opt:?}: {lines} trace lines");
     }
+}
+
+fn example(name: &str) -> String {
+    format!("{}/../../examples/hlt/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `examples/hlt/typed_ops.hlt` reaches every typed integer instruction,
+/// and the specializer changes nothing in its trace, optimized or not.
+#[test]
+fn typed_ops_example_reaches_every_typed_instruction() {
+    let f = example("typed_ops.hlt");
+    assert_eq!(
+        stats_buckets(&f, "spec.int."),
+        [
+            "spec.int.add",
+            "spec.int.and",
+            "spec.int.br_if",
+            "spec.int.cmp",
+            "spec.int.mul",
+            "spec.int.or",
+            "spec.int.shl",
+            "spec.int.shr",
+            "spec.int.sub",
+            "spec.int.xor",
+        ]
+    );
+    assert_trace_ignores_specializer(&f);
+}
+
+/// `examples/hlt/bytes_walk.hlt` runs its iterator steps typed — in place,
+/// into another slot, by a negative count, and past the frozen end — and
+/// the specializer changes nothing in its trace, optimized or not.
+#[test]
+fn bytes_walk_example_runs_iterators_typed() {
+    let f = example("bytes_walk.hlt");
+    assert_eq!(
+        stats_buckets(&f, "spec.iter."),
+        ["spec.iter.deref", "spec.iter.incr"]
+    );
+    let out = hiltic().args(["run", &f]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.ends_with("17\noffset 17 past frozen end 17\n"),
+        "{stdout}"
+    );
+    assert_trace_ignores_specializer(&f);
 }
 
 #[test]
