@@ -8,11 +8,10 @@
 //! sending side.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::{ExceptionKind, RtError, RtResult};
+use crate::unpoison;
 
 /// Value-semantics duplication, applied when a value crosses a thread
 /// boundary. For plain-old-data this is a clone; reference types (like
@@ -102,7 +101,7 @@ pub struct Channel<T> {
 
 impl<T> std::fmt::Debug for Channel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let q = self.shared.queue.lock();
+        let q = unpoison(self.shared.queue.lock());
         write!(
             f,
             "Channel {{ len: {}, closed: {} }}",
@@ -147,7 +146,7 @@ impl<T: DeepCopy> Channel<T> {
 
     /// Current number of queued items.
     pub fn len(&self) -> usize {
-        self.shared.queue.lock().items.len()
+        unpoison(self.shared.queue.lock()).items.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -156,20 +155,20 @@ impl<T: DeepCopy> Channel<T> {
 
     /// Closes the channel: further sends fail; reads drain the remainder.
     pub fn close(&self) {
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoison(self.shared.queue.lock());
         q.closed = true;
         self.shared.readable.notify_all();
         self.shared.writable.notify_all();
     }
 
     pub fn is_closed(&self) -> bool {
-        self.shared.queue.lock().closed
+        unpoison(self.shared.queue.lock()).closed
     }
 
     /// Blocking send; deep-copies the value before enqueueing.
     pub fn write(&self, value: &T) -> RtResult<()> {
         let copy = value.deep_copy();
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoison(self.shared.queue.lock());
         loop {
             if q.closed {
                 return Err(RtError::new(
@@ -178,7 +177,7 @@ impl<T: DeepCopy> Channel<T> {
                 ));
             }
             match q.capacity {
-                Some(cap) if q.items.len() >= cap => self.shared.writable.wait(&mut q),
+                Some(cap) if q.items.len() >= cap => q = unpoison(self.shared.writable.wait(q)),
                 _ => break,
             }
         }
@@ -189,7 +188,7 @@ impl<T: DeepCopy> Channel<T> {
 
     /// Non-blocking send.
     pub fn try_write(&self, value: &T) -> RtResult<bool> {
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoison(self.shared.queue.lock());
         if q.closed {
             return Err(RtError::new(
                 ExceptionKind::ChannelError,
@@ -208,7 +207,7 @@ impl<T: DeepCopy> Channel<T> {
 
     /// Blocking receive; `Err(ChannelError)` once closed and drained.
     pub fn read(&self) -> RtResult<T> {
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoison(self.shared.queue.lock());
         loop {
             if let Some(item) = q.items.pop_front() {
                 self.shared.writable.notify_one();
@@ -220,13 +219,13 @@ impl<T: DeepCopy> Channel<T> {
                     "read from closed, drained channel",
                 ));
             }
-            self.shared.readable.wait(&mut q);
+            q = unpoison(self.shared.readable.wait(q));
         }
     }
 
     /// Non-blocking receive.
     pub fn try_read(&self) -> RtResult<Option<T>> {
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoison(self.shared.queue.lock());
         if let Some(item) = q.items.pop_front() {
             self.shared.writable.notify_one();
             return Ok(Some(item));

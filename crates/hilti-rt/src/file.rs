@@ -9,11 +9,10 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::{RtError, RtResult};
+use crate::unpoison;
 
 enum Sink {
     Memory(Vec<String>),
@@ -63,7 +62,7 @@ impl LogFile {
 
     /// Appends one line (newline added automatically).
     pub fn write_line(&self, line: &str) -> RtResult<()> {
-        let mut sink = self.0.sink.lock();
+        let mut sink = unpoison(self.0.sink.lock());
         match &mut *sink {
             Sink::Memory(lines) => {
                 lines.push(line.to_owned());
@@ -76,7 +75,7 @@ impl LogFile {
 
     /// Lines captured so far (empty for disk-backed logs).
     pub fn lines(&self) -> Vec<String> {
-        match &*self.0.sink.lock() {
+        match &*unpoison(self.0.sink.lock()) {
             Sink::Memory(lines) => lines.clone(),
             Sink::Disk(_) => Vec::new(),
         }
@@ -86,7 +85,7 @@ impl LogFile {
     /// readers pair this with [`LogFile::len`] to avoid copying the whole
     /// log on every poll.
     pub fn lines_from(&self, start: usize) -> Vec<String> {
-        match &*self.0.sink.lock() {
+        match &*unpoison(self.0.sink.lock()) {
             Sink::Memory(lines) => lines[start.min(lines.len())..].to_vec(),
             Sink::Disk(_) => Vec::new(),
         }
@@ -94,7 +93,7 @@ impl LogFile {
 
     /// Number of lines written (in-memory sinks only).
     pub fn len(&self) -> usize {
-        match &*self.0.sink.lock() {
+        match &*unpoison(self.0.sink.lock()) {
             Sink::Memory(lines) => lines.len(),
             Sink::Disk(_) => 0,
         }
@@ -106,7 +105,7 @@ impl LogFile {
 
     /// Clears captured lines (in-memory sinks only).
     pub fn clear(&self) {
-        if let Sink::Memory(lines) = &mut *self.0.sink.lock() {
+        if let Sink::Memory(lines) = &mut *unpoison(self.0.sink.lock()) {
             lines.clear();
         }
     }

@@ -43,3 +43,11 @@ pub use error::{RtError, RtResult};
 pub use limits::{AllocBudget, FuelMeter, ResourceLimits};
 pub use telemetry::{Telemetry, TelemetrySnapshot};
 pub use time::{Interval, Time};
+
+/// The guard of a lock or condvar wait, recovered if the lock is poisoned.
+/// Analysis shards catch panics, and the telemetry registry and log files
+/// are shared across shards: one shard's panic must not fail the others'
+/// locks.
+fn unpoison<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

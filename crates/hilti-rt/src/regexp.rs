@@ -18,11 +18,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::{RtError, RtResult};
+use crate::unpoison;
 
 // ---------------------------------------------------------------------------
 // Byte classes: 256-bit membership bitmaps.
@@ -653,7 +652,7 @@ impl Regex {
     }
 
     fn intern(&self, states: Vec<StateId>) -> usize {
-        let mut cache = self.cache.lock();
+        let mut cache = unpoison(self.cache.lock());
         let key: Box<[StateId]> = states.into_boxed_slice();
         if let Some(&idx) = cache.index.get(&key) {
             return idx;
@@ -692,7 +691,7 @@ impl Regex {
     /// Computes (and memoizes) the transition of DFA node `node` on byte `b`.
     fn step(&self, node: usize, b: u8) -> i32 {
         {
-            let cache = self.cache.lock();
+            let cache = unpoison(self.cache.lock());
             let t = cache.nodes[node].trans[b as usize];
             if t != TRANS_UNKNOWN {
                 return t;
@@ -700,7 +699,7 @@ impl Regex {
         }
         // Compute outside the lock (closure needs only &self.nfa).
         let states: Vec<StateId> = {
-            let cache = self.cache.lock();
+            let cache = unpoison(self.cache.lock());
             cache.nodes[node].states.to_vec()
         };
         let mut next: Vec<StateId> = Vec::new();
@@ -717,16 +716,16 @@ impl Regex {
             self.nfa.closure(&mut next);
             self.intern(next) as i32
         };
-        self.cache.lock().nodes[node].trans[b as usize] = result;
+        unpoison(self.cache.lock()).nodes[node].trans[b as usize] = result;
         result
     }
 
     fn node_accept(&self, node: usize) -> Option<usize> {
-        self.cache.lock().nodes[node].accept
+        unpoison(self.cache.lock()).nodes[node].accept
     }
 
     fn node_accept_at_eoi(&self, node: usize) -> Option<usize> {
-        let cache = self.cache.lock();
+        let cache = unpoison(self.cache.lock());
         let n = &cache.nodes[node];
         n.accept_at_eoi.or(n.accept)
     }
@@ -734,25 +733,25 @@ impl Regex {
     /// True if some byte transitions out of `node` — i.e. further input
     /// could still extend or complete a match. Cached per node.
     fn node_live(&self, node: usize) -> bool {
-        if let Some(live) = self.cache.lock().nodes[node].live {
+        if let Some(live) = unpoison(self.cache.lock()).nodes[node].live {
             return live;
         }
         // Direct NFA check: any byte-class transition from any member state
         // means more input can make progress.
         let states: Vec<StateId> = {
-            let cache = self.cache.lock();
+            let cache = unpoison(self.cache.lock());
             cache.nodes[node].states.to_vec()
         };
         let live = states
             .iter()
             .any(|&s| !self.nfa.states[s as usize].byte.is_empty());
-        self.cache.lock().nodes[node].live = Some(live);
+        unpoison(self.cache.lock()).nodes[node].live = Some(live);
         live
     }
 
     /// Number of DFA nodes materialized so far (observability/ablation).
     pub fn dfa_nodes(&self) -> usize {
-        self.cache.lock().nodes.len()
+        unpoison(self.cache.lock()).nodes.len()
     }
 
     /// Starts an incremental matcher anchored at the current input position.

@@ -22,9 +22,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use crate::unpoison;
 
 /// Events buffered per sink before further emissions are counted as
 /// dropped instead of stored. Generous for any test trace; bounds memory
@@ -163,7 +163,7 @@ impl Registry {
 
     /// Interns (or retrieves) the counter `name` and returns its handle.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         if let Some(c) = inner.counters.get(name) {
             return c.clone();
         }
@@ -173,7 +173,7 @@ impl Registry {
     }
 
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         if let Some(g) = inner.gauges.get(name) {
             return g.clone();
         }
@@ -183,7 +183,7 @@ impl Registry {
     }
 
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         if let Some(h) = inner.histograms.get(name) {
             return h.clone();
         }
@@ -194,13 +194,15 @@ impl Registry {
 
     /// Current value of a counter, zero if it was never interned.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.inner.lock().counters.get(name).map_or(0, Counter::get)
+        unpoison(self.inner.lock())
+            .counters
+            .get(name)
+            .map_or(0, Counter::get)
     }
 
     /// All counters with a non-zero value, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
+        unpoison(self.inner.lock())
             .counters
             .iter()
             .filter(|(_, c)| c.get() > 0)
@@ -211,7 +213,7 @@ impl Registry {
     /// Zeroes every metric. Handles stay valid and keep pointing at the
     /// same (now zeroed) cells.
     pub fn reset(&self) {
-        let inner = self.inner.lock();
+        let inner = unpoison(self.inner.lock());
         for c in inner.counters.values() {
             c.0.store(0, Ordering::Relaxed);
         }
@@ -306,7 +308,7 @@ impl EventSink {
 
     /// Records an event; field order is preserved in the JSONL output.
     pub fn emit(&self, kind: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         if inner.events.len() >= EVENT_CAP {
             inner.dropped += 1;
             return;
@@ -315,7 +317,7 @@ impl EventSink {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        unpoison(self.inner.lock()).events.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -323,26 +325,25 @@ impl EventSink {
     }
 
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        unpoison(self.inner.lock()).dropped
     }
 
     /// All buffered events, in emission order.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().events.clone()
+        unpoison(self.inner.lock()).events.clone()
     }
 
     /// Events from index `start` on, in emission order. Lets incremental
     /// consumers (the sharded pipeline attributing engine events to packet
     /// slots) drain only what is new instead of copying the whole buffer.
     pub fn events_since(&self, start: usize) -> Vec<Event> {
-        let inner = self.inner.lock();
+        let inner = unpoison(self.inner.lock());
         inner.events[start.min(inner.events.len())..].to_vec()
     }
 
     /// Events of one kind, in emission order.
     pub fn events_of(&self, kind: &str) -> Vec<Event> {
-        self.inner
-            .lock()
+        unpoison(self.inner.lock())
             .events
             .iter()
             .filter(|e| e.kind == kind)
@@ -351,7 +352,7 @@ impl EventSink {
     }
 
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         inner.events.clear();
         inner.dropped = 0;
     }
@@ -387,7 +388,7 @@ impl Telemetry {
 
     /// Freezes the current state into a deterministic, comparable value.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.registry.inner.lock();
+        let inner = unpoison(self.registry.inner.lock());
         let counters = inner
             .counters
             .iter()
@@ -405,7 +406,7 @@ impl Telemetry {
             .map(|(n, h)| (n.clone(), h.snapshot()))
             .collect();
         drop(inner);
-        let sink = self.sink.inner.lock();
+        let sink = unpoison(self.sink.inner.lock());
         TelemetrySnapshot {
             counters,
             gauges,

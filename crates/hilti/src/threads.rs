@@ -9,21 +9,14 @@
 //! with flow-hash IDs, for one flow — is implicitly serialized with no
 //! further synchronization (§3.2).
 //!
-//! Two layers live here:
-//!
-//! * [`WorkPool`] — a generic pool of workers, each owning private state of
-//!   type `S` built *on* the worker thread (so `S` may be `!Send`: `Rc`-based
-//!   program images, `RefCell` script hosts, ...). Jobs are `Send` closures
-//!   over `&mut S`; each worker holds a [`PoolHandle`] so jobs can submit
-//!   further jobs to any worker, and [`WorkPool::quiesce`] drains such
-//!   cascades to a fixed point. The flow-sharded analysis pipeline
-//!   (`broscript::parallel`) does not use it: each of its shards is a
-//!   plain `std::thread` fed by a bounded `hilti_rt::spsc` ring.
-//! * [`ThreadPool`] — the HILTI virtual-thread scheduler built on
-//!   `WorkPool`: each worker materializes its own program image and
-//!   [`Context`], and `thread.schedule` requests that cross workers are
-//!   shipped as deep-copied [`Portable`] values instead of being flagged as
-//!   unroutable. "HILTI code is always safe to execute in parallel" (§7).
+//! [`ThreadPool`] is that scheduler: native `std::thread` workers, each fed
+//! by one `std::sync::mpsc` channel that every other worker and the host
+//! can send to. A job is `(vthread, function, arguments)`, whether the host
+//! scheduled it or a running job's `thread.schedule` targeted another
+//! worker; same-worker targets run inline instead. "HILTI code is always
+//! safe to execute in parallel" (§7). The flow-sharded analysis pipeline
+//! (`broscript::parallel`) does not use this pool: each of its shards is a
+//! plain `std::thread` fed by a bounded `hilti_rt::spsc` ring.
 //!
 //! State isolation is structural: every worker owns a private [`Context`]
 //! (its own copy of all thread-local globals) *and its own program image* —
@@ -33,12 +26,10 @@
 //! private TLS). Every value crossing the boundary travels as a deep-copied
 //! [`Portable`] snapshot.
 
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Sender};
 
 use hilti_rt::error::{RtError, RtResult};
 
@@ -46,196 +37,8 @@ use crate::bytecode::CompiledProgram;
 use crate::value::{CallableVal, Portable, Value};
 use crate::vm::{self, Context};
 
-// ---------------------------------------------------------------------------
-// Generic worker pool
-// ---------------------------------------------------------------------------
-
-/// A job: an arbitrary closure over one worker's private state.
-type PoolJob<S> = Box<dyn FnOnce(&mut S) + Send>;
-
-enum PoolMsg<S> {
-    Run(PoolJob<S>),
-    /// Reply when all previously queued work is done (barrier).
-    Ping(Sender<()>),
-    /// Exit the worker loop.
-    Stop,
-}
-
-/// A cloneable, `Send` handle to a [`WorkPool`]'s submission side. Worker
-/// state typically stores one so in-flight jobs can schedule follow-up work
-/// on other workers (cross-shard rescheduling).
-pub struct PoolHandle<S> {
-    senders: Vec<Sender<PoolMsg<S>>>,
-    jobs_submitted: Arc<AtomicU64>,
-}
-
-// Manual impl: `derive(Clone)` would needlessly require `S: Clone`.
-impl<S> Clone for PoolHandle<S> {
-    fn clone(&self) -> Self {
-        PoolHandle {
-            senders: self.senders.clone(),
-            jobs_submitted: Arc::clone(&self.jobs_submitted),
-        }
-    }
-}
-
-impl<S: 'static> PoolHandle<S> {
-    /// Number of workers in the pool.
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Enqueues `job` on `worker`'s FIFO queue. Jobs submitted from one
-    /// thread to one worker run in submission order.
-    pub fn submit(&self, worker: usize, job: impl FnOnce(&mut S) + Send + 'static) -> RtResult<()> {
-        // Increment *before* sending: a stable count across a barrier then
-        // proves no job was in flight (see `WorkPool::quiesce`).
-        self.jobs_submitted.fetch_add(1, Ordering::SeqCst);
-        self.senders[worker]
-            .send(PoolMsg::Run(Box::new(job)))
-            .map_err(|_| RtError::runtime("worker channel closed"))
-    }
-
-    /// Total jobs submitted so far (from all threads).
-    pub fn jobs_submitted(&self) -> u64 {
-        self.jobs_submitted.load(Ordering::SeqCst)
-    }
-
-    fn sync(&self) {
-        let (tx, rx) = unbounded();
-        for s in &self.senders {
-            let _ = s.send(PoolMsg::Ping(tx.clone()));
-        }
-        drop(tx);
-        for _ in 0..self.senders.len() {
-            let _ = rx.recv();
-        }
-    }
-}
-
-/// A pool of OS worker threads, each owning private state of type `S`.
-///
-/// `S` is built by the factory *on the worker thread*, so it may be `!Send`;
-/// only the job closures cross threads.
-pub struct WorkPool<S> {
-    handle: PoolHandle<S>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<S: 'static> WorkPool<S> {
-    /// Spawns `workers` threads. Each calls `factory(index, handle)` once to
-    /// build its state, then runs jobs from its queue until shutdown.
-    pub fn new(
-        workers: usize,
-        factory: impl Fn(usize, PoolHandle<S>) -> S + Send + Sync + 'static,
-    ) -> WorkPool<S> {
-        assert!(workers > 0, "need at least one worker");
-        let factory = Arc::new(factory);
-        // All channels exist before any worker starts, so the handle each
-        // worker receives can reach every other worker from the first job.
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = unbounded::<PoolMsg<S>>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let handle = PoolHandle {
-            senders,
-            jobs_submitted: Arc::new(AtomicU64::new(0)),
-        };
-        let mut handles = Vec::with_capacity(workers);
-        for (w, rx) in receivers.into_iter().enumerate() {
-            let factory = factory.clone();
-            let handle = handle.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("hilti-worker-{w}"))
-                .spawn(move || {
-                    let mut state = factory(w, handle);
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            PoolMsg::Run(job) => job(&mut state),
-                            PoolMsg::Ping(reply) => {
-                                let _ = reply.send(());
-                            }
-                            PoolMsg::Stop => break,
-                        }
-                    }
-                })
-                .expect("spawn worker");
-            handles.push(h);
-        }
-        WorkPool { handle, handles }
-    }
-
-    /// A submission handle (cloneable, `Send`).
-    pub fn handle(&self) -> PoolHandle<S> {
-        self.handle.clone()
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.handle.workers()
-    }
-
-    /// Enqueues `job` on `worker`'s queue.
-    pub fn submit(&self, worker: usize, job: impl FnOnce(&mut S) + Send + 'static) -> RtResult<()> {
-        self.handle.submit(worker, job)
-    }
-
-    /// Total jobs submitted so far.
-    pub fn jobs_submitted(&self) -> u64 {
-        self.handle.jobs_submitted()
-    }
-
-    /// Blocks until every worker has drained all work queued *so far*
-    /// (including its startup state build). A single barrier does not cover
-    /// jobs that running jobs submit to other workers — see
-    /// [`WorkPool::quiesce`] for that.
-    pub fn sync(&self) {
-        self.handle.sync();
-    }
-
-    /// Blocks until the pool is fully idle, including cascades of jobs that
-    /// submit further cross-worker jobs.
-    ///
-    /// Proof sketch: the submission counter is incremented *before* the job
-    /// is enqueued, and a `sync` barrier flushes every queue behind all
-    /// sends observed so far. If the counter is identical before and after
-    /// two consecutive barriers, then no job ran during the first barrier
-    /// round that could have enqueued work racing the second — every
-    /// submission had already been counted, and both barriers flushed it.
-    pub fn quiesce(&self) {
-        loop {
-            let before = self.jobs_submitted();
-            self.sync();
-            self.sync();
-            if self.jobs_submitted() == before {
-                break;
-            }
-        }
-    }
-
-    /// Stops all workers after draining their queues (including cascading
-    /// resubmissions) and joins the threads. Worker state is dropped on the
-    /// worker thread; to harvest results, submit a job that sends them over
-    /// a channel before calling this.
-    pub fn shutdown(self) {
-        self.quiesce();
-        for s in &self.handle.senders {
-            let _ = s.send(PoolMsg::Stop);
-        }
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// HILTI virtual-thread scheduler
-// ---------------------------------------------------------------------------
-
 /// What a worker hands back at shutdown.
+#[derive(Default)]
 pub struct WorkerReport {
     pub worker: usize,
     pub jobs_run: u64,
@@ -243,76 +46,99 @@ pub struct WorkerReport {
     pub errors: Vec<String>,
 }
 
-/// Per-worker state: a private program image and context (`!Send` — built on
-/// the worker thread), plus a pool handle for shipping rescheduled work.
-struct HiltiWorker {
-    worker: usize,
-    prog: CompiledProgram,
-    ctx: Context,
-    jobs_run: u64,
-    errors: Vec<String>,
-    pool: PoolHandle<HiltiWorker>,
+/// One entry on a worker's queue.
+enum Msg {
+    /// `(vthread, func, args)`: run `func(args)` on virtual thread `vthread`.
+    Job(u64, String, Vec<Portable>),
+    /// Exit the worker loop and hand back the report.
+    Stop,
 }
 
-fn run_job(st: &mut HiltiWorker, vthread: u64, func: &str, args: &[Portable]) {
-    st.jobs_run += 1;
-    st.ctx.env.thread_id = vthread;
-    let vals: Vec<Value> = args.iter().map(Value::from_portable).collect();
-    if let Err(e) = vm::call(&st.prog, &mut st.ctx, func, &vals) {
-        st.errors.push(format!("{func}: {e}"));
-    }
-    drain_scheduled(st);
-}
+/// Work not yet finished: one per worker still building its program, plus
+/// one per job from before its send until it and its inline drain are done.
+/// `None` once a worker has died, so waiting on it cannot hang.
+type Pending = Arc<(Mutex<Option<usize>>, Condvar)>;
 
-/// Routes `thread.schedule` requests accumulated in the context: same-worker
-/// targets run inline (they are serialized with us by construction);
-/// cross-worker targets ship as a new job with deep-copied bound arguments.
-fn drain_scheduled(st: &mut HiltiWorker) {
-    while !st.ctx.env.scheduled.is_empty() {
-        let batch: Vec<(u64, CallableVal)> = st.ctx.env.scheduled.drain(..).collect();
-        for (tid, c) in batch {
-            let target = placement(tid, st.pool.workers());
-            if target == st.worker {
-                st.ctx.env.thread_id = tid;
-                if let Err(e) = vm::run_callable(&st.prog, &mut st.ctx, &c, &[]) {
-                    st.errors.push(format!("{}: {e}", c.func));
-                }
-                continue;
-            }
-            let bound = match c
-                .bound
-                .iter()
-                .map(Value::to_portable)
-                .collect::<RtResult<Vec<_>>>()
-            {
-                Ok(b) => b,
-                Err(e) => {
-                    st.errors.push(format!("{}: {e}", c.func));
-                    continue;
-                }
-            };
-            let func = c.func.to_string();
-            if let Err(e) = st.pool.submit(target, move |st2: &mut HiltiWorker| {
-                st2.jobs_run += 1;
-                st2.ctx.env.thread_id = tid;
-                let c2 = CallableVal {
-                    func: Rc::from(func.as_str()),
-                    bound: bound.iter().map(Value::from_portable).collect(),
-                };
-                if let Err(e) = vm::run_callable(&st2.prog, &mut st2.ctx, &c2, &[]) {
-                    st2.errors.push(format!("{}: {e}", c2.func));
-                }
-                drain_scheduled(st2);
-            }) {
-                st.errors.push(format!("{}: {e}", c.func));
-            }
+/// No thread panics while it holds the pending count's lock.
+const UNPOISONED: &str = "pending count lock held across a panic";
+
+fn add_pending(pending: &Pending, delta: isize) {
+    let (count, idle) = &**pending;
+    if let Some(n) = count.lock().expect(UNPOISONED).as_mut() {
+        *n = n.checked_add_signed(delta).expect("pending count balances");
+        if *n == 0 {
+            idle.notify_all();
         }
     }
 }
 
+/// Queues `func(args)` on `vthread`'s worker, deep-copying `args`. Counted
+/// before the send, so [`ThreadPool::sync`] cannot see 0 while the job is
+/// in flight.
+fn submit(
+    senders: &[Sender<Msg>],
+    pending: &Pending,
+    vthread: u64,
+    func: &str,
+    args: &[Value],
+) -> RtResult<()> {
+    let copies = args.iter().map(Value::to_portable);
+    let job = Msg::Job(vthread, func.to_owned(), copies.collect::<RtResult<_>>()?);
+    add_pending(pending, 1);
+    let worker = placement(vthread, senders.len());
+    senders[worker].send(job).map_err(|_| {
+        add_pending(pending, -1);
+        RtError::runtime("worker channel closed")
+    })
+}
+
+/// A worker's life: build the program, run jobs until `Stop`, report.
+fn work(
+    worker: usize,
+    prog: CompiledProgram,
+    rx: &Receiver<Msg>,
+    senders: &[Sender<Msg>],
+    pending: &Pending,
+) -> WorkerReport {
+    let mut ctx = Context::for_program(&prog);
+    let mut report = WorkerReport {
+        worker,
+        ..WorkerReport::default()
+    };
+    add_pending(pending, -1);
+    while let Ok(Msg::Job(vthread, func, args)) = rx.recv() {
+        report.jobs_run += 1;
+        let (func, bound) = (func.into(), args.iter().map(Value::from_portable).collect());
+        // The job runs first (its vthread maps here), then the batches of
+        // `thread.schedule` requests it leaves: same-worker targets run
+        // inline (they are serialized with us by construction), cross-worker
+        // targets ship as jobs with deep-copied arguments.
+        let mut batch = vec![(vthread, CallableVal { func, bound })];
+        while !batch.is_empty() {
+            for (tid, c) in batch {
+                let result = if placement(tid, senders.len()) == worker {
+                    ctx.env.thread_id = tid;
+                    vm::run_callable(&prog, &mut ctx, &c, &[]).map(drop)
+                } else {
+                    submit(senders, pending, tid, &c.func, &c.bound)
+                };
+                if let Err(e) = result {
+                    report.errors.push(format!("{}: {e}", c.func));
+                }
+            }
+            batch = std::mem::take(&mut ctx.env.scheduled);
+        }
+        add_pending(pending, -1);
+    }
+    report.output = ctx.take_output();
+    report
+}
+
 /// The virtual-thread scheduler over a pool of hardware workers.
 pub struct ThreadPool {
-    pool: WorkPool<HiltiWorker>,
+    senders: Vec<Sender<Msg>>,
+    pending: Pending,
+    handles: Vec<JoinHandle<WorkerReport>>,
 }
 
 impl ThreadPool {
@@ -323,175 +149,81 @@ impl ThreadPool {
         factory: impl Fn() -> CompiledProgram + Send + Sync + 'static,
         workers: usize,
     ) -> ThreadPool {
-        let pool = WorkPool::new(workers, move |w, handle| {
-            let prog = factory();
-            let ctx = Context::for_program(&prog);
-            HiltiWorker {
-                worker: w,
-                prog,
-                ctx,
-                jobs_run: 0,
-                errors: Vec::new(),
-                pool: handle,
-            }
-        });
-        ThreadPool { pool }
+        assert!(workers > 0, "need at least one worker");
+        let factory = Arc::new(factory);
+        let pending: Pending = Arc::new((Mutex::new(Some(workers)), Condvar::new()));
+        // Every channel exists before any worker starts, so each worker can
+        // reach every other one from its first job.
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel()).unzip();
+        let handles = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(w, rx)| {
+                let (factory, senders, pending) =
+                    (factory.clone(), senders.clone(), pending.clone());
+                std::thread::Builder::new()
+                    .name(format!("hilti-worker-{w}"))
+                    .spawn(move || {
+                        let run = || work(w, factory(), &rx, &senders, &pending);
+                        panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| {
+                            // A dead worker never finishes its share of the
+                            // count; release every waiter, then die.
+                            *pending.0.lock().expect(UNPOISONED) = None;
+                            pending.1.notify_all();
+                            panic::resume_unwind(p)
+                        })
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        ThreadPool {
+            senders,
+            pending,
+            handles,
+        }
     }
 
     /// Number of hardware workers.
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.senders.len()
     }
 
     /// Schedules `func(args)` onto virtual thread `vthread`
     /// (`thread.schedule`). Values are deep-copied via their portable form.
     pub fn schedule(&self, vthread: u64, func: &str, args: &[Value]) -> RtResult<()> {
-        let portable = args
-            .iter()
-            .map(Value::to_portable)
-            .collect::<RtResult<Vec<_>>>()?;
-        self.schedule_portable(vthread, func, portable)
+        submit(&self.senders, &self.pending, vthread, func, args)
     }
 
-    /// Schedules with already-portable arguments.
-    pub fn schedule_portable(&self, vthread: u64, func: &str, args: Vec<Portable>) -> RtResult<()> {
-        let worker = placement(vthread, self.pool.workers());
-        let func = func.to_owned();
-        self.pool
-            .submit(worker, move |st| run_job(st, vthread, &func, &args))
-    }
-
-    /// Total jobs submitted so far (external schedules plus cross-worker
-    /// reschedules).
-    pub fn jobs_submitted(&self) -> u64 {
-        self.pool.jobs_submitted()
-    }
-
-    /// Blocks until every worker has drained all work queued so far
-    /// (including its startup program build). Useful for excluding
+    /// Blocks until every worker has built its program and every job has
+    /// run — including jobs that scheduled further work onto *other*
+    /// virtual threads — or until a worker has died. Useful for excluding
     /// warm-up from measurements and for flushing between phases.
     pub fn sync(&self) {
-        self.pool.sync();
+        let (count, idle) = &*self.pending;
+        let busy = |n: &mut Option<usize>| n.is_some_and(|n| n > 0);
+        let idle = idle.wait_while(count.lock().expect(UNPOISONED), busy);
+        drop(idle.expect(UNPOISONED));
     }
 
-    /// Stops all workers after draining their queues — including jobs that
-    /// scheduled further work onto *other* virtual threads — and collects
-    /// reports.
+    /// [`ThreadPool::sync`], then stops and joins every worker and collects
+    /// the reports in worker order. If a worker died, re-raises its panic
+    /// once all workers are joined.
     pub fn shutdown(self) -> Vec<WorkerReport> {
-        self.pool.quiesce();
-        let workers = self.pool.workers();
-        let (tx, rx) = unbounded();
-        for w in 0..workers {
-            let tx = tx.clone();
-            // Harvest jobs do not count as virtual-thread jobs.
-            let _ = self.pool.submit(w, move |st: &mut HiltiWorker| {
-                let _ = tx.send(WorkerReport {
-                    worker: st.worker,
-                    jobs_run: st.jobs_run,
-                    output: st.ctx.take_output(),
-                    errors: std::mem::take(&mut st.errors),
-                });
-            });
+        self.sync();
+        for s in &self.senders {
+            let _ = s.send(Msg::Stop);
         }
-        drop(tx);
-        let mut reports = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            if let Ok(r) = rx.recv() {
-                reports.push(r);
-            }
-        }
-        self.pool.shutdown();
-        reports.sort_by_key(|r| r.worker);
-        reports
+        let joined: Vec<_> = self.handles.into_iter().map(JoinHandle::join).collect();
+        joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| panic::resume_unwind(p)))
+            .collect()
     }
 }
 
 /// The worker a virtual thread maps to under `workers`-way scheduling.
 pub fn placement(vthread: u64, workers: usize) -> usize {
     (vthread % workers.max(1) as u64) as usize
-}
-
-#[cfg(test)]
-mod pool_tests {
-    use super::*;
-
-    #[test]
-    fn workers_own_private_state() {
-        // Each worker's state counts only jobs aimed at it.
-        let pool = WorkPool::new(4, |w, _handle| (w, 0u64));
-        for w in 0..4 {
-            for _ in 0..=w {
-                pool.submit(w, |st: &mut (usize, u64)| st.1 += 1).unwrap();
-            }
-        }
-        let (tx, rx) = unbounded();
-        for w in 0..4 {
-            let tx = tx.clone();
-            pool.submit(w, move |st: &mut (usize, u64)| {
-                let _ = tx.send(*st);
-            })
-            .unwrap();
-        }
-        drop(tx);
-        let mut got: Vec<(usize, u64)> = Vec::new();
-        for _ in 0..4 {
-            got.push(rx.recv().unwrap());
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn state_may_be_not_send() {
-        // Rc is !Send; the factory builds it on the worker thread.
-        let pool = WorkPool::new(2, |_w, _handle| {
-            std::rc::Rc::new(std::cell::Cell::new(0u64))
-        });
-        pool.submit(0, |st| st.set(st.get() + 5)).unwrap();
-        let (tx, rx) = unbounded();
-        pool.submit(0, move |st| {
-            let _ = tx.send(st.get());
-        })
-        .unwrap();
-        assert_eq!(rx.recv().unwrap(), 5);
-        pool.shutdown();
-    }
-
-    struct ChainState {
-        worker: usize,
-        handle: PoolHandle<ChainState>,
-        hits: Arc<AtomicU64>,
-    }
-
-    fn hop(st: &mut ChainState, remaining: u64) {
-        st.hits.fetch_add(1, Ordering::SeqCst);
-        if remaining > 0 {
-            let next = (st.worker + 1) % st.handle.workers();
-            st.handle
-                .submit(next, move |st2| hop(st2, remaining - 1))
-                .unwrap();
-        }
-    }
-
-    #[test]
-    fn quiesce_drains_cross_worker_cascades() {
-        // A chain of jobs, each submitting the next hop to another worker.
-        // One sync barrier cannot see the whole chain; quiesce must.
-        let hits = Arc::new(AtomicU64::new(0));
-        let pool = WorkPool::new(3, {
-            let hits = hits.clone();
-            move |w, handle| ChainState {
-                worker: w,
-                handle,
-                hits: hits.clone(),
-            }
-        });
-        pool.submit(0, |st| hop(st, 23)).unwrap();
-        pool.quiesce();
-        assert_eq!(hits.load(Ordering::SeqCst), 24);
-        pool.shutdown();
-    }
 }
 
 #[cfg(test)]
@@ -629,8 +361,8 @@ void relay(int<64> tid) {
     fn cross_worker_reschedules_are_drained_by_shutdown() {
         // Every relay runs on worker 0 (vthread 0) and schedules a bump onto
         // vthread `tid`. Targets on worker 0 (tids 0, 4) run inline; the six
-        // others ship to workers 1-3 as fresh jobs the shutdown barrier must
-        // drain before harvesting.
+        // others ship to workers 1-3 as fresh jobs that shutdown must drain
+        // before it stops the workers.
         let pool = ThreadPool::new(factory(RELAY_SRC), 4);
         for tid in 0..8i64 {
             pool.schedule(0, "M::relay", &[Value::Int(tid)]).unwrap();
@@ -661,6 +393,125 @@ void relay(int<64> tid) {
         assert_eq!(w1.jobs_run, 50);
         let expect: Vec<String> = (1..=50).map(|i| i.to_string()).collect();
         assert_eq!(w1.output, expect);
+    }
+
+    #[test]
+    fn host_callables_run_on_the_target_worker() {
+        // A rescheduled callable may name a host function rather than a
+        // compiled one; the target worker runs it all the same.
+        let pool = ThreadPool::new(
+            factory(
+                r#"
+module M
+void relay() {
+    local callable c
+    c = callable.bind Hilti::print ("hop")
+    thread.schedule 1 c
+}
+"#,
+            ),
+            2,
+        );
+        pool.schedule(0, "M::relay", &[]).unwrap();
+        let reports = pool.shutdown();
+        assert!(reports[0].errors.is_empty(), "{:?}", reports[0].errors);
+        assert_eq!(reports[1].output, vec!["hop"]);
+        assert_eq!(reports[1].jobs_run, 1);
+    }
+
+    const HOP_SRC: &str = r#"
+module M
+global int<64> hops = 0
+
+void hop(int<64> t, int<64> n) {
+    local bool more
+    local callable c
+    hops = int.add hops 1
+    more = int.gt n 0
+    if.else more next done
+next:
+    t = int.add t 1
+    n = int.sub n 1
+    c = callable.bind hop (t, n)
+    thread.schedule t c
+done:
+    return
+}
+
+void report() {
+    call Hilti::print hops
+}
+"#;
+
+    #[test]
+    fn sync_drains_cross_worker_cascades() {
+        // A chain of 24 hops, each scheduling the next onto vthread t+1 and
+        // so onto another worker. `sync` must wait for the whole chain, not
+        // just for the jobs queued when it was called: a report overtaking
+        // the chain would see fewer hops.
+        let pool = ThreadPool::new(factory(HOP_SRC), 3);
+        pool.schedule(0, "M::hop", &[Value::Int(0), Value::Int(23)])
+            .unwrap();
+        pool.sync();
+        for w in 0..3u64 {
+            pool.schedule(w, "M::report", &[]).unwrap();
+        }
+        let reports = pool.shutdown();
+        let hops: u64 = reports
+            .iter()
+            .flat_map(|r| r.output.iter())
+            .map(|l| l.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(hops, 24);
+        assert_eq!(reports.iter().map(|r| r.jobs_run).sum::<u64>(), 24 + 3);
+    }
+
+    const SPIN_SRC: &str = r#"
+module M
+void spin(int<64> n) {
+    local bool more
+loop:
+    n = int.sub n 1
+    more = int.gt n 0
+    if.else more loop done
+done:
+    return
+}
+"#;
+
+    #[test]
+    fn dead_worker_neither_hangs_nor_is_lost() {
+        // The second program build panics, so one of three workers dies
+        // before its first job. `sync` must return anyway, and `shutdown`
+        // must wait for the live workers, still spinning, to finish and
+        // then re-raise the panic.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let build = factory(SPIN_SRC);
+        let pool = ThreadPool::new(
+            {
+                let calls = calls.clone();
+                move || {
+                    if calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 1 {
+                        panic!("factory failed");
+                    }
+                    build()
+                }
+            },
+            3,
+        );
+        pool.sync();
+        for i in 0..3u64 {
+            // The job aimed at the dead worker may be refused.
+            let _ = pool.schedule(i, "M::spin", &[Value::Int(1_000_000)]);
+        }
+        pool.sync();
+        let err = panic::catch_unwind(AssertUnwindSafe(|| pool.shutdown()))
+            .err()
+            .expect("shutdown re-raises the panic");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"factory failed"));
+        // Each worker thread holds the factory, and with it `calls`, until
+        // it exits: only the test's handle is left once all are joined.
+        assert_eq!(Arc::strong_count(&calls), 1);
     }
 }
 

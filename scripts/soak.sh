@@ -12,18 +12,9 @@
 #
 # Extra arguments are passed straight to the harness (see `soak --help`
 # output for --flows/--wave/--workers/--proto/--shed/--deadline-ms).
-#
-# Offline mirrors that stub the workspace dependencies (stubs/ in the
-# manifest) skip: soak numbers only mean something against the real
-# dependency set.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-if grep -q 'path = "stubs/' Cargo.toml; then
-    echo "soak: SKIP (stubbed workspace detected)"
-    exit 0
-fi
 
 out=target/soak-summary.json
 cargo build -q --release -p bench --bin soak

@@ -14,10 +14,6 @@
 #                      own tests, and runs every workload with its output
 #                      checks on tiny inputs, then the firewall at full size
 #
-# The example/bench steps need the real dev-dependencies; offline mirrors
-# that stub them out (stubs/ in the workspace manifest) stop after the core
-# build/test/clippy/doc gates, opcost and the repro artifacts.
-#
 # Usage: scripts/tier1.sh [extra cargo args, e.g. --offline]
 
 set -euo pipefail
@@ -61,13 +57,6 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "tier1: repro artifacts OK"
-
-# Everything below may pull in dev-dependencies beyond what the stubbed
-# workspace provides, so the stub check comes first.
-if grep -q 'path = "stubs/' Cargo.toml; then
-    echo "tier1: stubbed workspace detected, skipping example/bench smoke"
-    exit 0
-fi
 
 # 4-worker analyzer run that asserts its output against the sequential
 # pipeline.
