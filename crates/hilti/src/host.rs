@@ -32,7 +32,7 @@ pub struct BuildOptions {
     pub prune_roots: Option<Vec<String>>,
     /// Run the bytecode specialization pass (`crate::specialize`): typed
     /// fast-path instructions and fused compare-and-branch. On by default;
-    /// switch off to ablate the pass (see `bench/benches/dispatch.rs`).
+    /// switch off to ablate the pass (`repro fib`'s "dispatch tier" line).
     pub specialize: bool,
 }
 

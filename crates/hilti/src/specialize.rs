@@ -43,8 +43,9 @@
 //! (locals start as `Null`), raising the same catchable `TypeError` the
 //! generic path would.
 //!
-//! The pass is switched by `BuildOptions::specialize` (default on) so the
-//! A1 ablation can quantify it; see `bench/benches/dispatch.rs`.
+//! The pass is switched by `BuildOptions::specialize` (default on) so its
+//! effect can be measured: `repro fib` prints the on/off pair as its
+//! "dispatch tier" line.
 
 use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IntSrc};
 use crate::ir::Opcode;

@@ -9,7 +9,6 @@
 #   opcost           — per-statement script cost table (printed, not gated)
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate from traced runs
 #                      and validate
-#   bench smoke      — telemetry-overhead bench compiles and runs (test mode)
 #   benchmark smoke  — the repo benchmark (BENCHMARK.json) builds, passes its
 #                      own tests, and runs every workload with its output
 #                      checks on tiny inputs, then the firewall at full size
@@ -62,10 +61,6 @@ echo "tier1: repro artifacts OK"
 # pipeline.
 cargo run -q --release --example http_analyzer "$@" -- --workers 4 >/dev/null
 echo "tier1: http_analyzer example OK"
-
-# Telemetry overhead bench in --test mode: one pass per benchmark, enough
-# to prove the off/on pairs still build and run.
-cargo bench -q -p bench --bench telemetry "$@" -- --test
 
 # The repo benchmark is a package of its own outside the workspace, so
 # nothing above builds it. Its tests cover the generators and the oracle;
