@@ -10,7 +10,9 @@
 //! iterator. Temporaries are declared with the types the grammar already
 //! knows (`iterator<bytes>` for input positions, `int<64>` for integer
 //! fields read back), so the VM's specializer runs them on its typed
-//! instructions.
+//! instructions. A token match unpacks its (pattern, end) tuple right
+//! away into an `int<64>` local and an `iterator<bytes>` (a local, or `it`
+//! itself), which the specializer fuses into one `MatchToken`.
 //!
 //! The generated code is *fully incremental by construction* (§4): every
 //! input access — token matches, integer bytes, length-delimited runs —
@@ -227,6 +229,19 @@ impl<'a> UnitGen<'a> {
         }
     }
 
+    /// `re`'s token match at `it`: the pattern index (-1 for none) into
+    /// `id`, the position after the match (`it` itself when nothing
+    /// matched) into the `iterator<bytes>` variable `end`. The match and its
+    /// two tuple reads are adjacent, into typed variables, with the tuple
+    /// read nowhere else — the shape the VM runs as one `MatchToken`.
+    fn match_token(&mut self, re: &str, tuple: &str, id: &str, end: &str) {
+        self.line(format!("local any {tuple}"));
+        self.line(format!("local int<64> {id}"));
+        self.line(format!("{tuple} = regexp.match_token {re} it"));
+        self.line(format!("{id} = tuple.get {tuple} 0"));
+        self.line(format!("{end} = tuple.get {tuple} 1"));
+    }
+
     fn emit_field(&mut self, idx: usize, f: &Field) {
         match &f.kind {
             FieldKind::Token(pats) => {
@@ -244,10 +259,8 @@ impl<'a> UnitGen<'a> {
                     .collect::<Vec<_>>()
                     .join(" ");
                 self.line(format!("{re} = regexp.new {pat_list}"));
-                self.line(format!("local any {tr}"));
-                self.line(format!("{tr} = regexp.match_token {re} it"));
-                self.line(format!("local int<64> {tid}"));
-                self.line(format!("{tid} = tuple.get {tr} 0"));
+                self.line(format!("local iterator<bytes> {nit}"));
+                self.match_token(&re, &tr, &tid, &nit);
                 self.line(format!("local bool {ok}"));
                 self.line(format!("{ok} = int.geq {tid} 0"));
                 self.line(format!("if.else {ok} {lbl_ok} {lbl_fail}"));
@@ -258,8 +271,6 @@ impl<'a> UnitGen<'a> {
                     if f.name.is_empty() { "<anon>" } else { &f.name }
                 ));
                 self.line(format!("{lbl_ok}:"));
-                self.line(format!("local any {nit}"));
-                self.line(format!("{nit} = tuple.get {tr} 1"));
                 if !f.name.is_empty() || f.hook.is_some() {
                     let fv = self.fresh("fv");
                     self.line(format!("local any {fv}"));
@@ -354,12 +365,10 @@ impl<'a> UnitGen<'a> {
                             .collect::<Vec<_>>()
                             .join(" ");
                         self.line(format!("{re} = regexp.new {pat_list}"));
-                        self.line(format!("local any {tr}"));
-                        self.line(format!("local int<64> {tid}"));
                         self.line(format!("local bool {matched}"));
                         self.line(format!("{l_loop}:"));
-                        self.line(format!("{tr} = regexp.match_token {re} it"));
-                        self.line(format!("{tid} = tuple.get {tr} 0"));
+                        // A miss leaves `it` where it was: no separate end.
+                        self.match_token(&re, &tr, &tid, "it");
                         self.line(format!("{matched} = int.geq {tid} 0"));
                         self.line(format!("if.else {matched} {l_done} {l_item}"));
                         self.line(format!("{l_item}:"));
@@ -367,7 +376,6 @@ impl<'a> UnitGen<'a> {
                         self.line(format!("vector.push_back {vec} {sv}"));
                         self.line(format!("jump {l_loop}"));
                         self.line(format!("{l_done}:"));
-                        self.line(format!("it = tuple.get {tr} 1"));
                     }
                     Repeat::CountVar(_) | Repeat::Count(_) => {
                         let cnt = match repeat {
@@ -498,6 +506,24 @@ mod tests {
         assert!(src.contains("parse_Banner"));
         let prog = hilti::Program::from_source(&src);
         assert!(prog.is_ok(), "{:?}\n{src}", prog.err());
+    }
+
+    #[test]
+    fn every_token_match_runs_fused() {
+        // Token fields, until-token loops and the HTTP grammar's embedded
+        // chunked-body loop alike emit the shape the specializer fuses into
+        // one `MatchToken`.
+        for (grammar, unit) in [
+            (crate::http::http_grammar(), "Request"),
+            (ssh_banner_grammar(), "Banner"),
+        ] {
+            let mut src = generate(&grammar).unwrap();
+            src.push_str(&generate_driver(unit));
+            let sites = src.matches("= regexp.match_token ").count();
+            let prog = hilti::Program::from_source(&src).unwrap();
+            assert!(sites > 0, "{src}");
+            assert_eq!(prog.spec_stats().tokens, sites, "{src}");
+        }
     }
 
     #[test]

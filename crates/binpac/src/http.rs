@@ -143,7 +143,10 @@ pub fn http_grammar() -> Grammar {
         .on_done("Http::on_request_done");
 
     // Chunked-body loop, written as embedded semantic code (the paper's
-    // grammars embed code for exactly this kind of framing logic).
+    // grammars embed code for exactly this kind of framing logic). Each
+    // token match unpacks its own tuple right away into the typed `__ctid`
+    // and `__cnit` or `it` (a miss leaves `it` in place), the shape
+    // `binpac::codegen` emits, so the VM runs it as one `MatchToken`.
     let chunked_code: Vec<String> = r#"
 local regexp __reH
 __reH = regexp.new /[0-9a-fA-F]+/
@@ -153,31 +156,35 @@ local regexp __reNL
 __reNL = regexp.new /\r?\n/
 local any __body
 __body = new bytes
-local any __ctr
+local any __ctr_size
+local any __ctr_ext
+local any __ctr_data
+local any __ctr_end
+local any __ctr_trailer
 local int<64> __ctid
+local iterator<bytes> __cnit
 local bool __cok
-local any __cnit
 local any __szb
-local any __dend
+local iterator<bytes> __dend
 local any __dchunk
 rpc_loop:
-__ctr = regexp.match_token __reH it
-__ctid = tuple.get __ctr 0
+__ctr_size = regexp.match_token __reH it
+__ctid = tuple.get __ctr_size 0
+__cnit = tuple.get __ctr_size 1
 __cok = int.geq __ctid 0
 if.else __cok rpc_size rpc_fail
 rpc_fail:
 exception.throw Hilti::ValueError "Reply: bad chunk size"
 rpc_size:
-__cnit = tuple.get __ctr 1
 __szb = bytes.sub it __cnit
 it = assign __cnit
 csize = bytes.to_int __szb 16
-__ctr = regexp.match_token __reEL it
-__ctid = tuple.get __ctr 0
+__ctr_ext = regexp.match_token __reEL it
+__ctid = tuple.get __ctr_ext 0
+it = tuple.get __ctr_ext 1
 __cok = int.geq __ctid 0
 if.else __cok rpc_ext rpc_fail
 rpc_ext:
-it = tuple.get __ctr 1
 local bool __last
 __last = int.eq csize 0
 if.else __last rpc_trailers rpc_data
@@ -186,28 +193,24 @@ __dend = iterator.incr it csize
 __dchunk = bytes.sub it __dend
 bytes.append __body __dchunk
 it = assign __dend
-__ctr = regexp.match_token __reNL it
-__ctid = tuple.get __ctr 0
+__ctr_data = regexp.match_token __reNL it
+__ctid = tuple.get __ctr_data 0
+it = tuple.get __ctr_data 1
 __cok = int.geq __ctid 0
-if.else __cok rpc_data_nl rpc_fail
-rpc_data_nl:
-it = tuple.get __ctr 1
-jump rpc_loop
+if.else __cok rpc_loop rpc_fail
 rpc_trailers:
-__ctr = regexp.match_token __reNL it
-__ctid = tuple.get __ctr 0
+__ctr_end = regexp.match_token __reNL it
+__ctid = tuple.get __ctr_end 0
+it = tuple.get __ctr_end 1
 __cok = int.geq __ctid 0
 if.else __cok rpc_finish rpc_one_trailer
 rpc_one_trailer:
-__ctr = regexp.match_token __reEL it
-__ctid = tuple.get __ctr 0
+__ctr_trailer = regexp.match_token __reEL it
+__ctid = tuple.get __ctr_trailer 0
+it = tuple.get __ctr_trailer 1
 __cok = int.geq __ctid 0
-if.else __cok rpc_tr_next rpc_fail
-rpc_tr_next:
-it = tuple.get __ctr 1
-jump rpc_trailers
+if.else __cok rpc_trailers rpc_fail
 rpc_finish:
-it = tuple.get __ctr 1
 bytes.freeze __body
 struct.set self body __body
 "#

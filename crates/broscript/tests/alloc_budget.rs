@@ -256,11 +256,12 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         stack: ParserStack::Binpac,
         pinned: 164_216,
     },
-    // 59.329 per packet. Was 61.410 (183 002) while every `parse_*`
-    // returned its unit and iterator as a tuple, one allocation per unit
-    // (the specializer's setup `Vec`s went at the same time), and 61.413
-    // (183 012) before the constant folder evaluated through
-    // `ops::eval`. Was 61.046 before 5a2c2a9: the same
+    // 50.090 per packet. Was 59.329 (176 801) while every token match
+    // returned its pattern index and end as a tuple, 61.410 (183 002)
+    // while every `parse_*` returned its unit and iterator as a tuple, one
+    // allocation per unit (the specializer's setup `Vec`s went at the same
+    // time), and 61.413 (183 012) before the constant folder evaluated
+    // through `ops::eval`. Was 61.046 before 5a2c2a9: the same
     // uid copy (+250) and handler (+643, deletes −49), plus
     // `BinpacHttp::finish_conn` now running at the close as well as at the
     // first FIN, where `intern_uid` finds no session left and allocates
@@ -270,7 +271,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 176_801,
+        pinned: 149_268,
     },
 ];
 

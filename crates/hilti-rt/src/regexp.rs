@@ -15,13 +15,21 @@
 //! byte (the classic lazy-DFA scheme of re2/Bro). Matching is anchored at
 //! the start of input and reports the *longest* match, with ties between
 //! patterns broken by lowest pattern index.
+//!
+//! The DFA cache is per thread, like all HILTI runtime state: a [`Regex`]
+//! keeps it in a `RefCell` and is shared through `Rc`. Pattern constants
+//! are compiled per thread when a program is lowered and a regexp value
+//! never crosses threads, so no match takes a lock.
+//! [`Regex::match_token`] — what a BinPAC++ token field runs — walks the
+//! transition table under one borrow for the whole match, and
+//! [`Matcher::feed`] borrows once per chunk.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::error::{RtError, RtResult};
-use crate::unpoison;
 
 // ---------------------------------------------------------------------------
 // Byte classes: 256-bit membership bitmaps.
@@ -564,17 +572,159 @@ struct DfaNode {
     trans: Box<[i32; 256]>,
     /// Best accepting pattern at this node (lowest index), if any.
     accept: Option<usize>,
-    /// Best accepting pattern reachable via end-of-input transitions.
+    /// Best accepting pattern if input ended here: through `$`-edges, else
+    /// the node's own `accept`.
     accept_at_eoi: Option<usize>,
-    /// Lazily computed: does any byte lead out of this node (i.e. could
-    /// more input still change the outcome)?
-    live: Option<bool>,
+    /// Does any byte lead out of this node (could more input still change
+    /// the outcome)?
+    live: bool,
+}
+
+/// Where an anchored match stands after the input fed so far.
+#[derive(Clone, Copy, Debug)]
+struct Scan {
+    /// Current DFA node, or TRANS_DEAD once no continuation is possible.
+    node: i32,
+    /// Total bytes consumed so far.
+    consumed: u64,
+    /// Longest accept seen: (pattern, length).
+    last: Option<(usize, u64)>,
 }
 
 #[derive(Default)]
 struct DfaCache {
     nodes: Vec<DfaNode>,
     index: HashMap<Box<[StateId]>, usize>,
+}
+
+impl DfaCache {
+    /// The DFA node of NFA state set `states`, materialized on first use.
+    fn intern(&mut self, nfa: &Nfa, states: Vec<StateId>) -> usize {
+        let key: Box<[StateId]> = states.into_boxed_slice();
+        if let Some(&idx) = self.index.get(&key) {
+            return idx;
+        }
+        let accept = key
+            .iter()
+            .filter_map(|&s| nfa.states[s as usize].accept)
+            .min();
+        // Which patterns accept if input ended here (through $-edges)?
+        let mut eoi_set: Vec<StateId> = key
+            .iter()
+            .flat_map(|&s| nfa.states[s as usize].eoi.iter().copied())
+            .collect();
+        let accept_at_eoi = if eoi_set.is_empty() {
+            None
+        } else {
+            nfa.closure(&mut eoi_set);
+            eoi_set
+                .iter()
+                .filter_map(|&s| nfa.states[s as usize].accept)
+                .min()
+        };
+        // Any byte-class transition from a member state means more input
+        // can make progress.
+        let live = key.iter().any(|&s| !nfa.states[s as usize].byte.is_empty());
+        self.nodes.push(DfaNode {
+            states: key.clone(),
+            trans: Box::new([TRANS_UNKNOWN; 256]),
+            accept,
+            accept_at_eoi: accept_at_eoi.or(accept),
+            live,
+        });
+        let idx = self.nodes.len() - 1;
+        self.index.insert(key, idx);
+        idx
+    }
+
+    /// The transition of DFA node `node` on byte `b`, computed and memoized
+    /// on first use.
+    #[inline]
+    fn step(&mut self, nfa: &Nfa, node: usize, b: u8) -> i32 {
+        match self.nodes[node].trans[b as usize] {
+            TRANS_UNKNOWN => self.add_step(nfa, node, b),
+            t => t,
+        }
+    }
+
+    /// Computes and memoizes a transition [`DfaCache::step`] has not seen.
+    #[cold]
+    fn add_step(&mut self, nfa: &Nfa, node: usize, b: u8) -> i32 {
+        let mut next: Vec<StateId> = Vec::new();
+        for &s in self.nodes[node].states.iter() {
+            for (cls, t) in &nfa.states[s as usize].byte {
+                if cls.contains(b) && !next.contains(t) {
+                    next.push(*t);
+                }
+            }
+        }
+        let result = if next.is_empty() {
+            TRANS_DEAD
+        } else {
+            nfa.closure(&mut next);
+            self.intern(nfa, next) as i32
+        };
+        self.nodes[node].trans[b as usize] = result;
+        result
+    }
+
+    /// A match anchored at the current input position; the empty prefix
+    /// may already match (e.g. `a*`).
+    fn start(&self, node: usize) -> Scan {
+        Scan {
+            node: node as i32,
+            consumed: 0,
+            last: self.nodes[node].accept.map(|p| (p, 0)),
+        }
+    }
+
+    /// Advances `scan` over `chunk`.
+    fn feed(&mut self, nfa: &Nfa, scan: &mut Scan, chunk: &[u8]) {
+        if scan.node == TRANS_DEAD {
+            return;
+        }
+        for &b in chunk {
+            let next = self.step(nfa, scan.node as usize, b);
+            scan.consumed += 1;
+            if next == TRANS_DEAD {
+                scan.node = TRANS_DEAD;
+                break;
+            }
+            scan.node = next;
+            // Every byte lengthens the match, so an accept here beats any
+            // earlier one.
+            if let Some(p) = self.nodes[next as usize].accept {
+                scan.last = Some((p, scan.consumed));
+            }
+        }
+    }
+
+    /// The verdict if input ended after `scan`, taking `$` anchors into
+    /// account.
+    fn finish(&self, scan: &Scan) -> MatchVerdict {
+        let mut best = scan.last;
+        if scan.node != TRANS_DEAD {
+            if let Some(p) = self.nodes[scan.node as usize].accept_at_eoi {
+                let better = match best {
+                    Some((bp, bl)) => scan.consumed > bl || (scan.consumed == bl && p < bp),
+                    None => true,
+                };
+                if better {
+                    best = Some((p, scan.consumed));
+                }
+            }
+        }
+        match best {
+            Some((pattern, len)) => MatchVerdict::Match { pattern, len },
+            None => MatchVerdict::NoMatch,
+        }
+    }
+
+    /// True if more input could still lengthen the match: it is not dead
+    /// *and* its DFA node has an outgoing byte transition.
+    fn can_extend(&self, scan: &Scan) -> bool {
+        scan.node != TRANS_DEAD && self.nodes[scan.node as usize].live
+    }
 }
 
 /// Outcome of feeding input to a [`Matcher`].
@@ -599,10 +749,14 @@ pub enum MatchVerdict {
 }
 
 /// A compiled regular expression (possibly a set of several patterns).
+///
+/// Its lazily built DFA lives in a `RefCell`: a `Regex` belongs to the
+/// thread that compiled it (HILTI compiles pattern constants per thread,
+/// when a program is lowered), so matching takes no lock.
 pub struct Regex {
     nfa: Nfa,
     sources: Vec<String>,
-    cache: Mutex<DfaCache>,
+    cache: RefCell<DfaCache>,
     start_node: usize,
 }
 
@@ -614,13 +768,13 @@ impl fmt::Debug for Regex {
 
 impl Regex {
     /// Compiles a single pattern.
-    pub fn new(pattern: &str) -> RtResult<Arc<Regex>> {
+    pub fn new(pattern: &str) -> RtResult<Rc<Regex>> {
         Self::set(&[pattern])
     }
 
     /// Compiles several patterns into one matcher; match results report the
     /// index of the pattern that matched.
-    pub fn set(patterns: &[&str]) -> RtResult<Arc<Regex>> {
+    pub fn set(patterns: &[&str]) -> RtResult<Rc<Regex>> {
         if patterns.is_empty() {
             return Err(RtError::pattern("empty pattern set"));
         }
@@ -633,17 +787,17 @@ impl Regex {
             nfa.states[start as usize].eps.push(s);
             nfa.states[e as usize].accept = Some(idx);
         }
-        let mut re = Regex {
+        // Materialize the start node eagerly.
+        let mut set = vec![nfa.start];
+        nfa.closure(&mut set);
+        let mut cache = DfaCache::default();
+        let start_node = cache.intern(&nfa, set);
+        Ok(Rc::new(Regex {
             nfa,
             sources: patterns.iter().map(|s| s.to_string()).collect(),
-            cache: Mutex::new(DfaCache::default()),
-            start_node: 0,
-        };
-        // Materialize the start node eagerly.
-        let mut set = vec![re.nfa.start];
-        re.nfa.closure(&mut set);
-        re.start_node = re.intern(set);
-        Ok(Arc::new(re))
+            cache: RefCell::new(cache),
+            start_node,
+        }))
     }
 
     /// The pattern sources this object was compiled from.
@@ -651,135 +805,40 @@ impl Regex {
         &self.sources
     }
 
-    fn intern(&self, states: Vec<StateId>) -> usize {
-        let mut cache = unpoison(self.cache.lock());
-        let key: Box<[StateId]> = states.into_boxed_slice();
-        if let Some(&idx) = cache.index.get(&key) {
-            return idx;
-        }
-        let accept = key
-            .iter()
-            .filter_map(|&s| self.nfa.states[s as usize].accept)
-            .min();
-        // Which patterns accept if input ended here (through $-edges)?
-        let mut eoi_set: Vec<StateId> = key
-            .iter()
-            .flat_map(|&s| self.nfa.states[s as usize].eoi.iter().copied())
-            .collect();
-        let accept_at_eoi = if eoi_set.is_empty() {
-            None
-        } else {
-            self.nfa.closure(&mut eoi_set);
-            eoi_set
-                .iter()
-                .filter_map(|&s| self.nfa.states[s as usize].accept)
-                .min()
-        };
-        let node = DfaNode {
-            states: key.clone(),
-            trans: Box::new([TRANS_UNKNOWN; 256]),
-            accept,
-            accept_at_eoi,
-            live: None,
-        };
-        cache.nodes.push(node);
-        let idx = cache.nodes.len() - 1;
-        cache.index.insert(key, idx);
-        idx
-    }
-
-    /// Computes (and memoizes) the transition of DFA node `node` on byte `b`.
-    fn step(&self, node: usize, b: u8) -> i32 {
-        {
-            let cache = unpoison(self.cache.lock());
-            let t = cache.nodes[node].trans[b as usize];
-            if t != TRANS_UNKNOWN {
-                return t;
-            }
-        }
-        // Compute outside the lock (closure needs only &self.nfa).
-        let states: Vec<StateId> = {
-            let cache = unpoison(self.cache.lock());
-            cache.nodes[node].states.to_vec()
-        };
-        let mut next: Vec<StateId> = Vec::new();
-        for s in states {
-            for (cls, t) in &self.nfa.states[s as usize].byte {
-                if cls.contains(b) && !next.contains(t) {
-                    next.push(*t);
-                }
-            }
-        }
-        let result = if next.is_empty() {
-            TRANS_DEAD
-        } else {
-            self.nfa.closure(&mut next);
-            self.intern(next) as i32
-        };
-        unpoison(self.cache.lock()).nodes[node].trans[b as usize] = result;
-        result
-    }
-
-    fn node_accept(&self, node: usize) -> Option<usize> {
-        unpoison(self.cache.lock()).nodes[node].accept
-    }
-
-    fn node_accept_at_eoi(&self, node: usize) -> Option<usize> {
-        let cache = unpoison(self.cache.lock());
-        let n = &cache.nodes[node];
-        n.accept_at_eoi.or(n.accept)
-    }
-
-    /// True if some byte transitions out of `node` — i.e. further input
-    /// could still extend or complete a match. Cached per node.
-    fn node_live(&self, node: usize) -> bool {
-        if let Some(live) = unpoison(self.cache.lock()).nodes[node].live {
-            return live;
-        }
-        // Direct NFA check: any byte-class transition from any member state
-        // means more input can make progress.
-        let states: Vec<StateId> = {
-            let cache = unpoison(self.cache.lock());
-            cache.nodes[node].states.to_vec()
-        };
-        let live = states
-            .iter()
-            .any(|&s| !self.nfa.states[s as usize].byte.is_empty());
-        unpoison(self.cache.lock()).nodes[node].live = Some(live);
-        live
-    }
-
     /// Number of DFA nodes materialized so far (observability/ablation).
     pub fn dfa_nodes(&self) -> usize {
-        unpoison(self.cache.lock()).nodes.len()
+        self.cache.borrow().nodes.len()
     }
 
     /// Starts an incremental matcher anchored at the current input position.
-    pub fn matcher(self: &Arc<Self>) -> Matcher {
-        let mut m = Matcher {
+    pub fn matcher(self: &Rc<Self>) -> Matcher {
+        Matcher {
             re: self.clone(),
-            node: self.start_node as i32,
-            consumed: 0,
-            last: None,
-        };
-        // The empty prefix may already match (e.g. `a*`).
-        if let Some(p) = self.node_accept(self.start_node) {
-            m.last = Some((p, 0));
+            scan: self.cache.borrow().start(self.start_node),
         }
-        m
+    }
+
+    /// One anchored match over `input`, under a single borrow of the DFA:
+    /// the verdict a [`Matcher`] fed `input` gives at
+    /// [`finish`](Matcher::finish), and whether more input could still
+    /// lengthen it ([`Matcher::can_extend`]). A BinPAC++ token match is one
+    /// call.
+    pub fn match_token(&self, input: &[u8]) -> (MatchVerdict, bool) {
+        let mut cache = self.cache.borrow_mut();
+        let mut scan = cache.start(self.start_node);
+        cache.feed(&self.nfa, &mut scan, input);
+        (cache.finish(&scan), cache.can_extend(&scan))
     }
 
     /// One-shot anchored match over a complete buffer.
-    pub fn match_prefix(self: &Arc<Self>, input: &[u8]) -> MatchVerdict {
-        let mut m = self.matcher();
-        m.feed(input);
-        m.finish()
+    pub fn match_prefix(&self, input: &[u8]) -> MatchVerdict {
+        self.match_token(input).0
     }
 
     /// Unanchored search: first position (and verdict) where any pattern
     /// matches. O(n·m) worst case; used for utility scanning, not the
     /// parsing hot path.
-    pub fn find(self: &Arc<Self>, input: &[u8]) -> Option<(usize, usize, u64)> {
+    pub fn find(&self, input: &[u8]) -> Option<(usize, usize, u64)> {
         for start in 0..=input.len() {
             if let MatchVerdict::Match { pattern, len } = self.match_prefix(&input[start..]) {
                 return Some((start, pattern, len));
@@ -792,45 +851,19 @@ impl Regex {
 /// An in-progress anchored match; feed chunks as they arrive.
 #[derive(Debug)]
 pub struct Matcher {
-    re: Arc<Regex>,
-    /// Current DFA node, or TRANS_DEAD once no continuation is possible.
-    node: i32,
-    /// Total bytes consumed so far.
-    consumed: u64,
-    /// Longest accept seen: (pattern, length).
-    last: Option<(usize, u64)>,
+    re: Rc<Regex>,
+    scan: Scan,
 }
 
 impl Matcher {
     /// Feeds a chunk. Returns [`MatchStatus::Failed`] once no match can ever
     /// complete (the caller can stop buffering input).
     pub fn feed(&mut self, chunk: &[u8]) -> MatchStatus {
-        if self.node == TRANS_DEAD {
-            return self.status();
-        }
-        for &b in chunk {
-            let next = self.re.step(self.node as usize, b);
-            self.consumed += 1;
-            if next == TRANS_DEAD {
-                self.node = TRANS_DEAD;
-                break;
-            }
-            self.node = next;
-            if let Some(p) = self.re.node_accept(next as usize) {
-                let better = match self.last {
-                    Some((lp, ll)) => self.consumed > ll || (self.consumed == ll && p < lp),
-                    None => true,
-                };
-                if better {
-                    self.last = Some((p, self.consumed));
-                }
-            }
-        }
-        self.status()
-    }
-
-    fn status(&self) -> MatchStatus {
-        if self.node == TRANS_DEAD && self.last.is_none() {
+        self.re
+            .cache
+            .borrow_mut()
+            .feed(&self.re.nfa, &mut self.scan, chunk);
+        if self.scan.node == TRANS_DEAD && self.scan.last.is_none() {
             MatchStatus::Failed
         } else {
             MatchStatus::Ongoing
@@ -843,39 +876,24 @@ impl Matcher {
     /// lands on a node with no exits; reporting "could extend" there would
     /// stall incremental parsers waiting for input that cannot matter.)
     pub fn can_extend(&self) -> bool {
-        self.node != TRANS_DEAD && self.re.node_live(self.node as usize)
+        self.re.cache.borrow().can_extend(&self.scan)
     }
 
     /// The best match found so far, if any (may grow with more input while
     /// [`Matcher::can_extend`] holds).
     pub fn current(&self) -> Option<(usize, u64)> {
-        self.last
+        self.scan.last
     }
 
     /// Total bytes consumed.
     pub fn consumed(&self) -> u64 {
-        self.consumed
+        self.scan.consumed
     }
 
     /// Declares end of input and returns the verdict, taking `$` anchors
     /// into account.
     pub fn finish(&self) -> MatchVerdict {
-        let mut best = self.last;
-        if self.node != TRANS_DEAD {
-            if let Some(p) = self.re.node_accept_at_eoi(self.node as usize) {
-                let better = match best {
-                    Some((bp, bl)) => self.consumed > bl || (self.consumed == bl && p < bp),
-                    None => true,
-                };
-                if better {
-                    best = Some((p, self.consumed));
-                }
-            }
-        }
-        match best {
-            Some((pattern, len)) => MatchVerdict::Match { pattern, len },
-            None => MatchVerdict::NoMatch,
-        }
+        self.re.cache.borrow().finish(&self.scan)
     }
 }
 
@@ -1023,6 +1041,24 @@ mod tests {
         mt.feed(b"x");
         assert!(!mt.can_extend());
         assert_eq!(mt.finish(), MatchVerdict::Match { pattern: 0, len: 4 });
+    }
+
+    #[test]
+    fn match_token_reports_whether_more_input_matters() {
+        let digits = Regex::new("[0-9]+").unwrap();
+        let two = MatchVerdict::Match { pattern: 0, len: 2 };
+        assert_eq!(digits.match_token(b"12"), (two, true));
+        assert_eq!(digits.match_token(b"12x"), (two, false));
+        // A fully consumed `\r?\n` lands on a node with no exits.
+        let newline = Regex::new("\\r?\\n").unwrap();
+        assert_eq!(newline.match_token(b"\r\n"), (two, false));
+        let get = Regex::new("GET ").unwrap();
+        assert_eq!(get.match_token(b"GE"), (MatchVerdict::NoMatch, true));
+        assert_eq!(get.match_token(b"GEX"), (MatchVerdict::NoMatch, false));
+        // `$` accepts only once input is known to end.
+        let anchored = Regex::new("abc$").unwrap();
+        let three = MatchVerdict::Match { pattern: 0, len: 3 };
+        assert_eq!(anchored.match_token(b"abc"), (three, false));
     }
 
     #[test]

@@ -189,6 +189,63 @@ proptest! {
         }
     }
 
+    /// `Regex::match_token` over a whole input is a matcher fed the same
+    /// input in pieces and then finished: the same verdict, and the same
+    /// answer to "could more input lengthen it". One `Regex` (one DFA
+    /// cache) serves two matchers fed alternately, with one-shot matches
+    /// in between, and each still agrees with its own one-shot match.
+    #[test]
+    fn regexp_match_token_is_a_finished_matcher(
+        lit in "[a-z]{1,12}",
+        shape in 0usize..6,
+        reps in 0usize..3,
+        part in 0usize..13,
+        tail in proptest::collection::vec(
+            prop_oneof![Just(b'a'), Just(b'z'), Just(b'0'), Just(b'\n'), any::<u8>()],
+            0..4,
+        ),
+        cuts in proptest::collection::vec(0usize..30, 0..6),
+    ) {
+        let alt = format!("{lit}|[a-z]+0");
+        let re = match shape {
+            0 => Regex::new(&lit),
+            1 => Regex::new(&format!("{lit}$")),
+            2 => Regex::new(&format!("({lit})+")),
+            3 => Regex::new(&alt),
+            4 => Regex::set(&[lit.as_str(), "[a-z]*"]),
+            _ => Regex::set(&[&format!("{lit}\\r?\\n"), "[^\\n]+"]),
+        }
+        .unwrap();
+        // Whole and partial copies of the literal, then a few bytes (often
+        // none) that may or may not continue it.
+        let mut input = lit.repeat(reps).into_bytes();
+        input.extend_from_slice(&lit.as_bytes()[..part.min(lit.len())]);
+        input.extend_from_slice(&tail);
+        let mut reversed = input.clone();
+        reversed.reverse();
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(input.len())).collect();
+        cuts.push(input.len());
+        cuts.sort_unstable();
+        let mut fwd = re.matcher();
+        let mut rev = re.matcher();
+        let mut pos = 0usize;
+        for &cut in &cuts {
+            fwd.feed(&input[pos..cut]);
+            // The other matcher and a one-shot match use the same cache
+            // between two feeds of this one.
+            let _ = re.match_token(&input[pos..]);
+            rev.feed(&reversed[pos..cut]);
+            pos = cut;
+        }
+        for (m, bytes) in [(&fwd, &input), (&rev, &reversed)] {
+            let (verdict, can_extend) = re.match_token(bytes);
+            prop_assert_eq!(verdict, m.finish());
+            prop_assert_eq!(can_extend, m.can_extend());
+            prop_assert_eq!(verdict, re.match_prefix(bytes));
+        }
+    }
+
     /// FNV continuation composes like one-shot hashing.
     #[test]
     fn fnv_composes(data in proptest::collection::vec(any::<u8>(), 0..100), cut in 0usize..100) {

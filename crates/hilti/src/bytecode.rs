@@ -108,8 +108,8 @@ pub enum CInstr {
     // (`CFunc::slot_types`), but values are still checked at run time so a
     // mistyped slot raises the same catchable TypeError as the generic
     // path (locals start as Null). Each op's semantics is `ops::IntArith`
-    // / `ops::IntCmp` / `ops::iter_*`, the same statement `ops::eval`
-    // applies.
+    // / `ops::IntCmp` / `ops::iter_*` / `ops::match_token`, the same
+    // statement `ops::eval` applies.
     /// `dst = a <op> b` as int (`int.add` … `int.shr`).
     ArithInt {
         op: IntArith,
@@ -164,6 +164,20 @@ pub enum CInstr {
     IterDeref {
         dst: u16,
         src: u16,
+    },
+    /// Fused token match replacing `t = regexp.match_token re it` followed
+    /// by `id = tuple.get t 0` and `end = tuple.get t 1`: `re` is a
+    /// `regexp` slot, `it` and `end` are `iterator<bytes>` slots, `id` is
+    /// an `int<64>` slot. The VM's fast loop writes `id` and `end`
+    /// directly, builds no tuple, and continues at pc+3. The two reads stay
+    /// at pc+1 and pc+2, which no jump targets: the one-at-a-time path runs
+    /// the match alone into `t` (read nowhere else) and then those reads.
+    MatchToken {
+        re: u16,
+        it: u16,
+        t: u16,
+        id: u16,
+        end: u16,
     },
 
     // --- struct field sites ----------------------------------------------
@@ -402,6 +416,9 @@ impl CInstr {
                 format!("s{dst} = iterator.incr s{src} {}", n.render())
             }
             CInstr::IterDeref { dst, src } => format!("s{dst} = iterator.deref s{src}"),
+            CInstr::MatchToken { re, it, t, .. } => {
+                format!("s{t} = regexp.match_token s{re} s{it}")
+            }
             // Field sites render like a generic `Op` (mnemonic, idents,
             // then value operands), keeping traces diffable against the
             // interpreter's.
@@ -457,6 +474,7 @@ impl CInstr {
             CInstr::BrBool { .. } => "spec.br.bool",
             CInstr::IterIncr { .. } => "spec.iter.incr",
             CInstr::IterDeref { .. } => "spec.iter.deref",
+            CInstr::MatchToken { .. } => "spec.regexp.token",
             CInstr::StructGet { .. } => "struct.get",
             CInstr::StructSet { .. } => "struct.set",
         }

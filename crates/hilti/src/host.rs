@@ -868,12 +868,14 @@ done:
 
     /// A statically typed slot read before initialization holds Null. Each
     /// typed instruction — every `ArithInt` and `CmpInt` op, the fused
-    /// `BrIfInt`, `BrBool`, `IterIncr` and `IterDeref` — must then raise
-    /// what the generic path raises: the interpreter, the VM with the
-    /// specializer and the VM without it catch the same exception kind and
-    /// message, with the same fuel left, and the two VMs trace the same
-    /// lines. The iterator rows also pin `iterator.incr`'s error order
-    /// (iterator before count) and a deref past a frozen end.
+    /// `BrIfInt`, `BrBool`, `IterIncr`, `IterDeref` and the fused
+    /// `MatchToken` — must then raise what the generic path raises: the
+    /// interpreter, the VM with the specializer and the VM without it catch
+    /// the same exception kind and message, with the same fuel left, and
+    /// the two VMs trace the same lines. The iterator rows also pin
+    /// `iterator.incr`'s error order (iterator before count) and a deref
+    /// past a frozen end; the token rows a match at an iterator before the
+    /// trimmed base of its input.
     #[test]
     fn specialized_type_error_is_catchable() {
         const TEMPLATE: &str = r#"
@@ -885,6 +887,9 @@ string f() {
     local bool c
     local iterator<bytes> it
     local iterator<bytes> j
+    local regexp r
+    local any t
+    local ref<bytes> d
     local string kind
     local string msg
     try {
@@ -931,6 +936,27 @@ string f() {
             format!("{begin}j = iterator.incr it 2\n        y = iterator.deref j"),
             deref.into(),
             "Hilti::IndexError: offset 2 past frozen end 2",
+        ));
+        let token = "t = regexp.match_token r it\n        y = tuple.get t 0\n        \
+                     j = tuple.get t 1";
+        let re = "r = regexp.new /a/\n        ";
+        rows.push((
+            format!("{begin}{token}"),
+            "spec.regexp.token".into(),
+            "Hilti::TypeError: expected regexp, got null",
+        ));
+        rows.push((
+            format!("{re}{token}"),
+            "spec.regexp.token".into(),
+            null_iter,
+        ));
+        rows.push((
+            format!(
+                "{re}d = bytes.copy b\"abc\"\n        it = bytes.begin d\n        \
+                 j = iterator.incr it 2\n        bytes.trim d j\n        {token}"
+            ),
+            "spec.regexp.token".into(),
+            "Hilti::IndexError: offset before trimmed base",
         ));
 
         for (body, bucket, raised) in rows {
@@ -1065,6 +1091,111 @@ int<64> read_two(ref<bytes> data) {
         whole.freeze();
         let v = oracle
             .run_interpreted("M::read_two", &[Value::Bytes(whole)])
+            .unwrap();
+        assert_eq!(v.render(), on.2);
+        assert_eq!(spent(&oracle) + 1, on.1, "fuel in total");
+    }
+
+    /// A fused `MatchToken` whose token is split across two chunks of open
+    /// input suspends its fiber as the unfused match does: the fast loop
+    /// leaves it uncharged, the dispatch path charges the match alone,
+    /// traces it and suspends at it, and the resume after an append retries
+    /// it and runs its two reads. Both VMs agree on fuel, trace
+    /// and result at each step, traced or not; the interpreter agrees up to
+    /// the block and on the complete input, where the fiber pays one unit
+    /// more for the retried match.
+    #[test]
+    fn specialized_token_suspends_at_open_frontier() {
+        use crate::fiber::Step;
+        const SRC: &str = r#"
+module M
+int<64> token(ref<bytes> data) {
+    local regexp re
+    local any t
+    local int<64> id
+    local iterator<bytes> it
+    local iterator<bytes> end
+    local any s
+    local int<64> n
+    re = regexp.new /POST/ /[A-Z]+/
+    it = bytes.begin data
+    t = regexp.match_token re it
+    id = tuple.get t 0
+    end = tuple.get t 1
+    s = bytes.sub it end
+    n = bytes.length s
+    id = int.mul id 100
+    id = int.add id n
+    return id
+}
+"#;
+        const FUEL: u64 = 1_000;
+        let build = |specialize| {
+            let options = BuildOptions {
+                specialize,
+                ..Default::default()
+            };
+            let mut p = Program::from_sources_opts(&[SRC], OptLevel::None, options).unwrap();
+            p.set_limits(hilti_rt::ResourceLimits {
+                fuel: Some(FUEL),
+                ..Default::default()
+            });
+            p
+        };
+        let spent = |p: &Program| FUEL - p.context().fuel_remaining().unwrap();
+        let input = |bytes: &[u8]| {
+            let data = hilti_rt::Bytes::new();
+            data.append(bytes).unwrap();
+            data
+        };
+        // (fuel at the block, fuel in total, result, trace)
+        let fiber_run = |specialize: bool, trace: bool| {
+            let mut p = build(specialize);
+            p.context_mut().trace = trace;
+            let data = input(b"GE");
+            let mut fiber = p.fiber("M::token", vec![Value::Bytes(data.clone())]);
+            assert!(matches!(p.resume(&mut fiber).unwrap(), Step::Suspended));
+            let blocked = spent(&p);
+            data.append(b"T /").unwrap();
+            let Step::Finished(v) = p.resume(&mut fiber).unwrap() else {
+                panic!("resumed fiber must finish");
+            };
+            (blocked, spent(&p), v.render(), p.context_mut().take_trace())
+        };
+        let typed = build(true);
+        let code = &typed.compiled().func("M::token").unwrap().code;
+        assert!(code.iter().any(|i| i.stat_name() == "spec.regexp.token"));
+        let on = fiber_run(true, false);
+        assert_eq!(on, fiber_run(false, false), "untraced");
+        assert_eq!(on.2, "103");
+        let traced = fiber_run(true, true);
+        assert_eq!(traced, fiber_run(false, true), "traced");
+        assert_eq!((traced.0, traced.1), (on.0, on.1));
+        // Traced at its suspension and again at its retry, then its reads.
+        let at = traced
+            .3
+            .iter()
+            .position(|l| l.ends_with("s2 = regexp.match_token s1 s4"))
+            .expect("match traced");
+        assert_eq!(traced.3[at], traced.3[at + 1], "{:#?}", traced.3);
+        assert!(
+            traced.3[at + 2].ends_with("s3 = tuple.get s2 0")
+                && traced.3[at + 3].ends_with("s5 = tuple.get s2 1"),
+            "{:#?}",
+            traced.3
+        );
+
+        let mut oracle = build(false);
+        let err = oracle
+            .run_interpreted("M::token", &[Value::Bytes(input(b"GE"))])
+            .unwrap_err();
+        assert_eq!(err.kind, hilti_rt::error::ExceptionKind::WouldBlock);
+        assert_eq!(spent(&oracle), on.0, "fuel at the block");
+        let mut oracle = build(false);
+        let whole = input(b"GET /");
+        whole.freeze();
+        let v = oracle
+            .run_interpreted("M::token", &[Value::Bytes(whole)])
             .unwrap();
         assert_eq!(v.render(), on.2);
         assert_eq!(spent(&oracle) + 1, on.1, "fuel in total");

@@ -151,7 +151,7 @@ fn as_struct(v: &Value) -> RtResult<&Rc<RefCell<StructVal>>> {
     }
 }
 
-fn as_regexp(v: &Value) -> RtResult<&std::sync::Arc<Regex>> {
+fn as_regexp(v: &Value) -> RtResult<&Rc<Regex>> {
     match v {
         Value::Regexp(r) => Ok(r),
         other => Err(RtError::type_error(format!(
@@ -1146,30 +1146,9 @@ pub fn eval(
             }
         }
         RegexpMatchToken => {
-            // (regexp, iter) → tuple(int pattern_or_-1, iter after match).
-            // Raises WouldBlock if the match could extend with more input
-            // and the underlying bytes are not frozen — this is what makes
-            // a BinPAC++ parser suspend its fiber mid-token (§3.2, §4).
             arity(args, 2, op)?;
-            let re = as_regexp(args[0])?;
-            let it = args[1].as_bytes_iter()?;
-            let bytes = it.bytes();
-            let mut matcher = re.matcher();
-            bytes.with_available(it.offset(), |slice| {
-                matcher.feed(slice);
-            })?;
-            if matcher.can_extend() && !bytes.is_frozen() {
-                return Err(RtError::would_block());
-            }
-            match matcher.finish() {
-                MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new([
-                    Value::Int(pattern as i64),
-                    Value::BytesIter(it.advance(len)),
-                ])),
-                MatchVerdict::NoMatch => {
-                    Value::Tuple(Rc::new([Value::Int(-1), Value::BytesIter(it.clone())]))
-                }
-            }
+            let (id, end) = match_token(args[0], args[1])?;
+            Value::Tuple(Rc::new([Value::Int(id), Value::BytesIter(end)]))
         }
         RegexpMatcherInit => {
             arity(args, 1, op)?;
@@ -1602,6 +1581,29 @@ int_ops! {
 pub fn iter_incr_operands(it: &Value, n: RtResult<i64>) -> RtResult<(&BytesIter, u64)> {
     let it = it.as_bytes_iter()?;
     Ok((it, n?.max(0) as u64))
+}
+
+/// `regexp.match_token re it`: the longest anchored match of `re` at `it`,
+/// as (pattern index or -1, iterator after the match — `it` itself when
+/// nothing matched). Raises `WouldBlock` while the match could still extend
+/// and the input is open — what makes a BinPAC++ parser suspend its fiber
+/// mid-token (§3.2, §4). The generic arm packs the pair into a tuple; the
+/// VM's `MatchToken` writes it into two slots. Never inlined: the match
+/// outweighs a call, and the VM's fast loop stays small for the
+/// instructions around it.
+#[inline(never)]
+pub fn match_token(re: &Value, it: &Value) -> RtResult<(i64, BytesIter)> {
+    let re = as_regexp(re)?;
+    let it = it.as_bytes_iter()?;
+    let bytes = it.bytes();
+    let (verdict, can_extend) = bytes.with_available(it.offset(), |slice| re.match_token(slice))?;
+    if can_extend && !bytes.is_frozen() {
+        return Err(RtError::would_block());
+    }
+    Ok(match verdict {
+        MatchVerdict::Match { pattern, len } => (pattern as i64, it.advance(len)),
+        MatchVerdict::NoMatch => (-1, it.clone()),
+    })
 }
 
 /// `iterator.deref`: the byte under the iterator, raising `WouldBlock` at

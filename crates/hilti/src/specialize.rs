@@ -28,13 +28,24 @@
 //!    fused instruction still writes the bool flag slot and the original
 //!    branch stays at its pc (it remains reachable through explicit jump
 //!    labels), so no liveness or CFG analysis is needed.
+//! 3. **Token fusion.** `t = regexp.match_token re it` followed by
+//!    `id = tuple.get t 0` and `end = tuple.get t 1` — what
+//!    `binpac::codegen` emits for every token match — becomes
+//!    `MatchToken` when `re` is a `regexp` slot, `it` and `end` are
+//!    `iterator<bytes>` slots and `id` is an `int<64>` slot. It writes
+//!    `id` and `end` without building the tuple and continues at pc+3, so
+//!    it needs two facts about the whole function: `t` is read nowhere
+//!    else (the fast loop never writes it), and no jump lands on pc+1 or
+//!    pc+2. The two reads stay there: when the VM observes, blocks or runs
+//!    low on fuel it runs the match alone into `t` and then those reads,
+//!    so trace, fuel and profile are the unfused sequence's.
 //!
 //! The pass states no semantics of its own. `IntArith::apply` /
-//! `IntCmp::apply` / `iter_incr_operands` / `iter_deref` in `crate::ops`
-//! are the one statement of each op: the generic `ops::eval` arm and the
-//! VM's typed step both call them. A new typed integer op is one row in
-//! the `int_ops!` table there, plus its `spec.*` bucket in
-//! `CInstr::stat_name`.
+//! `IntCmp::apply` / `iter_incr_operands` / `iter_deref` / `match_token`
+//! in `crate::ops` are the one statement of each op: the generic
+//! `ops::eval` arm and the VM's typed step both call them. A new typed
+//! integer op is one row in the `int_ops!` table there, plus its `spec.*`
+//! bucket in `CInstr::stat_name`.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
@@ -69,11 +80,13 @@ pub struct SpecStats {
     /// `iterator.incr` / `iterator.deref` replaced by `IterIncr` /
     /// `IterDeref`.
     pub iters: usize,
+    /// Token matches and their two tuple reads fused into `MatchToken`.
+    pub tokens: usize,
 }
 
 impl SpecStats {
     pub fn total(&self) -> usize {
-        self.arith + self.cmps + self.moves + self.branches + self.fused + self.iters
+        self.arith + self.cmps + self.moves + self.branches + self.fused + self.iters + self.tokens
     }
 }
 
@@ -203,6 +216,182 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
             else_pc,
         };
         stats.fused += 1;
+    }
+
+    // Phase 3: fuse token matches. `t = regexp.match_token re it` whose
+    // tuple the next two instructions unpack into typed slots becomes one
+    // `MatchToken` writing both slots. Only the match is replaced; it
+    // continues at pc+3, so the fusion needs `t` dead everywhere else and
+    // no jump landing on the two reads it skips — two facts about the
+    // whole function, gathered in one pass once it has a candidate.
+    let candidates: Vec<(usize, u16, CInstr)> = cf
+        .code
+        .windows(3)
+        .enumerate()
+        .filter_map(|(i, w)| token_window(w, &declared).map(|(t, fused)| (i, t, fused)))
+        .collect();
+    if candidates.is_empty() {
+        return;
+    }
+    let mut reads = vec![0u32; cf.slot_types.len()];
+    let mut landed = vec![false; cf.code.len()];
+    for instr in &cf.code {
+        for_each_read(instr, &mut |s| reads[s as usize] += 1);
+        for_each_target(instr, &mut |pc| {
+            if let Some(l) = landed.get_mut(pc as usize) {
+                *l = true;
+            }
+        });
+    }
+    for (i, t, fused) in candidates {
+        // The window's two reads are the only reads of `t`.
+        if reads[t as usize] == 2 && !landed[i + 1] && !landed[i + 2] {
+            cf.code[i] = fused;
+            stats.tokens += 1;
+        }
+    }
+}
+
+/// The `MatchToken` (and its tuple slot) for a window of three
+/// instructions holding a token match and the two typed reads of its
+/// tuple, if the slot types allow it.
+fn token_window<'a>(
+    w: &[CInstr],
+    declared: &impl Fn(u16) -> Option<&'a Type>,
+) -> Option<(u16, CInstr)> {
+    let [CInstr::Op {
+        opcode: Opcode::RegexpMatchToken,
+        target: Some(t),
+        args: matched,
+        ..
+    }, CInstr::Op {
+        opcode: Opcode::TupleGet,
+        target: Some(id),
+        args: get_id,
+        ..
+    }, CInstr::Op {
+        opcode: Opcode::TupleGet,
+        target: Some(end),
+        args: get_end,
+        ..
+    }] = w
+    else {
+        return None;
+    };
+    let (
+        [COperand::Slot(re), COperand::Slot(it)],
+        [COperand::Slot(t0), COperand::Value(Value::Int(0))],
+        [COperand::Slot(t1), COperand::Value(Value::Int(1))],
+    ) = (&**matched, &**get_id, &**get_end)
+    else {
+        return None;
+    };
+    let typed = matches!(declared(*re), Some(Type::Regexp))
+        && matches!(declared(*it), Some(Type::BytesIter))
+        && matches!(declared(*end), Some(Type::BytesIter))
+        && matches!(declared(*id), Some(Type::Int(64)));
+    (typed && t0 == t && t1 == t && t != id && t != end).then(|| {
+        let fused = CInstr::MatchToken {
+            re: *re,
+            it: *it,
+            t: *t,
+            id: *id,
+            end: *end,
+        };
+        (*t, fused)
+    })
+}
+
+/// Calls `f` with each frame slot `instr` reads, once per operand.
+fn for_each_read(instr: &CInstr, f: &mut impl FnMut(u16)) {
+    let mut op = |o: &COperand| {
+        if let COperand::Slot(s) = o {
+            f(*s)
+        }
+    };
+    match instr {
+        CInstr::Op { args, .. }
+        | CInstr::Call { args, .. }
+        | CInstr::CallHost { args, .. }
+        | CInstr::RunHook { args, .. }
+        | CInstr::New { args, .. } => args.iter().for_each(op),
+        CInstr::CallCallable { callable, args, .. } => {
+            op(callable);
+            args.iter().for_each(op);
+        }
+        CInstr::Branch { cond, .. } => op(cond),
+        CInstr::Return(v) => v.iter().for_each(op),
+        CInstr::GlobalStore { inner, .. } => for_each_read(inner, f),
+        CInstr::StructGet { obj, .. } => op(obj),
+        CInstr::StructSet { obj, value, .. } => {
+            op(obj);
+            op(value);
+        }
+        CInstr::ArithInt { a, b, .. }
+        | CInstr::CmpInt { a, b, .. }
+        | CInstr::BrIfInt { a, b, .. } => {
+            for src in [a, b] {
+                if let IntSrc::Slot(s) = src {
+                    f(*s)
+                }
+            }
+        }
+        CInstr::MoveSlot { src, .. } | CInstr::IterDeref { src, .. } => f(*src),
+        CInstr::IterIncr { src, n, .. } => {
+            f(*src);
+            if let IntSrc::Slot(s) = n {
+                f(*s)
+            }
+        }
+        CInstr::BrBool { cond, .. } => f(*cond),
+        CInstr::MatchToken { re, it, .. } => {
+            f(*re);
+            f(*it);
+        }
+        CInstr::LoadImm { .. }
+        | CInstr::Jump(_)
+        | CInstr::PushHandler { .. }
+        | CInstr::PopHandler
+        | CInstr::Yield => {}
+    }
+}
+
+/// Calls `f` with each pc `instr` can transfer control to other than by
+/// falling through: a jump, a branch arm or an exception handler.
+fn for_each_target(instr: &CInstr, f: &mut impl FnMut(u32)) {
+    match instr {
+        CInstr::Jump(pc) | CInstr::PushHandler { pc, .. } => f(*pc),
+        CInstr::Branch {
+            then_pc, else_pc, ..
+        }
+        | CInstr::BrBool {
+            then_pc, else_pc, ..
+        }
+        | CInstr::BrIfInt {
+            then_pc, else_pc, ..
+        } => {
+            f(*then_pc);
+            f(*else_pc);
+        }
+        CInstr::GlobalStore { inner, .. } => for_each_target(inner, f),
+        CInstr::Op { .. }
+        | CInstr::Call { .. }
+        | CInstr::CallHost { .. }
+        | CInstr::RunHook { .. }
+        | CInstr::CallCallable { .. }
+        | CInstr::New { .. }
+        | CInstr::Return(_)
+        | CInstr::PopHandler
+        | CInstr::Yield
+        | CInstr::ArithInt { .. }
+        | CInstr::CmpInt { .. }
+        | CInstr::MoveSlot { .. }
+        | CInstr::LoadImm { .. }
+        | CInstr::IterIncr { .. }
+        | CInstr::IterDeref { .. }
+        | CInstr::MatchToken { .. }
+        | CInstr::StructGet { .. }
+        | CInstr::StructSet { .. } => {}
     }
 }
 
@@ -423,29 +612,181 @@ int<64> f(ref<bytes> data, any loose, int<64> k) {
         let src = format!(
             "{LOOP}\nint<64> walk(ref<bytes> d, int<64> n) {{\n    local iterator<bytes> it\n    \
              local int<64> b\n    it = bytes.begin d\n    b = iterator.deref it\n    \
-             it = iterator.incr it n\n    it = iterator.incr it -2\n    return b\n}}\n"
+             it = iterator.incr it n\n    it = iterator.incr it -2\n    return b\n}}\n{}",
+            TOKENS.trim_start_matches("\nmodule M\n")
         );
         let m = parse_module(&src).unwrap();
         let linked = link_with_priorities(vec![m]).unwrap();
         let plain = crate::bytecode::compile(&linked).unwrap();
         let mut spec = plain.clone();
-        assert_eq!(specialize_program(&mut spec).iters, 3);
-        let pairs = ["M::sum", "M::walk"].into_iter().flat_map(|name| {
-            let pf = plain.func(name).unwrap();
-            let sf = spec.func(name).unwrap();
-            pf.code.iter().zip(sf.code.iter())
-        });
-        for (p, s) in pairs {
-            if matches!(s, CInstr::BrIfInt { .. }) {
-                // Fused: renders as "cmp ; branch"; the VM traces it as
-                // the two original lines.
-                let both = s.render();
-                let (cmp_part, br_part) = both.split_once(" ; ").unwrap();
-                assert_eq!(p.render(), cmp_part);
-                assert!(br_part.starts_with("if s"), "{br_part}");
-            } else {
-                assert_eq!(p.render(), s.render());
+        let stats = specialize_program(&mut spec);
+        assert_eq!((stats.iters, stats.tokens), (4, 2), "{stats:?}");
+        for name in ["M::sum", "M::walk", "M::token", "M::until"] {
+            let pf = &plain.func(name).unwrap().code;
+            let sf = &spec.func(name).unwrap().code;
+            for (pc, s) in sf.iter().enumerate() {
+                let text = s.render();
+                match s {
+                    CInstr::BrIfInt { .. } => {
+                        // Fused: renders as "cmp ; branch"; the VM traces
+                        // it as the two original lines.
+                        let (cmp_part, br_part) = text.split_once(" ; ").unwrap();
+                        assert_eq!(pf[pc].render(), cmp_part);
+                        assert!(br_part.starts_with("if s"), "{br_part}");
+                    }
+                    _ => assert_eq!(pf[pc].render(), text),
+                }
             }
+        }
+    }
+
+    /// The two shapes `binpac::codegen` emits for a token match: a token
+    /// field, and the terminator test of an until-token list loop, whose
+    /// back edge lands on the match itself.
+    const TOKENS: &str = r#"
+module M
+iterator<bytes> token(iterator<bytes> it) {
+    local regexp re
+    re = regexp.new /POST/ /[A-Z]+/
+    local any tr
+    local int<64> tid
+    local iterator<bytes> nit
+    tr = regexp.match_token re it
+    tid = tuple.get tr 0
+    nit = tuple.get tr 1
+    local bool ok
+    ok = int.geq tid 0
+    if.else ok tok_ok tok_fail
+tok_fail:
+    exception.throw Hilti::ValueError "token mismatch"
+tok_ok:
+    it = assign nit
+    return it
+}
+iterator<bytes> until(iterator<bytes> it) {
+    local regexp re
+    local any tr
+    local int<64> tid
+    local iterator<bytes> tend
+    local bool m
+    re = regexp.new /\r?\n/
+loop:
+    tr = regexp.match_token re it
+    tid = tuple.get tr 0
+    tend = tuple.get tr 1
+    m = int.geq tid 0
+    if.else m done item
+item:
+    it = iterator.incr it 1
+    jump loop
+done:
+    it = assign tend
+    return it
+}
+"#;
+
+    /// Lowers `src` without specializing it.
+    fn lowered(src: &str) -> CompiledProgram {
+        let m = parse_module(src).unwrap();
+        let linked = link_with_priorities(vec![m]).unwrap();
+        crate::bytecode::compile(&linked).unwrap()
+    }
+
+    fn match_tokens(f: &CFunc) -> Vec<(usize, &CInstr)> {
+        f.code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i, CInstr::MatchToken { .. }))
+            .collect()
+    }
+
+    #[test]
+    fn token_matches_fuse_in_codegen_shape() {
+        let (prog, stats) = specialized(TOKENS);
+        assert_eq!(stats.tokens, 2, "{stats:?}");
+        for name in ["M::token", "M::until"] {
+            let f = prog.func(name).unwrap();
+            let fused = match_tokens(f);
+            assert_eq!(fused.len(), 1, "{:#?}", f.code);
+            let (pc, &CInstr::MatchToken { re, it, t, id, end }) = fused[0] else {
+                unreachable!()
+            };
+            assert!(matches!(f.slot_types[re as usize], Type::Regexp));
+            assert!(matches!(f.slot_types[it as usize], Type::BytesIter));
+            assert!(matches!(f.slot_types[end as usize], Type::BytesIter));
+            assert!(matches!(f.slot_types[id as usize], Type::Int(64)));
+            // The skipped reads stay in place, unpacking `t`.
+            for (k, dst) in [(1, id), (2, end)] {
+                assert!(
+                    matches!(
+                        &f.code[pc + k],
+                        CInstr::Op { opcode: Opcode::TupleGet, target: Some(d), args, .. }
+                            if *d == dst && matches!(&args[0], COperand::Slot(s) if *s == t)
+                    ),
+                    "{:#?}",
+                    f.code
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn token_fusion_keeps_unsafe_windows_generic() {
+        let unfused = |prog: &CompiledProgram, stats: SpecStats, why: &str| {
+            assert_eq!(stats.tokens, 0, "{why}: {stats:?}");
+            let f = prog.func("M::token").unwrap();
+            assert!(match_tokens(f).is_empty(), "{why}: {:#?}", f.code);
+            assert!(
+                f.code.iter().any(|i| matches!(
+                    i,
+                    CInstr::Op {
+                        opcode: Opcode::RegexpMatchToken,
+                        ..
+                    }
+                )),
+                "{why}: {:#?}",
+                f.code
+            );
+        };
+        let token = TOKENS.split("iterator<bytes> until").next().unwrap();
+        // `t` read again after the window.
+        let reread = token.replace(
+            "    it = assign nit\n",
+            "    local int<64> n\n    n = tuple.length tr\n    it = assign nit\n",
+        );
+        let (prog, stats) = specialized(&reread);
+        unfused(&prog, stats, "t read after the window");
+        // `re` or `it` typed `any`.
+        let any_re = token.replace("local regexp re", "local any re");
+        let (prog, stats) = specialized(&any_re);
+        unfused(&prog, stats, "re any");
+        let any_it = token.replace("token(iterator<bytes> it)", "token(any it)");
+        let (prog, stats) = specialized(&any_it);
+        unfused(&prog, stats, "it any");
+        // A jump landing on either skipped read. Lowering never emits one
+        // into adjacent instructions (a label starts a block, entered by a
+        // jump), so the function's last instruction is redirected there.
+        for k in [1, 2] {
+            let mut prog = lowered(token);
+            let f = &mut prog.funcs[0];
+            let pc = f
+                .code
+                .iter()
+                .position(|i| {
+                    matches!(
+                        i,
+                        CInstr::Op {
+                            opcode: Opcode::RegexpMatchToken,
+                            ..
+                        }
+                    )
+                })
+                .unwrap();
+            let last = f.code.len() - 1;
+            assert!(matches!(f.code[last], CInstr::Return(_)), "{:#?}", f.code);
+            f.code[last] = CInstr::Jump((pc + k) as u32);
+            let stats = specialize_program(&mut prog);
+            unfused(&prog, stats, &format!("jump to pc+{k}"));
         }
     }
 }

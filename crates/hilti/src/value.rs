@@ -14,7 +14,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use hilti_rt::addr::{Addr, Network, Port};
 use hilti_rt::bytestring::{Bytes, BytesIter};
@@ -139,7 +138,7 @@ pub enum Value {
     Set(Rc<RefCell<SetVal>>),
     Map(Rc<RefCell<MapVal>>),
     Struct(Rc<RefCell<StructVal>>),
-    Regexp(Arc<Regex>),
+    Regexp(Rc<Regex>),
     Matcher(Rc<RefCell<Matcher>>),
     Channel(hilti_rt::channel::Channel<Portable>),
     Classifier(Rc<RefCell<Classifier<Value>>>),

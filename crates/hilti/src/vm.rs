@@ -27,6 +27,7 @@ use hilti_rt::telemetry::{EventSink, Telemetry};
 use hilti_rt::time::Time;
 
 use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntSrc};
+use crate::ir::Opcode;
 use crate::ops::{self, ExecCtx, ExpiringHandle};
 use crate::value::{CallableVal, StructLayout, Value};
 
@@ -584,6 +585,7 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         CInstr::ArithInt { .. } | CInstr::CmpInt { .. } | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
         CInstr::IterIncr { .. } | CInstr::IterDeref { .. } => "iterator",
+        CInstr::MatchToken { .. } => "regexp",
         CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
     }
 }
@@ -905,24 +907,29 @@ fn int_src(frame: &Frame, s: IntSrc) -> RtResult<i64> {
 /// Fuel parity with the tree-walking interpreter: one unit per IR body
 /// instruction plus one per block terminator. Lowering emits exactly one
 /// CInstr for each of those, so every instruction costs 1 — except the
-/// fused compare-and-branch, which covers a body instruction *and* a
-/// terminator. (The fast loop never charges an instruction that traps; the
-/// dispatch path charges a trapping `BrIfInt` its comparison alone.)
+/// fused ones: compare-and-branch covers a body instruction *and* a
+/// terminator, a token match three body instructions. (The fast loop never
+/// charges an instruction that traps or blocks; the dispatch path charges a
+/// trapping `BrIfInt` its comparison alone, and runs a `MatchToken` as the
+/// match alone, leaving its two reads to run as the generic instructions
+/// they still are.)
 #[inline(always)]
 fn fuel_cost(instr: &CInstr) -> u64 {
     match instr {
         CInstr::BrIfInt { .. } => 2,
+        CInstr::MatchToken { .. } => 3,
         _ => 1,
     }
 }
 
 /// Executes `instr` inline on `frame.slots` if it is a typed instruction
-/// (`ArithInt` … `IterDeref`, `Jump`): no operand clone, no `ops::eval`
+/// (`ArithInt` … `MatchToken`, `Jump`): no operand clone, no `ops::eval`
 /// round trip. `Ok(false)` means it is some other instruction. An `Err`
 /// (an operand of the wrong type, or an iterator at the end of its input —
 /// what `ops::eval` raises) leaves the frame untouched. Both the fast loop
 /// and the one-at-a-time path of [`run`] execute typed instructions
-/// through here, so a `WouldBlock` leaves the fast loop uncharged and
+/// through here (`MatchToken` excepted: that path runs the unfused match),
+/// so a `WouldBlock` leaves the fast loop uncharged and
 /// suspends on the path below.
 #[inline(always)]
 fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
@@ -985,10 +992,25 @@ fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
             frame.slots[*dst as usize] = Value::Int(v);
             frame.pc += 1;
         }
+        CInstr::MatchToken {
+            re, it, id, end, ..
+        } => match_token_into(frame, *re, *it, *id, *end)?,
         CInstr::Jump(pc) => frame.pc = *pc,
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// The fast loop's `MatchToken`: writes the token id and the iterator
+/// after it, and skips the two reads it fused. Out of line, so the inlined
+/// [`step_typed`] stays small for the loops that never match a token.
+#[inline(never)]
+fn match_token_into(frame: &mut Frame, re: u16, it: u16, id: u16, end: u16) -> RtResult<()> {
+    let (tid, e) = ops::match_token(&frame.slots[re as usize], &frame.slots[it as usize])?;
+    frame.slots[id as usize] = Value::Int(tid);
+    frame.slots[end as usize] = Value::BytesIter(e);
+    frame.pc += 3;
+    Ok(())
 }
 
 /// Runs `func` on a frame stack of its own, its parameters copied from
@@ -1360,6 +1382,14 @@ fn dispatch(
                 if let Err(e) = step_typed(frame, instr) {
                     raise!(e);
                 }
+            }
+            // The match alone, as `ops::eval` runs it, into its tuple slot;
+            // the two `tuple.get`s after it then run (and trace, charge,
+            // profile) generically.
+            CInstr::MatchToken { re, it, t, .. } => {
+                let args = [&frame.slots[*re as usize], &frame.slots[*it as usize]];
+                let result = ops::eval(Opcode::RegexpMatchToken, &args, &[], &mut ctx.env);
+                complete!(Some(*t), result);
             }
             CInstr::Branch {
                 cond,

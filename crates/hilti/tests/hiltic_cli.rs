@@ -445,6 +445,23 @@ fn bytes_walk_example_runs_iterators_typed() {
     assert_trace_ignores_specializer(&f);
 }
 
+/// `examples/hlt/tokens.hlt` runs every token match fused — over a frozen
+/// input to its end and over an open one until a match blocks — and the
+/// specializer changes nothing in its trace, optimized or not.
+#[test]
+fn tokens_example_runs_fused() {
+    let f = example("tokens.hlt");
+    assert_eq!(stats_buckets(&f, "spec.regexp."), ["spec.regexp.token"]);
+    let out = hiltic().args(["run", &f]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "0 3\n2 4\n1 15\n2 16\n1 24\n3 26\n1 31\n2 32\n1 43\n3 45\n3 47\n11\n\
+         0 4\n2 5\n1 10\n2 11\n1 19\n3 21\ninsufficient input\n"
+    );
+    assert_trace_ignores_specializer(&f);
+}
+
 #[test]
 fn removed_tiering_flag_is_rejected_as_unknown() {
     let f = write_temp("tiering.hlt", FIB);
