@@ -24,7 +24,7 @@ use hilti_rt::trace::{self, SharedRecorder, Stage};
 use netpkt::events::{ConnId, DnsAnswer, Event};
 
 use crate::grammar::{Field, FieldKind, Grammar, Repeat, Unit};
-use crate::parser::{BinpacParser, ParserIr};
+use crate::parser::{slot, BinpacParser, ParserIr};
 
 /// Raw HILTI: compressed-name decoding plus the address overlays used for
 /// A/AAAA rdata rendering.
@@ -355,21 +355,6 @@ pub struct BinpacDns {
     deadline_ms: Option<u64>,
     /// Flight recorder for parse and glue spans, as in `BinpacHttp`.
     rec: Option<SharedRecorder>,
-}
-
-fn slot(v: &Value, idx: usize) -> RtResult<Value> {
-    match v {
-        Value::Struct(s) => s
-            .borrow()
-            .fields
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| RtError::index("missing struct slot")),
-        other => Err(RtError::type_error(format!(
-            "expected unit struct, got {}",
-            other.type_name()
-        ))),
-    }
 }
 
 fn slot_int(v: &Value, idx: usize) -> RtResult<i64> {

@@ -30,7 +30,7 @@ use hilti_rt::trace::{self, SharedRecorder, Stage};
 use netpkt::events::{ConnId, Event};
 
 use crate::grammar::{Field, FieldKind, Grammar, Repeat, Unit};
-use crate::parser::{BinpacParser, ParserIr, Session};
+use crate::parser::{slot, BinpacParser, ParserIr, Session};
 
 /// Builds the HTTP grammar (`http.pac2`).
 pub fn http_grammar() -> Grammar {
@@ -372,22 +372,6 @@ pub struct BinpacHttp {
     /// Flight recorder for parse and glue spans (labelled with its current
     /// delivery); `None` unless the host pipeline traces.
     rec: Option<SharedRecorder>,
-}
-
-/// Reads field `idx` from a unit struct value.
-fn slot(v: &Value, idx: usize) -> RtResult<Value> {
-    match v {
-        Value::Struct(s) => s
-            .borrow()
-            .fields
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| RtError::index("missing struct slot")),
-        other => Err(RtError::type_error(format!(
-            "expected unit struct, got {}",
-            other.type_name()
-        ))),
-    }
 }
 
 fn slot_text(v: &Value, idx: usize) -> RtResult<String> {

@@ -255,9 +255,9 @@ pub fn field_text(program: &Program, value: &Value, name: &str) -> RtResult<Stri
     Ok(field_of(program, value, name)?.render())
 }
 
-/// Positional slot access on a unit struct (for hooks that know the
-/// grammar's fixed layout).
-pub fn field_text_from(value: &Value, idx: usize) -> RtResult<String> {
+/// Positional slot access on a unit struct, for hooks that know the
+/// grammar's fixed layout.
+pub(crate) fn slot(value: &Value, idx: usize) -> RtResult<Value> {
     let Value::Struct(s) = value else {
         return Err(RtError::type_error(format!(
             "expected unit struct, got {}",
@@ -267,8 +267,13 @@ pub fn field_text_from(value: &Value, idx: usize) -> RtResult<String> {
     let s = s.borrow();
     s.fields
         .get(idx)
-        .map(Value::render)
+        .cloned()
         .ok_or_else(|| RtError::index(format!("unit {} has no slot {idx}", s.type_name)))
+}
+
+/// A unit slot by position, rendered as text (bytes → lossy UTF-8).
+pub fn field_text_from(value: &Value, idx: usize) -> RtResult<String> {
+    Ok(slot(value, idx)?.render())
 }
 
 /// One in-flight stream parse.

@@ -4,9 +4,9 @@
 //! (§2): before anything executes, the checker verifies structural
 //! well-formedness — labels resolve, variables are declared, call targets
 //! exist, identifier operands appear where the instruction set expects
-//! them — and performs local type checking where operand types are
-//! statically known. Diagnostics carry the function and block they were
-//! found in.
+//! them — and checks operand and target types against the opcode's row
+//! signature ([`Opcode::signature`]) where they are statically known.
+//! Diagnostics carry the function and block they were found in.
 
 use std::collections::{HashMap, HashSet};
 
@@ -92,13 +92,7 @@ fn check_function(
 
     // Static types of every variable whose declaration pins one down
     // (parameters, typed locals, globals). `any` stays unchecked.
-    let mut var_types: HashMap<&str, Type> = HashMap::new();
-    for (n, t) in func.params.iter().chain(func.locals.iter()) {
-        var_types.insert(n.as_str(), t.clone());
-    }
-    for (n, t, _) in &linked.globals {
-        var_types.entry(n.as_str()).or_insert_with(|| t.clone());
-    }
+    let var_types = func.var_types(&linked.globals);
 
     for block in &func.blocks {
         for instr in &block.instrs {
@@ -278,127 +272,20 @@ fn check_instr_shape(
     Ok(())
 }
 
-/// The statically known type of an operand, if any.
-fn operand_type(op: &Operand, var_types: &HashMap<&str, Type>) -> Option<Type> {
-    match op {
-        Operand::Var(v) => {
-            let t = var_types.get(v.as_str())?.strip_ref().clone();
-            if t == Type::Any {
-                None
-            } else {
-                Some(t)
-            }
-        }
-        Operand::Const(c) => Some(match c {
-            Const::Bool(_) => Type::Bool,
-            Const::Int(_) => Type::Int(64),
-            Const::Double(_) => Type::Double,
-            Const::Str(_) => Type::String,
-            Const::BytesLit(_) => Type::Bytes,
-            Const::Addr(_) => Type::Addr,
-            Const::Net(_) => Type::Net,
-            Const::Port(_) => Type::Port,
-            Const::Time(_) => Type::Time,
-            Const::Interval(_) => Type::Interval,
-            Const::Patterns(_) => Type::Regexp,
-            _ => return None,
-        }),
-    }
-}
-
-/// Expected value-operand types and result type per opcode, for the
-/// statically checkable subset. `Any` slots are unchecked; opcodes absent
-/// from this table are checked structurally only.
-fn signature(op: Opcode) -> Option<(&'static [Type], Type)> {
-    use Opcode::*;
-    const I: Type = Type::Int(64);
-    const B: Type = Type::Bool;
-    const D: Type = Type::Double;
-    const S: Type = Type::String;
-    const BY: Type = Type::Bytes;
-    const IT: Type = Type::BytesIter;
-    const A: Type = Type::Any;
-    Some(match op {
-        IntAdd | IntSub | IntMul | IntDiv | IntMod | IntMin | IntMax | IntAnd | IntOr | IntXor
-        | IntShl | IntShr => (&[I, I], I),
-        IntNeg | IntAbs => (&[I], I),
-        IntEq | IntLt | IntGt | IntLeq | IntGeq => (&[I, I], B),
-        IntToDouble => (&[I], D),
-        IntToString => (&[I], S),
-        BoolAnd | BoolOr | BoolXor => (&[B, B], B),
-        BoolNot => (&[B], B),
-        DoubleAdd | DoubleSub | DoubleMul | DoubleDiv => (&[D, D], D),
-        DoubleLt | DoubleGt | DoubleLeq | DoubleGeq => (&[D, D], B),
-        DoubleAbs => (&[D], D),
-        DoubleToInt => (&[D], I),
-        StringConcat => (&[S, S], S),
-        StringLength => (&[S], I),
-        StringFind => (&[S, S], I),
-        StringSubstr => (&[S, I, I], S),
-        StringToBytes => (&[S], BY),
-        StringToInt => (&[S], I),
-        StringUpper | StringLower => (&[S], S),
-        StringStartsWith => (&[S, S], B),
-        BytesLength => (&[BY], I),
-        BytesToString => (&[BY], S),
-        BytesToInt => (&[BY, I], I),
-        BytesBegin | BytesEnd => (&[BY], IT),
-        BytesAt => (&[BY, I], IT),
-        BytesSub => (&[IT, IT], BY),
-        BytesTrim => (&[BY, IT], Type::Void),
-        IterIncr => (&[IT, I], IT),
-        IterDeref => (&[IT], I),
-        IterOffset => (&[IT], I),
-        IterDiff => (&[IT, IT], I),
-        IterAtFrozenEnd | IterWouldBlock => (&[IT], B),
-        AddrFamily => (&[Type::Addr], I),
-        AddrMask => (&[Type::Addr, I], Type::Addr),
-        NetContains => (&[Type::Net, Type::Addr], B),
-        NetFamily | NetLength => (&[Type::Net], I),
-        NetPrefix => (&[Type::Net], Type::Addr),
-        PortNumber => (&[Type::Port], I),
-        PortProtocol => (&[Type::Port], S),
-        TimeAdd => (&[Type::Time, Type::Interval], Type::Time),
-        TimeSubTime => (&[Type::Time, Type::Time], Type::Interval),
-        TimeSubInterval => (&[Type::Time, Type::Interval], Type::Time),
-        TimeLt | TimeGt => (&[Type::Time, Type::Time], B),
-        TimeToDouble => (&[Type::Time], D),
-        TimeFromDouble => (&[D], Type::Time),
-        TimeNsecs => (&[Type::Time], I),
-        IntervalAdd | IntervalSub => (&[Type::Interval, Type::Interval], Type::Interval),
-        IntervalLt | IntervalGt => (&[Type::Interval, Type::Interval], B),
-        IntervalToDouble => (&[Type::Interval], D),
-        IntervalFromDouble => (&[D], Type::Interval),
-        IntervalNsecs => (&[Type::Interval], I),
-        Equal | Unequal => (&[A, A], B),
-        RegexpMatchPrefix => (&[Type::Regexp, BY], I),
-        _ => return None,
-    })
-}
-
-/// Local type checking where operand types are statically pinned down.
+/// Local type checking against the opcode's row signature
+/// ([`Opcode::signature`]), where operand types are statically pinned
+/// down: a constant, or a variable declared with a type other than `any`.
+/// Opcodes without a signature are checked structurally only.
 fn check_instr_types(
     func: &Function,
     block: &str,
     instr: &crate::ir::Instr,
     var_types: &HashMap<&str, Type>,
 ) -> RtResult<()> {
-    let Some((params, result)) = signature(instr.opcode) else {
+    let Some((params, result)) = instr.opcode.signature() else {
         return Ok(());
     };
-    // Value operands only (idents/labels/types are structural).
-    let values: Vec<&Operand> = instr
-        .args
-        .iter()
-        .filter(|a| {
-            !matches!(
-                a,
-                Operand::Const(Const::Ident(_))
-                    | Operand::Const(Const::Label(_))
-                    | Operand::Const(Const::TypeRef(_))
-            )
-        })
-        .collect();
+    let values: Vec<&Operand> = instr.value_operands().collect();
     if values.len() != params.len() {
         return Err(err(
             func,
@@ -415,7 +302,7 @@ fn check_instr_types(
         if *want == Type::Any {
             continue;
         }
-        if let Some(have) = operand_type(op, var_types) {
+        if let Some(have) = op.static_type(var_types) {
             if !have.compatible(want) {
                 return Err(err(
                     func,

@@ -11,6 +11,27 @@
 //! The representation is deliberately simple — "we deliberately limit
 //! syntactic flexibility to better support compiler transformations because
 //! HILTI mainly acts as compiler *target*".
+//!
+//! Each row of the `opcodes!` table is the only statement of an opcode's
+//! static facts:
+//!
+//! ```text
+//! IntDiv = "int.div" [Traps fold] (Int, Int) -> Int,
+//! StructGet = "struct.get" [Effect] ids[1],
+//! ```
+//!
+//! - the variant and its mnemonic;
+//! - its [`OpClass`] variant (`Total`, `Typed`, `Traps` or `Effect`), then
+//!   `fold` if the constant folder evaluates it;
+//! - optionally its value-operand and result types, which the checker
+//!   enforces where operand types are static (`Int` is `int<64>`, any
+//!   other name a [`Type`] variant);
+//! - optionally `ids[..]`, the operand positions the parser reads as
+//!   identifiers rather than variables.
+//!
+//! [`Opcode::class`], [`Opcode::folds`], [`Opcode::signature`] and
+//! [`Opcode::ident_positions`] are generated from the rows; a test in this
+//! module runs every pure row through `ops::eval` to keep its class honest.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -59,6 +80,36 @@ pub enum Operand {
 }
 
 impl Operand {
+    /// The statically known type: a constant's own, or a variable's
+    /// declared type in `var_types`. `None` for `any` and for constants
+    /// that are not values.
+    pub fn static_type(&self, var_types: &HashMap<&str, Type>) -> Option<Type> {
+        match self {
+            Operand::Var(v) => {
+                let t = var_types.get(v.as_str())?.strip_ref().clone();
+                if t == Type::Any {
+                    None
+                } else {
+                    Some(t)
+                }
+            }
+            Operand::Const(c) => Some(match c {
+                Const::Bool(_) => Type::Bool,
+                Const::Int(_) => Type::Int(64),
+                Const::Double(_) => Type::Double,
+                Const::Str(_) => Type::String,
+                Const::BytesLit(_) => Type::Bytes,
+                Const::Addr(_) => Type::Addr,
+                Const::Net(_) => Type::Net,
+                Const::Port(_) => Type::Port,
+                Const::Time(_) => Type::Time,
+                Const::Interval(_) => Type::Interval,
+                Const::Patterns(_) => Type::Regexp,
+                _ => return None,
+            }),
+        }
+    }
+
     pub fn int(v: i64) -> Operand {
         Operand::Const(Const::Int(v))
     }
@@ -88,8 +139,51 @@ impl Operand {
     }
 }
 
+/// What executing an opcode can do besides producing its result.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OpClass {
+    /// Never raises.
+    Total,
+    /// Raises only when an operand is outside the opcode's signature.
+    Typed,
+    /// Can raise on operands inside its signature (`int.div x 0`). A row
+    /// without a signature takes any operand, so it is this or `Total`.
+    Traps,
+    /// Reads or writes state beyond its operands: not pure.
+    Effect,
+}
+
+macro_rules! row_fold {
+    () => {
+        false
+    };
+    (fold) => {
+        true
+    };
+}
+
+macro_rules! row_type {
+    (Int) => {
+        Type::Int(64)
+    };
+    ($t:ident) => {
+        Type::$t
+    };
+}
+
+macro_rules! row_signature {
+    () => (None);
+    (($($param:ident),*) -> $result:ident) => {
+        Some((&[$(row_type!($param)),*], row_type!($result)))
+    };
+}
+
 macro_rules! opcodes {
-    ($( $group:literal => { $( $variant:ident = $mnemonic:literal [pure=$pure:tt] ),* $(,)? } ),* $(,)?) => {
+    ($( $group:literal => { $(
+        $variant:ident = $mnemonic:literal [$class:ident $($fold:ident)?]
+        $( ($($param:ident),*) -> $result:ident )?
+        $( ids[$($id:literal),*] )?
+    ),* $(,)? } ),* $(,)?) => {
         /// Every instruction mnemonic of the machine.
         #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
         pub enum Opcode {
@@ -112,12 +206,41 @@ macro_rules! opcodes {
                 }
             }
 
+            /// The opcode's effect class.
+            pub fn class(&self) -> OpClass {
+                match self {
+                    $( $( Opcode::$variant => OpClass::$class, )* )*
+                }
+            }
+
             /// True for side-effect-free instructions whose result depends
             /// only on their operands — the candidates for constant
             /// folding, CSE, and dead-code elimination.
             pub fn is_pure(&self) -> bool {
+                self.class() != OpClass::Effect
+            }
+
+            /// True for the opcodes constant folding evaluates when every
+            /// operand is a constant. Each takes one or two operands.
+            pub fn folds(&self) -> bool {
                 match self {
-                    $( $( Opcode::$variant => $pure, )* )*
+                    $( $( Opcode::$variant => row_fold!($($fold)?), )* )*
+                }
+            }
+
+            /// Value-operand types and result type, for the statically
+            /// checkable opcodes. `any` operands are unchecked.
+            pub fn signature(&self) -> Option<(&'static [Type], Type)> {
+                match self {
+                    $( $( Opcode::$variant => row_signature!($( ($($param),*) -> $result )?), )* )*
+                }
+            }
+
+            /// Positions of the operands that name something (a function,
+            /// field, type, span) rather than hold a value.
+            pub fn ident_positions(&self) -> &'static [usize] {
+                match self {
+                    $( $( Opcode::$variant => &[$($($id),*)?], )* )*
                 }
             }
 
@@ -138,270 +261,270 @@ macro_rules! opcodes {
 
 opcodes! {
     "Flow control" => {
-        Assign = "assign" [pure=true],
-        Call = "call" [pure=false],
-        CallC = "call.c" [pure=false],
-        CallVoid = "call.void" [pure=false],
-        Yield = "yield" [pure=false],
-        New = "new" [pure=false],
-        DeepCopy = "deepcopy" [pure=false],
-        Equal = "equal" [pure=true],
-        Unequal = "unequal" [pure=true],
-        Select = "select" [pure=true],
+        Assign = "assign" [Total],
+        Call = "call" [Effect] ids[0],
+        CallC = "call.c" [Effect] ids[0],
+        CallVoid = "call.void" [Effect] ids[0],
+        Yield = "yield" [Effect],
+        New = "new" [Effect],
+        DeepCopy = "deepcopy" [Effect],
+        Equal = "equal" [Total fold] (Any, Any) -> Bool,
+        Unequal = "unequal" [Total fold] (Any, Any) -> Bool,
+        Select = "select" [Traps],
     },
     "Integers" => {
-        IntAdd = "int.add" [pure=true],
-        IntSub = "int.sub" [pure=true],
-        IntMul = "int.mul" [pure=true],
-        IntDiv = "int.div" [pure=true],
-        IntMod = "int.mod" [pure=true],
-        IntNeg = "int.neg" [pure=true],
-        IntAbs = "int.abs" [pure=true],
-        IntMin = "int.min" [pure=true],
-        IntMax = "int.max" [pure=true],
-        IntEq = "int.eq" [pure=true],
-        IntLt = "int.lt" [pure=true],
-        IntGt = "int.gt" [pure=true],
-        IntLeq = "int.leq" [pure=true],
-        IntGeq = "int.geq" [pure=true],
-        IntAnd = "int.and" [pure=true],
-        IntOr = "int.or" [pure=true],
-        IntXor = "int.xor" [pure=true],
-        IntShl = "int.shl" [pure=true],
-        IntShr = "int.shr" [pure=true],
-        IntToDouble = "int.to_double" [pure=true],
-        IntToString = "int.to_string" [pure=true],
-        IntFromBytes = "int.from_bytes" [pure=true],
+        IntAdd = "int.add" [Typed fold] (Int, Int) -> Int,
+        IntSub = "int.sub" [Typed fold] (Int, Int) -> Int,
+        IntMul = "int.mul" [Typed fold] (Int, Int) -> Int,
+        IntDiv = "int.div" [Traps fold] (Int, Int) -> Int,
+        IntMod = "int.mod" [Traps fold] (Int, Int) -> Int,
+        IntNeg = "int.neg" [Typed fold] (Int) -> Int,
+        IntAbs = "int.abs" [Typed] (Int) -> Int,
+        IntMin = "int.min" [Typed] (Int, Int) -> Int,
+        IntMax = "int.max" [Typed] (Int, Int) -> Int,
+        IntEq = "int.eq" [Typed fold] (Int, Int) -> Bool,
+        IntLt = "int.lt" [Typed fold] (Int, Int) -> Bool,
+        IntGt = "int.gt" [Typed fold] (Int, Int) -> Bool,
+        IntLeq = "int.leq" [Typed fold] (Int, Int) -> Bool,
+        IntGeq = "int.geq" [Typed fold] (Int, Int) -> Bool,
+        IntAnd = "int.and" [Typed fold] (Int, Int) -> Int,
+        IntOr = "int.or" [Typed fold] (Int, Int) -> Int,
+        IntXor = "int.xor" [Typed fold] (Int, Int) -> Int,
+        IntShl = "int.shl" [Typed fold] (Int, Int) -> Int,
+        IntShr = "int.shr" [Typed fold] (Int, Int) -> Int,
+        IntToDouble = "int.to_double" [Typed fold] (Int) -> Double,
+        IntToString = "int.to_string" [Typed] (Int) -> String,
+        IntFromBytes = "int.from_bytes" [Traps],
     },
     "Booleans" => {
-        BoolAnd = "bool.and" [pure=true],
-        BoolOr = "bool.or" [pure=true],
-        BoolNot = "bool.not" [pure=true],
-        BoolXor = "bool.xor" [pure=true],
+        BoolAnd = "bool.and" [Typed fold] (Bool, Bool) -> Bool,
+        BoolOr = "bool.or" [Typed fold] (Bool, Bool) -> Bool,
+        BoolNot = "bool.not" [Typed fold] (Bool) -> Bool,
+        BoolXor = "bool.xor" [Typed fold] (Bool, Bool) -> Bool,
     },
     "Bitsets" => {
-        BitsetSet = "bitset.set" [pure=true],
-        BitsetClear = "bitset.clear" [pure=true],
-        BitsetHas = "bitset.has" [pure=true],
+        BitsetSet = "bitset.set" [Traps],
+        BitsetClear = "bitset.clear" [Traps],
+        BitsetHas = "bitset.has" [Traps],
     },
     "Doubles" => {
-        DoubleAdd = "double.add" [pure=true],
-        DoubleSub = "double.sub" [pure=true],
-        DoubleMul = "double.mul" [pure=true],
-        DoubleDiv = "double.div" [pure=true],
-        DoubleLt = "double.lt" [pure=true],
-        DoubleGt = "double.gt" [pure=true],
-        DoubleLeq = "double.leq" [pure=true],
-        DoubleGeq = "double.geq" [pure=true],
-        DoubleAbs = "double.abs" [pure=true],
-        DoubleToInt = "double.to_int" [pure=true],
+        DoubleAdd = "double.add" [Typed] (Double, Double) -> Double,
+        DoubleSub = "double.sub" [Typed] (Double, Double) -> Double,
+        DoubleMul = "double.mul" [Typed] (Double, Double) -> Double,
+        DoubleDiv = "double.div" [Traps] (Double, Double) -> Double,
+        DoubleLt = "double.lt" [Typed] (Double, Double) -> Bool,
+        DoubleGt = "double.gt" [Typed] (Double, Double) -> Bool,
+        DoubleLeq = "double.leq" [Typed] (Double, Double) -> Bool,
+        DoubleGeq = "double.geq" [Typed] (Double, Double) -> Bool,
+        DoubleAbs = "double.abs" [Typed] (Double) -> Double,
+        DoubleToInt = "double.to_int" [Typed fold] (Double) -> Int,
     },
     "Strings" => {
-        StringConcat = "string.concat" [pure=true],
-        StringLength = "string.length" [pure=true],
-        StringFind = "string.find" [pure=true],
-        StringSubstr = "string.substr" [pure=true],
-        StringToBytes = "string.to_bytes" [pure=true],
-        StringToInt = "string.to_int" [pure=true],
-        StringUpper = "string.upper" [pure=true],
-        StringLower = "string.lower" [pure=true],
-        StringStartsWith = "string.starts_with" [pure=true],
-        StringFmt = "string.fmt" [pure=true],
-        StringRender = "string.render" [pure=true],
+        StringConcat = "string.concat" [Typed fold] (String, String) -> String,
+        StringLength = "string.length" [Typed fold] (String) -> Int,
+        StringFind = "string.find" [Typed] (String, String) -> Int,
+        StringSubstr = "string.substr" [Typed] (String, Int, Int) -> String,
+        StringToBytes = "string.to_bytes" [Typed] (String) -> Bytes,
+        StringToInt = "string.to_int" [Traps] (String) -> Int,
+        StringUpper = "string.upper" [Typed] (String) -> String,
+        StringLower = "string.lower" [Typed] (String) -> String,
+        StringStartsWith = "string.starts_with" [Typed] (String, String) -> Bool,
+        StringFmt = "string.fmt" [Traps],
+        StringRender = "string.render" [Total],
     },
     "Raw data" => {
-        BytesAppend = "bytes.append" [pure=false],
-        BytesFreeze = "bytes.freeze" [pure=false],
-        BytesUnfreeze = "bytes.unfreeze" [pure=false],
-        BytesIsFrozen = "bytes.is_frozen" [pure=false],
-        BytesLength = "bytes.length" [pure=false],
-        BytesSub = "bytes.sub" [pure=false],
-        BytesFind = "bytes.find" [pure=false],
-        BytesTrim = "bytes.trim" [pure=false],
-        BytesToString = "bytes.to_string" [pure=false],
-        BytesToInt = "bytes.to_int" [pure=false],
-        BytesBegin = "bytes.begin" [pure=false],
-        BytesEnd = "bytes.end" [pure=false],
-        BytesAt = "bytes.at" [pure=false],
-        BytesStartsWith = "bytes.starts_with" [pure=false],
-        BytesCopy = "bytes.copy" [pure=false],
-        BytesEod = "bytes.eod" [pure=false],
+        BytesAppend = "bytes.append" [Effect],
+        BytesFreeze = "bytes.freeze" [Effect],
+        BytesUnfreeze = "bytes.unfreeze" [Effect],
+        BytesIsFrozen = "bytes.is_frozen" [Effect],
+        BytesLength = "bytes.length" [Effect] (Bytes) -> Int,
+        BytesSub = "bytes.sub" [Effect] (BytesIter, BytesIter) -> Bytes,
+        BytesFind = "bytes.find" [Effect],
+        BytesTrim = "bytes.trim" [Effect] (Bytes, BytesIter) -> Void,
+        BytesToString = "bytes.to_string" [Effect] (Bytes) -> String,
+        BytesToInt = "bytes.to_int" [Effect] (Bytes, Int) -> Int,
+        BytesBegin = "bytes.begin" [Effect] (Bytes) -> BytesIter,
+        BytesEnd = "bytes.end" [Effect] (Bytes) -> BytesIter,
+        BytesAt = "bytes.at" [Effect] (Bytes, Int) -> BytesIter,
+        BytesStartsWith = "bytes.starts_with" [Effect],
+        BytesCopy = "bytes.copy" [Effect],
+        BytesEod = "bytes.eod" [Effect],
     },
     "Bytes iterators" => {
-        IterIncr = "iterator.incr" [pure=true],
-        IterDeref = "iterator.deref" [pure=false],
-        IterOffset = "iterator.offset" [pure=true],
-        IterDiff = "iterator.diff" [pure=true],
-        IterAtFrozenEnd = "iterator.at_frozen_end" [pure=false],
-        IterWouldBlock = "iterator.would_block" [pure=false],
+        IterIncr = "iterator.incr" [Typed] (BytesIter, Int) -> BytesIter,
+        IterDeref = "iterator.deref" [Effect] (BytesIter) -> Int,
+        IterOffset = "iterator.offset" [Typed] (BytesIter) -> Int,
+        IterDiff = "iterator.diff" [Traps] (BytesIter, BytesIter) -> Int,
+        IterAtFrozenEnd = "iterator.at_frozen_end" [Effect] (BytesIter) -> Bool,
+        IterWouldBlock = "iterator.would_block" [Effect] (BytesIter) -> Bool,
     },
     "IP addresses" => {
-        AddrFamily = "addr.family" [pure=true],
-        AddrMask = "addr.mask" [pure=true],
+        AddrFamily = "addr.family" [Typed] (Addr) -> Int,
+        AddrMask = "addr.mask" [Typed] (Addr, Int) -> Addr,
     },
     "CIDR masks" => {
-        NetContains = "network.contains" [pure=true],
-        NetFamily = "network.family" [pure=true],
-        NetPrefix = "network.prefix" [pure=true],
-        NetLength = "network.length" [pure=true],
+        NetContains = "network.contains" [Typed] (Net, Addr) -> Bool,
+        NetFamily = "network.family" [Typed] (Net) -> Int,
+        NetPrefix = "network.prefix" [Typed] (Net) -> Addr,
+        NetLength = "network.length" [Typed] (Net) -> Int,
     },
     "Ports" => {
-        PortProtocol = "port.protocol" [pure=true],
-        PortNumber = "port.number" [pure=true],
+        PortProtocol = "port.protocol" [Typed] (Port) -> String,
+        PortNumber = "port.number" [Typed] (Port) -> Int,
     },
     "Times" => {
-        TimeAdd = "time.add" [pure=true],
-        TimeSubTime = "time.sub_time" [pure=true],
-        TimeSubInterval = "time.sub_interval" [pure=true],
-        TimeLt = "time.lt" [pure=true],
-        TimeGt = "time.gt" [pure=true],
-        TimeFromDouble = "time.from_double" [pure=true],
-        TimeToDouble = "time.to_double" [pure=true],
-        TimeNsecs = "time.nsecs" [pure=true],
+        TimeAdd = "time.add" [Typed] (Time, Interval) -> Time,
+        TimeSubTime = "time.sub_time" [Typed] (Time, Time) -> Interval,
+        TimeSubInterval = "time.sub_interval" [Typed] (Time, Interval) -> Time,
+        TimeLt = "time.lt" [Typed] (Time, Time) -> Bool,
+        TimeGt = "time.gt" [Typed] (Time, Time) -> Bool,
+        TimeFromDouble = "time.from_double" [Typed] (Double) -> Time,
+        TimeToDouble = "time.to_double" [Typed] (Time) -> Double,
+        TimeNsecs = "time.nsecs" [Typed] (Time) -> Int,
     },
     "Time intervals" => {
-        IntervalAdd = "interval.add" [pure=true],
-        IntervalSub = "interval.sub" [pure=true],
-        IntervalLt = "interval.lt" [pure=true],
-        IntervalGt = "interval.gt" [pure=true],
-        IntervalFromDouble = "interval.from_double" [pure=true],
-        IntervalToDouble = "interval.to_double" [pure=true],
-        IntervalNsecs = "interval.nsecs" [pure=true],
+        IntervalAdd = "interval.add" [Typed] (Interval, Interval) -> Interval,
+        IntervalSub = "interval.sub" [Typed] (Interval, Interval) -> Interval,
+        IntervalLt = "interval.lt" [Typed] (Interval, Interval) -> Bool,
+        IntervalGt = "interval.gt" [Typed] (Interval, Interval) -> Bool,
+        IntervalFromDouble = "interval.from_double" [Typed] (Double) -> Interval,
+        IntervalToDouble = "interval.to_double" [Typed] (Interval) -> Double,
+        IntervalNsecs = "interval.nsecs" [Typed] (Interval) -> Int,
     },
     "Enumerations" => {
-        EnumFromInt = "enum.from_int" [pure=true],
-        EnumToInt = "enum.to_int" [pure=true],
+        EnumFromInt = "enum.from_int" [Traps] ids[1],
+        EnumToInt = "enum.to_int" [Traps],
     },
     "Tuples" => {
-        TupleGet = "tuple.get" [pure=true],
-        TupleLength = "tuple.length" [pure=true],
-        TuplePack = "tuple.pack" [pure=true],
+        TupleGet = "tuple.get" [Traps],
+        TupleLength = "tuple.length" [Traps],
+        TuplePack = "tuple.pack" [Total],
     },
     "Lists" => {
-        ListPushBack = "list.push_back" [pure=false],
-        ListPushFront = "list.push_front" [pure=false],
-        ListPopFront = "list.pop_front" [pure=false],
-        ListPopBack = "list.pop_back" [pure=false],
-        ListFront = "list.front" [pure=false],
-        ListBack = "list.back" [pure=false],
-        ListLength = "list.length" [pure=false],
-        ListAppend = "list.append" [pure=false],
-        ListClear = "list.clear" [pure=false],
+        ListPushBack = "list.push_back" [Effect],
+        ListPushFront = "list.push_front" [Effect],
+        ListPopFront = "list.pop_front" [Effect],
+        ListPopBack = "list.pop_back" [Effect],
+        ListFront = "list.front" [Effect],
+        ListBack = "list.back" [Effect],
+        ListLength = "list.length" [Effect],
+        ListAppend = "list.append" [Effect],
+        ListClear = "list.clear" [Effect],
     },
     "Vectors/arrays" => {
-        VectorPushBack = "vector.push_back" [pure=false],
-        VectorPopBack = "vector.pop_back" [pure=false],
-        VectorGet = "vector.get" [pure=false],
-        VectorSet = "vector.set" [pure=false],
-        VectorLength = "vector.length" [pure=false],
-        VectorReserve = "vector.reserve" [pure=false],
-        VectorClear = "vector.clear" [pure=false],
+        VectorPushBack = "vector.push_back" [Effect],
+        VectorPopBack = "vector.pop_back" [Effect],
+        VectorGet = "vector.get" [Effect],
+        VectorSet = "vector.set" [Effect],
+        VectorLength = "vector.length" [Effect],
+        VectorReserve = "vector.reserve" [Effect],
+        VectorClear = "vector.clear" [Effect],
     },
     "Hashsets" => {
-        SetInsert = "set.insert" [pure=false],
-        SetExists = "set.exists" [pure=false],
-        SetRemove = "set.remove" [pure=false],
-        SetSize = "set.size" [pure=false],
-        SetTimeout = "set.timeout" [pure=false],
-        SetClear = "set.clear" [pure=false],
-        SetMembers = "set.members" [pure=false],
+        SetInsert = "set.insert" [Effect],
+        SetExists = "set.exists" [Effect],
+        SetRemove = "set.remove" [Effect],
+        SetSize = "set.size" [Effect],
+        SetTimeout = "set.timeout" [Effect],
+        SetClear = "set.clear" [Effect],
+        SetMembers = "set.members" [Effect],
     },
     "Hashmaps" => {
-        MapInsert = "map.insert" [pure=false],
-        MapGet = "map.get" [pure=false],
-        MapGetDefault = "map.get_default" [pure=false],
-        MapExists = "map.exists" [pure=false],
-        MapRemove = "map.remove" [pure=false],
-        MapSize = "map.size" [pure=false],
-        MapTimeout = "map.timeout" [pure=false],
-        MapClear = "map.clear" [pure=false],
-        MapKeys = "map.keys" [pure=false],
+        MapInsert = "map.insert" [Effect],
+        MapGet = "map.get" [Effect],
+        MapGetDefault = "map.get_default" [Effect],
+        MapExists = "map.exists" [Effect],
+        MapRemove = "map.remove" [Effect],
+        MapSize = "map.size" [Effect],
+        MapTimeout = "map.timeout" [Effect],
+        MapClear = "map.clear" [Effect],
+        MapKeys = "map.keys" [Effect],
     },
     "Structs" => {
-        StructGet = "struct.get" [pure=false],
-        StructSet = "struct.set" [pure=false],
-        StructIsSet = "struct.is_set" [pure=false],
-        StructUnset = "struct.unset" [pure=false],
+        StructGet = "struct.get" [Effect] ids[1],
+        StructSet = "struct.set" [Effect] ids[1],
+        StructIsSet = "struct.is_set" [Effect] ids[1],
+        StructUnset = "struct.unset" [Effect] ids[1],
     },
     "Packet classification" => {
-        ClassifierAdd = "classifier.add" [pure=false],
-        ClassifierAddPrio = "classifier.add_prio" [pure=false],
-        ClassifierCompile = "classifier.compile" [pure=false],
-        ClassifierGet = "classifier.get" [pure=false],
-        ClassifierMatches = "classifier.matches" [pure=false],
-        ClassifierSize = "classifier.size" [pure=false],
+        ClassifierAdd = "classifier.add" [Effect],
+        ClassifierAddPrio = "classifier.add_prio" [Effect],
+        ClassifierCompile = "classifier.compile" [Effect],
+        ClassifierGet = "classifier.get" [Effect],
+        ClassifierMatches = "classifier.matches" [Effect],
+        ClassifierSize = "classifier.size" [Effect],
     },
     "Regular expressions" => {
-        RegexpNew = "regexp.new" [pure=false],
-        RegexpMatchPrefix = "regexp.match_prefix" [pure=false],
-        RegexpFind = "regexp.find" [pure=false],
-        RegexpMatchToken = "regexp.match_token" [pure=false],
-        RegexpMatcherInit = "regexp.matcher_init" [pure=false],
-        RegexpMatcherFeed = "regexp.matcher_feed" [pure=false],
-        RegexpMatcherFinish = "regexp.matcher_finish" [pure=false],
+        RegexpNew = "regexp.new" [Effect],
+        RegexpMatchPrefix = "regexp.match_prefix" [Effect] (Regexp, Bytes) -> Int,
+        RegexpFind = "regexp.find" [Effect],
+        RegexpMatchToken = "regexp.match_token" [Effect],
+        RegexpMatcherInit = "regexp.matcher_init" [Effect],
+        RegexpMatcherFeed = "regexp.matcher_feed" [Effect],
+        RegexpMatcherFinish = "regexp.matcher_finish" [Effect],
     },
     "Channels" => {
-        ChannelWrite = "channel.write" [pure=false],
-        ChannelRead = "channel.read" [pure=false],
-        ChannelTryRead = "channel.try_read" [pure=false],
-        ChannelSize = "channel.size" [pure=false],
-        ChannelClose = "channel.close" [pure=false],
+        ChannelWrite = "channel.write" [Effect],
+        ChannelRead = "channel.read" [Effect],
+        ChannelTryRead = "channel.try_read" [Effect],
+        ChannelSize = "channel.size" [Effect],
+        ChannelClose = "channel.close" [Effect],
     },
     "Timer management" => {
-        TimerMgrAdvance = "timer_mgr.advance" [pure=false],
-        TimerMgrAdvanceGlobal = "timer_mgr.advance_global" [pure=false],
-        TimerMgrSchedule = "timer_mgr.schedule" [pure=false],
-        TimerMgrCancel = "timer_mgr.cancel" [pure=false],
-        TimerMgrCurrent = "timer_mgr.current" [pure=false],
-        TimerMgrGlobalTime = "timer_mgr.global_time" [pure=false],
-        TimerMgrSize = "timer_mgr.size" [pure=false],
+        TimerMgrAdvance = "timer_mgr.advance" [Effect],
+        TimerMgrAdvanceGlobal = "timer_mgr.advance_global" [Effect],
+        TimerMgrSchedule = "timer_mgr.schedule" [Effect],
+        TimerMgrCancel = "timer_mgr.cancel" [Effect],
+        TimerMgrCurrent = "timer_mgr.current" [Effect],
+        TimerMgrGlobalTime = "timer_mgr.global_time" [Effect],
+        TimerMgrSize = "timer_mgr.size" [Effect],
     },
     "Timers" => {
-        TimerNew = "timer.new" [pure=false],
-        TimerCancel = "timer.cancel" [pure=false],
+        TimerNew = "timer.new" [Effect],
+        TimerCancel = "timer.cancel" [Effect],
     },
     "Virtual threads" => {
-        ThreadSchedule = "thread.schedule" [pure=false],
-        ThreadId = "thread.id" [pure=false],
+        ThreadSchedule = "thread.schedule" [Effect],
+        ThreadId = "thread.id" [Effect],
     },
     "Callbacks" => {
-        HookRun = "hook.run" [pure=false],
-        HookRunVoid = "hook.run_void" [pure=false],
+        HookRun = "hook.run" [Effect] ids[0],
+        HookRunVoid = "hook.run_void" [Effect] ids[0],
     },
     "Closures" => {
-        CallableBind = "callable.bind" [pure=false],
-        CallableCall = "callable.call" [pure=false],
-        CallableCallVoid = "callable.call_void" [pure=false],
+        CallableBind = "callable.bind" [Effect] ids[0],
+        CallableCall = "callable.call" [Effect],
+        CallableCallVoid = "callable.call_void" [Effect],
     },
     "Packet dissection" => {
-        OverlayGet = "overlay.get" [pure=false],
+        OverlayGet = "overlay.get" [Effect] ids[0, 1],
     },
     "File i/o" => {
-        FileOpen = "file.open" [pure=false],
-        FileWrite = "file.write" [pure=false],
-        FileClose = "file.close" [pure=false],
+        FileOpen = "file.open" [Effect],
+        FileWrite = "file.write" [Effect],
+        FileClose = "file.close" [Effect],
     },
     "Packet i/o" => {
-        IosrcOpen = "iosrc.open" [pure=false],
-        IosrcRead = "iosrc.read" [pure=false],
+        IosrcOpen = "iosrc.open" [Effect],
+        IosrcRead = "iosrc.read" [Effect],
     },
     "Profiling" => {
-        ProfilerStart = "profiler.start" [pure=false],
-        ProfilerStop = "profiler.stop" [pure=false],
-        ProfilerCount = "profiler.count" [pure=false],
-        ProfilerTime = "profiler.time" [pure=false],
+        ProfilerStart = "profiler.start" [Effect] ids[0],
+        ProfilerStop = "profiler.stop" [Effect] ids[0],
+        ProfilerCount = "profiler.count" [Effect] ids[0],
+        ProfilerTime = "profiler.time" [Effect] ids[0],
     },
     "Debug support" => {
-        DebugPrint = "debug.print" [pure=false],
-        DebugAssert = "debug.assert" [pure=false],
-        DebugInternalError = "debug.internal_error" [pure=false],
+        DebugPrint = "debug.print" [Effect],
+        DebugAssert = "debug.assert" [Effect],
+        DebugInternalError = "debug.internal_error" [Effect],
     },
     "Exceptions" => {
-        ExceptionThrow = "exception.throw" [pure=false],
-        ExceptionKindOf = "exception.kind" [pure=true],
-        ExceptionMessage = "exception.message" [pure=true],
-        PushHandler = "exception.push_handler" [pure=false],
-        PopHandler = "exception.pop_handler" [pure=false],
+        ExceptionThrow = "exception.throw" [Effect] ids[0],
+        ExceptionKindOf = "exception.kind" [Traps],
+        ExceptionMessage = "exception.message" [Traps],
+        PushHandler = "exception.push_handler" [Effect],
+        PopHandler = "exception.pop_handler" [Effect],
     },
 }
 
@@ -421,6 +544,17 @@ impl Instr {
             opcode,
             args,
         }
+    }
+
+    /// The operands that hold values: all but identifiers, labels and
+    /// types.
+    pub fn value_operands(&self) -> impl Iterator<Item = &Operand> {
+        self.args.iter().filter(|a| {
+            !matches!(
+                a,
+                Operand::Const(Const::Ident(_) | Const::Label(_) | Const::TypeRef(_))
+            )
+        })
     }
 }
 
@@ -474,6 +608,22 @@ impl Function {
     /// Index of a block by label.
     pub fn block_index(&self, label: &str) -> Option<usize> {
         self.blocks.iter().position(|b| b.label == label)
+    }
+
+    /// The declared type of every name the body can read: parameters and
+    /// locals, then the program's `globals` no local shadows.
+    pub fn var_types<'a>(
+        &'a self,
+        globals: &'a [(String, Type, Option<Const>)],
+    ) -> HashMap<&'a str, Type> {
+        let mut types: HashMap<&str, Type> = HashMap::new();
+        for (n, t) in self.params.iter().chain(self.locals.iter()) {
+            types.insert(n.as_str(), t.clone());
+        }
+        for (n, t, _) in globals {
+            types.entry(n.as_str()).or_insert_with(|| t.clone());
+        }
+        types
     }
 }
 
@@ -537,6 +687,13 @@ pub fn instruction_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::CompiledProgram;
+    use crate::ops;
+    use crate::value::{ExceptionVal, Value};
+    use crate::vm::Context;
+    use hilti_rt::bytestring::Bytes;
+    use hilti_rt::error::ExceptionKind;
+    use std::rc::Rc;
 
     #[test]
     fn mnemonic_roundtrip() {
@@ -615,6 +772,140 @@ mod tests {
         assert!(!Opcode::Call.is_pure());
         assert!(!Opcode::BytesLength.is_pure()); // length changes via append
         assert!(Opcode::IterIncr.is_pure());
+    }
+
+    /// Operand values of type `t`, edges included: what a `Typed` row
+    /// must accept and a `Traps` row must raise on one of.
+    fn samples(t: &Type) -> Vec<Value> {
+        let bytes = Bytes::frozen_from_slice(b"12");
+        match t {
+            Type::Int(_) => [0, -1, 7, 63, 64, i64::MIN, i64::MAX]
+                .map(Value::Int)
+                .to_vec(),
+            Type::Bool => vec![Value::Bool(false), Value::Bool(true)],
+            Type::Double => [0.0, -1.5, f64::NAN].map(Value::Double).to_vec(),
+            Type::String => ["", "x", "12"].map(Value::str).to_vec(),
+            Type::Bytes => vec![Value::Bytes(bytes), Value::Bytes(Bytes::new())],
+            // Iterators over two different bytes objects.
+            Type::BytesIter => vec![
+                Value::BytesIter(bytes.begin()),
+                Value::BytesIter(bytes.end()),
+                Value::BytesIter(Bytes::new().begin()),
+            ],
+            Type::Addr => ["10.0.0.1", "::1"]
+                .map(|a| Value::Addr(a.parse().unwrap()))
+                .to_vec(),
+            Type::Net => ["10.0.0.0/8", "2001:db8::/32"]
+                .map(|n| Value::Net(n.parse().unwrap()))
+                .to_vec(),
+            Type::Port => vec![Value::Port("80/tcp".parse().unwrap())],
+            Type::Time => [0, 5].map(|s| Value::Time(Time::from_secs(s))).to_vec(),
+            Type::Interval => [-3, 0, 2]
+                .map(|s| Value::Interval(Interval::from_secs(s)))
+                .to_vec(),
+            Type::Any => vec![
+                Value::Null,
+                Value::Bool(true),
+                // Radixes: `int.from_bytes` panics outside 2..=36.
+                Value::Int(2),
+                Value::Int(10),
+                Value::Double(0.5),
+                Value::str("{}"),
+                Value::str("x"),
+                Value::Bytes(bytes.clone()),
+                Value::BytesIter(bytes.begin()),
+                Value::Addr("10.0.0.1".parse().unwrap()),
+                Value::Port("80/tcp".parse().unwrap()),
+                Value::Time(Time::from_secs(1)),
+                Value::Interval(Interval::from_secs(1)),
+                Value::Tuple(Rc::new([Value::Null, Value::Null, Value::Null])),
+                Value::Enum(Rc::from("E"), 1),
+                Value::Exception(Rc::new(ExceptionVal {
+                    kind: ExceptionKind::ValueError,
+                    message: "m".into(),
+                })),
+            ],
+            other => panic!("no samples of {other}"),
+        }
+    }
+
+    /// Whether `op` raises, for every combination of one operand from
+    /// each pool.
+    fn outcomes(op: Opcode, pools: &[Vec<Value>], ctx: &mut Context) -> Vec<bool> {
+        let mut combos: Vec<Vec<&Value>> = vec![vec![]];
+        for pool in pools {
+            combos = combos
+                .iter()
+                .flat_map(|c| pool.iter().map(move |v| [&c[..], &[v]].concat()))
+                .collect();
+        }
+        let idents = ["E".to_owned()];
+        combos
+            .iter()
+            .map(|args| ops::eval(op, args, &idents, &mut ctx.env).is_err())
+            .collect()
+    }
+
+    /// Every pure row's class holds against `ops::eval`. Without a
+    /// signature every operand is `any`, so such a row is `Total` or
+    /// `Traps`, and its operand count is probed from 0 to 3.
+    #[test]
+    fn pure_rows_match_eval() {
+        let mut ctx = Context::for_program(&CompiledProgram::default());
+        let any = samples(&Type::Any);
+        for (_, mnemonics) in GROUPS {
+            for m in *mnemonics {
+                let op = Opcode::from_mnemonic(m).unwrap();
+                let at_arity = |n, ctx: &mut Context| outcomes(op, &vec![any.clone(); n], ctx);
+                let typed = |ctx: &mut Context| {
+                    let (params, _) = op.signature().expect("row has a signature");
+                    outcomes(op, &params.iter().map(samples).collect::<Vec<_>>(), ctx)
+                };
+                match (op.class(), op.signature()) {
+                    (OpClass::Effect, _) => assert!(!op.folds(), "{m}: folds an effect"),
+                    // Raises on the operand count at most, never on a value.
+                    (OpClass::Total, _) => {
+                        let runs: Vec<Vec<bool>> = (0..=3).map(|n| at_arity(n, &mut ctx)).collect();
+                        for (n, r) in runs.iter().enumerate() {
+                            assert!(
+                                r.iter().all(|&e| e == r[0]),
+                                "{m}: raises on a value at arity {n}"
+                            );
+                        }
+                        assert!(runs.iter().any(|r| !r[0]), "{m}: raises at every arity");
+                    }
+                    (OpClass::Typed, None) => panic!("{m}: a typed row needs a signature"),
+                    (OpClass::Typed, Some(_)) => {
+                        assert!(
+                            !typed(&mut ctx).contains(&true),
+                            "{m}: raises inside its signature"
+                        );
+                    }
+                    // Minimal: some operands the row admits raise.
+                    (OpClass::Traps, Some(_)) => {
+                        assert!(
+                            typed(&mut ctx).contains(&true),
+                            "{m}: never raises, so not traps"
+                        );
+                    }
+                    (OpClass::Traps, None) => assert!(
+                        (0..=3).any(|n| {
+                            let r = at_arity(n, &mut ctx);
+                            r.contains(&true) && r.contains(&false)
+                        }),
+                        "{m}: no value decides whether it raises, so not traps"
+                    ),
+                }
+                // `passes::evaluate` folds one or two constant operands.
+                if op.folds() {
+                    let arity = op.signature().map(|(params, _)| params.len());
+                    assert!(
+                        matches!(arity, Some(1 | 2)),
+                        "{m}: folds {arity:?} operands"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -862,20 +862,6 @@ fn unpack_format(name: &str, args: &[u32]) -> Option<UnpackFormat> {
 // ---------------------------------------------------------------------------
 // Function-body parser
 
-/// Positions of operands that are identifiers (not values) per opcode.
-fn ident_positions(op: Opcode) -> &'static [usize] {
-    use Opcode::*;
-    match op {
-        Call | CallVoid | CallC | HookRun | HookRunVoid | CallableBind => &[0],
-        StructGet | StructSet | StructIsSet | StructUnset => &[1],
-        OverlayGet => &[0, 1],
-        EnumFromInt => &[1],
-        ExceptionThrow => &[0],
-        ProfilerStart | ProfilerStop | ProfilerCount | ProfilerTime => &[0],
-        _ => &[],
-    }
-}
-
 struct FnBody<'p> {
     parser: &'p mut Parser,
     locals: Vec<(String, Type)>,
@@ -1202,7 +1188,7 @@ impl<'p> FnBody<'p> {
         }
 
         // Convert Var → Ident at identifier positions.
-        for &idx in ident_positions(opcode) {
+        for &idx in opcode.ident_positions() {
             if let Some(slot) = args.get_mut(idx) {
                 if let Operand::Var(name) = slot {
                     let name = name.clone();

@@ -8,15 +8,36 @@
 //! front end and bytecode lowering. Benchmark A1 measures their effect
 //! (the ablation the paper could not run).
 //!
-//! All passes are conservative: only [`Opcode::is_pure`] instructions are
-//! folded, propagated, or eliminated, and only within a basic block where
-//! cross-block state is not tracked.
+//! No pass may change what a program prints or raises. What each one may
+//! rewrite:
+//!
+//! - Constant folding replaces an instruction of a `fold` row whose
+//!   operands are all constants by an `assign` of the result `ops::eval`
+//!   computes. An evaluation that raises is left in place, so
+//!   `int.div 1 0` still raises at run time.
+//! - Copy propagation substitutes the source of an `assign` for later
+//!   reads in the same block.
+//! - CSE replaces a pure instruction that repeats an earlier one of the
+//!   same block by a copy of the earlier result. If either would raise,
+//!   the earlier one already did.
+//! - Dead-code elimination deletes an instruction whose result nothing
+//!   reads only when running it cannot be observed: its row is `Total`, or
+//!   `Typed` with every value operand statically inside the signature. A
+//!   `Traps` row (`int.div`, `string.fmt`, ...) and a `Typed` one on `any`
+//!   operands stay, so `-O1` raises wherever `-O0` does.
+//! - Jump threading retargets jumps through empty blocks and drops blocks
+//!   nothing reaches.
+//!
+//! What the passes know about an opcode comes from its row in the
+//! `opcodes!` table ([`Opcode::class`], [`Opcode::folds`],
+//! [`Opcode::signature`]); this module keeps no opcode list of its own.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::bytecode::{const_value, CompiledProgram};
-use crate::ir::{Const, Function, Instr, Opcode, Operand, Terminator};
+use crate::ir::{Const, Function, Instr, OpClass, Opcode, Operand, Terminator};
 use crate::ops;
+use crate::types::Type;
 use crate::value::Value;
 use crate::vm::Context;
 
@@ -60,11 +81,11 @@ pub fn optimize_linked(l: &mut crate::linker::Linked, level: OptLevel) -> PassSt
     // folded instructions never touch it, but `ops::eval` takes one.
     let mut scratch = None;
     for f in l.functions.values_mut() {
-        merge(&mut stats, optimize_function(f, &mut scratch));
+        merge(&mut stats, optimize_function(f, &l.globals, &mut scratch));
     }
     for bodies in l.hooks.values_mut() {
         for f in bodies {
-            merge(&mut stats, optimize_function(f, &mut scratch));
+            merge(&mut stats, optimize_function(f, &l.globals, &mut scratch));
         }
     }
     stats
@@ -79,7 +100,11 @@ fn merge(into: &mut PassStats, from: PassStats) {
 }
 
 /// Runs all passes on one function to a fixed point.
-fn optimize_function(f: &mut Function, scratch: &mut Option<Context>) -> PassStats {
+fn optimize_function(
+    f: &mut Function,
+    globals: &[(String, Type, Option<Const>)],
+    scratch: &mut Option<Context>,
+) -> PassStats {
     let mut stats = PassStats::default();
     // Fixed-point with a hard round cap: conservative passes converge in a
     // handful of rounds; the cap guards against any pass miscounting a
@@ -89,7 +114,7 @@ fn optimize_function(f: &mut Function, scratch: &mut Option<Context>) -> PassSta
         round.copies_propagated += copy_propagate(f);
         round.constants_folded += const_fold(f, scratch);
         round.cse_hits += cse(f);
-        round.dead_removed += dce(f);
+        round.dead_removed += dce(f, globals);
         round.blocks_threaded += jump_thread(f);
         let changed = round.total() > 0;
         merge(&mut stats, round);
@@ -103,47 +128,13 @@ fn optimize_function(f: &mut Function, scratch: &mut Option<Context>) -> PassSta
 // ---------------------------------------------------------------------------
 // Constant folding
 
-/// The opcodes folded when every operand is a constant.
-fn foldable(op: Opcode) -> bool {
-    use Opcode::*;
-    matches!(
-        op,
-        IntAdd
-            | IntSub
-            | IntMul
-            | IntDiv
-            | IntMod
-            | IntNeg
-            | IntEq
-            | IntLt
-            | IntGt
-            | IntLeq
-            | IntGeq
-            | IntAnd
-            | IntOr
-            | IntXor
-            | IntShl
-            | IntShr
-            | IntToDouble
-            | DoubleToInt
-            | BoolAnd
-            | BoolOr
-            | BoolXor
-            | BoolNot
-            | StringConcat
-            | StringLength
-            | Equal
-            | Unequal
-    )
-}
-
 /// Replaces each foldable instruction whose operands are all constants by
 /// an `assign` of its result, computed by `ops::eval` itself.
 fn const_fold(f: &mut Function, scratch: &mut Option<Context>) -> usize {
     let mut folded = 0;
     for block in &mut f.blocks {
         for instr in &mut block.instrs {
-            if instr.target.is_none() || !foldable(instr.opcode) {
+            if instr.target.is_none() || !instr.opcode.folds() {
                 continue;
             }
             if let Some(result) = evaluate(instr, scratch) {
@@ -163,7 +154,8 @@ fn const_fold(f: &mut Function, scratch: &mut Option<Context>) -> usize {
 /// variable, evaluation raises (`int.div x 0` keeps its run-time trap), or
 /// the result has no constant form.
 fn evaluate(instr: &Instr, scratch: &mut Option<Context>) -> Option<Const> {
-    // Every foldable op takes one or two operands.
+    // Every folding row takes one or two operands (a test in `ir` pins
+    // it); an instruction with another count is left to raise at run time.
     let n = instr.args.len();
     if !(1..=2).contains(&n) || instr.args.iter().any(|a| matches!(a, Operand::Var(_))) {
         return None;
@@ -304,62 +296,70 @@ fn cse(f: &mut Function) -> usize {
 // ---------------------------------------------------------------------------
 // Dead code elimination
 
-fn dce(f: &mut Function) -> usize {
-    // Count uses of every variable across the whole function.
-    let mut uses: HashMap<&str, usize> = HashMap::new();
+/// Deletes each instruction whose result nothing reads and that
+/// [`cannot_raise`].
+fn dce(f: &mut Function, globals: &[(String, Type, Option<Const>)]) -> usize {
+    // Every variable read anywhere in the function.
+    let mut used: HashSet<&str> = HashSet::new();
     for block in &f.blocks {
         for instr in &block.instrs {
             for arg in &instr.args {
                 if let Operand::Var(v) = arg {
-                    *uses.entry(v.as_str()).or_default() += 1;
+                    used.insert(v);
                 }
             }
         }
         match &block.term {
-            Terminator::IfElse(Operand::Var(v), _, _) => {
-                *uses.entry(v.as_str()).or_default() += 1;
-            }
-            Terminator::Return(Some(Operand::Var(v))) => {
-                *uses.entry(v.as_str()).or_default() += 1;
+            Terminator::IfElse(Operand::Var(v), _, _)
+            | Terminator::Return(Some(Operand::Var(v))) => {
+                used.insert(v);
             }
             _ => {}
         }
     }
-    let uses: HashMap<String, usize> = uses.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
+    let var_types = f.var_types(globals);
+    let keep: Vec<bool> = f
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .map(|instr| {
+            let dead = instr.target.as_ref().is_some_and(|t| {
+                // Globals (qualified names) are observable state.
+                !t.contains("::") && !used.contains(t.as_str())
+            });
+            !(dead && cannot_raise(instr, &var_types))
+        })
+        .collect();
 
+    let mut keep = keep.into_iter();
     let mut removed = 0;
     for block in &mut f.blocks {
         let before = block.instrs.len();
-        block.instrs.retain(|instr| {
-            let deletable = instr.opcode.is_pure()
-                && !can_trap(instr.opcode)
-                && instr
-                    .target
-                    .as_ref()
-                    .map(|t| {
-                        // Globals (qualified names) are observable state.
-                        !t.contains("::") && uses.get(t).copied().unwrap_or(0) == 0
-                    })
-                    .unwrap_or(false);
-            !deletable
-        });
+        block.instrs.retain(|_| keep.next().unwrap_or(true));
         removed += before - block.instrs.len();
     }
     removed
 }
 
-/// Pure instructions that can still raise an exception on some inputs;
-/// removing them as dead code would change observable behaviour.
-fn can_trap(op: Opcode) -> bool {
-    matches!(
-        op,
-        Opcode::IntDiv
-            | Opcode::IntMod
-            | Opcode::DoubleDiv
-            | Opcode::StringToInt
-            | Opcode::TupleGet
-            | Opcode::Select
-    )
+/// True when executing `instr` can neither raise nor touch state, judged
+/// from its row and the static types of its operands.
+fn cannot_raise(instr: &Instr, var_types: &HashMap<&str, Type>) -> bool {
+    match instr.opcode.class() {
+        OpClass::Total => true,
+        OpClass::Typed => {
+            let Some((params, _)) = instr.opcode.signature() else {
+                return false;
+            };
+            instr.value_operands().count() == params.len()
+                && instr.value_operands().zip(params).all(|(op, want)| {
+                    *want == Type::Any
+                        || op
+                            .static_type(var_types)
+                            .is_some_and(|t| t.compatible(want))
+                })
+        }
+        OpClass::Traps | OpClass::Effect => false,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -606,6 +606,29 @@ int<64> f(int<64> a) {
         );
         assert!(stats.dead_removed >= 1, "{stats:?}");
         assert!(f.blocks[0].instrs.is_empty());
+    }
+
+    #[test]
+    fn dce_keeps_dead_instructions_that_can_raise() {
+        let (f, stats) = optimized(
+            r#"
+module M
+int<64> f(any x, int<64> a) {
+    local string s
+    local int<64> n
+    local int<64> m
+    s = string.fmt "{} {}" a
+    n = int.add x 1
+    m = int.add a 1
+    return a
+}
+"#,
+            "M::f",
+        );
+        // `string.fmt` traps and `x` may hold a non-int; `m` is typed.
+        let ops: Vec<Opcode> = f.blocks[0].instrs.iter().map(|i| i.opcode).collect();
+        assert_eq!(ops, [Opcode::StringFmt, Opcode::IntAdd], "{stats:?}");
+        assert_eq!(f.blocks[0].instrs[1].target.as_deref(), Some("n"));
     }
 
     #[test]

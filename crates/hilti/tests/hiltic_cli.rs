@@ -462,6 +462,28 @@ fn tokens_example_runs_fused() {
     assert_trace_ignores_specializer(&f);
 }
 
+/// `examples/hlt/dead_traps.hlt` computes two dead results that raise:
+/// optimized or not, interpreted or specialized, the caught ValueError
+/// prints and the TypeError ends the run uncaught.
+#[test]
+fn dead_traps_example_raises_under_every_configuration() {
+    let f = example("dead_traps.hlt");
+    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
+        let out = hiltic().args(["run", flag, &f]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "caught Hilti::ValueError\n",
+            "{flag}"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "hiltic: uncaught exception: Hilti::TypeError: expected int, got string\n",
+            "{flag}"
+        );
+    }
+}
+
 #[test]
 fn removed_tiering_flag_is_rejected_as_unknown() {
     let f = write_temp("tiering.hlt", FIB);

@@ -16,12 +16,17 @@
 //! slot and literal operands (constant-only instructions included, which
 //! the optimizer folds) and literals at the edges of `int<64>`: the
 //! minimum, -1, and shift amounts 63, 64 and -64. Integer arithmetic wraps
-//! in HILTI, so the only reachable trap in these programs is
-//! division/modulo by zero — which the generator
-//! deliberately does not avoid, so that trap behaviour is differentially
-//! tested too (e.g. that dead-code elimination never deletes a trapping
-//! instruction, constant folding never hides one, and the specialized
-//! fast tier raises exactly where the generic path would).
+//! in HILTI, so division/modulo by zero is the one trap of the arithmetic
+//! steps — which the generator deliberately does not avoid, so that
+//! constant folding never hides a trap and the specialized fast tier
+//! raises exactly where the generic path would.
+//!
+//! Every slot is printed, so no arithmetic result is dead. Dead results
+//! come from `Dead` steps, whose targets nothing reads: a `string.fmt`
+//! with one value for one or two placeholders (a `ValueError` with two),
+//! and an `int.add` on an `any` slot holding an int or a string (a
+//! `TypeError` with the string). Dead-code elimination must keep exactly
+//! the ones that can raise.
 
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
@@ -74,6 +79,16 @@ enum Step {
     },
     /// `repeat iters times: t[dst] = t[dst] + t[src]`
     Loop { iters: u8, dst: u8, src: u8 },
+    /// A result nothing reads. `fmt`: `s = string.fmt "{}…" t[x]` with
+    /// `holes` placeholders. Otherwise `d = assign t[x]` (or its decimal
+    /// text when `text`) into an `any` slot, then `n = int.add d b`.
+    Dead {
+        fmt: bool,
+        holes: u8,
+        text: bool,
+        x: u8,
+        b: Src,
+    },
 }
 
 /// Integer literals, weighted toward the edges of `int<64>` arithmetic:
@@ -129,6 +144,23 @@ fn diamond_strategy() -> impl Strategy<Value = Step> {
         })
 }
 
+fn dead_strategy() -> impl Strategy<Value = Step> {
+    (
+        any::<bool>(),
+        1u8..3,
+        any::<bool>(),
+        0u8..SLOTS,
+        src_strategy(),
+    )
+        .prop_map(|(fmt, holes, text, x, b)| Step::Dead {
+            fmt,
+            holes,
+            text,
+            x,
+            b,
+        })
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     let slot = || 0u8..SLOTS;
     prop_oneof![
@@ -136,6 +168,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         2 => diamond_strategy(),
         1 => (1u8..5, slot(), slot())
             .prop_map(|(iters, dst, src)| Step::Loop { iters, dst, src }),
+        1 => dead_strategy(),
     ]
 }
 
@@ -166,6 +199,11 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
             Step::Loop { .. } => {
                 src.push_str(&format!("    local int<64> i{i}\n"));
                 src.push_str(&format!("    local bool m{i}\n"));
+            }
+            Step::Dead { .. } => {
+                src.push_str(&format!("    local string s{i}\n"));
+                src.push_str(&format!("    local any d{i}\n"));
+                src.push_str(&format!("    local int<64> n{i}\n"));
             }
             Step::Bin { .. } => {}
         }
@@ -206,6 +244,23 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
                 src.push_str(&format!("    m{i} = int.lt i{i} {iters}\n"));
                 src.push_str(&format!("    if.else m{i} loop{i} end{i}\n"));
                 src.push_str(&format!("end{i}:\n"));
+            }
+            Step::Dead {
+                fmt: true,
+                holes,
+                x,
+                ..
+            } => {
+                let holes = vec!["{}"; holes as usize].join(" ");
+                src.push_str(&format!("    s{i} = string.fmt \"{holes}\" t{x}\n"));
+            }
+            Step::Dead { text, x, b, .. } => {
+                if text {
+                    src.push_str(&format!("    d{i} = int.to_string t{x}\n"));
+                } else {
+                    src.push_str(&format!("    d{i} = assign t{x}\n"));
+                }
+                src.push_str(&format!("    n{i} = int.add d{i} {b}\n"));
             }
         }
     }
