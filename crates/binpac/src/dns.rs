@@ -1,4 +1,5 @@
-//! The BinPAC++ DNS grammar and its event adapter.
+//! The BinPAC++ DNS grammar and its event declaration, run by
+//! [`BinpacAnalyzer`] in datagram mode.
 //!
 //! The DNS case study of §6.4. The wire format is binary: counted sections
 //! of resource records, with domain names compressed via back-pointers into
@@ -12,19 +13,15 @@
 //! where the standard parser extracts only the first ("Bro's parser
 //! extracts only one entry from TXT records, BinPAC++ all").
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use hilti::passes::OptLevel;
 use hilti::value::Value;
-use hilti_rt::error::{ExceptionKind, RtError, RtResult};
-use hilti_rt::time::Time;
-use hilti_rt::trace::{self, SharedRecorder, Stage};
+use hilti_rt::error::RtResult;
+use hilti_rt::trace::SharedRecorder;
 
-use netpkt::events::{ConnId, DnsAnswer, Event};
+use netpkt::events::{DnsAnswer, Event};
 
+use crate::analyzer::{reads, AnalyzerIr, BinpacAnalyzer, Emit, EventDecl, Mode, Protocol, Slot};
 use crate::grammar::{Field, FieldKind, Grammar, Repeat, Unit};
-use crate::parser::{slot, BinpacParser, ParserIr};
 
 /// Raw HILTI: compressed-name decoding plus the address overlays used for
 /// A/AAAA rdata rendering.
@@ -321,221 +318,86 @@ dns_counts_ok:
         .raw(DNS_HELPERS)
 }
 
-// Slot layouts (fixed by the grammar above).
-mod slots {
-    // Question: named [qtype, qclass] + extra [name].
-    pub const Q_QTYPE: usize = 0;
-    pub const Q_NAME: usize = 2;
-    // RR: named [rtype, class_, ttl, rdlen, rdata] + extra [name, rdata_text].
-    pub const RR_RTYPE: usize = 0;
-    pub const RR_TTL: usize = 2;
-    pub const RR_NAME: usize = 5;
-    pub const RR_RDATA_TEXT: usize = 6;
-    // Message: [id, flags, qdcount, ancount, nscount, arcount,
-    //           questions, answers, auth, addl].
-    pub const M_ID: usize = 0;
-    pub const M_FLAGS: usize = 1;
-    pub const M_QUESTIONS: usize = 6;
-    pub const M_ANSWERS: usize = 7;
-}
+/// The DNS analyzer: one `Message` per datagram.
+pub static DNS: Protocol = Protocol {
+    grammar: dns_grammar,
+    mode: Mode::Datagram { unit: "Message" },
+    events: &[EventDecl {
+        hook: "Dns::on_message",
+        reads: &[
+            ("Message", &["id", "flags", "questions", "answers"]),
+            ("Question", &["name", "qtype"]),
+            ("RR", &["rtype", "name", "ttl", "rdata_text"]),
+        ],
+        build: message,
+    }],
+    host_hooks: &[],
+};
 
-#[derive(Default)]
-struct DnsShared {
-    current: Option<(std::sync::Arc<str>, ConnId, Time)>,
-    events: Vec<Event>,
-}
-
-/// The generated DNS parser wired to Bro-style events.
-pub struct BinpacDns {
-    parser: BinpacParser,
-    shared: Rc<RefCell<DnsShared>>,
-    /// Datagrams that failed to parse (crud on port 53).
-    pub failed: u64,
-    /// Wall-clock watchdog re-armed at the start of every datagram.
-    deadline_ms: Option<u64>,
-    /// Flight recorder for parse and glue spans, as in `BinpacHttp`.
-    rec: Option<SharedRecorder>,
-}
-
-fn slot_int(v: &Value, idx: usize) -> RtResult<i64> {
-    slot(v, idx)?.as_int()
-}
-
-impl BinpacDns {
-    /// Compiles the DNS grammar and wires the message hook; a recorder
-    /// gets a `Parse` span per datagram and a `Glue` span per message.
-    pub fn new(opt: OptLevel, rec: Option<SharedRecorder>) -> RtResult<BinpacDns> {
-        Self::wire(BinpacParser::compile(&dns_grammar(), &[], opt)?, rec)
-    }
-
-    /// The shareable front end of [`BinpacDns::new`]: grammar codegen and
-    /// IR optimization, no bytecode (see [`BinpacHttp::front_end`]).
-    ///
-    /// [`BinpacHttp::front_end`]: crate::http::BinpacHttp::front_end
-    pub fn front_end(opt: OptLevel) -> RtResult<ParserIr> {
-        BinpacParser::front_end(&dns_grammar(), &[], opt)
-    }
-
-    /// Per-thread construction from a shared front end.
-    pub fn from_ir(ir: &ParserIr, rec: Option<SharedRecorder>) -> RtResult<BinpacDns> {
-        Self::wire(BinpacParser::from_ir(ir)?, rec)
-    }
-
-    fn wire(mut parser: BinpacParser, rec: Option<SharedRecorder>) -> RtResult<BinpacDns> {
-        let shared: Rc<RefCell<DnsShared>> = Rc::new(RefCell::new(DnsShared::default()));
-
-        let (s, hook_rec) = (shared.clone(), rec.clone());
-        parser.register_hook("Dns::on_message", move |args| {
-            trace::span(hook_rec.as_ref(), Stage::Glue, || {
-                let msg = &args[0];
-                let mut sh = s.borrow_mut();
-                let Some((uid, id, ts)) = sh.current.clone() else {
-                    return Err(RtError::runtime("DNS hook fired with no active datagram"));
-                };
-                let trans_id = slot_int(msg, slots::M_ID)? as u16;
-                let flags = slot_int(msg, slots::M_FLAGS)? as u16;
-                let is_response = flags & 0x8000 != 0;
-                let rcode = flags & 0xf;
-                // First question drives the query fields.
-                let (query, qtype) = match slot(msg, slots::M_QUESTIONS)? {
-                    Value::Vector(qs) => {
-                        let qs = qs.borrow();
-                        match qs.first() {
-                            Some(q) => (
-                                slot(q, slots::Q_NAME)?.render(),
-                                slot_int(q, slots::Q_QTYPE)? as u16,
-                            ),
-                            None => (String::new(), 0),
-                        }
-                    }
-                    _ => (String::new(), 0),
-                };
-                if is_response {
-                    let mut answers = Vec::new();
-                    if let Value::Vector(ans) = slot(msg, slots::M_ANSWERS)? {
-                        for rr in ans.borrow().iter() {
-                            let rtype = slot_int(rr, slots::RR_RTYPE)? as u16;
-                            if rtype == 41 {
-                                continue; // OPT pseudo-record
-                            }
-                            answers.push(DnsAnswer {
-                                name: slot(rr, slots::RR_NAME)?.render(),
-                                rtype,
-                                ttl: slot_int(rr, slots::RR_TTL)? as u32,
-                                rdata: slot(rr, slots::RR_RDATA_TEXT)?.render(),
-                            });
-                        }
-                    }
-                    sh.events.push(Event::DnsReply {
-                        ts,
-                        uid: uid.clone(),
-                        id,
-                        trans_id,
-                        rcode,
-                        answers,
-                    });
-                } else {
-                    sh.events.push(Event::DnsRequest {
-                        ts,
-                        uid: uid.clone(),
-                        id,
-                        trans_id,
-                        query,
-                        qtype,
-                    });
+fn message(e: &mut Emit<'_>, msg: &Value, slots: &[Slot]) -> RtResult<()> {
+    let [id, flags, questions, answers, q_name, q_type, rr_type, rr_name, rr_ttl, rr_rdata] =
+        reads(slots)?;
+    let trans_id = id.int(msg)? as u16;
+    let flags = flags.int(msg)? as u16;
+    let is_response = flags & 0x8000 != 0;
+    let rcode = flags & 0xf;
+    // First question drives the query fields.
+    let (query, qtype) = match questions.get(msg)? {
+        Value::Vector(qs) => match qs.borrow().first() {
+            Some(q) => (q_name.text(q)?, q_type.int(q)? as u16),
+            None => (String::new(), 0),
+        },
+        _ => (String::new(), 0),
+    };
+    let ev = if is_response {
+        let mut rrs = Vec::new();
+        if let Value::Vector(ans) = answers.get(msg)? {
+            for rr in ans.borrow().iter() {
+                let rtype = rr_type.int(rr)? as u16;
+                if rtype == 41 {
+                    continue; // OPT pseudo-record
                 }
-                Ok(Value::Null)
-            })
-        });
-
-        Ok(BinpacDns {
-            parser,
-            shared,
-            failed: 0,
-            deadline_ms: None,
-            rec,
-        })
-    }
-
-    /// Arms a per-datagram wall-clock watchdog, mirroring
-    /// `BinpacHttp::set_delivery_deadline_ms`.
-    pub fn set_delivery_deadline_ms(&mut self, ms: Option<u64>) {
-        self.deadline_ms = ms;
-        if ms.is_none() {
-            self.parser
-                .program_mut()
-                .context_mut()
-                .arm_deadline_after_ms(None);
-        }
-    }
-
-    /// Attaches telemetry to the parser VM (retired-instruction counters
-    /// and resource-limit events), mirroring `BinpacHttp::set_telemetry`.
-    pub fn set_telemetry(&mut self, telemetry: &hilti_rt::telemetry::Telemetry) {
-        self.parser
-            .program_mut()
-            .context_mut()
-            .set_telemetry(telemetry);
-    }
-
-    /// Parses one UDP datagram; returns false if it was not parseable DNS.
-    pub fn datagram(&mut self, uid: &str, id: ConnId, ts: Time, payload: &[u8]) -> RtResult<bool> {
-        let uid: std::sync::Arc<str> = std::sync::Arc::from(uid);
-        self.datagram_chunk(&uid, id, ts, hilti_rt::bytestring::FeedChunk::Copy(payload))
-    }
-
-    /// Parses one UDP datagram handed over as a [`FeedChunk`]; a borrowed
-    /// chunk reaches the parser without a payload copy. The uid is the
-    /// caller's interned handle (cloned, never re-allocated).
-    ///
-    /// [`FeedChunk`]: hilti_rt::bytestring::FeedChunk
-    pub fn datagram_chunk(
-        &mut self,
-        uid: &std::sync::Arc<str>,
-        id: ConnId,
-        ts: Time,
-        payload: hilti_rt::bytestring::FeedChunk<'_>,
-    ) -> RtResult<bool> {
-        let rec = self.rec.clone();
-        trace::span(rec.as_ref(), Stage::Parse, || {
-            self.parse(uid, id, ts, payload)
-        })
-    }
-
-    fn parse(
-        &mut self,
-        uid: &std::sync::Arc<str>,
-        id: ConnId,
-        ts: Time,
-        payload: hilti_rt::bytestring::FeedChunk<'_>,
-    ) -> RtResult<bool> {
-        if let Some(ms) = self.deadline_ms {
-            self.parser
-                .program_mut()
-                .context_mut()
-                .arm_deadline_after_ms(Some(ms));
-        }
-        self.shared.borrow_mut().current = Some((uid.clone(), id, ts));
-        match self.parser.parse_datagram_chunk("Message", payload) {
-            Ok(_) => Ok(true),
-            // Governance faults (deadline, fuel, heap) must escape to the
-            // host; only input-dependent errors count as unparseable crud.
-            Err(e) if e.kind == ExceptionKind::ResourceExhausted => Err(e),
-            Err(_) => {
-                self.failed += 1;
-                Ok(false)
+                rrs.push(DnsAnswer {
+                    name: rr_name.text(rr)?,
+                    rtype,
+                    ttl: rr_ttl.int(rr)? as u32,
+                    rdata: rr_rdata.text(rr)?,
+                });
             }
         }
+        Event::DnsReply {
+            ts: e.ts,
+            uid: e.uid.clone(),
+            id: e.id,
+            trans_id,
+            rcode,
+            answers: rrs,
+        }
+    } else {
+        Event::DnsRequest {
+            ts: e.ts,
+            uid: e.uid.clone(),
+            id: e.id,
+            trans_id,
+            query,
+            qtype,
+        }
+    };
+    e.event(ev);
+    Ok(())
+}
+
+/// DNS's entry point for callers that predate [`BinpacAnalyzer`]:
+/// `front_end` builds [`DNS`], `from_ir` is [`BinpacAnalyzer::from_ir`].
+pub struct BinpacDns;
+
+impl BinpacDns {
+    pub fn front_end(opt: OptLevel) -> RtResult<AnalyzerIr> {
+        BinpacAnalyzer::front_end(&DNS, opt)
     }
 
-    pub fn take_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.shared.borrow_mut().events)
-    }
-
-    /// Moves the accumulated events into `out`, keeping the internal
-    /// buffer's capacity (see `BinpacHttp::drain_events_into`).
-    pub fn drain_events_into(&mut self, out: &mut Vec<Event>) {
-        out.append(&mut self.shared.borrow_mut().events);
+    pub fn from_ir(ir: &AnalyzerIr, rec: Option<SharedRecorder>) -> RtResult<BinpacAnalyzer> {
+        BinpacAnalyzer::from_ir(ir, rec)
     }
 }
 
@@ -543,8 +405,12 @@ impl BinpacDns {
 mod tests {
     use super::*;
     use hilti_rt::addr::Port;
+    use hilti_rt::bytestring::FeedChunk;
+    use hilti_rt::time::Time;
     use netpkt::dns::DnsBuilder;
     use netpkt::events::dns_types;
+    use netpkt::events::ConnId;
+    use std::sync::Arc;
 
     fn conn_id() -> ConnId {
         ConnId {
@@ -559,14 +425,29 @@ mod tests {
         Time::from_secs(1)
     }
 
+    fn analyzer() -> BinpacAnalyzer {
+        let ir = BinpacAnalyzer::front_end(&DNS, OptLevel::Full).unwrap();
+        BinpacAnalyzer::from_ir(&ir, None).unwrap()
+    }
+
+    fn datagram(d: &mut BinpacAnalyzer, ts: Time, payload: &[u8]) -> RtResult<bool> {
+        d.datagram_chunk(&Arc::from("C1"), conn_id(), ts, FeedChunk::Copy(payload))
+    }
+
+    fn events(d: &mut BinpacAnalyzer) -> Vec<Event> {
+        let mut evs = Vec::new();
+        d.drain_events_into(&mut evs);
+        evs
+    }
+
     #[test]
     fn query_event() {
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let q = DnsBuilder::new(0x1234, false, 0)
             .question("www.example.com", dns_types::A)
             .build();
-        assert!(d.datagram("C1", conn_id(), t(), &q).unwrap());
-        let evs = d.take_events();
+        assert!(datagram(&mut d, t(), &q).unwrap());
+        let evs = events(&mut d);
         match &evs[0] {
             Event::DnsRequest {
                 trans_id,
@@ -584,13 +465,13 @@ mod tests {
 
     #[test]
     fn response_with_a_record() {
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let r = DnsBuilder::new(7, true, 0)
             .question("example.com", dns_types::A)
             .answer_a("example.com", 300, [93, 184, 216, 34])
             .build();
-        assert!(d.datagram("C1", conn_id(), t(), &r).unwrap());
-        let evs = d.take_events();
+        assert!(datagram(&mut d, t(), &r).unwrap());
+        let evs = events(&mut d);
         match &evs[0] {
             Event::DnsReply { rcode, answers, .. } => {
                 assert_eq!(*rcode, 0);
@@ -605,14 +486,14 @@ mod tests {
 
     #[test]
     fn cname_mx_and_compression() {
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let r = DnsBuilder::new(7, true, 0)
             .question("mail.example.com", dns_types::MX)
             .answer_cname("mail.example.com", 60, "mx.example.net")
             .answer_mx("mx.example.net", 60, 10, "smtp.example.net")
             .build();
-        assert!(d.datagram("C1", conn_id(), t(), &r).unwrap());
-        let evs = d.take_events();
+        assert!(datagram(&mut d, t(), &r).unwrap());
+        let evs = events(&mut d);
         match &evs[0] {
             Event::DnsReply { answers, .. } => {
                 assert_eq!(answers[0].rdata, "mx.example.net");
@@ -625,13 +506,13 @@ mod tests {
     #[test]
     fn txt_renders_all_strings() {
         // The deliberate Table 2 semantic difference: ALL strings.
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let r = DnsBuilder::new(7, true, 0)
             .question("t.example.com", dns_types::TXT)
             .answer_txt("t.example.com", 60, &["first", "second", "third"])
             .build();
-        assert!(d.datagram("C1", conn_id(), t(), &r).unwrap());
-        let evs = d.take_events();
+        assert!(datagram(&mut d, t(), &r).unwrap());
+        let evs = events(&mut d);
         match &evs[0] {
             Event::DnsReply { answers, .. } => {
                 assert_eq!(answers[0].rdata, "first second third");
@@ -649,38 +530,35 @@ mod tests {
 
     #[test]
     fn crud_rejected_not_fatal() {
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
-        assert!(!d
-            .datagram("C1", conn_id(), t(), b"GET / HTTP/1.1\r\n")
-            .unwrap());
-        assert!(!d.datagram("C1", conn_id(), t(), &[]).unwrap());
-        assert_eq!(d.failed, 2);
+        let mut d = analyzer();
+        assert!(!datagram(&mut d, t(), b"GET / HTTP/1.1\r\n").unwrap());
+        assert!(!datagram(&mut d, t(), &[]).unwrap());
         // Still works afterwards.
         let q = DnsBuilder::new(1, false, 0)
             .question("x.org", dns_types::A)
             .build();
-        assert!(d.datagram("C1", conn_id(), t(), &q).unwrap());
+        assert!(datagram(&mut d, t(), &q).unwrap());
     }
 
     #[test]
     fn pointer_loop_rejected() {
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let mut msg = DnsBuilder::new(7, false, 0).build();
         msg.extend_from_slice(&[0xc0, 12]); // self-pointer at offset 12
         msg.extend_from_slice(&dns_types::A.to_be_bytes());
         msg.extend_from_slice(&1u16.to_be_bytes());
         msg[4..6].copy_from_slice(&1u16.to_be_bytes());
-        assert!(!d.datagram("C1", conn_id(), t(), &msg).unwrap());
+        assert!(!datagram(&mut d, t(), &msg).unwrap());
     }
 
     #[test]
     fn nxdomain_rcode() {
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let r = DnsBuilder::new(9, true, 3)
             .question("missing.example.com", dns_types::A)
             .build();
-        assert!(d.datagram("C1", conn_id(), t(), &r).unwrap());
-        match &d.take_events()[0] {
+        assert!(datagram(&mut d, t(), &r).unwrap());
+        match &events(&mut d)[0] {
             Event::DnsReply { rcode, answers, .. } => {
                 assert_eq!(*rcode, 3);
                 assert!(answers.is_empty());
@@ -692,18 +570,18 @@ mod tests {
     #[test]
     fn agrees_with_standard_parser_on_synth_trace() {
         use netpkt::decode::decode_ethernet;
-        let mut d = BinpacDns::new(OptLevel::Full, None).unwrap();
+        let mut d = analyzer();
         let pkts = netpkt::synth::dns_trace(&netpkt::synth::SynthConfig::new(5, 60));
         let mut agree = 0;
         let mut total = 0;
         for p in &pkts {
             let dec = decode_ethernet(p).unwrap();
             let std = netpkt::dns::parse_message(&dec.payload);
-            let bp_ok = d.datagram("C1", conn_id(), p.ts, &dec.payload).unwrap();
+            let bp_ok = datagram(&mut d, p.ts, &dec.payload).unwrap();
             assert_eq!(std.is_ok(), bp_ok, "parseability must agree");
             if let Ok(stdm) = std {
                 total += 1;
-                let evs = d.take_events();
+                let evs = events(&mut d);
                 let ev = evs.last().expect("one event per parsed datagram");
                 match ev {
                     Event::DnsRequest {
@@ -738,7 +616,7 @@ mod tests {
                     other => panic!("unexpected {other:?}"),
                 }
             } else {
-                d.take_events();
+                events(&mut d);
             }
         }
         assert_eq!(agree, total);

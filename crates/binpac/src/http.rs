@@ -1,4 +1,4 @@
-//! The BinPAC++ HTTP grammar and its Bro-style event adapter.
+//! The BinPAC++ HTTP grammar and its Bro-style event declarations.
 //!
 //! This is the HTTP case study of §6.4: a grammar-generated parser meant to
 //! "mimic Bro's standard parsers as closely as possible". The grammar
@@ -9,28 +9,20 @@
 //! grammar language with semantic constructs for annotating, controlling,
 //! and interfacing to the parsing process").
 //!
-//! [`BinpacHttp`] drives per-connection sessions through the generated
-//! incremental parser and converts unit hooks into the same
-//! [`netpkt::events::Event`] vocabulary the standard parser emits — the
-//! host-side *glue* whose cost Figure 9 charges separately.
-
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
-use std::sync::Arc;
+//! [`HTTP`] pairs the grammar with the declarations that turn its unit hooks
+//! into the same [`netpkt::events::Event`] vocabulary the standard parser
+//! emits — the host-side *glue* whose cost Figure 9 charges separately.
+//! [`BinpacAnalyzer`] runs it in stream mode.
 
 use hilti::passes::OptLevel;
 use hilti::value::Value;
-use hilti_rt::bytestring::FeedChunk;
 use hilti_rt::error::{RtError, RtResult};
-use hilti_rt::limits::AllocBudget;
-use hilti_rt::time::Time;
-use hilti_rt::trace::{self, SharedRecorder, Stage};
+use hilti_rt::trace::SharedRecorder;
 
-use netpkt::events::{ConnId, Event};
+use netpkt::events::Event;
 
+use crate::analyzer::{reads, AnalyzerIr, BinpacAnalyzer, Emit, EventDecl, Mode, Protocol, Slot};
 use crate::grammar::{Field, FieldKind, Grammar, Repeat, Unit};
-use crate::parser::{slot, BinpacParser, ParserIr, Session};
 
 /// Builds the HTTP grammar (`http.pac2`).
 pub fn http_grammar() -> Grammar {
@@ -323,439 +315,131 @@ fn header_unit(name: &str, hook: &str) -> Unit {
 }
 
 // ---------------------------------------------------------------------------
-// Event adapter
+// Event declarations
 
-#[derive(Clone)]
-struct Cur {
-    /// Interned connection uid: one `Arc<str>` per connection, shared by
-    /// the session map, span recorder, and event glue.
-    uid: Arc<str>,
-    id: ConnId,
-    ts: Time,
-}
+/// The HTTP analyzer: per-connection `Request`/`Reply` streams.
+pub static HTTP: Protocol = Protocol {
+    grammar: http_grammar,
+    mode: Mode::Stream {
+        orig: "Request",
+        resp: "Reply",
+    },
+    events: &[
+        EventDecl {
+            hook: "Http::on_request_line",
+            reads: &[("RequestLine", &["method", "uri", "version"])],
+            build: request_line,
+        },
+        EventDecl {
+            hook: "Http::on_reply_line",
+            reads: &[("StatusLine", &["version", "status", "reason"])],
+            build: reply_line,
+        },
+        EventDecl {
+            hook: "Http::on_req_header",
+            reads: &[("ReqHeader", &["name", "value"])],
+            build: |e, h, s| header(e, h, s, true),
+        },
+        EventDecl {
+            hook: "Http::on_resp_header",
+            reads: &[("RespHeader", &["name", "value"])],
+            build: |e, h, s| header(e, h, s, false),
+        },
+        EventDecl {
+            hook: "Http::on_request_done",
+            reads: &[("Request", &["body"])],
+            build: |e, m, s| message_done(e, m, s, true),
+        },
+        EventDecl {
+            hook: "Http::on_reply_done",
+            reads: &[("Reply", &["body"])],
+            build: |e, m, s| message_done(e, m, s, false),
+        },
+    ],
+    // A reply to a `HEAD` carries no body: `request_line` notes each
+    // request's method, the reply's framing pops the oldest note.
+    host_hooks: &[("Http::suppress_reply_body", |e| {
+        Value::Bool(e.pop_note() == Some(true))
+    })],
+};
 
-#[derive(Default)]
-struct Shared {
-    current: Option<Cur>,
-    /// uid → outstanding request methods (for HEAD suppression).
-    outstanding: HashMap<Arc<str>, VecDeque<String>>,
-    events: Vec<Event>,
-}
-
-impl Shared {
-    fn cur(&self) -> RtResult<&Cur> {
-        self.current
-            .as_ref()
-            .ok_or_else(|| RtError::runtime("HTTP hook fired with no active session"))
-    }
-}
-
-/// Per-connection session pair (client + server streams). Both directions
-/// share one [`AllocBudget`] when a per-connection limit is configured.
-struct ConnSessions {
-    client: Session,
-    server: Session,
-    budget: Option<AllocBudget>,
-}
-
-/// The generated HTTP parser wired to Bro-style events.
-pub struct BinpacHttp {
-    parser: BinpacParser,
-    shared: Rc<RefCell<Shared>>,
-    sessions: HashMap<Arc<str>, ConnSessions>,
-    /// Per-connection byte budget applied to newly created sessions.
-    session_budget: Option<u64>,
-    /// High-water mark of buffered bytes across all budgeted connections.
-    peak_session_bytes: u64,
-    /// Wall-clock watchdog re-armed at the start of every delivery.
-    deadline_ms: Option<u64>,
-    /// Flight recorder for parse and glue spans (labelled with its current
-    /// delivery); `None` unless the host pipeline traces.
-    rec: Option<SharedRecorder>,
-}
-
-fn slot_text(v: &Value, idx: usize) -> RtResult<String> {
-    Ok(slot(v, idx)?.render())
-}
-
-fn slot_bytes(v: &Value, idx: usize) -> RtResult<Vec<u8>> {
-    match slot(v, idx)? {
-        Value::Bytes(b) => Ok(b.to_vec()),
-        Value::Null => Ok(Vec::new()),
-        other => Err(RtError::type_error(format!(
-            "expected bytes slot, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-/// Registers an event hook: `body` turns the unit value into events for
-/// the active session — the HILTI-to-Bro glue, recorded as a `Glue` span.
-fn on_event(
-    parser: &mut BinpacParser,
-    hook: &str,
-    shared: &Rc<RefCell<Shared>>,
-    rec: &Option<SharedRecorder>,
-    body: impl Fn(&mut Shared, Cur, &Value) -> RtResult<()> + 'static,
-) {
-    let (s, rec) = (shared.clone(), rec.clone());
-    parser.register_hook(hook, move |args| {
-        trace::span(rec.as_ref(), Stage::Glue, || {
-            let mut sh = s.borrow_mut();
-            let cur = sh.cur()?.clone();
-            body(&mut sh, cur, args[0])?;
-            Ok(Value::Null)
-        })
+fn request_line(e: &mut Emit<'_>, line: &Value, slots: &[Slot]) -> RtResult<()> {
+    let [method, uri, version] = reads(slots)?;
+    let method = method.text(line)?;
+    e.push_note(method == "HEAD");
+    e.event(Event::HttpRequest {
+        ts: e.ts,
+        uid: e.uid.clone(),
+        id: e.id,
+        method,
+        uri: uri.text(line)?,
+        version: version.text(line)?,
     });
+    Ok(())
 }
+
+fn reply_line(e: &mut Emit<'_>, line: &Value, slots: &[Slot]) -> RtResult<()> {
+    let [version, status, reason] = reads(slots)?;
+    let version = version.text(line)?;
+    let status: u32 = status
+        .text(line)?
+        .parse()
+        .map_err(|_| RtError::value("bad status"))?;
+    e.event(Event::HttpReply {
+        ts: e.ts,
+        uid: e.uid.clone(),
+        id: e.id,
+        status,
+        reason: reason.text(line)?,
+        version,
+    });
+    Ok(())
+}
+
+fn header(e: &mut Emit<'_>, header: &Value, slots: &[Slot], is_orig: bool) -> RtResult<()> {
+    let [name, value] = reads(slots)?;
+    e.event(Event::HttpHeader {
+        ts: e.ts,
+        uid: e.uid.clone(),
+        is_orig,
+        name: name.text(header)?,
+        value: value.text(header)?,
+    });
+    Ok(())
+}
+
+fn message_done(e: &mut Emit<'_>, msg: &Value, slots: &[Slot], is_orig: bool) -> RtResult<()> {
+    let [body] = reads(slots)?;
+    let data = body.bytes(msg)?;
+    let body_len = data.len() as u64;
+    if !data.is_empty() {
+        e.event(Event::HttpBodyData {
+            ts: e.ts,
+            uid: e.uid.clone(),
+            is_orig,
+            data,
+        });
+    }
+    e.event(Event::HttpMessageDone {
+        ts: e.ts,
+        uid: e.uid.clone(),
+        is_orig,
+        body_len,
+    });
+    Ok(())
+}
+
+/// HTTP's entry point for callers that predate [`BinpacAnalyzer`]:
+/// `front_end` builds [`HTTP`], `from_ir` is [`BinpacAnalyzer::from_ir`].
+pub struct BinpacHttp;
 
 impl BinpacHttp {
-    /// Compiles the HTTP grammar and wires the event hooks. With a
-    /// recorder, every feed records a `Parse` span and every event hook a
-    /// `Glue` span into it.
-    pub fn new(opt: OptLevel, rec: Option<SharedRecorder>) -> RtResult<BinpacHttp> {
-        Self::wire(
-            BinpacParser::compile(&http_grammar(), &["Request", "Reply"], opt)?,
-            rec,
-        )
+    pub fn front_end(opt: OptLevel) -> RtResult<AnalyzerIr> {
+        BinpacAnalyzer::front_end(&HTTP, opt)
     }
 
-    /// The shareable front end of [`BinpacHttp::new`]: grammar codegen and
-    /// IR optimization, no bytecode. Build once, then materialize one
-    /// parser per worker thread with [`BinpacHttp::from_ir`].
-    pub fn front_end(opt: OptLevel) -> RtResult<ParserIr> {
-        BinpacParser::front_end(&http_grammar(), &["Request", "Reply"], opt)
-    }
-
-    /// Per-thread construction from a shared front end: bytecode lowering
-    /// plus event-hook wiring only.
-    pub fn from_ir(ir: &ParserIr, rec: Option<SharedRecorder>) -> RtResult<BinpacHttp> {
-        Self::wire(BinpacParser::from_ir(ir)?, rec)
-    }
-
-    fn wire(mut parser: BinpacParser, rec: Option<SharedRecorder>) -> RtResult<BinpacHttp> {
-        let shared: Rc<RefCell<Shared>> = Rc::new(RefCell::new(Shared::default()));
-
-        // Slot layouts (grammar is fixed; indices are stable).
-        // RequestLine: [method, uri, version]
-        // StatusLine:  [version, status, reason]
-        // Headers:     [name, value]
-        // Request:     [request_line, headers, body]
-        // Reply:       [status_line, headers, body]
-        on_event(
-            &mut parser,
-            "Http::on_request_line",
-            &shared,
-            &rec,
-            |sh, cur, line| {
-                let method = slot_text(line, 0)?;
-                let uri = slot_text(line, 1)?;
-                let version = slot_text(line, 2)?;
-                sh.outstanding
-                    .entry(cur.uid.clone())
-                    .or_default()
-                    .push_back(method.clone());
-                sh.events.push(Event::HttpRequest {
-                    ts: cur.ts,
-                    uid: cur.uid,
-                    id: cur.id,
-                    method,
-                    uri,
-                    version,
-                });
-                Ok(())
-            },
-        );
-
-        on_event(
-            &mut parser,
-            "Http::on_reply_line",
-            &shared,
-            &rec,
-            |sh, cur, line| {
-                let version = slot_text(line, 0)?;
-                let status: u32 = slot_text(line, 1)?
-                    .parse()
-                    .map_err(|_| RtError::value("bad status"))?;
-                let reason = slot_text(line, 2)?;
-                sh.events.push(Event::HttpReply {
-                    ts: cur.ts,
-                    uid: cur.uid,
-                    id: cur.id,
-                    status,
-                    reason,
-                    version,
-                });
-                Ok(())
-            },
-        );
-
-        for (hook, orig) in [
-            ("Http::on_req_header", true),
-            ("Http::on_resp_header", false),
-        ] {
-            on_event(&mut parser, hook, &shared, &rec, move |sh, cur, header| {
-                let name = slot_text(header, 0)?;
-                let value = slot_text(header, 1)?;
-                sh.events.push(Event::HttpHeader {
-                    ts: cur.ts,
-                    uid: cur.uid,
-                    is_orig: orig,
-                    name,
-                    value,
-                });
-                Ok(())
-            });
-        }
-
-        let s = shared.clone();
-        parser.register_hook("Http::suppress_reply_body", move |_args| {
-            let mut sh = s.borrow_mut();
-            let cur = sh.cur()?.clone();
-            let method = sh.outstanding.get_mut(&cur.uid).and_then(|q| q.pop_front());
-            Ok(Value::Bool(method.as_deref() == Some("HEAD")))
-        });
-
-        for (hook, orig, body_idx) in [
-            ("Http::on_request_done", true, 2usize),
-            ("Http::on_reply_done", false, 2usize),
-        ] {
-            on_event(&mut parser, hook, &shared, &rec, move |sh, cur, msg| {
-                let body = slot_bytes(msg, body_idx)?;
-                let len = body.len() as u64;
-                if !body.is_empty() {
-                    sh.events.push(Event::HttpBodyData {
-                        ts: cur.ts,
-                        uid: cur.uid.clone(),
-                        is_orig: orig,
-                        data: body,
-                    });
-                }
-                sh.events.push(Event::HttpMessageDone {
-                    ts: cur.ts,
-                    uid: cur.uid,
-                    is_orig: orig,
-                    body_len: len,
-                });
-                Ok(())
-            });
-        }
-
-        Ok(BinpacHttp {
-            parser,
-            shared,
-            sessions: HashMap::new(),
-            session_budget: None,
-            peak_session_bytes: 0,
-            deadline_ms: None,
-            rec,
-        })
-    }
-
-    /// The interned uid for a connection: the live session key when one
-    /// exists, otherwise a fresh `Arc` (one allocation per connection).
-    fn intern_uid(&self, uid: &str) -> Arc<str> {
-        match self.sessions.get_key_value(uid) {
-            Some((k, _)) => k.clone(),
-            None => Arc::from(uid),
-        }
-    }
-
-    /// Arms a per-delivery wall-clock watchdog: every `feed`/`finish_conn`
-    /// must complete within `ms` milliseconds or the parser VM trips
-    /// `Hilti::ResourceExhausted` (see `ResourceLimits::deadline_ms`).
-    pub fn set_delivery_deadline_ms(&mut self, ms: Option<u64>) {
-        self.deadline_ms = ms;
-        if ms.is_none() {
-            self.parser
-                .program_mut()
-                .context_mut()
-                .arm_deadline_after_ms(None);
-        }
-    }
-
-    /// Caps buffered stream state per connection. Feeding a connection
-    /// past its budget raises `Hilti::ResourceExhausted` from
-    /// [`BinpacHttp::feed`]; existing connections keep their old budget.
-    pub fn set_session_budget(&mut self, bytes: u64) {
-        self.session_budget = Some(bytes);
-    }
-
-    /// High-water mark of buffered bytes over all budgeted connections.
-    pub fn peak_session_bytes(&self) -> u64 {
-        self.peak_session_bytes
-    }
-
-    /// Whether a live session exists for `uid`.
-    pub fn has_conn(&self, uid: &str) -> bool {
-        self.sessions.contains_key(uid)
-    }
-
-    /// UIDs of all live connections, sorted (deterministic teardown order).
-    pub fn live_uids(&self) -> Vec<Arc<str>> {
-        let mut uids: Vec<Arc<str>> = self.sessions.keys().cloned().collect();
-        uids.sort();
-        uids
-    }
-
-    /// Attaches telemetry to the parser VM: retired-instruction counters
-    /// flushed per parse step, plus fiber suspend/resume and
-    /// resource-limit events on the sink.
-    pub fn set_telemetry(&mut self, telemetry: &hilti_rt::telemetry::Telemetry) {
-        self.parser
-            .program_mut()
-            .context_mut()
-            .set_telemetry(telemetry);
-    }
-
-    /// Chaos hook: arms the parser VM to fail with `error` after `steps`
-    /// charged execution steps (see `Context::inject_fault_after`). The
-    /// fault surfaces from whichever flow's fiber is running at that
-    /// point — deterministic for a fixed trace.
-    pub fn inject_fault_after(&mut self, steps: u64, error: RtError) {
-        self.parser
-            .program_mut()
-            .context_mut()
-            .inject_fault_after(steps, error);
-    }
-
-    fn set_current(&self, uid: &Arc<str>, id: ConnId, ts: Time) {
-        self.shared.borrow_mut().current = Some(Cur {
-            uid: uid.clone(),
-            id,
-            ts,
-        });
-    }
-
-    /// Feeds reassembled payload for one direction of a connection.
-    pub fn feed(
-        &mut self,
-        uid: &str,
-        id: ConnId,
-        is_orig: bool,
-        ts: Time,
-        data: &[u8],
-    ) -> RtResult<()> {
-        let uid = self.intern_uid(uid);
-        self.feed_chunk(&uid, id, is_orig, ts, FeedChunk::Copy(data))
-    }
-
-    /// Feeds one delivery for one direction of a connection. The uid is the
-    /// caller's interned handle (cloned, never re-allocated); a borrowed
-    /// chunk lands in the session's byte string without copying.
-    pub fn feed_chunk(
-        &mut self,
-        uid: &Arc<str>,
-        id: ConnId,
-        is_orig: bool,
-        ts: Time,
-        data: FeedChunk<'_>,
-    ) -> RtResult<()> {
-        let rec = self.rec.clone();
-        trace::span(rec.as_ref(), Stage::Parse, || {
-            self.feed_session(uid, id, is_orig, ts, data)
-        })
-    }
-
-    fn feed_session(
-        &mut self,
-        uid: &Arc<str>,
-        id: ConnId,
-        is_orig: bool,
-        ts: Time,
-        data: FeedChunk<'_>,
-    ) -> RtResult<()> {
-        if let Some(ms) = self.deadline_ms {
-            self.parser
-                .program_mut()
-                .context_mut()
-                .arm_deadline_after_ms(Some(ms));
-        }
-        self.set_current(uid, id, ts);
-        let limit = self.session_budget;
-        let parser = &self.parser;
-        let sessions = self.sessions.entry(uid.clone()).or_insert_with(|| {
-            let client = parser.session("Request");
-            let server = parser.session("Reply");
-            // One budget per connection, shared by both directions.
-            let budget = limit.map(AllocBudget::with_limit);
-            if let Some(b) = &budget {
-                client.set_budget(b.clone());
-                server.set_budget(b.clone());
-            }
-            ConnSessions {
-                client,
-                server,
-                budget,
-            }
-        });
-        let budget = sessions.budget.clone();
-        let session = if is_orig {
-            &mut sessions.client
-        } else {
-            &mut sessions.server
-        };
-        let r = self.parser.feed_chunk(session, data);
-        if let Some(b) = budget {
-            self.peak_session_bytes = self.peak_session_bytes.max(b.peak());
-        }
-        r
-    }
-
-    /// Ends a connection: freezes both directions (flushing read-to-close
-    /// bodies) and drops its state.
-    pub fn finish_conn(&mut self, uid: &str, id: ConnId, ts: Time) -> RtResult<()> {
-        let rec = self.rec.clone();
-        trace::span(rec.as_ref(), Stage::Parse, || {
-            self.finish_sessions(uid, id, ts)
-        })
-    }
-
-    fn finish_sessions(&mut self, uid: &str, id: ConnId, ts: Time) -> RtResult<()> {
-        if let Some(ms) = self.deadline_ms {
-            self.parser
-                .program_mut()
-                .context_mut()
-                .arm_deadline_after_ms(Some(ms));
-        }
-        let uid = &self.intern_uid(uid);
-        if let Some(mut sessions) = self.sessions.remove(uid.as_ref()) {
-            self.set_current(uid, id, ts);
-            self.parser.finish(&mut sessions.server)?;
-            self.set_current(uid, id, ts);
-            self.parser.finish(&mut sessions.client)?;
-        }
-        self.shared.borrow_mut().outstanding.remove(uid.as_ref());
-        Ok(())
-    }
-
-    /// Quarantine teardown: discards a connection's parser state without
-    /// running the finish path (which could re-raise out of a poisoned
-    /// session). Pending events for other flows are untouched.
-    pub fn drop_conn(&mut self, uid: &str) {
-        if let Some(sessions) = self.sessions.remove(uid) {
-            if let Some(b) = &sessions.budget {
-                self.peak_session_bytes = self.peak_session_bytes.max(b.peak());
-            }
-        }
-        self.shared.borrow_mut().outstanding.remove(uid);
-    }
-
-    /// Takes the accumulated events.
-    pub fn take_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.shared.borrow_mut().events)
-    }
-
-    /// Moves the accumulated events into `out`, keeping the internal
-    /// buffer's capacity (no per-delivery allocation, unlike
-    /// [`take_events`](Self::take_events)).
-    pub fn drain_events_into(&mut self, out: &mut Vec<Event>) {
-        out.append(&mut self.shared.borrow_mut().events);
-    }
-
-    /// Number of live connection sessions.
-    pub fn live_sessions(&self) -> usize {
-        self.sessions.len()
+    pub fn from_ir(ir: &AnalyzerIr, rec: Option<SharedRecorder>) -> RtResult<BinpacAnalyzer> {
+        BinpacAnalyzer::from_ir(ir, rec)
     }
 }
 
@@ -763,8 +447,12 @@ impl BinpacHttp {
 mod tests {
     use super::*;
     use hilti_rt::addr::Port;
+    use hilti_rt::bytestring::FeedChunk;
+    use hilti_rt::time::Time;
+    use netpkt::events::ConnId;
+    use std::sync::Arc;
 
-    fn conn_id() -> ConnId {
+    pub(super) fn conn_id() -> ConnId {
         ConnId {
             orig_h: "10.0.0.1".parse().unwrap(),
             orig_p: Port::tcp(40000),
@@ -773,8 +461,30 @@ mod tests {
         }
     }
 
-    fn t(s: u64) -> Time {
+    pub(super) fn t(s: u64) -> Time {
         Time::from_secs(s)
+    }
+
+    pub(super) fn analyzer() -> BinpacAnalyzer {
+        let ir = BinpacAnalyzer::front_end(&HTTP, OptLevel::Full).unwrap();
+        BinpacAnalyzer::from_ir(&ir, None).unwrap()
+    }
+
+    pub(super) fn feed(
+        h: &mut BinpacAnalyzer,
+        uid: &str,
+        id: ConnId,
+        is_orig: bool,
+        ts: Time,
+        data: &[u8],
+    ) -> RtResult<()> {
+        h.feed_chunk(&Arc::from(uid), id, is_orig, ts, FeedChunk::Copy(data))
+    }
+
+    pub(super) fn events(h: &mut BinpacAnalyzer) -> Vec<Event> {
+        let mut evs = Vec::new();
+        h.drain_events_into(&mut evs);
+        evs
     }
 
     fn names(evs: &[Event]) -> Vec<&'static str> {
@@ -783,8 +493,9 @@ mod tests {
 
     #[test]
     fn simple_get_exchange() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             true,
@@ -792,7 +503,8 @@ mod tests {
             b"GET /index.html HTTP/1.1\r\nHost: example.com\r\n\r\n",
         )
         .unwrap();
-        h.feed(
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             false,
@@ -800,7 +512,7 @@ mod tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Type: text/html\r\n\r\nhello",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         assert_eq!(
             names(&evs),
             vec![
@@ -840,11 +552,11 @@ mod tests {
     #[test]
     fn byte_at_a_time_suspends_transparently() {
         let wire_c = b"POST /submit HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc";
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
+        let mut h = analyzer();
         for b in wire_c {
-            h.feed("C1", conn_id(), true, t(1), &[*b]).unwrap();
+            feed(&mut h, "C1", conn_id(), true, t(1), &[*b]).unwrap();
         }
-        let evs = h.take_events();
+        let evs = events(&mut h);
         assert_eq!(
             names(&evs),
             vec![
@@ -863,8 +575,9 @@ mod tests {
 
     #[test]
     fn chunked_reply_with_trailers() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             false,
@@ -873,7 +586,7 @@ mod tests {
               5\r\nhello\r\n6;ext=1\r\n world\r\n0\r\nX-T: v\r\n\r\n",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         let body: Vec<u8> = evs
             .iter()
             .filter_map(|e| match e {
@@ -892,10 +605,18 @@ mod tests {
 
     #[test]
     fn head_suppresses_reply_body() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed("C1", conn_id(), true, t(1), b"HEAD /big HTTP/1.1\r\n\r\n")
-            .unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
+            "C1",
+            conn_id(),
+            true,
+            t(1),
+            b"HEAD /big HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             false,
@@ -903,7 +624,7 @@ mod tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\n",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         let done = evs.iter().find_map(|e| match e {
             Event::HttpMessageDone {
                 body_len,
@@ -917,8 +638,9 @@ mod tests {
 
     #[test]
     fn until_close_body_flushes_on_finish() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             false,
@@ -926,12 +648,11 @@ mod tests {
             b"HTTP/1.0 200 OK\r\nServer: x\r\n\r\nunending body",
         )
         .unwrap();
-        assert!(h
-            .take_events()
+        assert!(events(&mut h)
             .iter()
             .all(|e| e.name() != "http_message_done"));
         h.finish_conn("C1", conn_id(), t(9)).unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         let done = evs.iter().find_map(|e| match e {
             Event::HttpMessageDone { body_len, .. } => Some(*body_len),
             _ => None,
@@ -941,8 +662,9 @@ mod tests {
 
     #[test]
     fn pipelined_requests() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             true,
@@ -950,7 +672,7 @@ mod tests {
             b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         let uris: Vec<&String> = evs
             .iter()
             .filter_map(|e| match e {
@@ -963,11 +685,18 @@ mod tests {
 
     #[test]
     fn garbage_abandons_stream() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed("C1", conn_id(), true, t(1), b"\x00\x01 binary crud\r\n\r\n")
-            .unwrap();
+        let mut h = analyzer();
+        feed(
+            &mut h,
+            "C1",
+            conn_id(),
+            true,
+            t(1),
+            b"\x00\x01 binary crud\r\n\r\n",
+        )
+        .unwrap();
         h.finish_conn("C1", conn_id(), t(2)).unwrap();
-        assert!(h.take_events().is_empty());
+        assert!(events(&mut h).is_empty());
     }
 
     #[test]
@@ -977,10 +706,10 @@ mod tests {
         let wire_s: &[u8] =
             b"HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\nContent-Type: text/plain\r\n\r\nnot found";
 
-        let mut bp = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        bp.feed("C1", conn_id(), true, t(1), wire_c).unwrap();
-        bp.feed("C1", conn_id(), false, t(1), wire_s).unwrap();
-        let bp_events = bp.take_events();
+        let mut bp = analyzer();
+        feed(&mut bp, "C1", conn_id(), true, t(1), wire_c).unwrap();
+        feed(&mut bp, "C1", conn_id(), false, t(1), wire_s).unwrap();
+        let bp_events = events(&mut bp);
 
         let mut std_parser = netpkt::http::HttpConnParser::new("C1".into(), conn_id());
         let mut std_events = Vec::new();
@@ -1006,28 +735,16 @@ mod tests {
 
 #[cfg(test)]
 mod more_http_tests {
+    use super::tests::{analyzer, conn_id, events, feed, t};
     use super::*;
-    use hilti_rt::addr::Port;
-
-    fn conn_id() -> ConnId {
-        ConnId {
-            orig_h: "10.0.0.1".parse().unwrap(),
-            orig_p: Port::tcp(40000),
-            resp_h: "93.184.216.34".parse().unwrap(),
-            resp_p: Port::tcp(80),
-        }
-    }
-
-    fn t(s: u64) -> Time {
-        Time::from_secs(s)
-    }
 
     #[test]
     fn partial_content_206_carries_body() {
         // The Table 2 "Partial Content" case: a 206 with Content-Range
         // still frames by Content-Length.
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             true,
@@ -1035,7 +752,7 @@ mod more_http_tests {
             b"GET /big HTTP/1.1\r\nRange: bytes=0-4\r\n\r\n",
         )
         .unwrap();
-        h.feed(
+        feed(&mut h,
             "C1",
             conn_id(),
             false,
@@ -1043,7 +760,7 @@ mod more_http_tests {
             b"HTTP/1.1 206 Partial Content\r\nContent-Range: bytes 0-4/100\r\nContent-Length: 5\r\n\r\nHELLO",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         let body: Vec<u8> = evs
             .iter()
             .filter_map(|e| match e {
@@ -1062,8 +779,9 @@ mod more_http_tests {
     fn mixed_head_get_pipeline_suppresses_correctly() {
         // HEAD, then GET on the same connection: only the HEAD reply's
         // body is suppressed; the GET reply's is parsed.
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             true,
@@ -1071,7 +789,7 @@ mod more_http_tests {
             b"HEAD /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
         )
         .unwrap();
-        h.feed(
+        feed(&mut h,
             "C1",
             conn_id(),
             false,
@@ -1079,7 +797,7 @@ mod more_http_tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nBODY",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         let dones: Vec<u64> = evs
             .iter()
             .filter_map(|e| match e {
@@ -1098,8 +816,9 @@ mod more_http_tests {
     fn reply_without_preceding_request_parses() {
         // Mid-stream capture: a reply with no recorded request must not
         // wedge (suppress lookup finds an empty queue).
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
-        h.feed(
+        let mut h = analyzer();
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             false,
@@ -1107,7 +826,7 @@ mod more_http_tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
         )
         .unwrap();
-        let evs = h.take_events();
+        let evs = events(&mut h);
         assert!(evs
             .iter()
             .any(|e| matches!(e, Event::HttpMessageDone { body_len: 2, .. })));
@@ -1115,9 +834,10 @@ mod more_http_tests {
 
     #[test]
     fn many_connections_isolated_state() {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
+        let mut h = analyzer();
         // Interleave two connections; bodies must not bleed across.
-        h.feed(
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             false,
@@ -1125,7 +845,8 @@ mod more_http_tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n",
         )
         .unwrap();
-        h.feed(
+        feed(
+            &mut h,
             "C2",
             conn_id(),
             false,
@@ -1133,8 +854,8 @@ mod more_http_tests {
             b"HTTP/1.1 404 Not Found\r\nContent-Length: 3\r\n\r\nBBB",
         )
         .unwrap();
-        h.feed("C1", conn_id(), false, t(2), b"AAA").unwrap();
-        let evs = h.take_events();
+        feed(&mut h, "C1", conn_id(), false, t(2), b"AAA").unwrap();
+        let evs = events(&mut h);
         let bodies: Vec<(String, Vec<u8>)> = evs
             .iter()
             .filter_map(|e| match e {
@@ -1156,11 +877,12 @@ mod more_http_tests {
     fn session_budget_trips_and_drop_conn_quarantines_one_flow() {
         use hilti_rt::error::ExceptionKind;
 
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
+        let mut h = analyzer();
         h.set_session_budget(1024);
         // A request claiming a huge body that never completes: buffered
         // state grows until the per-connection budget trips.
-        h.feed(
+        feed(
+            &mut h,
             "C1",
             conn_id(),
             true,
@@ -1170,7 +892,7 @@ mod more_http_tests {
         .unwrap();
         let mut tripped = None;
         for _ in 0..100 {
-            if let Err(e) = h.feed("C1", conn_id(), true, t(2), &[b'x'; 256]) {
+            if let Err(e) = feed(&mut h, "C1", conn_id(), true, t(2), &[b'x'; 256]) {
                 tripped = Some(e);
                 break;
             }
@@ -1186,7 +908,8 @@ mod more_http_tests {
         // Tearing down only the poisoned flow leaves the parser usable.
         h.drop_conn("C1");
         assert_eq!(h.live_sessions(), 0);
-        h.feed(
+        feed(
+            &mut h,
             "C2",
             conn_id(),
             true,
@@ -1194,8 +917,7 @@ mod more_http_tests {
             b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
         )
         .unwrap();
-        assert!(h
-            .take_events()
+        assert!(events(&mut h)
             .iter()
             .any(|e| matches!(e, Event::HttpRequest { .. })));
     }

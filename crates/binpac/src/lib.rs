@@ -13,17 +13,25 @@
 //!
 //! * [`grammar`] — the grammar model (the `.pac2` AST).
 //! * [`codegen`] — lowering grammars to HILTI IR text.
-//! * [`parser`] — the host-side driver: sessions, fibers, field hooks, and
-//!   the event configuration layer (Figure 7's `.evt` files).
-//! * [`http`] / [`dns`] — the built-in HTTP and DNS grammars plus the
-//!   event adapters that make them drop-in replacements for the standard
+//! * [`parser`] — the compiled grammar: sessions, fibers and host hooks by
+//!   name.
+//! * [`analyzer`] — the one analyzer driver, [`BinpacAnalyzer`]: a
+//!   [`Protocol`] is a grammar, a [`Mode`] (stream: a session pair per
+//!   connection; datagram: one whole parse per payload) and a table of
+//!   [`EventDecl`]s, Figure 7's `.evt` layer. Each declaration names a
+//!   unit hook and the `(unit, field)` names its builder reads, resolved
+//!   to struct slots once at construction.
+//! * [`http`] / [`dns`] — the built-in HTTP and DNS grammars plus their
+//!   event declarations, drop-in replacements for the standard
 //!   handwritten parsers (Table 2 / Figure 9).
 
+pub mod analyzer;
 pub mod codegen;
 pub mod dns;
 pub mod grammar;
 pub mod http;
 pub mod parser;
 
+pub use analyzer::{BinpacAnalyzer, EventDecl, Mode, Protocol};
 pub use grammar::{Field, FieldKind, Grammar, Unit};
 pub use parser::{BinpacParser, Session};

@@ -4,8 +4,8 @@
 //! parse complete PDUs (datagrams) directly, or run stream [`Session`]s —
 //! fibers executing the generated `drive_<Unit>` loop, fed chunk by chunk
 //! exactly like the paper's host applications feed payload "as it arrives"
-//! (§3.2). Host hooks registered by name become the events of the `.evt`
-//! configuration layer (Figure 7).
+//! (§3.2). Host hooks registered by name are what the `.evt` layer's event
+//! declarations attach to (Figure 7; see [`crate::analyzer`]).
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -225,34 +225,26 @@ impl BinpacParser {
         self.program.take_output()
     }
 
-    /// Reads a named field out of a unit struct value.
-    pub fn field(&self, unit_value: &Value, name: &str) -> RtResult<Value> {
-        field_of(&self.program, unit_value, name)
+    /// Reads a named field out of a unit struct value, using the program's
+    /// type tables.
+    pub fn field(&self, value: &Value, name: &str) -> RtResult<Value> {
+        let Value::Struct(s) = value else {
+            return Err(RtError::type_error(format!(
+                "expected unit struct, got {}",
+                value.type_name()
+            )));
+        };
+        let s = s.borrow();
+        let idx = self
+            .program
+            .compiled()
+            .struct_layouts
+            .get(&*s.type_name)
+            .ok_or_else(|| RtError::type_error(format!("unknown unit type {}", s.type_name)))?
+            .index_of(name)
+            .ok_or_else(|| RtError::index(format!("unit {} has no field {name}", s.type_name)))?;
+        Ok(s.fields[idx].clone())
     }
-}
-
-/// Reads a named field from a struct value using the program's type tables.
-pub fn field_of(program: &Program, value: &Value, name: &str) -> RtResult<Value> {
-    let Value::Struct(s) = value else {
-        return Err(RtError::type_error(format!(
-            "expected unit struct, got {}",
-            value.type_name()
-        )));
-    };
-    let s = s.borrow();
-    let idx = program
-        .compiled()
-        .struct_layouts
-        .get(&*s.type_name)
-        .ok_or_else(|| RtError::type_error(format!("unknown unit type {}", s.type_name)))?
-        .index_of(name)
-        .ok_or_else(|| RtError::index(format!("unit {} has no field {name}", s.type_name)))?;
-    Ok(s.fields[idx].clone())
-}
-
-/// Renders a field value as text (bytes → lossy UTF-8), for tests/logs.
-pub fn field_text(program: &Program, value: &Value, name: &str) -> RtResult<String> {
-    Ok(field_of(program, value, name)?.render())
 }
 
 /// Positional slot access on a unit struct, for hooks that know the
@@ -541,7 +533,7 @@ mod field_hook_tests {
         let captured: Rc<RefCell<Vec<(String, String)>>> = Rc::new(RefCell::new(Vec::new()));
         let c = captured.clone();
         p.register_hook("on_b", move |args| {
-            let a = field_text_from(&args[0], 0)?;
+            let a = field_text_from(args[0], 0)?;
             let bval = args[1].render();
             c.borrow_mut().push((a, bval));
             Ok(Value::Null)

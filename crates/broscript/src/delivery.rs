@@ -18,17 +18,16 @@
 //! A *driver* connects them. [`crate::pipeline`] drives one `Analyzer`
 //! inline and propagates errors with `?`; [`crate::parallel`] ships the
 //! front end's deliveries over SPSC rings to one supervised `Analyzer` per
-//! shard and merges their sealed effects. Adding a protocol means one
-//! [`ParserState`] variant (plus its arm in [`build_engine`] and in
-//! [`Analyzer::parse`]), not a new loop.
+//! shard and merges their sealed effects. A BinPAC++ protocol is a
+//! [`binpac::Protocol`] run by the one [`ParserState::Binpac`] driver;
+//! the analyzer branches on the driver's stream or datagram mode, never on
+//! the protocol.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-use binpac::dns::BinpacDns;
-use binpac::http::BinpacHttp;
-use binpac::parser::ParserIr;
+use binpac::analyzer::{AnalyzerIr, BinpacAnalyzer};
 use hilti::passes::OptLevel;
 use hilti_rt::bytestring::FeedChunk;
 use hilti_rt::error::{RtError, RtResult};
@@ -410,9 +409,8 @@ impl FlowFrontEnd {
 /// The parser stack's front-end artifacts: `Send`, built once.
 pub(crate) struct ParserBlueprint {
     proto: Proto,
-    stack: ParserStack,
-    /// The generated parser's optimized IR (BinPAC++ stack only).
-    ir: Option<ParserIr>,
+    /// The generated analyzer's optimized IR (BinPAC++ stack only).
+    ir: Option<AnalyzerIr>,
 }
 
 /// Front-end build artifacts of one analysis engine: the script host
@@ -430,22 +428,37 @@ impl Blueprint {
             Proto::Dns => scripts::DNS_BRO,
         };
         let host = ScriptHost::blueprint(&[script], engine, None)?;
-        let ir = match (proto, stack) {
-            (_, ParserStack::Standard) => None,
-            (Proto::Http, ParserStack::Binpac) => Some(BinpacHttp::front_end(OptLevel::Full)?),
-            (Proto::Dns, ParserStack::Binpac) => Some(BinpacDns::front_end(OptLevel::Full)?),
+        let ir = match (stack, proto) {
+            (ParserStack::Standard, _) => None,
+            (ParserStack::Binpac, Proto::Http) => Some(&binpac::http::HTTP),
+            (ParserStack::Binpac, Proto::Dns) => Some(&binpac::dns::DNS),
         };
-        let parsers = ParserBlueprint { proto, stack, ir };
+        let ir = ir
+            .map(|p| BinpacAnalyzer::front_end(p, OptLevel::Full))
+            .transpose()?;
+        let parsers = ParserBlueprint { proto, ir };
         Ok(Blueprint { host, parsers })
     }
 }
 
-/// All per-flow parser state of one analyzer, by protocol and stack.
+/// All per-flow parser state of one analyzer: a standard parser, or the
+/// BinPAC++ driver for either protocol.
 enum ParserState {
     StdHttp(HashMap<Arc<str>, HttpConnParser>),
-    BinpacHttp(BinpacHttp),
     StdDns,
-    BinpacDns(BinpacDns),
+    Binpac(Box<BinpacAnalyzer>),
+}
+
+impl ParserState {
+    /// Whether flows are streams (sessions per connection) rather than
+    /// independent datagrams.
+    fn is_stream(&self) -> bool {
+        match self {
+            ParserState::StdHttp(_) => true,
+            ParserState::StdDns => false,
+            ParserState::Binpac(b) => b.is_stream(),
+        }
+    }
 }
 
 /// What an engine reports into: shared by the host, the parser stack and
@@ -469,12 +482,11 @@ fn build_engine(
     if let Some(t) = &w.telemetry {
         host.set_telemetry(t);
     }
-    let ir = || bp.ir.as_ref().expect("binpac blueprint carries IR");
-    let parsers = match (bp.proto, bp.stack) {
-        (Proto::Http, ParserStack::Standard) => ParserState::StdHttp(HashMap::new()),
-        (Proto::Dns, ParserStack::Standard) => ParserState::StdDns,
-        (Proto::Http, ParserStack::Binpac) => {
-            let mut b = BinpacHttp::from_ir(ir(), w.rec.clone())?;
+    let parsers = match (&bp.ir, bp.proto) {
+        (None, Proto::Http) => ParserState::StdHttp(HashMap::new()),
+        (None, Proto::Dns) => ParserState::StdDns,
+        (Some(ir), _) => {
+            let mut b = BinpacAnalyzer::from_ir(ir, w.rec.clone())?;
             if let Some(n) = gov.per_flow_heap {
                 b.set_session_budget(n);
             }
@@ -485,15 +497,7 @@ fn build_engine(
                 b.set_telemetry(t);
             }
             b.set_delivery_deadline_ms(gov.delivery_deadline_ms);
-            ParserState::BinpacHttp(b)
-        }
-        (Proto::Dns, ParserStack::Binpac) => {
-            let mut b = BinpacDns::from_ir(ir(), w.rec.clone())?;
-            if let Some(t) = &w.telemetry {
-                b.set_telemetry(t);
-            }
-            b.set_delivery_deadline_ms(gov.delivery_deadline_ms);
-            ParserState::BinpacDns(b)
+            ParserState::Binpac(Box::new(b))
         }
     };
     Ok((host, parsers))
@@ -510,7 +514,7 @@ struct AnalyzerMetrics {
 }
 
 /// Builds standard-parser DNS events for one datagram (the handwritten
-/// counterpart of the BinPAC++ adapter). `false` if it is not DNS.
+/// counterpart of `binpac::dns::DNS`). `false` if it is not DNS.
 pub(crate) fn standard_dns_events(
     uid: &Arc<str>,
     id: ConnId,
@@ -626,15 +630,15 @@ impl Analyzer {
     pub(crate) fn live_uids(&self) -> Vec<Arc<str>> {
         match &self.parsers {
             ParserState::StdHttp(map) => map.keys().cloned().collect(),
-            ParserState::BinpacHttp(b) => b.live_uids(),
-            ParserState::StdDns | ParserState::BinpacDns(_) => Vec::new(),
+            ParserState::StdDns => Vec::new(),
+            ParserState::Binpac(b) => b.live_uids(),
         }
     }
 
     /// High-water mark of budgeted per-flow parser state.
     pub(crate) fn peak_flow_bytes(&self) -> u64 {
         match &self.parsers {
-            ParserState::BinpacHttp(b) => b.peak_session_bytes(),
+            ParserState::Binpac(b) => b.peak_session_bytes(),
             _ => 0,
         }
     }
@@ -659,11 +663,10 @@ impl Analyzer {
         // quarantined (an empty one may still finish it); a datagram
         // parser sees payload only, and a bad datagram never condemns its
         // flow.
-        let skip = match self.parsers {
-            ParserState::StdHttp(_) | ParserState::BinpacHttp(_) => {
-                d.after_close || self.quarantined.contains(&*d.uid)
-            }
-            ParserState::StdDns | ParserState::BinpacDns(_) => d.payload.is_empty(),
+        let skip = if self.parsers.is_stream() {
+            d.after_close || self.quarantined.contains(&*d.uid)
+        } else {
+            d.payload.is_empty()
         };
         if skip {
             return Ok(());
@@ -708,9 +711,18 @@ impl Analyzer {
                 }
                 Ok(true)
             }),
-            // (The binpac stacks record their own parse spans through the
-            // shared recorder — see `build_engine`.)
-            ParserState::BinpacHttp(b) => {
+            ParserState::StdDns => trace::span(rec, Stage::Parse, || {
+                Ok(standard_dns_events(
+                    &d.uid,
+                    d.id,
+                    d.ts,
+                    bytes(),
+                    &mut self.events,
+                ))
+            }),
+            // (The driver records its own parse spans through the shared
+            // recorder — see `build_engine`.)
+            ParserState::Binpac(b) if b.is_stream() => {
                 let mut r = Ok(());
                 if !d.payload.is_empty() {
                     r = b.feed_chunk(&d.uid, d.id, d.is_orig, d.ts, chunk());
@@ -722,16 +734,7 @@ impl Analyzer {
                 b.drain_events_into(&mut self.events);
                 r.map(|()| true)
             }
-            ParserState::StdDns => trace::span(rec, Stage::Parse, || {
-                Ok(standard_dns_events(
-                    &d.uid,
-                    d.id,
-                    d.ts,
-                    bytes(),
-                    &mut self.events,
-                ))
-            }),
-            ParserState::BinpacDns(b) => {
+            ParserState::Binpac(b) => {
                 let r = b.datagram_chunk(&d.uid, d.id, d.ts, chunk());
                 b.drain_events_into(&mut self.events);
                 r
@@ -752,9 +755,11 @@ impl Analyzer {
                 }
                 // A faulted stream is torn down and stays quarantined
                 // until evicted; a faulted datagram costs only itself.
-                if let ParserState::BinpacHttp(b) = &mut self.parsers {
-                    b.drop_conn(&d.uid);
-                    self.quarantined.insert(d.uid.clone());
+                if let ParserState::Binpac(b) = &mut self.parsers {
+                    if b.is_stream() {
+                        b.drop_conn(&d.uid);
+                        self.quarantined.insert(d.uid.clone());
+                    }
                 }
                 errors.push(FlowError::new(&d.uid, &e, d.ts));
             }
@@ -818,8 +823,8 @@ impl Analyzer {
             ParserState::StdHttp(map) => {
                 map.remove(uid);
             }
-            ParserState::BinpacHttp(b) => b.drop_conn(uid),
-            ParserState::StdDns | ParserState::BinpacDns(_) => {}
+            ParserState::StdDns => {}
+            ParserState::Binpac(b) => b.drop_conn(uid),
         }
         self.quarantined.remove(uid);
         if let Some(m) = &self.metrics {
@@ -843,8 +848,8 @@ impl Analyzer {
     pub(crate) fn held(&self) -> HeldState {
         let parsers = match &self.parsers {
             ParserState::StdHttp(map) => map.len(),
-            ParserState::BinpacHttp(b) => b.live_sessions(),
-            ParserState::StdDns | ParserState::BinpacDns(_) => 0,
+            ParserState::StdDns => 0,
+            ParserState::Binpac(b) => b.live_sessions(),
         };
         HeldState {
             parsers: parsers as u64,
@@ -871,7 +876,7 @@ impl Analyzer {
                     });
                 }
             }
-            ParserState::BinpacHttp(b) if b.has_conn(uid) => {
+            ParserState::Binpac(b) if b.has_conn(uid) => {
                 let r = b.finish_conn(uid, placeholder_id(), ts);
                 b.drain_events_into(&mut self.events);
                 if let Err(e) = r {

@@ -245,7 +245,11 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         stack: ParserStack::Standard,
         pinned: 541_834,
     },
-    // 85.086 per packet. Was 88.283 (170 387) before the constant folder
+    // 84.928 per packet. Was pinned at 164 216 (85.086; 163 910 measured)
+    // until HTTP and DNS shared one BinPAC++ driver, which adds two
+    // allocations at setup: its per-declaration `Vec` of resolved slots
+    // and the `Box` that holds it in `ParserState`. Was 88.283
+    // (170 387) before the constant folder
     // evaluated through `ops::eval`, and 88.265 (170 351) while every
     // `parse_*` returned its unit and iterator as a tuple (and before the
     // specializer's setup `Vec`s went, see above).
@@ -254,9 +258,14 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || dns_trace(&SynthConfig::new(11, 1_000)),
         run: run_dns_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 164_216,
+        pinned: 163_912,
     },
-    // 50.090 per packet. Was 59.329 (176 801) while every token match
+    // 49.642 per packet. Was pinned at 149 268 (50.090; 148 663 measured)
+    // until HTTP and DNS shared one BinPAC++ driver: HEAD suppression queues
+    // a flag per request instead of a copy of its method (−597), and
+    // `finish_conn` no longer allocates a uid for a connection that has no
+    // session left (−250, the +250 noted below). Was 59.329 (176 801) while
+    // every token match
     // returned its pattern index and end as a tuple, 61.410 (183 002)
     // while every `parse_*` returned its unit and iterator as a tuple, one
     // allocation per unit (the specializer's setup `Vec`s went at the same
@@ -271,7 +280,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 149_268,
+        pinned: 147_933,
     },
 ];
 

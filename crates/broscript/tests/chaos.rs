@@ -9,10 +9,13 @@
 //! raised them while every healthy session still produces its logs.
 
 use broscript::host::Engine;
+use broscript::parallel::{run_dns_analysis_parallel, PipelineOptions};
 use broscript::pipeline::{
     run_dns_analysis_governed, run_http_analysis_governed, Governance, ParserStack,
 };
-use netpkt::synth::{chaos_dns_trace, chaos_http_trace, http_trace, ChaosConfig, SynthConfig};
+use netpkt::synth::{
+    chaos_dns_trace, chaos_http_trace, dns_trace, http_trace, ChaosConfig, SynthConfig,
+};
 
 const PER_FLOW_HEAP: u64 = 8 * 1024;
 
@@ -183,6 +186,35 @@ fn injected_fault_quarantines_exactly_one_flow() {
     assert_eq!(a.flow_errors[0].uid, b.flow_errors[0].uid);
     // The other flows' results survive the casualty.
     assert!(a.http_log.len() >= 5, "{:?}", a.http_log);
+
+    // The same hook arms the BinPAC++ DNS driver. Datagram mode lets only
+    // `ResourceExhausted` escape, so the faulted datagram counts as
+    // unparseable: nothing is quarantined and exactly one more datagram
+    // fails than in the unfaulted run.
+    let trace = dns_trace(&SynthConfig::new(5, 20));
+    let clean = Governance {
+        inject_fault_after: None,
+        ..gov
+    };
+    let run = |gov: &Governance| {
+        run_dns_analysis_governed(&trace, ParserStack::Binpac, Engine::Interpreted, gov).unwrap()
+    };
+    let (base, faulted) = (run(&clean), run(&gov));
+    assert_eq!(faulted.packets, trace.len() as u64);
+    assert!(faulted.flow_errors.is_empty(), "{:?}", faulted.flow_errors);
+    assert_eq!(faulted.parse_failures, base.parse_failures + 1);
+    assert_eq!(run(&gov).dns_log, faulted.dns_log);
+    // Each worker arms its own parser VM, and both shards of this trace
+    // run past the step count: a 2-worker run faults once per shard.
+    let opts = PipelineOptions {
+        workers: 2,
+        governance: gov,
+        ..PipelineOptions::default()
+    };
+    let par =
+        run_dns_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &opts).unwrap();
+    assert!(par.flow_errors.is_empty(), "{:?}", par.flow_errors);
+    assert_eq!(par.parse_failures, base.parse_failures + 2);
 }
 
 #[test]

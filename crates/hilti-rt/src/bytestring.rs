@@ -1278,7 +1278,7 @@ mod tests {
                 let pick = (rng() as usize) % objects.len();
                 let b = objects[pick].clone();
                 match rng() % 10 {
-                    0 | 1 | 2 => {
+                    0..=2 => {
                         let n = (rng() % 32) as usize;
                         let data: Vec<u8> = (0..n).map(|_| rng() as u8).collect();
                         let _ = b.append(&data);

@@ -220,8 +220,8 @@ pub struct FlightRecorder {
 }
 
 /// Single-thread shared handle: lets a pipeline and the parsers it owns
-/// (e.g. `BinpacHttp`) record into the same ring without threading
-/// `&mut` through every call signature. `Rc` keeps it off the
+/// (the BinPAC++ driver, `binpac::BinpacAnalyzer`) record into the same
+/// ring without threading `&mut` through every call signature. `Rc` keeps it off the
 /// cross-thread path by construction.
 pub type SharedRecorder = Rc<RefCell<FlightRecorder>>;
 

@@ -364,11 +364,19 @@ pub fn eval(
             arity(args, 1, op)?;
             Value::str(&args[0].as_int()?.to_string())
         }
-        IntFromBytes => {
+        IntFromBytes | BytesToInt => {
             // (bytes, base) — parse ASCII digits.
             arity(args, 2, op)?;
             let raw = args[0].as_bytes()?.to_vec();
-            let base = args[1].as_int()? as u32;
+            let base = match args[1].as_int()? {
+                b @ 2..=36 => b as u32,
+                b => {
+                    return Err(RtError::value(format!(
+                        "{}: base {b} outside 2..=36",
+                        op.mnemonic()
+                    )))
+                }
+            };
             let s = std::str::from_utf8(&raw)
                 .map_err(|_| RtError::value("non-UTF8 digits"))?
                 .trim();
@@ -580,17 +588,6 @@ pub fn eval(
             b.with_available(b.begin_offset(), |data| {
                 Value::str(&String::from_utf8_lossy(data))
             })?
-        }
-        BytesToInt => {
-            arity(args, 2, op)?;
-            let raw = args[0].as_bytes()?.to_vec();
-            let base = args[1].as_int()? as u32;
-            let s = std::str::from_utf8(&raw)
-                .map_err(|_| RtError::value("non-UTF8 digits"))?
-                .trim();
-            let v = i64::from_str_radix(s, base)
-                .map_err(|_| RtError::value(format!("bad integer literal {s:?}")))?;
-            Value::Int(v)
         }
         BytesBegin => {
             arity(args, 1, op)?;

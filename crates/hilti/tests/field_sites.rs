@@ -150,7 +150,7 @@ fn site_hits_after_monomorphic_miss_refill() {
     let mut p = build(true);
     let s = p.run("M::mk1", &[]).unwrap();
     for _ in 0..10 {
-        let v = p.run("M::getb", &[s.clone()]).unwrap();
+        let v = p.run("M::getb", std::slice::from_ref(&s)).unwrap();
         assert!(v.equals(&Value::Int(1)), "{v:?}");
     }
     let ic = site(&p, "M::getb", "struct.get");
@@ -170,11 +170,11 @@ fn site_refills_per_receiver_type_up_to_cap() {
     // return the wrong field value — correctness proves the guard works.
     for _ in 0..4 {
         assert!(p
-            .run("M::getb", &[s1.clone()])
+            .run("M::getb", std::slice::from_ref(&s1))
             .unwrap()
             .equals(&Value::Int(1)));
         assert!(p
-            .run("M::getb", &[s2.clone()])
+            .run("M::getb", std::slice::from_ref(&s2))
             .unwrap()
             .equals(&Value::Int(2)));
     }
@@ -195,7 +195,7 @@ fn site_polymorphic_cap_deoptimizes_but_stays_correct() {
     // to the generic lookup — and keep producing correct answers.
     for round in 0..3 {
         for (i, s) in vals.iter().enumerate() {
-            let v = p.run("M::getb", &[s.clone()]).unwrap();
+            let v = p.run("M::getb", std::slice::from_ref(s)).unwrap();
             assert!(
                 v.equals(&Value::Int(i as i64 + 1)),
                 "round {round} type T{} gave {v:?}",
@@ -245,9 +245,11 @@ fn site_errors_match_interpreter_messages() {
     for maker in ["M::mk_nob", "M::mk_unset"] {
         let mut p = build(true);
         let s = p.run(maker, &[]).unwrap();
-        let want = p.run_interpreted("M::getb", &[s.clone()]).unwrap_err();
+        let want = p
+            .run_interpreted("M::getb", std::slice::from_ref(&s))
+            .unwrap_err();
         for round in ["cold", "warm"] {
-            let got = p.run("M::getb", &[s.clone()]).unwrap_err();
+            let got = p.run("M::getb", std::slice::from_ref(&s)).unwrap_err();
             assert_eq!(want.kind, got.kind, "{maker} ({round})");
             assert_eq!(want.message, got.message, "{maker} ({round})");
         }

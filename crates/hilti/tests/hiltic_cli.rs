@@ -484,6 +484,25 @@ fn dead_traps_example_raises_under_every_configuration() {
     }
 }
 
+/// `examples/hlt/radix.hlt` parses digits in bases 36 and 2 and then asks
+/// for bases 40, -2 and 1: each raises a caught ValueError, never a panic,
+/// under every configuration.
+#[test]
+fn radix_example_raises_value_error_outside_2_to_36() {
+    let f = example("radix.hlt");
+    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
+        let out = hiltic().args(["run", flag, &f]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "43\n5\ncaught Hilti::ValueError\ncaught Hilti::ValueError\n\
+             caught Hilti::ValueError\ndone\n",
+            "{flag}"
+        );
+        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
+    }
+}
+
 #[test]
 fn removed_tiering_flag_is_rejected_as_unknown() {
     let f = write_temp("tiering.hlt", FIB);

@@ -418,8 +418,13 @@ mod tests {
     #[test]
     fn buffer_budget_forces_gap() {
         let mut r = StreamReassembler::new(0).with_max_buffer(8);
-        assert!(r.segment(100, b"ABCDEFGHIJ").is_empty() || true);
-        // Budget exceeded: delivery resumes at the buffered segment.
+        // The first segment is out of order (offset 99) and alone exceeds
+        // the 8-byte budget: the missing 99 bytes become a gap and the
+        // segment is delivered at once.
+        assert_eq!(r.segment(100, b"ABCDEFGHIJ"), b"ABCDEFGHIJ");
+        assert_eq!(r.gap_bytes(), 99);
+        assert_eq!(r.buffered(), 0);
+        // Within budget: buffered until the gap is forced.
         let out = r.segment(200, b"KL");
         // After forcing, both buffered runs may deliver (with a gap between
         // them counted).

@@ -4,7 +4,8 @@
 #   build (release)  — the artifacts the benchmarks run against
 #   test             — unit + integration suites across the workspace,
 #                      including the exact allocation counts (alloc_budget)
-#   clippy           — lint wall; warnings are errors
+#   clippy           — lint wall over every target (libs, bins, tests,
+#                      examples); warnings are errors
 #   doc              — rustdoc wall (broken or private intra-doc links)
 #   opcost           — per-statement script cost table (printed, not gated)
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate from traced runs
@@ -23,7 +24,7 @@ cargo build --release "$@"
 # runs every crate's suites, including broscript's six differential ones
 # (parallel, chaos, supervision, telemetry, tracing, zerocopy).
 cargo test -q "$@"
-cargo clippy --workspace "$@" -- -D warnings
+cargo clippy --workspace --all-targets "$@" -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps "$@"
 
 # What one script statement costs on the compiled engine. Kernel numbers,

@@ -303,7 +303,7 @@ fn outcome(r: Result<Value, hilti_rt::error::RtError>) -> Result<i64, String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn engines_and_optimizer_agree(
@@ -531,7 +531,7 @@ int<64> kernel(int<64> a, int<64> b) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Unmetered runs: the VM, specializer on and off, must agree with the
     /// interpreter oracle on outcome (value or exception kind), printed

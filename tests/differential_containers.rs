@@ -210,7 +210,7 @@ fn observe(p: &mut Program, interp: bool, args: &[Value]) -> (Result<i64, String
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn container_semantics_agree_across_engines(

@@ -250,8 +250,10 @@ fn bpf_hilti_and_classic_agree_on_trace() {
 fn binpac_http_survives_any_chunking() {
     // The incremental-parsing invariant: event stream is independent of
     // how payload is chunked.
-    use binpac::http::BinpacHttp;
+    use binpac::analyzer::BinpacAnalyzer;
+    use binpac::http::HTTP;
     use hilti_rt::addr::Port;
+    use hilti_rt::bytestring::FeedChunk;
     use netpkt::events::{ConnId, Event};
 
     let id = ConnId {
@@ -274,14 +276,19 @@ fn binpac_http_survives_any_chunking() {
             .collect()
     };
 
+    let ir = BinpacAnalyzer::front_end(&HTTP, OptLevel::Full).unwrap();
+    let uid: std::sync::Arc<str> = "C1".into();
     let mut reference: Option<Vec<String>> = None;
     for chunk_size in [1usize, 3, 7, 1000] {
-        let mut h = BinpacHttp::new(OptLevel::Full, None).unwrap();
+        let mut h = BinpacAnalyzer::from_ir(&ir, None).unwrap();
         for chunk in wire.chunks(chunk_size) {
-            h.feed("C1", id, true, hilti_rt::time::Time::from_secs(1), chunk)
+            let ts = hilti_rt::time::Time::from_secs(1);
+            h.feed_chunk(&uid, id, true, ts, FeedChunk::Copy(chunk))
                 .unwrap();
         }
-        let got = squash(&h.take_events());
+        let mut events = Vec::new();
+        h.drain_events_into(&mut events);
+        let got = squash(&events);
         match &reference {
             None => reference = Some(got),
             Some(want) => assert_eq!(&got, want, "chunk size {chunk_size}"),
