@@ -11,7 +11,8 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use hilti::value::{Key, MapVal, SetVal, Value};
+use hilti::ops::ExpiringHandle;
+use hilti::value::{HashKey, MapVal, SetVal, Value};
 use hilti_rt::containers::ExpireStrategy;
 use hilti_rt::error::{RtError, RtResult};
 use hilti_rt::limits::{FuelMeter, ResourceLimits};
@@ -26,17 +27,11 @@ enum Flow {
     Return(Value),
 }
 
-/// Containers registered for expiration.
-enum Expiring {
-    Set(Rc<std::cell::RefCell<SetVal>>),
-    Map(Rc<std::cell::RefCell<MapVal>>),
-}
-
 /// The interpreter engine.
 pub struct Interp {
     script: Rc<Script>,
     globals: HashMap<String, Value>,
-    expiring: Vec<Expiring>,
+    expiring: Vec<ExpiringHandle>,
     rt: Rc<std::cell::RefCell<BroRt>>,
     /// `print` output.
     pub out: Vec<String>,
@@ -74,7 +69,7 @@ impl Interp {
                     }
                     let rc = Rc::new(std::cell::RefCell::new(s));
                     if g.expire.is_some() {
-                        interp.expiring.push(Expiring::Set(rc.clone()));
+                        interp.expiring.push(ExpiringHandle::Set(rc.clone()));
                     }
                     Value::Set(rc)
                 }
@@ -86,7 +81,7 @@ impl Interp {
                     }
                     let rc = Rc::new(std::cell::RefCell::new(m));
                     if g.expire.is_some() {
-                        interp.expiring.push(Expiring::Map(rc.clone()));
+                        interp.expiring.push(ExpiringHandle::Map(rc.clone()));
                     }
                     Value::Map(rc)
                 }
@@ -119,14 +114,7 @@ impl Interp {
     pub fn advance_time(&mut self, t: Time) {
         self.rt.borrow_mut().advance(t);
         for e in &self.expiring {
-            match e {
-                Expiring::Set(s) => {
-                    s.borrow_mut().expire(t);
-                }
-                Expiring::Map(m) => {
-                    m.borrow_mut().expire(t);
-                }
-            }
+            e.expire(t);
         }
     }
 
@@ -237,7 +225,7 @@ impl Interp {
                         let now = self.now();
                         match &c {
                             Value::Map(m) => {
-                                m.borrow_mut().insert(i.to_key()?, v, now);
+                                m.borrow_mut().insert(HashKey::owned(&i)?, v, now);
                             }
                             Value::Vector(vec) => {
                                 let idx = i.as_int()?.max(0) as usize;
@@ -273,7 +261,7 @@ impl Interp {
                 Ok(Flow::Normal)
             }
             Stmt::Add(set, k) => {
-                let key = self.eval(k, locals)?.to_key()?;
+                let key = HashKey::owned(&self.eval(k, locals)?)?;
                 let now = self.now();
                 match self.lookup(set, locals)? {
                     Value::Set(s) => {
@@ -287,7 +275,7 @@ impl Interp {
                 }
             }
             Stmt::Delete(name, k) => {
-                let key = self.eval(k, locals)?.to_key()?;
+                let key = HashKey::probe(&self.eval(k, locals)?)?;
                 match self.lookup(name, locals)? {
                     Value::Set(s) => {
                         s.borrow_mut().remove(&key);
@@ -315,17 +303,8 @@ impl Interp {
                 // Deterministic (sorted) iteration order, matching the
                 // compiled engine's sorted key lists.
                 let items: Vec<Value> = match &c {
-                    Value::Set(s) => {
-                        let mut keys: Vec<Key> = s.borrow().iter().cloned().collect();
-                        keys.sort();
-                        keys.iter().map(Key::to_value).collect()
-                    }
-                    Value::Map(m) => {
-                        let mut keys: Vec<Key> =
-                            m.borrow().iter().map(|(k, _)| k.clone()).collect();
-                        keys.sort();
-                        keys.iter().map(Key::to_value).collect()
-                    }
+                    Value::Set(s) => HashKey::sorted(s.borrow().iter()),
+                    Value::Map(m) => HashKey::sorted(m.borrow().iter().map(|(k, _)| k)),
                     Value::Vector(v) => v.borrow().clone(),
                     other => {
                         return Err(RtError::type_error(format!(
@@ -401,7 +380,7 @@ impl Interp {
                 match &c {
                     Value::Map(m) => m
                         .borrow_mut()
-                        .get(&i.to_key()?, now)
+                        .get(&HashKey::probe(&i)?, now)
                         .cloned()
                         .ok_or_else(|| RtError::index("no such table element"))?,
                     Value::Vector(v) => {
@@ -422,7 +401,7 @@ impl Interp {
                 }
             }
             Expr::In(k, c) => {
-                let key = self.eval(k, locals)?.to_key()?;
+                let key = HashKey::probe(&self.eval(k, locals)?)?;
                 let c = self.eval(c, locals)?;
                 let now = self.now();
                 match &c {

@@ -28,7 +28,13 @@
 //!
 //! **Determinism.** The result of an N-worker run is byte-identical to the
 //! 1-worker (and to the sequential [`crate::pipeline`]) run for every N
-//! and every batch size. Global decisions stay on the dispatcher: uid
+//! and every batch size, with three known exceptions, open as ROADMAP's
+//! item "Sequential ≠ N workers": with telemetry on and the compiled
+//! engine, N workers count one more `engine.runs`; script network time is
+//! per shard, so log timestamps differ on a trace whose time steps back;
+//! and [`Governance::inject_fault_after`] arms every shard's parser VM, so
+//! N workers fault up to N times where sequential faults once. Global
+//! decisions stay on the dispatcher: uid
 //! assignment, TCP reassembly, and idle-flow expiry (the front end
 //! expires flows from the shared flow table; shards receive `Evict`
 //! directives rather than sweeping locally, since a shard-local sweep
@@ -124,7 +130,8 @@ pub enum OverloadPolicy {
 #[derive(Clone, Copy)]
 pub struct PipelineOptions {
     /// Number of shards (worker threads). The output is byte-identical
-    /// for every value; only throughput changes.
+    /// for every value, except for the three exceptions the module doc
+    /// names (ROADMAP "Sequential ≠ N workers"); only throughput changes.
     pub workers: usize,
     /// Deliveries staged per shard before the dispatcher pushes them to
     /// the shard's ring. The output is byte-identical for every value;
@@ -802,7 +809,10 @@ impl DispatchMetrics {
 
 /// Replays an HTTP trace through `opts.workers` flow-sharded pipelines.
 /// The result is byte-identical to [`crate::pipeline::run_http_analysis_governed`]
-/// with the same governance, for every worker count and batch size.
+/// with the same governance, for every worker count and batch size, except
+/// for the `engine.runs` count, timestamps on a trace whose time steps
+/// back, and [`Governance::inject_fault_after`] (see the module doc and
+/// ROADMAP "Sequential ≠ N workers").
 pub fn run_http_analysis_parallel(
     packets: &[RawPacket],
     stack: ParserStack,
@@ -812,7 +822,9 @@ pub fn run_http_analysis_parallel(
     run_parallel(packets, Proto::Http, stack, engine, opts).map(|(r, _)| r)
 }
 
-/// Replays a DNS trace through `opts.workers` flow-sharded pipelines.
+/// Replays a DNS trace through `opts.workers` flow-sharded pipelines, with
+/// the same agreement with [`crate::pipeline::run_dns_analysis_governed`]
+/// and the same three exceptions as [`run_http_analysis_parallel`].
 pub fn run_dns_analysis_parallel(
     packets: &[RawPacket],
     stack: ParserStack,

@@ -120,7 +120,10 @@ pub struct Governance {
     /// and the run continues. Without it, errors abort the run.
     pub quarantine: bool,
     /// Chaos hook: arm the BinPAC++ parser VM to fail after this many
-    /// charged execution steps (deterministic for a fixed trace).
+    /// charged execution steps (deterministic for a fixed trace and worker
+    /// count). A parallel run arms every shard's VM with the same count, so
+    /// N workers fault up to N times where a sequential run faults once
+    /// (ROADMAP "Sequential ≠ N workers").
     pub inject_fault_after: Option<u64>,
     /// Collect per-flow and per-stage metrics plus structured events into
     /// [`AnalysisResult::telemetry`]. Off by default; the cost when on is

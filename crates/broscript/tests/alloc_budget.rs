@@ -224,16 +224,20 @@ struct PipelineCount {
 }
 
 const PIPELINE_COUNTS: [PipelineCount; 3] = [
-    // 16.735 per packet. Was 16.595 before 5a2c2a9 ("release parser and
-    // script state at TCP close"): `ScriptHost::remove_connection` passes
-    // the uid to `connection_state_remove` as `Value::str(uid)`, a fresh
-    // `Rc<str>` per closed connection (+4 000), and compiling that handler
-    // costs +643 at setup; its deletes save 63 and the rest of the change 21.
-    // The same change removes each connection's parser from the delivery
-    // core's `StdHttp` map at close. Whether a later insert reuses the
-    // tombstone depends on the process's random hash seed, so some runs
-    // resize the map once more: 541 833 or 541 834, pinned high. Was
-    // 541 860 until the constant folder evaluated through `ops::eval`,
+    // 16.726 per packet. The delivery core removes each connection's parser
+    // from its `StdHttp` map at close; whether a later insert reuses the
+    // tombstone depends on the process's random hash seed, so now and then
+    // a run resizes the map once more. Measured 541 568 in 57 of 58 runs
+    // and 541 569 in one, with containers keyed on the value itself; their
+    // parent, keyed on a separate `Key`, read 541 568 in 17 of 18 runs and
+    // 541 569 in one. Pinned at the highest reading. Was pinned at 541 834
+    // (16.735 per packet), 266 above what both measured. Was 16.595 before
+    // 5a2c2a9 ("release parser and script state at TCP close"):
+    // `ScriptHost::remove_connection` passes the uid to
+    // `connection_state_remove` as `Value::str(uid)`, a fresh `Rc<str>` per
+    // closed connection (+4 000), and compiling that handler costs +643 at
+    // setup; its deletes save 63 and the rest of the change 21. Was 541 860
+    // until the constant folder evaluated through `ops::eval`,
     // which dropped its operand `Vec` per candidate instruction (−10 here,
     // −36 and −10 in the two counts below), and 541 850 until the
     // specializer stopped building two per-function `Vec<bool>`s of slot
@@ -243,7 +247,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || throughput_trace(0x7487, 4_000),
         run: run_http_analysis_governed,
         stack: ParserStack::Standard,
-        pinned: 541_834,
+        pinned: 541_569,
     },
     // 84.928 per packet. Was pinned at 164 216 (85.086; 163 910 measured)
     // until HTTP and DNS shared one BinPAC++ driver, which adds two

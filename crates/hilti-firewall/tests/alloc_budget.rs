@@ -16,16 +16,22 @@ use hilti_firewall::{HiltiFirewall, Rule};
 use hilti_rt::addr::Addr;
 use hilti_rt::time::{Interval, Time};
 
-/// A state hit: `set.exists` on a live pair (the `(src, dst)` tuple and
-/// its key). A touch adds none: no queue record, no key clone.
-const STATE_HIT: u64 = 2;
-/// A new allowed pair: a deny's four, then both directions inserted (each
-/// a tuple, its key, and the key its one deadline record carries).
-const NEW_PAIR: u64 = 10;
-/// A packet a rule denies: the state probe and the classifier lookup.
-const DENY: u64 = 4;
-/// A packet no rule matches: a deny's four, plus the `IndexError` caught.
-const MISS: u64 = 5;
+/// A state hit: `set.exists` on a live pair allocates only the `(src,
+/// dst)` tuple the program builds; the probe key shares it, and a touch
+/// adds no queue record and no key clone. Was 2, when the probe converted
+/// the tuple into a key of its own.
+const STATE_HIT: u64 = 1;
+/// A new allowed pair: a deny's three, then both directions inserted, each
+/// allocating only its tuple; the stored key and its one deadline record
+/// share that tuple. Was 10, when each insert also built a key and the
+/// deadline record a copy of it.
+const NEW_PAIR: u64 = 5;
+/// A packet a rule denies: the state probe's tuple and the classifier
+/// lookup. Was 4, with the probe's own key.
+const DENY: u64 = 3;
+/// A packet no rule matches: a deny's three, plus the `IndexError` caught.
+/// Was 5, with the probe's own key.
+const MISS: u64 = 4;
 
 struct CountingAlloc;
 

@@ -695,6 +695,25 @@ impl Bytes {
         b
     }
 
+    /// A frozen copy of the retained content in one owned chunk, at offset
+    /// 0 and with no budget: how a container keeps a `bytes` key, and how
+    /// it hands one back out, so no caller holds the container's own.
+    pub fn frozen_copy(&self) -> Bytes {
+        let data = self.to_vec();
+        let b = Bytes::new();
+        {
+            let mut i = b.inner.borrow_mut();
+            (i.end, i.frozen) = (data.len() as u64, true);
+            if !data.is_empty() {
+                i.chunks.push(Chunk {
+                    start: 0,
+                    data: ChunkData::Owned(data),
+                });
+            }
+        }
+        b
+    }
+
     /// Identity comparison: do two handles refer to the same string?
     pub fn same(&self, other: &Bytes) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
@@ -1173,6 +1192,17 @@ mod tests {
         assert_ne!(chunked, different);
         let shorter = Bytes::from_slice(b"hello");
         assert_ne!(chunked, shorter);
+    }
+
+    #[test]
+    fn frozen_copy_is_detached() {
+        let b = Bytes::from_slice(b"ab");
+        b.trim(1).unwrap();
+        let copy = b.frozen_copy();
+        b.append(b"c").unwrap();
+        assert!(copy.is_frozen());
+        assert_eq!(copy.begin_offset(), 0);
+        assert_eq!(copy.to_vec(), b"b");
     }
 
     #[test]

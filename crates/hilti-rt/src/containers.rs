@@ -17,6 +17,7 @@
 //! record that comes due before its entry is re-armed at the entry's
 //! deadline. Entries are evicted in (deadline, touch order) order.
 
+use std::cell::Cell;
 use std::collections::hash_map::{Entry as HmEntry, VacantEntry};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -49,7 +50,9 @@ type Policy = Option<(ExpireStrategy, Interval)>;
 #[derive(Clone, Debug)]
 struct Stamped<V> {
     value: V,
-    due: Due,
+    /// A `Cell`, so a read restamps it through the shared lookup that also
+    /// yields the map's own key (see [`ExpiringMap::get`]).
+    due: Cell<Due>,
 }
 
 /// Restarts `due`'s timeout at `now` if a creation (`create`) or an access
@@ -82,6 +85,7 @@ fn insert_new<'a, K: Hash + Eq + Clone, V>(
     if let Some(arm) = restamp(deadlines, policy, &mut due, now, true) {
         deadlines.arm(arm, v.key().clone());
     }
+    let due = Cell::new(due);
     &mut v.insert(Stamped { value, due }).value
 }
 
@@ -146,7 +150,9 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     pub fn clear_timeout(&mut self) {
         self.policy = None;
         self.deadlines.clear();
-        self.entries.values_mut().for_each(|s| s.due.disarm());
+        self.entries
+            .values_mut()
+            .for_each(|s| s.due.get_mut().disarm());
     }
 
     pub fn policy(&self) -> Option<(ExpireStrategy, Interval)> {
@@ -207,7 +213,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         let (q, policy) = (&mut self.deadlines, self.policy);
         match self.entries.entry(key) {
             HmEntry::Occupied(mut o) => {
-                if let Some(arm) = restamp(q, policy, &mut o.get_mut().due, now, true) {
+                if let Some(arm) = restamp(q, policy, o.get_mut().due.get_mut(), now, true) {
                     q.arm(arm, o.key().clone());
                 }
                 Ok(Some(std::mem::replace(&mut o.get_mut().value, value)))
@@ -223,18 +229,22 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
     }
 
     /// Reads an entry. Under [`ExpireStrategy::Access`] this refreshes the
-    /// entry's deadline.
+    /// entry's deadline. A record it queues holds the map's own key, not
+    /// `key`: a probe may share state its caller goes on changing.
     pub fn get(&mut self, key: &K, now: Time) -> Option<&V> {
-        self.get_mut(key, now).map(|v| &*v)
+        let (own, s) = self.entries.get_key_value(key)?;
+        let mut due = s.due.get();
+        if let Some(arm) = restamp(&mut self.deadlines, self.policy, &mut due, now, false) {
+            self.deadlines.arm(arm, own.clone());
+        }
+        s.due.set(due);
+        Some(&s.value)
     }
 
     /// Mutable access; always counts as an access for the policy.
     pub fn get_mut(&mut self, key: &K, now: Time) -> Option<&mut V> {
-        let s = self.entries.get_mut(key)?;
-        if let Some(arm) = restamp(&mut self.deadlines, self.policy, &mut s.due, now, false) {
-            self.deadlines.arm(arm, key.clone());
-        }
-        Some(&mut s.value)
+        self.get(key, now)?;
+        self.entries.get_mut(key).map(|s| &mut s.value)
     }
 
     /// Membership test without refreshing the deadline (HILTI's
@@ -253,7 +263,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         let (q, policy) = (&mut self.deadlines, self.policy);
         match self.entries.entry(key) {
             HmEntry::Occupied(mut o) => {
-                if let Some(arm) = restamp(q, policy, &mut o.get_mut().due, now, false) {
+                if let Some(arm) = restamp(q, policy, o.get_mut().due.get_mut(), now, false) {
                     q.arm(arm, o.key().clone());
                 }
                 &mut o.into_mut().value
@@ -282,7 +292,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         let mut n = 0;
         while let Some((key, s)) = self
             .deadlines
-            .pop_due(now, &mut self.entries, |s| &mut s.due)
+            .pop_due(now, &mut self.entries, |s| s.due.get_mut())
         {
             evict(key, s.value);
             n += 1;

@@ -6,7 +6,8 @@
 //!
 //! * [`types`] — the static type system: domain types (addr, net, port,
 //!   time, interval), containers, references, tuples, structs, …
-//! * [`value`] — runtime values and the hashable key subset.
+//! * [`value`] — runtime values, and [`value::HashKey`], the one key
+//!   identity of sets and maps.
 //! * [`ir`] — the intermediate representation: modules, functions, hooks,
 //!   thread-local globals, blocks, and the ~200-mnemonic instruction set of
 //!   Table 1.

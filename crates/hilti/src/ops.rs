@@ -30,7 +30,7 @@ use hilti_rt::timer::TimerMgr;
 use crate::ir::Opcode;
 use crate::types::Type;
 use crate::value::{
-    CallableVal, ExceptionVal, MapVal, SetVal, StructLayout, StructVal, TimerEntry, Value,
+    CallableVal, ExceptionVal, HashKey, MapVal, SetVal, StructLayout, StructVal, TimerEntry, Value,
 };
 
 /// A heap container registered for global-time expiration.
@@ -38,6 +38,16 @@ use crate::value::{
 pub enum ExpiringHandle {
     Set(Rc<RefCell<SetVal>>),
     Map(Rc<RefCell<MapVal>>),
+}
+
+impl ExpiringHandle {
+    /// Expires the container's entries due at `t`; returns how many.
+    pub fn expire(&self, t: Time) -> usize {
+        match self {
+            ExpiringHandle::Set(s) => s.borrow_mut().expire(t),
+            ExpiringHandle::Map(m) => m.borrow_mut().expire(t),
+        }
+    }
 }
 
 /// What the engines must provide to the shared semantics.
@@ -104,90 +114,63 @@ fn arity_min(args: &[&Value], n: usize, op: Opcode) -> RtResult<()> {
 fn as_set(v: &Value) -> RtResult<&Rc<RefCell<SetVal>>> {
     match v {
         Value::Set(s) => Ok(s),
-        other => Err(RtError::type_error(format!(
-            "expected set, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("set")),
     }
 }
 
 fn as_map(v: &Value) -> RtResult<&Rc<RefCell<MapVal>>> {
     match v {
         Value::Map(m) => Ok(m),
-        other => Err(RtError::type_error(format!(
-            "expected map, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("map")),
     }
 }
 
 fn as_list(v: &Value) -> RtResult<&Rc<RefCell<VecDeque<Value>>>> {
     match v {
         Value::List(l) => Ok(l),
-        other => Err(RtError::type_error(format!(
-            "expected list, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("list")),
     }
 }
 
 fn as_vector(v: &Value) -> RtResult<&Rc<RefCell<Vec<Value>>>> {
     match v {
         Value::Vector(x) => Ok(x),
-        other => Err(RtError::type_error(format!(
-            "expected vector, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("vector")),
     }
 }
 
 fn as_struct(v: &Value) -> RtResult<&Rc<RefCell<StructVal>>> {
     match v {
         Value::Struct(s) => Ok(s),
-        other => Err(RtError::type_error(format!(
-            "expected struct, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("struct")),
     }
 }
 
 fn as_regexp(v: &Value) -> RtResult<&Rc<Regex>> {
     match v {
         Value::Regexp(r) => Ok(r),
-        other => Err(RtError::type_error(format!(
-            "expected regexp, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("regexp")),
     }
 }
 
 fn as_classifier(v: &Value) -> RtResult<&Rc<RefCell<Classifier<Value>>>> {
     match v {
         Value::Classifier(c) => Ok(c),
-        other => Err(RtError::type_error(format!(
-            "expected classifier, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("classifier")),
     }
 }
 
 fn as_timer_mgr(v: &Value) -> RtResult<&Rc<RefCell<TimerMgr<TimerEntry>>>> {
     match v {
         Value::TimerMgr(t) => Ok(t),
-        other => Err(RtError::type_error(format!(
-            "expected timer_mgr, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("timer_mgr")),
     }
 }
 
 fn as_callable(v: &Value) -> RtResult<&Rc<CallableVal>> {
     match v {
         Value::Callable(c) => Ok(c),
-        other => Err(RtError::type_error(format!(
-            "expected callable, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("callable")),
     }
 }
 
@@ -919,7 +902,7 @@ pub fn eval(
         // --- sets --------------------------------------------------------------------
         SetInsert => {
             arity(args, 2, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::owned(args[1])?;
             as_set(args[0])?
                 .borrow_mut()
                 .try_insert(k, ctx.global_time())?;
@@ -927,12 +910,12 @@ pub fn eval(
         }
         SetExists => {
             arity(args, 2, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::probe(args[1])?;
             Value::Bool(as_set(args[0])?.borrow_mut().exists(&k, ctx.global_time()))
         }
         SetRemove => {
             arity(args, 2, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::probe(args[1])?;
             Value::Bool(as_set(args[0])?.borrow_mut().remove(&k))
         }
         SetSize => {
@@ -958,17 +941,14 @@ pub fn eval(
             // Sorted member list — deterministic iteration order for
             // `for` loops over sets (matches `map.keys`).
             arity(args, 1, op)?;
-            let s = as_set(args[0])?.borrow();
-            let mut keys: Vec<crate::value::Key> = s.iter().cloned().collect();
-            keys.sort();
-            let list: VecDeque<Value> = keys.iter().map(|k| k.to_value()).collect();
-            Value::List(Rc::new(RefCell::new(list)))
+            let keys = HashKey::sorted(as_set(args[0])?.borrow().iter());
+            Value::List(Rc::new(RefCell::new(keys.into())))
         }
 
         // --- maps ---------------------------------------------------------------------
         MapInsert => {
             arity(args, 3, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::owned(args[1])?;
             as_map(args[0])?
                 .borrow_mut()
                 .try_insert(k, args[2].clone(), ctx.global_time())?;
@@ -976,7 +956,7 @@ pub fn eval(
         }
         MapGet => {
             arity(args, 2, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::probe(args[1])?;
             let m = as_map(args[0])?;
             let v = m
                 .borrow_mut()
@@ -987,19 +967,19 @@ pub fn eval(
         }
         MapGetDefault => {
             arity(args, 3, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::probe(args[1])?;
             let m = as_map(args[0])?;
             let v = m.borrow_mut().get(&k, ctx.global_time()).cloned();
             v.unwrap_or_else(|| args[2].clone())
         }
         MapExists => {
             arity(args, 2, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::probe(args[1])?;
             Value::Bool(as_map(args[0])?.borrow().contains(&k))
         }
         MapRemove => {
             arity(args, 2, op)?;
-            let k = args[1].to_key()?;
+            let k = HashKey::probe(args[1])?;
             Value::Bool(as_map(args[0])?.borrow_mut().remove(&k).is_some())
         }
         MapSize => {
@@ -1022,11 +1002,8 @@ pub fn eval(
         }
         MapKeys => {
             arity(args, 1, op)?;
-            let m = as_map(args[0])?.borrow();
-            let mut keys: Vec<crate::value::Key> = m.iter().map(|(k, _)| k.clone()).collect();
-            keys.sort();
-            let list: VecDeque<Value> = keys.iter().map(|k| k.to_value()).collect();
-            Value::List(Rc::new(RefCell::new(list)))
+            let keys = HashKey::sorted(as_map(args[0])?.borrow().iter().map(|(k, _)| k));
+            Value::List(Rc::new(RefCell::new(keys.into())))
         }
 
         // --- structs --------------------------------------------------------------------
@@ -1156,12 +1133,7 @@ pub fn eval(
             arity(args, 2, op)?;
             let m = match args[0] {
                 Value::Matcher(m) => m,
-                other => {
-                    return Err(RtError::type_error(format!(
-                        "expected matcher, got {}",
-                        other.type_name()
-                    )))
-                }
+                other => return Err(other.type_err("matcher")),
             };
             let data = args[1].as_bytes()?.to_vec();
             let status = m.borrow_mut().feed(&data);
@@ -1174,12 +1146,7 @@ pub fn eval(
             arity(args, 1, op)?;
             let m = match args[0] {
                 Value::Matcher(m) => m,
-                other => {
-                    return Err(RtError::type_error(format!(
-                        "expected matcher, got {}",
-                        other.type_name()
-                    )))
-                }
+                other => return Err(other.type_err("matcher")),
             };
             match m.borrow().finish() {
                 MatchVerdict::Match { pattern, len } => Value::Tuple(Rc::new([
@@ -1198,20 +1165,14 @@ pub fn eval(
                     c.write(&args[1].to_portable()?)?;
                     Value::Null
                 }
-                other => Err(RtError::type_error(format!(
-                    "expected channel, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("channel"))?,
             }
         }
         ChannelRead => {
             arity(args, 1, op)?;
             match args[0] {
                 Value::Channel(c) => Value::from_portable(&c.read()?),
-                other => Err(RtError::type_error(format!(
-                    "expected channel, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("channel"))?,
             }
         }
         ChannelTryRead => {
@@ -1221,20 +1182,14 @@ pub fn eval(
                     Some(p) => Value::Tuple(Rc::new([Value::Bool(true), Value::from_portable(&p)])),
                     None => Value::Tuple(Rc::new([Value::Bool(false), Value::Null])),
                 },
-                other => Err(RtError::type_error(format!(
-                    "expected channel, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("channel"))?,
             }
         }
         ChannelSize => {
             arity(args, 1, op)?;
             match args[0] {
                 Value::Channel(c) => Value::Int(c.len() as i64),
-                other => Err(RtError::type_error(format!(
-                    "expected channel, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("channel"))?,
             }
         }
         ChannelClose => {
@@ -1244,10 +1199,7 @@ pub fn eval(
                     c.close();
                     Value::Null
                 }
-                other => Err(RtError::type_error(format!(
-                    "expected channel, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("channel"))?,
             }
         }
 
@@ -1365,10 +1317,7 @@ pub fn eval(
                     f.write_line(&args[1].render())?;
                     Value::Null
                 }
-                other => Err(RtError::type_error(format!(
-                    "expected file, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("file"))?,
             }
         }
         FileClose => {
@@ -1399,10 +1348,7 @@ pub fn eval(
                         ])),
                     }
                 }
-                other => Err(RtError::type_error(format!(
-                    "expected iosrc, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("iosrc"))?,
             }
         }
 
@@ -1479,20 +1425,14 @@ pub fn eval(
             arity(args, 1, op)?;
             match args[0] {
                 Value::Exception(e) => Value::str(e.kind.name()),
-                other => Err(RtError::type_error(format!(
-                    "expected exception, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("exception"))?,
             }
         }
         ExceptionMessage => {
             arity(args, 1, op)?;
             match args[0] {
                 Value::Exception(e) => Value::str(&e.message),
-                other => Err(RtError::type_error(format!(
-                    "expected exception, got {}",
-                    other.type_name()
-                )))?,
+                other => Err(other.type_err("exception"))?,
             }
         }
 
@@ -1663,10 +1603,7 @@ fn expire_strategy(v: &Value) -> RtResult<ExpireStrategy> {
             "Access" | "access" => Ok(ExpireStrategy::Access),
             other => Err(RtError::value(format!("unknown expire strategy {other}"))),
         },
-        other => Err(RtError::type_error(format!(
-            "expected expire strategy, got {}",
-            other.type_name()
-        ))),
+        other => Err(other.type_err("expire strategy")),
     }
 }
 
@@ -1814,14 +1751,7 @@ mod tests {
         }
         fn advance_expiring(&mut self, t: Time) {
             for h in &self.expiring {
-                match h {
-                    ExpiringHandle::Set(s) => {
-                        s.borrow_mut().expire(t);
-                    }
-                    ExpiringHandle::Map(m) => {
-                        m.borrow_mut().expire(t);
-                    }
-                }
+                h.expire(t);
             }
         }
         fn struct_layout(&self, name: &str) -> Option<&StructLayout> {
@@ -1969,6 +1899,138 @@ mod tests {
         let tup = t.as_tuple().unwrap();
         assert!(tup[0].equals(&Value::Bool(true)));
         assert_eq!(tup[1].as_bytes_iter().unwrap().offset(), 6);
+    }
+
+    /// The key-identity domain: every keyable kind, strings and bytes of
+    /// equal content (one of them in two chunks), an addr inside the net
+    /// and one outside, and every 2-tuple over those.
+    fn key_domain() -> Vec<Value> {
+        use hilti_rt::addr::Port;
+        use hilti_rt::bytestring::ArenaSlice;
+        let chunked = Bytes::from_arena(ArenaSlice::new(std::sync::Arc::new(*b"x"), 0, 1));
+        chunked.append(b"y").unwrap();
+        assert_eq!(chunked.chunk_count(), 2);
+        let bytes = |b: &[u8]| Value::Bytes(Bytes::frozen_from_slice(b));
+        let scalars = vec![
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::str(""),
+            Value::str("x"),
+            Value::str("xy"),
+            bytes(b""),
+            bytes(b"x"),
+            bytes(b"xy"),
+            Value::Bytes(chunked),
+            Value::Addr("10.0.5.1".parse().unwrap()),
+            Value::Addr("10.0.6.1".parse().unwrap()),
+            Value::Net("10.0.5.0/24".parse().unwrap()),
+            Value::Port(Port::tcp(80)),
+            Value::Port(Port::udp(53)),
+            Value::Time(Time::from_secs(5)),
+            Value::Interval(Interval::from_secs(5)),
+            Value::Enum(Rc::from("Proto"), 1),
+        ];
+        let mut domain = scalars.clone();
+        for a in &scalars {
+            for b in &scalars {
+                domain.push(Value::Tuple(Rc::new([a.clone(), b.clone()])));
+            }
+        }
+        domain
+    }
+
+    /// `equal a b` when an addr meets a net at the same position: Figure
+    /// 4's membership test. `None` when no addr meets a net.
+    fn membership(a: &Value, b: &Value) -> Option<bool> {
+        match (a, b) {
+            (Value::Addr(x), Value::Net(n)) | (Value::Net(n), Value::Addr(x)) => {
+                Some(n.contains(x))
+            }
+            (Value::Tuple(xs), Value::Tuple(ys)) if xs.len() == ys.len() => {
+                let per_position: Vec<_> = xs
+                    .iter()
+                    .zip(ys.iter())
+                    .map(|(x, y)| membership(x, y))
+                    .collect();
+                per_position.iter().any(Option::is_some).then(|| {
+                    per_position
+                        .iter()
+                        .zip(xs.iter().zip(ys.iter()))
+                        .all(|(m, (x, y))| m.unwrap_or_else(|| x.equals(y)))
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// One key identity: for every ordered pair of the domain, `equal`
+    /// holds exactly when a set takes the two as one member (the addr/net
+    /// membership test aside), equal keys hash alike, and the key order
+    /// is a total order consistent with key equality.
+    #[test]
+    fn equal_agrees_with_key_identity() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |k: &HashKey| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        let domain = key_domain();
+        let keys: Vec<HashKey> = domain.iter().map(|v| HashKey::probe(v).unwrap()).collect();
+        let mut ctx = TestCtx::new();
+        let mut exceptions = 0;
+        for (a, ka) in domain.iter().zip(&keys) {
+            for (b, kb) in domain.iter().zip(&keys) {
+                let equal = eval(Equal, &[a.clone(), b.clone()], &[], &mut ctx).unwrap();
+                let set = Value::Set(Rc::new(RefCell::new(SetVal::new())));
+                eval(SetInsert, &[set.clone(), a.clone()], &[], &mut ctx).unwrap();
+                let found = eval(SetExists, &[set.clone(), b.clone()], &[], &mut ctx).unwrap();
+                eval(SetInsert, &[set.clone(), b.clone()], &[], &mut ctx).unwrap();
+                let size = eval(SetSize, &[set], &[], &mut ctx)
+                    .unwrap()
+                    .as_int()
+                    .unwrap();
+                let (equal, found) = (equal.as_bool().unwrap(), found.as_bool().unwrap());
+                let same = ka == kb;
+                assert_eq!(
+                    (found, size),
+                    (same, if same { 1 } else { 2 }),
+                    "{a:?} / {b:?}"
+                );
+                match membership(a, b) {
+                    Some(member) => {
+                        assert!(!same, "an addr and a net are different keys: {a:?} / {b:?}");
+                        assert_eq!(equal, member, "{a:?} / {b:?}");
+                        exceptions += usize::from(equal);
+                    }
+                    None => assert_eq!(equal, same, "{a:?} / {b:?}"),
+                }
+                if same {
+                    assert_eq!(hash(ka), hash(kb), "{a:?} / {b:?}");
+                }
+                assert_eq!(ka.cmp(kb).is_eq(), same, "{a:?} / {b:?}");
+                assert_eq!(ka.cmp(kb), kb.cmp(ka).reverse(), "{a:?} / {b:?}");
+            }
+        }
+        assert!(exceptions > 0, "the domain holds an addr inside the net");
+        // Total: sorted, every pair compares as its class positions do.
+        let mut sorted: Vec<&HashKey> = keys.iter().collect();
+        sorted.sort();
+        let mut class = vec![0usize; sorted.len()];
+        for i in 1..sorted.len() {
+            class[i] = class[i - 1] + usize::from(sorted[i - 1] < sorted[i]);
+        }
+        for (i, ki) in sorted.iter().enumerate() {
+            for (j, kj) in sorted.iter().enumerate() {
+                assert_eq!(ki.cmp(kj), class[i].cmp(&class[j]), "{ki:?} / {kj:?}");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! `thread.schedule` (§3.2: "the runtime deep-copies all mutable data").
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use hilti_rt::addr::{Addr, Network, Port};
@@ -25,10 +27,11 @@ use hilti_rt::overlay::OverlayType;
 use hilti_rt::regexp::{Matcher, Regex};
 use hilti_rt::time::{Interval, Time};
 
-/// A set value: expiring set of hashable keys.
-pub type SetVal = ExpiringSet<Key>;
-/// A map value: expiring map from hashable keys to values.
-pub type MapVal = ExpiringMap<Key, Value>;
+/// A set value: an expiring set of keyable values (see [`HashKey`]).
+pub type SetVal = ExpiringSet<HashKey>;
+/// A map value: an expiring map from keyable values (see [`HashKey`]) to
+/// values.
+pub type MapVal = ExpiringMap<HashKey, Value>;
 
 /// A struct instance.
 #[derive(Debug, Clone)]
@@ -150,51 +153,197 @@ pub enum Value {
     Exception(Rc<ExceptionVal>),
 }
 
-/// The hashable subset of values usable as set members / map keys.
+/// A set member or map key: a keyable [`Value`] under the one definition
+/// of key identity, which containers hash, compare and sort by.
 ///
-/// String-like keys share the value's `Rc<str>`: converting a value for a
-/// probe (`map.exists`, `map.get`, ...) is a reference-count bump, not a
-/// copy of the text, and `Key::to_value` hands the same string back. A key
-/// is therefore thread-local like every other value; the [`Portable`] form
-/// carries keys as portable values.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Key {
-    Bool(bool),
-    Int(i64),
-    String(Rc<str>),
-    Bytes(Vec<u8>),
-    Addr(Addr),
-    Net(Network),
-    Port(Port),
-    Time(Time),
-    Interval(Interval),
-    Enum(Rc<str>, i64),
-    Tuple(Vec<Key>),
-}
+/// Bools, ints, strings, `bytes`, addrs, nets, ports, times, intervals,
+/// enums, and tuples of these are keyable; anything else, a double
+/// included, raises `Hilti::TypeError` as an insert or a probe. Two keys
+/// are one exactly when [`Value::equals`] says so, with one exception: an
+/// addr and a net are different keys, where `equal` tests membership
+/// (Figure 4). A string and a `bytes` with the same content are one key.
+/// Keys of different kinds sort in `Value`'s variant order, strings and
+/// `bytes` as one kind ordered by content; keys of one kind sort as their
+/// values do, tuples element by element.
+///
+/// A probe ([`HashKey::probe`]) shares its operand, so it costs a
+/// reference-count bump or a copy. A container's own key
+/// ([`HashKey::owned`]) holds each `bytes`, at any tuple depth, as a
+/// frozen copy no value outside the container references: appending to
+/// the inserted value cannot move the key, and [`HashKey::sorted`] hands
+/// out copies again.
+#[derive(Clone, Debug)]
+pub struct HashKey(Value);
 
 // The representation the VM is tuned for (DESIGN.md "Value representation
 // and the operand convention"): a frame slot, a map entry and an immediate
 // operand are all built from these, so growth here is paid per instruction.
 const _: () = assert!(std::mem::size_of::<Value>() <= 32);
 const _: () = assert!(std::mem::align_of::<Value>() <= 8);
-const _: () = assert!(std::mem::size_of::<Key>() <= 32);
+const _: () = assert!(std::mem::size_of::<HashKey>() <= 32);
 
-impl Key {
-    /// Reconstructs the value form of this key.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Key::Bool(b) => Value::Bool(*b),
-            Key::Int(i) => Value::Int(*i),
-            Key::String(s) => Value::String(Rc::clone(s)),
-            Key::Bytes(b) => Value::Bytes(Bytes::frozen_from_slice(b)),
-            Key::Addr(a) => Value::Addr(*a),
-            Key::Net(n) => Value::Net(*n),
-            Key::Port(p) => Value::Port(*p),
-            Key::Time(t) => Value::Time(*t),
-            Key::Interval(i) => Value::Interval(*i),
-            Key::Enum(n, v) => Value::Enum(Rc::clone(n), *v),
-            Key::Tuple(ks) => Value::Tuple(ks.iter().map(Key::to_value).collect()),
+impl HashKey {
+    /// The key that looks `v` up: `v` itself, once it is keyable.
+    pub fn probe(v: &Value) -> RtResult<HashKey> {
+        keyable(v)?;
+        Ok(HashKey(v.clone()))
+    }
+
+    /// The key that stores `v` in a container: [`HashKey::probe`] with
+    /// every `bytes` copied into a frozen string of the container's own.
+    pub fn owned(v: &Value) -> RtResult<HashKey> {
+        keyable(v)?;
+        Ok(HashKey(detached(v)))
+    }
+
+    /// The key as a value, to read in place (rendering, snapshots).
+    pub fn as_value(&self) -> &Value {
+        &self.0
+    }
+
+    /// A container's keys in key order, as values the caller may keep
+    /// (`set.members`, `map.keys`, a script's `for`).
+    pub fn sorted<'a>(keys: impl Iterator<Item = &'a HashKey>) -> Vec<Value> {
+        let mut keys: Vec<&HashKey> = keys.collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|k| detached(&k.0)).collect()
+    }
+}
+
+impl PartialEq for HashKey {
+    fn eq(&self, other: &Self) -> bool {
+        key_cmp(&self.0, &other.0).is_eq()
+    }
+}
+
+impl Eq for HashKey {}
+
+impl PartialOrd for HashKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HashKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        key_cmp(&self.0, &other.0)
+    }
+}
+
+impl Hash for HashKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        key_hash(&self.0, state)
+    }
+}
+
+/// A keyable value's kind: its place in `Value`'s variant order, strings
+/// and `bytes` one kind. `None` if the value cannot be a key.
+fn key_kind(v: &Value) -> Option<u8> {
+    Some(match v {
+        Value::Bool(_) => 0,
+        Value::Int(_) => 1,
+        Value::String(_) | Value::Bytes(_) => 2,
+        Value::Addr(_) => 3,
+        Value::Net(_) => 4,
+        Value::Port(_) => 5,
+        Value::Time(_) => 6,
+        Value::Interval(_) => 7,
+        Value::Enum(_, _) => 8,
+        Value::Tuple(_) => 9,
+        _ => return None,
+    })
+}
+
+/// Whether `v` can be a key, at any tuple depth.
+fn keyable(v: &Value) -> RtResult<()> {
+    match v {
+        Value::Tuple(vs) => vs.iter().try_for_each(keyable),
+        v if key_kind(v).is_some() => Ok(()),
+        other => Err(other.type_err("hashable value")),
+    }
+}
+
+/// `v` with each `bytes`, at any tuple depth, copied into a fresh frozen
+/// string; anything else is shared.
+fn detached(v: &Value) -> Value {
+    fn holds_bytes(v: &Value) -> bool {
+        match v {
+            Value::Bytes(_) => true,
+            Value::Tuple(vs) => vs.iter().any(holds_bytes),
+            _ => false,
         }
+    }
+    match v {
+        Value::Bytes(b) => Value::Bytes(b.frozen_copy()),
+        Value::Tuple(vs) if holds_bytes(v) => Value::Tuple(vs.iter().map(detached).collect()),
+        other => other.clone(),
+    }
+}
+
+/// Runs `f` over the content of a string or `bytes` as one slice; a
+/// chunked `bytes` is coalesced first (see [`Bytes::with_available`]).
+fn with_text<R>(v: &Value, f: impl FnOnce(&[u8]) -> R) -> R {
+    match v {
+        Value::String(s) => f(s.as_bytes()),
+        Value::Bytes(b) => b
+            .with_available(b.begin_offset(), f)
+            .expect("retained data starts at the base"),
+        _ => f(&[]),
+    }
+}
+
+/// Content order of two strings or `bytes`, in any combination.
+fn text_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        // `with_available` borrows its string mutably, so not twice.
+        (Value::Bytes(x), Value::Bytes(y)) if x.same(y) => Ordering::Equal,
+        _ => with_text(a, |x| with_text(b, |y| x.cmp(y))),
+    }
+}
+
+fn key_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        // A probe often shares the stored key's text.
+        (Value::String(x), Value::String(y)) if Rc::ptr_eq(x, y) => Ordering::Equal,
+        (Value::String(_) | Value::Bytes(_), Value::String(_) | Value::Bytes(_)) => text_cmp(a, b),
+        (Value::Addr(x), Value::Addr(y)) => x.cmp(y),
+        (Value::Net(x), Value::Net(y)) => x.cmp(y),
+        (Value::Port(x), Value::Port(y)) => x.cmp(y),
+        (Value::Time(x), Value::Time(y)) => x.cmp(y),
+        (Value::Interval(x), Value::Interval(y)) => x.cmp(y),
+        (Value::Enum(n, x), Value::Enum(m, y)) => (n, x).cmp(&(m, y)),
+        (Value::Tuple(xs), Value::Tuple(ys)) => xs
+            .iter()
+            .zip(ys.iter())
+            .map(|(x, y)| key_cmp(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| xs.len().cmp(&ys.len())),
+        _ => key_kind(a).cmp(&key_kind(b)),
+    }
+}
+
+fn key_hash<H: Hasher>(v: &Value, state: &mut H) {
+    state.write_u8(key_kind(v).unwrap_or(u8::MAX));
+    match v {
+        Value::Bool(b) => b.hash(state),
+        Value::Int(i) => i.hash(state),
+        Value::String(_) | Value::Bytes(_) => with_text(v, |t| {
+            state.write(t);
+            state.write_u8(0xff);
+        }),
+        Value::Addr(a) => a.hash(state),
+        Value::Net(n) => n.hash(state),
+        Value::Port(p) => p.hash(state),
+        Value::Time(t) => t.hash(state),
+        Value::Interval(i) => i.hash(state),
+        Value::Enum(n, x) => (n, x).hash(state),
+        Value::Tuple(vs) => {
+            vs.len().hash(state);
+            vs.iter().for_each(|v| key_hash(v, state));
+        }
+        _ => {}
     }
 }
 
@@ -266,7 +415,8 @@ impl Value {
         }
     }
 
-    fn type_err(&self, wanted: &str) -> RtError {
+    /// The `Hilti::TypeError` for this value where a `wanted` was due.
+    pub(crate) fn type_err(&self, wanted: &str) -> RtError {
         RtError::type_error(format!("expected {wanted}, got {}", self.type_name()))
     }
 
@@ -356,31 +506,10 @@ impl Value {
         }
     }
 
-    /// Converts to a hashable key; heap types that cannot serve as keys
-    /// produce a type error.
-    pub fn to_key(&self) -> RtResult<Key> {
-        Ok(match self {
-            Value::Bool(b) => Key::Bool(*b),
-            Value::Int(i) => Key::Int(*i),
-            Value::String(s) => Key::String(Rc::clone(s)),
-            Value::Bytes(b) => Key::Bytes(b.to_vec()),
-            Value::Addr(a) => Key::Addr(*a),
-            Value::Net(n) => Key::Net(*n),
-            Value::Port(p) => Key::Port(*p),
-            Value::Time(t) => Key::Time(*t),
-            Value::Interval(i) => Key::Interval(*i),
-            Value::Enum(n, v) => Key::Enum(Rc::clone(n), *v),
-            Value::Tuple(vs) => Key::Tuple(
-                vs.iter()
-                    .map(Value::to_key)
-                    .collect::<RtResult<Vec<Key>>>()?,
-            ),
-            other => return Err(other.type_err("hashable value")),
-        })
-    }
-
     /// Structural equality with HILTI's `equal` semantics: value types by
-    /// value, bytes by content, containers element-wise.
+    /// value, strings and bytes by content (a string equals a `bytes` with
+    /// its text), containers element-wise. On keyable values it agrees
+    /// with [`HashKey`], except that an addr equals a net containing it.
     pub fn equals(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
@@ -392,13 +521,13 @@ impl Value {
             }
             (Value::String(a), Value::String(b)) => a == b,
             (Value::Bytes(a), Value::Bytes(b)) => a == b,
-            (Value::String(a), Value::Bytes(b)) | (Value::Bytes(b), Value::String(a)) => {
-                a.as_bytes() == b.to_vec().as_slice()
+            (Value::String(_), Value::Bytes(_)) | (Value::Bytes(_), Value::String(_)) => {
+                text_cmp(self, other).is_eq()
             }
             (Value::Addr(a), Value::Addr(b)) => a == b,
             (Value::Net(a), Value::Net(b)) => a == b,
             // addr vs net: membership, matching the BPF example's
-            // `equal 10.0.5.0/24 a1` (Figure 4).
+            // `equal 10.0.5.0/24 a1` (Figure 4). As keys they differ.
             (Value::Addr(a), Value::Net(n)) | (Value::Net(n), Value::Addr(a)) => n.contains(a),
             (Value::Port(a), Value::Port(b)) => a == b,
             (Value::Time(a), Value::Time(b)) => a == b,
@@ -444,44 +573,19 @@ impl Value {
             Value::Time(t) => Portable::Time(*t),
             Value::Interval(i) => Portable::Interval(*i),
             Value::Enum(n, v) => Portable::Enum(n.to_string(), *v),
-            Value::Tuple(vs) => Portable::Tuple(
-                vs.iter()
-                    .map(Value::to_portable)
-                    .collect::<RtResult<Vec<_>>>()?,
-            ),
-            Value::List(l) => Portable::List(
-                l.borrow()
-                    .iter()
-                    .map(Value::to_portable)
-                    .collect::<RtResult<Vec<_>>>()?,
-            ),
-            Value::Vector(v) => Portable::Vector(
-                v.borrow()
-                    .iter()
-                    .map(Value::to_portable)
-                    .collect::<RtResult<Vec<_>>>()?,
-            ),
-            Value::Set(s) => Portable::Set(
-                s.borrow()
-                    .iter()
-                    .map(|k| k.to_value().to_portable())
-                    .collect::<RtResult<Vec<_>>>()?,
-            ),
+            Value::Tuple(vs) => Portable::Tuple(portables(vs.iter())?),
+            Value::List(l) => Portable::List(portables(l.borrow().iter())?),
+            Value::Vector(v) => Portable::Vector(portables(v.borrow().iter())?),
+            Value::Set(s) => Portable::Set(portables(s.borrow().iter().map(HashKey::as_value))?),
             Value::Map(m) => Portable::Map(
                 m.borrow()
                     .iter()
-                    .map(|(k, v)| Ok((k.to_value().to_portable()?, v.to_portable()?)))
+                    .map(|(k, v)| Ok((k.as_value().to_portable()?, v.to_portable()?)))
                     .collect::<RtResult<Vec<_>>>()?,
             ),
             Value::Struct(s) => {
                 let s = s.borrow();
-                Portable::Struct(
-                    s.type_name.to_string(),
-                    s.fields
-                        .iter()
-                        .map(Value::to_portable)
-                        .collect::<RtResult<Vec<_>>>()?,
-                )
+                Portable::Struct(s.type_name.to_string(), portables(s.fields.iter())?)
             }
             other => {
                 return Err(RtError::type_error(format!(
@@ -494,6 +598,11 @@ impl Value {
 
     /// Reconstructs a value from its portable snapshot (fresh heap objects).
     pub fn from_portable(p: &Portable) -> Value {
+        // Snapshots are only taken of live containers, whose keys are
+        // keyable by construction.
+        let key = |p: &Portable| {
+            HashKey::owned(&Value::from_portable(p)).expect("portable keys come from keys")
+        };
         match p {
             Portable::Null => Value::Null,
             Portable::Bool(b) => Value::Bool(*b),
@@ -523,14 +632,14 @@ impl Value {
             Portable::Set(keys) => {
                 let mut s = SetVal::new();
                 for k in keys {
-                    s.insert(portable_key(k), Time::ZERO);
+                    s.insert(key(k), Time::ZERO);
                 }
                 Value::Set(Rc::new(RefCell::new(s)))
             }
             Portable::Map(entries) => {
                 let mut m = MapVal::new();
                 for (k, v) in entries {
-                    m.insert(portable_key(k), Value::from_portable(v), Time::ZERO);
+                    m.insert(key(k), Value::from_portable(v), Time::ZERO);
                 }
                 Value::Map(Rc::new(RefCell::new(m)))
             }
@@ -593,14 +702,14 @@ impl Value {
             Value::List(l) => list(out, "[", l.borrow().iter(), ']'),
             Value::Vector(v) => list(out, "[", v.borrow().iter(), ']'),
             Value::Set(s) => {
-                let entries = s.borrow().iter().map(|k| k.to_value().render()).collect();
+                let entries = s.borrow().iter().map(|k| k.as_value().render()).collect();
                 sorted(out, entries)
             }
             Value::Map(m) => {
                 let entries = m
                     .borrow()
                     .iter()
-                    .map(|(k, v)| format!("{}: {}", k.to_value().render(), v.render()))
+                    .map(|(k, v)| format!("{}: {}", k.as_value().render(), v.render()))
                     .collect();
                 sorted(out, entries)
             }
@@ -643,6 +752,11 @@ impl Value {
     }
 }
 
+/// The portable snapshots of `values`, in order.
+fn portables<'a>(values: impl Iterator<Item = &'a Value>) -> RtResult<Vec<Portable>> {
+    values.map(Value::to_portable).collect()
+}
+
 /// Appends the renderings of `items` to `out`, `sep` between them.
 fn join_into<'a>(out: &mut String, items: impl Iterator<Item = &'a Value>, sep: &str) {
     for (i, v) in items.enumerate() {
@@ -651,14 +765,6 @@ fn join_into<'a>(out: &mut String, items: impl Iterator<Item = &'a Value>, sep: 
         }
         v.render_into(out);
     }
-}
-
-/// The key a portable set member / map key stands for. Snapshots are only
-/// taken of live containers, whose keys are hashable by construction.
-fn portable_key(p: &Portable) -> Key {
-    Value::from_portable(p)
-        .to_key()
-        .expect("portable container keys come from hashable keys")
 }
 
 #[cfg(test)]
@@ -676,16 +782,68 @@ mod tests {
             Value::Tuple(Rc::new([Value::Int(1), Value::str("x")])),
         ];
         for v in &vals {
-            let k = v.to_key().unwrap();
-            assert!(k.to_value().equals(v), "roundtrip of {v:?}");
+            let k = HashKey::owned(v).unwrap();
+            assert!(k.as_value().equals(v), "roundtrip of {v:?}");
         }
     }
 
     #[test]
     fn unhashable_values_rejected_as_keys() {
         let l = Value::List(Rc::new(RefCell::new(VecDeque::new())));
-        assert!(l.to_key().is_err());
-        assert!(Value::Double(1.5).to_key().is_err());
+        assert!(HashKey::probe(&l).is_err());
+        let err = HashKey::owned(&Value::Double(1.5)).unwrap_err();
+        assert_eq!(err.message, "expected hashable value, got double");
+        // At any tuple depth.
+        let nested = Value::Tuple(Rc::new([Value::Tuple(Rc::new([Value::Double(1.5)]))]));
+        assert!(HashKey::probe(&nested).is_err());
+    }
+
+    #[test]
+    fn owned_keys_copy_bytes_and_hand_out_copies() {
+        let b = Bytes::from_slice(b"ab");
+        let tuple = Value::Tuple(Rc::new([Value::Int(1), Value::Bytes(b.clone())]));
+        let (probe, owned) = (
+            HashKey::probe(&tuple).unwrap(),
+            HashKey::owned(&tuple).unwrap(),
+        );
+        assert_eq!(probe, owned);
+        b.append(b"c").unwrap();
+        assert_ne!(
+            probe, owned,
+            "the probe shares the operand, the key does not"
+        );
+        let out = HashKey::sorted([&owned].into_iter());
+        let Value::Tuple(vs) = &out[0] else {
+            panic!("expected a tuple, got {:?}", out[0])
+        };
+        let Value::Bytes(copy) = &vs[1] else {
+            panic!("expected bytes, got {:?}", vs[1])
+        };
+        assert!(copy.is_frozen());
+        copy.unfreeze();
+        copy.append(b"d").unwrap();
+        assert!(owned
+            .as_value()
+            .equals(&Value::Tuple(Rc::new([Value::Int(1), Value::str("ab")]))));
+    }
+
+    #[test]
+    fn a_probe_changed_after_a_read_does_not_strand_its_entry() {
+        use hilti_rt::containers::ExpireStrategy;
+        let mut s = SetVal::new();
+        s.insert(HashKey::owned(&Value::str("k")).unwrap(), Time::ZERO);
+        // A timeout set after the insert: the entry gets its deadline
+        // record at its next touch, the read below.
+        s.set_timeout(ExpireStrategy::Access, Interval::from_secs(10));
+        let probe = Bytes::from_slice(b"k");
+        let key = HashKey::probe(&Value::Bytes(probe.clone())).unwrap();
+        assert!(s.exists(&key, Time::ZERO));
+        probe.append(b"!").unwrap();
+        assert_eq!(
+            s.expire(Time::from_secs(10)),
+            1,
+            "the record finds its entry"
+        );
     }
 
     #[test]
@@ -761,22 +919,26 @@ mod tests {
             "(1, x)"
         );
         let mut s = SetVal::new();
-        s.insert(Key::Int(2), Time::ZERO);
-        s.insert(Key::Int(1), Time::ZERO);
+        s.insert(HashKey::owned(&Value::Int(2)).unwrap(), Time::ZERO);
+        s.insert(HashKey::owned(&Value::Int(1)).unwrap(), Time::ZERO);
         assert_eq!(Value::Set(Rc::new(RefCell::new(s))).render(), "{1, 2}");
     }
 
     #[test]
     fn map_portable_roundtrip() {
         let mut m = MapVal::new();
-        m.insert(Key::String("k".into()), Value::Int(5), Time::ZERO);
+        m.insert(
+            HashKey::owned(&Value::str("k")).unwrap(),
+            Value::Int(5),
+            Time::ZERO,
+        );
         let v = Value::Map(Rc::new(RefCell::new(m)));
         let p = v.to_portable().unwrap();
         let v2 = Value::from_portable(&p);
         if let Value::Map(m2) = v2 {
             assert_eq!(
                 m2.borrow_mut()
-                    .get(&Key::String("k".into()), Time::ZERO)
+                    .get(&HashKey::probe(&Value::str("k")).unwrap(), Time::ZERO)
                     .map(|x| x.as_int().unwrap()),
                 Some(5)
             );

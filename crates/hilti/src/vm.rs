@@ -615,14 +615,7 @@ impl ExecCtx for Env {
             ExpiringHandle::Map(m) => Rc::strong_count(m) > 1,
         });
         for h in &self.expiring {
-            match h {
-                ExpiringHandle::Set(s) => {
-                    s.borrow_mut().expire(t);
-                }
-                ExpiringHandle::Map(m) => {
-                    m.borrow_mut().expire(t);
-                }
-            }
+            h.expire(t);
         }
     }
 

@@ -503,6 +503,27 @@ fn radix_example_raises_value_error_outside_2_to_36() {
     }
 }
 
+/// `examples/hlt/keys.hlt` checks container key identity: a string and a
+/// bytes with the same content are one key (also inside a tuple) and sort
+/// together, appending to an inserted bytes leaves its key as inserted,
+/// and a double probe raises a caught TypeError, under every
+/// configuration.
+#[test]
+fn keys_example_agrees_with_equal_under_every_configuration() {
+    let f = example("keys.hlt");
+    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
+        let out = hiltic().args(["run", flag, &f]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "True\nTrue\n7\nTrue\nFalse\n{(1, a), 3, a, ab, b}\n[3, a, ab, b, (1, a)]\n\
+             caught Hilti::TypeError\n",
+            "{flag}"
+        );
+        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
+    }
+}
+
 #[test]
 fn removed_tiering_flag_is_rejected_as_unknown() {
     let f = write_temp("tiering.hlt", FIB);

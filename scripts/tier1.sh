@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
 #
+#   rustfmt          — `cargo fmt --all -- --check` over the workspace
 #   build (release)  — the artifacts the benchmarks run against
 #   test             — unit + integration suites across the workspace,
 #                      including the exact allocation counts (alloc_budget)
@@ -19,6 +20,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting first: it needs no build and fails fastest. `cargo fmt` takes
+# no resolution flags, so "$@" is not passed.
+cargo fmt --all -- --check
 cargo build --release "$@"
 # The root manifest's default-members cover the whole workspace, so this
 # runs every crate's suites, including broscript's six differential ones
