@@ -22,6 +22,10 @@
 //!
 //! `--omit-counter NAME` (repeatable) leaves a counter out of the
 //! telemetry hash, for changes that are expected to move it.
+//!
+//! `digest.golden` beside this file is the output with `--omit-counter
+//! engine.instructions_retired`; `scripts/tier1.sh` diffs a fresh run
+//! against it.
 
 use broscript::host::Engine;
 use broscript::parallel::{run_dns_analysis_parallel, run_http_analysis_parallel, PipelineOptions};

@@ -20,7 +20,6 @@ use hilti_rt::regexp::Regex;
 
 use crate::ir::{Const, Function, Opcode, Operand, Terminator, TypeDef};
 use crate::linker::Linked;
-use crate::ops::{IntArith, IntCmp};
 use crate::types::Type;
 use crate::value::{StructLayout, Value};
 
@@ -102,38 +101,31 @@ pub enum CInstr {
 
     // --- typed instructions ----------------------------------------------
     // Emitted by `crate::specialize`, never by lowering itself. These are
-    // the typed superinstructions of the clone-free fast path: the VM
-    // executes them inline on `frame.slots`, with no operand marshalling
-    // and no `ops::eval` round-trip. Operand slots are statically typed
+    // the typed instructions of the clone-free fast path: the VM executes
+    // them inline on `frame.slots`, with no operand marshalling and no
+    // `ops::eval` round-trip. Operand slots are statically typed
     // (`CFunc::slot_types`), but values are still checked at run time so a
     // mistyped slot raises the same catchable TypeError as the generic
-    // path (locals start as Null). Each op's semantics is `ops::IntArith`
-    // / `ops::IntCmp` / `ops::iter_*` / `ops::match_token`, the same
-    // statement `ops::eval` applies.
-    /// `dst = a <op> b` as int (`int.add` … `int.shr`).
-    ArithInt {
-        op: IntArith,
+    // path (locals start as Null).
+    /// `dst = op args…` for an op with a typed row in `crate::ops`, which
+    /// states its semantics once for this instruction and for `ops::eval`.
+    /// Each operand is an immediate or a slot declared with the row's kind;
+    /// `args` past the row's arity are unused. Writing the slot its first
+    /// operand reads, a row that steps that operand does so in place.
+    Typed {
+        op: Opcode,
         dst: u16,
-        a: IntSrc,
-        b: IntSrc,
+        args: [Src; 2],
     },
-    /// `dst = a <cmp> b` as bool.
-    CmpInt {
-        cmp: IntCmp,
+    /// A `Typed` op with a `bool` result fused with the branch on it that
+    /// immediately follows. It still writes the bool `dst` slot (so later
+    /// reads of the flag stay correct) and the original branch remains at
+    /// the following pc for explicit jump targets; straight-line execution
+    /// just never revisits it.
+    BrIf {
+        op: Opcode,
         dst: u16,
-        a: IntSrc,
-        b: IntSrc,
-    },
-    /// Fused compare-and-branch superinstruction replacing a `CmpInt`
-    /// immediately followed by a branch on its result. It still writes the
-    /// bool `dst` slot (so later reads of the flag stay correct) and the
-    /// original branch remains at the following pc for explicit jump
-    /// targets; straight-line execution just never revisits it.
-    BrIfInt {
-        cmp: IntCmp,
-        a: IntSrc,
-        b: IntSrc,
-        dst: u16,
+        args: [Src; 2],
         then_pc: u32,
         else_pc: u32,
     },
@@ -152,18 +144,6 @@ pub enum CInstr {
         cond: u16,
         then_pc: u32,
         else_pc: u32,
-    },
-    /// `dst = iterator.incr src n` on a slot declared `iterator<bytes>`;
-    /// with `dst == src` the slot's iterator steps in place.
-    IterIncr {
-        dst: u16,
-        src: u16,
-        n: IntSrc,
-    },
-    /// `dst = iterator.deref src` on a slot declared `iterator<bytes>`.
-    IterDeref {
-        dst: u16,
-        src: u16,
     },
     /// Fused token match replacing `t = regexp.match_token re it` followed
     /// by `id = tuple.get t 0` and `end = tuple.get t 1`: `re` is a
@@ -208,20 +188,29 @@ pub enum CInstr {
 const _: () = assert!(std::mem::size_of::<COperand>() <= 32);
 const _: () = assert!(std::mem::size_of::<CInstr>() <= 96);
 
-/// Integer operand of a specialized instruction: a frame slot statically
-/// known to hold `int<n>`, or an immediate constant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IntSrc {
+/// Operand of a typed instruction: a frame slot declared with its row's
+/// kind, or an immediate constant.
+#[derive(Clone, Debug)]
+pub enum Src {
     Slot(u16),
-    Imm(i64),
+    Imm(Value),
 }
 
-impl IntSrc {
+impl Src {
     /// Renders like the generic operand it replaced (`s3` / `42`).
     pub fn render(&self) -> String {
         match self {
-            IntSrc::Slot(s) => format!("s{s}"),
-            IntSrc::Imm(i) => i.to_string(),
+            Src::Slot(s) => format!("s{s}"),
+            Src::Imm(v) => v.render(),
+        }
+    }
+
+    /// The value read in place: the slot's, or the immediate itself.
+    #[inline(always)]
+    pub fn get<'a>(&'a self, slots: &'a [Value]) -> &'a Value {
+        match self {
+            Src::Slot(s) => &slots[*s as usize],
+            Src::Imm(v) => v,
         }
     }
 }
@@ -323,7 +312,7 @@ impl CInstr {
     /// Canonical mnemonic-based rendering used by `--trace`. Specialized
     /// variants render exactly like the generic instruction they replaced,
     /// so traces from a specialized and an unspecialized build stay
-    /// diffable ([`CInstr::BrIfInt`] is the one exception: the VM traces it
+    /// diffable ([`CInstr::BrIf`] is the one exception: the VM traces it
     /// as its two constituent lines).
     pub fn render(&self) -> String {
         fn assignment(target: Option<u16>, rhs: String) -> String {
@@ -338,8 +327,11 @@ impl CInstr {
                 .collect::<Vec<_>>()
                 .join(" ")
         }
-        fn typed(dst: u16, op: Opcode, a: &IntSrc, b: &IntSrc) -> String {
-            format!("s{dst} = {} {} {}", op.mnemonic(), a.render(), b.render())
+        fn typed(op: &Opcode, dst: u16, args: &[Src]) -> String {
+            let arity = op.signature().map_or(0, |(params, _)| params.len());
+            let mut parts = vec![op.mnemonic().to_owned()];
+            parts.extend(args[..arity].iter().map(Src::render));
+            format!("s{dst} = {}", parts.join(" "))
         }
         match self {
             CInstr::Op {
@@ -392,18 +384,16 @@ impl CInstr {
             CInstr::GlobalStore { global, inner } => {
                 format!("g{global} <- {}", inner.render())
             }
-            CInstr::ArithInt { op, dst, a, b } => typed(*dst, op.opcode(), a, b),
-            CInstr::CmpInt { cmp, dst, a, b } => typed(*dst, cmp.opcode(), a, b),
-            CInstr::BrIfInt {
-                cmp,
-                a,
-                b,
+            CInstr::Typed { op, dst, args } => typed(op, *dst, args),
+            CInstr::BrIf {
+                op,
                 dst,
+                args,
                 then_pc,
                 else_pc,
             } => format!(
                 "{} ; if s{dst} goto @{then_pc} else @{else_pc}",
-                typed(*dst, cmp.opcode(), a, b)
+                typed(op, *dst, args)
             ),
             CInstr::MoveSlot { dst, src } => format!("s{dst} = assign s{src}"),
             CInstr::LoadImm { dst, v } => format!("s{dst} = assign {}", v.render()),
@@ -412,10 +402,6 @@ impl CInstr {
                 then_pc,
                 else_pc,
             } => format!("if s{cond} goto @{then_pc} else @{else_pc}"),
-            CInstr::IterIncr { dst, src, n } => {
-                format!("s{dst} = iterator.incr s{src} {}", n.render())
-            }
-            CInstr::IterDeref { dst, src } => format!("s{dst} = iterator.deref s{src}"),
             CInstr::MatchToken { re, it, t, .. } => {
                 format!("s{t} = regexp.match_token s{re} s{it}")
             }
@@ -440,8 +426,9 @@ impl CInstr {
 
     /// Bucket name for the instruction-mix histogram (`Context::stats`).
     /// Generic data instructions count under their IR mnemonic; specialized
-    /// variants under distinct `spec.*` names so the histogram shows how
-    /// much of the stream runs typed.
+    /// variants under distinct `spec.*` names (a typed op under
+    /// `spec.<mnemonic>`) so the histogram shows how much of the stream
+    /// runs typed.
     pub fn stat_name(&self) -> &'static str {
         match self {
             CInstr::Op { opcode, .. } => opcode.mnemonic(),
@@ -457,23 +444,11 @@ impl CInstr {
             CInstr::PopHandler => "exception.pop_handler",
             CInstr::Yield => "yield",
             CInstr::GlobalStore { inner, .. } => inner.stat_name(),
-            CInstr::ArithInt { op, .. } => match op {
-                IntArith::Add => "spec.int.add",
-                IntArith::Sub => "spec.int.sub",
-                IntArith::Mul => "spec.int.mul",
-                IntArith::And => "spec.int.and",
-                IntArith::Or => "spec.int.or",
-                IntArith::Xor => "spec.int.xor",
-                IntArith::Shl => "spec.int.shl",
-                IntArith::Shr => "spec.int.shr",
-            },
-            CInstr::CmpInt { .. } => "spec.int.cmp",
-            CInstr::BrIfInt { .. } => "spec.int.br_if",
+            CInstr::Typed { op, .. } => op.spec_name(),
+            CInstr::BrIf { .. } => "spec.br_if",
             CInstr::MoveSlot { .. } => "spec.move",
             CInstr::LoadImm { .. } => "spec.load.imm",
             CInstr::BrBool { .. } => "spec.br.bool",
-            CInstr::IterIncr { .. } => "spec.iter.incr",
-            CInstr::IterDeref { .. } => "spec.iter.deref",
             CInstr::MatchToken { .. } => "spec.regexp.token",
             CInstr::StructGet { .. } => "struct.get",
             CInstr::StructSet { .. } => "struct.set",

@@ -451,6 +451,29 @@ void f() {
     }
 
     #[test]
+    fn key_lists_are_not_containers_of_their_own() {
+        // `set.members` and `map.keys` return `list<any>`: a set or map
+        // target is rejected, a list target is not.
+        for (container, op) in [("set<any>", "set.members"), ("map<any, any>", "map.keys")] {
+            let src = |target: &str| {
+                format!(
+                    "module M\nvoid f() {{\n  local ref<{container}> s\n  \
+                     local ref<list<any>> l\n  s = new {container}\n  \
+                     {target} = {op} s\n}}\n"
+                )
+            };
+            let e = linked(&src("s")).unwrap_err();
+            assert!(
+                e.message.contains(&format!(
+                    "target s declared {container}, result is list<any>"
+                )),
+                "{e}"
+            );
+            assert!(linked(&src("l")).unwrap().is_empty(), "{op} into a list");
+        }
+    }
+
+    #[test]
     fn any_typed_operands_not_flagged() {
         let w = linked(
             "module M\nint<64> f(any x) {\n  local int<64> y\n  y = int.add x 1\n  return y\n}\n",

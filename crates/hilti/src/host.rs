@@ -867,15 +867,14 @@ done:
     }
 
     /// A statically typed slot read before initialization holds Null. Each
-    /// typed instruction — every `ArithInt` and `CmpInt` op, the fused
-    /// `BrIfInt`, `BrBool`, `IterIncr`, `IterDeref` and the fused
-    /// `MatchToken` — must then raise what the generic path raises: the
-    /// interpreter, the VM with the specializer and the VM without it catch
-    /// the same exception kind and message, with the same fuel left, and
-    /// the two VMs trace the same lines. The iterator rows also pin
-    /// `iterator.incr`'s error order (iterator before count) and a deref
-    /// past a frozen end; the token rows a match at an iterator before the
-    /// trimmed base of its input.
+    /// typed instruction — one case per typed row of `crate::ops`, plus the
+    /// fused `BrIf`, `BrBool` and the fused `MatchToken` — must then raise
+    /// what the generic path raises: the interpreter, the VM with the
+    /// specializer and the VM without it catch the same exception kind and
+    /// message, with the same fuel left, and the two VMs trace the same
+    /// lines. The iterator cases also pin `iterator.incr`'s error order
+    /// (iterator before count) and a deref past a frozen end; the token
+    /// cases a match at an iterator before the trimmed base of its input.
     #[test]
     fn specialized_type_error_is_catchable() {
         const TEMPLATE: &str = r#"
@@ -885,6 +884,8 @@ string f() {
     local int<64> y
     local bool b
     local bool c
+    local double x
+    local string z
     local iterator<bytes> it
     local iterator<bytes> j
     local regexp r
@@ -903,19 +904,44 @@ string f() {
     return "no trap"
 }
 "#;
+        use crate::ir::Opcode;
+        use crate::types::Type;
         const TYPE_ERROR: &str = "Hilti::TypeError: ";
         let mut rows: Vec<(String, String, &str)> = Vec::new();
-        for op in ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"] {
-            let body = format!("y = int.{op} u 1");
-            rows.push((body, format!("spec.int.{op}"), TYPE_ERROR));
-        }
-        for cmp in ["eq", "lt", "gt", "leq", "geq"] {
-            let body = format!("b = int.{cmp} 1 u\n        y = assign 0");
-            rows.push((body, "spec.int.cmp".into(), TYPE_ERROR));
+        // Every typed row, its first operand a Null slot of its kind, the
+        // others a slot or an immediate of theirs.
+        let typed = crate::ir::GROUPS
+            .iter()
+            .flat_map(|(_, ms)| ms.iter())
+            .filter_map(|m| Opcode::from_mnemonic(m))
+            .filter(|op| crate::ops::has_typed_form(*op));
+        for op in typed {
+            let (params, result) = op.signature().unwrap();
+            let (null, raised) = match &params[0] {
+                Type::Int(_) => ("u", "Hilti::TypeError: expected int, got null"),
+                Type::Bool => ("c", "Hilti::TypeError: expected bool, got null"),
+                Type::BytesIter => ("it", "Hilti::TypeError: expected iterator<bytes>, got null"),
+                other => panic!("{}: no case for {other}", op.mnemonic()),
+            };
+            let rest = params[1..].iter().map(|p| match p {
+                Type::Int(_) => "1",
+                Type::Bool => "True",
+                _ => "j",
+            });
+            let target = match result {
+                Type::Int(_) => "y",
+                Type::Bool => "b",
+                Type::BytesIter => "j",
+                Type::Double => "x",
+                _ => "z",
+            };
+            let operands: Vec<&str> = std::iter::once(null).chain(rest).collect();
+            let body = format!("{target} = {} {}", op.mnemonic(), operands.join(" "));
+            rows.push((body, op.spec_name().into(), raised));
         }
         let branch = "if.else BOOL yes no\nyes:\n        y = assign 1\nno:";
         let fused = format!("b = int.lt u 1\n        {}", branch.replace("BOOL", "b"));
-        rows.push((fused, "spec.int.br_if".into(), TYPE_ERROR));
+        rows.push((fused, "spec.br_if".into(), TYPE_ERROR));
         rows.push((
             branch.replace("BOOL", "c"),
             "spec.br.bool".into(),
@@ -923,9 +949,8 @@ string f() {
         ));
         let null_iter = "Hilti::TypeError: expected iterator<bytes>, got null";
         // Iterator and count both Null: the iterator is reported.
-        let (incr, deref) = ("spec.iter.incr", "spec.iter.deref");
+        let (incr, deref) = ("spec.iterator.incr", "spec.iterator.deref");
         rows.push(("j = iterator.incr it u".into(), incr.into(), null_iter));
-        rows.push(("y = iterator.deref it".into(), deref.into(), null_iter));
         let begin = "it = bytes.begin b\"ab\"\n        ";
         rows.push((
             format!("{begin}it = iterator.incr it u"),
@@ -1003,7 +1028,7 @@ string f() {
         }
     }
 
-    /// A typed `IterDeref` at the frontier of open input suspends its fiber
+    /// A typed `iterator.deref` at the frontier of open input suspends its fiber
     /// as the generic op does: the fast loop leaves it uncharged, the
     /// dispatch path charges, traces and suspends at it, and the resume
     /// after an append retries it. Both VMs agree on fuel, trace and result
@@ -1064,7 +1089,7 @@ int<64> read_two(ref<bytes> data) {
         };
         let typed = build(true);
         let code = &typed.compiled().func("M::read_two").unwrap().code;
-        assert!(code.iter().any(|i| i.stat_name() == "spec.iter.deref"));
+        assert!(code.iter().any(|i| i.stat_name() == "spec.iterator.deref"));
         let on = fiber_run(true, false);
         assert_eq!(on, fiber_run(false, false), "untraced");
         assert_eq!(on.2, "258");

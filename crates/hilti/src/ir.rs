@@ -24,14 +24,16 @@
 //! - its [`OpClass`] variant (`Total`, `Typed`, `Traps` or `Effect`), then
 //!   `fold` if the constant folder evaluates it;
 //! - optionally its value-operand and result types, which the checker
-//!   enforces where operand types are static (`Int` is `int<64>`, any
-//!   other name a [`Type`] variant);
+//!   enforces where operand types are static (`Int` is `int<64>`, `List`
+//!   is `list<any>` and only a result, any other name a [`Type`] variant);
 //! - optionally `ids[..]`, the operand positions the parser reads as
 //!   identifiers rather than variables.
 //!
 //! [`Opcode::class`], [`Opcode::folds`], [`Opcode::signature`] and
-//! [`Opcode::ident_positions`] are generated from the rows; a test in this
-//! module runs every pure row through `ops::eval` to keep its class honest.
+//! [`Opcode::ident_positions`] are generated from the rows, and so is
+//! [`sig`], each signature as a type, from which `crate::ops` reads the
+//! operands of its typed rows. A test in this module runs every pure row
+//! through `ops::eval` to keep its class honest.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -166,6 +168,9 @@ macro_rules! row_type {
     (Int) => {
         Type::Int(64)
     };
+    (List) => {
+        Type::List(std::sync::Arc::new(Type::Any))
+    };
     ($t:ident) => {
         Type::$t
     };
@@ -244,6 +249,14 @@ macro_rules! opcodes {
                 }
             }
 
+            /// The `--stats` bucket of the opcode's typed instruction,
+            /// `spec.<mnemonic>`.
+            pub fn spec_name(&self) -> &'static str {
+                match self {
+                    $( $( Opcode::$variant => concat!("spec.", $mnemonic), )* )*
+                }
+            }
+
             /// The functionality group (Table 1) the opcode belongs to.
             pub fn group(&self) -> &'static str {
                 match self {
@@ -256,7 +269,26 @@ macro_rules! opcodes {
         pub const GROUPS: &[(&str, &[&str])] = &[
             $( ($group, &[ $( $mnemonic, )* ]), )*
         ];
+
+        /// Each row's signature as a type over [`kind`] markers:
+        /// `sig::IntAdd` is `fn(kind::Int, kind::Int) -> kind::Int`.
+        pub mod sig {
+            use super::kind;
+            $( $( $( pub type $variant = fn($(kind::$param),*) -> kind::$result; )? )* )*
+        }
     };
+}
+
+/// The type names a row's signature uses, one uninhabited marker each, so
+/// that [`sig`] can state a signature as a type.
+pub mod kind {
+    macro_rules! markers {
+        ($($t:ident),*) => { $( pub enum $t {} )* };
+    }
+    markers!(
+        Any, Void, Bool, Int, Double, String, Bytes, BytesIter, Addr, Net, Port, Time, Interval,
+        Regexp, List
+    );
 }
 
 opcodes! {
@@ -427,7 +459,7 @@ opcodes! {
         SetSize = "set.size" [Effect],
         SetTimeout = "set.timeout" [Effect],
         SetClear = "set.clear" [Effect],
-        SetMembers = "set.members" [Effect],
+        SetMembers = "set.members" [Effect] (Any) -> List,
     },
     "Hashmaps" => {
         MapInsert = "map.insert" [Effect],
@@ -438,7 +470,7 @@ opcodes! {
         MapSize = "map.size" [Effect],
         MapTimeout = "map.timeout" [Effect],
         MapClear = "map.clear" [Effect],
-        MapKeys = "map.keys" [Effect],
+        MapKeys = "map.keys" [Effect] (Any) -> List,
     },
     "Structs" => {
         StructGet = "struct.get" [Effect] ids[1],

@@ -27,7 +27,8 @@ use hilti_rt::regexp::{MatchVerdict, Regex};
 use hilti_rt::time::{Interval, Time};
 use hilti_rt::timer::TimerMgr;
 
-use crate::ir::Opcode;
+use crate::bytecode::Src;
+use crate::ir::{kind, sig, Opcode};
 use crate::types::Type;
 use crate::value::{
     CallableVal, ExceptionVal, HashKey, MapVal, SetVal, StructLayout, StructVal, TimerEntry, Value,
@@ -258,6 +259,228 @@ pub fn instantiate(ty: &Type, extra: &[&Value], ctx: &mut dyn ExecCtx) -> RtResu
     })
 }
 
+// --- typed rows ------------------------------------------------------------
+
+/// How a typed row reads an operand of one kind and wraps a result of one.
+/// The kinds are the `ir::kind` markers a row's signature names.
+pub(crate) trait Kind {
+    /// What a row's body sees of an operand.
+    type Arg<'a>;
+    /// What a row's body evaluates to.
+    type Out;
+    fn read(v: &Value) -> RtResult<Self::Arg<'_>>;
+    fn wrap(out: Self::Out) -> Value;
+}
+
+macro_rules! kinds {
+    ($( $kind:ident: $arg:ty = $read:ident, $out:ty => $wrap:expr; )*) => { $(
+        impl Kind for kind::$kind {
+            type Arg<'a> = $arg;
+            type Out = $out;
+            #[inline(always)]
+            fn read(v: &Value) -> RtResult<Self::Arg<'_>> {
+                v.$read()
+            }
+            #[inline(always)]
+            fn wrap(out: $out) -> Value {
+                $wrap(out)
+            }
+        }
+    )* };
+}
+
+kinds! {
+    Int: i64 = as_int, i64 => Value::Int;
+    Bool: bool = as_bool, bool => Value::Bool;
+    Double: f64 = as_double, f64 => Value::Double;
+    String: &'a str = as_str, String => |s: String| Value::str(&s);
+    BytesIter: &'a BytesIter = as_bytes_iter, BytesIter => Value::BytesIter;
+}
+
+/// A kind a `&mut` row steps in place in the slot that holds it.
+pub(crate) trait InPlace: Kind {
+    fn slot(v: &mut Value) -> Option<&mut Self::Out>;
+}
+
+impl InPlace for kind::BytesIter {
+    #[inline(always)]
+    fn slot(v: &mut Value) -> Option<&mut BytesIter> {
+        match v {
+            Value::BytesIter(it) => Some(it),
+            _ => None,
+        }
+    }
+}
+
+/// A row's signature as its `ir::sig` type: its arity, its kinds, and how it
+/// reads its operands — in order, so the first one not of its kind is the
+/// one reported.
+pub(crate) trait Signature {
+    const ARITY: usize;
+    type First: Kind;
+    type Ret: Kind;
+    type Args<'a>;
+    fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>>;
+}
+
+impl<A: Kind, R: Kind> Signature for fn(A) -> R {
+    const ARITY: usize = 1;
+    type First = A;
+    type Ret = R;
+    type Args<'a> = (A::Arg<'a>,);
+    #[inline(always)]
+    fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>> {
+        Ok((A::read(arg(0))?,))
+    }
+}
+
+impl<A: Kind, B: Kind, R: Kind> Signature for fn(A, B) -> R {
+    const ARITY: usize = 2;
+    type First = A;
+    type Ret = R;
+    type Args<'a> = (A::Arg<'a>, B::Arg<'a>);
+    #[inline(always)]
+    fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>> {
+        Ok((A::read(arg(0))?, B::read(arg(1))?))
+    }
+}
+
+/// One typed row, in the form [`eval`] (a new value) or [`exec`] (into a
+/// slot) runs it. A `&mut` row's body steps its first operand and yields
+/// nothing; it steps the slot itself when that is also the destination.
+macro_rules! typed_row {
+    (apply $op:ident [] ($($a:ident),*) $body:expr; $args:ident) => {{
+        arity($args, <sig::$op as Signature>::ARITY, Opcode::$op)?;
+        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i])?;
+        Ok(<<sig::$op as Signature>::Ret as Kind>::wrap($body))
+    }};
+    (apply $op:ident [$m:ident] ($($a:ident),*) $body:expr; $args:ident) => {{
+        arity($args, <sig::$op as Signature>::ARITY, Opcode::$op)?;
+        let ($m, $($a,)*) = <sig::$op as Signature>::read(|i| $args[i])?;
+        Ok(typed_row!(stepped $op $m $body))
+    }};
+    (exec $op:ident [] ($($a:ident),*) $body:expr; $slots:ident, $dst:ident, $args:ident) => {{
+        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
+        <<sig::$op as Signature>::Ret as Kind>::wrap($body)
+    }};
+    (exec $op:ident [$m:ident] ($($a:ident),*) $body:expr; $slots:ident, $dst:ident, $args:ident) => {{
+        let ($m, $($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
+        if matches!($args[0], Src::Slot(s) if s == $dst) {
+            let slot = &mut $slots[$dst as usize];
+            if let Some($m) = <<sig::$op as Signature>::First as InPlace>::slot(slot) {
+                $body;
+            }
+            return Ok(false);
+        }
+        typed_row!(stepped $op $m $body)
+    }};
+    // A `&mut` row run on a copy of its first operand, which it returns.
+    (stepped $op:ident $m:ident $body:expr) => {{
+        let mut $m = $m.clone();
+        {
+            let $m = &mut $m;
+            $body;
+        }
+        <<sig::$op as Signature>::Ret as Kind>::wrap($m)
+    }};
+}
+
+/// The typed rows: each states an op's semantics once, over operands read
+/// at the kinds of its `opcodes!` signature. `eval`'s arm, the VM's
+/// `CInstr::Typed` and `BrIf`, the specializer's rule and the `--stats`
+/// bucket all come from the row.
+macro_rules! typed_ops {
+    ($( $op:ident($(&mut $m:ident,)? $($a:ident),*) => $body:expr, )*) => {
+        /// The typed rows' opcodes, as a pattern.
+        macro_rules! typed_opcode {
+            () => { $(Opcode::$op)|* };
+        }
+
+        /// True for an opcode with a typed row: the ones the specializer
+        /// rewrites to [`CInstr::Typed`](crate::bytecode::CInstr::Typed).
+        pub(crate) fn has_typed_form(op: Opcode) -> bool {
+            matches!(op, typed_opcode!())
+        }
+
+        /// `eval`'s arm for the typed rows.
+        fn apply(op: Opcode, args: &[&Value]) -> RtResult<Value> {
+            match op {
+                $( Opcode::$op => typed_row!(apply $op [$($m)?] ($($a),*) $body; args), )*
+                _ => unreachable!("{} has no typed row", op.mnemonic()),
+            }
+        }
+
+        /// Runs `op`'s typed row over `args`, read in place from `slots`,
+        /// writes the result into slot `dst` and returns whether it is
+        /// `true` (what a `BrIf` branches on). An `Err` leaves the slots
+        /// untouched.
+        #[inline(always)]
+        pub(crate) fn exec(
+            op: Opcode,
+            slots: &mut [Value],
+            dst: u16,
+            args: &[Src; 2],
+        ) -> RtResult<bool> {
+            let v = match op {
+                $( Opcode::$op => typed_row!(exec $op [$($m)?] ($($a),*) $body; slots, dst, args), )*
+                _ => unreachable!("{} has no typed row", op.mnemonic()),
+            };
+            let taken = matches!(v, Value::Bool(true));
+            slots[dst as usize] = v;
+            Ok(taken)
+        }
+    };
+}
+
+typed_ops! {
+    // Integers. Arithmetic wraps; `shl` wraps its shift amount, and `shr`
+    // is a logical shift of the 64-bit pattern.
+    IntAdd(a, b) => a.wrapping_add(b),
+    IntSub(a, b) => a.wrapping_sub(b),
+    IntMul(a, b) => a.wrapping_mul(b),
+    IntDiv(a, b) => a.wrapping_div(nonzero(b, "division by zero")?),
+    IntMod(a, b) => a.wrapping_rem(nonzero(b, "modulo by zero")?),
+    IntNeg(a) => a.wrapping_neg(),
+    IntAbs(a) => a.wrapping_abs(),
+    IntMin(a, b) => a.min(b),
+    IntMax(a, b) => a.max(b),
+    IntEq(a, b) => a == b,
+    IntLt(a, b) => a < b,
+    IntGt(a, b) => a > b,
+    IntLeq(a, b) => a <= b,
+    IntGeq(a, b) => a >= b,
+    IntAnd(a, b) => a & b,
+    IntOr(a, b) => a | b,
+    IntXor(a, b) => a ^ b,
+    IntShl(a, b) => a.wrapping_shl(b as u32),
+    IntShr(a, b) => ((a as u64) >> (b as u32 & 63)) as i64,
+    IntToDouble(a) => a as f64,
+    IntToString(a) => a.to_string(),
+    // Booleans.
+    BoolAnd(a, b) => a && b,
+    BoolOr(a, b) => a || b,
+    BoolNot(a) => !a,
+    BoolXor(a, b) => a ^ b,
+    // Bytes iterators. A negative count advances by nothing; a deref
+    // raises `WouldBlock` at the frontier of open input and `IndexError`
+    // past a frozen end.
+    IterIncr(&mut it, n) => it.advance_by(n.max(0) as u64),
+    IterDeref(it) => i64::from(it.deref()?),
+    IterOffset(it) => it.offset() as i64,
+    IterDiff(a, b) => a.distance(b)? as i64,
+    IterAtFrozenEnd(it) => it.at_frozen_end(),
+    IterWouldBlock(it) => it.would_block(),
+}
+
+/// `b`, or the `ArithmeticError` `what` when it is zero.
+fn nonzero(b: i64, what: &'static str) -> RtResult<i64> {
+    if b == 0 {
+        Err(RtError::arithmetic(what))
+    } else {
+        Ok(b)
+    }
+}
+
 /// Evaluates one data instruction and returns the value it produces.
 ///
 /// `args` are the value operands, read where they live: the VM points into
@@ -301,52 +524,10 @@ pub fn eval(
             Value::from_portable(&args[0].to_portable()?)
         }
 
+        // --- typed rows --------------------------------------------------
+        typed_opcode!() => apply(op, args)?,
+
         // --- integers ----------------------------------------------------
-        IntAdd => int_arith(args, IntArith::Add)?,
-        IntSub => int_arith(args, IntArith::Sub)?,
-        IntMul => int_arith(args, IntArith::Mul)?,
-        IntDiv => bin_int(args, op, |a, b| {
-            if b == 0 {
-                Err(RtError::arithmetic("division by zero"))
-            } else {
-                Ok(a.wrapping_div(b))
-            }
-        })?,
-        IntMod => bin_int(args, op, |a, b| {
-            if b == 0 {
-                Err(RtError::arithmetic("modulo by zero"))
-            } else {
-                Ok(a.wrapping_rem(b))
-            }
-        })?,
-        IntNeg => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_int()?.wrapping_neg())
-        }
-        IntAbs => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_int()?.wrapping_abs())
-        }
-        IntMin => bin_int(args, op, |a, b| Ok(a.min(b)))?,
-        IntMax => bin_int(args, op, |a, b| Ok(a.max(b)))?,
-        IntEq => int_cmp(args, IntCmp::Eq)?,
-        IntLt => int_cmp(args, IntCmp::Lt)?,
-        IntGt => int_cmp(args, IntCmp::Gt)?,
-        IntLeq => int_cmp(args, IntCmp::Leq)?,
-        IntGeq => int_cmp(args, IntCmp::Geq)?,
-        IntAnd => int_arith(args, IntArith::And)?,
-        IntOr => int_arith(args, IntArith::Or)?,
-        IntXor => int_arith(args, IntArith::Xor)?,
-        IntShl => int_arith(args, IntArith::Shl)?,
-        IntShr => int_arith(args, IntArith::Shr)?,
-        IntToDouble => {
-            arity(args, 1, op)?;
-            Value::Double(args[0].as_int()? as f64)
-        }
-        IntToString => {
-            arity(args, 1, op)?;
-            Value::str(&args[0].as_int()?.to_string())
-        }
         IntFromBytes | BytesToInt => {
             // (bytes, base) — parse ASCII digits.
             arity(args, 2, op)?;
@@ -366,24 +547,6 @@ pub fn eval(
             let v = i64::from_str_radix(s, base)
                 .map_err(|_| RtError::value(format!("bad integer literal {s:?}")))?;
             Value::Int(v)
-        }
-
-        // --- booleans ----------------------------------------------------
-        BoolAnd => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_bool()? && args[1].as_bool()?)
-        }
-        BoolOr => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_bool()? || args[1].as_bool()?)
-        }
-        BoolXor => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_bool()? ^ args[1].as_bool()?)
-        }
-        BoolNot => {
-            arity(args, 1, op)?;
-            Value::Bool(!args[0].as_bool()?)
         }
 
         // --- bitsets (int<64> with named bits) -----------------------------
@@ -622,35 +785,6 @@ pub fn eval(
             }
             let rest = b.sub(it.offset().min(b.end_offset()), b.end_offset())?;
             Value::Tuple(Rc::new([Value::Bytes(rest), Value::BytesIter(b.end())]))
-        }
-
-        // --- bytes iterators ------------------------------------------------
-        IterIncr => {
-            arity(args, 2, op)?;
-            let (it, n) = iter_incr_operands(args[0], args[1].as_int())?;
-            Value::BytesIter(it.advance(n))
-        }
-        IterDeref => {
-            arity(args, 1, op)?;
-            Value::Int(iter_deref(args[0])?)
-        }
-        IterOffset => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_bytes_iter()?.offset() as i64)
-        }
-        IterDiff => {
-            arity(args, 2, op)?;
-            let a = args[0].as_bytes_iter()?;
-            let b = args[1].as_bytes_iter()?;
-            Value::Int(a.distance(b)? as i64)
-        }
-        IterAtFrozenEnd => {
-            arity(args, 1, op)?;
-            Value::Bool(args[0].as_bytes_iter()?.at_frozen_end())
-        }
-        IterWouldBlock => {
-            arity(args, 1, op)?;
-            Value::Bool(args[0].as_bytes_iter()?.would_block())
         }
 
         // --- addr / net / port ----------------------------------------------
@@ -1447,79 +1581,6 @@ pub fn eval(
     })
 }
 
-/// Declares a family of typed integer ops: the enum, each op's semantics
-/// (`apply`) and its opcode in both directions. A row is the one place its
-/// op is stated; `eval` and the VM's typed instructions both call `apply`.
-macro_rules! int_ops {
-    ($(#[$doc:meta])* $name:ident($a:ident, $b:ident) -> $out:ty {
-        $( $variant:ident = $opcode:ident => $body:expr, )*
-    }) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        pub enum $name {
-            $( $variant, )*
-        }
-
-        impl $name {
-            #[inline(always)]
-            pub fn apply(self, $a: i64, $b: i64) -> $out {
-                match self {
-                    $( $name::$variant => $body, )*
-                }
-            }
-
-            pub fn from_opcode(op: Opcode) -> Option<$name> {
-                match op {
-                    $( Opcode::$opcode => Some($name::$variant), )*
-                    _ => None,
-                }
-            }
-
-            pub fn opcode(self) -> Opcode {
-                match self {
-                    $( $name::$variant => Opcode::$opcode, )*
-                }
-            }
-        }
-    };
-}
-
-int_ops! {
-    /// Integer arithmetic, bitwise and shift ops. All wrap; `shl` wraps its
-    /// shift amount, `shr` is a logical shift of the 64-bit pattern.
-    IntArith(a, b) -> i64 {
-        Add = IntAdd => a.wrapping_add(b),
-        Sub = IntSub => a.wrapping_sub(b),
-        Mul = IntMul => a.wrapping_mul(b),
-        And = IntAnd => a & b,
-        Or = IntOr => a | b,
-        Xor = IntXor => a ^ b,
-        Shl = IntShl => a.wrapping_shl(b as u32),
-        Shr = IntShr => ((a as u64) >> (b as u32 & 63)) as i64,
-    }
-}
-
-int_ops! {
-    /// Integer comparisons.
-    IntCmp(a, b) -> bool {
-        Eq = IntEq => a == b,
-        Lt = IntLt => a < b,
-        Gt = IntGt => a > b,
-        Leq = IntLeq => a <= b,
-        Geq = IntGeq => a >= b,
-    }
-}
-
-/// `iterator.incr`'s operands, stated once for `eval` and the VM's typed
-/// step: the iterator is checked before the count (`n` is the count
-/// already read, its error not yet raised), and a negative count advances
-/// by nothing.
-#[inline(always)]
-pub fn iter_incr_operands(it: &Value, n: RtResult<i64>) -> RtResult<(&BytesIter, u64)> {
-    let it = it.as_bytes_iter()?;
-    Ok((it, n?.max(0) as u64))
-}
-
 /// `regexp.match_token re it`: the longest anchored match of `re` at `it`,
 /// as (pattern index or -1, iterator after the match — `it` itself when
 /// nothing matched). Raises `WouldBlock` while the match could still extend
@@ -1541,23 +1602,6 @@ pub fn match_token(re: &Value, it: &Value) -> RtResult<(i64, BytesIter)> {
         MatchVerdict::Match { pattern, len } => (pattern as i64, it.advance(len)),
         MatchVerdict::NoMatch => (-1, it.clone()),
     })
-}
-
-/// `iterator.deref`: the byte under the iterator, raising `WouldBlock` at
-/// the frontier of open input and `IndexError` past a frozen end.
-#[inline(always)]
-pub fn iter_deref(it: &Value) -> RtResult<i64> {
-    Ok(i64::from(it.as_bytes_iter()?.deref()?))
-}
-
-#[inline(always)]
-fn int_arith(args: &[&Value], f: IntArith) -> RtResult<Value> {
-    bin_int(args, f.opcode(), |a, b| Ok(f.apply(a, b)))
-}
-
-#[inline(always)]
-fn int_cmp(args: &[&Value], f: IntCmp) -> RtResult<Value> {
-    bin_int_cmp(args, f.opcode(), |a, b| f.apply(a, b))
 }
 
 #[inline]

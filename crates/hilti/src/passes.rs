@@ -19,7 +19,9 @@
 //!   reads in the same block.
 //! - CSE replaces a pure instruction that repeats an earlier one of the
 //!   same block by a copy of the earlier result. If either would raise,
-//!   the earlier one already did.
+//!   the earlier one already did. An `Effect` instruction between the two
+//!   ends the reuse: it may have written the heap value an operand names
+//!   (`bytes.append b` between two `string.render b`).
 //! - Dead-code elimination deletes an instruction whose result nothing
 //!   reads only when running it cannot be observed: its row is `Total`, or
 //!   `Typed` with every value operand statically inside the signature. A
@@ -279,6 +281,11 @@ fn cse(f: &mut Function) -> usize {
                     }
                 }
             }
+            // An effect can write the heap an operand refers to (`bytes.append
+            // b`), so nothing computed before it is known to hold after it.
+            if instr.opcode.class() == OpClass::Effect {
+                seen.clear();
+            }
             // Any write invalidates expressions that used or produced the
             // target — *before* recording the expression computed here.
             if let Some(t) = &instr.target {
@@ -534,6 +541,38 @@ int<64> f() {
             .instrs
             .iter()
             .any(|i| i.opcode == Opcode::IntDiv));
+    }
+
+    #[test]
+    fn cse_forgets_results_across_an_effect() {
+        // `bytes.append` writes the bytes `b` names without a target, so
+        // the pure reads after it must run again.
+        let (f, stats) = optimized(
+            r#"
+module M
+string f(ref<bytes> b) {
+    local string r1
+    local string r2
+    local bool e1
+    local bool e2
+    r1 = string.render b
+    e1 = equal b "1"
+    bytes.append b b"2"
+    r2 = string.render b
+    e2 = equal b "1"
+    r1 = string.fmt "{} {} {} {}" r1 e1 r2 e2
+    return r1
+}
+"#,
+            "M::f",
+        );
+        assert_eq!(stats.cse_hits, 0, "{stats:?}");
+        let renders = f.blocks[0]
+            .instrs
+            .iter()
+            .filter(|i| matches!(i.opcode, Opcode::StringRender | Opcode::Equal))
+            .count();
+        assert_eq!(renders, 4, "{:#?}", f.blocks[0].instrs);
     }
 
     #[test]

@@ -10,24 +10,23 @@
 //! typed interpreter opcodes; §6.5's compiled-vs-interpreted gap is the
 //! same story one level down).
 //!
-//! The pass runs in two phases over each function:
+//! The pass runs in three phases over each function:
 //!
-//! 1. **Per-instruction rewrites.** An integer op with an [`IntArith`]
-//!    form (`int.add` … `int.shr`) or an [`IntCmp`] form (`int.eq` …
-//!    `int.geq`) whose two operands are provably `int<n>` slots or integer
-//!    immediates becomes `ArithInt` / `CmpInt`, carrying that op;
-//!    `assign` into a local becomes `MoveSlot`/`LoadImm`; a branch on a
-//!    statically bool slot becomes `BrBool`. On a slot declared
-//!    `iterator<bytes>`, `iterator.deref` becomes `IterDeref` and
-//!    `iterator.incr` by an int slot or immediate becomes `IterIncr` — the
-//!    per-byte steps of every generated parser, which then advance the
-//!    slot's iterator in place instead of cloning a new one.
-//! 2. **Superinstruction fusion.** A `CmpInt` immediately followed by a
-//!    branch on its result fuses into `BrIfInt` — the dominant
-//!    `cmp`+`br_if` pair of loop headers collapses to one dispatch. The
-//!    fused instruction still writes the bool flag slot and the original
-//!    branch stays at its pc (it remains reachable through explicit jump
-//!    labels), so no liveness or CFG analysis is needed.
+//! 1. **Per-instruction rewrites.** An op with a typed row in `crate::ops`
+//!    whose operands are each an immediate or a slot declared with the
+//!    kind its signature states becomes [`CInstr::Typed`]. Which ops have
+//!    a typed form is the table of rows, not a list here. On an
+//!    `iterator<bytes>` slot that is also its destination,
+//!    `iterator.incr` then steps the slot's iterator in place — the
+//!    per-byte step of every generated parser. Besides, `assign` into a
+//!    local becomes `MoveSlot`/`LoadImm`, and a branch on a statically
+//!    bool slot becomes `BrBool`.
+//! 2. **Superinstruction fusion.** A `Typed` op with a `bool` result
+//!    immediately followed by a branch on it fuses into [`CInstr::BrIf`] —
+//!    the dominant `cmp`+`br_if` pair of loop headers collapses to one
+//!    dispatch. The fused instruction still writes the bool flag slot and
+//!    the original branch stays at its pc (it remains reachable through
+//!    explicit jump labels), so no liveness or CFG analysis is needed.
 //! 3. **Token fusion.** `t = regexp.match_token re it` followed by
 //!    `id = tuple.get t 0` and `end = tuple.get t 1` — what
 //!    `binpac::codegen` emits for every token match — becomes
@@ -40,53 +39,46 @@
 //!    low on fuel it runs the match alone into `t` and then those reads,
 //!    so trace, fuel and profile are the unfused sequence's.
 //!
-//! The pass states no semantics of its own. `IntArith::apply` /
-//! `IntCmp::apply` / `iter_incr_operands` / `iter_deref` / `match_token`
-//! in `crate::ops` are the one statement of each op: the generic
-//! `ops::eval` arm and the VM's typed step both call them. A new typed
-//! integer op is one row in the `int_ops!` table there, plus its `spec.*`
-//! bucket in `CInstr::stat_name`.
+//! The pass states no semantics of its own. A typed row in `crate::ops`
+//! is the one statement of its op, which `ops::eval` and the VM's typed
+//! step both run, and `ops::match_token` is the one statement of a token
+//! match. A new typed integer, boolean or iterator op is one row there.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
 //! so exception, fiber and global-visibility semantics stay in one place.
 //! Specialized instructions still *check* operand values at run time
-//! (locals start as `Null`), raising the same catchable `TypeError` the
-//! generic path would.
+//! (locals start as `Null`, an immediate may be of another type), raising
+//! the same catchable `TypeError` the generic path would.
 //!
 //! The pass is switched by `BuildOptions::specialize` (default on) so its
 //! effect can be measured: `repro fib` prints the on/off pair as its
 //! "dispatch tier" line.
 
-use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IntSrc};
+use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, Src};
 use crate::ir::Opcode;
-use crate::ops::{IntArith, IntCmp};
+use crate::ops;
 use crate::types::Type;
 use crate::value::Value;
 
 /// What the pass did, for build reporting and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpecStats {
-    /// Generic int arithmetic/bitwise ops replaced by typed variants.
-    pub arith: usize,
-    /// Integer comparisons replaced by `CmpInt`.
-    pub cmps: usize,
+    /// Ops with a typed row replaced by `Typed`.
+    pub typed: usize,
     /// `assign` instructions replaced by `MoveSlot`/`LoadImm`.
     pub moves: usize,
     /// Branches on statically bool slots replaced by `BrBool`.
     pub branches: usize,
-    /// Compare-and-branch pairs fused into `BrIfInt`.
+    /// `Typed` tests and their branches fused into `BrIf`.
     pub fused: usize,
-    /// `iterator.incr` / `iterator.deref` replaced by `IterIncr` /
-    /// `IterDeref`.
-    pub iters: usize,
     /// Token matches and their two tuple reads fused into `MatchToken`.
     pub tokens: usize,
 }
 
 impl SpecStats {
     pub fn total(&self) -> usize {
-        self.arith + self.cmps + self.moves + self.branches + self.fused + self.iters + self.tokens
+        self.typed + self.moves + self.branches + self.fused + self.tokens
     }
 }
 
@@ -103,23 +95,6 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
     let slot_types = &cf.slot_types;
     let declared = |s: u16| slot_types.get(s as usize);
     let is_bool = |s: u16| matches!(declared(s), Some(Type::Bool));
-    let iter_slot = |op: &COperand| match op {
-        COperand::Slot(s) if matches!(declared(*s), Some(Type::BytesIter)) => Some(*s),
-        _ => None,
-    };
-
-    // An operand usable by a typed int instruction: a slot statically
-    // declared int, or an integer constant. Globals (shared, any write
-    // path) and untyped slots stay generic.
-    let int_src = |op: &COperand| -> Option<IntSrc> {
-        match op {
-            COperand::Slot(s) if matches!(declared(*s), Some(Type::Int(_))) => {
-                Some(IntSrc::Slot(*s))
-            }
-            COperand::Value(Value::Int(i)) => Some(IntSrc::Imm(*i)),
-            _ => None,
-        }
-    };
 
     // Phase 1: per-instruction rewrites.
     for instr in &mut cf.code {
@@ -130,41 +105,23 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
                 args,
                 ..
             } => {
-                let dst = *dst;
-                let ints = match &**args {
-                    [a, b] => int_src(a).zip(int_src(b)),
-                    _ => None,
-                };
-                if let (Some(op), Some((a, b))) = (IntArith::from_opcode(*opcode), ints) {
-                    stats.arith += 1;
-                    Some(CInstr::ArithInt { op, dst, a, b })
-                } else if let (Some(cmp), Some((a, b))) = (IntCmp::from_opcode(*opcode), ints) {
-                    stats.cmps += 1;
-                    Some(CInstr::CmpInt { cmp, dst, a, b })
-                } else {
+                let (op, dst) = (*opcode, *dst);
+                match (op, &**args) {
                     // `assign` needs no type guard: it copies any value,
                     // exactly like the generic path.
-                    match (*opcode, &**args) {
-                        (Opcode::Assign, [COperand::Slot(src)]) => {
-                            stats.moves += 1;
-                            Some(CInstr::MoveSlot { dst, src: *src })
-                        }
-                        (Opcode::Assign, [COperand::Value(v)]) => {
-                            stats.moves += 1;
-                            Some(CInstr::LoadImm { dst, v: v.clone() })
-                        }
-                        (Opcode::IterIncr, [it, n]) => {
-                            iter_slot(it).zip(int_src(n)).map(|(src, n)| {
-                                stats.iters += 1;
-                                CInstr::IterIncr { dst, src, n }
-                            })
-                        }
-                        (Opcode::IterDeref, [it]) => iter_slot(it).map(|src| {
-                            stats.iters += 1;
-                            CInstr::IterDeref { dst, src }
-                        }),
-                        _ => None,
+                    (Opcode::Assign, [COperand::Slot(src)]) => {
+                        stats.moves += 1;
+                        Some(CInstr::MoveSlot { dst, src: *src })
                     }
+                    (Opcode::Assign, [COperand::Value(v)]) => {
+                        stats.moves += 1;
+                        Some(CInstr::LoadImm { dst, v: v.clone() })
+                    }
+                    _ if ops::has_typed_form(op) => typed_args(op, args, &declared).map(|args| {
+                        stats.typed += 1;
+                        CInstr::Typed { op, dst, args }
+                    }),
+                    _ => None,
                 }
             }
             CInstr::Branch {
@@ -186,32 +143,34 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
         }
     }
 
-    // Phase 2: fuse compare-and-branch superinstructions. The branch that
-    // consumes the freshly computed flag directly follows the comparison
-    // (lowering emits blocks linearly); only the comparison is replaced,
-    // the branch itself stays put for explicit jump targets.
+    // Phase 2: fuse test-and-branch superinstructions. The branch that
+    // consumes the freshly computed flag directly follows the test
+    // (lowering emits blocks linearly); only the test is replaced, the
+    // branch itself stays put for explicit jump targets.
     for i in 0..cf.code.len().saturating_sub(1) {
-        let CInstr::CmpInt { cmp, dst, a, b } = cf.code[i] else {
+        let CInstr::Typed { op, dst, args } = &cf.code[i] else {
             continue;
         };
+        if !matches!(op.signature(), Some((_, Type::Bool))) {
+            continue;
+        }
         let (then_pc, else_pc) = match cf.code[i + 1] {
             CInstr::BrBool {
                 cond,
                 then_pc,
                 else_pc,
-            } if cond == dst => (then_pc, else_pc),
+            } if cond == *dst => (then_pc, else_pc),
             CInstr::Branch {
                 cond: COperand::Slot(s),
                 then_pc,
                 else_pc,
-            } if s == dst => (then_pc, else_pc),
+            } if s == *dst => (then_pc, else_pc),
             _ => continue,
         };
-        cf.code[i] = CInstr::BrIfInt {
-            cmp,
-            a,
-            b,
-            dst,
+        cf.code[i] = CInstr::BrIf {
+            op: *op,
+            dst: *dst,
+            args: args.clone(),
             then_pc,
             else_pc,
         };
@@ -250,6 +209,31 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
             stats.tokens += 1;
         }
     }
+}
+
+/// The sources of a `Typed` instruction for `op`'s operands `args`, if each
+/// is an immediate or a slot declared with the kind `op`'s signature
+/// states. Globals and `any` slots keep the generic path.
+fn typed_args<'a>(
+    op: Opcode,
+    args: &[COperand],
+    declared: &impl Fn(u16) -> Option<&'a Type>,
+) -> Option<[Src; 2]> {
+    let (params, _) = op.signature()?;
+    if args.len() != params.len() {
+        return None;
+    }
+    let of_kind =
+        |s: u16, kind: &Type| declared(s).is_some_and(|t| *t != Type::Any && t.compatible(kind));
+    let mut srcs = [Src::Imm(Value::Null), Src::Imm(Value::Null)];
+    for ((src, arg), kind) in srcs.iter_mut().zip(args).zip(params) {
+        *src = match arg {
+            COperand::Slot(s) if of_kind(*s, kind) => Src::Slot(*s),
+            COperand::Value(v) => Src::Imm(v.clone()),
+            _ => return None,
+        };
+    }
+    Some(srcs)
 }
 
 /// The `MatchToken` (and its tuple slot) for a window of three
@@ -327,22 +311,14 @@ fn for_each_read(instr: &CInstr, f: &mut impl FnMut(u16)) {
             op(obj);
             op(value);
         }
-        CInstr::ArithInt { a, b, .. }
-        | CInstr::CmpInt { a, b, .. }
-        | CInstr::BrIfInt { a, b, .. } => {
-            for src in [a, b] {
-                if let IntSrc::Slot(s) = src {
+        CInstr::Typed { args, .. } | CInstr::BrIf { args, .. } => {
+            for src in args {
+                if let Src::Slot(s) = src {
                     f(*s)
                 }
             }
         }
-        CInstr::MoveSlot { src, .. } | CInstr::IterDeref { src, .. } => f(*src),
-        CInstr::IterIncr { src, n, .. } => {
-            f(*src);
-            if let IntSrc::Slot(s) = n {
-                f(*s)
-            }
-        }
+        CInstr::MoveSlot { src, .. } => f(*src),
         CInstr::BrBool { cond, .. } => f(*cond),
         CInstr::MatchToken { re, it, .. } => {
             f(*re);
@@ -367,7 +343,7 @@ fn for_each_target(instr: &CInstr, f: &mut impl FnMut(u32)) {
         | CInstr::BrBool {
             then_pc, else_pc, ..
         }
-        | CInstr::BrIfInt {
+        | CInstr::BrIf {
             then_pc, else_pc, ..
         } => {
             f(*then_pc);
@@ -383,12 +359,9 @@ fn for_each_target(instr: &CInstr, f: &mut impl FnMut(u32)) {
         | CInstr::Return(_)
         | CInstr::PopHandler
         | CInstr::Yield
-        | CInstr::ArithInt { .. }
-        | CInstr::CmpInt { .. }
+        | CInstr::Typed { .. }
         | CInstr::MoveSlot { .. }
         | CInstr::LoadImm { .. }
-        | CInstr::IterIncr { .. }
-        | CInstr::IterDeref { .. }
         | CInstr::MatchToken { .. }
         | CInstr::StructGet { .. }
         | CInstr::StructSet { .. } => {}
@@ -434,8 +407,8 @@ done:
         assert!(
             f.code.iter().any(|i| matches!(
                 i,
-                CInstr::ArithInt {
-                    op: IntArith::Add,
+                CInstr::Typed {
+                    op: Opcode::IntAdd,
                     ..
                 }
             )),
@@ -443,7 +416,7 @@ done:
             f.code
         );
         assert!(
-            f.code.iter().any(|i| matches!(i, CInstr::BrIfInt { .. })),
+            f.code.iter().any(|i| matches!(i, CInstr::BrIf { .. })),
             "cmp+branch must fuse: {:#?}",
             f.code
         );
@@ -452,19 +425,19 @@ done:
             "{:#?}",
             f.code
         );
-        assert!(stats.arith >= 2 && stats.fused >= 1, "{stats:?}");
+        assert!(stats.typed >= 2 && stats.fused >= 1, "{stats:?}");
     }
 
     #[test]
     fn fused_branch_keeps_original_at_next_pc() {
-        // The pc after a BrIfInt still holds the branch, so explicit jumps
+        // The pc after a BrIf still holds the branch, so explicit jumps
         // to it keep working.
         let (prog, _) = specialized(LOOP);
         let f = prog.func("M::sum").unwrap();
         let i = f
             .code
             .iter()
-            .position(|i| matches!(i, CInstr::BrIfInt { .. }))
+            .position(|i| matches!(i, CInstr::BrIf { .. }))
             .unwrap();
         assert!(
             matches!(f.code[i + 1], CInstr::Branch { .. } | CInstr::BrBool { .. }),
@@ -497,7 +470,7 @@ int<64> f(any x) {
             "any-typed operand must not specialize: {:#?}",
             f.code
         );
-        assert_eq!(stats.arith, 0);
+        assert_eq!(stats.typed, 0);
     }
 
     #[test]
@@ -540,9 +513,9 @@ int<64> f(int<64> a) {
         assert!(
             f.code.iter().any(|i| matches!(
                 i,
-                CInstr::ArithInt {
-                    op: IntArith::Add,
-                    b: IntSrc::Imm(7),
+                CInstr::Typed {
+                    op: Opcode::IntAdd,
+                    args: [Src::Slot(0), Src::Imm(Value::Int(7))],
                     ..
                 }
             )),
@@ -574,7 +547,7 @@ int<64> f(ref<bytes> data, any loose, int<64> k) {
         let typed: Vec<String> = f
             .code
             .iter()
-            .filter(|i| i.stat_name().starts_with("spec.iter."))
+            .filter(|i| i.stat_name().starts_with("spec.iterator."))
             .map(CInstr::render)
             .collect();
         assert_eq!(
@@ -587,7 +560,7 @@ int<64> f(ref<bytes> data, any loose, int<64> k) {
             "{:#?}",
             f.code
         );
-        assert_eq!(stats.iters, 3);
+        assert_eq!(stats.typed, 3);
         // The `any` operand keeps both generic ops.
         let generic = f
             .code
@@ -620,14 +593,14 @@ int<64> f(ref<bytes> data, any loose, int<64> k) {
         let plain = crate::bytecode::compile(&linked).unwrap();
         let mut spec = plain.clone();
         let stats = specialize_program(&mut spec);
-        assert_eq!((stats.iters, stats.tokens), (4, 2), "{stats:?}");
+        assert_eq!((stats.typed, stats.tokens), (9, 2), "{stats:?}");
         for name in ["M::sum", "M::walk", "M::token", "M::until"] {
             let pf = &plain.func(name).unwrap().code;
             let sf = &spec.func(name).unwrap().code;
             for (pc, s) in sf.iter().enumerate() {
                 let text = s.render();
                 match s {
-                    CInstr::BrIfInt { .. } => {
+                    CInstr::BrIf { .. } => {
                         // Fused: renders as "cmp ; branch"; the VM traces
                         // it as the two original lines.
                         let (cmp_part, br_part) = text.split_once(" ; ").unwrap();

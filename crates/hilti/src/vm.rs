@@ -26,7 +26,7 @@ use hilti_rt::overlay::OverlayType;
 use hilti_rt::telemetry::{EventSink, Telemetry};
 use hilti_rt::time::Time;
 
-use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntSrc};
+use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite};
 use crate::ir::Opcode;
 use crate::ops::{self, ExecCtx, ExpiringHandle};
 use crate::value::{CallableVal, StructLayout, Value};
@@ -567,7 +567,7 @@ pub(crate) fn opcode_class(mnemonic: &'static str) -> &'static str {
 
 /// Profile class of a bytecode instruction. Specialized variants report
 /// the class of the IR instruction they replace, so `--no-specialize` and
-/// specialized runs profile identically; `BrIfInt` reports its comparison,
+/// specialized runs profile identically; `BrIf` reports its test,
 /// and the call site adds the `control` unit of its branch.
 fn cinstr_class(instr: &CInstr) -> &'static str {
     match instr {
@@ -582,9 +582,8 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         CInstr::PushHandler { .. } | CInstr::PopHandler => "exception",
         CInstr::Yield => "yield",
         CInstr::GlobalStore { inner, .. } => cinstr_class(inner),
-        CInstr::ArithInt { .. } | CInstr::CmpInt { .. } | CInstr::BrIfInt { .. } => "int",
+        CInstr::Typed { op, .. } | CInstr::BrIf { op, .. } => opcode_class(op.mnemonic()),
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
-        CInstr::IterIncr { .. } | CInstr::IterDeref { .. } => "iterator",
         CInstr::MatchToken { .. } => "regexp",
         CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
     }
@@ -885,38 +884,26 @@ fn with_operands<R>(
     }
 }
 
-/// Reads a specialized integer operand without cloning. The slot is
-/// statically typed int, but the value is still checked (locals start as
-/// Null) so a mistyped read raises the same catchable TypeError as the
-/// generic path.
-#[inline(always)]
-fn int_src(frame: &Frame, s: IntSrc) -> RtResult<i64> {
-    match s {
-        IntSrc::Imm(i) => Ok(i),
-        IntSrc::Slot(s) => frame.slots[s as usize].as_int(),
-    }
-}
-
 /// Fuel parity with the tree-walking interpreter: one unit per IR body
 /// instruction plus one per block terminator. Lowering emits exactly one
 /// CInstr for each of those, so every instruction costs 1 — except the
-/// fused ones: compare-and-branch covers a body instruction *and* a
+/// fused ones: test-and-branch covers a body instruction *and* a
 /// terminator, a token match three body instructions. (The fast loop never
 /// charges an instruction that traps or blocks; the dispatch path charges a
-/// trapping `BrIfInt` its comparison alone, and runs a `MatchToken` as the
+/// trapping `BrIf` its test alone, and runs a `MatchToken` as the
 /// match alone, leaving its two reads to run as the generic instructions
 /// they still are.)
 #[inline(always)]
 fn fuel_cost(instr: &CInstr) -> u64 {
     match instr {
-        CInstr::BrIfInt { .. } => 2,
+        CInstr::BrIf { .. } => 2,
         CInstr::MatchToken { .. } => 3,
         _ => 1,
     }
 }
 
 /// Executes `instr` inline on `frame.slots` if it is a typed instruction
-/// (`ArithInt` … `MatchToken`, `Jump`): no operand clone, no `ops::eval`
+/// (`Typed` … `MatchToken`, `Jump`): no operand clone, no `ops::eval`
 /// round trip. `Ok(false)` means it is some other instruction. An `Err`
 /// (an operand of the wrong type, or an iterator at the end of its input —
 /// what `ops::eval` raises) leaves the frame untouched. Both the fast loop
@@ -927,29 +914,22 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 #[inline(always)]
 fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
     match instr {
-        CInstr::ArithInt { op, dst, a, b } => {
-            let v = op.apply(int_src(frame, *a)?, int_src(frame, *b)?);
-            frame.slots[*dst as usize] = Value::Int(v);
-            frame.pc += 1;
-        }
-        CInstr::CmpInt { cmp, dst, a, b } => {
-            let v = cmp.apply(int_src(frame, *a)?, int_src(frame, *b)?);
-            frame.slots[*dst as usize] = Value::Bool(v);
-            frame.pc += 1;
-        }
-        CInstr::BrIfInt {
-            cmp,
-            a,
-            b,
-            dst,
-            then_pc,
-            else_pc,
-        } => {
-            let taken = cmp.apply(int_src(frame, *a)?, int_src(frame, *b)?);
-            // The flag slot is still written: later reads of the
-            // comparison result stay valid.
-            frame.slots[*dst as usize] = Value::Bool(taken);
-            frame.pc = if taken { *then_pc } else { *else_pc };
+        CInstr::Typed { op, dst, args } | CInstr::BrIf { op, dst, args, .. } => {
+            // A test still writes its flag slot: later reads of the
+            // result stay valid.
+            let taken = ops::exec(*op, &mut frame.slots, *dst, args)?;
+            frame.pc = match instr {
+                CInstr::BrIf {
+                    then_pc, else_pc, ..
+                } => {
+                    if taken {
+                        *then_pc
+                    } else {
+                        *else_pc
+                    }
+                }
+                _ => frame.pc + 1,
+            };
         }
         CInstr::MoveSlot { dst, src } => {
             frame.slots[*dst as usize] = frame.slots[*src as usize].clone();
@@ -967,24 +947,6 @@ fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
             let taken = frame.slots[*cond as usize].as_bool()?;
             frame.pc = if taken { *then_pc } else { *else_pc };
         }
-        CInstr::IterIncr { dst, src, n } => {
-            let n = int_src(frame, *n);
-            let (it, n) = ops::iter_incr_operands(&frame.slots[*src as usize], n)?;
-            if dst == src {
-                // `it = iterator.incr it k`: no new handle on the input.
-                if let Value::BytesIter(it) = &mut frame.slots[*dst as usize] {
-                    it.advance_by(n);
-                }
-            } else {
-                frame.slots[*dst as usize] = Value::BytesIter(it.advance(n));
-            }
-            frame.pc += 1;
-        }
-        CInstr::IterDeref { dst, src } => {
-            let v = ops::iter_deref(&frame.slots[*src as usize])?;
-            frame.slots[*dst as usize] = Value::Int(v);
-            frame.pc += 1;
-        }
         CInstr::MatchToken {
             re, it, id, end, ..
         } => match_token_into(frame, *re, *it, *id, *end)?,
@@ -992,6 +954,13 @@ fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// [`step_typed`] for the one-at-a-time path, out of line so that the
+/// dispatch loop holds one inlined copy of the typed rows, the fast loop's.
+#[inline(never)]
+fn step_typed_once(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
+    step_typed(frame, instr)
 }
 
 /// The fast loop's `MatchToken`: writes the token id and the iterator
@@ -1116,12 +1085,14 @@ fn dispatch(
             )));
         };
 
-        // A fused compare-and-branch is traced, charged and profiled as its
+        // A fused test-and-branch is traced, charged and profiled as its
         // two constituent instructions, so all three match an unspecialized
-        // run; when its comparison traps, the branch never runs.
+        // run; when its test traps, the branch never runs.
         let fused_branch = match instr {
-            CInstr::BrIfInt { a, b, .. } => {
-                int_src(frame, *a).is_ok() && int_src(frame, *b).is_ok()
+            CInstr::BrIf { op, args, .. } => {
+                let arity = op.signature().map_or(0, |(params, _)| params.len());
+                let refs = args.each_ref().map(|a| a.get(&frame.slots));
+                ops::eval(*op, &refs[..arity], &[], &mut ctx.env).is_ok()
             }
             _ => false,
         };
@@ -1131,7 +1102,7 @@ fn dispatch(
             // unspecialized build.
             let text = instr.render();
             match text.split_once(" ; ") {
-                Some((cmp, branch)) if matches!(instr, CInstr::BrIfInt { .. }) => {
+                Some((cmp, branch)) if matches!(instr, CInstr::BrIf { .. }) => {
                     ctx.trace_log
                         .push(format!("{}@{}: {cmp}", cf.name, frame.pc));
                     if fused_branch && ctx.trace_log.len() < TRACE_CAP {
@@ -1363,16 +1334,13 @@ fn dispatch(
                 complete!(*target, result.map(|()| Value::Null));
             }
             // --- typed instructions: clone-free, inline on frame.slots ---
-            CInstr::ArithInt { .. }
-            | CInstr::CmpInt { .. }
-            | CInstr::BrIfInt { .. }
+            CInstr::Typed { .. }
+            | CInstr::BrIf { .. }
             | CInstr::MoveSlot { .. }
             | CInstr::LoadImm { .. }
             | CInstr::BrBool { .. }
-            | CInstr::IterIncr { .. }
-            | CInstr::IterDeref { .. }
             | CInstr::Jump(_) => {
-                if let Err(e) = step_typed(frame, instr) {
+                if let Err(e) = step_typed_once(frame, instr) {
                     raise!(e);
                 }
             }

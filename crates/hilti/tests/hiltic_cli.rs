@@ -402,7 +402,8 @@ fn example(name: &str) -> String {
     format!("{}/../../examples/hlt/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
-/// `examples/hlt/typed_ops.hlt` reaches every typed integer instruction,
+/// `examples/hlt/typed_ops.hlt` reaches the typed integer instructions of
+/// its rows (each under `spec.<mnemonic>`) and the fused test-and-branch,
 /// and the specializer changes nothing in its trace, optimized or not.
 #[test]
 fn typed_ops_example_reaches_every_typed_instruction() {
@@ -412,8 +413,11 @@ fn typed_ops_example_reaches_every_typed_instruction() {
         [
             "spec.int.add",
             "spec.int.and",
-            "spec.int.br_if",
-            "spec.int.cmp",
+            "spec.int.eq",
+            "spec.int.geq",
+            "spec.int.gt",
+            "spec.int.leq",
+            "spec.int.lt",
             "spec.int.mul",
             "spec.int.or",
             "spec.int.shl",
@@ -422,6 +426,7 @@ fn typed_ops_example_reaches_every_typed_instruction() {
             "spec.int.xor",
         ]
     );
+    assert_eq!(stats_buckets(&f, "spec.br_if"), ["spec.br_if"]);
     assert_trace_ignores_specializer(&f);
 }
 
@@ -432,8 +437,12 @@ fn typed_ops_example_reaches_every_typed_instruction() {
 fn bytes_walk_example_runs_iterators_typed() {
     let f = example("bytes_walk.hlt");
     assert_eq!(
-        stats_buckets(&f, "spec.iter."),
-        ["spec.iter.deref", "spec.iter.incr"]
+        stats_buckets(&f, "spec.iterator."),
+        [
+            "spec.iterator.deref",
+            "spec.iterator.incr",
+            "spec.iterator.offset"
+        ]
     );
     let out = hiltic().args(["run", &f]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -518,6 +527,25 @@ fn keys_example_agrees_with_equal_under_every_configuration() {
             String::from_utf8_lossy(&out.stdout),
             "True\nTrue\n7\nTrue\nFalse\n{(1, a), 3, a, ab, b}\n[3, a, ab, b, (1, a)]\n\
              caught Hilti::TypeError\n",
+            "{flag}"
+        );
+        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
+    }
+}
+
+/// `examples/hlt/cse_heap.hlt` reads a `bytes` through three pure ops,
+/// appends to it, and reads it again: the second reads see the append
+/// under every configuration, `-O1`'s common-subexpression elimination
+/// included.
+#[test]
+fn cse_heap_example_rereads_after_a_write_under_every_configuration() {
+    let f = example("cse_heap.hlt");
+    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
+        let out = hiltic().args(["run", flag, &f]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "1 12 True False 1 12\n",
             "{flag}"
         );
         assert!(out.stderr.is_empty(), "{flag}: {out:?}");

@@ -8,6 +8,9 @@
 #   clippy           — lint wall over every target (libs, bins, tests,
 #                      examples); warnings are errors
 #   doc              — rustdoc wall (broken or private intra-doc links)
+#   golden digest    — the analysis pipelines' behaviour digest
+#                      (crates/bench/examples/digest.rs) matches the
+#                      committed crates/bench/examples/digest.golden
 #   opcost           — per-statement script cost table (printed, not gated)
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate from traced runs
 #                      and validate
@@ -30,6 +33,16 @@ cargo build --release "$@"
 cargo test -q "$@"
 cargo clippy --workspace --all-targets "$@" -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps "$@"
+
+# The refactor contract: every log, output, error ledger and telemetry
+# snapshot of the digest matrix is what the committed golden file says.
+# `engine.instructions_retired` is left out because a change that makes
+# the VM faster is expected to move it. A change that moves a row updates
+# the golden file and names the row and the reason in CHANGES.md.
+cargo run -q --release -p bench --example digest "$@" -- \
+    --omit-counter engine.instructions_retired > target/digest.txt
+diff crates/bench/examples/digest.golden target/digest.txt
+echo "tier1: digest matches golden"
 
 # What one script statement costs on the compiled engine. Kernel numbers,
 # printed as evidence of where script time goes; nothing is asserted.

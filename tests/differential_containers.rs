@@ -3,7 +3,8 @@
 //! Where `tests/differential.rs` fuzzes arithmetic and control flow, this
 //! harness fuzzes the *runtime library surface*: random sequences of
 //! map/set/vector/list operations — including ones that trap (lookup of a
-//! missing key, out-of-range vector access, pop from an empty list) — are
+//! missing key, out-of-range vector access, pop from an empty list), and
+//! pure reads of a whole container (`string.render`) — are
 //! emitted as textual HILTI and executed by the interpreter, the
 //! unoptimized VM, and the fully optimized VM. All three must agree on
 //! the returned checksum (which folds in element values and final
@@ -17,6 +18,9 @@ use proptest::prelude::*;
 /// Value sources for container operations: `t0`/`t1` are the function
 /// arguments, `t2`/`t3` constants, `acc` the running checksum.
 const VAL_SLOTS: [&str; 5] = ["t0", "t1", "t2", "t3", "acc"];
+
+/// The four containers, as `Render` names them.
+const CONTAINERS: [&str; 4] = ["m", "s", "v", "l"];
 
 #[derive(Debug, Clone)]
 enum CStep {
@@ -72,6 +76,11 @@ enum CStep {
     ListLen,
     /// `call Hilti::print acc` — output must match across engines too.
     Print,
+    /// `r = string.render <container>` and a print of it: a pure read of
+    /// heap state, which no optimization may reuse across a write.
+    Render {
+        c: u8,
+    },
 }
 
 fn step_strategy() -> impl Strategy<Value = CStep> {
@@ -97,6 +106,7 @@ fn step_strategy() -> impl Strategy<Value = CStep> {
         1 => Just(CStep::ListPopFront),
         1 => Just(CStep::ListLen),
         1 => Just(CStep::Print),
+        6 => (0u8..CONTAINERS.len() as u8).prop_map(|c| CStep::Render { c }),
     ]
 }
 
@@ -109,6 +119,7 @@ fn emit(recipe: &[CStep], c2: i64, c3: i64) -> String {
          \x20   local int<64> t3\n\
          \x20   local int<64> acc\n\
          \x20   local int<64> x\n\
+         \x20   local string r\n\
          \x20   local ref<map<int<64>, int<64>>> m\n\
          \x20   local ref<set<int<64>>> s\n\
          \x20   local ref<vector<int<64>>> v\n\
@@ -181,6 +192,10 @@ fn emit(recipe: &[CStep], c2: i64, c3: i64) -> String {
                 src.push_str("    x = list.length l\n    acc = int.add acc x\n");
             }
             CStep::Print => src.push_str("    call Hilti::print acc\n"),
+            CStep::Render { c } => src.push_str(&format!(
+                "    r = string.render {}\n    call Hilti::print r\n",
+                CONTAINERS[c as usize]
+            )),
         }
     }
     // Fold final container sizes into the checksum so divergent end states
@@ -210,7 +225,7 @@ fn observe(p: &mut Program, interp: bool, args: &[Value]) -> (Result<i64, String
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn container_semantics_agree_across_engines(
