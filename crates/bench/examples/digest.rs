@@ -18,7 +18,10 @@
 //! expired flows, a hash of the telemetry snapshot, and how 2- and
 //! 4-worker runs compare with the sequential one: `=` identical, `t` only
 //! the telemetry differs, `!` some output differs. The `panic` rows run 2
-//! and 4 workers with an injected shard panic and hash their outputs.
+//! and 4 workers with a shard panic planned at one packet slot and hash
+//! their outputs; the `fault` rows plan a BinPAC++ parser fault at one
+//! delivering slot and compare 2 and 4 workers with sequential, like the
+//! rows above.
 //!
 //! `--omit-counter NAME` (repeatable) leaves a counter out of the
 //! telemetry hash, for changes that are expected to move it.
@@ -30,7 +33,8 @@
 use broscript::host::Engine;
 use broscript::parallel::{run_dns_analysis_parallel, run_http_analysis_parallel, PipelineOptions};
 use broscript::pipeline::{
-    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
+    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Fault, Faults,
+    Governance, ParserStack,
 };
 use hilti_rt::error::RtResult;
 use hilti_rt::hashutil::fnv1a;
@@ -145,17 +149,10 @@ fn main() {
                     for idle in [None, Some(1), Some(10)] {
                         let gov = Governance {
                             idle_timeout_ms: idle,
-                            ..base
+                            ..base.clone()
                         };
-                        let s = digest(&seq(&trace, stack, engine, &gov), &omit);
-                        let workers = [2, 4].map(|workers| {
-                            let o = PipelineOptions {
-                                workers,
-                                governance: gov,
-                                ..Default::default()
-                            };
-                            agreement(&s, &digest(&par(&trace, stack, engine, &o), &omit))
-                        });
+                        let (s, workers) =
+                            compare(&trace, (*seq, *par), stack, engine, &gov, &omit);
                         println!(
                             "{name} {order} {stack:?} {engine:?} idle={idle:?} {} {} x2{} x4{}",
                             s.outputs, s.telemetry, workers[0], workers[1]
@@ -166,25 +163,68 @@ fn main() {
         }
     }
 
-    // The injected panics are caught by the shard supervisor.
+    // The planned panics are caught by the shard supervisor. Per trace:
+    // 2 workers panic at shard 0's 5th delivery, 4 workers at shard 1's
+    // 40th (http, throughput) or 20th (chaos, where shard 1 gets 39).
     std::panic::set_hook(Box::new(|_| {}));
-    for (name, trace, (_, par)) in &traces[..3] {
+    let panics = [[(2, 4), (4, 284)], [(2, 11), (4, 195)], [(2, 4), (4, 222)]];
+    for ((name, trace, (_, par)), panics) in traces[..3].iter().zip(panics) {
         for stack in stacks {
             for engine in engines {
-                for (workers, shard, n) in [(2, 0, 5), (4, 1, 40)] {
+                for (workers, slot) in panics {
                     let o = PipelineOptions {
                         workers,
-                        governance: base,
+                        governance: Governance {
+                            faults: Faults::from([(slot, Fault::Panic)]),
+                            ..base.clone()
+                        },
                         ..Default::default()
-                    }
-                    .inject_shard_panic_after(shard, n);
+                    };
                     let d = digest(&par(trace, stack, engine, &o), &omit);
                     println!(
-                        "panic {name} {stack:?} {engine:?} x{workers} shard{shard}@{n} {} {}",
+                        "panic {name} {stack:?} {engine:?} x{workers} slot{slot} {} {}",
                         d.outputs, d.telemetry
                     );
                 }
             }
         }
     }
+
+    // A parser fault at one request (http, chaos) or query (dns) slot.
+    let faults = [("http", 13), ("chaos", 29), ("dns", 2)];
+    for (fname, slot) in faults {
+        let (name, trace, run) = traces.iter().find(|(n, ..)| *n == fname).expect("trace");
+        let gov = Governance {
+            faults: Faults::from([(slot, Fault::Parse { after: 50 })]),
+            ..base.clone()
+        };
+        for engine in engines {
+            let (s, workers) = compare(trace, *run, ParserStack::Binpac, engine, &gov, &omit);
+            println!(
+                "fault {name} Binpac {engine:?} slot{slot} {} {} x2{} x4{}",
+                s.outputs, s.telemetry, workers[0], workers[1]
+            );
+        }
+    }
+}
+
+/// The sequential run's digest, and how 2 and 4 workers agree with it.
+fn compare(
+    trace: &[RawPacket],
+    (seq, par): (Seq, Par),
+    stack: ParserStack,
+    engine: Engine,
+    gov: &Governance,
+    omit: &[String],
+) -> (Digest, [char; 2]) {
+    let s = digest(&seq(trace, stack, engine, gov), omit);
+    let workers = [2, 4].map(|workers| {
+        let o = PipelineOptions {
+            workers,
+            governance: gov.clone(),
+            ..Default::default()
+        };
+        agreement(&s, &digest(&par(trace, stack, engine, &o), omit))
+    });
+    (s, workers)
 }

@@ -40,7 +40,7 @@ use broscript::host::Engine;
 use broscript::parallel::{
     run_dns_analysis_parallel, run_http_analysis_parallel, OverloadPolicy, PipelineOptions,
 };
-use broscript::pipeline::{AnalysisResult, Governance, ParserStack};
+use broscript::pipeline::{AnalysisResult, Faults, Governance, ParserStack};
 use hilti_rt::trace::{PostmortemDump, TraceReport};
 use netpkt::synth::{throughput_dns_trace, throughput_trace};
 
@@ -169,11 +169,10 @@ fn main() {
         per_flow_heap: Some(PER_FLOW_HEAP),
         script_fuel: Some(100_000_000),
         quarantine: true,
-        inject_fault_after: None,
         telemetry: true,
         delivery_deadline_ms: cfg.deadline_ms,
         tracing: cfg.live_stats.is_some() || cfg.trace_out.is_some(),
-        force_copy: false,
+        faults: Faults::new(),
     };
     let opts = PipelineOptions {
         workers: cfg.workers,

@@ -24,7 +24,7 @@
 //! [`Slot`]s, in declaration order, and pushes [`Event`]s through [`Emit`].
 //! The driver records a `Parse` span per feed and a `Glue` span per event
 //! hook, and owns the sessions, the per-connection [`AllocBudget`], the
-//! delivery deadline, telemetry and fault injection.
+//! delivery deadline, telemetry and per-delivery fault injection.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -316,12 +316,24 @@ impl BinpacAnalyzer {
         self.context().set_telemetry(telemetry);
     }
 
-    /// Chaos hook: arms the parser VM to fail with `error` after `steps`
-    /// charged execution steps (see `Context::inject_fault_after`). The
-    /// fault surfaces from whichever parse is running at that point —
-    /// deterministic for a fixed trace.
-    pub fn inject_fault_after(&mut self, steps: u64, error: RtError) {
-        self.context().inject_fault_after(steps, error);
+    /// Runs one delivery's `parse` with the parser VM armed to raise
+    /// `injected chaos fault` after `after` charged steps (see
+    /// `Context::inject_fault_after`), disarmed again after it; `None`
+    /// runs it unarmed. Armed per delivery rather than for the VM's
+    /// lifetime, the fault hits the same delivery whichever VM parses it.
+    pub fn inject_fault_after<T>(
+        &mut self,
+        after: Option<u64>,
+        parse: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let Some(steps) = after else {
+            return parse(self);
+        };
+        let fault = RtError::runtime("injected chaos fault");
+        self.context().inject_fault_after(steps, fault);
+        let r = parse(self);
+        self.context().disarm_fault();
+        r
     }
 
     fn context(&mut self) -> &mut hilti::vm::Context {

@@ -29,8 +29,9 @@ use std::sync::Arc;
 
 use binpac::analyzer::{AnalyzerIr, BinpacAnalyzer};
 use hilti::passes::OptLevel;
+use hilti::vm::DEADLINE_EXCEEDED;
 use hilti_rt::bytestring::FeedChunk;
-use hilti_rt::error::{RtError, RtResult};
+use hilti_rt::error::RtResult;
 use hilti_rt::limits::ResourceLimits;
 use hilti_rt::telemetry::{Counter, Event as TelemetryEvent, FieldValue, Histogram, Telemetry};
 use hilti_rt::time::{Interval, Time};
@@ -44,7 +45,7 @@ use netpkt::http::HttpConnParser;
 use netpkt::{PayloadRef, TraceBuffer};
 
 use crate::host::{Engine, HostBlueprint, ScriptHost};
-use crate::pipeline::{FlowError, Governance, HeldState, ParserStack};
+use crate::pipeline::{Fault, FlowError, Governance, HeldState, ParserStack};
 use crate::scripts;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -114,22 +115,19 @@ pub(crate) const MAX_POSTMORTEMS: usize = 8;
 
 /// Freezes a recorder into its `Send` part. The binpac parsers may still
 /// hold `Rc` clones, so the recorder is swapped out rather than unwrapped
-/// (their clones point at a dead 1-slot stub from here on). Watchdog trips
-/// surface as `ResourceExhausted` flow errors while a delivery deadline is
-/// armed: the recorder tail is dumped for them too.
+/// (their clones point at a dead 1-slot stub from here on). A watchdog
+/// trip among `flow_errors` dumps the recorder tail too.
 pub(crate) fn freeze_recorder(
     rec: &SharedRecorder,
-    gov: &Governance,
     flow_errors: &[FlowError],
     postmortems: &mut Vec<PostmortemDump>,
 ) -> RecorderPart {
     let part =
         std::mem::replace(&mut *rec.borrow_mut(), FlightRecorder::with_capacity(0, 1)).finish();
-    if gov.delivery_deadline_ms.is_some()
-        && postmortems.len() < MAX_POSTMORTEMS
+    if postmortems.len() < MAX_POSTMORTEMS
         && flow_errors
             .iter()
-            .any(|fe| fe.kind.contains("ResourceExhausted"))
+            .any(|fe| fe.detail.ends_with(DEADLINE_EXCEEDED))
     {
         postmortems.push(part.postmortem("ResourceExhausted (delivery watchdog)"));
     }
@@ -490,9 +488,6 @@ fn build_engine(
             if let Some(n) = gov.per_flow_heap {
                 b.set_session_budget(n);
             }
-            if let Some(steps) = gov.inject_fault_after {
-                b.inject_fault_after(steps, RtError::runtime("injected chaos fault"));
-            }
             if let Some(t) = &w.telemetry {
                 b.set_telemetry(t);
             }
@@ -672,14 +667,18 @@ impl Analyzer {
             return Ok(());
         }
         self.label(d.slot, Some(&d.uid));
-        let forced_copy = self.gov.force_copy;
+        let (forced_copy, parse_fault) = match self.gov.faults.get(&d.slot) {
+            Some(Fault::Copy) => (true, None),
+            Some(Fault::Parse { after }) => (false, Some(*after)),
+            _ => (false, None),
+        };
         if let Some(m) = self.metrics.as_ref().filter(|_| !d.payload.is_empty()) {
             let len = d.payload.len() as u64;
             m.bytes_parsed.add(len);
             m.payload_bytes.observe(len);
             // Borrowed from the trace arena (zero-copy) or materialized
             // into parser-owned memory (out-of-order reassembly output, or
-            // `Governance::force_copy`).
+            // a `Fault::Copy`).
             match &d.payload {
                 PayloadRef::Shared { .. } if !forced_copy => m.bytes_borrowed.add(len),
                 _ => m.bytes_copied.add(len),
@@ -722,20 +721,21 @@ impl Analyzer {
             }),
             // (The driver records its own parse spans through the shared
             // recorder — see `build_engine`.)
-            ParserState::Binpac(b) if b.is_stream() => {
-                let mut r = Ok(());
-                if !d.payload.is_empty() {
-                    r = b.feed_chunk(&d.uid, d.id, d.is_orig, d.ts, chunk());
-                }
-                if r.is_ok() && finish {
-                    r = b.finish_conn(&d.uid, d.id, d.ts);
-                }
-                // Events emitted before the fault still count.
-                b.drain_events_into(&mut self.events);
-                r.map(|()| true)
-            }
             ParserState::Binpac(b) => {
-                let r = b.datagram_chunk(&d.uid, d.id, d.ts, chunk());
+                let r = b.inject_fault_after(parse_fault, |b| {
+                    if !b.is_stream() {
+                        return b.datagram_chunk(&d.uid, d.id, d.ts, chunk());
+                    }
+                    let mut r = Ok(());
+                    if !d.payload.is_empty() {
+                        r = b.feed_chunk(&d.uid, d.id, d.is_orig, d.ts, chunk());
+                    }
+                    if r.is_ok() && finish {
+                        r = b.finish_conn(&d.uid, d.id, d.ts);
+                    }
+                    r.map(|()| true)
+                });
+                // Events emitted before a fault still count.
                 b.drain_events_into(&mut self.events);
                 r
             }

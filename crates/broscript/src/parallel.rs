@@ -28,20 +28,19 @@
 //!
 //! **Determinism.** The result of an N-worker run is byte-identical to the
 //! 1-worker (and to the sequential [`crate::pipeline`]) run for every N
-//! and every batch size, with three known exceptions, open as ROADMAP's
+//! and every batch size, with two known exceptions, open as ROADMAP's
 //! item "Sequential ≠ N workers": with telemetry on and the compiled
-//! engine, N workers count one more `engine.runs`; script network time is
-//! per shard, so log timestamps differ on a trace whose time steps back;
-//! and [`Governance::inject_fault_after`] arms every shard's parser VM, so
-//! N workers fault up to N times where sequential faults once. Global
-//! decisions stay on the dispatcher: uid
-//! assignment, TCP reassembly, and idle-flow expiry (the front end
-//! expires flows from the shared flow table; shards receive `Evict`
-//! directives rather than sweeping locally, since a shard-local sweep
-//! would fire at different packet positions for different N). Shard-side effects — log
-//! lines, printed lines, flow errors, telemetry events — are recorded in
-//! flat per-shard vectors, and each processing step seals an
-//! `EffectBlock`: the ranges it appended, keyed by the
+//! engine, N workers count one more `engine.runs`; and script network time
+//! is per shard, so log timestamps differ on a trace whose time steps
+//! back. A fault plan ([`Governance::faults`]) is keyed by packet slot, so
+//! it hits the same deliveries for every N. Global decisions stay on the
+//! dispatcher: uid assignment, TCP reassembly, and idle-flow expiry (the
+//! front end expires flows from the shared flow table; shards receive
+//! `Evict` directives rather than sweeping locally, since a shard-local
+//! sweep would fire at different packet positions for different N).
+//! Shard-side effects — log lines, printed lines, flow errors, telemetry
+//! events — are recorded in flat per-shard vectors, and each processing
+//! step seals an `EffectBlock`: the ranges it appended, keyed by the
 //! position the sequential pipeline would have produced them in:
 //!
 //! * phase 0 — dispatcher `flow_open`/`flow_close` events,
@@ -88,7 +87,8 @@ use crate::delivery::{
 };
 use crate::host::{Engine, ScriptHost};
 use crate::pipeline::{
-    warn_event_drops, AnalysisResult, FlowError, Governance, HeldState, ParserStack, ShardFault,
+    warn_event_drops, AnalysisResult, Fault, FlowError, Governance, HeldState, ParserStack,
+    ShardFault,
 };
 
 /// Default shard count: one per core, capped at 8 (the paper's evaluation
@@ -127,10 +127,10 @@ pub enum OverloadPolicy {
 }
 
 /// Knobs for a parallel run.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct PipelineOptions {
     /// Number of shards (worker threads). The output is byte-identical
-    /// for every value, except for the three exceptions the module doc
+    /// for every value, except for the two exceptions the module doc
     /// names (ROADMAP "Sequential ≠ N workers"); only throughput changes.
     pub workers: usize,
     /// Deliveries staged per shard before the dispatcher pushes them to
@@ -140,13 +140,6 @@ pub struct PipelineOptions {
     pub governance: Governance,
     /// Backpressure policy when a shard's ring is full.
     pub overload: OverloadPolicy,
-    /// Chaos hook: worker `.0` panics at the start of its `.1`-th
-    /// delivery (1-based, one-shot). See
-    /// [`PipelineOptions::inject_shard_panic_after`].
-    pub panic_inject: Option<(usize, u64)>,
-    /// Chaos hook: worker `.0` sleeps `.1` milliseconds before first
-    /// draining its ring. See [`PipelineOptions::inject_shard_stall`].
-    pub stall_inject: Option<(usize, u64)>,
 }
 
 impl Default for PipelineOptions {
@@ -156,29 +149,7 @@ impl Default for PipelineOptions {
             batch: DEFAULT_BATCH,
             governance: Governance::default(),
             overload: OverloadPolicy::Block,
-            panic_inject: None,
-            stall_inject: None,
         }
-    }
-}
-
-impl PipelineOptions {
-    /// Chaos hook mirroring `Context::inject_fault_after`: shard `shard`
-    /// panics at the start of the `n`-th delivery it receives (1-based,
-    /// one-shot). Deterministic for a fixed `(trace, workers)` — the
-    /// same flows always hash to the same shard, in the same order.
-    pub fn inject_shard_panic_after(mut self, shard: usize, n: u64) -> Self {
-        self.panic_inject = Some((shard, n));
-        self
-    }
-
-    /// Chaos hook: shard `shard` sleeps `ms` milliseconds before first
-    /// draining its ring, simulating a wedged or descheduled worker.
-    /// Under [`OverloadPolicy::Block`] this only delays the run; under
-    /// `Shed` it forces the dispatcher down the shedding path.
-    pub fn inject_shard_stall(mut self, shard: usize, ms: u64) -> Self {
-        self.stall_inject = Some((shard, ms));
-        self
     }
 }
 
@@ -332,8 +303,6 @@ struct ShardState {
     /// engine. Every delivery for a not-yet-quarantined flow records a
     /// `ShardPanic` loss; control items are no-ops.
     dead: bool,
-    /// Chaos: panic at the start of the n-th delivery (1-based, one-shot).
-    panic_countdown: Option<u64>,
     /// Fault-triggered flight-recorder dumps captured on this shard
     /// (bounded; see [`ShardState::on_panic`]).
     postmortems: Vec<PostmortemDump>,
@@ -347,7 +316,6 @@ impl ShardState {
         gov: Governance,
         trace: Arc<TraceBuffer>,
         blueprint: Arc<Blueprint>,
-        panic_countdown: Option<u64>,
     ) -> RtResult<ShardState> {
         let wiring = Wiring {
             telemetry: gov.telemetry.then(Telemetry::new),
@@ -370,15 +338,14 @@ impl ShardState {
             sealed_high: Mark::default(),
             faults: Vec::new(),
             dead: false,
-            panic_countdown,
             postmortems: Vec::new(),
             held_at_end: None,
         })
     }
 
     /// Records where the next item runs — the position and flow a panic
-    /// would be charged to — and fires the injected chaos panic when its
-    /// countdown hits. Runs *inside* the supervision boundary.
+    /// would be charged to — and fires a delivery's planned `Panic` or
+    /// `Stall`. Runs *inside* the supervision boundary.
     fn begin(&mut self, item: &ShardItem) {
         let (major, phase, ts, uid) = match item {
             ShardItem::Delivery(d) => (d.slot, PH_PARSE, d.ts, Some(&d.uid)),
@@ -402,8 +369,8 @@ impl ShardState {
         let ShardItem::Delivery(d) = item else {
             return;
         };
-        // Queue-wait span first, so a chaos panic below still leaves the
-        // faulting delivery visible in the postmortem.
+        // Queue-wait span first, so a planned fault below still leaves
+        // the faulting delivery visible in the postmortem.
         if let Some(r) = &self.analyzer.wiring.rec {
             r.borrow_mut().record_span(
                 Stage::QueueWait,
@@ -413,14 +380,23 @@ impl ShardState {
                 monotonic_ns(),
             );
         }
-        if let Some(n) = self.panic_countdown {
-            if n <= 1 {
-                // One-shot: disarm before firing so the respawned engine
-                // does not re-trip on its next delivery.
-                self.panic_countdown = None;
-                panic!("injected shard panic");
+        match self.analyzer.gov.faults.get(&d.slot).copied() {
+            Some(Fault::Panic) => panic!("injected shard panic"),
+            Some(Fault::Stall { ms }) => {
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+                self.postmortem("injected stall");
             }
-            self.panic_countdown = Some(n - 1);
+            _ => {}
+        }
+    }
+
+    /// Dumps the flight recorder's last spans (when tracing; at most
+    /// [`MAX_POSTMORTEMS`] per shard).
+    fn postmortem(&mut self, reason: &str) {
+        if let Some(r) = &self.analyzer.wiring.rec {
+            if self.postmortems.len() < MAX_POSTMORTEMS {
+                self.postmortems.push(r.borrow().postmortem(reason));
+            }
         }
     }
 
@@ -441,12 +417,7 @@ impl ShardState {
         // Flight-recorder postmortem: drain the last spans *before* any
         // salvage, so the dump shows what the shard was doing when it
         // died (the faulting flow's queue-wait span included).
-        if let Some(r) = &self.analyzer.wiring.rec {
-            if self.postmortems.len() < MAX_POSTMORTEMS {
-                self.postmortems
-                    .push(r.borrow().postmortem(&format!("ShardPanic: {detail}")));
-            }
-        }
+        self.postmortem(&format!("ShardPanic: {detail}"));
         if !self.analyzer.gov.quarantine {
             if self.fatal.is_none() {
                 self.fatal = Some((
@@ -669,14 +640,12 @@ impl ShardState {
                 events: Vec::new(),
                 ..t.snapshot()
             });
-        let trace = self.analyzer.wiring.rec.as_ref().map(|r| {
-            freeze_recorder(
-                r,
-                &self.analyzer.gov,
-                &self.out.effects.flow_errors,
-                &mut self.postmortems,
-            )
-        });
+        let trace = self
+            .analyzer
+            .wiring
+            .rec
+            .as_ref()
+            .map(|r| freeze_recorder(r, &self.out.effects.flow_errors, &mut self.postmortems));
         ShardReport {
             out: self.out,
             snapshot: snapshot.unwrap_or_default(),
@@ -810,9 +779,8 @@ impl DispatchMetrics {
 /// Replays an HTTP trace through `opts.workers` flow-sharded pipelines.
 /// The result is byte-identical to [`crate::pipeline::run_http_analysis_governed`]
 /// with the same governance, for every worker count and batch size, except
-/// for the `engine.runs` count, timestamps on a trace whose time steps
-/// back, and [`Governance::inject_fault_after`] (see the module doc and
-/// ROADMAP "Sequential ≠ N workers").
+/// for the `engine.runs` count and timestamps on a trace whose time steps
+/// back (see the module doc and ROADMAP "Sequential ≠ N workers").
 pub fn run_http_analysis_parallel(
     packets: &[RawPacket],
     stack: ParserStack,
@@ -824,7 +792,7 @@ pub fn run_http_analysis_parallel(
 
 /// Replays a DNS trace through `opts.workers` flow-sharded pipelines, with
 /// the same agreement with [`crate::pipeline::run_dns_analysis_governed`]
-/// and the same three exceptions as [`run_http_analysis_parallel`].
+/// and the same two exceptions as [`run_http_analysis_parallel`].
 pub fn run_dns_analysis_parallel(
     packets: &[RawPacket],
     stack: ParserStack,
@@ -933,7 +901,8 @@ pub(crate) fn run_parallel(
     opts: &PipelineOptions,
 ) -> RtResult<(AnalysisResult, (usize, usize))> {
     let workers = opts.workers.max(1);
-    let gov = opts.governance;
+    let gov = &opts.governance;
+    gov.check_faults(stack, true)?;
     // Under `Shed` the ring itself is the overload bound; the staged
     // batch must fit it or no batch could ever be pushed.
     let ring_cap = match opts.overload {
@@ -959,15 +928,9 @@ pub(crate) fn run_parallel(
     let mut handles = Vec::with_capacity(workers);
     for w in 0..workers {
         let (tx, mut rx) = spsc::ring::<ShardItem>(ring_cap);
-        let trace = trace.clone();
-        let blueprint = Arc::clone(&blueprint);
-        let panic_countdown = opts.panic_inject.and_then(|(s, n)| (s == w).then_some(n));
-        let stall_ms = opts.stall_inject.and_then(|(s, ms)| (s == w).then_some(ms));
+        let (trace, blueprint, gov) = (trace.clone(), Arc::clone(&blueprint), gov.clone());
         let handle = std::thread::spawn(move || -> RtResult<ShardReport> {
-            if let Some(ms) = stall_ms {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            let mut st = ShardState::new(w, gov, trace, blueprint, panic_countdown)?;
+            let mut st = ShardState::new(w, gov, trace, blueprint)?;
             let mut items = Vec::with_capacity(batch);
             while rx.pop_batch(&mut items, batch) > 0 {
                 for item in items.drain(..) {
@@ -1007,7 +970,7 @@ pub(crate) fn run_parallel(
         proto,
         stack,
         workers,
-        &gov,
+        gov,
         dtel.as_ref().map(|t| &t.telemetry),
         drec.clone(),
     );
@@ -1240,8 +1203,8 @@ pub(crate) fn run_parallel(
         script_entries: acc.script_entries + r.held_at_end.script_entries,
     });
     // Trace side-channel: shard recorder parts plus the dispatcher's own,
-    // with dispatcher-known fault dumps (stall injection, shedding) taken
-    // from the harvested parts — those faults only become visible here.
+    // with shedding dumps taken from the harvested parts — shedding only
+    // becomes visible here.
     let trace_report = drec.map(|dr| {
         let mut parts: Vec<RecorderPart> = Vec::new();
         let mut posts: Vec<PostmortemDump> = Vec::new();
@@ -1249,9 +1212,6 @@ pub(crate) fn run_parallel(
             let Some(rep) = rep.as_mut() else { continue };
             posts.append(&mut rep.postmortems);
             if let Some(part) = rep.trace.take() {
-                if opts.stall_inject.is_some_and(|(s, _)| s == w) {
-                    posts.push(part.postmortem("injected stall"));
-                }
                 if shed[w].packets > 0 {
                     posts.push(
                         part.postmortem(&format!("shed: {} packet(s) dropped", shed[w].packets)),
@@ -1260,12 +1220,7 @@ pub(crate) fn run_parallel(
                 parts.push(part);
             }
         }
-        parts.push(freeze_recorder(
-            &dr,
-            &Governance::default(),
-            &[],
-            &mut posts,
-        ));
+        parts.push(freeze_recorder(&dr, &[], &mut posts));
         TraceReport::from_parts(parts, posts)
     });
 
@@ -1334,7 +1289,7 @@ mod tests {
         for workers in [1, 4] {
             let opts = PipelineOptions {
                 workers,
-                governance,
+                governance: governance.clone(),
                 ..Default::default()
             };
             let (par, (tracked, live)) =

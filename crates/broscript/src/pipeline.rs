@@ -8,6 +8,8 @@
 //! run's [`TraceReport`] carries the time per stage — decode, parse, glue,
 //! script — from which the figures' component breakdown is derived.
 
+use std::collections::BTreeMap;
+
 use hilti_rt::error::{RtError, RtResult};
 use hilti_rt::telemetry::{Telemetry, TelemetrySnapshot};
 use hilti_rt::time::Time;
@@ -101,7 +103,7 @@ pub struct HeldState {
 /// Resource-governance policy for an analysis run. The default is the
 /// legacy ungoverned behavior: no limits, no expiration, and any error
 /// aborts the whole run.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Default)]
 pub struct Governance {
     /// Evict flows — and their parser state — idle for longer than this
     /// many milliseconds of trace time. Checked after each packet against
@@ -119,12 +121,6 @@ pub struct Governance {
     /// the offending flow (recorded in [`AnalysisResult::flow_errors`])
     /// and the run continues. Without it, errors abort the run.
     pub quarantine: bool,
-    /// Chaos hook: arm the BinPAC++ parser VM to fail after this many
-    /// charged execution steps (deterministic for a fixed trace and worker
-    /// count). A parallel run arms every shard's VM with the same count, so
-    /// N workers fault up to N times where a sequential run faults once
-    /// (ROADMAP "Sequential ≠ N workers").
-    pub inject_fault_after: Option<u64>,
     /// Collect per-flow and per-stage metrics plus structured events into
     /// [`AnalysisResult::telemetry`]. Off by default; the cost when on is
     /// a handful of relaxed atomic increments per packet.
@@ -146,13 +142,59 @@ pub struct Governance {
     /// default; the off path is a single branch per would-be span and
     /// reads no clock, and the on path never touches deterministic outputs.
     pub tracing: bool,
-    /// Degrade zero-copy deliveries to copies: every in-order payload is
-    /// memcpy'd into the parser's buffer instead of borrowed from the
-    /// trace arena. Outputs must be byte-identical either way — this
-    /// exists so differential tests can compare the chunked-borrowed
-    /// byte-string representation against the flat one. (Telemetry-wise,
-    /// only `pipeline.bytes_copied`/`bytes_borrowed` may differ.)
-    pub force_copy: bool,
+    /// Faults to inject, by packet slot (empty by default). Deliveries are
+    /// numbered the same way by every driver, so a plan hits the same
+    /// deliveries for every worker count.
+    pub faults: Faults,
+}
+
+/// One injected fault. See [`Faults`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// The BinPAC++ parser VM raises `injected chaos fault` after `after`
+    /// charged steps of this delivery (stream mode: the flow is
+    /// quarantined; datagram mode: the datagram fails to parse). BinPAC++
+    /// stack only.
+    Parse { after: u64 },
+    /// The shard that owns the delivery panics before processing it.
+    /// Parallel runs only.
+    Panic,
+    /// The shard that owns the delivery sleeps `ms` milliseconds before
+    /// processing it, and dumps its flight recorder as `injected stall`
+    /// when tracing. Parallel runs only.
+    Stall { ms: u64 },
+    /// The delivery's payload is copied into the parser's buffer instead
+    /// of borrowed from the trace arena. Outputs must not change; only the
+    /// `pipeline.bytes_copied`/`bytes_borrowed` pair may.
+    Copy,
+}
+
+/// A fault plan: at most one [`Fault`] per packet slot (the frame's index
+/// in the trace). A fault at a slot that yields no delivery (an
+/// undecodable frame), at a delivery no parser sees, or a `Parse` fault
+/// whose delivery finishes within `after` steps never fires. A plan the
+/// run cannot honour is the run's `Err` before the first packet.
+pub type Faults = BTreeMap<u64, Fault>;
+
+impl Governance {
+    /// Rejects a `Parse` fault off the BinPAC++ stack, and a `Panic` or
+    /// `Stall` without shards.
+    pub(crate) fn check_faults(&self, stack: ParserStack, sharded: bool) -> RtResult<()> {
+        for (slot, fault) in &self.faults {
+            let honoured = match fault {
+                Fault::Parse { .. } => stack == ParserStack::Binpac,
+                Fault::Panic | Fault::Stall { .. } => sharded,
+                Fault::Copy => true,
+            };
+            if !honoured {
+                let run = if sharded { "parallel" } else { "sequential" };
+                return Err(RtError::value(format!(
+                    "fault plan: {fault:?} at slot {slot} cannot fire in a {run} {stack:?} run"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One flow the quarantine tore down.
@@ -262,6 +304,7 @@ pub(crate) fn run_sequential(
     engine: Engine,
     gov: &Governance,
 ) -> RtResult<(AnalysisResult, (usize, usize))> {
+    gov.check_faults(stack, false)?;
     let tel = gov.telemetry.then(Telemetry::new);
     let rec = gov.tracing.then(|| FlightRecorder::new(0).shared());
     let Blueprint { host, parsers } = Blueprint::build(proto, stack, engine)?;
@@ -272,7 +315,7 @@ pub(crate) fn run_sequential(
         rec: rec.clone(),
     };
     let host = host.into_host(rec.clone())?;
-    let mut analyzer = Analyzer::new(host, &parsers, *gov, trace.clone(), wiring)?;
+    let mut analyzer = Analyzer::new(host, &parsers, gov.clone(), trace.clone(), wiring)?;
     let mut front = FlowFrontEnd::new(
         trace.clone(),
         proto,
@@ -332,7 +375,7 @@ pub(crate) fn run_sequential(
     warn_event_drops(&telemetry, "pipeline");
     let trace_report = rec.map(|r| {
         let mut postmortems = Vec::new();
-        let part = freeze_recorder(&r, gov, &flow_errors, &mut postmortems);
+        let part = freeze_recorder(&r, &flow_errors, &mut postmortems);
         TraceReport::from_parts(vec![part], postmortems)
     });
     let result = AnalysisResult {

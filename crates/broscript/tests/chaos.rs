@@ -9,9 +9,9 @@
 //! raised them while every healthy session still produces its logs.
 
 use broscript::host::Engine;
-use broscript::parallel::{run_dns_analysis_parallel, PipelineOptions};
+use broscript::parallel::{run_dns_analysis_parallel, run_http_analysis_parallel, PipelineOptions};
 use broscript::pipeline::{
-    run_dns_analysis_governed, run_http_analysis_governed, Governance, ParserStack,
+    run_dns_analysis_governed, run_http_analysis_governed, Fault, Faults, Governance, ParserStack,
 };
 use netpkt::synth::{
     chaos_dns_trace, chaos_http_trace, dns_trace, http_trace, ChaosConfig, SynthConfig,
@@ -25,11 +25,10 @@ fn chaos_gov() -> Governance {
         per_flow_heap: Some(PER_FLOW_HEAP),
         script_fuel: Some(500_000),
         quarantine: true,
-        inject_fault_after: None,
         telemetry: true,
         delivery_deadline_ms: None,
         tracing: false,
-        force_copy: false,
+        faults: Faults::new(),
     }
 }
 
@@ -150,11 +149,10 @@ fn governance_with_generous_limits_changes_nothing() {
         per_flow_heap: Some(64 * 1024 * 1024),
         script_fuel: Some(1_000_000_000),
         quarantine: true,
-        inject_fault_after: None,
         telemetry: false,
         delivery_deadline_ms: None,
         tracing: false,
-        force_copy: false,
+        faults: Faults::new(),
     };
     let a = run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Interpreted, &generous)
         .unwrap();
@@ -168,12 +166,14 @@ fn governance_with_generous_limits_changes_nothing() {
 
 #[test]
 fn injected_fault_quarantines_exactly_one_flow() {
-    // Arm the parser VM to blow up mid-trace: exactly one flow dies, the
-    // run completes, and reruns kill the same flow.
+    // Fail the parser mid-delivery at one packet slot: exactly one flow
+    // dies, the run completes, and every driver — sequential and 1, 2
+    // and 4 workers — kills the same flow and logs the same lines.
     let trace = http_trace(&SynthConfig::new(5, 8));
     let gov = Governance {
         quarantine: true,
-        inject_fault_after: Some(1_000),
+        // Slot 3 is the first request of the trace.
+        faults: Faults::from([(3, Fault::Parse { after: 50 })]),
         ..Governance::default()
     };
     let a =
@@ -186,15 +186,28 @@ fn injected_fault_quarantines_exactly_one_flow() {
     assert_eq!(a.flow_errors[0].uid, b.flow_errors[0].uid);
     // The other flows' results survive the casualty.
     assert!(a.http_log.len() >= 5, "{:?}", a.http_log);
+    for workers in [1, 2, 4] {
+        let opts = PipelineOptions {
+            workers,
+            governance: gov.clone(),
+            ..PipelineOptions::default()
+        };
+        let par =
+            run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &opts)
+                .unwrap();
+        assert_eq!(par.flow_errors, a.flow_errors, "x{workers}");
+        assert_eq!(par.http_log, a.http_log, "x{workers}");
+        assert_eq!(par.files_log, a.files_log, "x{workers}");
+    }
 
-    // The same hook arms the BinPAC++ DNS driver. Datagram mode lets only
-    // `ResourceExhausted` escape, so the faulted datagram counts as
+    // The same plan reaches the BinPAC++ DNS driver. Datagram mode lets
+    // only `ResourceExhausted` escape, so the faulted datagram counts as
     // unparseable: nothing is quarantined and exactly one more datagram
-    // fails than in the unfaulted run.
+    // fails than in the unfaulted run, for every worker count.
     let trace = dns_trace(&SynthConfig::new(5, 20));
     let clean = Governance {
-        inject_fault_after: None,
-        ..gov
+        faults: Faults::new(),
+        ..gov.clone()
     };
     let run = |gov: &Governance| {
         run_dns_analysis_governed(&trace, ParserStack::Binpac, Engine::Interpreted, gov).unwrap()
@@ -204,17 +217,71 @@ fn injected_fault_quarantines_exactly_one_flow() {
     assert!(faulted.flow_errors.is_empty(), "{:?}", faulted.flow_errors);
     assert_eq!(faulted.parse_failures, base.parse_failures + 1);
     assert_eq!(run(&gov).dns_log, faulted.dns_log);
-    // Each worker arms its own parser VM, and both shards of this trace
-    // run past the step count: a 2-worker run faults once per shard.
+    for workers in [1, 2, 4] {
+        let opts = PipelineOptions {
+            workers,
+            governance: gov.clone(),
+            ..PipelineOptions::default()
+        };
+        let par =
+            run_dns_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &opts)
+                .unwrap();
+        assert!(
+            par.flow_errors.is_empty(),
+            "x{workers}: {:?}",
+            par.flow_errors
+        );
+        assert_eq!(par.parse_failures, base.parse_failures + 1, "x{workers}");
+        assert_eq!(par.dns_log, faulted.dns_log, "x{workers}");
+    }
+}
+
+#[test]
+fn fault_plan_the_run_cannot_honour_is_rejected() {
+    // A plan is checked before the first packet: shard faults need
+    // shards, and a parser fault needs the BinPAC++ parser VM.
+    let trace = http_trace(&SynthConfig::new(5, 2));
+    let plan = |slot, fault| Governance {
+        quarantine: true,
+        faults: Faults::from([(slot, fault)]),
+        ..Governance::default()
+    };
+    let rejected = |r: Result<_, hilti_rt::error::RtError>, what: &str| {
+        let Err(e) = r else {
+            panic!("{what}: the run must be rejected")
+        };
+        assert!(e.to_string().contains("fault plan"), "{what}: {e}");
+    };
+    for fault in [Fault::Panic, Fault::Stall { ms: 1 }] {
+        let seq =
+            |stack| run_http_analysis_governed(&trace, stack, Engine::Interpreted, &plan(3, fault));
+        rejected(seq(ParserStack::Binpac), &format!("sequential {fault:?}"));
+        rejected(seq(ParserStack::Standard), &format!("sequential {fault:?}"));
+    }
+    let parse = plan(3, Fault::Parse { after: 0 });
+    rejected(
+        run_http_analysis_governed(&trace, ParserStack::Standard, Engine::Interpreted, &parse),
+        "sequential Standard Parse",
+    );
     let opts = PipelineOptions {
         workers: 2,
-        governance: gov,
+        governance: parse,
         ..PipelineOptions::default()
     };
-    let par =
-        run_dns_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &opts).unwrap();
-    assert!(par.flow_errors.is_empty(), "{:?}", par.flow_errors);
-    assert_eq!(par.parse_failures, base.parse_failures + 2);
+    rejected(
+        run_http_analysis_parallel(&trace, ParserStack::Standard, Engine::Interpreted, &opts),
+        "parallel Standard Parse",
+    );
+    // What the run can honour passes the check.
+    for fault in [Fault::Panic, Fault::Stall { ms: 1 }, Fault::Copy] {
+        let opts = PipelineOptions {
+            workers: 2,
+            governance: plan(3, fault),
+            ..PipelineOptions::default()
+        };
+        run_http_analysis_parallel(&trace, ParserStack::Standard, Engine::Interpreted, &opts)
+            .unwrap_or_else(|e| panic!("parallel {fault:?}: {e}"));
+    }
 }
 
 #[test]

@@ -7,7 +7,8 @@
 use broscript::host::Engine;
 use broscript::parallel::{run_dns_analysis_parallel, run_http_analysis_parallel, PipelineOptions};
 use broscript::pipeline::{
-    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
+    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Fault, Faults,
+    Governance, ParserStack,
 };
 use hilti_rt::error::RtResult;
 use netpkt::pcap::RawPacket;
@@ -19,11 +20,10 @@ fn chaos_gov() -> Governance {
         per_flow_heap: Some(8 * 1024),
         script_fuel: Some(500_000),
         quarantine: true,
-        inject_fault_after: None,
         telemetry: true,
         delivery_deadline_ms: None,
         tracing: false,
-        force_copy: false,
+        faults: Faults::new(),
     }
 }
 
@@ -100,7 +100,10 @@ fn dns_chaos_output_independent_of_worker_count() {
 /// rows (idle expiry, quarantine, telemetry, tracing) compare every output
 /// field; ungoverned rows — no quarantine, and a 1 KiB per-flow budget
 /// that the BinPAC++ HTTP sessions blow — compare them too where the run
-/// survives, and the fatal error where the chaos trace aborts it.
+/// survives, and the fatal error where the chaos trace aborts it. Planned
+/// rows add a fault plan to the governed ones: payload copies at every
+/// third slot, and on the BinPAC++ stack parser faults at a few delivering
+/// slots, which must fire.
 #[test]
 fn equivalence_matrix_parallel_matches_sequential() {
     let http = chaos_http_trace(&ChaosConfig::new(0xC0FFEE));
@@ -112,6 +115,17 @@ fn equivalence_matrix_parallel_matches_sequential() {
     let ungoverned = Governance {
         per_flow_heap: Some(1024),
         ..Governance::default()
+    };
+    let planned = |trace: &[RawPacket], stack, parse: &[u64]| {
+        let every_third = (0..trace.len() as u64).step_by(3);
+        let mut faults: Faults = every_third.map(|s| (s, Fault::Copy)).collect();
+        if stack == ParserStack::Binpac {
+            faults.extend(parse.iter().map(|&s| (s, Fault::Parse { after: 50 })));
+        }
+        Governance {
+            faults,
+            ..governed.clone()
+        }
     };
     type Seq = fn(&[RawPacket], ParserStack, Engine, &Governance) -> RtResult<AnalysisResult>;
     type Par = fn(&[RawPacket], ParserStack, Engine, &PipelineOptions) -> RtResult<AnalysisResult>;
@@ -130,18 +144,44 @@ fn equivalence_matrix_parallel_matches_sequential() {
         ),
     ];
     for (proto, trace, run_seq, run_par) in protos {
+        // The parser faults: at requests (HTTP) or queries (DNS).
+        let parse: &[u64] = match proto {
+            "http" => &[29, 41, 58, 66, 104],
+            _ => &[2, 10, 30],
+        };
         for stack in [ParserStack::Standard, ParserStack::Binpac] {
             for engine in [Engine::Interpreted, Engine::Compiled] {
-                for (gname, gov) in [("ungoverned", ungoverned), ("chaos", governed)] {
+                let govs = [
+                    ("ungoverned", ungoverned.clone()),
+                    ("chaos", governed.clone()),
+                    ("planned", planned(trace, stack, parse)),
+                ];
+                let mut unplanned_failures = 0;
+                for (gname, gov) in govs {
                     let seq = run_seq(trace, stack, engine, &gov);
+                    let what = format!("{proto} {stack:?} {engine:?} {gname}");
+                    // A parser fault quarantines its stream (HTTP) or fails
+                    // its datagram (DNS).
+                    match (gname, &seq) {
+                        ("chaos", Ok(s)) => unplanned_failures = s.parse_failures,
+                        ("planned", Ok(s)) if stack == ParserStack::Binpac => {
+                            let errors = s.flow_errors.iter();
+                            let quarantined = errors
+                                .filter(|e| e.detail.contains("injected chaos fault"))
+                                .count() as u64;
+                            let fired = quarantined + s.parse_failures - unplanned_failures;
+                            assert!(fired >= 3, "{what}: {fired} parser faults fired");
+                        }
+                        _ => {}
+                    }
                     for workers in [1, 2, 4] {
                         let o = PipelineOptions {
                             workers,
-                            governance: gov,
+                            governance: gov.clone(),
                             ..Default::default()
                         };
                         let par = run_par(trace, stack, engine, &o);
-                        let what = format!("{proto} {stack:?} {engine:?} {gname} x{workers}");
+                        let what = format!("{what} x{workers}");
                         match (&seq, &par) {
                             (Ok(s), Ok(p)) => assert_identical(s, p, &what),
                             (Err(s), Err(p)) => assert_eq!(s, p, "{what}: fatal error"),
@@ -182,7 +222,7 @@ fn ungoverned_fatal_error_matches_sequential() {
             Engine::Interpreted,
             &PipelineOptions {
                 workers: n,
-                governance: gov,
+                governance: gov.clone(),
                 ..Default::default()
             },
         ) else {

@@ -8,8 +8,11 @@
 use broscript::host::Engine;
 use broscript::parallel::{run_http_analysis_parallel, OverloadPolicy, PipelineOptions};
 use broscript::pipeline::{
-    run_http_analysis_governed, AnalysisResult, FlowError, Governance, ParserStack,
+    run_http_analysis_governed, AnalysisResult, Fault, Faults, FlowError, Governance, ParserStack,
 };
+use netpkt::decode::decode_frame;
+use netpkt::flow::shard_hash_frame;
+use netpkt::pcap::RawPacket;
 use netpkt::synth::{chaos_http_trace, http_trace, ChaosConfig, SynthConfig};
 
 fn gov() -> Governance {
@@ -18,11 +21,10 @@ fn gov() -> Governance {
         per_flow_heap: Some(8 * 1024),
         script_fuel: Some(500_000),
         quarantine: true,
-        inject_fault_after: None,
         telemetry: true,
         delivery_deadline_ms: None,
         tracing: false,
-        force_copy: false,
+        faults: Faults::new(),
     }
 }
 
@@ -32,6 +34,20 @@ fn opts(workers: usize) -> PipelineOptions {
         governance: gov(),
         ..Default::default()
     }
+}
+
+/// [`opts`] with `fault` planned at packet `slot`.
+fn faulted(workers: usize, slot: u64, fault: Fault) -> PipelineOptions {
+    let mut o = opts(workers);
+    o.governance.faults.insert(slot, fault);
+    o
+}
+
+/// The shard the front end places packet `slot` on when `workers` run.
+fn owner(trace: &[RawPacket], slot: u64, workers: usize) -> usize {
+    let p = &trace[slot as usize];
+    let frame = decode_frame(&p.data, p.ts).expect("a decodable frame");
+    (shard_hash_frame(&frame) % workers as u64) as usize
 }
 
 /// Byte-level equality across every externally observable field.
@@ -86,14 +102,17 @@ fn injected_shard_panic_is_contained_and_accounted() {
     assert!(clean.shard_faults.is_empty());
     assert_eq!(clean.telemetry.counter("pipeline.shard_faults"), 0);
 
+    // Slot 29 is a request mid-trace, on a different shard for each
+    // worker count.
+    let slot = 29;
     for workers in [1, 2, 4] {
-        let o = opts(workers).inject_shard_panic_after(0, 3);
+        let o = faulted(workers, slot, Fault::Panic);
         let r = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &o)
             .unwrap_or_else(|e| panic!("x{workers}: faulted run must still complete: {e}"));
 
-        // Exactly one fault, charged to the shard we armed.
+        // Exactly one fault, charged to the shard that owns the slot.
         assert_eq!(r.shard_faults.len(), 1, "x{workers}: {:?}", r.shard_faults);
-        assert_eq!(r.shard_faults[0].shard, 0);
+        assert_eq!(r.shard_faults[0].shard, owner(&trace, slot, workers));
         assert!(
             r.shard_faults[0].detail.contains("injected shard panic"),
             "x{workers}: {:?}",
@@ -131,7 +150,7 @@ fn shard_panic_losses_are_deterministic() {
     // Same trace, same injection point: the loss ledger, the surviving
     // logs, and the rendered telemetry must be byte-identical on rerun.
     let trace = chaos_http_trace(&ChaosConfig::new(7));
-    let o = opts(4).inject_shard_panic_after(2, 10);
+    let o = faulted(4, 84, Fault::Panic);
     let a = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &o)
         .expect("first faulted run");
     let b = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &o)
@@ -145,11 +164,11 @@ fn compiled_engine_survives_a_shard_panic_too() {
     // The respawn path rebuilds the compiled script engine from the
     // shared blueprint; the run still completes with one fault.
     let trace = chaos_http_trace(&ChaosConfig::new(11));
-    let o = opts(2).inject_shard_panic_after(1, 2);
+    let o = faulted(2, 2, Fault::Panic);
     let r = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Compiled, &o)
         .expect("compiled faulted run");
     assert_eq!(r.shard_faults.len(), 1);
-    assert_eq!(r.shard_faults[0].shard, 1);
+    assert_eq!(r.shard_faults[0].shard, owner(&trace, 2, 2));
     assert!(r
         .flow_errors
         .iter()
@@ -166,11 +185,11 @@ fn ungoverned_shard_panic_aborts_the_run() {
         governance: Governance {
             quarantine: false,
             telemetry: false,
+            faults: Faults::from([(0, Fault::Panic)]),
             ..Governance::default()
         },
         ..Default::default()
-    }
-    .inject_shard_panic_after(0, 1);
+    };
     let Err(err) = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &o)
     else {
         panic!("ungoverned panic must abort")
@@ -183,15 +202,18 @@ fn ungoverned_shard_panic_aborts_the_run() {
 
 #[test]
 fn stalled_shard_under_block_changes_nothing() {
-    // `Block` is lossless by construction: a shard that sleeps before
-    // draining its ring only slows the run down. Output, ledger and
+    // `Block` is lossless by construction: a shard that sleeps at its
+    // first delivery only slows the run down. Output, ledger and
     // telemetry stay byte-identical, and nothing is shed.
     let trace = chaos_http_trace(&ChaosConfig::new(0xBA7C4));
     let base =
         run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &opts(2))
             .expect("unstalled run");
     assert_eq!(base.shed_packets, 0);
-    let o = opts(2).inject_shard_stall(1, 100);
+    let slot = (0..trace.len() as u64)
+        .find(|&s| owner(&trace, s, 2) == 1)
+        .expect("shard 1 gets a packet");
+    let o = faulted(2, slot, Fault::Stall { ms: 100 });
     let r = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &o)
         .expect("stalled run");
     assert_eq!(r.shed_packets, 0, "Block must never shed");
@@ -200,19 +222,18 @@ fn stalled_shard_under_block_changes_nothing() {
 
 #[test]
 fn shed_policy_drops_batches_at_the_dispatcher_with_accounting() {
-    // A tiny ring plus a stalled consumer forces the dispatcher to shed:
-    // the run completes, every decoded packet is still counted, and the
-    // drops show up both in the result field and the dispatch-plane
-    // telemetry.
+    // A tiny ring plus a consumer stalled at the first packet forces the
+    // dispatcher to shed: the run completes, every decoded packet is
+    // still counted, and the drops show up both in the result field and
+    // the dispatch-plane telemetry.
     let trace = chaos_http_trace(&ChaosConfig::new(0xC0FFEE));
+    assert_eq!(owner(&trace, 0, 2), 0);
     let o = PipelineOptions {
         workers: 2,
         batch: 4,
-        governance: gov(),
         overload: OverloadPolicy::Shed { max_queue_depth: 4 },
-        ..Default::default()
-    }
-    .inject_shard_stall(0, 200);
+        ..faulted(2, 0, Fault::Stall { ms: 200 })
+    };
     let r = run_http_analysis_parallel(&trace, ParserStack::Binpac, Engine::Interpreted, &o)
         .expect("shedding run must complete");
     assert!(

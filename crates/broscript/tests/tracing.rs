@@ -7,7 +7,8 @@
 use broscript::host::Engine;
 use broscript::parallel::{run_http_analysis_parallel, PipelineOptions};
 use broscript::pipeline::{
-    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
+    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Fault, Faults,
+    Governance, ParserStack,
 };
 use hilti_rt::telemetry::json;
 use hilti_rt::trace::Stage;
@@ -19,11 +20,10 @@ fn gov(tracing: bool) -> Governance {
         per_flow_heap: Some(8 * 1024),
         script_fuel: Some(500_000),
         quarantine: true,
-        inject_fault_after: None,
         telemetry: true,
         delivery_deadline_ms: None,
         tracing,
-        force_copy: false,
+        faults: Faults::new(),
     }
 }
 
@@ -33,6 +33,13 @@ fn opts(workers: usize, tracing: bool) -> PipelineOptions {
         governance: gov(tracing),
         ..Default::default()
     }
+}
+
+/// [`opts`] with `fault` planned at packet `slot`.
+fn faulted(workers: usize, tracing: bool, slot: u64, fault: Fault) -> PipelineOptions {
+    let mut o = opts(workers, tracing);
+    o.governance.faults.insert(slot, fault);
+    o
 }
 
 /// Byte-level equality across every deterministic result field. The
@@ -169,7 +176,8 @@ fn injected_panic_produces_postmortem_with_faulting_flow() {
             &trace,
             ParserStack::Binpac,
             Engine::Compiled,
-            &opts(2, true).inject_shard_panic_after(0, 3),
+            // Slot 13 is the third delivery of shard 0.
+            &faulted(2, true, 13, Fault::Panic),
         )
         .unwrap()
     };
@@ -182,9 +190,8 @@ fn injected_panic_produces_postmortem_with_faulting_flow() {
         .expect("panic must trigger a postmortem dump");
     assert_eq!(dump.shard, 0, "dump comes from the faulting shard");
     assert!(!dump.records.is_empty(), "dump carries recorder spans");
-    // The faulting delivery was the 3rd on shard 0; its queue-wait span
-    // is recorded before the injected panic fires, so the dump must name
-    // a quarantined flow.
+    // The faulting delivery's queue-wait span is recorded before the
+    // planned panic fires, so the dump must name a quarantined flow.
     let lost: Vec<&str> = a.flow_errors.iter().map(|fe| fe.uid.as_str()).collect();
     assert!(
         dump.records
@@ -226,7 +233,8 @@ fn injected_stall_produces_postmortem_dump() {
         &trace,
         ParserStack::Binpac,
         Engine::Compiled,
-        &opts(2, true).inject_shard_stall(1, 20),
+        // Slot 55 is the first delivery of shard 1.
+        &faulted(2, true, 55, Fault::Stall { ms: 20 }),
     )
     .unwrap();
     let report = r.trace.expect("trace report");
@@ -237,7 +245,51 @@ fn injected_stall_produces_postmortem_dump() {
         .expect("stall injection must trigger a postmortem dump");
     assert_eq!(dump.shard, 1, "dump comes from the stalled shard");
     assert!(
-        !dump.records.is_empty(),
-        "stalled shard still processed its ring after waking"
+        dump.records.iter().any(|r| r.packet == 55),
+        "the dump shows the stalled delivery's queue wait"
     );
+}
+
+/// The watchdog dump is for deadline trips only. A 1 KiB per-flow budget
+/// kills ten chaos flows with `ResourceExhausted` ("heap budget
+/// exceeded") while a 60 s deadline never trips: no watchdog dump, for
+/// any worker count. A 0 ms deadline trips on every delivery and dumps.
+#[test]
+fn watchdog_dump_only_for_deadline_trips() {
+    let trace = chaos_http_trace(&ChaosConfig::new(0xC0FFEE));
+    let watchdog_dumps = |deadline_ms, workers| {
+        let governance = Governance {
+            per_flow_heap: Some(1024),
+            delivery_deadline_ms: Some(deadline_ms),
+            ..gov(true)
+        };
+        let r = match workers {
+            None => run_http_analysis_governed(
+                &trace,
+                ParserStack::Binpac,
+                Engine::Interpreted,
+                &governance,
+            ),
+            Some(workers) => run_http_analysis_parallel(
+                &trace,
+                ParserStack::Binpac,
+                Engine::Interpreted,
+                &PipelineOptions {
+                    workers,
+                    governance,
+                    ..Default::default()
+                },
+            ),
+        }
+        .unwrap();
+        let what = format!("deadline {deadline_ms} ms, workers {workers:?}");
+        assert!(!r.flow_errors.is_empty(), "{what}");
+        let report = r.trace.expect("trace report");
+        let dumps = report.postmortems.iter();
+        dumps.filter(|d| d.reason.contains("watchdog")).count()
+    };
+    for workers in [None, Some(2)] {
+        assert_eq!(watchdog_dumps(60_000, workers), 0, "{workers:?}");
+        assert!(watchdog_dumps(0, workers) > 0, "{workers:?}");
+    }
 }

@@ -1,7 +1,8 @@
 //! Differential tests for the zero-copy delivery path: a run whose
 //! deliveries are *borrowed* from the trace arena (chunked `Bytes`
 //! representation) must be byte-identical to one whose deliveries are
-//! force-copied into flat parser buffers ([`Governance::force_copy`]) —
+//! force-copied into flat parser buffers (a [`Fault::Copy`] at every
+//! packet slot) —
 //! logs, events, quarantine ledger, and telemetry, over adversarial chaos
 //! traces, sequentially and for N∈{1,2,4} workers. The only permitted
 //! difference is the `pipeline.bytes_copied`/`bytes_borrowed` counter
@@ -10,29 +11,38 @@
 use broscript::host::Engine;
 use broscript::parallel::{run_dns_analysis_parallel, run_http_analysis_parallel, PipelineOptions};
 use broscript::pipeline::{
-    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Governance, ParserStack,
+    run_dns_analysis_governed, run_http_analysis_governed, AnalysisResult, Fault, Faults,
+    Governance, ParserStack,
 };
 use hilti_rt::telemetry::TelemetrySnapshot;
+use netpkt::pcap::RawPacket;
 use netpkt::synth::{
     chaos_dns_trace, chaos_http_trace, http_trace, throughput_trace, ChaosConfig, SynthConfig,
 };
 
-fn gov(force_copy: bool) -> Governance {
+/// The chaos profile; `copied` plans a `Fault::Copy` at every slot of
+/// `trace`.
+fn gov(trace: &[RawPacket], copied: bool) -> Governance {
+    let every_slot = 0..trace.len() as u64;
     Governance {
         idle_timeout_ms: Some(10),
         per_flow_heap: Some(8 * 1024),
         script_fuel: Some(500_000),
         quarantine: true,
         telemetry: true,
-        force_copy,
+        faults: if copied {
+            every_slot.map(|s| (s, Fault::Copy)).collect()
+        } else {
+            Faults::new()
+        },
         ..Governance::default()
     }
 }
 
-fn opts(workers: usize, force_copy: bool) -> PipelineOptions {
+fn opts(trace: &[RawPacket], workers: usize, copied: bool) -> PipelineOptions {
     PipelineOptions {
         workers,
-        governance: gov(force_copy),
+        governance: gov(trace, copied),
         ..Default::default()
     }
 }
@@ -96,17 +106,29 @@ fn assert_equivalent(borrowed: &AnalysisResult, copied: &AnalysisResult, what: &
 fn http_chaos_borrowed_matches_flat_sequential_and_parallel() {
     let trace = chaos_http_trace(&ChaosConfig::new(0xBEEF));
     for stack in [ParserStack::Standard, ParserStack::Binpac] {
-        let borrowed = run_http_analysis_governed(&trace, stack, Engine::Interpreted, &gov(false))
-            .unwrap_or_else(|e| panic!("{stack:?} borrowed seq: {e}"));
-        let copied = run_http_analysis_governed(&trace, stack, Engine::Interpreted, &gov(true))
-            .unwrap_or_else(|e| panic!("{stack:?} copied seq: {e}"));
+        let borrowed =
+            run_http_analysis_governed(&trace, stack, Engine::Interpreted, &gov(&trace, false))
+                .unwrap_or_else(|e| panic!("{stack:?} borrowed seq: {e}"));
+        let copied =
+            run_http_analysis_governed(&trace, stack, Engine::Interpreted, &gov(&trace, true))
+                .unwrap_or_else(|e| panic!("{stack:?} copied seq: {e}"));
         assert!(borrowed.packets > 0 && !borrowed.http_log.is_empty());
         assert_equivalent(&borrowed, &copied, &format!("http {stack:?} seq"));
         for n in [1, 2, 4] {
-            let b = run_http_analysis_parallel(&trace, stack, Engine::Interpreted, &opts(n, false))
-                .unwrap_or_else(|e| panic!("{stack:?} borrowed x{n}: {e}"));
-            let c = run_http_analysis_parallel(&trace, stack, Engine::Interpreted, &opts(n, true))
-                .unwrap_or_else(|e| panic!("{stack:?} copied x{n}: {e}"));
+            let b = run_http_analysis_parallel(
+                &trace,
+                stack,
+                Engine::Interpreted,
+                &opts(&trace, n, false),
+            )
+            .unwrap_or_else(|e| panic!("{stack:?} borrowed x{n}: {e}"));
+            let c = run_http_analysis_parallel(
+                &trace,
+                stack,
+                Engine::Interpreted,
+                &opts(&trace, n, true),
+            )
+            .unwrap_or_else(|e| panic!("{stack:?} copied x{n}: {e}"));
             assert_equivalent(&b, &c, &format!("http {stack:?} x{n}"));
             // The parallel borrowed run must also match the sequential one.
             assert_equivalent(&borrowed, &b, &format!("http {stack:?} seq vs x{n}"));
@@ -118,17 +140,29 @@ fn http_chaos_borrowed_matches_flat_sequential_and_parallel() {
 fn dns_chaos_borrowed_matches_flat_sequential_and_parallel() {
     let trace = chaos_dns_trace(29, 20, 5);
     for stack in [ParserStack::Standard, ParserStack::Binpac] {
-        let borrowed = run_dns_analysis_governed(&trace, stack, Engine::Interpreted, &gov(false))
-            .unwrap_or_else(|e| panic!("{stack:?} borrowed seq: {e}"));
-        let copied = run_dns_analysis_governed(&trace, stack, Engine::Interpreted, &gov(true))
-            .unwrap_or_else(|e| panic!("{stack:?} copied seq: {e}"));
+        let borrowed =
+            run_dns_analysis_governed(&trace, stack, Engine::Interpreted, &gov(&trace, false))
+                .unwrap_or_else(|e| panic!("{stack:?} borrowed seq: {e}"));
+        let copied =
+            run_dns_analysis_governed(&trace, stack, Engine::Interpreted, &gov(&trace, true))
+                .unwrap_or_else(|e| panic!("{stack:?} copied seq: {e}"));
         assert!(borrowed.packets > 0 && !borrowed.dns_log.is_empty());
         assert_equivalent(&borrowed, &copied, &format!("dns {stack:?} seq"));
         for n in [1, 2, 4] {
-            let b = run_dns_analysis_parallel(&trace, stack, Engine::Interpreted, &opts(n, false))
-                .unwrap_or_else(|e| panic!("{stack:?} borrowed x{n}: {e}"));
-            let c = run_dns_analysis_parallel(&trace, stack, Engine::Interpreted, &opts(n, true))
-                .unwrap_or_else(|e| panic!("{stack:?} copied x{n}: {e}"));
+            let b = run_dns_analysis_parallel(
+                &trace,
+                stack,
+                Engine::Interpreted,
+                &opts(&trace, n, false),
+            )
+            .unwrap_or_else(|e| panic!("{stack:?} borrowed x{n}: {e}"));
+            let c = run_dns_analysis_parallel(
+                &trace,
+                stack,
+                Engine::Interpreted,
+                &opts(&trace, n, true),
+            )
+            .unwrap_or_else(|e| panic!("{stack:?} copied x{n}: {e}"));
             assert_equivalent(&b, &c, &format!("dns {stack:?} x{n}"));
             assert_equivalent(&borrowed, &b, &format!("dns {stack:?} seq vs x{n}"));
         }
@@ -147,7 +181,7 @@ fn in_order_trace_is_fully_borrowed() {
         for stack in [ParserStack::Standard, ParserStack::Binpac] {
             for engine in [Engine::Interpreted, Engine::Compiled] {
                 let what = format!("{name} {stack:?} {engine:?}");
-                let r = run_http_analysis_governed(trace, stack, engine, &gov(false))
+                let r = run_http_analysis_governed(trace, stack, engine, &gov(trace, false))
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(
                     counter(&r.telemetry, "pipeline.bytes_copied"),
@@ -164,11 +198,15 @@ fn in_order_trace_is_fully_borrowed() {
 }
 
 #[test]
-fn force_copy_routes_everything_through_copies() {
+fn copy_at_every_slot_routes_everything_through_copies() {
     let trace = http_trace(&SynthConfig::new(42, 10));
-    let r =
-        run_http_analysis_governed(&trace, ParserStack::Binpac, Engine::Interpreted, &gov(true))
-            .unwrap();
+    let r = run_http_analysis_governed(
+        &trace,
+        ParserStack::Binpac,
+        Engine::Interpreted,
+        &gov(&trace, true),
+    )
+    .unwrap();
     assert_eq!(counter(&r.telemetry, "pipeline.bytes_borrowed"), 0);
     assert!(counter(&r.telemetry, "pipeline.bytes_copied") > 0);
 }

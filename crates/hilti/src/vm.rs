@@ -169,6 +169,10 @@ impl TierMix {
 /// Upper bound on captured trace lines; tracing silently stops there.
 pub const TRACE_CAP: usize = 1_000_000;
 
+/// The message of the `Hilti::ResourceExhausted` a delivery-deadline
+/// watchdog trip raises (see [`Context::arm_deadline_after_ms`]).
+pub const DEADLINE_EXCEEDED: &str = "delivery deadline exceeded";
+
 /// Fuel units between wall-clock reads when a watchdog deadline is armed.
 /// Also caps the typed fast loop's local fuel while armed, so the
 /// inner loop always returns to a generic charge point (and its clock
@@ -288,6 +292,13 @@ impl Context {
         self.fault_error = Some(err);
     }
 
+    /// Disarms a pending fault injection (a no-op when none is armed or
+    /// the armed one has fired).
+    pub fn disarm_fault(&mut self) {
+        self.fault_countdown = u64::MAX;
+        self.fault_error = None;
+    }
+
     /// Whether a fault injection is armed (disables the typed fast loop
     /// so the trigger point is deterministic).
     #[inline]
@@ -333,7 +344,7 @@ impl Context {
                         t.sink
                             .emit("resource_limit", vec![("resource", "deadline".into())]);
                     }
-                    return Err(RtError::resource_exhausted("delivery deadline exceeded"));
+                    return Err(RtError::resource_exhausted(DEADLINE_EXCEEDED));
                 }
             }
         }

@@ -10,6 +10,11 @@
 //! the returned checksum (which folds in element values and final
 //! container sizes), the kind of any trap, and every `Hilti::print` line
 //! emitted along the way.
+//!
+//! The map, vector and list start with three elements each, so lookups,
+//! indexed reads and writes, and pops mostly succeed and a recipe runs on
+//! to its later steps; the 0..6 key space keeps misses, out-of-range
+//! indices and pops past empty, all traps, in reach.
 
 use hilti::passes::OptLevel;
 use hilti::{Program, Value};
@@ -138,6 +143,14 @@ fn emit(recipe: &[CStep], c2: i64, c3: i64) -> String {
          \x20   v = new vector<int<64>>\n\
          \x20   l = new list<int<64>>\n"
     ));
+    for (k, v) in [(0, "t2"), (2, "t0"), (4, "t3")] {
+        src.push_str(&format!("    map.insert m {k} {v}\n"));
+    }
+    for v in ["t0", "t1", "t2"] {
+        src.push_str(&format!(
+            "    vector.push_back v {v}\n    list.push_back l {v}\n"
+        ));
+    }
     let val = |v: u8| VAL_SLOTS[v as usize];
     for (i, step) in recipe.iter().enumerate() {
         match *step {
