@@ -348,16 +348,10 @@ mod tests {
     ) -> u64 {
         let mut fw = HiltiFirewall::compile_with_timeout(rules, timeout, OptLevel::Full).unwrap();
         let mut rf = ReferenceFirewall::new(rules).with_timeout(timeout);
-        let mut state: u64 = 0x243f6a8885a308d3;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = hilti_rt::rng::Rng::new(0x243f_6a88_85a3_08d3);
         let mut allowed = 0;
         for i in 0..n {
-            let (src, dst) = pair(next(), next());
+            let (src, dst) = pair(rng.next_u64(), rng.next_u64());
             let ts = t(i * 7);
             let h = fw.match_packet(ts, src, dst).unwrap();
             let expected = rf.match_packet(ts, src, dst);

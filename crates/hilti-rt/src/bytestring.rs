@@ -1287,14 +1287,7 @@ mod tests {
     #[test]
     fn budget_conservation_property() {
         use crate::limits::AllocBudget;
-        // Hand-rolled LCG: deterministic, no external crates.
-        let mut seed: u64 = 0x853c49e6748fea9b;
-        let mut rng = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed >> 33
-        };
+        let mut rng = crate::rng::Rng::new(0x853c_49e6_748f_ea9b);
         let ar: SharedArena = Arc::new((0u8..=255).collect::<Vec<u8>>());
         for _round in 0..50 {
             let budget = AllocBudget::unlimited();
@@ -1305,24 +1298,24 @@ mod tests {
             let mut objects: Vec<Bytes> = vec![root];
             let mut handles: Vec<Bytes> = Vec::new();
             for _step in 0..200 {
-                let pick = (rng() as usize) % objects.len();
+                let pick = rng.below(objects.len() as u64) as usize;
                 let b = objects[pick].clone();
-                match rng() % 10 {
+                match rng.below(10) {
                     0..=2 => {
-                        let n = (rng() % 32) as usize;
-                        let data: Vec<u8> = (0..n).map(|_| rng() as u8).collect();
+                        let mut data = vec![0; rng.below(32) as usize];
+                        rng.fill(&mut data);
                         let _ = b.append(&data);
                     }
                     3 | 4 => {
-                        let off = (rng() % 200) as usize;
-                        let len = (rng() % 50) as usize;
+                        let off = rng.below(200) as usize;
+                        let len = rng.below(50) as usize;
                         let _ =
                             b.append_shared(ArenaSlice::new(ar.clone(), off, len.min(256 - off)));
                     }
                     5 => {
                         let span = b.end_offset() - b.begin_offset();
                         if span > 0 {
-                            let cut = b.begin_offset() + rng() % (span + 1);
+                            let cut = b.begin_offset() + rng.below(span + 1);
                             let _ = b.trim(cut);
                         }
                     }

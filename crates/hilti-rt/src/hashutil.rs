@@ -111,4 +111,38 @@ mod tests {
             assert!(c > 500, "bucket too empty: {counts:?}");
         }
     }
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // mix64 of successive multiples of 2^64/φ is SplitMix64's
+        // published stream for seed 0, the seeding `rng::Rng` relies on.
+        assert_eq!(mix64(0), 0);
+        let golden = 0x9e37_79b9_7f4a_7c15u64;
+        let stream = [1u64, 2, 3, 4].map(|k| mix64(golden.wrapping_mul(k)));
+        assert_eq!(
+            stream,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f,
+                0xf88b_b8a8_724c_81ec,
+            ]
+        );
+    }
+
+    #[test]
+    fn mix64_avalanches() {
+        // Flipping one input bit flips about half of the output bits.
+        let mut flipped = 0u32;
+        let mut pairs = 0u32;
+        for x in 0..256u64 {
+            let x = x.wrapping_mul(0x0123_4567_89ab_cdef);
+            for bit in 0..64 {
+                flipped += (mix64(x) ^ mix64(x ^ 1 << bit)).count_ones();
+                pairs += 1;
+            }
+        }
+        let mean = f64::from(flipped) / f64::from(pairs);
+        assert!((31.0..=33.0).contains(&mean), "{mean}");
+    }
 }

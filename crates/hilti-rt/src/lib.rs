@@ -7,7 +7,8 @@
 //! incremental multi-pattern regular-expression engine, the ACL-style packet
 //! classifier, overlay unpacking primitives, the flight recorder that
 //! attributes wall-clock time to pipeline stages, and small utilities
-//! (SHA-1, FNV hashing) that the host applications need.
+//! (SHA-1, FNV hashing, the seeded generator behind synthetic traces and
+//! randomized tests) that the host applications need.
 //!
 //! Everything here is engine-agnostic: both the HILTI bytecode VM and the
 //! reference IR interpreter (crate `hilti`) call into these types, exactly as
@@ -30,6 +31,7 @@ pub mod hashutil;
 pub mod limits;
 pub mod overlay;
 pub mod regexp;
+pub mod rng;
 pub mod sha1;
 pub mod spsc;
 pub mod telemetry;

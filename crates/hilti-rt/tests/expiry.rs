@@ -14,6 +14,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use hilti_rt::containers::{ExpireStrategy, ExpiringMap, ExpiringSet};
 use hilti_rt::limits::AllocBudget;
+use hilti_rt::rng::Rng;
 use hilti_rt::time::{Interval, Time};
 
 struct CountingAlloc;
@@ -149,18 +150,6 @@ impl Model {
     }
 }
 
-/// xorshift64: a seeded, dependency-free operation stream.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0 % n
-    }
-}
-
 /// What one step runs against the container under test.
 enum Step {
     Insert(u32, u32),
@@ -222,7 +211,7 @@ fn budget_for<V: Default>() -> AllocBudget {
 #[test]
 fn map_matches_the_per_touch_queue() {
     for seed in 1..=300u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut rng = Rng::new(seed);
         let mut clock = 0u64;
         let mut m: ExpiringMap<u32, u32> = ExpiringMap::new();
         m.set_budget(budget_for::<u32>());
@@ -291,7 +280,7 @@ fn map_matches_the_per_touch_queue() {
 #[test]
 fn set_matches_the_per_touch_queue() {
     for seed in 1..=300u64 {
-        let mut rng = Rng(seed.wrapping_mul(0xd1b5_4a32_d192_ed03));
+        let mut rng = Rng::new(seed);
         let mut clock = 0u64;
         let mut s: ExpiringSet<u32> = ExpiringSet::new();
         s.set_budget(budget_for::<()>());

@@ -877,25 +877,19 @@ mod tests {
     #[test]
     fn idle_expiry_matches_a_full_sweep_under_reordering() {
         for seed in 1..=20u64 {
-            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
+            let mut rng = hilti_rt::rng::Rng::new(seed);
             let mut t = FlowTable::new();
             let mut clock = 0u64;
             for i in 0..3_000 {
                 // Mostly forward; one packet in eight from up to 2 s back,
                 // which moves its flow's last packet time backwards.
-                clock += next() % 40;
-                let ms = match next() % 8 {
-                    0 => clock.saturating_sub(next() % 2_000),
+                clock += rng.below(40);
+                let ms = match rng.below(8) {
+                    0 => clock.saturating_sub(rng.below(2_000)),
                     _ => clock,
                 };
-                t.process(&udp_at(1024 + (next() % 300) as u16, ms));
-                if next() % 16 == 0 {
+                t.process(&udp_at(1024 + rng.below(300) as u16, ms));
+                if rng.chance(1, 16) {
                     // The front end's cutoff under a 1 s idle timeout.
                     let cutoff = Time::from_nanos(ms.saturating_sub(1_000) * 1_000_000);
                     let want = swept_uids(&t, cutoff);

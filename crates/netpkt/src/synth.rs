@@ -7,11 +7,15 @@
 //! distinct host pairs, realistic request/reply structure, diverse bodies
 //! and record types, reordering/retransmission at the TCP layer, and a dash
 //! of non-conforming "crud" (§2) — all reproducible from a seed.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//!
+//! Every draw comes from one `hilti_rt::rng::Rng` per trace: a value in
+//! `lo..hi` is `lo + below(hi - lo)`, a `u32` the high half of one
+//! `next_u64`, a `u16` its top 16 bits. The benchmark workloads and every
+//! pinned count are generated from these streams, and
+//! `generator_streams_are_pinned` holds them fixed.
 
 use hilti_rt::addr::Addr;
+use hilti_rt::rng::Rng;
 use hilti_rt::time::Time;
 
 use crate::decode::{build_tcp_frame, build_udp_frame, tcp_flags};
@@ -49,7 +53,7 @@ impl SynthConfig {
 const MSS: usize = 1400;
 
 struct TcpScripted<'a> {
-    rng: &'a mut StdRng,
+    rng: &'a mut Rng,
     packets: &'a mut Vec<RawPacket>,
     client: Addr,
     server: Addr,
@@ -64,7 +68,7 @@ impl<'a> TcpScripted<'a> {
     fn now(&mut self) -> Time {
         // Advance 50–500 µs per packet; quantized to whole microseconds so
         // timestamps survive the pcap roundtrip exactly.
-        self.t_ns += 50_000 + self.rng.gen_range(0..450) * 1_000;
+        self.t_ns += 50_000 + self.rng.below(450) * 1_000;
         Time::from_nanos(self.t_ns)
     }
 
@@ -115,12 +119,12 @@ impl<'a> TcpScripted<'a> {
             self.push(from_client, tcp_flags::ACK | tcp_flags::PSH, chunk);
         }
         let n = self.packets.len() - start;
-        if n >= 2 && self.rng.gen_ratio(1, 10) {
-            let i = start + self.rng.gen_range(0..n - 1);
+        if n >= 2 && self.rng.chance(1, 10) {
+            let i = start + self.rng.below(n as u64 - 1) as usize;
             self.packets.swap(i, i + 1);
         }
-        if n >= 1 && self.rng.gen_ratio(1, 20) {
-            let i = start + self.rng.gen_range(0..n);
+        if n >= 1 && self.rng.chance(1, 20) {
+            let i = start + self.rng.below(n as u64) as usize;
             let dup = self.packets[i].clone();
             self.packets.push(dup);
         }
@@ -163,7 +167,7 @@ const USER_AGENTS: &[&str] = &[
 ];
 
 /// MIME bodies: (content-type header value, body builder).
-fn make_body(rng: &mut StdRng, kind: usize, size: usize) -> (&'static str, Vec<u8>) {
+fn make_body(rng: &mut Rng, kind: usize, size: usize) -> (&'static str, Vec<u8>) {
     match kind {
         0 => {
             let mut b = b"<html><head><title>t</title></head><body>".to_vec();
@@ -211,9 +215,14 @@ fn make_body(rng: &mut StdRng, kind: usize, size: usize) -> (&'static str, Vec<u
     }
 }
 
-fn pick_weighted<'x>(rng: &mut StdRng, table: &[(&'x str, u32)]) -> &'x str {
+/// One of `items`, uniformly.
+fn pick<T: Copy>(rng: &mut Rng, items: &[T]) -> T {
+    items[rng.below(items.len() as u64) as usize]
+}
+
+fn pick_weighted<'x>(rng: &mut Rng, table: &[(&'x str, u32)]) -> &'x str {
     let total: u32 = table.iter().map(|(_, w)| w).sum();
-    let mut roll = rng.gen_range(0..total);
+    let mut roll = rng.below(u64::from(total)) as u32;
     for (item, w) in table {
         if roll < *w {
             return item;
@@ -225,7 +234,7 @@ fn pick_weighted<'x>(rng: &mut StdRng, table: &[(&'x str, u32)]) -> &'x str {
 
 /// Generates an HTTP workload trace; packets are sorted by timestamp.
 pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut packets = Vec::new();
     // Sessions start staggered over a window so flows interleave when the
     // final sort merges them.
@@ -233,54 +242,54 @@ pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
         let client = Addr::v4(
             10,
             1,
-            (rng.gen_range(0..cfg.clients) / 250) as u8,
-            (rng.gen_range(0..cfg.clients) % 250 + 1) as u8,
+            (rng.below(cfg.clients as u64) / 250) as u8,
+            (rng.below(cfg.clients as u64) % 250 + 1) as u8,
         );
         let server = Addr::v4(
             93,
             184,
-            (rng.gen_range(0..cfg.servers) / 250) as u8,
-            (rng.gen_range(0..cfg.servers) % 250 + 1) as u8,
+            (rng.below(cfg.servers as u64) / 250) as u8,
+            (rng.below(cfg.servers as u64) % 250 + 1) as u8,
         );
-        let base_ns = (s as u64) * 3_000_000 + rng.gen_range(0..2_000) * 1_000;
+        let base_ns = (s as u64) * 3_000_000 + rng.below(2_000) * 1_000;
         let mut sess = TcpScripted {
             client,
             server,
-            cport: rng.gen_range(20000..60000),
+            cport: 20000 + rng.below(40000) as u16,
             sport: 80,
-            seq_c: rng.gen(),
-            seq_s: rng.gen(),
+            seq_c: (rng.next_u64() >> 32) as u32,
+            seq_s: (rng.next_u64() >> 32) as u32,
             t_ns: base_ns,
             rng: &mut rng,
             packets: &mut packets,
         };
         sess.handshake();
-        let crud = sess.rng.gen_range(0..100) < u32::from(cfg.crud_percent);
+        let crud = sess.rng.below(100) < u64::from(cfg.crud_percent);
         if crud {
             // Non-HTTP garbage on port 80.
-            let mut junk = vec![0u8; 64 + sess.rng.gen_range(0..256)];
+            let mut junk = vec![0u8; 64 + sess.rng.below(256) as usize];
             sess.rng.fill(&mut junk[..]);
             sess.data(true, &junk);
             sess.close();
             continue;
         }
-        let n_requests = 1 + sess.rng.gen_range(0..3);
+        let n_requests = 1 + sess.rng.below(3);
         for _ in 0..n_requests {
             let method = pick_weighted(sess.rng, METHODS);
-            let stem = PATH_STEMS[sess.rng.gen_range(0..PATH_STEMS.len())];
-            let uri = if sess.rng.gen_ratio(1, 3) {
-                format!("{stem}?id={}", sess.rng.gen_range(0..100000))
+            let stem = pick(sess.rng, PATH_STEMS);
+            let uri = if sess.rng.chance(1, 3) {
+                format!("{stem}?id={}", sess.rng.below(100000))
             } else {
                 stem.to_owned()
             };
-            let host = HOSTS[sess.rng.gen_range(0..HOSTS.len())];
-            let ua = USER_AGENTS[sess.rng.gen_range(0..USER_AGENTS.len())];
+            let host = pick(sess.rng, HOSTS);
+            let ua = pick(sess.rng, USER_AGENTS);
             // Request.
             let mut req = format!(
                 "{method} {uri} HTTP/1.1\r\nHost: {host}\r\nUser-Agent: {ua}\r\nAccept: */*\r\n"
             );
             let post_body = if method == "POST" || method == "PUT" {
-                let size = sess.rng.gen_range(16..600);
+                let size = 16 + sess.rng.below(584) as usize;
                 let (_ct, body) = make_body(sess.rng, 3, size);
                 req.push_str(&format!(
                     "Content-Type: application/json\r\nContent-Length: {}\r\n",
@@ -298,7 +307,7 @@ pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
             sess.data(true, &req_bytes);
 
             // Response.
-            let status_roll = sess.rng.gen_range(0..100);
+            let status_roll = sess.rng.below(100);
             let (status, reason): (u32, &str) = match status_roll {
                 0..=74 => (200, "OK"),
                 75..=82 => (404, "Not Found"),
@@ -312,12 +321,12 @@ pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
                 // Header-only; advertise a length that must NOT be consumed.
                 resp.push_str(&format!(
                     "Content-Length: {}\r\n\r\n",
-                    sess.rng.gen_range(100..5000)
+                    100 + sess.rng.below(4900)
                 ));
                 sess.data(false, resp.as_bytes());
             } else {
-                let kind = sess.rng.gen_range(0..6);
-                let size = sess.rng.gen_range(32..4096);
+                let kind = sess.rng.below(6) as usize;
+                let size = 32 + sess.rng.below(4064) as usize;
                 let (ct, body) = make_body(sess.rng, kind, size);
                 resp.push_str(&format!("Content-Type: {ct}\r\n"));
                 if status == 206 {
@@ -327,7 +336,7 @@ pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
                         body.len() * 2
                     ));
                 }
-                if sess.rng.gen_ratio(1, 5) {
+                if sess.rng.chance(1, 5) {
                     // Chunked transfer-coding.
                     resp.push_str("Transfer-Encoding: chunked\r\n\r\n");
                     let mut payload = resp.into_bytes();
@@ -362,7 +371,7 @@ pub fn http_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
 /// whole-trace sort; occasional reordering/retransmission of data
 /// segments keeps the owned-payload reassembly path warm.
 pub fn throughput_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let reqs: Vec<Vec<u8>> = PATH_STEMS
         .iter()
         .enumerate()
@@ -412,8 +421,8 @@ pub fn throughput_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
                 server,
                 cport: 20000 + (f % 40000) as u16,
                 sport: 80,
-                seq_c: rng.gen(),
-                seq_s: rng.gen(),
+                seq_c: (rng.next_u64() >> 32) as u32,
+                seq_s: (rng.next_u64() >> 32) as u32,
                 t_ns: (f as u64) * 120_000,
                 rng: &mut rng,
                 packets: &mut packets,
@@ -438,7 +447,7 @@ pub fn throughput_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
 /// every query gets an answer so a lossless run logs exactly `flows`
 /// entries.
 pub fn throughput_dns_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut packets = Vec::with_capacity(flows * 2);
     for f in 0..flows {
         let client = Addr::v4(
@@ -461,7 +470,7 @@ pub fn throughput_dns_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
             build_udp_frame(client, server, cport, 53, &query),
         ));
 
-        let rtt = 1_000_000 + rng.gen_range(0..500) * 1_000;
+        let rtt = 1_000_000 + rng.below(500) as i64 * 1_000;
         let resp = DnsBuilder::new(trans_id, true, 0)
             .question(name, dns_types::A)
             .answer_a(
@@ -539,7 +548,7 @@ enum ChaosKind {
 /// Generates an adversarial HTTP workload per `cfg`; packets are sorted
 /// by timestamp and sessions of all categories interleave.
 pub fn chaos_http_trace(cfg: &ChaosConfig) -> Vec<RawPacket> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut kinds = Vec::with_capacity(cfg.total_sessions());
     kinds.extend(std::iter::repeat_n(ChaosKind::Normal, cfg.normal));
     kinds.extend(std::iter::repeat_n(
@@ -557,22 +566,22 @@ pub fn chaos_http_trace(cfg: &ChaosConfig) -> Vec<RawPacket> {
     ));
     // Deterministic interleave: Fisher-Yates off the seeded generator.
     for i in (1..kinds.len()).rev() {
-        let j = rng.gen_range(0..i + 1);
+        let j = rng.below(i as u64 + 1) as usize;
         kinds.swap(i, j);
     }
 
     let mut packets = Vec::new();
     for (s, kind) in kinds.iter().enumerate() {
         let client = Addr::v4(10, 9, (s / 250) as u8, (s % 250 + 1) as u8);
-        let server = Addr::v4(93, 184, 0, (rng.gen_range(0..40) + 1) as u8);
-        let base_ns = (s as u64) * 3_000_000 + rng.gen_range(0..2_000) * 1_000;
+        let server = Addr::v4(93, 184, 0, (rng.below(40) + 1) as u8);
+        let base_ns = (s as u64) * 3_000_000 + rng.below(2_000) * 1_000;
         let mut sess = TcpScripted {
             client,
             server,
-            cport: rng.gen_range(20000..60000),
+            cport: 20000 + rng.below(40000) as u16,
             sport: 80,
-            seq_c: rng.gen(),
-            seq_s: rng.gen(),
+            seq_c: (rng.next_u64() >> 32) as u32,
+            seq_s: (rng.next_u64() >> 32) as u32,
             t_ns: base_ns,
             rng: &mut rng,
             packets: &mut packets,
@@ -650,16 +659,16 @@ pub fn chaos_http_trace(cfg: &ChaosConfig) -> Vec<RawPacket> {
 /// compression pointer — the classic parser-loop attack. Deterministic
 /// from `seed`.
 pub fn chaos_dns_trace(seed: u64, normal: usize, compression_loops: usize) -> Vec<RawPacket> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut packets = Vec::new();
     for i in 0..normal + compression_loops {
         let client = Addr::v4(10, 8, (i / 250) as u8, (i % 250 + 1) as u8);
         let server = Addr::v4(8, 8, 8, 8);
-        let cport: u16 = rng.gen_range(1024..65000);
-        let base = Time::from_nanos((i as u64) * 700_000 + rng.gen_range(0..500) * 1_000);
+        let cport = 1024 + rng.below(63976) as u16;
+        let base = Time::from_nanos((i as u64) * 700_000 + rng.below(500) * 1_000);
         if i < normal {
-            let trans_id: u16 = rng.gen();
-            let name = DNS_NAMES[rng.gen_range(0..DNS_NAMES.len())];
+            let trans_id = (rng.next_u64() >> 48) as u16;
+            let name = pick(&mut rng, DNS_NAMES);
             let query = DnsBuilder::new(trans_id, false, 0)
                 .question(name, dns_types::A)
                 .build();
@@ -678,7 +687,7 @@ pub fn chaos_dns_trace(seed: u64, normal: usize, compression_loops: usize) -> Ve
         } else {
             // Header claiming one question, whose name at offset 12 is a
             // compression pointer back to offset 12: following it loops.
-            let trans_id: u16 = rng.gen();
+            let trans_id = (rng.next_u64() >> 48) as u16;
             let mut msg = Vec::new();
             msg.extend_from_slice(&trans_id.to_be_bytes());
             msg.extend_from_slice(&[0x01, 0x00]); // flags: standard query
@@ -711,27 +720,27 @@ const DNS_NAMES: &[&str] = &[
 
 /// Generates a DNS workload trace (UDP port 53 request/reply pairs).
 pub fn dns_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut packets = Vec::new();
     for i in 0..cfg.count {
         let client = Addr::v4(
             10,
             2,
-            (rng.gen_range(0..cfg.clients) / 250) as u8,
-            (rng.gen_range(0..cfg.clients) % 250 + 1) as u8,
+            (rng.below(cfg.clients as u64) / 250) as u8,
+            (rng.below(cfg.clients as u64) % 250 + 1) as u8,
         );
         let server = Addr::v4(
             8,
             8,
             8,
-            (rng.gen_range(0..cfg.servers.max(1)) % 250 + 1) as u8,
+            (rng.below(cfg.servers.max(1) as u64) % 250 + 1) as u8,
         );
-        let cport: u16 = rng.gen_range(1024..65000);
-        let base = Time::from_nanos((i as u64) * 800_000 + rng.gen_range(0..500) * 1_000);
+        let cport = 1024 + rng.below(63976) as u16;
+        let base = Time::from_nanos((i as u64) * 800_000 + rng.below(500) * 1_000);
 
-        if rng.gen_range(0..100) < u32::from(cfg.crud_percent) {
+        if rng.below(100) < u64::from(cfg.crud_percent) {
             // Crud: random bytes on port 53.
-            let mut junk = vec![0u8; rng.gen_range(4..80)];
+            let mut junk = vec![0u8; 4 + rng.below(76) as usize];
             rng.fill(&mut junk[..]);
             packets.push(RawPacket::new(
                 base,
@@ -740,9 +749,9 @@ pub fn dns_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
             continue;
         }
 
-        let trans_id: u16 = rng.gen();
-        let name = DNS_NAMES[rng.gen_range(0..DNS_NAMES.len())];
-        let qtype = match rng.gen_range(0..100) {
+        let trans_id = (rng.next_u64() >> 48) as u16;
+        let name = pick(&mut rng, DNS_NAMES);
+        let qtype = match rng.below(100) {
             0..=59 => dns_types::A,
             60..=74 => dns_types::AAAA,
             75..=84 => dns_types::CNAME,
@@ -758,35 +767,35 @@ pub fn dns_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
         ));
 
         // Response ~1–40 ms later; 5% of queries go unanswered.
-        if rng.gen_ratio(1, 20) {
+        if rng.chance(1, 20) {
             continue;
         }
-        let rtt = 1_000_000 + rng.gen_range(0..39_000) * 1_000;
+        let rtt = 1_000_000 + rng.below(39_000) as i64 * 1_000;
         let resp_ts = base + hilti_rt::time::Interval::from_nanos(rtt);
-        let nxdomain = rng.gen_ratio(1, 12);
+        let nxdomain = rng.chance(1, 12);
         let mut b =
             DnsBuilder::new(trans_id, true, if nxdomain { 3 } else { 0 }).question(name, qtype);
         if !nxdomain {
-            let n_answers = 1 + rng.gen_range(0..3);
+            let n_answers = 1 + rng.below(3);
             for k in 0..n_answers {
                 match qtype {
                     t if t == dns_types::A => {
                         b = b.answer_a(
                             name,
-                            rng.gen_range(30..3600),
-                            [93, 184, rng.gen_range(1..250), rng.gen_range(1..250)],
+                            30 + rng.below(3570) as u32,
+                            [93, 184, 1 + rng.below(249) as u8, 1 + rng.below(249) as u8],
                         );
                     }
                     t if t == dns_types::AAAA => {
                         let mut addr = [0u8; 16];
                         addr[0] = 0x20;
                         addr[1] = 0x01;
-                        addr[15] = rng.gen_range(1..255);
-                        b = b.answer_aaaa(name, rng.gen_range(30..3600), addr);
+                        addr[15] = 1 + rng.below(254) as u8;
+                        b = b.answer_aaaa(name, 30 + rng.below(3570) as u32, addr);
                     }
                     t if t == dns_types::CNAME => {
-                        let target = DNS_NAMES[rng.gen_range(0..DNS_NAMES.len())];
-                        b = b.answer_cname(name, rng.gen_range(30..3600), target);
+                        let target = pick(&mut rng, DNS_NAMES);
+                        b = b.answer_cname(name, 30 + rng.below(3570) as u32, target);
                         // CNAME chains terminate in an A record.
                         if k == n_answers - 1 {
                             b = b.answer_a(target, 300, [93, 184, 1, 1]);
@@ -796,8 +805,8 @@ pub fn dns_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
                         // Multi-string TXT records exercise the standard/
                         // BinPAC++ semantic difference (Table 2); most TXT
                         // records carry one string, as in real traffic.
-                        let n_strings = if rng.gen_ratio(1, 24) {
-                            2 + rng.gen_range(0..2)
+                        let n_strings = if rng.chance(1, 24) {
+                            2 + rng.below(2)
                         } else {
                             1
                         };
@@ -805,11 +814,11 @@ pub fn dns_trace(cfg: &SynthConfig) -> Vec<RawPacket> {
                             .map(|j| format!("v=spf{j} include:example.com"))
                             .collect();
                         let refs: Vec<&str> = strings.iter().map(String::as_str).collect();
-                        b = b.answer_txt(name, rng.gen_range(30..3600), &refs);
+                        b = b.answer_txt(name, 30 + rng.below(3570) as u32, &refs);
                     }
                     _ => {
-                        let target = DNS_NAMES[rng.gen_range(0..DNS_NAMES.len())];
-                        b = b.answer_mx(name, rng.gen_range(30..3600), 10, target);
+                        let target = pick(&mut rng, DNS_NAMES);
+                        b = b.answer_mx(name, 30 + rng.below(3570) as u32, 10, target);
                     }
                 }
             }
@@ -942,6 +951,387 @@ mod tests {
         }
         // Different seeds interleave differently.
         assert_ne!(a, chaos_http_trace(&ChaosConfig::new(100)));
+    }
+
+    /// FNV-1a over every packet's timestamp, wire length and bytes.
+    fn trace_digest(pkts: &[RawPacket]) -> (usize, u64) {
+        use hilti_rt::hashutil::{fnv1a_continue, FNV_OFFSET};
+        let h = pkts.iter().fold(FNV_OFFSET, |h, p| {
+            let h = fnv1a_continue(h, &p.ts.nanos().to_le_bytes());
+            let h = fnv1a_continue(h, &p.orig_len.to_le_bytes());
+            fnv1a_continue(h, &p.data)
+        });
+        (pkts.len(), h)
+    }
+
+    /// Every workload, pin and golden digest in the repo is generated from
+    /// these streams: a change to the generator or to the draws made from
+    /// it shows here first, and moves all of them.
+    #[test]
+    fn generator_streams_are_pinned() {
+        let synth = |seed, count| SynthConfig {
+            crud_percent: 10,
+            ..SynthConfig::new(seed, count)
+        };
+        let got: Vec<(&str, u64, (usize, u64))> = [11, 37]
+            .into_iter()
+            .flat_map(|seed| {
+                [
+                    ("http", http_trace(&synth(seed, 60))),
+                    ("dns", dns_trace(&synth(seed, 200))),
+                    ("throughput", throughput_trace(seed, 40)),
+                    ("throughput_dns", throughput_dns_trace(seed, 100)),
+                    ("chaos_http", chaos_http_trace(&ChaosConfig::new(seed))),
+                    ("chaos_dns", chaos_dns_trace(seed, 30, 5)),
+                ]
+                .map(|(name, pkts)| (name, seed, trace_digest(&pkts)))
+            })
+            .collect();
+        let want = [
+            ("http", 11, (678, 0xa0ce182bc0a4c095)),
+            ("dns", 11, (360, 0xca18b8e702a7b46b)),
+            ("throughput", 11, (323, 0xa56a6cf21470e661)),
+            ("throughput_dns", 11, (200, 0x90df201890b18738)),
+            ("chaos_http", 11, (355, 0xc119d9b1b961cdc6)),
+            ("chaos_dns", 11, (65, 0xb657bd305d442d9e)),
+            ("http", 37, (665, 0xd92fe24befbe0127)),
+            ("dns", 37, (368, 0x11cc6bf82254bcf9)),
+            ("throughput", 37, (325, 0x9b853c54914ebf41)),
+            ("throughput_dns", 37, (200, 0x381fb6c3c2cf23a0)),
+            ("chaos_http", 37, (352, 0x1b041a103b58b7ef)),
+            ("chaos_dns", 37, (65, 0xc63c6c4c6e41c989)),
+        ];
+        assert_eq!(got, want);
+    }
+
+    fn decoded(pkts: &[RawPacket]) -> Vec<crate::decode::DecodedPacket> {
+        pkts.iter()
+            .map(|p| decode_ethernet(p).expect("generated packets must decode"))
+            .collect()
+    }
+
+    /// Every DNS message of a trace without crud, parsed.
+    fn dns_messages(pkts: &[RawPacket]) -> Vec<crate::dns::DnsMessage> {
+        decoded(pkts)
+            .iter()
+            .map(|d| {
+                crate::dns::parse_message(&d.payload).expect("no crud, so every message parses")
+            })
+            .collect()
+    }
+
+    fn no_crud(seed: u64, count: usize) -> SynthConfig {
+        SynthConfig {
+            crud_percent: 0,
+            ..SynthConfig::new(seed, count)
+        }
+    }
+
+    #[test]
+    fn dns_trace_is_deterministic_and_seeded() {
+        let cfg = SynthConfig::new(42, 40);
+        assert_eq!(dns_trace(&cfg), dns_trace(&cfg));
+        assert_ne!(dns_trace(&cfg), dns_trace(&SynthConfig::new(43, 40)));
+    }
+
+    #[test]
+    fn throughput_trace_is_seeded() {
+        assert_ne!(throughput_trace(1, 20), throughput_trace(2, 20));
+    }
+
+    #[test]
+    fn chaos_dns_trace_is_deterministic_and_seeded() {
+        assert_eq!(chaos_dns_trace(4, 10, 2), chaos_dns_trace(4, 10, 2));
+        assert_ne!(chaos_dns_trace(4, 10, 2), chaos_dns_trace(5, 10, 2));
+    }
+
+    #[test]
+    fn throughput_dns_trace_answers_every_query_once() {
+        let flows = 150;
+        let pkts = throughput_dns_trace(13, flows);
+        assert_eq!(
+            pkts,
+            throughput_dns_trace(13, flows),
+            "must be deterministic"
+        );
+        assert_ne!(pkts, throughput_dns_trace(14, flows));
+        assert!(pksorted(&pkts));
+        assert_eq!(pkts.len(), 2 * flows);
+        let mut tuples = std::collections::HashSet::new();
+        for d in decoded(&pkts) {
+            assert_eq!(d.transport, Transport::Udp);
+            assert_eq!(d.dport, 53);
+            tuples.insert((d.src, d.sport, d.dst));
+        }
+        assert_eq!(tuples.len(), flows, "one 5-tuple per flow");
+        let mut open = std::collections::HashMap::new();
+        for m in dns_messages(&pkts) {
+            if m.is_response {
+                assert_eq!(open.remove(&m.id), Some(m.questions[0].name.clone()));
+                assert_eq!(m.answers.len(), 1);
+            } else {
+                assert!(open.insert(m.id, m.questions[0].name.clone()).is_none());
+            }
+        }
+        assert!(open.is_empty(), "unanswered: {open:?}");
+    }
+
+    #[test]
+    fn every_generator_roundtrips_through_pcap() {
+        let traces = [
+            dns_trace(&SynthConfig::new(9, 20)),
+            throughput_trace(9, 20),
+            throughput_dns_trace(9, 20),
+            chaos_http_trace(&ChaosConfig::new(9)),
+            chaos_dns_trace(9, 10, 2),
+        ];
+        for pkts in traces {
+            let img = crate::pcap::to_pcap_bytes(&pkts);
+            assert_eq!(crate::pcap::from_pcap_bytes(&img).unwrap(), pkts);
+        }
+    }
+
+    #[test]
+    fn timestamps_are_whole_microseconds() {
+        let traces = [
+            http_trace(&SynthConfig::new(2, 20)),
+            dns_trace(&SynthConfig::new(2, 50)),
+            throughput_trace(2, 100),
+            throughput_dns_trace(2, 100),
+            chaos_http_trace(&ChaosConfig::new(2)),
+            chaos_dns_trace(2, 10, 2),
+        ];
+        for pkts in traces {
+            assert!(pkts.iter().all(|p| p.ts.nanos() % 1_000 == 0));
+        }
+    }
+
+    #[test]
+    fn http_hosts_come_from_the_configured_pools() {
+        let cfg = SynthConfig {
+            clients: 30,
+            servers: 7,
+            ..SynthConfig::new(17, 200)
+        };
+        let mut clients = std::collections::HashSet::new();
+        let mut servers = std::collections::HashSet::new();
+        for d in decoded(&http_trace(&cfg)) {
+            let (client, server) = if d.dport == 80 {
+                (d.src, d.dst)
+            } else {
+                (d.dst, d.src)
+            };
+            clients.insert(client);
+            servers.insert(server);
+        }
+        assert!(
+            clients.len() <= cfg.clients && clients.len() > cfg.clients / 2,
+            "{}",
+            clients.len()
+        );
+        assert!(
+            servers.len() <= cfg.servers && servers.len() > 1,
+            "{}",
+            servers.len()
+        );
+    }
+
+    #[test]
+    fn http_requests_without_crud_each_open_with_a_method() {
+        let pkts = http_trace(&no_crud(19, 60));
+        let mut requests = 0;
+        for d in decoded(&pkts) {
+            if d.dport == 80 && !d.payload.is_empty() {
+                let method = d.payload.split(|&b| b == b' ').next().unwrap();
+                assert!(
+                    METHODS.iter().any(|(m, _)| m.as_bytes() == method),
+                    "{:?}",
+                    String::from_utf8_lossy(&d.payload[..16.min(d.payload.len())])
+                );
+                requests += 1;
+            }
+        }
+        // One to three requests per session, some retransmitted.
+        assert!((60..=200).contains(&requests), "{requests}");
+    }
+
+    #[test]
+    fn http_crud_sessions_carry_no_request() {
+        let cfg = SynthConfig {
+            crud_percent: 100,
+            ..SynthConfig::new(23, 30)
+        };
+        let pkts = http_trace(&cfg);
+        for d in decoded(&pkts) {
+            if !d.payload.is_empty() {
+                assert_eq!(d.dport, 80, "crud sessions get no response");
+                assert!(!d.payload.starts_with(b"GET /"));
+            }
+        }
+    }
+
+    #[test]
+    fn http_responses_follow_the_status_mix() {
+        let pkts = http_trace(&no_crud(29, 300));
+        let mut ok = 0;
+        let mut other = 0;
+        for d in decoded(&pkts) {
+            if d.sport == 80 && d.payload.starts_with(b"HTTP/1.1 ") {
+                if d.payload.starts_with(b"HTTP/1.1 200 ") {
+                    ok += 1;
+                } else {
+                    other += 1;
+                }
+            }
+        }
+        // Three in four responses are 200 OK.
+        let share = ok * 100 / (ok + other);
+        assert!((68..=82).contains(&share), "{ok} ok, {other} other");
+    }
+
+    /// The value of header `name` in a message's head, if present.
+    fn header<'p>(payload: &'p [u8], name: &str) -> Option<&'p str> {
+        let text = std::str::from_utf8(payload).ok()?;
+        let head = &text[..text.find("\r\n\r\n")?];
+        head.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(": "))
+    }
+
+    #[test]
+    fn http_request_bodies_match_their_content_length() {
+        let pkts = http_trace(&no_crud(61, 200));
+        let mut with_body = 0;
+        for d in decoded(&pkts) {
+            if d.dport != 80 || d.payload.is_empty() {
+                continue;
+            }
+            let head_end = 4 + d.payload.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+            let body = d.payload.len() - head_end;
+            match header(&d.payload, "Content-Length") {
+                Some(len) => {
+                    assert_eq!(len.parse::<usize>().unwrap(), body);
+                    with_body += 1;
+                }
+                None => assert_eq!(body, 0),
+            }
+        }
+        assert!(with_body > 20, "{with_body}");
+    }
+
+    #[test]
+    fn not_modified_responses_carry_no_body() {
+        let pkts = http_trace(&no_crud(67, 300));
+        let mut seen = 0;
+        for d in decoded(&pkts) {
+            if d.sport == 80 && d.payload.starts_with(b"HTTP/1.1 304 ") {
+                // The advertised length is there but must not be consumed.
+                assert!(header(&d.payload, "Content-Length").is_some());
+                assert!(d.payload.ends_with(b"\r\n\r\n"));
+                seen += 1;
+            }
+        }
+        assert!(seen > 5, "{seen}");
+    }
+
+    #[test]
+    fn dns_without_crud_parses_every_message() {
+        let pkts = dns_trace(&no_crud(31, 200));
+        let msgs = dns_messages(&pkts);
+        assert_eq!(msgs.len(), pkts.len());
+        assert!(msgs.iter().all(|m| m.questions.len() == 1));
+    }
+
+    #[test]
+    fn dns_trace_leaves_some_queries_unanswered_and_some_nxdomain() {
+        let msgs = dns_messages(&dns_trace(&no_crud(37, 1_000)));
+        let queries = msgs.iter().filter(|m| !m.is_response).count();
+        let responses = msgs.len() - queries;
+        let nxdomain = msgs
+            .iter()
+            .filter(|m| m.is_response && m.rcode == 3)
+            .count();
+        assert_eq!(queries, 1_000);
+        // One query in 20 goes unanswered; one answer in 12 is NXDOMAIN.
+        assert!((25..=75).contains(&(queries - responses)), "{responses}");
+        assert!((50..=120).contains(&nxdomain), "{nxdomain}");
+    }
+
+    #[test]
+    fn dns_queries_follow_the_type_mix() {
+        let msgs = dns_messages(&dns_trace(&no_crud(41, 1_000)));
+        let mut by_type = std::collections::HashMap::new();
+        for m in msgs.iter().filter(|m| !m.is_response) {
+            *by_type.entry(m.questions[0].qtype).or_insert(0u32) += 1;
+        }
+        // 60 % A, 15 % AAAA, 10 % CNAME, 8 % TXT, 7 % MX.
+        let want = [
+            (dns_types::A, 600),
+            (dns_types::AAAA, 150),
+            (dns_types::CNAME, 100),
+            (dns_types::TXT, 80),
+            (dns_types::MX, 70),
+        ];
+        assert_eq!(by_type.len(), want.len(), "{by_type:?}");
+        for (qtype, expected) in want {
+            let got = by_type[&qtype];
+            assert!(
+                got.abs_diff(expected) <= expected / 4 + 10,
+                "type {qtype}: {got}"
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_http_trace_has_one_flow_per_session() {
+        let cfg = ChaosConfig::new(47);
+        let pkts = decoded(&chaos_http_trace(&cfg));
+        let clients: std::collections::HashSet<_> = pkts
+            .iter()
+            .map(|d| if d.dport == 80 { d.src } else { d.dst })
+            .collect();
+        assert_eq!(clients.len(), cfg.total_sessions());
+        // A truncated handshake is a lone SYN; every other session's
+        // client also sends an ACK.
+        let acked: std::collections::HashSet<_> = pkts
+            .iter()
+            .filter(|d| d.dport == 80 && matches!(&d.transport, Transport::Tcp(t) if t.ack_flag()))
+            .map(|d| d.src)
+            .collect();
+        assert_eq!(clients.len() - acked.len(), cfg.truncated_handshakes);
+    }
+
+    #[test]
+    fn pick_weighted_follows_its_weights() {
+        let table = [("never", 0), ("rare", 1), ("common", 9)];
+        let mut rng = Rng::new(53);
+        let mut counts = std::collections::HashMap::new();
+        for _ in 0..10_000 {
+            *counts.entry(pick_weighted(&mut rng, &table)).or_insert(0) += 1;
+        }
+        assert_eq!(counts.get("never"), None);
+        assert!((800..=1_200).contains(&counts["rare"]), "{counts:?}");
+    }
+
+    /// Bodies are drawn at 16 bytes and up; the text kind has no magic
+    /// and is empty below one line.
+    #[test]
+    fn bodies_carry_their_magic_and_size() {
+        let magic: [&[u8]; 6] = [
+            b"<html>",
+            b"GIF89a",
+            b"\x89PNG\r\n\x1a\n",
+            b"{\"items\":[",
+            b"plain log line",
+            b"\x1f\x8b\x08\x00",
+        ];
+        let mut rng = Rng::new(59);
+        for (kind, magic) in magic.into_iter().enumerate() {
+            for size in [16, 32, 1_000] {
+                let (_ct, body) = make_body(&mut rng, kind, size);
+                assert!(body.starts_with(magic), "kind {kind}, size {size}");
+                assert!(body.len() >= size, "kind {kind}, size {size}");
+            }
+        }
     }
 
     fn pksorted(pkts: &[RawPacket]) -> bool {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
 #
+#   no registry      — `Cargo.lock` has no `source =` line: every dependency
+#                      is a workspace crate, none comes from a registry or git
 #   rustfmt          — `cargo fmt --all -- --check` over the workspace
 #   build (release)  — the artifacts the benchmarks run against
 #   test             — unit + integration suites across the workspace,
@@ -23,7 +25,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Formatting first: it needs no build and fails fastest. `cargo fmt` takes
+# The workspace builds from its own crates and `std` alone: a `source =`
+# line in the lock file means a registry or git dependency came back.
+if grep -n '^source = ' Cargo.lock; then
+    echo "tier1: Cargo.lock names a registry or git dependency"
+    exit 1
+fi
+
+# Formatting next: it needs no build and fails fast. `cargo fmt` takes
 # no resolution flags, so "$@" is not passed.
 cargo fmt --all -- --check
 cargo build --release "$@"

@@ -31,7 +31,7 @@
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
 use hilti::{Program, Value};
-use proptest::prelude::*;
+use hilti_rt::rng::Rng;
 
 const SLOTS: u8 = 6;
 
@@ -94,96 +94,101 @@ enum Step {
 /// Integer literals, weighted toward the edges of `int<64>` arithmetic:
 /// the minimum (whose negation and `div -1` wrap), -1, and shift amounts
 /// at and past the word size.
-fn imm_strategy() -> impl Strategy<Value = i64> {
-    prop_oneof![
-        5 => -50i64..50,
-        1 => Just(i64::MIN),
-        1 => Just(-1i64),
-        1 => Just(63i64),
-        1 => Just(64i64),
-        1 => Just(-64i64),
-    ]
+fn imm(rng: &mut Rng) -> i64 {
+    match rng.below(10) {
+        0..=4 => rng.below(100) as i64 - 50,
+        5 => i64::MIN,
+        6 => -1,
+        7 => 63,
+        8 => 64,
+        _ => -64,
+    }
 }
 
-fn src_strategy() -> impl Strategy<Value = Src> {
-    prop_oneof![
-        3 => (0u8..SLOTS).prop_map(Src::Slot),
-        1 => imm_strategy().prop_map(Src::Imm),
-    ]
+fn slot(rng: &mut Rng) -> u8 {
+    rng.below(u64::from(SLOTS)) as u8
 }
 
-fn bin_strategy() -> impl Strategy<Value = Step> {
-    let op = || 0..BIN_OPS.len() as u8;
-    prop_oneof![
-        3 => (op(), 0u8..SLOTS, src_strategy(), src_strategy())
-            .prop_map(|(op, dst, a, b)| Step::Bin { op, dst, a, b }),
-        // Constant-only, so the optimizer gets to fold every op.
-        1 => (op(), 0u8..SLOTS, imm_strategy(), imm_strategy()).prop_map(|(op, dst, a, b)| {
-            Step::Bin { op, dst, a: Src::Imm(a), b: Src::Imm(b) }
-        }),
-    ]
+fn src(rng: &mut Rng) -> Src {
+    if rng.chance(3, 4) {
+        Src::Slot(slot(rng))
+    } else {
+        Src::Imm(imm(rng))
+    }
 }
 
-fn diamond_strategy() -> impl Strategy<Value = Step> {
-    let slot = || 0u8..SLOTS;
-    (
-        0..CMP_OPS.len() as u8,
-        src_strategy(),
-        src_strategy(),
-        slot(),
-        slot(),
-        slot(),
-    )
-        .prop_map(|(cmp, a, b, dst, x, y)| Step::Diamond {
-            cmp,
-            a,
-            b,
-            dst,
-            x,
-            y,
-        })
+fn bin(rng: &mut Rng) -> Step {
+    let op = rng.below(BIN_OPS.len() as u64) as u8;
+    let dst = slot(rng);
+    // One in four is constant-only, so the optimizer gets to fold every op.
+    let (a, b) = if rng.chance(3, 4) {
+        (src(rng), src(rng))
+    } else {
+        (Src::Imm(imm(rng)), Src::Imm(imm(rng)))
+    };
+    Step::Bin { op, dst, a, b }
 }
 
-fn dead_strategy() -> impl Strategy<Value = Step> {
-    (
-        any::<bool>(),
-        1u8..3,
-        any::<bool>(),
-        0u8..SLOTS,
-        src_strategy(),
-    )
-        .prop_map(|(fmt, holes, text, x, b)| Step::Dead {
-            fmt,
-            holes,
-            text,
-            x,
-            b,
-        })
+fn diamond(rng: &mut Rng) -> Step {
+    Step::Diamond {
+        cmp: rng.below(CMP_OPS.len() as u64) as u8,
+        a: src(rng),
+        b: src(rng),
+        dst: slot(rng),
+        x: slot(rng),
+        y: slot(rng),
+    }
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    let slot = || 0u8..SLOTS;
-    prop_oneof![
-        3 => bin_strategy(),
-        2 => diamond_strategy(),
-        1 => (1u8..5, slot(), slot())
-            .prop_map(|(iters, dst, src)| Step::Loop { iters, dst, src }),
-        1 => dead_strategy(),
-    ]
+/// `Loop` with an iteration count in `1..max_iters`.
+fn repeat(rng: &mut Rng, max_iters: u64) -> Step {
+    Step::Loop {
+        iters: 1 + rng.below(max_iters - 1) as u8,
+        dst: slot(rng),
+        src: slot(rng),
+    }
+}
+
+fn step(rng: &mut Rng) -> Step {
+    match rng.below(7) {
+        0..=2 => bin(rng),
+        3 | 4 => diamond(rng),
+        5 => repeat(rng, 5),
+        _ => Step::Dead {
+            fmt: rng.chance(1, 2),
+            holes: 1 + rng.below(2) as u8,
+            text: rng.chance(1, 2),
+            x: slot(rng),
+            b: src(rng),
+        },
+    }
 }
 
 /// Loop-heavy variant: the distribution the specializer targets — counted
 /// loops with compare-and-branch back-edges dominate, with longer
 /// iteration counts so the fast tier executes thousands of specialized
 /// instructions per case rather than a handful.
-fn loop_heavy_step_strategy() -> impl Strategy<Value = Step> {
-    let slot = || 0u8..SLOTS;
-    prop_oneof![
-        4 => (1u8..40, slot(), slot())
-            .prop_map(|(iters, dst, src)| Step::Loop { iters, dst, src }),
-        2 => diamond_strategy(),
-        2 => bin_strategy(),
-    ]
+fn loop_heavy_step(rng: &mut Rng) -> Step {
+    match rng.below(8) {
+        0..=3 => repeat(rng, 40),
+        4 | 5 => diamond(rng),
+        _ => bin(rng),
+    }
+}
+
+/// `lo + below(hi - lo)` steps drawn by `step`.
+fn recipe(rng: &mut Rng, lo: u64, hi: u64, step: fn(&mut Rng) -> Step) -> Vec<Step> {
+    (0..lo + rng.below(hi - lo)).map(|_| step(rng)).collect()
+}
+
+/// The four constants `t2..t5` start as.
+fn consts(rng: &mut Rng) -> [i64; 4] {
+    [(); 4].map(|()| imm(rng))
+}
+
+/// A value in `-n..n`.
+fn around_zero(rng: &mut Rng, n: u64) -> i64 {
+    rng.below(2 * n) as i64 - n as i64
 }
 
 /// Renders a recipe as a textual HILTI module with a single
@@ -302,19 +307,16 @@ fn outcome(r: Result<Value, hilti_rt::error::RtError>) -> Result<i64, String> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Cases per property; `engines_agree_on_total_fuel` runs half as many.
+const CASES: u32 = 48;
 
-    #[test]
-    fn engines_and_optimizer_agree(
-        recipe in prop::collection::vec(step_strategy(), 1..10),
-        consts in prop::collection::vec(imm_strategy(), 4),
-        ret in 0u8..SLOTS,
-        a in -1000i64..1000,
-        b in -1000i64..1000,
-    ) {
-        let src = emit(&recipe, &consts, ret);
-        let args = [Value::Int(a), Value::Int(b)];
+#[test]
+fn engines_and_optimizer_agree() {
+    for case in 0..CASES {
+        let rng = &mut Rng::for_case("engines_and_optimizer_agree", case);
+        let recipe = recipe(rng, 1, 10, step);
+        let src = emit(&recipe, &consts(rng), slot(rng));
+        let args = [around_zero(rng, 1000), around_zero(rng, 1000)].map(Value::Int);
 
         let mut plain = build(&src, OptLevel::None, true);
         let mut plain_nospec = build(&src, OptLevel::None, false);
@@ -331,23 +333,27 @@ proptest! {
             ("optimized VM, no specializer", &mut opt_nospec),
         ] {
             let (r, out) = run_vm(p, &args);
-            prop_assert_eq!(&oracle, &r, "{} diverged from interpreter\n{}", label, src);
-            prop_assert_eq!(&oracle_out, &out, "{} printed differently\n{}", label, src);
+            assert_eq!(
+                oracle, r,
+                "case {case}: {label} diverged from interpreter\n{src}"
+            );
+            assert_eq!(
+                oracle_out, out,
+                "case {case}: {label} printed differently\n{src}"
+            );
         }
     }
+}
 
-    /// The specializer's target distribution: loop-heavy integer/branch
-    /// kernels, run with the pass on and off at both optimization levels.
-    #[test]
-    fn loop_heavy_specializer_on_off_agree(
-        recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..12),
-        consts in prop::collection::vec(imm_strategy(), 4),
-        ret in 0u8..SLOTS,
-        a in -1000i64..1000,
-        b in -1000i64..1000,
-    ) {
-        let src = emit(&recipe, &consts, ret);
-        let args = [Value::Int(a), Value::Int(b)];
+/// The specializer's target distribution: loop-heavy integer/branch
+/// kernels, run with the pass on and off at both optimization levels.
+#[test]
+fn loop_heavy_specializer_on_off_agree() {
+    for case in 0..CASES {
+        let rng = &mut Rng::for_case("loop_heavy_specializer_on_off_agree", case);
+        let recipe = recipe(rng, 2, 12, loop_heavy_step);
+        let src = emit(&recipe, &consts(rng), slot(rng));
+        let args = [around_zero(rng, 1000), around_zero(rng, 1000)].map(Value::Int);
 
         let mut plain_nospec = build(&src, OptLevel::None, false);
         let mut plain_spec = build(&src, OptLevel::None, true);
@@ -356,36 +362,36 @@ proptest! {
         let oracle = outcome(plain_nospec.run_interpreted("Fuzz::kernel", &args));
         let oracle_out = plain_nospec.take_output();
 
-        let (vm_nospec, out_nospec) = run_vm(&mut plain_nospec, &args);
-        let (vm_spec, out_spec) = run_vm(&mut plain_spec, &args);
-        let (vm_opt_spec, out_opt_spec) = run_vm(&mut opt_spec, &args);
-
-        prop_assert_eq!(&oracle, &vm_nospec, "generic VM diverged\n{}", src);
-        prop_assert_eq!(&oracle, &vm_spec, "specialized VM diverged\n{}", src);
-        prop_assert_eq!(&oracle, &vm_opt_spec, "optimized+specialized VM diverged\n{}", src);
-        prop_assert_eq!(&oracle_out, &out_nospec, "generic VM printed differently\n{}", src);
-        prop_assert_eq!(&oracle_out, &out_spec, "specialized VM printed differently\n{}", src);
-        prop_assert_eq!(&oracle_out, &out_opt_spec, "optimized+specialized VM printed differently\n{}", src);
+        for (label, p) in [
+            ("generic VM", &mut plain_nospec),
+            ("specialized VM", &mut plain_spec),
+            ("optimized+specialized VM", &mut opt_spec),
+        ] {
+            let (r, out) = run_vm(p, &args);
+            assert_eq!(oracle, r, "case {case}: {label} diverged\n{src}");
+            assert_eq!(
+                oracle_out, out,
+                "case {case}: {label} printed differently\n{src}"
+            );
+        }
     }
+}
 
-    /// Resource governance differential: under a fuel limit, the
-    /// tree-walking interpreter and the bytecode VM (specializer on and
-    /// off) must exhaust at the *same* point — same outcome (including
-    /// `Hilti::ResourceExhausted`), same printed prefix, same remaining
-    /// fuel. Fuel parity holds only at matching optimization level, so
-    /// every engine runs unoptimized IR here.
-    #[test]
-    fn fuel_exhaustion_is_engine_equivalent(
-        recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..10),
-        consts in prop::collection::vec(imm_strategy(), 4),
-        ret in 0u8..SLOTS,
-        a in -1000i64..1000,
-        fuel_limit in 0u64..400,
-    ) {
-        let src = emit(&recipe, &consts, ret);
-        let args = [Value::Int(a), Value::Int(9)];
+/// Resource governance differential: under a fuel limit, the
+/// tree-walking interpreter and the bytecode VM (specializer on and
+/// off) must exhaust at the *same* point — same outcome (including
+/// `Hilti::ResourceExhausted`), same printed prefix, same remaining
+/// fuel. Fuel parity holds only at matching optimization level, so
+/// every engine runs unoptimized IR here.
+#[test]
+fn fuel_exhaustion_is_engine_equivalent() {
+    for case in 0..CASES {
+        let rng = &mut Rng::for_case("fuel_exhaustion_is_engine_equivalent", case);
+        let recipe = recipe(rng, 2, 10, loop_heavy_step);
+        let src = emit(&recipe, &consts(rng), slot(rng));
+        let args = [Value::Int(around_zero(rng, 1000)), Value::Int(9)];
         let limits = hilti_rt::limits::ResourceLimits {
-            fuel: Some(fuel_limit),
+            fuel: Some(rng.below(400)),
             ..Default::default()
         };
 
@@ -399,33 +405,31 @@ proptest! {
             let mut vm = build(&src, OptLevel::None, specialize);
             vm.set_limits(limits);
             let (r, out) = run_vm(&mut vm, &args);
-            prop_assert_eq!(&oracle, &r, "{} VM outcome diverged under fuel\n{}", label, src);
-            prop_assert_eq!(&oracle_out, &out, "{} VM output diverged under fuel\n{}", label, src);
-            prop_assert_eq!(
-                oracle_left,
-                vm.context().fuel_remaining(),
-                "{} VM remaining fuel diverged\n{}",
-                label,
-                src
-            );
+            let at = format!("case {case}: {label} VM");
+            assert_eq!(oracle, r, "{at} outcome diverged under fuel\n{src}");
+            assert_eq!(oracle_out, out, "{at} output diverged under fuel\n{src}");
+            let left = vm.context().fuel_remaining();
+            assert_eq!(oracle_left, left, "{at} remaining fuel diverged\n{src}");
         }
     }
+}
 
-    /// The optimizer is deterministic and idempotent at the outcome level:
-    /// two independent optimized builds of the same source agree.
-    #[test]
-    fn optimized_build_is_deterministic(
-        recipe in prop::collection::vec(step_strategy(), 1..6),
-        consts in prop::collection::vec(-20i64..20, 4),
-        a in -100i64..100,
-    ) {
+/// The optimizer is deterministic and idempotent at the outcome level:
+/// two independent optimized builds of the same source agree.
+#[test]
+fn optimized_build_is_deterministic() {
+    for case in 0..CASES {
+        let rng = &mut Rng::for_case("optimized_build_is_deterministic", case);
+        let recipe = recipe(rng, 1, 6, step);
+        let consts = [(); 4].map(|()| around_zero(rng, 20));
         let src = emit(&recipe, &consts, 0);
-        let args = [Value::Int(a), Value::Int(7)];
+        let args = [Value::Int(around_zero(rng, 100)), Value::Int(7)];
         let mut p1 = Program::from_sources(&[&src], OptLevel::Full).unwrap();
         let mut p2 = Program::from_sources(&[&src], OptLevel::Full).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             outcome(p1.run("Fuzz::kernel", &args)),
-            outcome(p2.run("Fuzz::kernel", &args))
+            outcome(p2.run("Fuzz::kernel", &args)),
+            "case {case}\n{src}"
         );
     }
 }
@@ -530,24 +534,18 @@ int<64> kernel(int<64> a, int<64> b) {
     assert_eq!(oracle, outcome(opt.run("Fuzz::kernel", &args)));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Unmetered runs: the VM, specializer on and off, must agree with the
-    /// interpreter oracle on outcome (value or exception kind), printed
-    /// output *and* total fuel spent — specialization may only change
-    /// dispatch speed, never observable behaviour. Unoptimized IR
-    /// throughout, so fuel parity with the oracle is exact.
-    #[test]
-    fn engines_agree_on_total_fuel(
-        recipe in prop::collection::vec(loop_heavy_step_strategy(), 2..10),
-        consts in prop::collection::vec(imm_strategy(), 4),
-        ret in 0u8..SLOTS,
-        a in -1000i64..1000,
-        b in -1000i64..1000,
-    ) {
-        let src = emit(&recipe, &consts, ret);
-        let args = [Value::Int(a), Value::Int(b)];
+/// Unmetered runs: the VM, specializer on and off, must agree with the
+/// interpreter oracle on outcome (value or exception kind), printed
+/// output *and* total fuel spent — specialization may only change
+/// dispatch speed, never observable behaviour. Unoptimized IR
+/// throughout, so fuel parity with the oracle is exact.
+#[test]
+fn engines_agree_on_total_fuel() {
+    for case in 0..CASES / 2 {
+        let rng = &mut Rng::for_case("engines_agree_on_total_fuel", case);
+        let recipe = recipe(rng, 2, 10, loop_heavy_step);
+        let src = emit(&recipe, &consts(rng), slot(rng));
+        let args = [around_zero(rng, 1000), around_zero(rng, 1000)].map(Value::Int);
 
         let mut oracle_p = build(&src, OptLevel::None, true);
         let oracle = outcome(oracle_p.run_interpreted("Fuzz::kernel", &args));
@@ -557,12 +555,11 @@ proptest! {
         for specialize in [true, false] {
             let mut p = build(&src, OptLevel::None, specialize);
             let (r, out) = run_vm(&mut p, &args);
-            prop_assert_eq!(&oracle, &r, "spec={} outcome diverged\n{}", specialize, src);
-            prop_assert_eq!(&oracle_out, &out, "spec={} printed differently\n{}", specialize, src);
-            prop_assert_eq!(
-                oracle_fuel, p.context().fuel_spent(),
-                "spec={} fuel diverged\n{}", specialize, src
-            );
+            let at = format!("case {case}: spec={specialize}");
+            assert_eq!(oracle, r, "{at} outcome diverged\n{src}");
+            assert_eq!(oracle_out, out, "{at} printed differently\n{src}");
+            let spent = p.context().fuel_spent();
+            assert_eq!(oracle_fuel, spent, "{at} fuel diverged\n{src}");
         }
     }
 }

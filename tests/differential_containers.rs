@@ -18,7 +18,7 @@
 
 use hilti::passes::OptLevel;
 use hilti::{Program, Value};
-use proptest::prelude::*;
+use hilti_rt::rng::Rng;
 
 /// Value sources for container operations: `t0`/`t1` are the function
 /// arguments, `t2`/`t3` constants, `acc` the running checksum.
@@ -88,31 +88,38 @@ enum CStep {
     },
 }
 
-fn step_strategy() -> impl Strategy<Value = CStep> {
-    let key = || 0u8..6; // small key space so hits and misses both happen
-    let val = || 0u8..VAL_SLOTS.len() as u8;
-    prop_oneof![
-        3 => (key(), val()).prop_map(|(k, v)| CStep::MapInsert { k, v }),
-        2 => key().prop_map(|k| CStep::MapGet { k }),
-        1 => (key(), -9i8..9).prop_map(|(k, d)| CStep::MapGetDefault { k, d }),
-        1 => key().prop_map(|k| CStep::MapRemove { k }),
-        1 => Just(CStep::MapSize),
-        3 => key().prop_map(|k| CStep::SetInsert { k }),
-        1 => key().prop_map(|k| CStep::SetRemove { k }),
-        2 => key().prop_map(|k| CStep::SetExists { k }),
-        1 => Just(CStep::SetSize),
-        3 => val().prop_map(|v| CStep::VecPush { v }),
-        2 => key().prop_map(|i| CStep::VecGet { i }),
-        1 => (key(), val()).prop_map(|(i, v)| CStep::VecSet { i, v }),
-        1 => Just(CStep::VecLen),
-        2 => val().prop_map(|v| CStep::ListPushBack { v }),
-        1 => val().prop_map(|v| CStep::ListPushFront { v }),
-        1 => Just(CStep::ListPopBack),
-        1 => Just(CStep::ListPopFront),
-        1 => Just(CStep::ListLen),
-        1 => Just(CStep::Print),
-        6 => (0u8..CONTAINERS.len() as u8).prop_map(|c| CStep::Render { c }),
-    ]
+fn step(rng: &mut Rng) -> CStep {
+    // A small key space, so that hits and misses both happen.
+    let k = rng.below(6) as u8;
+    let v = rng.below(VAL_SLOTS.len() as u64) as u8;
+    // Each arm's share is its count of the 35 values.
+    match rng.below(35) {
+        0..=2 => CStep::MapInsert { k, v },
+        3 | 4 => CStep::MapGet { k },
+        5 => CStep::MapGetDefault {
+            k,
+            d: rng.below(18) as i8 - 9,
+        },
+        6 => CStep::MapRemove { k },
+        7 => CStep::MapSize,
+        8..=10 => CStep::SetInsert { k },
+        11 => CStep::SetRemove { k },
+        12 | 13 => CStep::SetExists { k },
+        14 => CStep::SetSize,
+        15..=17 => CStep::VecPush { v },
+        18 | 19 => CStep::VecGet { i: k },
+        20 => CStep::VecSet { i: k, v },
+        21 => CStep::VecLen,
+        22 | 23 => CStep::ListPushBack { v },
+        24 => CStep::ListPushFront { v },
+        25 => CStep::ListPopBack,
+        26 => CStep::ListPopFront,
+        27 => CStep::ListLen,
+        28 => CStep::Print,
+        _ => CStep::Render {
+            c: rng.below(CONTAINERS.len() as u64) as u8,
+        },
+    }
 }
 
 fn emit(recipe: &[CStep], c2: i64, c3: i64) -> String {
@@ -237,31 +244,30 @@ fn observe(p: &mut Program, interp: bool, args: &[Value]) -> (Result<i64, String
     (outcome, p.take_output())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn container_semantics_agree_across_engines(
-        recipe in prop::collection::vec(step_strategy(), 1..16),
-        c2 in -9i64..9,
-        c3 in 0i64..9,
-        a in -5i64..5,
-        b in -5i64..5,
-    ) {
+#[test]
+fn container_semantics_agree_across_engines() {
+    for case in 0..256 {
+        let rng = &mut Rng::for_case("container_semantics_agree_across_engines", case);
+        let recipe: Vec<CStep> = (0..1 + rng.below(15)).map(|_| step(rng)).collect();
+        let c2 = rng.below(18) as i64 - 9;
+        let c3 = rng.below(9) as i64;
         let src = emit(&recipe, c2, c3);
-        let args = [Value::Int(a), Value::Int(b)];
+        let args = [rng.below(10) as i64 - 5, rng.below(10) as i64 - 5].map(Value::Int);
 
         let mut plain = Program::from_sources(&[&src], OptLevel::None)
-            .unwrap_or_else(|e| panic!("generated program rejected: {e}\n{src}"));
+            .unwrap_or_else(|e| panic!("case {case}: generated program rejected: {e}\n{src}"));
         let mut opt = Program::from_sources(&[&src], OptLevel::Full)
-            .unwrap_or_else(|e| panic!("optimized build rejected: {e}\n{src}"));
+            .unwrap_or_else(|e| panic!("case {case}: optimized build rejected: {e}\n{src}"));
 
         let oracle = observe(&mut plain, true, &args);
         let vm = observe(&mut plain, false, &args);
         let vm_opt = observe(&mut opt, false, &args);
 
-        prop_assert_eq!(&oracle, &vm, "interpreter vs VM diverged\n{}", src);
-        prop_assert_eq!(&oracle, &vm_opt, "optimizer changed behaviour\n{}", src);
+        assert_eq!(oracle, vm, "case {case}: interpreter vs VM diverged\n{src}");
+        assert_eq!(
+            oracle, vm_opt,
+            "case {case}: optimizer changed behaviour\n{src}"
+        );
     }
 }
 
