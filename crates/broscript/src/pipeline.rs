@@ -100,9 +100,9 @@ pub struct HeldState {
     pub script_entries: u64,
 }
 
-/// Resource-governance policy for an analysis run. The default is the
-/// legacy ungoverned behavior: no limits, no expiration, and any error
-/// aborts the whole run.
+/// Resource-governance policy for an analysis run. The default governs
+/// nothing: no limits, no expiration, and the first error aborts the whole
+/// run.
 #[derive(Clone, Default)]
 pub struct Governance {
     /// Evict flows — and their parser state — idle for longer than this

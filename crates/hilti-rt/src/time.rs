@@ -67,11 +67,21 @@ impl AddAssign<Interval> for Time {
     }
 }
 
+impl Sub<Interval> for Time {
+    type Output = Time;
+
+    fn sub(self, rhs: Interval) -> Time {
+        Time(self.0.saturating_sub_signed(rhs.0))
+    }
+}
+
+/// The signed difference, saturated where it leaves `i64`.
 impl Sub for Time {
     type Output = Interval;
 
     fn sub(self, rhs: Time) -> Interval {
-        Interval(self.0 as i64 - rhs.0 as i64)
+        let saturated = if self > rhs { i64::MAX } else { i64::MIN };
+        Interval(self.0.checked_signed_diff(rhs.0).unwrap_or(saturated))
     }
 }
 
@@ -195,6 +205,32 @@ mod tests {
     fn negative_interval_addition_saturates_at_zero() {
         let t = Time::from_secs(1);
         assert_eq!(t + Interval::from_secs(-5), Time::ZERO);
+    }
+
+    /// Differences exact while they fit, saturated past `i64`, and an
+    /// interval of `i64::MIN` subtracted as the positive `2^63` it stands
+    /// for: no overflow panics, no wrapped results.
+    #[test]
+    fn subtraction_saturates_at_the_edges() {
+        let (min, max) = (
+            Interval::from_nanos(i64::MIN),
+            Interval::from_nanos(i64::MAX),
+        );
+        let (zero, top) = (Time::ZERO, Time::from_nanos(u64::MAX));
+        assert_eq!(top - zero, max);
+        assert_eq!(zero - top, min);
+        let (a, b) = (Time::from_nanos(9 << 60), Time::from_nanos(10 << 60));
+        assert_eq!(a - b, Interval::from_nanos(-(1 << 60)));
+        assert_eq!(
+            Time::from_secs(5) - min,
+            Time::from_nanos(5_000_000_000 + (1 << 63))
+        );
+        assert_eq!(top - min, top);
+        assert_eq!(Time::from_secs(5) - Interval::from_secs(7), zero);
+        assert_eq!(
+            Time::from_secs(5) - Interval::from_secs(-2),
+            Time::from_secs(7)
+        );
     }
 
     #[test]

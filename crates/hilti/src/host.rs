@@ -891,6 +891,11 @@ string f() {
     local regexp r
     local any t
     local ref<bytes> d
+    local addr a
+    local net n
+    local port p
+    local time tm
+    local interval iv
     local string kind
     local string msg
     try {
@@ -908,8 +913,24 @@ string f() {
         use crate::types::Type;
         const TYPE_ERROR: &str = "Hilti::TypeError: ";
         let mut rows: Vec<(String, String, &str)> = Vec::new();
-        // Every typed row, its first operand a Null slot of its kind, the
-        // others a slot or an immediate of theirs.
+        // Every typed row, its operands Null slots of their kinds (an int or
+        // bool past the first an immediate), so the first is reported. A row
+        // of three operands stays generic: its bucket is its mnemonic.
+        let slot = |t: &Type| match t {
+            Type::Int(_) => ("u", "Hilti::TypeError: expected int, got null"),
+            Type::Bool => ("c", "Hilti::TypeError: expected bool, got null"),
+            Type::Double => ("x", "Hilti::TypeError: expected double, got null"),
+            Type::String => ("z", "Hilti::TypeError: expected string, got null"),
+            Type::Bytes => ("d", "Hilti::TypeError: expected bytes, got null"),
+            Type::BytesIter => ("it", "Hilti::TypeError: expected iterator<bytes>, got null"),
+            Type::Addr => ("a", "Hilti::TypeError: expected addr, got null"),
+            Type::Net => ("n", "Hilti::TypeError: expected net, got null"),
+            Type::Port => ("p", "Hilti::TypeError: expected port, got null"),
+            Type::Time => ("tm", "Hilti::TypeError: expected time, got null"),
+            Type::Interval => ("iv", "Hilti::TypeError: expected interval, got null"),
+            Type::Regexp => ("r", "Hilti::TypeError: expected regexp, got null"),
+            other => panic!("no case for {other}"),
+        };
         let typed = crate::ir::GROUPS
             .iter()
             .flat_map(|(_, ms)| ms.iter())
@@ -917,27 +938,25 @@ string f() {
             .filter(|op| crate::ops::has_typed_form(*op));
         for op in typed {
             let (params, result) = op.signature().unwrap();
-            let (null, raised) = match &params[0] {
-                Type::Int(_) => ("u", "Hilti::TypeError: expected int, got null"),
-                Type::Bool => ("c", "Hilti::TypeError: expected bool, got null"),
-                Type::BytesIter => ("it", "Hilti::TypeError: expected iterator<bytes>, got null"),
-                other => panic!("{}: no case for {other}", op.mnemonic()),
-            };
             let rest = params[1..].iter().map(|p| match p {
                 Type::Int(_) => "1",
                 Type::Bool => "True",
-                _ => "j",
+                other => slot(other).0,
             });
+            let operands: Vec<&str> = std::iter::once(slot(&params[0]).0).chain(rest).collect();
             let target = match result {
                 Type::Int(_) => "y",
                 Type::Bool => "b",
                 Type::BytesIter => "j",
-                Type::Double => "x",
-                _ => "z",
+                Type::Void => "t",
+                other => slot(&other).0,
             };
-            let operands: Vec<&str> = std::iter::once(null).chain(rest).collect();
             let body = format!("{target} = {} {}", op.mnemonic(), operands.join(" "));
-            rows.push((body, op.spec_name().into(), raised));
+            let bucket = match params.len() {
+                3 => op.mnemonic(),
+                _ => op.spec_name(),
+            };
+            rows.push((body, bucket.into(), slot(&params[0]).1));
         }
         let branch = "if.else BOOL yes no\nyes:\n        y = assign 1\nno:";
         let fused = format!("b = int.lt u 1\n        {}", branch.replace("BOOL", "b"));

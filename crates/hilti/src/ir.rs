@@ -326,7 +326,7 @@ opcodes! {
         IntShr = "int.shr" [Typed fold] (Int, Int) -> Int,
         IntToDouble = "int.to_double" [Typed fold] (Int) -> Double,
         IntToString = "int.to_string" [Typed] (Int) -> String,
-        IntFromBytes = "int.from_bytes" [Traps],
+        IntFromBytes = "int.from_bytes" [Traps] (Bytes, Int) -> Int,
     },
     "Booleans" => {
         BoolAnd = "bool.and" [Typed fold] (Bool, Bool) -> Bool,
@@ -838,7 +838,6 @@ mod tests {
             Type::Any => vec![
                 Value::Null,
                 Value::Bool(true),
-                // Radixes: `int.from_bytes` panics outside 2..=36.
                 Value::Int(2),
                 Value::Int(10),
                 Value::Double(0.5),

@@ -16,6 +16,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use hilti_rt::addr::{Addr, Network, Port};
 use hilti_rt::bytestring::{Bytes, BytesIter};
 use hilti_rt::classifier::{with_scratch, Classifier, FieldMatcher, FieldValue};
 use hilti_rt::containers::ExpireStrategy;
@@ -147,13 +148,6 @@ fn as_struct(v: &Value) -> RtResult<&Rc<RefCell<StructVal>>> {
     }
 }
 
-fn as_regexp(v: &Value) -> RtResult<&Rc<Regex>> {
-    match v {
-        Value::Regexp(r) => Ok(r),
-        other => Err(other.type_err("regexp")),
-    }
-}
-
 fn as_classifier(v: &Value) -> RtResult<&Rc<RefCell<Classifier<Value>>>> {
     match v {
         Value::Classifier(c) => Ok(c),
@@ -273,13 +267,13 @@ pub(crate) trait Kind {
 }
 
 macro_rules! kinds {
-    ($( $kind:ident: $arg:ty = $read:ident, $out:ty => $wrap:expr; )*) => { $(
+    ($( $kind:ident: $arg:ty = $read:expr, $out:ty => $wrap:expr; )*) => { $(
         impl Kind for kind::$kind {
             type Arg<'a> = $arg;
             type Out = $out;
             #[inline(always)]
             fn read(v: &Value) -> RtResult<Self::Arg<'_>> {
-                v.$read()
+                $read(v)
             }
             #[inline(always)]
             fn wrap(out: $out) -> Value {
@@ -290,11 +284,21 @@ macro_rules! kinds {
 }
 
 kinds! {
-    Int: i64 = as_int, i64 => Value::Int;
-    Bool: bool = as_bool, bool => Value::Bool;
-    Double: f64 = as_double, f64 => Value::Double;
-    String: &'a str = as_str, String => |s: String| Value::str(&s);
-    BytesIter: &'a BytesIter = as_bytes_iter, BytesIter => Value::BytesIter;
+    Int: i64 = Value::as_int, i64 => Value::Int;
+    Bool: bool = Value::as_bool, bool => Value::Bool;
+    Double: f64 = Value::as_double, f64 => Value::Double;
+    // A string result is handed over as built: no copy into a new `Rc`.
+    String: &'a str = Value::as_str, Rc<str> => Value::String;
+    Bytes: &'a Bytes = Value::as_bytes, Bytes => Value::Bytes;
+    BytesIter: &'a BytesIter = Value::as_bytes_iter, BytesIter => Value::BytesIter;
+    Addr: Addr = Value::as_addr, Addr => Value::Addr;
+    Net: Network = Value::as_net, Network => Value::Net;
+    Port: Port = Value::as_port, Port => Value::Port;
+    Time: Time = Value::as_time, Time => Value::Time;
+    Interval: Interval = Value::as_interval, Interval => Value::Interval;
+    Regexp: &'a Rc<Regex> = Value::as_regexp, Rc<Regex> => Value::Regexp;
+    // A result only: no signature takes a void operand.
+    Void: () = |_| Ok(()), () => |()| Value::Null;
 }
 
 /// A kind a `&mut` row steps in place in the slot that holds it.
@@ -323,47 +327,48 @@ pub(crate) trait Signature {
     fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>>;
 }
 
-impl<A: Kind, R: Kind> Signature for fn(A) -> R {
-    const ARITY: usize = 1;
-    type First = A;
-    type Ret = R;
-    type Args<'a> = (A::Arg<'a>,);
-    #[inline(always)]
-    fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>> {
-        Ok((A::read(arg(0))?,))
-    }
+macro_rules! signatures {
+    ($( $arity:literal: $($p:ident $i:tt),+; )*) => { $(
+        impl<$($p: Kind,)+ R: Kind> Signature for fn($($p),+) -> R {
+            const ARITY: usize = $arity;
+            type First = A;
+            type Ret = R;
+            type Args<'a> = ($($p::Arg<'a>,)+);
+            #[inline(always)]
+            fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>> {
+                Ok(($($p::read(arg($i))?,)+))
+            }
+        }
+    )* };
 }
 
-impl<A: Kind, B: Kind, R: Kind> Signature for fn(A, B) -> R {
-    const ARITY: usize = 2;
-    type First = A;
-    type Ret = R;
-    type Args<'a> = (A::Arg<'a>, B::Arg<'a>);
-    #[inline(always)]
-    fn read<'a>(arg: impl Fn(usize) -> &'a Value) -> RtResult<Self::Args<'a>> {
-        Ok((A::read(arg(0))?, B::read(arg(1))?))
-    }
+signatures! {
+    1: A 0;
+    2: A 0, B 1;
+    3: A 0, B 1, C 2;
 }
 
 /// One typed row, in the form [`eval`] (a new value) or [`exec`] (into a
-/// slot) runs it. A `&mut` row's body steps its first operand and yields
-/// nothing; it steps the slot itself when that is also the destination.
+/// slot) runs it for `$opcode`, one of the row's opcodes. A `&mut` row's
+/// body steps its first operand and yields nothing; it steps the slot
+/// itself when that is also the destination.
 macro_rules! typed_row {
-    (apply $op:ident [] ($($a:ident),*) $body:expr; $args:ident) => {{
-        arity($args, <sig::$op as Signature>::ARITY, Opcode::$op)?;
-        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i])?;
-        Ok(<<sig::$op as Signature>::Ret as Kind>::wrap($body))
-    }};
-    (apply $op:ident [$m:ident] ($($a:ident),*) $body:expr; $args:ident) => {{
-        arity($args, <sig::$op as Signature>::ARITY, Opcode::$op)?;
+    (apply [$op:ident $(| $same:ident)*] (&mut $m:ident $(, $a:ident)*) $body:expr;
+     $opcode:ident, $args:ident) => {{
+        arity($args, <sig::$op as Signature>::ARITY, $opcode)?;
         let ($m, $($a,)*) = <sig::$op as Signature>::read(|i| $args[i])?;
         Ok(typed_row!(stepped $op $m $body))
     }};
-    (exec $op:ident [] ($($a:ident),*) $body:expr; $slots:ident, $dst:ident, $args:ident) => {{
-        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
-        <<sig::$op as Signature>::Ret as Kind>::wrap($body)
+    (apply [$op:ident $(| $same:ident)*] ($($a:ident),*) $body:expr;
+     $opcode:ident, $args:ident) => {{
+        // Opcodes that share a row share its signature.
+        $( const _: fn(sig::$op) -> sig::$same = |s| s; )*
+        arity($args, <sig::$op as Signature>::ARITY, $opcode)?;
+        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i])?;
+        Ok(<<sig::$op as Signature>::Ret as Kind>::wrap($body))
     }};
-    (exec $op:ident [$m:ident] ($($a:ident),*) $body:expr; $slots:ident, $dst:ident, $args:ident) => {{
+    (exec [$op:ident $(| $same:ident)*] (&mut $m:ident $(, $a:ident)*) $body:expr;
+     $slots:ident, $dst:ident, $args:ident) => {{
         let ($m, $($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
         if matches!($args[0], Src::Slot(s) if s == $dst) {
             let slot = &mut $slots[$dst as usize];
@@ -373,6 +378,11 @@ macro_rules! typed_row {
             return Ok(false);
         }
         typed_row!(stepped $op $m $body)
+    }};
+    (exec [$op:ident $(| $same:ident)*] ($($a:ident),*) $body:expr;
+     $slots:ident, $dst:ident, $args:ident) => {{
+        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
+        <<sig::$op as Signature>::Ret as Kind>::wrap($body)
     }};
     // A `&mut` row run on a copy of its first operand, which it returns.
     (stepped $op:ident $m:ident $body:expr) => {{
@@ -388,42 +398,49 @@ macro_rules! typed_row {
 /// The typed rows: each states an op's semantics once, over operands read
 /// at the kinds of its `opcodes!` signature. `eval`'s arm, the VM's
 /// `CInstr::Typed` and `BrIf`, the specializer's rule and the `--stats`
-/// bucket all come from the row.
+/// bucket all come from the row. Opcodes of one signature may share a
+/// row; its body names the one it runs as the identifier before the rows.
 macro_rules! typed_ops {
-    ($( $op:ident($(&mut $m:ident,)? $($a:ident),*) => $body:expr, )*) => {
+    ($opcode:ident: $( $($op:ident)|+ ($($params:tt)*) => $body:expr, )*) => {
         /// The typed rows' opcodes, as a pattern.
         macro_rules! typed_opcode {
-            () => { $(Opcode::$op)|* };
+            () => { $($(Opcode::$op)|+)|* };
         }
 
         /// True for an opcode with a typed row: the ones the specializer
-        /// rewrites to [`CInstr::Typed`](crate::bytecode::CInstr::Typed).
+        /// rewrites to [`CInstr::Typed`](crate::bytecode::CInstr::Typed)
+        /// where its operands allow.
         pub(crate) fn has_typed_form(op: Opcode) -> bool {
             matches!(op, typed_opcode!())
         }
 
         /// `eval`'s arm for the typed rows.
-        fn apply(op: Opcode, args: &[&Value]) -> RtResult<Value> {
-            match op {
-                $( Opcode::$op => typed_row!(apply $op [$($m)?] ($($a),*) $body; args), )*
-                _ => unreachable!("{} has no typed row", op.mnemonic()),
+        fn apply($opcode: Opcode, args: &[&Value]) -> RtResult<Value> {
+            match $opcode {
+                $( $(Opcode::$op)|+ => {
+                    typed_row!(apply [$($op)|+] ($($params)*) $body; $opcode, args)
+                } )*
+                _ => unreachable!("{} has no typed row", $opcode.mnemonic()),
             }
         }
 
         /// Runs `op`'s typed row over `args`, read in place from `slots`,
         /// writes the result into slot `dst` and returns whether it is
         /// `true` (what a `BrIf` branches on). An `Err` leaves the slots
-        /// untouched.
+        /// untouched. The row's operands fit `args`: the specializer
+        /// leaves a longer row to `eval`.
         #[inline(always)]
         pub(crate) fn exec(
-            op: Opcode,
+            $opcode: Opcode,
             slots: &mut [Value],
             dst: u16,
             args: &[Src; 2],
         ) -> RtResult<bool> {
-            let v = match op {
-                $( Opcode::$op => typed_row!(exec $op [$($m)?] ($($a),*) $body; slots, dst, args), )*
-                _ => unreachable!("{} has no typed row", op.mnemonic()),
+            let v = match $opcode {
+                $( $(Opcode::$op)|+ => {
+                    typed_row!(exec [$($op)|+] ($($params)*) $body; slots, dst, args)
+                } )*
+                _ => unreachable!("{} has no typed row", $opcode.mnemonic()),
             };
             let taken = matches!(v, Value::Bool(true));
             slots[dst as usize] = v;
@@ -432,7 +449,7 @@ macro_rules! typed_ops {
     };
 }
 
-typed_ops! {
+typed_ops! { op:
     // Integers. Arithmetic wraps; `shl` wraps its shift amount, and `shr`
     // is a logical shift of the 64-bit pattern.
     IntAdd(a, b) => a.wrapping_add(b),
@@ -455,12 +472,66 @@ typed_ops! {
     IntShl(a, b) => a.wrapping_shl(b as u32),
     IntShr(a, b) => ((a as u64) >> (b as u32 & 63)) as i64,
     IntToDouble(a) => a as f64,
-    IntToString(a) => a.to_string(),
+    IntToString(a) => a.to_string().into(),
+    // ASCII digits in a base, blanks around them ignored.
+    IntFromBytes | BytesToInt(b, base) => {
+        let raw = b.to_vec();
+        let base = match base {
+            2..=36 => base as u32,
+            _ => {
+                let msg = format!("{}: base {base} outside 2..=36", op.mnemonic());
+                return Err(RtError::value(msg));
+            }
+        };
+        let s = std::str::from_utf8(&raw)
+            .map_err(|_| RtError::value("non-UTF8 digits"))?
+            .trim();
+        i64::from_str_radix(s, base)
+            .map_err(|_| RtError::value(format!("bad integer literal {s:?}")))?
+    },
     // Booleans.
     BoolAnd(a, b) => a && b,
     BoolOr(a, b) => a || b,
     BoolNot(a) => !a,
     BoolXor(a, b) => a ^ b,
+    // Doubles. An integer operand reads as its double.
+    DoubleAdd(a, b) => a + b,
+    DoubleSub(a, b) => a - b,
+    DoubleMul(a, b) => a * b,
+    DoubleDiv(a, b) => a / nonzero(b, "division by zero")?,
+    DoubleLt(a, b) => a < b,
+    DoubleGt(a, b) => a > b,
+    DoubleLeq(a, b) => a <= b,
+    DoubleGeq(a, b) => a >= b,
+    DoubleAbs(a) => a.abs(),
+    DoubleToInt(a) => a as i64,
+    // Strings. Lengths and positions count characters, `find` bytes.
+    StringConcat(a, b) => [a, b].concat().into(),
+    StringLength(s) => s.chars().count() as i64,
+    StringFind(hay, needle) => hay.find(needle).map_or(-1, |p| p as i64),
+    StringSubstr(s, from, len) => {
+        let (from, len) = (from.max(0) as usize, len.max(0) as usize);
+        s.chars().skip(from).take(len).collect::<String>().into()
+    },
+    StringToBytes(s) => Bytes::frozen_from_slice(s.as_bytes()),
+    StringToInt(s) => s
+        .trim()
+        .parse::<i64>()
+        .map_err(|_| RtError::value("bad integer literal"))?,
+    StringUpper(s) => s.to_uppercase().into(),
+    StringLower(s) => s.to_lowercase().into(),
+    StringStartsWith(s, prefix) => s.starts_with(prefix),
+    // Bytes. `sub` copies the range between two iterators into new frozen
+    // bytes; `to_string` decodes what is available, lossily.
+    BytesLength(b) => b.len() as i64,
+    BytesSub(from, to) => from.bytes().sub(from.offset(), to.offset())?,
+    BytesTrim(b, to) => b.trim(to.offset())?,
+    BytesToString(b) => b.with_available(b.begin_offset(), |data| {
+        Rc::<str>::from(String::from_utf8_lossy(data))
+    })?,
+    BytesBegin(b) => b.begin(),
+    BytesEnd(b) => b.end(),
+    BytesAt(b, off) => b.iter_at(off as u64),
     // Bytes iterators. A negative count advances by nothing; a deref
     // raises `WouldBlock` at the frontier of open input and `IndexError`
     // past a frozen end.
@@ -470,11 +541,42 @@ typed_ops! {
     IterDiff(a, b) => a.distance(b)? as i64,
     IterAtFrozenEnd(it) => it.at_frozen_end(),
     IterWouldBlock(it) => it.would_block(),
+    // Addresses, networks and ports. A mask length clamps to 0..=128.
+    AddrFamily(a) => if a.is_v4() { 4 } else { 6 },
+    AddrMask(a, len) => a.mask(len.clamp(0, 128) as u8),
+    NetContains(n, a) => n.contains(&a),
+    NetFamily(n) => if n.prefix().is_v4() { 4 } else { 6 },
+    NetPrefix(n) => n.prefix(),
+    NetLength(n) => i64::from(n.len()),
+    PortProtocol(p) => p.protocol.to_string().into(),
+    PortNumber(p) => i64::from(p.number),
+    // Times and intervals, at nanosecond resolution; arithmetic saturates.
+    TimeAdd(t, i) => t + i,
+    TimeSubTime(a, b) => a - b,
+    TimeSubInterval(t, i) => t - i,
+    TimeLt(a, b) => a < b,
+    TimeGt(a, b) => a > b,
+    TimeFromDouble(d) => Time::from_secs_f64(d),
+    TimeToDouble(t) => t.as_secs_f64(),
+    TimeNsecs(t) => t.nanos() as i64,
+    IntervalAdd(a, b) => a + b,
+    IntervalSub(a, b) => a - b,
+    IntervalLt(a, b) => a < b,
+    IntervalGt(a, b) => a > b,
+    IntervalFromDouble(d) => Interval::from_secs_f64(d),
+    IntervalToDouble(i) => i.as_secs_f64(),
+    IntervalNsecs(i) => i.nanos(),
+    // Regular expressions: the length of the longest match anchored at the
+    // start, or -1.
+    RegexpMatchPrefix(re, data) => match re.match_prefix(&data.to_vec()) {
+        MatchVerdict::Match { len, .. } => len as i64,
+        MatchVerdict::NoMatch => -1,
+    },
 }
 
 /// `b`, or the `ArithmeticError` `what` when it is zero.
-fn nonzero(b: i64, what: &'static str) -> RtResult<i64> {
-    if b == 0 {
+fn nonzero<T: Default + PartialEq>(b: T, what: &'static str) -> RtResult<T> {
+    if b == T::default() {
         Err(RtError::arithmetic(what))
     } else {
         Ok(b)
@@ -527,110 +629,12 @@ pub fn eval(
         // --- typed rows --------------------------------------------------
         typed_opcode!() => apply(op, args)?,
 
-        // --- integers ----------------------------------------------------
-        IntFromBytes | BytesToInt => {
-            // (bytes, base) — parse ASCII digits.
-            arity(args, 2, op)?;
-            let raw = args[0].as_bytes()?.to_vec();
-            let base = match args[1].as_int()? {
-                b @ 2..=36 => b as u32,
-                b => {
-                    return Err(RtError::value(format!(
-                        "{}: base {b} outside 2..=36",
-                        op.mnemonic()
-                    )))
-                }
-            };
-            let s = std::str::from_utf8(&raw)
-                .map_err(|_| RtError::value("non-UTF8 digits"))?
-                .trim();
-            let v = i64::from_str_radix(s, base)
-                .map_err(|_| RtError::value(format!("bad integer literal {s:?}")))?;
-            Value::Int(v)
-        }
-
         // --- bitsets (int<64> with named bits) -----------------------------
         BitsetSet => bin_int(args, op, |a, b| Ok(a | (1 << (b & 63))))?,
         BitsetClear => bin_int(args, op, |a, b| Ok(a & !(1 << (b & 63))))?,
         BitsetHas => bin_int_cmp(args, op, |a, b| a & (1 << (b & 63)) != 0)?,
 
-        // --- doubles -------------------------------------------------------
-        DoubleAdd => bin_double(args, op, |a, b| a + b)?,
-        DoubleSub => bin_double(args, op, |a, b| a - b)?,
-        DoubleMul => bin_double(args, op, |a, b| a * b)?,
-        DoubleDiv => {
-            arity(args, 2, op)?;
-            let b = args[1].as_double()?;
-            if b == 0.0 {
-                return Err(RtError::arithmetic("division by zero"));
-            }
-            Value::Double(args[0].as_double()? / b)
-        }
-        DoubleLt => bin_double_cmp(args, op, |a, b| a < b)?,
-        DoubleGt => bin_double_cmp(args, op, |a, b| a > b)?,
-        DoubleLeq => bin_double_cmp(args, op, |a, b| a <= b)?,
-        DoubleGeq => bin_double_cmp(args, op, |a, b| a >= b)?,
-        DoubleAbs => {
-            arity(args, 1, op)?;
-            Value::Double(args[0].as_double()?.abs())
-        }
-        DoubleToInt => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_double()? as i64)
-        }
-
         // --- strings -------------------------------------------------------
-        StringConcat => {
-            arity(args, 2, op)?;
-            let (a, b) = (args[0].as_str()?, args[1].as_str()?);
-            let mut s = String::with_capacity(a.len() + b.len());
-            s.push_str(a);
-            s.push_str(b);
-            Value::String(Rc::from(s))
-        }
-        StringLength => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_str()?.chars().count() as i64)
-        }
-        StringFind => {
-            arity(args, 2, op)?;
-            let hay = args[0].as_str()?;
-            let needle = args[1].as_str()?;
-            Value::Int(hay.find(needle).map(|p| p as i64).unwrap_or(-1))
-        }
-        StringSubstr => {
-            arity(args, 3, op)?;
-            let s = args[0].as_str()?;
-            let from = args[1].as_int()?.max(0) as usize;
-            let len = args[2].as_int()?.max(0) as usize;
-            let sub: String = s.chars().skip(from).take(len).collect();
-            Value::str(&sub)
-        }
-        StringToBytes => {
-            arity(args, 1, op)?;
-            Value::Bytes(Bytes::frozen_from_slice(args[0].as_str()?.as_bytes()))
-        }
-        StringToInt => {
-            arity(args, 1, op)?;
-            let v: i64 = args[0]
-                .as_str()?
-                .trim()
-                .parse()
-                .map_err(|_| RtError::value("bad integer literal"))?;
-            Value::Int(v)
-        }
-        StringUpper => {
-            arity(args, 1, op)?;
-            Value::str(&args[0].as_str()?.to_uppercase())
-        }
-        StringLower => {
-            arity(args, 1, op)?;
-            Value::str(&args[0].as_str()?.to_lowercase())
-        }
-        StringStartsWith => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_str()?.starts_with(args[1].as_str()?))
-        }
         StringFmt => {
             // fmt string with `{}` placeholders + values.
             arity_min(args, 1, op)?;
@@ -687,17 +691,6 @@ pub fn eval(
             arity(args, 1, op)?;
             Value::Bool(args[0].as_bytes()?.is_frozen())
         }
-        BytesLength => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_bytes()?.len() as i64)
-        }
-        BytesSub => {
-            // (iter_begin, iter_end) → new frozen bytes of that range.
-            arity(args, 2, op)?;
-            let a = args[0].as_bytes_iter()?;
-            let b = args[1].as_bytes_iter()?;
-            Value::Bytes(a.bytes().sub(a.offset(), b.offset())?)
-        }
         BytesFind => {
             // (bytes, needle, from_iter) → tuple(bool found, iter pos).
             arity(args, 3, op)?;
@@ -720,34 +713,6 @@ pub fn eval(
                 ])),
                 None => Value::Tuple(Rc::new([Value::Bool(false), Value::BytesIter(hay.end())])),
             }
-        }
-        BytesTrim => {
-            arity(args, 2, op)?;
-            let b = args[0].as_bytes()?;
-            let to = args[1].as_bytes_iter()?;
-            b.trim(to.offset())?;
-            Value::Null
-        }
-        BytesToString => {
-            arity(args, 1, op)?;
-            let b = args[0].as_bytes()?;
-            b.with_available(b.begin_offset(), |data| {
-                Value::str(&String::from_utf8_lossy(data))
-            })?
-        }
-        BytesBegin => {
-            arity(args, 1, op)?;
-            Value::BytesIter(args[0].as_bytes()?.begin())
-        }
-        BytesEnd => {
-            arity(args, 1, op)?;
-            Value::BytesIter(args[0].as_bytes()?.end())
-        }
-        BytesAt => {
-            arity(args, 2, op)?;
-            let b = args[0].as_bytes()?;
-            let off = args[1].as_int()? as u64;
-            Value::BytesIter(b.iter_at(off))
         }
         BytesStartsWith => {
             arity(args, 2, op)?;
@@ -785,111 +750,6 @@ pub fn eval(
             }
             let rest = b.sub(it.offset().min(b.end_offset()), b.end_offset())?;
             Value::Tuple(Rc::new([Value::Bytes(rest), Value::BytesIter(b.end())]))
-        }
-
-        // --- addr / net / port ----------------------------------------------
-        AddrFamily => {
-            arity(args, 1, op)?;
-            Value::Int(if args[0].as_addr()?.is_v4() { 4 } else { 6 })
-        }
-        AddrMask => {
-            arity(args, 2, op)?;
-            Value::Addr(
-                args[0]
-                    .as_addr()?
-                    .mask(args[1].as_int()?.clamp(0, 128) as u8),
-            )
-        }
-        NetContains => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_net()?.contains(&args[1].as_addr()?))
-        }
-        NetFamily => {
-            arity(args, 1, op)?;
-            Value::Int(if args[0].as_net()?.prefix().is_v4() {
-                4
-            } else {
-                6
-            })
-        }
-        NetPrefix => {
-            arity(args, 1, op)?;
-            Value::Addr(args[0].as_net()?.prefix())
-        }
-        NetLength => {
-            arity(args, 1, op)?;
-            Value::Int(i64::from(args[0].as_net()?.len()))
-        }
-        PortProtocol => {
-            arity(args, 1, op)?;
-            Value::str(&args[0].as_port()?.protocol.to_string())
-        }
-        PortNumber => {
-            arity(args, 1, op)?;
-            Value::Int(i64::from(args[0].as_port()?.number))
-        }
-
-        // --- time / interval --------------------------------------------------
-        TimeAdd => {
-            arity(args, 2, op)?;
-            Value::Time(args[0].as_time()? + args[1].as_interval()?)
-        }
-        TimeSubTime => {
-            arity(args, 2, op)?;
-            Value::Interval(args[0].as_time()? - args[1].as_time()?)
-        }
-        TimeSubInterval => {
-            arity(args, 2, op)?;
-            let i = args[1].as_interval()?;
-            Value::Time(args[0].as_time()? + Interval::from_nanos(-i.nanos()))
-        }
-        TimeLt => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_time()? < args[1].as_time()?)
-        }
-        TimeGt => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_time()? > args[1].as_time()?)
-        }
-        TimeFromDouble => {
-            arity(args, 1, op)?;
-            Value::Time(Time::from_secs_f64(args[0].as_double()?))
-        }
-        TimeToDouble => {
-            arity(args, 1, op)?;
-            Value::Double(args[0].as_time()?.as_secs_f64())
-        }
-        TimeNsecs => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_time()?.nanos() as i64)
-        }
-        IntervalAdd => {
-            arity(args, 2, op)?;
-            Value::Interval(args[0].as_interval()? + args[1].as_interval()?)
-        }
-        IntervalSub => {
-            arity(args, 2, op)?;
-            Value::Interval(args[0].as_interval()? - args[1].as_interval()?)
-        }
-        IntervalLt => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_interval()? < args[1].as_interval()?)
-        }
-        IntervalGt => {
-            arity(args, 2, op)?;
-            Value::Bool(args[0].as_interval()? > args[1].as_interval()?)
-        }
-        IntervalFromDouble => {
-            arity(args, 1, op)?;
-            Value::Interval(Interval::from_secs_f64(args[0].as_double()?))
-        }
-        IntervalToDouble => {
-            arity(args, 1, op)?;
-            Value::Double(args[0].as_interval()?.as_secs_f64())
-        }
-        IntervalNsecs => {
-            arity(args, 1, op)?;
-            Value::Int(args[0].as_interval()?.nanos())
         }
 
         // --- enums -------------------------------------------------------------
@@ -1231,18 +1091,9 @@ pub fn eval(
             let pats: Vec<&str> = idents.iter().map(String::as_str).collect();
             Value::Regexp(Regex::set(&pats)?)
         }
-        RegexpMatchPrefix => {
-            arity(args, 2, op)?;
-            let re = as_regexp(args[0])?;
-            let data = args[1].as_bytes()?.to_vec();
-            match re.match_prefix(&data) {
-                MatchVerdict::Match { len, .. } => Value::Int(len as i64),
-                MatchVerdict::NoMatch => Value::Int(-1),
-            }
-        }
         RegexpFind => {
             arity(args, 2, op)?;
-            let re = as_regexp(args[0])?;
+            let re = args[0].as_regexp()?;
             let data = args[1].as_bytes()?.to_vec();
             match re.find(&data) {
                 Some((pos, pat, len)) => Value::Tuple(Rc::new([
@@ -1260,7 +1111,7 @@ pub fn eval(
         }
         RegexpMatcherInit => {
             arity(args, 1, op)?;
-            let re = as_regexp(args[0])?;
+            let re = args[0].as_regexp()?;
             Value::Matcher(Rc::new(RefCell::new(re.matcher())))
         }
         RegexpMatcherFeed => {
@@ -1591,7 +1442,7 @@ pub fn eval(
 /// instructions around it.
 #[inline(never)]
 pub fn match_token(re: &Value, it: &Value) -> RtResult<(i64, BytesIter)> {
-    let re = as_regexp(re)?;
+    let re = re.as_regexp()?;
     let it = it.as_bytes_iter()?;
     let bytes = it.bytes();
     let (verdict, can_extend) = bytes.with_available(it.offset(), |slice| re.match_token(slice))?;
@@ -1618,20 +1469,6 @@ fn bin_int(
 fn bin_int_cmp(args: &[&Value], op: Opcode, f: impl FnOnce(i64, i64) -> bool) -> RtResult<Value> {
     arity(args, 2, op)?;
     Ok(Value::Bool(f(args[0].as_int()?, args[1].as_int()?)))
-}
-
-fn bin_double(args: &[&Value], op: Opcode, f: impl FnOnce(f64, f64) -> f64) -> RtResult<Value> {
-    arity(args, 2, op)?;
-    Ok(Value::Double(f(args[0].as_double()?, args[1].as_double()?)))
-}
-
-fn bin_double_cmp(
-    args: &[&Value],
-    op: Opcode,
-    f: impl FnOnce(f64, f64) -> bool,
-) -> RtResult<Value> {
-    arity(args, 2, op)?;
-    Ok(Value::Bool(f(args[0].as_double()?, args[1].as_double()?)))
 }
 
 fn expire_strategy(v: &Value) -> RtResult<ExpireStrategy> {
@@ -1856,6 +1693,24 @@ mod tests {
         for op in [IntAdd, BoolAnd, StringConcat, SetInsert, MapGet, TupleGet] {
             assert!(run(op, &[]).is_err(), "{op:?} with 0 args");
         }
+    }
+
+    /// An op has a typed row exactly when its signature names no `any`
+    /// operand: a signature added without a row fails here.
+    #[test]
+    fn every_signature_without_any_is_a_typed_row() {
+        let ops: Vec<Opcode> = crate::ir::GROUPS
+            .iter()
+            .flat_map(|(_, ms)| ms.iter())
+            .map(|m| Opcode::from_mnemonic(m).unwrap())
+            .collect();
+        for op in &ops {
+            let any_free = op
+                .signature()
+                .is_some_and(|(params, _)| !params.contains(&Type::Any));
+            assert_eq!(has_typed_form(*op), any_free, "{}", op.mnemonic());
+        }
+        assert_eq!(ops.iter().filter(|op| has_typed_form(**op)).count(), 83);
     }
 
     #[test]

@@ -499,6 +499,13 @@ impl Value {
         }
     }
 
+    pub fn as_regexp(&self) -> RtResult<&Rc<Regex>> {
+        match self {
+            Value::Regexp(r) => Ok(r),
+            other => Err(other.type_err("regexp")),
+        }
+    }
+
     pub fn as_tuple(&self) -> RtResult<&Rc<[Value]>> {
         match self {
             Value::Tuple(t) => Ok(t),

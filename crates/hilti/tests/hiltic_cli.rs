@@ -430,6 +430,60 @@ fn typed_ops_example_reaches_every_typed_instruction() {
     assert_trace_ignores_specializer(&f);
 }
 
+/// `examples/hlt/typed_scalars.hlt` reaches a typed row of every scalar
+/// kind past integers and booleans, keeps the three-operand
+/// `string.substr` generic, prints the same under every configuration, and
+/// the specializer changes nothing in its trace, optimized or not.
+#[test]
+fn typed_scalars_example_reaches_a_row_of_every_kind() {
+    let f = example("typed_scalars.hlt");
+    let typed: Vec<String> = stats_buckets(&f, "spec.")
+        .into_iter()
+        .filter(|b| {
+            !b.starts_with("spec.int.") && !b.starts_with("spec.br") && b != "spec.load.imm"
+        })
+        .collect();
+    assert_eq!(
+        typed,
+        [
+            "spec.addr.mask",
+            "spec.bytes.at",
+            "spec.bytes.end",
+            "spec.bytes.length",
+            "spec.bytes.sub",
+            "spec.double.mul",
+            "spec.interval.add",
+            "spec.interval.from_double",
+            "spec.network.contains",
+            "spec.port.number",
+            "spec.regexp.match_prefix",
+            "spec.string.concat",
+            "spec.string.to_bytes",
+            "spec.time.add",
+            "spec.time.from_double",
+        ]
+    );
+    assert_eq!(stats_buckets(&f, "string.substr"), ["string.substr"]);
+    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
+        let out = hiltic().args(["run", flag, &f]).output().unwrap();
+        assert!(out.status.success(), "{flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "0 0.75 abc abc GET /index.html 15 3 10.0.0.0 False 80 1.750000\n\
+             1 1.125 abcc bcc ET /index.html 14 2 10.0.0.0 False 80 2.250000\n\
+             2 1.6875 abccc ccc T /index.html 13 1 10.1.0.0 True 80 3.250000\n\
+             3 2.53125 abcccc ccc  /index.html 12 -1 10.1.0.0 True 80 5.250000\n\
+             4 3.796875 abccccc ccc /index.html 11 -1 10.1.0.0 True 80 9.250000\n\
+             5 5.6953125 abcccccc ccc index.html 10 -1 10.1.0.0 True 80 17.250000\n\
+             6 8.54296875 abccccccc ccc ndex.html 9 -1 10.1.0.0 True 80 33.250000\n\
+             7 12.814453125 abcccccccc ccc dex.html 8 -1 10.1.0.0 True 80 65.250000\n\
+             64.000000 80/tcp\n",
+            "{flag}"
+        );
+    }
+    assert_trace_ignores_specializer(&f);
+}
+
 /// `examples/hlt/bytes_walk.hlt` runs its iterator steps typed — in place,
 /// into another slot, by a negative count, and past the frozen end — and
 /// the specializer changes nothing in its trace, optimized or not.

@@ -481,7 +481,7 @@ pub fn throughput_dns_trace(seed: u64, flows: usize) -> Vec<RawPacket> {
             .build();
         packets.push(RawPacket::new(
             base + hilti_rt::time::Interval::from_nanos(rtt),
-            build_udp_frame(client, server, cport, 53, &resp),
+            build_udp_frame(server, client, 53, cport, &resp),
         ));
     }
     packets.sort_by_key(|p| p.ts);
@@ -991,13 +991,13 @@ mod tests {
             ("http", 11, (678, 0xa0ce182bc0a4c095)),
             ("dns", 11, (360, 0xca18b8e702a7b46b)),
             ("throughput", 11, (323, 0xa56a6cf21470e661)),
-            ("throughput_dns", 11, (200, 0x90df201890b18738)),
+            ("throughput_dns", 11, (200, 0xa61c2a9126ce43bc)),
             ("chaos_http", 11, (355, 0xc119d9b1b961cdc6)),
             ("chaos_dns", 11, (65, 0xb657bd305d442d9e)),
             ("http", 37, (665, 0xd92fe24befbe0127)),
             ("dns", 37, (368, 0x11cc6bf82254bcf9)),
             ("throughput", 37, (325, 0x9b853c54914ebf41)),
-            ("throughput_dns", 37, (200, 0x381fb6c3c2cf23a0)),
+            ("throughput_dns", 37, (200, 0x8e97727350948164)),
             ("chaos_http", 37, (352, 0x1b041a103b58b7ef)),
             ("chaos_dns", 37, (65, 0xc63c6c4c6e41c989)),
         ];
@@ -1057,11 +1057,15 @@ mod tests {
         assert_ne!(pkts, throughput_dns_trace(14, flows));
         assert!(pksorted(&pkts));
         assert_eq!(pkts.len(), 2 * flows);
+        // Queries go to port 53 and responses come back from it, so a
+        // flow's two packets share one canonical 5-tuple.
         let mut tuples = std::collections::HashSet::new();
-        for d in decoded(&pkts) {
+        for (d, m) in decoded(&pkts).iter().zip(dns_messages(&pkts)) {
             assert_eq!(d.transport, Transport::Udp);
-            assert_eq!(d.dport, 53);
-            tuples.insert((d.src, d.sport, d.dst));
+            let port_53 = if m.is_response { d.sport } else { d.dport };
+            assert_eq!(port_53, 53, "{}", m.is_response);
+            let (a, b) = ((d.src, d.sport), (d.dst, d.dport));
+            tuples.insert((a.min(b), a.max(b)));
         }
         assert_eq!(tuples.len(), flows, "one 5-tuple per flow");
         let mut open = std::collections::HashMap::new();

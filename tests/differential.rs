@@ -27,6 +27,14 @@
 //! and an `int.add` on an `any` slot holding an int or a string (a
 //! `TypeError` with the string). Dead-code elimination must keep exactly
 //! the ones that can raise.
+//!
+//! `Scalar` steps reach the typed rows of the other scalar kinds: each is
+//! one instruction over typed `double`, `string`, `time`, `interval`,
+//! `addr` and `ref<bytes>` locals (and the int slots), the trapping ones
+//! included — `double.div` by `0.0`, `string.to_int` of `"x"`, a radix
+//! outside 2..=36. Their kernels run unoptimized under the interpreter and
+//! the VM with the specializer on and off, which must agree on value,
+//! exception kind and message, output and fuel.
 
 use hilti::host::BuildOptions;
 use hilti::passes::OptLevel;
@@ -89,6 +97,66 @@ enum Step {
         x: u8,
         b: Src,
     },
+    /// One instruction of `SCALAR_STEPS`, its placeholders filled in.
+    Scalar(String),
+}
+
+/// The `Scalar` steps, over the typed locals `f` (double), `s` (string),
+/// `tm` (time), `iv` (interval), `ad` (addr), `by` (ref<bytes>) and `q`
+/// (bool). Placeholders: `T` an int slot, `D` a double literal (`0.0`
+/// among them), `S` a string literal (`"x"` among them), `B` a radix (some
+/// outside 2..=36).
+const SCALAR_STEPS: [&str; 32] = [
+    "f = double.add f D",
+    "f = double.sub D f",
+    "f = double.mul f D",
+    "f = double.div f D",
+    "f = double.div D f",
+    "f = int.to_double T",
+    "f = double.abs f",
+    "T = double.to_int f",
+    "q = double.leq f D",
+    "s = string.concat s S",
+    "T = string.length s",
+    "T = string.find s S",
+    "T = string.to_int s",
+    "T = string.to_int S",
+    "s = string.substr s T T",
+    "s = string.upper s",
+    "q = string.starts_with s S",
+    "by = string.to_bytes s",
+    "s = bytes.to_string by",
+    "T = bytes.length by",
+    "T = bytes.to_int by B",
+    "T = int.from_bytes by B",
+    "tm = time.from_double f",
+    "tm = time.add tm iv",
+    "tm = time.sub_interval tm iv",
+    "iv = time.sub_time tm tm",
+    "iv = interval.from_double f",
+    "iv = interval.sub iv iv",
+    "T = interval.nsecs iv",
+    "T = time.nsecs tm",
+    "ad = addr.mask ad T",
+    "q = network.contains 10.0.0.0/8 ad",
+];
+
+/// A `Scalar` step: a row of `SCALAR_STEPS`, its placeholders drawn.
+fn scalar(rng: &mut Rng) -> Step {
+    let row = SCALAR_STEPS[rng.below(SCALAR_STEPS.len() as u64) as usize];
+    let pick =
+        |rng: &mut Rng, from: &[&str]| from[rng.below(from.len() as u64) as usize].to_owned();
+    let words: Vec<String> = row
+        .split(' ')
+        .map(|w| match w {
+            "T" => format!("t{}", slot(rng)),
+            "D" => pick(rng, &["0.0", "1.5", "-2.25", "0.5"]),
+            "S" => pick(rng, &["\"x\"", "\"12\"", "\"\"", "\"-7\""]),
+            "B" => pick(rng, &["10", "16", "2", "36", "37", "1", "-10"]),
+            w => w.to_owned(),
+        })
+        .collect();
+    Step::Scalar(words.join(" "))
 }
 
 /// Integer literals, weighted toward the edges of `int<64>` arithmetic:
@@ -181,6 +249,23 @@ fn recipe(rng: &mut Rng, lo: u64, hi: u64, step: fn(&mut Rng) -> Step) -> Vec<St
     (0..lo + rng.below(hi - lo)).map(|_| step(rng)).collect()
 }
 
+/// The typed locals of `Scalar` steps, declared and set from `t0`/`t1`.
+const SCALAR_LOCALS: &str = "    local double f
+    local string s
+    local time tm
+    local interval iv
+    local addr ad
+    local ref<bytes> by
+    local bool q
+    f = int.to_double t0
+    s = int.to_string t1
+    tm = time.from_double 1.5
+    iv = interval.from_double f
+    ad = assign 10.1.2.3
+    by = string.to_bytes s
+    q = assign False
+";
+
 /// The four constants `t2..t5` start as.
 fn consts(rng: &mut Rng) -> [i64; 4] {
     [(); 4].map(|()| imm(rng))
@@ -210,12 +295,16 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
                 src.push_str(&format!("    local any d{i}\n"));
                 src.push_str(&format!("    local int<64> n{i}\n"));
             }
-            Step::Bin { .. } => {}
+            Step::Bin { .. } | Step::Scalar(_) => {}
         }
     }
     src.push_str("    t0 = assign a\n    t1 = assign b\n");
     for (t, c) in consts.iter().enumerate() {
         src.push_str(&format!("    t{} = assign {c}\n", t + 2));
+    }
+    let scalars = recipe.iter().any(|s| matches!(s, Step::Scalar(_)));
+    if scalars {
+        src.push_str(SCALAR_LOCALS);
     }
     for (i, step) in recipe.iter().enumerate() {
         match *step {
@@ -267,6 +356,12 @@ fn emit(recipe: &[Step], consts: &[i64], ret: u8) -> String {
                 }
                 src.push_str(&format!("    n{i} = int.add d{i} {b}\n"));
             }
+            Step::Scalar(ref line) => src.push_str(&format!("    {line}\n")),
+        }
+    }
+    if scalars {
+        for local in ["f", "s", "tm", "iv", "ad", "by", "q"] {
+            src.push_str(&format!("    call Hilti::print {local}\n"));
         }
     }
     // Print every slot so output parity is differentially tested too, and
@@ -562,4 +657,54 @@ fn engines_agree_on_total_fuel() {
             assert_eq!(oracle_fuel, spent, "{at} fuel diverged\n{src}");
         }
     }
+}
+
+/// A `Scalar` step two times in three, a `step` otherwise.
+fn scalar_heavy_step(rng: &mut Rng) -> Step {
+    match rng.below(3) {
+        0 => step(rng),
+        _ => scalar(rng),
+    }
+}
+
+/// The typed rows of the other scalar kinds: the interpreter and the VM
+/// with the specializer on and off agree on value or exception (kind and
+/// message), printed output and fuel spent, over unoptimized IR. Across
+/// the cases some kernels trap and some complete, and the specializer
+/// runs a row of every kind typed.
+#[test]
+fn scalar_rows_agree_across_engines() {
+    let (mut trapped, mut typed) = (0, std::collections::BTreeSet::new());
+    for case in 0..CASES {
+        let rng = &mut Rng::for_case("scalar_rows_agree_across_engines", case);
+        let recipe = recipe(rng, 2, 14, scalar_heavy_step);
+        let src = emit(&recipe, &consts(rng), slot(rng));
+        let args = [around_zero(rng, 1000), around_zero(rng, 1000)].map(Value::Int);
+        let observe = |specialize: bool, interp: bool| {
+            let mut p = build(&src, OptLevel::None, specialize);
+            let r = match interp {
+                true => p.run_interpreted("Fuzz::kernel", &args),
+                false => p.run("Fuzz::kernel", &args),
+            };
+            let r = r
+                .map(|v| v.as_int().expect("kernel returns int<64>"))
+                .map_err(|e| format!("{}: {}", e.kind.name(), e.message));
+            (r, p.take_output(), p.context().fuel_spent())
+        };
+        let oracle = observe(true, true);
+        trapped += usize::from(oracle.0.is_err());
+        for specialize in [true, false] {
+            let got = observe(specialize, false);
+            assert_eq!(oracle, got, "case {case}: specialize={specialize}\n{src}");
+        }
+        let p = build(&src, OptLevel::None, true);
+        let code = &p.compiled().func("Fuzz::kernel").unwrap().code;
+        typed.extend(
+            code.iter()
+                .filter_map(|i| i.stat_name().strip_prefix("spec.")?.split('.').next()),
+        );
+    }
+    assert!(0 < trapped && trapped < CASES as usize, "{trapped} trapped");
+    let want = ["bytes", "double", "interval", "addr", "string", "time"];
+    assert!(want.iter().all(|k| typed.contains(k)), "{typed:?}");
 }
