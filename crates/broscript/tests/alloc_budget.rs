@@ -224,13 +224,18 @@ struct PipelineCount {
 }
 
 const PIPELINE_COUNTS: [PipelineCount; 3] = [
-    // 16.726 per packet. The delivery core removes each connection's parser
+    // 16.725 per packet. The delivery core removes each connection's parser
     // from its `StdHttp` map at close; whether a later insert reuses the
     // tombstone depends on the process's random hash seed, so now and then
-    // a run resizes the map once more. Measured 541 568 in 57 of 58 runs
-    // and 541 569 in one, with containers keyed on the value itself; their
+    // a run resizes the map once more. Measured 541 533 in 11 of 12 runs
+    // and 541 534 in one; pinned at the highest reading. Was pinned at
+    // 541 569, 12 above the 541 556 (23 of 25 runs) and 541 557 (2) its
+    // tree measured, until the checker stopped collecting the operands of
+    // each instruction with a signature into a `Vec` (−23 here, −162 and
+    // −113 in the two counts below). Was 541 568 in 57 of 58 runs and
+    // 541 569 in one, with containers keyed on the value itself; their
     // parent, keyed on a separate `Key`, read 541 568 in 17 of 18 runs and
-    // 541 569 in one. Pinned at the highest reading. Was pinned at 541 834
+    // 541 569 in one. Was pinned at 541 834
     // (16.735 per packet), 266 above what both measured. Was 16.595 before
     // 5a2c2a9 ("release parser and script state at TCP close"):
     // `ScriptHost::remove_connection` passes the uid to
@@ -247,9 +252,12 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || throughput_trace(0x7487, 4_000),
         run: run_http_analysis_governed,
         stack: ParserStack::Standard,
-        pinned: 541_569,
+        pinned: 541_534,
     },
-    // 84.928 per packet. Was pinned at 164 216 (85.086; 163 910 measured)
+    // 84.703 per packet, 12 of 12 runs. Was pinned at 163 912, 274 above
+    // the 163 638 its tree measured (5 of 5 runs), until the checker's
+    // operand `Vec` went (see above). Was pinned at 164 216 (85.086;
+    // 163 910 measured)
     // until HTTP and DNS shared one BinPAC++ driver, which adds two
     // allocations at setup: its per-declaration `Vec` of resolved slots
     // and the `Box` that holds it in `ParserState`. Was 88.283
@@ -262,9 +270,12 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || dns_trace(&SynthConfig::new(11, 1_000)),
         run: run_dns_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 163_912,
+        pinned: 163_476,
     },
-    // 49.642 per packet. Was pinned at 149 268 (50.090; 148 663 measured)
+    // 49.592 per packet, 12 of 12 runs. Was pinned at 147 933, 36 above the
+    // 147 897 its tree measured (5 of 5 runs), until the checker's operand
+    // `Vec` went (see above). Was pinned at 149 268 (50.090; 148 663
+    // measured)
     // until HTTP and DNS shared one BinPAC++ driver: HEAD suppression queues
     // a flag per request instead of a copy of its method (−597), and
     // `finish_conn` no longer allocates a uid for a connection that has no
@@ -284,7 +295,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 147_933,
+        pinned: 147_784,
     },
 ];
 

@@ -14,25 +14,35 @@ use std::fmt;
 
 use crate::time::Time;
 
-/// Identifies a scheduled timer so it can be cancelled.
+/// Identifies a scheduled timer so it can be cancelled: the manager's
+/// sequence number of the timer, counting from 0 per manager.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(u64);
+pub struct TimerId(pub u64);
 
-#[derive(PartialEq, Eq)]
+/// A heaped timer. Its sequence number is unique in its manager, so
+/// entries compare by `(deadline, seq)` alone, whatever the payload.
 struct Entry<T> {
     deadline: Time,
     seq: u64,
     payload: T,
 }
 
-impl<T: Eq> Ord for Entry<T> {
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Earliest deadline first; FIFO among equal deadlines.
         (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
     }
 }
 
-impl<T: Eq> PartialOrd for Entry<T> {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -52,7 +62,7 @@ pub struct TimerMgr<T> {
     next_seq: u64,
 }
 
-impl<T: Eq> TimerMgr<T> {
+impl<T> TimerMgr<T> {
     /// A manager whose clock starts at the epoch.
     pub fn new() -> Self {
         TimerMgr {
@@ -167,7 +177,7 @@ impl<T: Eq> TimerMgr<T> {
     }
 }
 
-impl<T: Eq> Default for TimerMgr<T> {
+impl<T> Default for TimerMgr<T> {
     fn default() -> Self {
         Self::new()
     }

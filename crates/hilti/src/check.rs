@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 
 use hilti_rt::error::{RtError, RtResult};
 
-use crate::ir::{Const, Function, Opcode, Operand, Terminator};
+use crate::ir::{Const, Function, Kind, Opcode, Operand, Terminator};
 use crate::linker::Linked;
 use crate::types::Type;
 
@@ -285,25 +285,21 @@ fn check_instr_types(
     let Some((params, result)) = instr.opcode.signature() else {
         return Ok(());
     };
-    let values: Vec<&Operand> = instr.value_operands().collect();
-    if values.len() != params.len() {
+    let arity = instr.value_operands().count();
+    if arity != params.len() {
         return Err(err(
             func,
             block,
             format!(
-                "{} expects {} operands, got {}",
+                "{} expects {} operands, got {arity}",
                 instr.opcode.mnemonic(),
                 params.len(),
-                values.len()
             ),
         ));
     }
-    for (i, (op, want)) in values.iter().zip(params.iter()).enumerate() {
-        if *want == Type::Any {
-            continue;
-        }
+    for (i, (op, want)) in instr.value_operands().zip(params).enumerate() {
         if let Some(have) = op.static_type(var_types) {
-            if !have.compatible(want) {
+            if !want.admits(&have) {
                 return Err(err(
                     func,
                     block,
@@ -317,11 +313,11 @@ fn check_instr_types(
         }
     }
     // Target type, when declared.
-    if result != Type::Any && result != Type::Void {
+    if result != Kind::Void {
         if let Some(t) = &instr.target {
             if let Some(declared) = var_types.get(t.as_str()) {
                 let declared = declared.strip_ref();
-                if *declared != Type::Any && !declared.compatible(&result) {
+                if !result.admits(declared) {
                     return Err(err(
                         func,
                         block,

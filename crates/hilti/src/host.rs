@@ -896,6 +896,10 @@ string f() {
     local port p
     local time tm
     local interval iv
+    local ref<list<any>> l
+    local ref<vector<any>> v
+    local ref<set<any>> s
+    local ref<map<any, any>> m
     local string kind
     local string msg
     try {
@@ -909,27 +913,33 @@ string f() {
     return "no trap"
 }
 "#;
-        use crate::ir::Opcode;
-        use crate::types::Type;
+        use crate::ir::{Kind, Opcode};
         const TYPE_ERROR: &str = "Hilti::TypeError: ";
         let mut rows: Vec<(String, String, &str)> = Vec::new();
-        // Every typed row, its operands Null slots of their kinds (an int or
-        // bool past the first an immediate), so the first is reported. A row
-        // of three operands stays generic: its bucket is its mnemonic.
-        let slot = |t: &Type| match t {
-            Type::Int(_) => ("u", "Hilti::TypeError: expected int, got null"),
-            Type::Bool => ("c", "Hilti::TypeError: expected bool, got null"),
-            Type::Double => ("x", "Hilti::TypeError: expected double, got null"),
-            Type::String => ("z", "Hilti::TypeError: expected string, got null"),
-            Type::Bytes => ("d", "Hilti::TypeError: expected bytes, got null"),
-            Type::BytesIter => ("it", "Hilti::TypeError: expected iterator<bytes>, got null"),
-            Type::Addr => ("a", "Hilti::TypeError: expected addr, got null"),
-            Type::Net => ("n", "Hilti::TypeError: expected net, got null"),
-            Type::Port => ("p", "Hilti::TypeError: expected port, got null"),
-            Type::Time => ("tm", "Hilti::TypeError: expected time, got null"),
-            Type::Interval => ("iv", "Hilti::TypeError: expected interval, got null"),
-            Type::Regexp => ("r", "Hilti::TypeError: expected regexp, got null"),
-            other => panic!("no case for {other}"),
+        // Every typed row, its operands Null slots of their kinds (an int,
+        // bool or any past the first an immediate), so the first is
+        // reported. An `any` operand reads Null as a value, from an int slot
+        // so that the row still runs typed. A row of three operands stays
+        // generic: its bucket is its mnemonic.
+        let slot = |k: &Kind| match k {
+            Kind::Int => ("u", "Hilti::TypeError: expected int, got null"),
+            Kind::Bool => ("c", "Hilti::TypeError: expected bool, got null"),
+            Kind::Double => ("x", "Hilti::TypeError: expected double, got null"),
+            Kind::String => ("z", "Hilti::TypeError: expected string, got null"),
+            Kind::Bytes => ("d", "Hilti::TypeError: expected bytes, got null"),
+            Kind::BytesIter => ("it", "Hilti::TypeError: expected iterator<bytes>, got null"),
+            Kind::Addr => ("a", "Hilti::TypeError: expected addr, got null"),
+            Kind::Net => ("n", "Hilti::TypeError: expected net, got null"),
+            Kind::Port => ("p", "Hilti::TypeError: expected port, got null"),
+            Kind::Time => ("tm", "Hilti::TypeError: expected time, got null"),
+            Kind::Interval => ("iv", "Hilti::TypeError: expected interval, got null"),
+            Kind::Regexp => ("r", "Hilti::TypeError: expected regexp, got null"),
+            Kind::List => ("l", "Hilti::TypeError: expected list, got null"),
+            Kind::Vector => ("v", "Hilti::TypeError: expected vector, got null"),
+            Kind::Set => ("s", "Hilti::TypeError: expected set, got null"),
+            Kind::Map => ("m", "Hilti::TypeError: expected map, got null"),
+            Kind::Any => ("u", "no trap"),
+            Kind::Void => panic!("no operand is void"),
         };
         let typed = crate::ir::GROUPS
             .iter()
@@ -939,16 +949,16 @@ string f() {
         for op in typed {
             let (params, result) = op.signature().unwrap();
             let rest = params[1..].iter().map(|p| match p {
-                Type::Int(_) => "1",
-                Type::Bool => "True",
+                Kind::Int | Kind::Any => "1",
+                Kind::Bool => "True",
                 other => slot(other).0,
             });
             let operands: Vec<&str> = std::iter::once(slot(&params[0]).0).chain(rest).collect();
             let target = match result {
-                Type::Int(_) => "y",
-                Type::Bool => "b",
-                Type::BytesIter => "j",
-                Type::Void => "t",
+                Kind::Int => "y",
+                Kind::Bool => "b",
+                Kind::BytesIter => "j",
+                Kind::Void | Kind::Any => "t",
                 other => slot(&other).0,
             };
             let body = format!("{target} = {} {}", op.mnemonic(), operands.join(" "));

@@ -23,9 +23,10 @@
 //! - the variant and its mnemonic;
 //! - its [`OpClass`] variant (`Total`, `Typed`, `Traps` or `Effect`), then
 //!   `fold` if the constant folder evaluates it;
-//! - optionally its value-operand and result types, which the checker
+//! - optionally its value-operand and result [`Kind`]s, which the checker
 //!   enforces where operand types are static (`Int` is `int<64>`, `List`
-//!   is `list<any>` and only a result, any other name a [`Type`] variant);
+//!   `list<any>`, `Map` `map<any, any>`, any other name a [`Type`]
+//!   variant; a container kind admits any element types);
 //! - optionally `ids[..]`, the operand positions the parser reads as
 //!   identifiers rather than variables.
 //!
@@ -164,22 +165,10 @@ macro_rules! row_fold {
     };
 }
 
-macro_rules! row_type {
-    (Int) => {
-        Type::Int(64)
-    };
-    (List) => {
-        Type::List(std::sync::Arc::new(Type::Any))
-    };
-    ($t:ident) => {
-        Type::$t
-    };
-}
-
 macro_rules! row_signature {
     () => (None);
     (($($param:ident),*) -> $result:ident) => {
-        Some((&[$(row_type!($param)),*], row_type!($result)))
+        Some((&[$(Kind::$param),*], Kind::$result))
     };
 }
 
@@ -233,9 +222,9 @@ macro_rules! opcodes {
                 }
             }
 
-            /// Value-operand types and result type, for the statically
+            /// Value-operand kinds and result kind, for the statically
             /// checkable opcodes. `any` operands are unchecked.
-            pub fn signature(&self) -> Option<(&'static [Type], Type)> {
+            pub const fn signature(&self) -> Option<(&'static [Kind], Kind)> {
                 match self {
                     $( $( Opcode::$variant => row_signature!($( ($($param),*) -> $result )?), )* )*
                 }
@@ -279,16 +268,68 @@ macro_rules! opcodes {
     };
 }
 
-/// The type names a row's signature uses, one uninhabited marker each, so
-/// that [`sig`] can state a signature as a type.
-pub mod kind {
-    macro_rules! markers {
-        ($($t:ident),*) => { $( pub enum $t {} )* };
-    }
-    markers!(
-        Any, Void, Bool, Int, Double, String, Bytes, BytesIter, Addr, Net, Port, Time, Interval,
-        Regexp, List
-    );
+macro_rules! kinds {
+    ($( $kind:ident = $name:literal $types:pat, )*) => {
+        /// The type names a row's signature uses, one uninhabited marker
+        /// each, so that [`sig`] can state a signature as a type.
+        pub mod kind {
+            $( pub enum $kind {} )*
+        }
+
+        /// What a row's signature names for an operand or its result: a
+        /// type, with `int` at any width and a container of any element
+        /// types. `Copy`, so a signature is a `'static` table.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum Kind {
+            $( $kind, )*
+        }
+
+        impl Kind {
+            /// True for a kind other than `any` and the containers.
+            pub const fn is_scalar(self) -> bool {
+                !matches!(self, Kind::Any | Kind::List | Kind::Vector | Kind::Set | Kind::Map)
+            }
+
+            /// True when a value declared `t` is of this kind. `any` on
+            /// either side admits.
+            pub fn admits(self, t: &Type) -> bool {
+                match (self, t.strip_ref()) {
+                    (_, Type::Any) => true,
+                    $( (Kind::$kind, $types) => true, )*
+                    _ => false,
+                }
+            }
+        }
+
+        impl fmt::Display for Kind {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $( Kind::$kind => $name, )*
+                })
+            }
+        }
+    };
+}
+
+kinds! {
+    Any = "any" _,
+    Void = "void" Type::Void,
+    Bool = "bool" Type::Bool,
+    Int = "int<64>" Type::Int(_),
+    Double = "double" Type::Double,
+    String = "string" Type::String,
+    Bytes = "bytes" Type::Bytes,
+    BytesIter = "iterator<bytes>" Type::BytesIter,
+    Addr = "addr" Type::Addr,
+    Net = "net" Type::Net,
+    Port = "port" Type::Port,
+    Time = "time" Type::Time,
+    Interval = "interval" Type::Interval,
+    Regexp = "regexp" Type::Regexp,
+    List = "list<any>" Type::List(_),
+    Vector = "vector<any>" Type::Vector(_),
+    Set = "set<any>" Type::Set(_),
+    Map = "map<any, any>" Type::Map(..),
 }
 
 opcodes! {
@@ -299,10 +340,10 @@ opcodes! {
         CallVoid = "call.void" [Effect] ids[0],
         Yield = "yield" [Effect],
         New = "new" [Effect],
-        DeepCopy = "deepcopy" [Effect],
+        DeepCopy = "deepcopy" [Effect] (Any) -> Any,
         Equal = "equal" [Total fold] (Any, Any) -> Bool,
         Unequal = "unequal" [Total fold] (Any, Any) -> Bool,
-        Select = "select" [Traps],
+        Select = "select" [Typed] (Bool, Any, Any) -> Any,
     },
     "Integers" => {
         IntAdd = "int.add" [Typed fold] (Int, Int) -> Int,
@@ -362,13 +403,13 @@ opcodes! {
         StringLower = "string.lower" [Typed] (String) -> String,
         StringStartsWith = "string.starts_with" [Typed] (String, String) -> Bool,
         StringFmt = "string.fmt" [Traps],
-        StringRender = "string.render" [Total],
+        StringRender = "string.render" [Total] (Any) -> String,
     },
     "Raw data" => {
         BytesAppend = "bytes.append" [Effect],
-        BytesFreeze = "bytes.freeze" [Effect],
-        BytesUnfreeze = "bytes.unfreeze" [Effect],
-        BytesIsFrozen = "bytes.is_frozen" [Effect],
+        BytesFreeze = "bytes.freeze" [Effect] (Bytes) -> Void,
+        BytesUnfreeze = "bytes.unfreeze" [Effect] (Bytes) -> Void,
+        BytesIsFrozen = "bytes.is_frozen" [Effect] (Bytes) -> Bool,
         BytesLength = "bytes.length" [Effect] (Bytes) -> Int,
         BytesSub = "bytes.sub" [Effect] (BytesIter, BytesIter) -> Bytes,
         BytesFind = "bytes.find" [Effect],
@@ -379,7 +420,7 @@ opcodes! {
         BytesEnd = "bytes.end" [Effect] (Bytes) -> BytesIter,
         BytesAt = "bytes.at" [Effect] (Bytes, Int) -> BytesIter,
         BytesStartsWith = "bytes.starts_with" [Effect],
-        BytesCopy = "bytes.copy" [Effect],
+        BytesCopy = "bytes.copy" [Effect] (Bytes) -> Bytes,
         BytesEod = "bytes.eod" [Effect],
     },
     "Bytes iterators" => {
@@ -433,44 +474,44 @@ opcodes! {
         TuplePack = "tuple.pack" [Total],
     },
     "Lists" => {
-        ListPushBack = "list.push_back" [Effect],
-        ListPushFront = "list.push_front" [Effect],
-        ListPopFront = "list.pop_front" [Effect],
-        ListPopBack = "list.pop_back" [Effect],
-        ListFront = "list.front" [Effect],
-        ListBack = "list.back" [Effect],
-        ListLength = "list.length" [Effect],
-        ListAppend = "list.append" [Effect],
-        ListClear = "list.clear" [Effect],
+        ListPushBack = "list.push_back" [Effect] (List, Any) -> Void,
+        ListPushFront = "list.push_front" [Effect] (List, Any) -> Void,
+        ListPopFront = "list.pop_front" [Effect] (List) -> Any,
+        ListPopBack = "list.pop_back" [Effect] (List) -> Any,
+        ListFront = "list.front" [Effect] (List) -> Any,
+        ListBack = "list.back" [Effect] (List) -> Any,
+        ListLength = "list.length" [Effect] (List) -> Int,
+        ListAppend = "list.append" [Effect] (List, Any) -> Void,
+        ListClear = "list.clear" [Effect] (List) -> Void,
     },
     "Vectors/arrays" => {
-        VectorPushBack = "vector.push_back" [Effect],
-        VectorPopBack = "vector.pop_back" [Effect],
-        VectorGet = "vector.get" [Effect],
-        VectorSet = "vector.set" [Effect],
-        VectorLength = "vector.length" [Effect],
-        VectorReserve = "vector.reserve" [Effect],
-        VectorClear = "vector.clear" [Effect],
+        VectorPushBack = "vector.push_back" [Effect] (Vector, Any) -> Void,
+        VectorPopBack = "vector.pop_back" [Effect] (Vector) -> Any,
+        VectorGet = "vector.get" [Effect] (Vector, Int) -> Any,
+        VectorSet = "vector.set" [Effect] (Vector, Int, Any) -> Void,
+        VectorLength = "vector.length" [Effect] (Vector) -> Int,
+        VectorReserve = "vector.reserve" [Effect] (Vector, Int) -> Void,
+        VectorClear = "vector.clear" [Effect] (Vector) -> Void,
     },
     "Hashsets" => {
-        SetInsert = "set.insert" [Effect],
-        SetExists = "set.exists" [Effect],
-        SetRemove = "set.remove" [Effect],
-        SetSize = "set.size" [Effect],
-        SetTimeout = "set.timeout" [Effect],
-        SetClear = "set.clear" [Effect],
-        SetMembers = "set.members" [Effect] (Any) -> List,
+        SetInsert = "set.insert" [Effect] (Set, Any) -> Void,
+        SetExists = "set.exists" [Effect] (Set, Any) -> Bool,
+        SetRemove = "set.remove" [Effect] (Set, Any) -> Bool,
+        SetSize = "set.size" [Effect] (Set) -> Int,
+        SetTimeout = "set.timeout" [Effect] (Set, Any, Interval) -> Void,
+        SetClear = "set.clear" [Effect] (Set) -> Void,
+        SetMembers = "set.members" [Effect] (Set) -> List,
     },
     "Hashmaps" => {
-        MapInsert = "map.insert" [Effect],
-        MapGet = "map.get" [Effect],
-        MapGetDefault = "map.get_default" [Effect],
-        MapExists = "map.exists" [Effect],
-        MapRemove = "map.remove" [Effect],
-        MapSize = "map.size" [Effect],
-        MapTimeout = "map.timeout" [Effect],
-        MapClear = "map.clear" [Effect],
-        MapKeys = "map.keys" [Effect] (Any) -> List,
+        MapInsert = "map.insert" [Effect] (Map, Any, Any) -> Void,
+        MapGet = "map.get" [Effect] (Map, Any) -> Any,
+        MapGetDefault = "map.get_default" [Effect] (Map, Any, Any) -> Any,
+        MapExists = "map.exists" [Effect] (Map, Any) -> Bool,
+        MapRemove = "map.remove" [Effect] (Map, Any) -> Bool,
+        MapSize = "map.size" [Effect] (Map) -> Int,
+        MapTimeout = "map.timeout" [Effect] (Map, Any, Interval) -> Void,
+        MapClear = "map.clear" [Effect] (Map) -> Void,
+        MapKeys = "map.keys" [Effect] (Map) -> List,
     },
     "Structs" => {
         StructGet = "struct.get" [Effect] ids[1],
@@ -806,36 +847,36 @@ mod tests {
         assert!(Opcode::IterIncr.is_pure());
     }
 
-    /// Operand values of type `t`, edges included: what a `Typed` row
+    /// Operand values of kind `k`, edges included: what a `Typed` row
     /// must accept and a `Traps` row must raise on one of.
-    fn samples(t: &Type) -> Vec<Value> {
+    fn samples(k: &Kind) -> Vec<Value> {
         let bytes = Bytes::frozen_from_slice(b"12");
-        match t {
-            Type::Int(_) => [0, -1, 7, 63, 64, i64::MIN, i64::MAX]
+        match k {
+            Kind::Int => [0, -1, 7, 63, 64, i64::MIN, i64::MAX]
                 .map(Value::Int)
                 .to_vec(),
-            Type::Bool => vec![Value::Bool(false), Value::Bool(true)],
-            Type::Double => [0.0, -1.5, f64::NAN].map(Value::Double).to_vec(),
-            Type::String => ["", "x", "12"].map(Value::str).to_vec(),
-            Type::Bytes => vec![Value::Bytes(bytes), Value::Bytes(Bytes::new())],
+            Kind::Bool => vec![Value::Bool(false), Value::Bool(true)],
+            Kind::Double => [0.0, -1.5, f64::NAN].map(Value::Double).to_vec(),
+            Kind::String => ["", "x", "12"].map(Value::str).to_vec(),
+            Kind::Bytes => vec![Value::Bytes(bytes), Value::Bytes(Bytes::new())],
             // Iterators over two different bytes objects.
-            Type::BytesIter => vec![
+            Kind::BytesIter => vec![
                 Value::BytesIter(bytes.begin()),
                 Value::BytesIter(bytes.end()),
                 Value::BytesIter(Bytes::new().begin()),
             ],
-            Type::Addr => ["10.0.0.1", "::1"]
+            Kind::Addr => ["10.0.0.1", "::1"]
                 .map(|a| Value::Addr(a.parse().unwrap()))
                 .to_vec(),
-            Type::Net => ["10.0.0.0/8", "2001:db8::/32"]
+            Kind::Net => ["10.0.0.0/8", "2001:db8::/32"]
                 .map(|n| Value::Net(n.parse().unwrap()))
                 .to_vec(),
-            Type::Port => vec![Value::Port("80/tcp".parse().unwrap())],
-            Type::Time => [0, 5].map(|s| Value::Time(Time::from_secs(s))).to_vec(),
-            Type::Interval => [-3, 0, 2]
+            Kind::Port => vec![Value::Port("80/tcp".parse().unwrap())],
+            Kind::Time => [0, 5].map(|s| Value::Time(Time::from_secs(s))).to_vec(),
+            Kind::Interval => [-3, 0, 2]
                 .map(|s| Value::Interval(Interval::from_secs(s)))
                 .to_vec(),
-            Type::Any => vec![
+            Kind::Any => vec![
                 Value::Null,
                 Value::Bool(true),
                 Value::Int(2),
@@ -883,7 +924,7 @@ mod tests {
     #[test]
     fn pure_rows_match_eval() {
         let mut ctx = Context::for_program(&CompiledProgram::default());
-        let any = samples(&Type::Any);
+        let any = samples(&Kind::Any);
         for (_, mnemonics) in GROUPS {
             for m in *mnemonics {
                 let op = Opcode::from_mnemonic(m).unwrap();

@@ -37,7 +37,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::bytecode::{const_value, CompiledProgram};
-use crate::ir::{Const, Function, Instr, OpClass, Opcode, Operand, Terminator};
+use crate::ir::{Const, Function, Instr, Kind, OpClass, Opcode, Operand, Terminator};
 use crate::ops;
 use crate::types::Type;
 use crate::value::Value;
@@ -359,10 +359,7 @@ fn cannot_raise(instr: &Instr, var_types: &HashMap<&str, Type>) -> bool {
             };
             instr.value_operands().count() == params.len()
                 && instr.value_operands().zip(params).all(|(op, want)| {
-                    *want == Type::Any
-                        || op
-                            .static_type(var_types)
-                            .is_some_and(|t| t.compatible(want))
+                    *want == Kind::Any || op.static_type(var_types).is_some_and(|t| want.admits(&t))
                 })
         }
         OpClass::Traps | OpClass::Effect => false,

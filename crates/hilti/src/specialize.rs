@@ -13,9 +13,11 @@
 //! The pass runs in three phases over each function:
 //!
 //! 1. **Per-instruction rewrites.** An op with a typed row in `crate::ops`
-//!    whose operands are each an immediate or a slot declared with the
-//!    kind its signature states becomes [`CInstr::Typed`]. Which ops have
-//!    a typed form is the table of rows, not a list here. On an
+//!    and a target, whose operands are each an immediate or a slot
+//!    declared with the kind its signature states (for an `any` operand,
+//!    any declared type but `any`), becomes [`CInstr::Typed`]. Which ops
+//!    have a typed form is the table of rows, not a list here; a row of
+//!    three operands stays generic. On an
 //!    `iterator<bytes>` slot that is also its destination,
 //!    `iterator.incr` then steps the slot's iterator in place — the
 //!    per-byte step of every generated parser. Besides, `assign` into a
@@ -42,7 +44,8 @@
 //! The pass states no semantics of its own. A typed row in `crate::ops`
 //! is the one statement of its op, which `ops::eval` and the VM's typed
 //! step both run, and `ops::match_token` is the one statement of a token
-//! match. A new typed op of any scalar kind is one row there.
+//! match. A new typed op of any kind, container or `any` operands
+//! included, is one row there.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
@@ -56,7 +59,7 @@
 //! "dispatch tier" line.
 
 use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, Src};
-use crate::ir::Opcode;
+use crate::ir::{Kind, Opcode};
 use crate::ops;
 use crate::types::Type;
 use crate::value::Value;
@@ -151,7 +154,7 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
         let CInstr::Typed { op, dst, args } = &cf.code[i] else {
             continue;
         };
-        if !matches!(op.signature(), Some((_, Type::Bool))) {
+        if !matches!(op.signature(), Some((_, Kind::Bool))) {
             continue;
         }
         let (then_pc, else_pc) = match cf.code[i + 1] {
@@ -226,7 +229,7 @@ fn typed_args<'a>(
         return None;
     }
     let of_kind =
-        |s: u16, kind: &Type| declared(s).is_some_and(|t| *t != Type::Any && t.compatible(kind));
+        |s: u16, kind: &Kind| declared(s).is_some_and(|t| *t != Type::Any && kind.admits(t));
     for ((src, arg), kind) in srcs.iter_mut().zip(args).zip(params) {
         *src = match arg {
             COperand::Slot(s) if of_kind(*s, kind) => Src::Slot(*s),

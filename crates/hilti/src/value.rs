@@ -101,21 +101,6 @@ impl fmt::Debug for IoSource {
     }
 }
 
-/// A pending timer entry: fires `action` (a callable) at its deadline.
-#[derive(Debug, Clone)]
-pub struct TimerEntry {
-    pub seq: u64,
-    pub action: CallableVal,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl Eq for TimerEntry {}
-
 /// A runtime value.
 #[derive(Clone, Debug, Default)]
 pub enum Value {
@@ -146,7 +131,7 @@ pub enum Value {
     Channel(hilti_rt::channel::Channel<Portable>),
     Classifier(Rc<RefCell<Classifier<Value>>>),
     Overlay(Rc<OverlayType>),
-    TimerMgr(Rc<RefCell<hilti_rt::timer::TimerMgr<TimerEntry>>>),
+    TimerMgr(Rc<RefCell<hilti_rt::timer::TimerMgr<CallableVal>>>),
     File(LogFile),
     IOSrc(Rc<RefCell<IoSource>>),
     Callable(Rc<CallableVal>),

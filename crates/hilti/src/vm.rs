@@ -306,10 +306,8 @@ impl Context {
         self.fault_countdown != u64::MAX
     }
 
-    /// Charges `cost` units of fuel, raising `Hilti::ResourceExhausted`
-    /// when the meter runs dry (the meter pins to zero, so a handler that
-    /// catches the exception cannot outrun the limit) and honouring any
-    /// armed fault injection.
+    /// Charges `cost` units of fuel at a charge point, honouring any armed
+    /// fault injection, then as [`Context::spend_fuel`].
     #[inline]
     pub(crate) fn charge_fuel(&mut self, cost: u64) -> RtResult<()> {
         if self.fault_countdown != u64::MAX {
@@ -323,6 +321,14 @@ impl Context {
             }
             self.fault_countdown -= 1;
         }
+        self.spend_fuel(cost)
+    }
+
+    /// Spends `cost` units of fuel, raising `Hilti::ResourceExhausted`
+    /// when the meter runs dry (the meter pins to zero, so a handler that
+    /// catches the exception cannot outrun the limit).
+    #[inline]
+    fn spend_fuel(&mut self, cost: u64) -> RtResult<()> {
         if self.fuel_left < cost {
             self.fuel_left = 0;
             if let Some(t) = &self.telemetry {
@@ -915,7 +921,9 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 
 /// Executes `instr` inline on `frame.slots` if it is a typed instruction
 /// (`Typed` … `MatchToken`, `Jump`): no operand clone, no `ops::eval`
-/// round trip. `Ok(false)` means it is some other instruction. An `Err`
+/// round trip; `env` is the context the rows that read network time or
+/// register an expiring container take. `Ok(false)` means it is some
+/// other instruction. An `Err`
 /// (an operand of the wrong type, or an iterator at the end of its input —
 /// what `ops::eval` raises) leaves the frame untouched. Both the fast loop
 /// and the one-at-a-time path of [`run`] execute typed instructions
@@ -923,12 +931,12 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 /// so a `WouldBlock` leaves the fast loop uncharged and
 /// suspends on the path below.
 #[inline(always)]
-fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
+fn step_typed(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool> {
     match instr {
         CInstr::Typed { op, dst, args } | CInstr::BrIf { op, dst, args, .. } => {
             // A test still writes its flag slot: later reads of the
             // result stay valid.
-            let taken = ops::exec(*op, &mut frame.slots, *dst, args)?;
+            let taken = ops::exec(*op, &mut frame.slots, *dst, args, env)?;
             frame.pc = match instr {
                 CInstr::BrIf {
                     then_pc, else_pc, ..
@@ -970,8 +978,8 @@ fn step_typed(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
 /// [`step_typed`] for the one-at-a-time path, out of line so that the
 /// dispatch loop holds one inlined copy of the typed rows, the fast loop's.
 #[inline(never)]
-fn step_typed_once(frame: &mut Frame, instr: &CInstr) -> RtResult<bool> {
-    step_typed(frame, instr)
+fn step_typed_once(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool> {
+    step_typed(frame, instr, env)
 }
 
 /// The fast loop's `MatchToken`: writes the token id and the iterator
@@ -1072,7 +1080,7 @@ fn dispatch(
             let mut fuel = clamp;
             while let Some(instr) = cf.code.get(frame.pc as usize) {
                 let cost = fuel_cost(instr);
-                if fuel < cost || !matches!(step_typed(frame, instr), Ok(true)) {
+                if fuel < cost || !matches!(step_typed(frame, instr, &mut ctx.env), Ok(true)) {
                     break;
                 }
                 fuel -= cost;
@@ -1096,35 +1104,17 @@ fn dispatch(
             )));
         };
 
-        // A fused test-and-branch is traced, charged and profiled as its
-        // two constituent instructions, so all three match an unspecialized
-        // run; when its test traps, the branch never runs.
-        let fused_branch = match instr {
-            CInstr::BrIf { op, args, .. } => {
-                let arity = op.signature().map_or(0, |(params, _)| params.len());
-                let refs = args.each_ref().map(|a| a.get(&frame.slots));
-                ops::eval(*op, &refs[..arity], &[], &mut ctx.env).is_ok()
-            }
-            _ => false,
-        };
-
         if ctx.trace && ctx.trace_log.len() < TRACE_CAP {
             // Mnemonic-based rendering keeps traces diffable against an
-            // unspecialized build.
+            // unspecialized build. A fused test-and-branch traces its test
+            // here and its branch below, once the test has run.
             let text = instr.render();
-            match text.split_once(" ; ") {
-                Some((cmp, branch)) if matches!(instr, CInstr::BrIf { .. }) => {
-                    ctx.trace_log
-                        .push(format!("{}@{}: {cmp}", cf.name, frame.pc));
-                    if fused_branch && ctx.trace_log.len() < TRACE_CAP {
-                        ctx.trace_log
-                            .push(format!("{}@{}: {branch}", cf.name, frame.pc + 1));
-                    }
-                }
-                _ => ctx
-                    .trace_log
-                    .push(format!("{}@{}: {text}", cf.name, frame.pc)),
-            }
+            let line = match text.split_once(" ; ") {
+                Some((cmp, _)) if matches!(instr, CInstr::BrIf { .. }) => cmp,
+                _ => &text,
+            };
+            ctx.trace_log
+                .push(format!("{}@{}: {line}", cf.name, frame.pc));
         }
         if ctx.stats {
             ctx.count_instr(instr.stat_name());
@@ -1178,18 +1168,15 @@ fn dispatch(
         }
 
         // Instructions that bailed out of the fast loop above were not
-        // charged there, so this is the single charge point.
-        let cost = 1 + fused_branch as u64;
-        if let Err(e) = ctx.charge_fuel(cost) {
+        // charged there, so this is the single charge point (a fused
+        // test-and-branch spends for its branch below, once its test ran).
+        if let Err(e) = ctx.charge_fuel(1) {
             raise!(e);
         }
-        ctx.tier_retired.generic += cost;
+        ctx.tier_retired.generic += 1;
         if ctx.profile {
             // Charged to the function retiring the instruction.
             ctx.profile_record(&cf.name, cinstr_class(instr), 1);
-            if fused_branch {
-                ctx.profile_record(&cf.name, "control", 1);
-            }
         }
 
         match instr {
@@ -1345,13 +1332,36 @@ fn dispatch(
                 complete!(*target, result.map(|()| Value::Null));
             }
             // --- typed instructions: clone-free, inline on frame.slots ---
+            // A fused test-and-branch runs its test once, and then its
+            // branch is traced, charged and profiled as the instruction
+            // after it, so all three match an unspecialized run; when the
+            // test raises, the branch never runs. The pair stays one charge
+            // point for fault injection.
+            CInstr::BrIf { .. } => {
+                let pc = frame.pc;
+                if let Err(e) = step_typed_once(frame, instr, &mut ctx.env) {
+                    raise!(e);
+                }
+                if ctx.trace && ctx.trace_log.len() < TRACE_CAP {
+                    let text = instr.render();
+                    let (_, branch) = text.split_once(" ; ").expect("a fused pair");
+                    ctx.trace_log
+                        .push(format!("{}@{}: {branch}", cf.name, pc + 1));
+                }
+                if let Err(e) = ctx.spend_fuel(1) {
+                    raise!(e);
+                }
+                ctx.tier_retired.generic += 1;
+                if ctx.profile {
+                    ctx.profile_record(&cf.name, "control", 1);
+                }
+            }
             CInstr::Typed { .. }
-            | CInstr::BrIf { .. }
             | CInstr::MoveSlot { .. }
             | CInstr::LoadImm { .. }
             | CInstr::BrBool { .. }
             | CInstr::Jump(_) => {
-                if let Err(e) = step_typed_once(frame, instr) {
+                if let Err(e) = step_typed_once(frame, instr, &mut ctx.env) {
                     raise!(e);
                 }
             }

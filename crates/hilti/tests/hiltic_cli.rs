@@ -432,8 +432,8 @@ fn typed_ops_example_reaches_every_typed_instruction() {
 
 /// `examples/hlt/typed_scalars.hlt` reaches a typed row of every scalar
 /// kind past integers and booleans, keeps the three-operand
-/// `string.substr` generic, prints the same under every configuration, and
-/// the specializer changes nothing in its trace, optimized or not.
+/// `string.substr` generic, and the specializer changes nothing in its
+/// trace, optimized or not.
 #[test]
 fn typed_scalars_example_reaches_a_row_of_every_kind() {
     let f = example("typed_scalars.hlt");
@@ -464,23 +464,6 @@ fn typed_scalars_example_reaches_a_row_of_every_kind() {
         ]
     );
     assert_eq!(stats_buckets(&f, "string.substr"), ["string.substr"]);
-    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
-        let out = hiltic().args(["run", flag, &f]).output().unwrap();
-        assert!(out.status.success(), "{flag}: {out:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            "0 0.75 abc abc GET /index.html 15 3 10.0.0.0 False 80 1.750000\n\
-             1 1.125 abcc bcc ET /index.html 14 2 10.0.0.0 False 80 2.250000\n\
-             2 1.6875 abccc ccc T /index.html 13 1 10.1.0.0 True 80 3.250000\n\
-             3 2.53125 abcccc ccc  /index.html 12 -1 10.1.0.0 True 80 5.250000\n\
-             4 3.796875 abccccc ccc /index.html 11 -1 10.1.0.0 True 80 9.250000\n\
-             5 5.6953125 abcccccc ccc index.html 10 -1 10.1.0.0 True 80 17.250000\n\
-             6 8.54296875 abccccccc ccc ndex.html 9 -1 10.1.0.0 True 80 33.250000\n\
-             7 12.814453125 abcccccccc ccc dex.html 8 -1 10.1.0.0 True 80 65.250000\n\
-             64.000000 80/tcp\n",
-            "{flag}"
-        );
-    }
     assert_trace_ignores_specializer(&f);
 }
 
@@ -525,26 +508,230 @@ fn tokens_example_runs_fused() {
     assert_trace_ignores_specializer(&f);
 }
 
+/// `examples/hlt/containers.hlt` runs every two-operand container row it
+/// uses typed (each under `spec.<mnemonic>`) and its three-operand rows
+/// generic, and the specializer changes nothing in its trace, optimized or
+/// not, nor where a run out of fuel stops.
+#[test]
+fn containers_example_runs_container_rows_typed() {
+    let f = example("containers.hlt");
+    let typed: Vec<String> = stats_buckets(&f, "spec.")
+        .into_iter()
+        .filter(|b| {
+            !b.starts_with("spec.int.") && !b.starts_with("spec.br") && b != "spec.load.imm"
+        })
+        .collect();
+    assert_eq!(
+        typed,
+        [
+            "spec.bytes.copy",
+            "spec.bytes.freeze",
+            "spec.bytes.is_frozen",
+            "spec.bytes.unfreeze",
+            "spec.deepcopy",
+            "spec.equal",
+            "spec.list.append",
+            "spec.list.back",
+            "spec.list.clear",
+            "spec.list.front",
+            "spec.list.length",
+            "spec.list.pop_back",
+            "spec.list.pop_front",
+            "spec.list.push_back",
+            "spec.list.push_front",
+            "spec.map.clear",
+            "spec.map.exists",
+            "spec.map.get",
+            "spec.map.keys",
+            "spec.map.remove",
+            "spec.map.size",
+            "spec.set.clear",
+            "spec.set.exists",
+            "spec.set.insert",
+            "spec.set.members",
+            "spec.set.remove",
+            "spec.set.size",
+            "spec.string.render",
+            "spec.unequal",
+            "spec.vector.clear",
+            "spec.vector.get",
+            "spec.vector.length",
+            "spec.vector.pop_back",
+            "spec.vector.push_back",
+            "spec.vector.reserve",
+        ]
+    );
+    for generic in [
+        "map.insert",
+        "map.get_default",
+        "map.timeout",
+        "vector.set",
+        "select",
+    ] {
+        assert_eq!(stats_buckets(&f, generic), [generic]);
+    }
+    assert_trace_ignores_specializer(&f);
+    // Out of fuel at every count up to the whole run, each configuration
+    // stops at the same instruction: same output, same error.
+    let at_fuel = |n: u64, extra: &[&str]| {
+        let out = hiltic()
+            .args(["run", "--fuel", &n.to_string()])
+            .args(extra)
+            .arg(&f)
+            .output()
+            .unwrap();
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    for n in 1.. {
+        let on = at_fuel(n, &[]);
+        assert_eq!(on, at_fuel(n, &["--no-specialize"]), "fuel {n}");
+        assert_eq!(on, at_fuel(n, &["--interp"]), "fuel {n}");
+        if on.0 == Some(0) {
+            break;
+        }
+    }
+}
+
+/// Every program under `examples/hlt/`: its entry point, exit code,
+/// stdout and stderr, the same under every configuration.
+const EXAMPLES: &[(&str, &str, i32, &str, &str)] = &[
+    (
+        "bytes_walk.hlt",
+        "Main::run",
+        0,
+        "72 2 72\n73 3 145\n76 4 221\n84 5 305\n73 6 378\n32 7 410\n119 8 529\n\
+         97 9 626\n108 10 734\n107 11 841\n115 12 956\n32 13 988\n98 14 1086\n\
+         121 15 1207\n116 16 1323\n101 17 1424\n115 18 1539\n17\n\
+         offset 17 past frozen end 17\n",
+        "",
+    ),
+    (
+        "containers.hlt",
+        "Main::run",
+        0,
+        "list 0 11 [9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 7]\n\
+         list 9 7 7 [9, 1, 2, 3, 4, 5, 6, 7, 8, 9] False [9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8]\n\
+         removed 3\n\
+         set False 9 True [0, 1, 2, 4, 5, 6, 7, 8, 9]\n\
+         map 2 -1 True False 9 [0, 1, 2, 4, 5, 6, 7, 8, 9]\n\
+         vector 9 True 1 9 [0, 1, two, 3, 4, 5, 6, 7, 8]\n\
+         bytes False True ab\n\
+         caught Hilti::IndexError, list length 0\n\
+         caught Hilti::IndexError, vector length 0\n\
+         cleared 0 0\n",
+        "",
+    ),
+    ("cse_heap.hlt", "Main::run", 0, "1 12 True False 1 12\n", ""),
+    (
+        "dead_traps.hlt",
+        "Main::run",
+        1,
+        "caught Hilti::ValueError\n",
+        "hiltic: uncaught exception: Hilti::TypeError: expected int, got string\n",
+    ),
+    ("hello.hlt", "Main::run", 0, "Hello, World!\n", ""),
+    (
+        "keys.hlt",
+        "Main::run",
+        0,
+        "True\nTrue\n7\nTrue\nFalse\n{(1, a), 3, a, ab, b}\n[3, a, ab, b, (1, a)]\n\
+         caught Hilti::TypeError\n",
+        "",
+    ),
+    (
+        "radix.hlt",
+        "Main::run",
+        0,
+        "43\n5\ncaught Hilti::ValueError\ncaught Hilti::ValueError\n\
+         caught Hilti::ValueError\ndone\n",
+        "",
+    ),
+    ("scan_detector.hlt", "Scan::demo", 0, "False\nTrue\n", ""),
+    (
+        "timers.hlt",
+        "Main::run",
+        0,
+        "ids 0 1\nTrue\nFalse\npending 1\nsecond fired\npending 0\n",
+        "",
+    ),
+    (
+        "tokens.hlt",
+        "Main::run",
+        0,
+        "0 3\n2 4\n1 15\n2 16\n1 24\n3 26\n1 31\n2 32\n1 43\n3 45\n3 47\n11\n\
+         0 4\n2 5\n1 10\n2 11\n1 19\n3 21\ninsufficient input\n",
+        "",
+    ),
+    (
+        "typed_ops.hlt",
+        "Main::run",
+        0,
+        "0 5 True True True True True\n1 37 False True True True True\n\
+         2 111 False True True True True\n3 319 False False True True True\n\
+         4 887 False False True False True\n5 2070 False True True False True\n\
+         6 4991 False False True False True\n7 11770 False False True False True\n\
+         -42 True True False True False\n",
+        "",
+    ),
+    (
+        "typed_scalars.hlt",
+        "Main::run",
+        0,
+        "0 0.75 abc abc GET /index.html 15 3 10.0.0.0 False 80 1.750000\n\
+         1 1.125 abcc bcc ET /index.html 14 2 10.0.0.0 False 80 2.250000\n\
+         2 1.6875 abccc ccc T /index.html 13 1 10.1.0.0 True 80 3.250000\n\
+         3 2.53125 abcccc ccc  /index.html 12 -1 10.1.0.0 True 80 5.250000\n\
+         4 3.796875 abccccc ccc /index.html 11 -1 10.1.0.0 True 80 9.250000\n\
+         5 5.6953125 abcccccc ccc index.html 10 -1 10.1.0.0 True 80 17.250000\n\
+         6 8.54296875 abccccccc ccc ndex.html 9 -1 10.1.0.0 True 80 33.250000\n\
+         7 12.814453125 abcccccccc ccc dex.html 8 -1 10.1.0.0 True 80 65.250000\n\
+         64.000000 80/tcp\n",
+        "",
+    ),
+];
+
+/// Runs `file` under `-O0`, `-O1`, `--interp` and `--no-specialize` and
+/// checks each run against the file's row in [`EXAMPLES`].
+fn assert_runs_as_its_row(file: &str) {
+    let &(_, entry, code, stdout, stderr) = EXAMPLES
+        .iter()
+        .find(|row| row.0 == file)
+        .unwrap_or_else(|| panic!("{file} has no row in EXAMPLES"));
+    let f = example(file);
+    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
+        let out = hiltic()
+            .args(["run", flag, "--entry", entry, &f])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(code), "{file} {flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            stdout,
+            "{file} {flag}"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            stderr,
+            "{file} {flag}"
+        );
+    }
+}
+
+/// Each example prints what its row says, optimized or not, interpreted
+/// or specialized.
+#[test]
+fn every_example_runs_alike_under_every_configuration() {
+    for row in EXAMPLES {
+        assert_runs_as_its_row(row.0);
+    }
+}
+
 /// `examples/hlt/dead_traps.hlt` computes two dead results that raise:
 /// optimized or not, interpreted or specialized, the caught ValueError
 /// prints and the TypeError ends the run uncaught.
 #[test]
 fn dead_traps_example_raises_under_every_configuration() {
-    let f = example("dead_traps.hlt");
-    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
-        let out = hiltic().args(["run", flag, &f]).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            "caught Hilti::ValueError\n",
-            "{flag}"
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr),
-            "hiltic: uncaught exception: Hilti::TypeError: expected int, got string\n",
-            "{flag}"
-        );
-    }
+    assert_runs_as_its_row("dead_traps.hlt");
 }
 
 /// `examples/hlt/radix.hlt` parses digits in bases 36 and 2 and then asks
@@ -552,18 +739,7 @@ fn dead_traps_example_raises_under_every_configuration() {
 /// under every configuration.
 #[test]
 fn radix_example_raises_value_error_outside_2_to_36() {
-    let f = example("radix.hlt");
-    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
-        let out = hiltic().args(["run", flag, &f]).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            "43\n5\ncaught Hilti::ValueError\ncaught Hilti::ValueError\n\
-             caught Hilti::ValueError\ndone\n",
-            "{flag}"
-        );
-        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
-    }
+    assert_runs_as_its_row("radix.hlt");
 }
 
 /// `examples/hlt/keys.hlt` checks container key identity: a string and a
@@ -573,18 +749,7 @@ fn radix_example_raises_value_error_outside_2_to_36() {
 /// configuration.
 #[test]
 fn keys_example_agrees_with_equal_under_every_configuration() {
-    let f = example("keys.hlt");
-    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
-        let out = hiltic().args(["run", flag, &f]).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            "True\nTrue\n7\nTrue\nFalse\n{(1, a), 3, a, ab, b}\n[3, a, ab, b, (1, a)]\n\
-             caught Hilti::TypeError\n",
-            "{flag}"
-        );
-        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
-    }
+    assert_runs_as_its_row("keys.hlt");
 }
 
 /// `examples/hlt/cse_heap.hlt` reads a `bytes` through three pure ops,
@@ -593,16 +758,55 @@ fn keys_example_agrees_with_equal_under_every_configuration() {
 /// included.
 #[test]
 fn cse_heap_example_rereads_after_a_write_under_every_configuration() {
-    let f = example("cse_heap.hlt");
-    for flag in ["-O0", "-O1", "--interp", "--no-specialize"] {
-        let out = hiltic().args(["run", flag, &f]).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            "1 12 True False 1 12\n",
-            "{flag}"
+    assert_runs_as_its_row("cse_heap.hlt");
+}
+
+/// A file under `examples/hlt/` without a row in [`EXAMPLES`] fails here.
+#[test]
+fn every_example_has_a_row() {
+    let dir = format!("{}/../../examples/hlt", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort_unstable();
+    let rows: Vec<&str> = EXAMPLES.iter().map(|row| row.0).collect();
+    assert_eq!(files, rows);
+}
+
+/// `hiltic check` rejects a container op, or `select`, on an operand of
+/// the wrong kind, naming the operand, instead of leaving the `TypeError`
+/// to run time.
+#[test]
+fn check_rejects_container_ops_on_the_wrong_operand() {
+    let cases = [
+        (
+            "local ref<set<any>> s\n    local any x\n    s = new set<any>\n    x = map.get s 1",
+            "map.get operand 1: expected map<any, any>, got set<any>",
+        ),
+        (
+            "local ref<vector<any>> v\n    v = new vector<any>\n    list.push_back v 1",
+            "list.push_back operand 1: expected list<any>, got vector<any>",
+        ),
+        (
+            "local ref<map<any, any>> m\n    local ref<list<any>> l\n    \
+             m = new map<any, any>\n    l = set.members m",
+            "set.members operand 1: expected set<any>, got map<any, any>",
+        ),
+        (
+            "local int<64> c\n    local any x\n    c = assign 1\n    x = select c 1 2",
+            "select operand 1: expected bool, got int<64>",
+        ),
+    ];
+    for (i, (body, message)) in cases.into_iter().enumerate() {
+        let f = write_temp(
+            &format!("wrong_operand{i}.hlt"),
+            &format!("module Main\nvoid run() {{\n    {body}\n}}\n"),
         );
-        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
+        let out = hiltic().arg("check").arg(&f).output().unwrap();
+        assert!(!out.status.success(), "{body}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{body}: {err}");
     }
 }
 
