@@ -10,12 +10,15 @@
 //! iterator. Temporaries are declared with the types the grammar already
 //! knows (`iterator<bytes>` for input positions, `int<64>` for integer
 //! fields read back), so the VM's specializer runs them on its typed
-//! instructions. A token match unpacks its (pattern, end) tuple right
+//! instructions. `self` is a `ref<U>`, so each `struct.get`/`struct.set`
+//! of a field is a typed field site too. An integer field of `w` bytes is
+//! one `iterator.unpack_be` (or `_le`) of width `w` and one step of `it`
+//! by `w`. A token match unpacks its (pattern, end) tuple right
 //! away into an `int<64>` local and an `iterator<bytes>` (a local, or `it`
 //! itself), which the specializer fuses into one `MatchToken`.
 //!
 //! The generated code is *fully incremental by construction* (§4): every
-//! input access — token matches, integer bytes, length-delimited runs —
+//! input access — token matches, integer fields, length-delimited runs —
 //! raises `Hilti::WouldBlock` when input is exhausted, which suspends the
 //! enclosing fiber; resuming retries the blocked instruction, so "parsers
 //! ... postpone parsing whenever they run out of input and transparently
@@ -280,34 +283,16 @@ impl<'a> UnitGen<'a> {
                 self.line(format!("it = assign {nit}"));
                 let _ = idx;
             }
-            FieldKind::UInt(w) => {
+            FieldKind::UInt(w) | FieldKind::UIntLE(w) => {
+                let order = if matches!(f.kind, FieldKind::UInt(_)) {
+                    "be"
+                } else {
+                    "le"
+                };
                 let acc = self.fresh("acc");
                 self.line(format!("local int<64> {acc}"));
-                self.line(format!("{acc} = assign 0"));
-                let b = self.fresh("b");
-                self.line(format!("local int<64> {b}"));
-                for _ in 0..*w {
-                    self.line(format!("{b} = iterator.deref it"));
-                    self.line("it = iterator.incr it 1".into());
-                    self.line(format!("{acc} = int.shl {acc} 8"));
-                    self.line(format!("{acc} = int.or {acc} {b}"));
-                }
-                self.store(f, &acc);
-            }
-            FieldKind::UIntLE(w) => {
-                let acc = self.fresh("acc");
-                self.line(format!("local int<64> {acc}"));
-                self.line(format!("{acc} = assign 0"));
-                let b = self.fresh("b");
-                let sh = self.fresh("sh");
-                self.line(format!("local int<64> {b}"));
-                self.line(format!("local int<64> {sh}"));
-                for k in 0..*w {
-                    self.line(format!("{b} = iterator.deref it"));
-                    self.line("it = iterator.incr it 1".into());
-                    self.line(format!("{sh} = int.shl {b} {}", 8 * k));
-                    self.line(format!("{acc} = int.or {acc} {sh}"));
-                }
+                self.line(format!("{acc} = iterator.unpack_{order} it {w}"));
+                self.line(format!("it = iterator.incr it {w}"));
                 self.store(f, &acc);
             }
             FieldKind::BytesVar(var) => {

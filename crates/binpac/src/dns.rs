@@ -6,7 +6,9 @@
 //! the message. Name decompression is expressed as a hand-written HILTI
 //! helper attached to the grammar (`parse_name`) — the analog of the helper
 //! code a `.pac2` author writes — with a pointer-loop guard (fail-safe
-//! against hostile input, §7).
+//! against hostile input, §7). Each label, and each TXT character-string,
+//! is decoded by one `bytes.sub_string` and joined by `string.concat`;
+//! each of the two builds its string with one allocation.
 //!
 //! One deliberate semantic difference from the standard parser reproduces
 //! the paper's Table 2 note: **TXT rdata renders all character-strings**,
@@ -44,7 +46,6 @@ tuple<any, any> parse_name(ref<bytes> data, iterator<bytes> it) {
     local bool bad
     local iterator<bytes> start
     local iterator<bytes> endp
-    local any lblb
     local string lbls
     local bool isfirst
     local bool toomany
@@ -90,8 +91,7 @@ name_fail2:
 name_lbl2:
     start = iterator.incr cur 1
     endp = iterator.incr start len
-    lblb = bytes.sub start endp
-    lbls = bytes.to_string lblb
+    lbls = bytes.sub_string start endp
     if.else isfirst name_app1 name_app2
 name_app1:
     name = assign lbls
@@ -186,7 +186,6 @@ rr_txt:
 local iterator<bytes> __tit
 local iterator<bytes> __tend
 local int<64> __sl
-local any __sb
 local string __ss
 local bool __tmore
 local int<64> __toff
@@ -204,8 +203,7 @@ rr_txt_one:
 __sl = iterator.deref __tit
 __tit = iterator.incr __tit 1
 __sse = iterator.incr __tit __sl
-__sb = bytes.sub __tit __sse
-__ss = bytes.to_string __sb
+__ss = bytes.sub_string __tit __sse
 __tit = assign __sse
 __fst = equal __rend ""
 if.else __fst rr_txt_f rr_txt_s

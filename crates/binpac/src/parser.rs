@@ -13,7 +13,7 @@ use std::rc::Rc;
 use hilti::fiber::{Fiber, FiberState, Step};
 use hilti::host::Program;
 use hilti::passes::OptLevel;
-use hilti::value::Value;
+use hilti::value::{StructLayout, Value};
 use hilti::vm::FuncId;
 use hilti_rt::bytestring::{Bytes, FeedChunk};
 use hilti_rt::error::{RtError, RtResult};
@@ -46,6 +46,14 @@ struct UnitEntry {
     parse: FuncId,
     /// Present for stream units (those compiled with a `drive_*` loop).
     drive: Option<(Rc<str>, FuncId)>,
+}
+
+/// A unit resolved for whole-PDU parses: its `parse_*` function and its
+/// struct layout, looked up once rather than per datagram.
+#[derive(Clone)]
+pub struct DatagramUnit {
+    parse: FuncId,
+    layout: Rc<StructLayout>,
 }
 
 impl BinpacParser {
@@ -119,23 +127,9 @@ impl BinpacParser {
         &mut self.program
     }
 
-    /// Parses one complete PDU with unit `unit`; returns the struct value.
-    pub fn parse_datagram(&mut self, unit: &str, payload: &[u8]) -> RtResult<Value> {
-        self.run_datagram(unit, Bytes::frozen_from_slice(payload))
-    }
-
-    /// Like [`BinpacParser::parse_datagram`], but the PDU arrives as a
-    /// [`FeedChunk`]: a borrowed arena chunk is parsed in place, without
-    /// copying the payload into the parser's byte string.
-    pub fn parse_datagram_chunk(&mut self, unit: &str, payload: FeedChunk<'_>) -> RtResult<Value> {
-        let data = Bytes::new();
-        data.append_chunk(payload)
-            .expect("fresh Bytes cannot be frozen");
-        data.freeze();
-        self.run_datagram(unit, data)
-    }
-
-    fn run_datagram(&mut self, unit: &str, data: Bytes) -> RtResult<Value> {
+    /// Resolves `unit` for [`BinpacParser::parse_datagram_chunk`]; fails
+    /// when the grammar has no such unit.
+    pub fn datagram_unit(&self, unit: &str) -> RtResult<DatagramUnit> {
         let layout = self.program.compiled().struct_layouts.get(unit);
         let (Some(entry), Some(layout)) = (self.units.get(unit), layout) else {
             return Err(RtError::value(format!(
@@ -143,10 +137,39 @@ impl BinpacParser {
                 self.module
             )));
         };
+        Ok(DatagramUnit {
+            parse: entry.parse,
+            layout: Rc::new(layout.clone()),
+        })
+    }
+
+    /// Parses one complete PDU with unit `unit`; returns the struct value.
+    pub fn parse_datagram(&mut self, unit: &str, payload: &[u8]) -> RtResult<Value> {
+        let unit = self.datagram_unit(unit)?;
+        self.run_datagram(&unit, Bytes::frozen_from_slice(payload))
+    }
+
+    /// Like [`BinpacParser::parse_datagram`], for a unit resolved once,
+    /// and the PDU arrives as a [`FeedChunk`]: a borrowed arena chunk is
+    /// parsed in place, without copying the payload into the parser's
+    /// byte string.
+    pub fn parse_datagram_chunk(
+        &mut self,
+        unit: &DatagramUnit,
+        payload: FeedChunk<'_>,
+    ) -> RtResult<Value> {
+        let data = Bytes::new();
+        data.append_chunk(payload)
+            .expect("fresh Bytes cannot be frozen");
+        data.freeze();
+        self.run_datagram(unit, data)
+    }
+
+    fn run_datagram(&mut self, unit: &DatagramUnit, data: Bytes) -> RtResult<Value> {
         // parse_* fills in the unit it is handed and returns the iterator.
-        let value = layout.instantiate();
+        let value = unit.layout.instantiate();
         self.program.run_id(
-            entry.parse,
+            unit.parse,
             &[
                 value.clone(),
                 Value::Bytes(data.clone()),

@@ -31,18 +31,21 @@ use netpkt::TraceBuffer;
 /// `dns_trace(11, 2_000)`. Was 416.4 while every `struct.get`/`struct.set`
 /// cloned the unit's field-name list, 66.51 while a tuple (every
 /// `parse_*` return) took two allocations, 61.54 while every
-/// `parse_*` returned one, and pinned at 58.62 while the pin was rounded up
-/// to two decimals. Exact: 226 309 allocations over 3 861 datagrams
-/// (58.61409); one more reads 58.61435.
-const DNS_ALLOCS_PER_PDU: f64 = 58.6141;
+/// `parse_*` returned one, pinned at 58.62 while the pin was rounded up
+/// to two decimals, and 58.6141 (226 309) while a name label went through
+/// `bytes.sub` and `bytes.to_string` and every string took two
+/// allocations. Exact: 140 788 allocations over 3 861 datagrams
+/// (36.46413); one more reads 36.46439.
+const DNS_ALLOCS_PER_PDU: f64 = 36.4642;
 /// Allocations per payload-carrying delivery fed to `BinpacAnalyzer` on
 /// `http_trace(11, 300)`. Was 100.25 with two allocations per tuple,
 /// 77.29 while every `parse_*` returned one, 73.42 while every token
 /// match returned its pattern index and end as a tuple, 54.31 while
-/// HEAD suppression queued a copy of every request's method, and pinned at
-/// 53.97 while the pin was rounded up to two decimals. Exact: 93 573
-/// allocations over 1 734 deliveries (53.96367); one more reads 53.96424.
-const HTTP_ALLOCS_PER_PDU: f64 = 53.9637;
+/// HEAD suppression queued a copy of every request's method, pinned at
+/// 53.97 while the pin was rounded up to two decimals, and 53.9637
+/// (93 573) while every string took two allocations. Exact: 89 173
+/// allocations over 1 734 deliveries (51.42618); one more reads 51.42676.
+const HTTP_ALLOCS_PER_PDU: f64 = 51.4262;
 
 struct CountingAlloc;
 

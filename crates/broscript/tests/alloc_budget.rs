@@ -35,13 +35,16 @@ const TRANSACTIONS: u64 = 256;
 
 /// Allocations of [`TRANSACTIONS`] reply-side `http_message_done`
 /// dispatches (two log lines, a MIME sniff and a SHA-1 over a 120-byte
-/// body each): 19.01 per dispatch. Was 111.01 per dispatch while every operand
-/// was cloned, every table probe copied its key, and `cat` and `sha1`
-/// built a string per argument and per digest byte.
-const HTTP_MESSAGE_DONE_ALLOCS: u64 = 4_866;
+/// body each): 11.01 per dispatch. Was 19.01 (4 866) while every string a
+/// builtin or a string instruction made took two allocations and the MIME
+/// sniff copied the body's head, and 111.01 per dispatch while every
+/// operand was cloned, every table probe copied its key, and `cat` and
+/// `sha1` built a string per argument and per digest byte.
+const HTTP_MESSAGE_DONE_ALLOCS: u64 = 2_818;
 /// Allocations of [`TRANSACTIONS`] `dns_reply` dispatches with two answers
-/// (one log line each): 26.00 per dispatch. Was 72.96.
-const DNS_REPLY_ALLOCS: u64 = 6_657;
+/// (one log line each): 17.00 per dispatch. Was 26.00 (6 657) while every
+/// string took two allocations, and 72.96 before.
+const DNS_REPLY_ALLOCS: u64 = 4_353;
 
 struct CountingAlloc;
 
@@ -224,7 +227,9 @@ struct PipelineCount {
 }
 
 const PIPELINE_COUNTS: [PipelineCount; 3] = [
-    // 16.725 per packet. The delivery core removes each connection's parser
+    // 15.598 per packet, 2 of 2 runs. Was pinned at 541 534 while every
+    // string a builtin or a string instruction made took two allocations.
+    // The delivery core removes each connection's parser
     // from its `StdHttp` map at close; whether a later insert reuses the
     // tombstone depends on the process's random hash seed, so now and then
     // a run resizes the map once more. Measured 541 533 in 11 of 12 runs
@@ -252,8 +257,11 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || throughput_trace(0x7487, 4_000),
         run: run_http_analysis_governed,
         stack: ParserStack::Standard,
-        pinned: 541_534,
+        pinned: 505_033,
     },
+    // 55.497 per packet, 2 of 2 runs. Was pinned at 163 476 while integer
+    // fields were read byte by byte, name labels went through `bytes.sub`
+    // and `bytes.to_string`, and every string took two allocations. Was
     // 84.703 per packet, 12 of 12 runs. Was pinned at 163 912, 274 above
     // the 163 638 its tree measured (5 of 5 runs), until the checker's
     // operand `Vec` went (see above). Was pinned at 164 216 (85.086;
@@ -270,8 +278,10 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || dns_trace(&SynthConfig::new(11, 1_000)),
         run: run_dns_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 163_476,
+        pinned: 107_109,
     },
+    // 47.143 per packet, 2 of 2 runs. Was pinned at 147 784 while every
+    // string took two allocations. Was
     // 49.592 per packet, 12 of 12 runs. Was pinned at 147 933, 36 above the
     // 147 897 its tree measured (5 of 5 runs), until the checker's operand
     // `Vec` went (see above). Was pinned at 149 268 (50.090; 148 663
@@ -295,7 +305,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 147_784,
+        pinned: 140_487,
     },
 ];
 

@@ -234,6 +234,18 @@ impl Inner {
         Ok(())
     }
 
+    /// Why the byte at `offset` cannot be read: it was trimmed, or it lies
+    /// past the frontier (WouldBlock while open, IndexError once frozen).
+    fn unavailable(&self, offset: u64) -> RtError {
+        if offset < self.base {
+            RtError::index(format!("offset {offset} before trimmed base {}", self.base))
+        } else if self.frozen {
+            RtError::index(format!("offset {offset} past frozen end {}", self.end))
+        } else {
+            RtError::would_block()
+        }
+    }
+
     /// The bytes of a range [`Inner::check_range`] accepted, concatenated.
     fn copy_range(&self, from: u64, to: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity((to - from) as usize);
@@ -515,24 +527,40 @@ impl Bytes {
     /// Reads one byte at a logical offset.
     pub fn at(&self, offset: u64) -> RtResult<u8> {
         let inner = self.inner.borrow();
-        if offset < inner.base {
-            return Err(RtError::index(format!(
-                "offset {offset} before trimmed base {}",
-                inner.base
-            )));
+        if offset < inner.base || offset >= inner.end {
+            return Err(inner.unavailable(offset));
         }
-        if offset >= inner.end {
-            if inner.frozen {
-                Err(RtError::index(format!(
-                    "offset {offset} past frozen end {}",
-                    inner.end
-                )))
+        Ok(inner.byte_at(offset))
+    }
+
+    /// Fills `out` with the bytes from `offset` on: what that many [`at`]
+    /// calls in a row read, raising what the first of them to miss would.
+    ///
+    /// [`at`]: Bytes::at
+    pub fn read_into(&self, offset: u64, out: &mut [u8]) -> RtResult<()> {
+        let inner = self.inner.borrow();
+        let to = offset.saturating_add(out.len() as u64);
+        if out.is_empty() {
+            return Ok(());
+        }
+        if offset < inner.base || to > inner.end {
+            let first_missing = if offset < inner.base {
+                offset
             } else {
-                Err(RtError::would_block())
-            }
-        } else {
-            Ok(inner.byte_at(offset))
+                offset.max(inner.end)
+            };
+            return Err(inner.unavailable(first_missing));
         }
+        let mut i = inner.chunk_containing(offset);
+        let (mut pos, mut done) = (offset, 0);
+        while done < out.len() {
+            let c = &inner.chunks[i];
+            let s = &c.as_slice()[(pos - c.start) as usize..];
+            let n = s.len().min(out.len() - done);
+            out[done..done + n].copy_from_slice(&s[..n]);
+            (done, pos, i) = (done + n, pos + n as u64, i + 1);
+        }
+        Ok(())
     }
 
     /// Copies out `[from, to)` as a `Vec<u8>`. All requested data must be
@@ -572,6 +600,26 @@ impl Bytes {
                 budget: None,
             })),
         })
+    }
+
+    /// Calls `f` with the bytes of `[from, to)`, availability checked as for
+    /// [`Bytes::extract`]: borrowed in place when the range lies in one
+    /// chunk, copied once when it straddles two. Decoding a field this way
+    /// builds no [`Bytes`] of its own, as [`Bytes::sub`] does.
+    pub fn with_range<R>(&self, from: u64, to: u64, f: impl FnOnce(&[u8]) -> R) -> RtResult<R> {
+        let inner = self.inner.borrow();
+        inner.check_range(from, to)?;
+        if from == to {
+            return Ok(f(&[]));
+        }
+        let c = &inner.chunks[inner.chunk_containing(from)];
+        if to <= c.end() {
+            Ok(f(
+                &c.as_slice()[(from - c.start) as usize..(to - c.start) as usize]
+            ))
+        } else {
+            Ok(f(&inner.copy_range(from, to)))
+        }
     }
 
     /// Calls `f` with the contiguous slice of available data starting at
@@ -920,6 +968,57 @@ mod tests {
         assert_eq!(b.begin_offset(), 4);
         // Extraction across the retained region still works.
         assert_eq!(b.extract(5, 8).unwrap(), b"567");
+    }
+
+    #[test]
+    fn read_into_fails_where_a_byte_loop_would() {
+        // Three chunks: owned, borrowed, owned.
+        let b = Bytes::from_slice(b"ab");
+        b.append_shared(ArenaSlice::new(arena(b"xcdx"), 1, 2))
+            .unwrap();
+        b.append(b"ef").unwrap();
+        b.trim(1).unwrap();
+        let mut out = [0u8; 5];
+        b.read_into(1, &mut out).unwrap();
+        assert_eq!(&out, b"bcdef");
+        b.read_into(9, &mut []).unwrap();
+        // For every window, the error is the first failing `at`'s.
+        b.freeze();
+        for open in [false, true] {
+            if open {
+                b.unfreeze();
+            }
+            for from in 0..8u64 {
+                for n in 1..4u64 {
+                    let mut buf = vec![0u8; n as usize];
+                    let want = (from..from + n).map(|o| b.at(o)).find_map(Result::err);
+                    match (b.read_into(from, &mut buf), want) {
+                        (Ok(()), None) => assert_eq!(buf, b.extract(from, from + n).unwrap()),
+                        (Err(got), Some(want)) => {
+                            assert_eq!((got.kind, got.message), (want.kind, want.message))
+                        }
+                        (got, want) => panic!("{from}+{n}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_range_sees_what_sub_copies() {
+        let b = Bytes::from_slice(b"own:");
+        b.append_shared(ArenaSlice::new(arena(b"..GET /x.."), 2, 6))
+            .unwrap();
+        b.append(b":tail").unwrap();
+        for (from, to) in [(0, 0), (4, 7), (0, 10), (2, 15), (8, 15)] {
+            let seen = b.with_range(from, to, <[u8]>::to_vec).unwrap();
+            assert_eq!(seen, b.sub(from, to).unwrap().to_vec(), "{from}..{to}");
+        }
+        for (from, to) in [(3, 2), (0, 16)] {
+            let got = b.with_range(from, to, |_| ()).unwrap_err();
+            let want = b.sub(from, to).unwrap_err();
+            assert_eq!((got.kind, got.message), (want.kind, want.message));
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod rng;
 pub mod sha1;
 pub mod spsc;
 pub mod telemetry;
+pub mod text;
 pub mod time;
 pub mod timer;
 pub mod trace;

@@ -181,6 +181,31 @@ pub enum CInstr {
         field: Rc<str>,
         ic: Rc<RefCell<IcSite>>,
     },
+
+    // --- typed struct field sites ----------------------------------------
+    // Emitted by `crate::specialize` for a field site whose receiver is a
+    // frame slot declared as a struct type `ty`, with the field's index in
+    // `ty` resolved then. The VM's fast loop reads or writes field `idx` of
+    // a `ty` in place; any other receiver — another struct type, a value
+    // that is not a struct, an unset field on a get — leaves the
+    // instruction to the dispatch path, which runs `site`, the
+    // `StructGet`/`StructSet` it replaced, with its cache.
+    /// `dst = struct.get obj <field>` on a slot declared `ref<ty>`.
+    FieldGet {
+        dst: u16,
+        obj: u16,
+        idx: u32,
+        ty: Rc<str>,
+        site: Box<CInstr>,
+    },
+    /// `struct.set obj <field> value` on a slot declared `ref<ty>`.
+    FieldSet {
+        obj: u16,
+        idx: u32,
+        value: Src,
+        ty: Rc<str>,
+        site: Box<CInstr>,
+    },
 }
 
 // An immediate operand is a `Value` with the slot/global cases folded into
@@ -421,6 +446,7 @@ impl CInstr {
                 *target,
                 format!("struct.set {field} {} {}", obj.render(), value.render()),
             ),
+            CInstr::FieldGet { site, .. } | CInstr::FieldSet { site, .. } => site.render(),
         }
     }
 
@@ -452,6 +478,17 @@ impl CInstr {
             CInstr::MatchToken { .. } => "spec.regexp.token",
             CInstr::StructGet { .. } => "struct.get",
             CInstr::StructSet { .. } => "struct.set",
+            CInstr::FieldGet { .. } => "spec.struct.get",
+            CInstr::FieldSet { .. } => "spec.struct.set",
+        }
+    }
+
+    /// The instruction the dispatch path runs for this one: a typed field
+    /// site's `site`, and otherwise the instruction itself.
+    pub fn generic(&self) -> &CInstr {
+        match self {
+            CInstr::FieldGet { site, .. } | CInstr::FieldSet { site, .. } => site,
+            other => other,
         }
     }
 }
@@ -490,7 +527,7 @@ impl CompiledProgram {
             for instr in &f.code {
                 let instr = match instr {
                     CInstr::GlobalStore { inner, .. } => &**inner,
-                    other => other,
+                    other => other.generic(),
                 };
                 let (kind, ic) = match instr {
                     CInstr::StructGet { ic, .. } => ("struct.get", ic),

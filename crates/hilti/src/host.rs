@@ -1150,6 +1150,70 @@ int<64> read_two(ref<bytes> data) {
         assert_eq!(spent(&oracle) + 1, on.1, "fuel in total");
     }
 
+    /// A typed `iterator.unpack_*` at the frontier of open input suspends
+    /// its fiber, and the resume after an append retries it: wherever the
+    /// input is split, and fed one byte at a time, the fiber yields the
+    /// value the whole input gives, on both VMs, at the same fuel.
+    #[test]
+    fn typed_unpack_suspends_at_open_frontier() {
+        use crate::fiber::Step;
+        const SRC: &str = r#"
+module M
+int<64> read(ref<bytes> data) {
+    local iterator<bytes> it
+    local int<64> a
+    local int<64> b
+    it = bytes.begin data
+    a = iterator.unpack_be it 4
+    it = iterator.incr it 4
+    b = iterator.unpack_le it 2
+    a = int.shl a 16
+    a = int.or a b
+    return a
+}
+"#;
+        const WIRE: [u8; 6] = [0x81, 0x02, 0x03, 0x04, 0x05, 0x86];
+        let build = |specialize| {
+            let options = BuildOptions {
+                specialize,
+                ..Default::default()
+            };
+            Program::from_sources_opts(&[SRC], OptLevel::None, options).unwrap()
+        };
+        let typed = build(true);
+        let code = &typed.compiled().func("M::read").unwrap().code;
+        for bucket in ["spec.iterator.unpack_be", "spec.iterator.unpack_le"] {
+            assert!(code.iter().any(|i| i.stat_name() == bucket), "{code:#?}");
+        }
+        // Feeds `chunks` one resume each; (suspensions, fuel, result).
+        let fiber_run = |specialize: bool, chunks: &[&[u8]]| {
+            let mut p = build(specialize);
+            let data = hilti_rt::Bytes::new();
+            let mut fiber = p.fiber("M::read", vec![Value::Bytes(data.clone())]);
+            let mut suspended = 0;
+            for chunk in chunks {
+                data.append(chunk).unwrap();
+                match p.resume(&mut fiber).unwrap() {
+                    Step::Suspended => suspended += 1,
+                    Step::Finished(v) => return (suspended, p.context().fuel_spent(), v.render()),
+                }
+            }
+            panic!("{chunks:?}: the whole input must finish the fiber");
+        };
+        let want = ((0x8102_0304_i64 << 16) | 0x8605).to_string();
+        let bytewise: Vec<&[u8]> = WIRE.chunks(1).collect();
+        for k in 0..=WIRE.len() {
+            let split = [&WIRE[..k], &WIRE[k..]];
+            let on = fiber_run(true, &split);
+            assert_eq!(on, fiber_run(false, &split), "split at {k}");
+            assert_eq!(on.2, want, "split at {k}");
+            assert_eq!(on.0, usize::from(k < WIRE.len()), "split at {k}");
+        }
+        let on = fiber_run(true, &bytewise);
+        assert_eq!(on, fiber_run(false, &bytewise));
+        assert_eq!((on.0, on.2), (WIRE.len() - 1, want));
+    }
+
     /// A fused `MatchToken` whose token is split across two chunks of open
     /// input suspends its fiber as the unfused match does: the fast loop
     /// leaves it uncharged, the dispatch path charges the match alone,

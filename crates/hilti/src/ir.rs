@@ -412,6 +412,7 @@ opcodes! {
         BytesIsFrozen = "bytes.is_frozen" [Effect] (Bytes) -> Bool,
         BytesLength = "bytes.length" [Effect] (Bytes) -> Int,
         BytesSub = "bytes.sub" [Effect] (BytesIter, BytesIter) -> Bytes,
+        BytesSubString = "bytes.sub_string" [Effect] (BytesIter, BytesIter) -> String,
         BytesFind = "bytes.find" [Effect],
         BytesTrim = "bytes.trim" [Effect] (Bytes, BytesIter) -> Void,
         BytesToString = "bytes.to_string" [Effect] (Bytes) -> String,
@@ -426,6 +427,8 @@ opcodes! {
     "Bytes iterators" => {
         IterIncr = "iterator.incr" [Typed] (BytesIter, Int) -> BytesIter,
         IterDeref = "iterator.deref" [Effect] (BytesIter) -> Int,
+        IterUnpackBe = "iterator.unpack_be" [Effect] (BytesIter, Int) -> Int,
+        IterUnpackLe = "iterator.unpack_le" [Effect] (BytesIter, Int) -> Int,
         IterOffset = "iterator.offset" [Typed] (BytesIter) -> Int,
         IterDiff = "iterator.diff" [Traps] (BytesIter, BytesIter) -> Int,
         IterAtFrozenEnd = "iterator.at_frozen_end" [Effect] (BytesIter) -> Bool,

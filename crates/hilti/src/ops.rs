@@ -25,6 +25,7 @@ use hilti_rt::file::LogFile;
 use hilti_rt::limits::AllocBudget;
 use hilti_rt::overlay::{OverlayType, Unpacked};
 use hilti_rt::regexp::{MatchVerdict, Regex};
+use hilti_rt::text::{self, StrBuf};
 use hilti_rt::time::{Interval, Time};
 use hilti_rt::timer::{TimerId, TimerMgr};
 
@@ -502,7 +503,7 @@ typed_ops! { op, ctx:
     IntShl(a, b) => a.wrapping_shl(b as u32),
     IntShr(a, b) => ((a as u64) >> (b as u32 & 63)) as i64,
     IntToDouble(a) => a as f64,
-    IntToString(a) => a.to_string().into(),
+    IntToString(a) => text::format(format_args!("{a}")),
     // ASCII digits in a base, blanks around them ignored.
     IntFromBytes | BytesToInt(b, base) => {
         let raw = b.to_vec();
@@ -535,38 +536,42 @@ typed_ops! { op, ctx:
     DoubleGeq(a, b) => a >= b,
     DoubleAbs(a) => a.abs(),
     DoubleToInt(a) => a as i64,
-    // Strings. Lengths and positions count characters, `find` bytes.
-    StringConcat(a, b) => [a, b].concat().into(),
+    // Strings. Lengths and positions count characters, `find` bytes. A
+    // string result is built with one allocation (`hilti_rt::text`).
+    StringConcat(a, b) => text::concat(&[a, b]),
     StringLength(s) => s.chars().count() as i64,
     StringFind(hay, needle) => hay.find(needle).map_or(-1, |p| p as i64),
-    StringSubstr(s, from, len) => {
-        let (from, len) = (from.max(0) as usize, len.max(0) as usize);
-        s.chars().skip(from).take(len).collect::<String>().into()
-    },
+    StringSubstr(s, from, len) => Rc::from(text::substr(s, from.max(0) as usize, len.max(0) as usize)),
     StringToBytes(s) => Bytes::frozen_from_slice(s.as_bytes()),
     StringToInt(s) => s
         .trim()
         .parse::<i64>()
         .map_err(|_| RtError::value("bad integer literal"))?,
-    StringUpper(s) => s.to_uppercase().into(),
-    StringLower(s) => s.to_lowercase().into(),
+    StringUpper(s) => text::to_upper(s),
+    StringLower(s) => text::to_lower(s),
     StringStartsWith(s, prefix) => s.starts_with(prefix),
     // Bytes. `sub` copies the range between two iterators into new frozen
-    // bytes; `to_string` decodes what is available, lossily.
+    // bytes; `to_string` decodes what is available, lossily; `sub_string`
+    // decodes the range `sub` copies, as `to_string` would, and builds no
+    // bytes on the way.
     BytesLength(b) => b.len() as i64,
     BytesSub(from, to) => from.bytes().sub(from.offset(), to.offset())?,
+    BytesSubString(from, to) => from.bytes().with_range(from.offset(), to.offset(), text::lossy)?,
     BytesTrim(b, to) => b.trim(to.offset())?,
-    BytesToString(b) => b.with_available(b.begin_offset(), |data| {
-        Rc::<str>::from(String::from_utf8_lossy(data))
-    })?,
+    BytesToString(b) => b.with_available(b.begin_offset(), text::lossy)?,
     BytesBegin(b) => b.begin(),
     BytesEnd(b) => b.end(),
     BytesAt(b, off) => b.iter_at(off as u64),
     // Bytes iterators. A negative count advances by nothing; a deref
     // raises `WouldBlock` at the frontier of open input and `IndexError`
-    // past a frozen end.
+    // past a frozen end. An unpack reads the unsigned big- or
+    // little-endian integer in the `n` bytes at `it` (1 to 8, wrapping
+    // into `int<64>`) without stepping, and raises where the first of `n`
+    // derefs to fail would.
     IterIncr(&mut it, n) => it.advance_by(n.max(0) as u64),
     IterDeref(it) => i64::from(it.deref()?),
+    IterUnpackBe(it, n) => u64::from_be_bytes(unpack(op, it, n, true)?) as i64,
+    IterUnpackLe(it, n) => u64::from_le_bytes(unpack(op, it, n, false)?) as i64,
     IterOffset(it) => it.offset() as i64,
     IterDiff(a, b) => a.distance(b)? as i64,
     IterAtFrozenEnd(it) => it.at_frozen_end(),
@@ -578,7 +583,7 @@ typed_ops! { op, ctx:
     NetFamily(n) => if n.prefix().is_v4() { 4 } else { 6 },
     NetPrefix(n) => n.prefix(),
     NetLength(n) => i64::from(n.len()),
-    PortProtocol(p) => p.protocol.to_string().into(),
+    PortProtocol(p) => text::format(format_args!("{}", p.protocol)),
     PortNumber(p) => i64::from(p.number),
     // Times and intervals, at nanosecond resolution; arithmetic saturates.
     TimeAdd(t, i) => t + i,
@@ -608,7 +613,11 @@ typed_ops! { op, ctx:
     Unequal(a, b) => !a.equals(b),
     Select(cond, a, b) => if cond { a.clone() } else { b.clone() },
     DeepCopy(v) => Value::from_portable(&v.to_portable()?),
-    StringRender(v) => v.render().into(),
+    StringRender(v) => {
+        let mut out = StrBuf::new();
+        v.render_into(&mut out);
+        out.finish()
+    },
     BytesFreeze(b) => b.freeze(),
     BytesUnfreeze(b) => b.unfreeze(),
     BytesIsFrozen(b) => b.is_frozen(),
@@ -723,6 +732,23 @@ const fn inline_row(op: Opcode) -> bool {
     result.is_scalar()
 }
 
+/// The `n` bytes at `it` for `op`, an `iterator.unpack_*`: at the low end of
+/// eight in big-endian order (`be`), else at the start.
+#[inline(always)]
+fn unpack(op: Opcode, it: &BytesIter, n: i64, be: bool) -> RtResult<[u8; 8]> {
+    let n = match n {
+        1..=8 => n as usize,
+        _ => {
+            let msg = format!("{}: width {n} outside 1..=8", op.mnemonic());
+            return Err(RtError::value(msg));
+        }
+    };
+    let mut buf = [0u8; 8];
+    let window = if be { &mut buf[8 - n..] } else { &mut buf[..n] };
+    it.bytes().read_into(it.offset(), window)?;
+    Ok(buf)
+}
+
 /// `b`, or the `ArithmeticError` `what` when it is zero.
 fn nonzero<T: Default + PartialEq>(b: T, what: &'static str) -> RtResult<T> {
     if b == T::default() {
@@ -767,23 +793,18 @@ pub fn eval(
         StringFmt => {
             // fmt string with `{}` placeholders + values.
             arity_min(args, 1, op)?;
-            let fmt = args[0].as_str()?;
-            let mut out = String::with_capacity(fmt.len());
-            let mut next = 1usize;
-            let mut chars = fmt.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '{' && chars.peek() == Some(&'}') {
-                    chars.next();
-                    let v = args.get(next).ok_or_else(|| {
-                        RtError::value("string.fmt: more placeholders than values")
-                    })?;
-                    v.render_into(&mut out);
-                    next += 1;
-                } else {
-                    out.push(c);
-                }
+            let mut pieces = args[0].as_str()?.split("{}");
+            let mut values = args[1..].iter();
+            let mut out = StrBuf::new();
+            out.push_str(pieces.next().unwrap_or_default());
+            for piece in pieces {
+                let v = values
+                    .next()
+                    .ok_or_else(|| RtError::value("string.fmt: more placeholders than values"))?;
+                v.render_into(&mut out);
+                out.push_str(piece);
             }
-            Value::str(&out)
+            Value::String(out.finish())
         }
         // --- bytes ---------------------------------------------------------
         BytesAppend => {
@@ -1602,7 +1623,7 @@ mod tests {
                 op.mnemonic()
             );
         }
-        assert_eq!(ops.iter().filter(|op| has_typed_form(**op)).count(), 124);
+        assert_eq!(ops.iter().filter(|op| has_typed_form(**op)).count(), 127);
     }
 
     /// Every container op has a signature, so a container op added

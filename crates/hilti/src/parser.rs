@@ -208,7 +208,9 @@ impl<'a> Lexer<'a> {
     fn string_body(&mut self) -> RtResult<String> {
         debug_assert_eq!(self.src[self.pos], b'"');
         self.pos += 1;
-        let mut s = String::new();
+        // The source's own bytes: a non-ASCII character stays one
+        // character.
+        let mut s = Vec::new();
         loop {
             if self.pos >= self.src.len() {
                 return Err(self.err("unterminated string"));
@@ -216,7 +218,7 @@ impl<'a> Lexer<'a> {
             match self.src[self.pos] {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(s);
+                    return String::from_utf8(s).map_err(|_| self.err("string is not UTF-8"));
                 }
                 b'\\' => {
                     let esc = *self
@@ -224,18 +226,16 @@ impl<'a> Lexer<'a> {
                         .get(self.pos + 1)
                         .ok_or_else(|| self.err("dangling escape"))?;
                     s.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'\\' => '\\',
-                        b'"' => '"',
-                        other => other as char,
+                        b'n' => b'\n',
+                        b't' => b'\t',
+                        b'r' => b'\r',
+                        other => other,
                     });
                     self.pos += 2;
                 }
                 b'\n' => return Err(self.err("newline in string")),
                 other => {
-                    s.push(other as char);
+                    s.push(other);
                     self.pos += 1;
                 }
             }
@@ -1405,6 +1405,19 @@ void f() {
         assert!(matches!(inits[6], Const::Bool(true)));
         assert!(matches!(inits[7], Const::Str(_)));
         assert!(matches!(inits[8], Const::BytesLit(_)));
+    }
+
+    #[test]
+    fn literals_keep_the_source_characters() {
+        let m =
+            parse_module("module U\nvoid f() {\n    call Hilti::print \"é\\\"ÿ\" b\"é\\n\"\n}\n")
+                .unwrap();
+        let args = &m.function("U::f").unwrap().blocks[0].instrs[0].args;
+        assert_eq!(args[1], Operand::Const(Const::Str("é\"ÿ".into())));
+        assert_eq!(
+            args[2],
+            Operand::Const(Const::BytesLit(b"\xc3\xa9\n".to_vec()))
+        );
     }
 
     #[test]

@@ -22,7 +22,13 @@
 //!    `iterator.incr` then steps the slot's iterator in place — the
 //!    per-byte step of every generated parser. Besides, `assign` into a
 //!    local becomes `MoveSlot`/`LoadImm`, and a branch on a statically
-//!    bool slot becomes `BrBool`.
+//!    bool slot becomes `BrBool`. A `struct.get` into a local, or a
+//!    `struct.set` without a target, whose receiver is a slot declared
+//!    `ref<T>` (T a struct with that field) becomes `FieldGet`/`FieldSet`:
+//!    the field's index is resolved here, and the VM's fast loop guards on
+//!    the receiver's type name. Another type, an unset field on a get or a
+//!    non-struct runs the `StructGet`/`StructSet` it replaced, with its
+//!    cache, on the dispatch path.
 //! 2. **Superinstruction fusion.** A `Typed` op with a `bool` result
 //!    immediately followed by a branch on it fuses into [`CInstr::BrIf`] —
 //!    the dominant `cmp`+`br_if` pair of loop headers collapses to one
@@ -58,11 +64,14 @@
 //! effect can be measured: `repro fib` prints the on/off pair as its
 //! "dispatch tier" line.
 
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, Src};
 use crate::ir::{Kind, Opcode};
 use crate::ops;
 use crate::types::Type;
-use crate::value::Value;
+use crate::value::{StructLayout, Value};
 
 /// What the pass did, for build reporting and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -77,11 +86,14 @@ pub struct SpecStats {
     pub fused: usize,
     /// Token matches and their two tuple reads fused into `MatchToken`.
     pub tokens: usize,
+    /// Struct field sites on declared struct slots made `FieldGet` or
+    /// `FieldSet`.
+    pub fields: usize,
 }
 
 impl SpecStats {
     pub fn total(&self) -> usize {
-        self.typed + self.moves + self.branches + self.fused + self.tokens
+        self.typed + self.moves + self.branches + self.fused + self.tokens + self.fields
     }
 }
 
@@ -89,19 +101,19 @@ impl SpecStats {
 pub fn specialize_program(prog: &mut CompiledProgram) -> SpecStats {
     let mut stats = SpecStats::default();
     for f in &mut prog.funcs {
-        specialize_func(f, &mut stats);
+        specialize_func(f, &prog.struct_layouts, &mut stats);
     }
     stats
 }
 
-fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
+fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stats: &mut SpecStats) {
     let slot_types = &cf.slot_types;
     let declared = |s: u16| slot_types.get(s as usize);
     let is_bool = |s: u16| matches!(declared(s), Some(Type::Bool));
 
     // Phase 1: per-instruction rewrites.
     for instr in &mut cf.code {
-        let replacement = match instr {
+        let replacement = match &*instr {
             CInstr::Op {
                 opcode,
                 target: Some(dst),
@@ -138,6 +150,46 @@ fn specialize_func(cf: &mut CFunc, stats: &mut SpecStats) {
                     then_pc: *then_pc,
                     else_pc: *else_pc,
                 })
+            }
+            CInstr::StructGet {
+                target: Some(dst),
+                obj: COperand::Slot(obj),
+                field,
+                ..
+            } => struct_field(layouts, declared(*obj), field).map(|(ty, idx)| {
+                stats.fields += 1;
+                CInstr::FieldGet {
+                    dst: *dst,
+                    obj: *obj,
+                    idx,
+                    ty,
+                    site: Box::new(instr.clone()),
+                }
+            }),
+            CInstr::StructSet {
+                target: None,
+                obj: COperand::Slot(obj),
+                value,
+                field,
+                ..
+            } => {
+                let value = match value {
+                    COperand::Slot(s) => Some(Src::Slot(*s)),
+                    COperand::Value(v) => Some(Src::Imm(v.clone())),
+                    COperand::Global(_) => None,
+                };
+                value
+                    .zip(struct_field(layouts, declared(*obj), field))
+                    .map(|(value, (ty, idx))| {
+                        stats.fields += 1;
+                        CInstr::FieldSet {
+                            obj: *obj,
+                            idx,
+                            value,
+                            ty,
+                            site: Box::new(instr.clone()),
+                        }
+                    })
             }
             _ => None,
         };
@@ -240,6 +292,20 @@ fn typed_args<'a>(
     Some(srcs)
 }
 
+/// The struct type a slot is declared as and the index of its `field`, if
+/// it has one: what a typed field site guards on and reads.
+fn struct_field(
+    layouts: &HashMap<String, StructLayout>,
+    declared: Option<&Type>,
+    field: &str,
+) -> Option<(Rc<str>, u32)> {
+    let Type::Struct(name) = declared?.strip_ref() else {
+        return None;
+    };
+    let layout = layouts.get(&**name)?;
+    Some((Rc::clone(&layout.name), layout.index_of(field)? as u32))
+}
+
 /// The `MatchToken` (and its tuple slot) for a window of three
 /// instructions holding a token match and the two typed reads of its
 /// tuple, if the slot types allow it.
@@ -328,6 +394,7 @@ fn for_each_read(instr: &CInstr, f: &mut impl FnMut(u16)) {
             f(*re);
             f(*it);
         }
+        CInstr::FieldGet { site, .. } | CInstr::FieldSet { site, .. } => for_each_read(site, f),
         CInstr::LoadImm { .. }
         | CInstr::Jump(_)
         | CInstr::PushHandler { .. }
@@ -368,7 +435,9 @@ fn for_each_target(instr: &CInstr, f: &mut impl FnMut(u32)) {
         | CInstr::LoadImm { .. }
         | CInstr::MatchToken { .. }
         | CInstr::StructGet { .. }
-        | CInstr::StructSet { .. } => {}
+        | CInstr::StructSet { .. }
+        | CInstr::FieldGet { .. }
+        | CInstr::FieldSet { .. } => {}
     }
 }
 

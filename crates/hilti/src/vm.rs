@@ -602,7 +602,10 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         CInstr::Typed { op, .. } | CInstr::BrIf { op, .. } => opcode_class(op.mnemonic()),
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
         CInstr::MatchToken { .. } => "regexp",
-        CInstr::StructGet { .. } | CInstr::StructSet { .. } => "struct",
+        CInstr::StructGet { .. }
+        | CInstr::StructSet { .. }
+        | CInstr::FieldGet { .. }
+        | CInstr::FieldSet { .. } => "struct",
     }
 }
 
@@ -970,9 +973,50 @@ fn step_typed(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool
             re, it, id, end, ..
         } => match_token_into(frame, *re, *it, *id, *end)?,
         CInstr::Jump(pc) => frame.pc = *pc,
+        CInstr::FieldGet {
+            dst, obj, idx, ty, ..
+        } => {
+            // An unset field raises on the dispatch path.
+            let read = field_of(&frame.slots[*obj as usize], ty, *idx, |f| {
+                (!matches!(f, Value::Null)).then(|| f.clone())
+            });
+            let Some(v) = read.flatten() else {
+                return Ok(false);
+            };
+            frame.slots[*dst as usize] = v;
+            frame.pc += 1;
+        }
+        CInstr::FieldSet {
+            obj,
+            idx,
+            value,
+            ty,
+            ..
+        } => {
+            let v = value.get(&frame.slots).clone();
+            if field_of(&frame.slots[*obj as usize], ty, *idx, |f| *f = v).is_none() {
+                return Ok(false);
+            }
+            frame.pc += 1;
+        }
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// `f` of field `idx` of `obj`, if `obj` is a struct of type `ty` that
+/// has it: a typed field site's guard. `None` leaves the site to the
+/// dispatch path.
+#[inline(always)]
+fn field_of<R>(obj: &Value, ty: &Rc<str>, idx: u32, f: impl FnOnce(&mut Value) -> R) -> Option<R> {
+    let Value::Struct(s) = obj else {
+        return None;
+    };
+    let mut s = s.borrow_mut();
+    if !(Rc::ptr_eq(&s.type_name, ty) || *s.type_name == **ty) {
+        return None;
+    }
+    s.fields.get_mut(idx as usize).map(f)
 }
 
 /// [`step_typed`] for the one-at-a-time path, out of line so that the
@@ -1122,9 +1166,10 @@ fn dispatch(
 
         // Unwrap GlobalStore: execute the inner instruction; the global is
         // written either immediately (data ops) or on callee return.
+        // A typed field site runs as the site it replaced.
         let (instr, store_global) = match instr {
             CInstr::GlobalStore { global, inner } => (&**inner, Some(*global)),
-            other => (other, None),
+            other => (other.generic(), None),
         };
 
         macro_rules! raise {
@@ -1425,7 +1470,9 @@ fn dispatch(
                 }
                 // Outside a fiber, yield is a no-op scheduling point.
             }
-            CInstr::GlobalStore { .. } => unreachable!("unwrapped above"),
+            CInstr::GlobalStore { .. } | CInstr::FieldGet { .. } | CInstr::FieldSet { .. } => {
+                unreachable!("unwrapped above")
+            }
         }
     }
 }

@@ -3,7 +3,10 @@
 //!
 //! Covers the site state machine end to end — hit, miss-refill,
 //! polymorphic cap, de-optimization — plus value/error/fuel/profile parity
-//! between the interpreter and the VM with the specializer on and off.
+//! between the interpreter and the VM with the specializer on and off, and
+//! the typed sites the specializer makes of a receiver declared `ref<T>`:
+//! they retire in the fast loop and fall back to the cached site for any
+//! other receiver.
 
 use hilti::bytecode::SiteReport;
 use hilti::host::{BuildOptions, Program};
@@ -391,5 +394,72 @@ fn struct_ops_agree_across_engines() {
     for specialize in [true, false] {
         let got = profile_of(&mut build(specialize), vm);
         assert_eq!(got, want, "VM specialize={specialize} profile");
+    }
+}
+
+#[test]
+fn typed_sites_retire_in_the_fast_loop() {
+    // `getb_typed` and `setb_typed` read their receiver from a `ref<T1>`
+    // parameter: with the specializer on, a T1 receiver's field site runs
+    // in the fast loop (the `return` after it does not) and leaves its
+    // cache alone; with it off, it runs on the dispatch path through the
+    // cache.
+    for specialize in [true, false] {
+        let mut p = build(specialize);
+        let s1 = p.run("M::mk1", &[]).unwrap();
+        let before = p.context().tier_mix();
+        for k in 0..10 {
+            p.run("M::setb_typed", &[s1.clone(), Value::Int(k)])
+                .unwrap();
+            let v = p.run("M::getb_typed", std::slice::from_ref(&s1)).unwrap();
+            assert!(v.equals(&Value::Int(k)), "{v:?}");
+        }
+        let after = p.context().tier_mix();
+        let typed = if specialize { 20 } else { 0 };
+        assert_eq!(after.specialized - before.specialized, typed, "{after:?}");
+        assert_eq!(after.total() - before.total(), 40, "{after:?}");
+        for (func, kind) in [
+            ("M::getb_typed", "struct.get"),
+            ("M::setb_typed", "struct.set"),
+        ] {
+            let ic = site(&p, func, kind);
+            let hits = if specialize { 0 } else { 10 };
+            assert_eq!((ic.hits, ic.misses, ic.entries), (hits, 0, 1), "{ic:?}");
+        }
+    }
+}
+
+#[test]
+fn typed_sites_fall_back_to_the_interpreters_answer() {
+    // Another struct type through the `ref<T1>` site, an unset field and
+    // values that are not structs leave the fast loop for the site it
+    // replaced: value or exception, and fuel, are the interpreter's.
+    let mut p = build(true);
+    let s2 = p.run("M::mk2", &[]).unwrap();
+    let unset = p.run("M::mk_unset", &[]).unwrap();
+    let cases: Vec<(&str, Vec<Value>)> = vec![
+        ("M::getb_typed", vec![s2.clone()]),
+        ("M::setb_typed", vec![s2.clone(), Value::Int(7)]),
+        ("M::getb_typed", vec![s2]),
+        ("M::getb_typed", vec![unset.clone()]),
+        ("M::setb_typed", vec![unset.clone(), Value::Int(9)]),
+        ("M::getb_typed", vec![unset]),
+        ("M::getb_typed", vec![ghost()]),
+        ("M::getb_typed", vec![Value::Int(3)]),
+        ("M::setb_typed", vec![Value::str("x"), Value::Int(1)]),
+        ("M::setb_typed", vec![Value::Null, Value::Int(1)]),
+    ];
+    let outcome = |r: hilti_rt::error::RtResult<Value>| match r {
+        Ok(v) => v.render(),
+        Err(e) => format!("{:?}: {}", e.kind, e.message),
+    };
+    for (func, args) in &cases {
+        let fuel = |p: &Program| p.context().fuel_spent();
+        let f0 = fuel(&p);
+        let want = outcome(p.run_interpreted(func, args));
+        let f1 = fuel(&p);
+        let got = outcome(p.run(func, args));
+        assert_eq!(got, want, "{func} {args:?}");
+        assert_eq!(fuel(&p) - f1, f1 - f0, "{func} {args:?}: fuel");
     }
 }

@@ -508,6 +508,51 @@ fn tokens_example_runs_fused() {
     assert_trace_ignores_specializer(&f);
 }
 
+/// `examples/hlt/unpack.hlt` runs its integer reads and its decodes typed,
+/// and the specializer changes nothing in its trace, optimized or not, nor
+/// where a run out of fuel stops.
+#[test]
+fn unpack_example_runs_its_rows_typed() {
+    let f = example("unpack.hlt");
+    for bucket in [
+        "spec.bytes.sub_string",
+        "spec.iterator.unpack_be",
+        "spec.iterator.unpack_le",
+    ] {
+        assert_eq!(stats_buckets(&f, bucket), [bucket]);
+    }
+    for opt in ["-O0", "-O1"] {
+        let traced = |extra: &[&str]| {
+            let out = hiltic()
+                .args(["run", "--trace", opt])
+                .args(extra)
+                .arg(&f)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{opt} {extra:?}: {out:?}");
+            (out.stdout, out.stderr)
+        };
+        assert_eq!(traced(&[]), traced(&["--no-specialize"]), "{opt}");
+    }
+    let at_fuel = |n: u64, extra: &[&str]| {
+        let out = hiltic()
+            .args(["run", "--fuel", &n.to_string()])
+            .args(extra)
+            .arg(&f)
+            .output()
+            .unwrap();
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    for n in 1.. {
+        let on = at_fuel(n, &[]);
+        assert_eq!(on, at_fuel(n, &["--no-specialize"]), "fuel {n}");
+        assert_eq!(on, at_fuel(n, &["--interp"]), "fuel {n}");
+        if on.0 == Some(0) {
+            break;
+        }
+    }
+}
+
 /// `examples/hlt/containers.hlt` runs every two-operand container row it
 /// uses typed (each under `spec.<mnemonic>`) and its three-operand rows
 /// generic, and the specializer changes nothing in its trace, optimized or
@@ -686,6 +731,19 @@ const EXAMPLES: &[(&str, &str, i32, &str, &str)] = &[
          6 8.54296875 abccccccc ccc ndex.html 9 -1 10.1.0.0 True 80 33.250000\n\
          7 12.814453125 abcccccccc ccc dex.html 8 -1 10.1.0.0 True 80 65.250000\n\
          64.000000 80/tcp\n",
+        "",
+    ),
+    (
+        "unpack.hlt",
+        "Main::run",
+        0,
+        "1 72 72\n2 18505 18760\n4 1212763220 1414285640\n\
+         8 5208778368918537129 -6214087561522165432\n\
+         top -4341536287371574337 -4628645144549933117\n\
+         iterator.unpack_be: width 0 outside 1..=8\n\
+         iterator.unpack_le: width 9 outside 1..=8\n\
+         offset 16 past frozen end 16\n\
+         HILTI é\n[]\n\u{fffd}\u{fffd}\nbad range 9..7\n",
         "",
     ),
 ];

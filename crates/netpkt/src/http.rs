@@ -441,7 +441,7 @@ fn split_header(line: &str) -> Option<(String, String)> {
 /// analysis (the source of the Table 2 "different or no MIME types"
 /// mismatches). Checks magic bytes first, then falls back to the declared
 /// Content-Type.
-pub fn sniff_mime(body_prefix: &[u8], declared: Option<&str>) -> Option<String> {
+pub fn sniff_mime<'a>(body_prefix: &[u8], declared: Option<&'a str>) -> Option<&'a str> {
     let magic: Option<&str> = if body_prefix.starts_with(b"GIF8") {
         Some("image/gif")
     } else if body_prefix.starts_with(&[0x89, b'P', b'N', b'G']) {
@@ -456,8 +456,11 @@ pub fn sniff_mime(body_prefix: &[u8], declared: Option<&str>) -> Option<String> 
         Some("application/gzip")
     } else {
         let head = &body_prefix[..body_prefix.len().min(256)];
-        let lower: Vec<u8> = head.iter().map(|b| b.to_ascii_lowercase()).collect();
-        if contains(&lower, b"<html") || contains(&lower, b"<!doctype html") {
+        let mut lower = [0u8; 256];
+        let lower = &mut lower[..head.len()];
+        lower.copy_from_slice(head);
+        lower.make_ascii_lowercase();
+        if contains(lower, b"<html") || contains(lower, b"<!doctype html") {
             Some("text/html")
         } else if lower.starts_with(b"{") || lower.starts_with(b"[") {
             Some("application/json")
@@ -465,9 +468,7 @@ pub fn sniff_mime(body_prefix: &[u8], declared: Option<&str>) -> Option<String> 
             None
         }
     };
-    magic
-        .map(str::to_owned)
-        .or_else(|| declared.map(|d| d.split(';').next().unwrap_or(d).trim().to_owned()))
+    magic.or_else(|| declared.map(|d| d.split(';').next().unwrap_or(d).trim()))
 }
 
 fn contains(hay: &[u8], needle: &[u8]) -> bool {
@@ -725,24 +726,18 @@ mod tests {
 
     #[test]
     fn sniff_mime_magic_and_declared() {
-        assert_eq!(sniff_mime(b"GIF89a...", None).as_deref(), Some("image/gif"));
+        assert_eq!(sniff_mime(b"GIF89a...", None), Some("image/gif"));
         assert_eq!(
-            sniff_mime(b"\x89PNG\r\n", Some("text/plain")).as_deref(),
+            sniff_mime(b"\x89PNG\r\n", Some("text/plain")),
             Some("image/png")
         );
+        assert_eq!(sniff_mime(b"<HTML><body>", None), Some("text/html"));
         assert_eq!(
-            sniff_mime(b"<HTML><body>", None).as_deref(),
-            Some("text/html")
-        );
-        assert_eq!(
-            sniff_mime(b"random bytes", Some("text/css; charset=utf-8")).as_deref(),
+            sniff_mime(b"random bytes", Some("text/css; charset=utf-8")),
             Some("text/css")
         );
         assert_eq!(sniff_mime(b"random bytes", None), None);
-        assert_eq!(
-            sniff_mime(b"{\"k\":1}", None).as_deref(),
-            Some("application/json")
-        );
+        assert_eq!(sniff_mime(b"{\"k\":1}", None), Some("application/json"));
     }
 
     #[test]
