@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `repro [--out DIR] [all|fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|allocs|opcost|ablations ...]`
+//! Usage: `repro [--out DIR] [all|fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|allocs|opcost|parsecost|ablations ...]`
 //!
 //! Each section prints the paper-reported value next to the measured one.
 //! Absolute numbers differ (the paper ran on real traces with an
@@ -99,6 +99,9 @@ fn main() {
     }
     if run("opcost") {
         opcost();
+    }
+    if run("parsecost") {
+        parsecost();
     }
     if run("ablations") {
         ablations();
@@ -392,6 +395,22 @@ fn opcost() {
     println!("\n[K1] Script statement cost on the compiled engine (kernel numbers, evidence only)");
     for row in opcost_table().expect("opcost table") {
         println!("  {:<28} {:>8.0} ns", row.label, row.ns);
+    }
+}
+
+fn parsecost() {
+    println!("\n[K2] BinPAC++ parse cost per PDU on the seeded traces (counts, evidence only)");
+    let rows = parsecost_table(&|| ALLOCS.load(Ordering::Relaxed)).expect("parsecost table");
+    for r in rows {
+        println!(
+            "  {:<5} {:>5} PDUs | {:>6.1} instructions ({:.1} typed, {:.1} generic) | {:>6.2} allocations",
+            r.grammar,
+            r.pdus,
+            r.per_pdu(r.typed + r.generic),
+            r.per_pdu(r.typed),
+            r.per_pdu(r.generic),
+            r.per_pdu(r.allocs)
+        );
     }
 }
 

@@ -733,9 +733,9 @@ pub struct OpCost {
 /// the statement `reps` times in its handler is dispatched in a loop, and
 /// the empty handler's time is taken off. The first two rows are the
 /// fixed cost of a dispatch itself (no handler for the event; a handler
-/// with an empty body). The last two are the VM's generic and typed paths
-/// on the same arithmetic, from HILTI source (a compiled script only has
-/// `any` slots). Kernel numbers: evidence for where script time goes,
+/// with an empty body). The last four are single HILTI instructions from
+/// HILTI source (a compiled script only has `any` slots): the VM's generic
+/// and typed paths on the same arithmetic, and two typed string builds. Kernel numbers: evidence for where script time goes,
 /// never a claim.
 pub fn opcost_table() -> RtResult<Vec<OpCost>> {
     use broscript::host::ScriptHost;
@@ -807,21 +807,147 @@ pub fn opcost_table() -> RtResult<Vec<OpCost>> {
         });
     }
 
-    // The same `n + 1`, 16 times, on `any` slots and on `int<64>` slots.
-    let kernel = |ty: &str, body_reps: usize| -> RtResult<f64> {
+    // One HILTI instruction, 16 times over: `n + 1` on `any` slots and on
+    // `int<64>` slots, then the two string builds on typed slots.
+    let kernel = |ty: &str, out: &str, instr: &str, arg: &Value, body_reps: usize| {
         let src = format!(
-            "module M\nhook void probe({ty} n) {{\n    local {ty} x\n{}}}\n",
-            "    x = int.add n 1\n".repeat(body_reps)
+            "module M\nhook void probe({ty} n) {{\n    local {out} x\n{}}}\n",
+            format!("    x = {instr}\n").repeat(body_reps)
         );
         let mut prog = hilti::Program::from_source(&src)?;
         let hook = prog.hook_id("M::probe").expect("probe has a body");
-        best_of_three(200_000, || prog.run_hook_id(hook, &args[1..2]))
+        best_of_three(200_000, || {
+            prog.run_hook_id(hook, std::slice::from_ref(arg))
+        })
     };
-    for (label, ty) in [("n + 1 (generic)", "any"), ("n + 1 (typed)", "int<64>")] {
+    let kernels = [
+        ("n + 1 (generic)", "any", "any", "int.add n 1", &args[1]),
+        (
+            "n + 1 (typed)",
+            "int<64>",
+            "int<64>",
+            "int.add n 1",
+            &args[1],
+        ),
+        (
+            "string.concat (typed)",
+            "string",
+            "string",
+            "string.concat n n",
+            &args[0],
+        ),
+        (
+            "int.to_string (typed)",
+            "int<64>",
+            "string",
+            "int.to_string n",
+            &args[1],
+        ),
+    ];
+    for (label, ty, out, instr, arg) in kernels {
         rows.push(OpCost {
             label,
-            ns: (kernel(ty, 17)? - kernel(ty, 1)?).max(0.0) / 16.0,
+            ns: (kernel(ty, out, instr, arg, 17)? - kernel(ty, out, instr, arg, 1)?).max(0.0)
+                / 16.0,
         });
+    }
+    Ok(rows)
+}
+
+// ---------------------------------------------------------------------------
+// Per-PDU parse cost (what a generated parser executes and allocates)
+
+/// One row of [`parsecost_table`]: a BinPAC++ grammar on its seeded trace.
+#[derive(Debug, PartialEq)]
+pub struct ParseCost {
+    pub grammar: &'static str,
+    pub pdus: u64,
+    /// Instructions retired on the VM's dispatch path.
+    pub generic: u64,
+    /// Instructions retired in the VM's typed fast loop.
+    pub typed: u64,
+    pub allocs: u64,
+}
+
+impl ParseCost {
+    pub fn per_pdu(&self, n: u64) -> f64 {
+        n as f64 / self.pdus.max(1) as f64
+    }
+}
+
+/// What a generated parser costs per PDU on the seeded traces the
+/// allocation pins use: `dns_trace(11, 2000)`, one datagram a PDU, and
+/// `http_trace(11, 300)`, one payload-carrying delivery a PDU. Each trace
+/// goes through the flow table as the pipelines deliver it; what is
+/// counted is feeding, parsing and draining the events. `allocs` reads the
+/// caller's allocation counter. The second of two passes is reported, so
+/// what a program pays once (field sites filling) is left out. Counts,
+/// not times: a row repeats exactly.
+pub fn parsecost_table(allocs: &dyn Fn() -> u64) -> RtResult<Vec<ParseCost>> {
+    use binpac::analyzer::BinpacAnalyzer;
+    use netpkt::decode::decode_frame;
+    use netpkt::flow::FlowTable;
+    use netpkt::TraceBuffer;
+
+    let grammars = [
+        (
+            "DNS",
+            &binpac::dns::DNS,
+            dns_trace(&SynthConfig::new(11, 2_000)),
+        ),
+        (
+            "HTTP",
+            &binpac::http::HTTP,
+            http_trace(&SynthConfig::new(11, 300)),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (grammar, proto, packets) in grammars {
+        let ir = BinpacAnalyzer::front_end(proto, OptLevel::Full)?;
+        let mut bp = BinpacAnalyzer::from_ir(&ir, None)?;
+        let trace = TraceBuffer::from_packets(&packets);
+        let mut events = Vec::new();
+        let mut pass = |bp: &mut BinpacAnalyzer| -> RtResult<ParseCost> {
+            let mut flows = FlowTable::new();
+            let mut row = ParseCost {
+                grammar,
+                pdus: 0,
+                generic: 0,
+                typed: 0,
+                allocs: 0,
+            };
+            for i in 0..trace.len() {
+                let (frame, ts) = trace.frame(i);
+                let Ok(d) = decode_frame(frame, ts) else {
+                    continue;
+                };
+                let d = flows.process_shared(&d, frame, trace.frame_offset(i));
+                if d.payload.is_empty() && !d.finished_now {
+                    continue;
+                }
+                let (uid, id) = (&d.flow.uid, d.flow.id);
+                let (mix, before) = (bp.tier_mix(), allocs());
+                if !bp.is_stream() {
+                    bp.datagram_chunk(uid, id, ts, d.payload.feed_chunk(&trace))?;
+                } else {
+                    if !d.payload.is_empty() {
+                        bp.feed_chunk(uid, id, d.is_orig, ts, d.payload.feed_chunk(&trace))?;
+                    }
+                    if d.finished_now {
+                        bp.finish_conn(uid, id, ts)?;
+                    }
+                }
+                events.clear();
+                bp.drain_events_into(&mut events);
+                row.allocs += allocs() - before;
+                row.generic += bp.tier_mix().generic - mix.generic;
+                row.typed += bp.tier_mix().specialized - mix.specialized;
+                row.pdus += u64::from(!d.payload.is_empty());
+            }
+            Ok(row)
+        };
+        pass(&mut bp)?;
+        rows.push(pass(&mut bp)?);
     }
     Ok(rows)
 }
@@ -951,8 +1077,17 @@ mod tests {
     #[test]
     fn opcost_rows_run() {
         let rows = opcost_table().unwrap();
-        assert_eq!(rows.len(), 14);
+        assert_eq!(rows.len(), 16);
         assert!(rows.iter().all(|r| r.ns.is_finite()));
+    }
+
+    #[test]
+    fn parsecost_rows_count_every_pdu() {
+        let rows = parsecost_table(&|| 0).unwrap();
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!(r.pdus > 1_000 && r.typed > 0 && r.generic > 0, "{r:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! rule. SHA-1 is used here strictly as a content identifier, as in Bro —
 //! not for any security purpose.
 
+use std::fmt;
+
 /// Streaming SHA-1 context.
 #[derive(Clone)]
 pub struct Sha1 {
@@ -73,7 +75,19 @@ impl Sha1 {
 
     /// Finalizes to the conventional lowercase-hex representation.
     pub fn finish_hex(self) -> String {
-        hex(&self.finish())
+        let mut s = String::with_capacity(40);
+        self.write_hex(&mut s);
+        s
+    }
+
+    /// Finalizes, writing the lowercase-hex digest into `out`.
+    pub fn write_hex(self, out: &mut impl fmt::Write) {
+        let mut hex = [0u8; 40];
+        for (pair, b) in hex.chunks_exact_mut(2).zip(self.finish()) {
+            pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+            pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
+        }
+        let _ = out.write_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -131,15 +145,6 @@ pub fn sha1_hex(data: &[u8]) -> String {
 }
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
-        s.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
-    }
-    s
-}
 
 #[cfg(test)]
 mod tests {

@@ -14,6 +14,8 @@
 #                      (crates/bench/examples/digest.rs) matches the
 #                      committed crates/bench/examples/digest.golden
 #   opcost           — per-statement script cost table (printed, not gated)
+#   parsecost        — per-PDU instructions and allocations of the BinPAC++
+#                      parsers (printed, not gated)
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate from traced runs
 #                      and validate
 #   benchmark smoke  — the repo benchmark (BENCHMARK.json) builds, passes its
@@ -56,6 +58,11 @@ echo "tier1: digest matches golden"
 # What one script statement costs on the compiled engine. Kernel numbers,
 # printed as evidence of where script time goes; nothing is asserted.
 target/release/repro opcost
+
+# What a generated parser executes and allocates per PDU on the seeded
+# DNS and HTTP traces, instructions split by VM tier. Printed, not gated:
+# the allocation pins in crates/binpac/tests/alloc_budget.rs gate.
+target/release/repro parsecost
 
 # Repro artifacts: regenerate the figure JSON at the smallest scale and
 # check each document carries all four component keys. Failures are
