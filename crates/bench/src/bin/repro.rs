@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `repro [--out DIR] [all|fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|allocs|opcost|parsecost|ablations ...]`
+//! Usage: `repro [--out DIR] [all|fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|allocs|opcost|parsecost|reach|ablations ...]`
 //!
 //! Each section prints the paper-reported value next to the measured one.
 //! Absolute numbers differ (the paper ran on real traces with an
@@ -102,6 +102,9 @@ fn main() {
     }
     if run("parsecost") {
         parsecost();
+    }
+    if run("reach") {
+        reach();
     }
     if run("ablations") {
         ablations();
@@ -393,8 +396,12 @@ fn allocs() {
 
 fn opcost() {
     println!("\n[K1] Script statement cost on the compiled engine (kernel numbers, evidence only)");
-    for row in opcost_table().expect("opcost table") {
-        println!("  {:<28} {:>8.0} ns", row.label, row.ns);
+    println!("  median of 7 samples; instructions per statement (typed / generic), allocations per dispatch");
+    for row in opcost_table(&|| ALLOCS.load(Ordering::Relaxed)).expect("opcost table") {
+        println!(
+            "  {:<28} {:>8.0} ns | {:>6.1} typed {:>6.1} generic | {:>7.2} allocations",
+            row.label, row.ns, row.typed, row.generic, row.allocs
+        );
     }
 }
 
@@ -410,6 +417,16 @@ fn parsecost() {
             r.per_pdu(r.typed),
             r.per_pdu(r.generic),
             r.per_pdu(r.allocs)
+        );
+    }
+}
+
+fn reach() {
+    println!("\n[K3] What the specializer reaches: static counts after specialization");
+    for r in reach_table().expect("reach table") {
+        println!(
+            "  {:<22} {:>5} instructions | {:>5} typed | {:>5} generic | {:>4} global stores",
+            r.program, r.instructions, r.typed, r.generic, r.global_stores
         );
     }
 }

@@ -6,6 +6,7 @@ use hilti::fiber::{Fiber, Step};
 use hilti::passes::OptLevel;
 use hilti::threads::ThreadPool;
 use hilti::value::Value;
+use hilti::vm::TierMix;
 use hilti_rt::error::RtResult;
 use hilti_rt::trace::Stage;
 
@@ -727,6 +728,70 @@ pub struct OpCost {
     /// Nanoseconds per dispatch for the two entry rows, per executed
     /// statement (over the empty handler) for the rest.
     pub ns: f64,
+    /// Instructions retired in the VM's typed fast loop, counted like `ns`.
+    pub typed: f64,
+    /// Instructions retired on the VM's dispatch path, counted like `ns`.
+    pub generic: f64,
+    /// Allocations per dispatch, the handler's statements included.
+    pub allocs: f64,
+}
+
+/// What one call of a measured closure costs: the median time of
+/// [`OPCOST_SAMPLES`] samples, and the instructions retired per tier and
+/// the allocations made, averaged over every call.
+#[derive(Default)]
+struct Sample {
+    ns: f64,
+    typed: f64,
+    generic: f64,
+    allocs: f64,
+}
+
+/// Samples per [`opcost_table`] row.
+const OPCOST_SAMPLES: usize = 7;
+
+impl Sample {
+    /// Calls `call` on `h` `n` times per sample. `mix` reads `h`'s tier
+    /// counters and `allocs` the caller's allocation counter.
+    fn of<H>(
+        h: &mut H,
+        n: usize,
+        allocs: &dyn Fn() -> u64,
+        mix: impl Fn(&H) -> TierMix,
+        mut call: impl FnMut(&mut H) -> RtResult<()>,
+    ) -> RtResult<Sample> {
+        let mut ns = [0f64; OPCOST_SAMPLES];
+        let (mix0, allocs0) = (mix(h), allocs());
+        for sample in &mut ns {
+            let start = Instant::now();
+            for _ in 0..n {
+                call(h)?;
+            }
+            *sample = start.elapsed().as_nanos() as f64 / n as f64;
+        }
+        let (mix1, allocs1) = (mix(h), allocs());
+        let calls = (OPCOST_SAMPLES * n) as f64;
+        ns.sort_by(f64::total_cmp);
+        Ok(Sample {
+            ns: ns[OPCOST_SAMPLES / 2],
+            typed: (mix1.specialized - mix0.specialized) as f64 / calls,
+            generic: (mix1.generic - mix0.generic) as f64 / calls,
+            allocs: (allocs1 - allocs0) as f64 / calls,
+        })
+    }
+
+    /// The row of one of `reps` statements whose dispatches this sampled,
+    /// over `base`, the sample without them; allocations stay per dispatch.
+    fn over(&self, base: &Sample, reps: usize, label: &'static str) -> OpCost {
+        let per = |this: f64, base: f64| (this - base) / reps as f64;
+        OpCost {
+            label,
+            ns: per(self.ns, base.ns).max(0.0),
+            typed: per(self.typed, base.typed),
+            generic: per(self.generic, base.generic),
+            allocs: self.allocs,
+        }
+    }
 }
 
 /// What one script statement costs on the compiled engine: an event with
@@ -735,9 +800,12 @@ pub struct OpCost {
 /// fixed cost of a dispatch itself (no handler for the event; a handler
 /// with an empty body). The last four are single HILTI instructions from
 /// HILTI source (a compiled script only has `any` slots): the VM's generic
-/// and typed paths on the same arithmetic, and two typed string builds. Kernel numbers: evidence for where script time goes,
-/// never a claim.
-pub fn opcost_table() -> RtResult<Vec<OpCost>> {
+/// and typed paths on the same arithmetic, and two typed string builds.
+/// Each row also counts the instructions a statement retires on each tier
+/// and the allocations of a dispatch; `allocs` reads the caller's
+/// allocation counter. Kernel numbers: evidence for where script time
+/// goes, never a claim.
+pub fn opcost_table(allocs: &dyn Fn() -> u64) -> RtResult<Vec<OpCost>> {
     use broscript::host::ScriptHost;
 
     const GLOBALS: &str = "global t: table[string] of count;\n\
@@ -768,43 +836,24 @@ pub fn opcost_table() -> RtResult<Vec<OpCost>> {
         Value::Int(7),
         Value::str(&"Content-Type: text/html; ".repeat(5)[..120]),
     ];
-    // Best of three samples of `n` calls of `f`, in ns per call.
-    fn best_of_three(n: usize, mut f: impl FnMut() -> RtResult<()>) -> RtResult<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            for _ in 0..n {
-                f()?;
-            }
-            best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
-        }
-        Ok(best)
-    }
-    let sample = |body: &str, event: &str, n: usize| -> RtResult<f64> {
+    let sample = |body: &str, event: &str, n: usize| -> RtResult<Sample> {
         let script =
             format!("{GLOBALS}event probe(k: string, n: count, s: string) {{\n{body}\n}}\n");
         let mut host = ScriptHost::new(&[&script], Engine::Compiled, None)?;
         host.dispatch("setup", &args[..1])?;
-        best_of_three(n, || host.dispatch(event, &args))
+        let mix = |h: &ScriptHost| h.program().expect("a compiled host").context().tier_mix();
+        Sample::of(&mut host, n, allocs, mix, |h| h.dispatch(event, &args))
     };
 
     let empty = sample("", "probe", 100_000)?;
+    let none = Sample::default();
     let mut rows = vec![
-        OpCost {
-            label: "dispatch, no handler",
-            ns: sample("", "no_such_event", 100_000)?,
-        },
-        OpCost {
-            label: "dispatch, empty handler",
-            ns: empty,
-        },
+        sample("", "no_such_event", 100_000)?.over(&none, 1, "dispatch, no handler"),
+        empty.over(&none, 1, "dispatch, empty handler"),
     ];
     for (label, stmt, reps, n) in statements {
         let body = vec![stmt; reps].join("\n");
-        rows.push(OpCost {
-            label,
-            ns: (sample(&body, "probe", n)? - empty).max(0.0) / reps as f64,
-        });
+        rows.push(sample(&body, "probe", n)?.over(&empty, reps, label));
     }
 
     // One HILTI instruction, 16 times over: `n + 1` on `any` slots and on
@@ -816,8 +865,9 @@ pub fn opcost_table() -> RtResult<Vec<OpCost>> {
         );
         let mut prog = hilti::Program::from_source(&src)?;
         let hook = prog.hook_id("M::probe").expect("probe has a body");
-        best_of_three(200_000, || {
-            prog.run_hook_id(hook, std::slice::from_ref(arg))
+        let mix = |p: &hilti::Program| p.context().tier_mix();
+        Sample::of(&mut prog, 200_000, allocs, mix, |p| {
+            p.run_hook_id(hook, std::slice::from_ref(arg))
         })
     };
     let kernels = [
@@ -845,11 +895,82 @@ pub fn opcost_table() -> RtResult<Vec<OpCost>> {
         ),
     ];
     for (label, ty, out, instr, arg) in kernels {
-        rows.push(OpCost {
-            label,
-            ns: (kernel(ty, out, instr, arg, 17)? - kernel(ty, out, instr, arg, 1)?).max(0.0)
-                / 16.0,
-        });
+        let base = kernel(ty, out, instr, arg, 1)?;
+        rows.push(kernel(ty, out, instr, arg, 17)?.over(&base, 16, label));
+    }
+    Ok(rows)
+}
+
+// ---------------------------------------------------------------------------
+// What the specializer reaches (static counts)
+
+/// One row of [`reach_table`]: one program's code after specialization.
+#[derive(Debug, Default, PartialEq)]
+pub struct Reach {
+    pub program: &'static str,
+    pub instructions: usize,
+    /// `Typed` and `BrIf` instructions: typed rows, fused or not.
+    pub typed: usize,
+    /// Generic `Op` instructions, run through `ops::eval`.
+    pub generic: usize,
+    /// Writes to a global (`GlobalStore`), each around a generic op.
+    pub global_stores: usize,
+}
+
+/// Static instruction counts after specialization: both bundled scripts
+/// (`HTTP_BRO`, `DNS_BRO`) as the compiled engine lowers them, the
+/// firewall's per-packet `match_packet`, and both BinPAC++ grammars with
+/// the drivers their analyzers use. Counts, not times: a row repeats
+/// exactly.
+pub fn reach_table() -> RtResult<Vec<Reach>> {
+    use binpac::analyzer::Mode;
+    use binpac::parser::BinpacParser;
+    use broscript::host::ScriptHost;
+    use hilti::bytecode::{CFunc, CInstr};
+
+    fn reach<'a>(program: &'static str, funcs: impl IntoIterator<Item = &'a CFunc>) -> Reach {
+        let mut row = Reach {
+            program,
+            ..Reach::default()
+        };
+        for instr in funcs.into_iter().flat_map(|f| &f.code) {
+            row.instructions += 1;
+            match instr {
+                CInstr::Typed(_) | CInstr::BrIf { .. } => row.typed += 1,
+                CInstr::Op { .. } => row.generic += 1,
+                CInstr::GlobalStore { .. } => row.global_stores += 1,
+                _ => {}
+            }
+        }
+        row
+    }
+
+    let mut rows = Vec::new();
+    for (name, script) in [
+        ("HTTP_BRO", broscript::scripts::HTTP_BRO),
+        ("DNS_BRO", broscript::scripts::DNS_BRO),
+    ] {
+        let host = ScriptHost::new(&[script], Engine::Compiled, None)?;
+        let program = host.program().expect("a compiled host");
+        rows.push(reach(name, &program.compiled().funcs));
+    }
+    let source = hilti_firewall::generate_source(
+        &hilti_firewall::figure5_rules(),
+        hilti_firewall::DYNAMIC_TIMEOUT_SECS,
+    );
+    let firewall = hilti::Program::from_sources(&[&source], OptLevel::Full)?;
+    let match_packet = firewall.compiled().func("Firewall::match_packet");
+    rows.push(reach("firewall match_packet", match_packet));
+    for (name, proto) in [
+        ("DNS grammar", &binpac::dns::DNS),
+        ("HTTP grammar", &binpac::http::HTTP),
+    ] {
+        let streams = match proto.mode {
+            Mode::Stream { orig, resp } => vec![orig, resp],
+            Mode::Datagram { .. } => Vec::new(),
+        };
+        let parser = BinpacParser::compile(&(proto.grammar)(), &streams, OptLevel::Full)?;
+        rows.push(reach(name, &parser.program().compiled().funcs));
     }
     Ok(rows)
 }
@@ -1076,7 +1197,7 @@ mod tests {
 
     #[test]
     fn opcost_rows_run() {
-        let rows = opcost_table().unwrap();
+        let rows = opcost_table(&|| 0).unwrap();
         assert_eq!(rows.len(), 16);
         assert!(rows.iter().all(|r| r.ns.is_finite()));
     }

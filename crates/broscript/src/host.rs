@@ -366,6 +366,11 @@ impl ScriptHost {
         self.engine
     }
 
+    /// The compiled engine's HILTI program; `None` on the interpreter.
+    pub fn program(&self) -> Option<&hilti::Program> {
+        self.compiled.as_ref().map(|c| &c.program)
+    }
+
     fn program_mut(&mut self) -> &mut hilti::Program {
         &mut self.compiled.as_mut().expect("engine").program
     }

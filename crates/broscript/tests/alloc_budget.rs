@@ -227,7 +227,15 @@ struct PipelineCount {
 }
 
 const PIPELINE_COUNTS: [PipelineCount; 3] = [
-    // 15.598 per packet, 2 of 2 runs. Was pinned at 541 534 while every
+    // 15.593 per packet: 504 880 in 16 of 17 runs, 504 881 in one, pinned
+    // at the highest reading. Was pinned at 505 033 while a constant
+    // operand was an inline `Value` and every generic op without an
+    // identifier operand allocated its own empty ident list: lowering now
+    // shares one empty list per function (−174 here, −142 and −426 in the
+    // two counts below); the rest of that change, mostly the constant table
+    // each function with constants gets, costs +21, +30 and +55 at setup.
+    // Was 15.598 per packet, 2 of 2 runs. Was
+    // pinned at 541 534 while every
     // string a builtin or a string instruction made took two allocations.
     // The delivery core removes each connection's parser
     // from its `StdHttp` map at close; whether a later insert reuses the
@@ -257,9 +265,11 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || throughput_trace(0x7487, 4_000),
         run: run_http_analysis_governed,
         stack: ParserStack::Standard,
-        pinned: 505_033,
+        pinned: 504_881,
     },
-    // 55.497 per packet, 2 of 2 runs. Was pinned at 163 476 while integer
+    // 55.439 per packet, 8 of 8 runs. Was pinned at 107 109 before the
+    // shared ident list and the constant tables (see above). Was 55.497
+    // per packet, 2 of 2 runs. Was pinned at 163 476 while integer
     // fields were read byte by byte, name labels went through `bytes.sub`
     // and `bytes.to_string`, and every string took two allocations. Was
     // 84.703 per packet, 12 of 12 runs. Was pinned at 163 912, 274 above
@@ -278,9 +288,11 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || dns_trace(&SynthConfig::new(11, 1_000)),
         run: run_dns_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 107_109,
+        pinned: 106_997,
     },
-    // 47.143 per packet, 2 of 2 runs. Was pinned at 147 784 while every
+    // 47.019 per packet, 8 of 8 runs. Was pinned at 140 487 before the
+    // shared ident list and the constant tables (see above). Was 47.143
+    // per packet, 2 of 2 runs. Was pinned at 147 784 while every
     // string took two allocations. Was
     // 49.592 per packet, 12 of 12 runs. Was pinned at 147 933, 36 above the
     // 147 897 its tree measured (5 of 5 runs), until the checker's operand
@@ -305,7 +317,7 @@ const PIPELINE_COUNTS: [PipelineCount; 3] = [
         trace: || http_trace(&SynthConfig::new(11, 250)),
         run: run_http_analysis_governed,
         stack: ParserStack::Binpac,
-        pinned: 140_487,
+        pinned: 140_116,
     },
 ];
 

@@ -10,6 +10,7 @@
 use hilti::host::Program;
 use hilti::passes::OptLevel;
 use hilti::value::Value;
+use hilti::vm::FuncId;
 use hilti_rt::bytestring::Bytes;
 use hilti_rt::error::RtResult;
 
@@ -195,6 +196,8 @@ impl Gen {
 /// A BPF filter compiled to HILTI and ready to run on the VM.
 pub struct HiltiFilter {
     program: Program,
+    /// `Bpf::filter`, resolved once rather than per packet.
+    filter: FuncId,
     source: String,
 }
 
@@ -203,7 +206,12 @@ impl HiltiFilter {
     pub fn compile(expr: &FilterExpr, opt: OptLevel) -> RtResult<HiltiFilter> {
         let source = generate_source(expr);
         let program = Program::from_sources(&[&source], opt)?;
-        Ok(HiltiFilter { program, source })
+        let filter = program.func_id("Bpf::filter")?;
+        Ok(HiltiFilter {
+            program,
+            filter,
+            source,
+        })
     }
 
     /// Compiles from filter text.
@@ -218,8 +226,8 @@ impl HiltiFilter {
 
     /// Runs the filter over one raw Ethernet frame.
     pub fn matches(&mut self, frame: &[u8]) -> RtResult<bool> {
-        let v = self.program.run(
-            "Bpf::filter",
+        let v = self.program.run_id(
+            self.filter,
             &[Value::Bytes(Bytes::frozen_from_slice(frame))],
         )?;
         v.as_bool()

@@ -269,6 +269,9 @@ fn main() -> ExitCode {
                 for (pc, instr) in f.code.iter().enumerate() {
                     println!("  {pc:>4}: {instr:?}");
                 }
+                for (i, c) in f.consts.iter().enumerate() {
+                    println!("  c{i:<4} {}", c.render());
+                }
                 println!();
             }
             ExitCode::SUCCESS

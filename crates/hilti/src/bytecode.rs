@@ -23,15 +23,17 @@ use crate::linker::Linked;
 use crate::types::Type;
 use crate::value::{StructLayout, Value};
 
-/// A resolved operand.
-#[derive(Clone, Debug)]
+/// A resolved operand: a frame slot, an entry of the function's constant
+/// table ([`CFunc::consts`]) or a thread-local global. Every instruction,
+/// generic or typed, reads its operands through this one type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum COperand {
     /// Frame slot (parameters first, then locals/temps).
     Slot(u16),
+    /// Index into the function's constant table.
+    Const(u32),
     /// Thread-local global slot.
     Global(u32),
-    /// Pre-converted constant value.
-    Value(Value),
 }
 
 /// A resolved instruction.
@@ -107,37 +109,22 @@ pub enum CInstr {
     // (`CFunc::slot_types`), but values are still checked at run time so a
     // mistyped slot raises the same catchable TypeError as the generic
     // path (locals start as Null).
-    /// `dst = op args…` for an op with a typed row in `crate::ops`, which
-    /// states its semantics once for this instruction and for `ops::eval`.
-    /// Each operand is an immediate or a slot declared with the row's kind;
-    /// `args` past the row's arity are unused. Writing the slot its first
-    /// operand reads, a row that steps that operand does so in place.
-    Typed {
-        op: Opcode,
-        dst: u16,
-        args: [Src; 2],
-    },
+    /// `[dst =] op args…` for an op with a typed row in `crate::ops`.
+    Typed(Row),
     /// A `Typed` op with a `bool` result fused with the branch on it that
-    /// immediately follows. It still writes the bool `dst` slot (so later
-    /// reads of the flag stay correct) and the original branch remains at
-    /// the following pc for explicit jump targets; straight-line execution
-    /// just never revisits it.
+    /// immediately follows. It still writes the bool flag slot `row.dst` (so
+    /// later reads of the flag stay correct) and the original branch
+    /// remains at the following pc for explicit jump targets;
+    /// straight-line execution just never revisits it.
     BrIf {
-        op: Opcode,
-        dst: u16,
-        args: [Src; 2],
+        row: Row,
         then_pc: u32,
         else_pc: u32,
     },
-    /// Slot-to-slot move (`assign` between statically known locals).
-    MoveSlot {
+    /// `dst = assign src` into a local, from any operand.
+    Move {
         dst: u16,
-        src: u16,
-    },
-    /// Constant load into a slot.
-    LoadImm {
-        dst: u16,
-        v: Value,
+        src: COperand,
     },
     /// Branch on a slot statically known to be bool.
     BrBool {
@@ -202,41 +189,36 @@ pub enum CInstr {
     FieldSet {
         obj: u16,
         idx: u32,
-        value: Src,
+        value: COperand,
         ty: Rc<str>,
         site: Box<CInstr>,
     },
 }
 
-// An immediate operand is a `Value` with the slot/global cases folded into
-// its spare tags; a function's code is a dense array of these.
-const _: () = assert!(std::mem::size_of::<COperand>() <= 32);
-const _: () = assert!(std::mem::size_of::<CInstr>() <= 96);
+// A function's code is a dense array of these: a constant lives in the
+// function's table, so an operand is an index and no instruction holds a
+// `Value`.
+const _: () = assert!(std::mem::size_of::<COperand>() <= 8);
+const _: () = assert!(std::mem::size_of::<CInstr>() <= 48);
 
-/// Operand of a typed instruction: a frame slot declared with its row's
-/// kind, or an immediate constant.
+/// One application of a typed row of `crate::ops`, which states `op`'s
+/// semantics once for this instruction and for `ops::eval`. Each operand
+/// the row reads is a constant, or a slot or global declared with the
+/// row's kind; `args` past the row's arity are unused. `dst` is `None` for
+/// an op without a target. Writing the slot its first operand reads, a row
+/// that steps that operand does so in place.
 #[derive(Clone, Debug)]
-pub enum Src {
-    Slot(u16),
-    Imm(Value),
+pub struct Row {
+    pub op: Opcode,
+    pub dst: Option<u16>,
+    pub args: [COperand; 3],
 }
 
-impl Src {
-    /// Renders like the generic operand it replaced (`s3` / `42`).
-    pub fn render(&self) -> String {
-        match self {
-            Src::Slot(s) => format!("s{s}"),
-            Src::Imm(v) => v.render(),
-        }
-    }
-
-    /// The value read in place: the slot's, or the immediate itself.
-    #[inline(always)]
-    pub fn get<'a>(&'a self, slots: &'a [Value]) -> &'a Value {
-        match self {
-            Src::Slot(s) => &slots[*s as usize],
-            Src::Imm(v) => v,
-        }
+impl Row {
+    /// The operands the row reads: `args` up to its arity.
+    pub fn operands(&self) -> &[COperand] {
+        let arity = self.op.signature().map_or(0, |(params, _)| params.len());
+        &self.args[..arity]
     }
 }
 
@@ -319,45 +301,59 @@ pub struct CFunc {
     /// whose declared type is `Any` — or that is reused under conflicting
     /// declarations — is never specialized on.
     pub slot_types: Vec<Type>,
+    /// The constants the code reads, each `COperand::Const` an index here.
+    pub consts: Vec<Value>,
 }
 
 impl COperand {
+    /// The value read in place: a slot of `slots`, an entry of `consts` (the
+    /// function's constant table) or a global of `globals`.
+    #[inline(always)]
+    pub fn get<'a>(
+        self,
+        slots: &'a [Value],
+        consts: &'a [Value],
+        globals: &'a [Value],
+    ) -> &'a Value {
+        match self {
+            COperand::Slot(s) => &slots[s as usize],
+            COperand::Const(c) => &consts[c as usize],
+            COperand::Global(g) => &globals[g as usize],
+        }
+    }
+
     /// Renders like the textual IR operand it lowered from (`s3`, `g1`,
-    /// or a constant).
-    pub fn render(&self) -> String {
+    /// or the constant in `consts`).
+    pub fn render(self, consts: &[Value]) -> String {
         match self {
             COperand::Slot(s) => format!("s{s}"),
+            COperand::Const(c) => consts[c as usize].render(),
             COperand::Global(g) => format!("g{g}"),
-            COperand::Value(v) => v.render(),
         }
     }
 }
 
 impl CInstr {
-    /// Canonical mnemonic-based rendering used by `--trace`. Specialized
-    /// variants render exactly like the generic instruction they replaced,
-    /// so traces from a specialized and an unspecialized build stay
-    /// diffable ([`CInstr::BrIf`] is the one exception: the VM traces it
-    /// as its two constituent lines).
-    pub fn render(&self) -> String {
+    /// Canonical mnemonic-based rendering used by `--trace`, with constants
+    /// read from `consts`, the function's table. Specialized variants render
+    /// exactly like the generic instruction they replaced, so traces from a
+    /// specialized and an unspecialized build stay diffable
+    /// ([`CInstr::BrIf`] is the one exception: the VM traces it as its two
+    /// constituent lines).
+    pub fn render(&self, consts: &[Value]) -> String {
         fn assignment(target: Option<u16>, rhs: String) -> String {
             match target {
                 Some(t) => format!("s{t} = {rhs}"),
                 None => rhs,
             }
         }
-        fn call_args(args: &[COperand]) -> String {
-            args.iter()
-                .map(COperand::render)
-                .collect::<Vec<_>>()
-                .join(" ")
-        }
-        fn typed(op: &Opcode, dst: u16, args: &[Src]) -> String {
-            let arity = op.signature().map_or(0, |(params, _)| params.len());
-            let mut parts = vec![op.mnemonic().to_owned()];
-            parts.extend(args[..arity].iter().map(Src::render));
-            format!("s{dst} = {}", parts.join(" "))
-        }
+        let operand = |o: &COperand| o.render(consts);
+        let call_args = |args: &[COperand]| args.iter().map(operand).collect::<Vec<_>>().join(" ");
+        let typed = |row: &Row| {
+            let mut parts = vec![row.op.mnemonic().to_owned()];
+            parts.extend(row.operands().iter().map(operand));
+            assignment(row.dst, parts.join(" "))
+        };
         match self {
             CInstr::Op {
                 opcode,
@@ -367,7 +363,7 @@ impl CInstr {
             } => {
                 let mut parts: Vec<String> = vec![opcode.mnemonic().to_owned()];
                 parts.extend(idents.iter().cloned());
-                parts.extend(args.iter().map(COperand::render));
+                parts.extend(args.iter().map(operand));
                 assignment(*target, parts.join(" "))
             }
             CInstr::Call { target, func, args } => {
@@ -385,7 +381,7 @@ impl CInstr {
                 args,
             } => assignment(
                 *target,
-                format!("callable.call {} ({})", callable.render(), call_args(args)),
+                format!("callable.call {} ({})", operand(callable), call_args(args)),
             ),
             CInstr::New { target, ty, args } => {
                 assignment(Some(*target), format!("new {ty} ({})", call_args(args)))
@@ -395,9 +391,9 @@ impl CInstr {
                 cond,
                 then_pc,
                 else_pc,
-            } => format!("if {} goto @{then_pc} else @{else_pc}", cond.render()),
+            } => format!("if {} goto @{then_pc} else @{else_pc}", operand(cond)),
             CInstr::Return(v) => match v {
-                Some(op) => format!("return {}", op.render()),
+                Some(op) => format!("return {}", operand(op)),
                 None => "return".to_owned(),
             },
             CInstr::PushHandler { pc, kind, binder } => match binder {
@@ -407,21 +403,21 @@ impl CInstr {
             CInstr::PopHandler => "pop_handler".to_owned(),
             CInstr::Yield => "yield".to_owned(),
             CInstr::GlobalStore { global, inner } => {
-                format!("g{global} <- {}", inner.render())
+                format!("g{global} <- {}", inner.render(consts))
             }
-            CInstr::Typed { op, dst, args } => typed(op, *dst, args),
+            CInstr::Typed(row) => typed(row),
             CInstr::BrIf {
-                op,
-                dst,
-                args,
+                row,
                 then_pc,
                 else_pc,
-            } => format!(
-                "{} ; if s{dst} goto @{then_pc} else @{else_pc}",
-                typed(op, *dst, args)
-            ),
-            CInstr::MoveSlot { dst, src } => format!("s{dst} = assign s{src}"),
-            CInstr::LoadImm { dst, v } => format!("s{dst} = assign {}", v.render()),
+            } => {
+                let flag = row.dst.expect("a fused test writes its flag");
+                format!(
+                    "{} ; if s{flag} goto @{then_pc} else @{else_pc}",
+                    typed(row)
+                )
+            }
+            CInstr::Move { dst, src } => format!("s{dst} = assign {}", operand(src)),
             CInstr::BrBool {
                 cond,
                 then_pc,
@@ -435,7 +431,7 @@ impl CInstr {
             // interpreter's.
             CInstr::StructGet {
                 target, obj, field, ..
-            } => assignment(*target, format!("struct.get {field} {}", obj.render())),
+            } => assignment(*target, format!("struct.get {field} {}", operand(obj))),
             CInstr::StructSet {
                 target,
                 obj,
@@ -444,9 +440,9 @@ impl CInstr {
                 ..
             } => assignment(
                 *target,
-                format!("struct.set {field} {} {}", obj.render(), value.render()),
+                format!("struct.set {field} {} {}", operand(obj), operand(value)),
             ),
-            CInstr::FieldGet { site, .. } | CInstr::FieldSet { site, .. } => site.render(),
+            CInstr::FieldGet { site, .. } | CInstr::FieldSet { site, .. } => site.render(consts),
         }
     }
 
@@ -470,10 +466,9 @@ impl CInstr {
             CInstr::PopHandler => "exception.pop_handler",
             CInstr::Yield => "yield",
             CInstr::GlobalStore { inner, .. } => inner.stat_name(),
-            CInstr::Typed { op, .. } => op.spec_name(),
+            CInstr::Typed(row) => row.op.spec_name(),
             CInstr::BrIf { .. } => "spec.br_if",
-            CInstr::MoveSlot { .. } => "spec.move",
-            CInstr::LoadImm { .. } => "spec.load.imm",
+            CInstr::Move { .. } => "spec.move",
             CInstr::BrBool { .. } => "spec.br.bool",
             CInstr::MatchToken { .. } => "spec.regexp.token",
             CInstr::StructGet { .. } => "struct.get",
@@ -504,6 +499,10 @@ pub struct CompiledProgram {
     /// Global initializers, slot order (evaluated per context).
     pub global_inits: Vec<Option<Value>>,
     pub global_names: Vec<String>,
+    /// Declared type of each global, slot order: what `crate::specialize`
+    /// checks a global operand against, as it checks a slot against
+    /// [`CFunc::slot_types`].
+    pub global_types: Vec<Type>,
     /// Struct type → layout. Behind `Rc`: every per-thread `Context`
     /// shares the table instead of deep-cloning it.
     pub struct_layouts: Rc<HashMap<String, StructLayout>>,
@@ -588,8 +587,9 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
     prog.overlays = Rc::new(overlays);
 
     // Global slots.
-    for (name, _ty, init) in &linked.globals {
+    for (name, ty, init) in &linked.globals {
         prog.global_names.push(name.clone());
+        prog.global_types.push(ty.clone());
         prog.global_inits.push(match init {
             Some(c) => Some(const_value(c)?),
             None => None,
@@ -736,7 +736,9 @@ fn lower_function(
         pc += b.instrs.len() as u32 + 1; // +1 for the terminator
     }
 
-    let operand = |op: &Operand| -> RtResult<COperand> {
+    // Every constant operand gets an entry of the function's table.
+    let mut consts: Vec<Value> = Vec::new();
+    let mut operand = |op: &Operand| -> RtResult<COperand> {
         Ok(match op {
             Operand::Var(name) => {
                 if let Some(s) = slots.get(name) {
@@ -750,7 +752,10 @@ fn lower_function(
                     )));
                 }
             }
-            Operand::Const(c) => COperand::Value(const_value(c)?),
+            Operand::Const(c) => {
+                consts.push(const_value(c)?);
+                COperand::Const(consts.len() as u32 - 1)
+            }
         })
     };
     // Instructions whose target is a global write through a dedicated
@@ -799,6 +804,8 @@ fn lower_function(
         ic
     };
 
+    // The ident list of every op that names nothing, shared.
+    let no_idents: Rc<[String]> = Rc::from(Vec::new());
     let mut code: Vec<CInstr> = Vec::with_capacity(pc as usize);
     for b in &f.blocks {
         for instr in &b.instrs {
@@ -827,11 +834,7 @@ fn lower_function(
                         CInstr::Call {
                             target: ctarget,
                             func: *fi,
-                            args: vargs
-                                .iter()
-                                .map(|a| operand(a))
-                                .collect::<RtResult<Vec<_>>>()?
-                                .into_boxed_slice(),
+                            args: vargs.iter().map(|a| operand(a)).collect::<RtResult<_>>()?,
                         }
                     } else {
                         let (name, host) = host_callee(host_names, callee);
@@ -839,11 +842,7 @@ fn lower_function(
                             target: ctarget,
                             name,
                             host,
-                            args: vargs
-                                .iter()
-                                .map(|a| operand(a))
-                                .collect::<RtResult<Vec<_>>>()?
-                                .into_boxed_slice(),
+                            args: vargs.iter().map(|a| operand(a)).collect::<RtResult<_>>()?,
                         }
                     }
                 }
@@ -856,11 +855,7 @@ fn lower_function(
                         target: ctarget,
                         name,
                         host,
-                        args: vargs
-                            .iter()
-                            .map(|a| operand(a))
-                            .collect::<RtResult<Vec<_>>>()?
-                            .into_boxed_slice(),
+                        args: vargs.iter().map(|a| operand(a)).collect::<RtResult<_>>()?,
                     }
                 }
                 Opcode::HookRun | Opcode::HookRunVoid => {
@@ -870,18 +865,14 @@ fn lower_function(
                     match hook_index.get(hname) {
                         Some(hi) => CInstr::RunHook {
                             hook: *hi,
-                            args: vargs
-                                .iter()
-                                .map(|a| operand(a))
-                                .collect::<RtResult<Vec<_>>>()?
-                                .into_boxed_slice(),
+                            args: vargs.iter().map(|a| operand(a)).collect::<RtResult<_>>()?,
                         },
                         // A hook with no bodies: no-op.
                         None => CInstr::Op {
                             opcode: Opcode::Assign,
                             target: None,
-                            args: Box::new([COperand::Value(Value::Null)]),
-                            idents: Rc::from(Vec::new()),
+                            args: Box::new([operand(&Operand::Const(Const::Null))?]),
+                            idents: Rc::clone(&no_idents),
                         },
                     }
                 }
@@ -893,10 +884,7 @@ fn lower_function(
                     CInstr::CallCallable {
                         target: ctarget,
                         callable: operand(callable)?,
-                        args: it
-                            .map(|a| operand(a))
-                            .collect::<RtResult<Vec<_>>>()?
-                            .into_boxed_slice(),
+                        args: it.map(|a| operand(a)).collect::<RtResult<_>>()?,
                     }
                 }
                 Opcode::New => {
@@ -917,11 +905,7 @@ fn lower_function(
                         target: ctarget
                             .ok_or_else(|| RtError::value("new requires a local target"))?,
                         ty,
-                        args: extra
-                            .iter()
-                            .map(|a| operand(a))
-                            .collect::<RtResult<Vec<_>>>()?
-                            .into_boxed_slice(),
+                        args: extra.iter().map(|a| operand(a)).collect::<RtResult<_>>()?,
                     }
                 }
                 Opcode::PushHandler => {
@@ -951,15 +935,14 @@ fn lower_function(
                     // Compile the pattern set once, at lowering time — the
                     // "JIT compilation of regular expressions" of §7. The
                     // compiled object is shared; runtime cost is one move.
-                    let refs: Vec<&str> = idents.iter().map(String::as_str).collect();
-                    if refs.is_empty() {
+                    if idents.is_empty() {
                         return Err(RtError::pattern("regexp.new needs patterns"));
                     }
                     CInstr::Op {
                         opcode: Opcode::Assign,
                         target: ctarget,
-                        args: Box::new([COperand::Value(Value::Regexp(Regex::set(&refs)?))]),
-                        idents: Rc::from(Vec::new()),
+                        args: Box::new([operand(&Operand::Const(Const::Patterns(idents)))?]),
+                        idents: Rc::clone(&no_idents),
                     }
                 }
                 Opcode::PopHandler => CInstr::PopHandler,
@@ -984,12 +967,11 @@ fn lower_function(
                 _ => CInstr::Op {
                     opcode: instr.opcode,
                     target: ctarget,
-                    args: vargs
-                        .iter()
-                        .map(|a| operand(a))
-                        .collect::<RtResult<Vec<_>>>()?
-                        .into_boxed_slice(),
-                    idents: Rc::from(idents),
+                    args: vargs.iter().map(|a| operand(a)).collect::<RtResult<_>>()?,
+                    idents: match idents.is_empty() {
+                        true => Rc::clone(&no_idents),
+                        false => Rc::from(idents),
+                    },
                 },
             };
             // Wrap global-target writes.
@@ -1052,6 +1034,7 @@ fn lower_function(
         n_slots: slots.slots.len() as u16 + 1, // +1 scratch for global stores
         code,
         slot_types,
+        consts,
     })
 }
 
@@ -1106,7 +1089,8 @@ no:
             matches!(
                 i,
                 CInstr::Op { opcode: Opcode::Assign, args, .. }
-                    if matches!(args.first(), Some(COperand::Value(Value::Regexp(_))))
+                    if matches!(args.first(), Some(COperand::Const(c))
+                        if matches!(f.consts[*c as usize], Value::Regexp(_)))
             )
         });
         assert!(has_precompiled, "{:#?}", f.code);
@@ -1162,13 +1146,13 @@ int<64> f(ref<T> typed, any untyped) {
         };
         // Resolved from the declaration, against the name `new T` hands out.
         assert_eq!(ic.borrow().struct_slot(&layout.name), Some(1));
-        assert_eq!(f.code[0].render(), "s2 = struct.get b s0");
+        assert_eq!(f.code[0].render(&f.consts), "s2 = struct.get b s0");
         let CInstr::StructSet { ic, .. } = &f.code[1] else {
             panic!("{:#?}", f.code);
         };
         // `any`: left to the first execution.
         assert!(ic.borrow().entries.is_empty());
-        assert_eq!(f.code[1].render(), "struct.set b s1 s2");
+        assert_eq!(f.code[1].render(&f.consts), "struct.set b s1 s2");
     }
 
     #[test]
@@ -1236,7 +1220,8 @@ hook void h() &priority = 9 {
         let first = &prog.funcs[bodies[0] as usize];
         let is_high = first.code.iter().any(|i| {
             matches!(i, CInstr::CallHost { args, .. }
-                if matches!(args.first(), Some(COperand::Value(Value::String(s))) if &**s == "high"))
+                if matches!(args.first(), Some(COperand::Const(c))
+                    if matches!(&first.consts[*c as usize], Value::String(s) if &**s == "high")))
         });
         assert!(is_high);
     }

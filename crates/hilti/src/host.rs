@@ -872,13 +872,17 @@ done:
     /// what the generic path raises: the interpreter, the VM with the
     /// specializer and the VM without it catch the same exception kind and
     /// message, with the same fuel left, and the two VMs trace the same
-    /// lines. The iterator cases also pin `iterator.incr`'s error order
+    /// lines. Beside one case per row, the operand shapes: a typed global
+    /// holding another kind, a row without a target, and a three-operand
+    /// row whose third operand is mistyped. The iterator cases also pin `iterator.incr`'s error order
     /// (iterator before count) and a deref past a frozen end; the token
     /// cases a match at an iterator before the trimmed base of its input.
     #[test]
     fn specialized_type_error_is_catchable() {
         const TEMPLATE: &str = r#"
 module M
+global int<64> gi
+global ref<set<any>> gs
 string f() {
     local int<64> u
     local int<64> y
@@ -917,10 +921,9 @@ string f() {
         const TYPE_ERROR: &str = "Hilti::TypeError: ";
         let mut rows: Vec<(String, String, &str)> = Vec::new();
         // Every typed row, its operands Null slots of their kinds (an int,
-        // bool or any past the first an immediate), so the first is
+        // bool or any past the first a constant), so the first is
         // reported. An `any` operand reads Null as a value, from an int slot
-        // so that the row still runs typed. A row of three operands stays
-        // generic: its bucket is its mnemonic.
+        // so that the row still runs typed.
         let slot = |k: &Kind| match k {
             Kind::Int => ("u", "Hilti::TypeError: expected int, got null"),
             Kind::Bool => ("c", "Hilti::TypeError: expected bool, got null"),
@@ -962,12 +965,38 @@ string f() {
                 other => slot(&other).0,
             };
             let body = format!("{target} = {} {}", op.mnemonic(), operands.join(" "));
-            let bucket = match params.len() {
-                3 => op.mnemonic(),
-                _ => op.spec_name(),
-            };
-            rows.push((body, bucket.into(), slot(&params[0]).1));
+            rows.push((body, op.spec_name().into(), slot(&params[0]).1));
         }
+        // A global declared with the row's kind but holding another value.
+        rows.push((
+            "y = int.add gi 1".into(),
+            "spec.int.add".into(),
+            "Hilti::TypeError: expected int, got null",
+        ));
+        rows.push((
+            "b = set.exists gs 1".into(),
+            "spec.set.exists".into(),
+            "Hilti::TypeError: expected set, got null",
+        ));
+        // Rows without a target: a Null operand, and a pop from an empty
+        // list.
+        rows.push((
+            "set.insert s 1".into(),
+            "spec.set.insert".into(),
+            "Hilti::TypeError: expected set, got null",
+        ));
+        rows.push((
+            "l = new list<any>\n        list.pop_front l".into(),
+            "spec.list.pop_front".into(),
+            "Hilti::IndexError: pop from empty list",
+        ));
+        // A three-operand row whose third operand is mistyped raises before
+        // it touches the set its first names.
+        rows.push((
+            "s = new set<any>\n        set.timeout s 1 iv".into(),
+            "spec.set.timeout".into(),
+            "Hilti::TypeError: expected interval, got null",
+        ));
         let branch = "if.else BOOL yes no\nyes:\n        y = assign 1\nno:";
         let fused = format!("b = int.lt u 1\n        {}", branch.replace("BOOL", "b"));
         rows.push((fused, "spec.br_if".into(), TYPE_ERROR));

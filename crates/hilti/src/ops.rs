@@ -29,7 +29,7 @@ use hilti_rt::text::{self, StrBuf};
 use hilti_rt::time::{Interval, Time};
 use hilti_rt::timer::{TimerId, TimerMgr};
 
-use crate::bytecode::Src;
+use crate::bytecode::{COperand, Row};
 use crate::ir::{kind, sig, Opcode};
 use crate::types::Type;
 use crate::value::{
@@ -360,10 +360,10 @@ macro_rules! typed_row {
         Ok(<<sig::$op as Signature>::Ret as Kind>::wrap($body))
     }};
     (exec [$op:ident $(| $same:ident)*] (&mut $m:ident $(, $a:ident)*) $body:expr;
-     $slots:ident, $dst:ident, $args:ident) => {{
-        let ($m, $($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
-        if matches!($args[0], Src::Slot(s) if s == $dst) {
-            let slot = &mut $slots[$dst as usize];
+     $arg:ident, $slots:ident, $row:ident) => {{
+        let ($m, $($a,)*) = <sig::$op as Signature>::read($arg)?;
+        if let Some(dst) = $row.dst.filter(|d| $row.args[0] == COperand::Slot(*d)) {
+            let slot = &mut $slots[dst as usize];
             if let Some($m) = <<sig::$op as Signature>::First as InPlace>::slot(slot) {
                 $body;
             }
@@ -372,8 +372,8 @@ macro_rules! typed_row {
         typed_row!(stepped $op $m $body)
     }};
     (exec [$op:ident $(| $same:ident)*] ($($a:ident),*) $body:expr;
-     $slots:ident, $dst:ident, $args:ident) => {{
-        let ($($a,)*) = <sig::$op as Signature>::read(|i| $args[i].get($slots))?;
+     $arg:ident, $slots:ident, $row:ident) => {{
+        let ($($a,)*) = <sig::$op as Signature>::read($arg)?;
         <<sig::$op as Signature>::Ret as Kind>::wrap($body)
     }};
     // Whether the row runs inline in the VM's fast loop.
@@ -429,52 +429,56 @@ macro_rules! typed_ops {
             }
         }
 
-        /// Runs `op`'s typed row over `args`, read in place from `slots`,
-        /// with the context `eval` takes, writes the result into slot `dst`
-        /// and returns whether it is `true` (what a `BrIf` branches on). An
-        /// `Err` leaves the slots untouched. The row's operands fit `args`:
-        /// the specializer leaves a longer row to `eval`.
+        /// Runs `row`'s typed row over its operands, read in place from
+        /// `slots`, `consts` (the function's constant table) and `globals`,
+        /// with the context `eval` takes, writes the result into slot
+        /// `row.dst` if it has one and returns whether it is `true` (what a
+        /// `BrIf` branches on). An `Err` leaves the slots untouched.
         #[inline(always)]
         pub(crate) fn exec(
-            op: Opcode,
+            row: &Row,
             slots: &mut [Value],
-            dst: u16,
-            args: &[Src; 2],
+            consts: &[Value],
+            globals: &[Value],
             ctx: &mut dyn ExecCtx,
         ) -> RtResult<bool> {
-            exec_rows::<true>(op, slots, dst, args, ctx)
+            exec_rows::<true>(row, slots, consts, globals, ctx)
         }
 
         /// [`exec`] of the rows that do not run inline.
         #[inline(never)]
         fn exec_out_of_line(
-            op: Opcode,
+            row: &Row,
             slots: &mut [Value],
-            dst: u16,
-            args: &[Src; 2],
+            consts: &[Value],
+            globals: &[Value],
             ctx: &mut dyn ExecCtx,
         ) -> RtResult<bool> {
-            exec_rows::<false>(op, slots, dst, args, ctx)
+            exec_rows::<false>(row, slots, consts, globals, ctx)
         }
 
         /// [`exec`] of the rows whose [`inline_row`] is `INLINE`.
         #[inline(always)]
         fn exec_rows<const INLINE: bool>(
-            $opcode: Opcode,
+            row: &Row,
             slots: &mut [Value],
-            dst: u16,
-            args: &[Src; 2],
+            consts: &[Value],
+            globals: &[Value],
             $ctx: &mut dyn ExecCtx,
         ) -> RtResult<bool> {
+            let $opcode = row.op;
+            let arg = |i: usize| row.args[i].get(slots, consts, globals);
             let v = match $opcode {
                 $( $(Opcode::$op)|+ if typed_row!(inline [$($op)|+]) == INLINE => {
-                    typed_row!(exec [$($op)|+] ($($params)*) $body; slots, dst, args)
+                    typed_row!(exec [$($op)|+] ($($params)*) $body; arg, slots, row)
                 } )*
-                _ if INLINE => return exec_out_of_line($opcode, slots, dst, args, $ctx),
+                _ if INLINE => return exec_out_of_line(row, slots, consts, globals, $ctx),
                 _ => unreachable!("{} has no typed row", $opcode.mnemonic()),
             };
             let taken = matches!(v, Value::Bool(true));
-            slots[dst as usize] = v;
+            if let Some(dst) = row.dst {
+                slots[dst as usize] = v;
+            }
             Ok(taken)
         }
     };
@@ -761,7 +765,7 @@ fn nonzero<T: Default + PartialEq>(b: T, what: &'static str) -> RtResult<T> {
 /// Evaluates one data instruction and returns the value it produces.
 ///
 /// `args` are the value operands, read where they live: the VM points into
-/// the frame's slots, the global array and the instruction's constants, so
+/// the frame's slots, the global array and the function's constant table, so
 /// an instruction that only inspects an operand never touches its reference
 /// count, and one that keeps it (a store into a container) clones exactly
 /// that one. `idents` carries the constant operands that are not values

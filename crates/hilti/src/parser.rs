@@ -253,6 +253,8 @@ struct Parser {
     /// Enum type name → labels (for `Type::Label` operand resolution).
     enums: HashMap<String, Vec<String>>,
     label_counter: u32,
+    /// The parameters of the function whose body is being parsed.
+    params: Vec<(String, Type)>,
 }
 
 impl Parser {
@@ -263,6 +265,7 @@ impl Parser {
             module: Module::default(),
             enums: HashMap::new(),
             label_counter: 0,
+            params: Vec::new(),
         }
     }
 
@@ -628,9 +631,11 @@ impl Parser {
         }
         self.skip_newlines();
         self.expect(&Tok::LBrace, "'{'")?;
+        self.params = params;
         let mut body = FnBody::new(self);
         body.parse_until_rbrace()?;
         let FnBody { locals, blocks, .. } = body;
+        let params = std::mem::take(&mut self.params);
         let func = Function {
             name: name.clone(),
             params,
@@ -693,7 +698,9 @@ impl Parser {
     }
 
     /// Parses one operand, desugaring non-constant tuples into a fresh
-    /// temporary via `tuple.pack` (emitted into `pre`).
+    /// temporary via `tuple.pack` (emitted into `pre`), declared
+    /// `tuple<A, B, …>` when each element's static type is known and `any`
+    /// otherwise.
     fn parse_operand_desugared(
         &mut self,
         pre: &mut Vec<Instr>,
@@ -721,11 +728,37 @@ impl Parser {
                 return Ok(Operand::Const(Const::Tuple(consts)));
             }
             let tmp = format!("@tuple_{}", pre.len() + locals.len());
-            locals.push((tmp.clone(), Type::Any));
+            let ty = elems
+                .iter()
+                .map(|e| self.static_type(e, locals))
+                .collect::<Option<Vec<_>>>()
+                .map_or(Type::Any, Type::tuple);
+            locals.push((tmp.clone(), ty));
             pre.push(Instr::new(Some(&tmp), Opcode::TuplePack, elems));
             return Ok(Operand::Var(tmp));
         }
         self.parse_operand()
+    }
+
+    /// The static type of `op` in the function being parsed, if its
+    /// declaration pins one down: a constant's, or the one type a variable
+    /// is declared with other than `any` (among the parameters and
+    /// `locals`, else the module's globals).
+    fn static_type(&self, op: &Operand, locals: &[(String, Type)]) -> Option<Type> {
+        let Operand::Var(name) = op else {
+            return op.static_type(&HashMap::new());
+        };
+        let mut declared = self.params.iter().chain(locals).filter(|(n, _)| n == name);
+        let ty = match declared.next() {
+            Some((_, t)) => declared.all(|(_, u)| u == t).then_some(t)?,
+            None => self
+                .module
+                .globals
+                .iter()
+                .find(|(n, ..)| n == name)
+                .map(|(_, t, _)| t)?,
+        };
+        (*ty != Type::Any).then(|| ty.clone())
     }
 
     /// Classifies a bare atom into a literal or variable reference.
@@ -1539,6 +1572,42 @@ return_action:
         // Non-constant tuple (src, dst) desugared through tuple.pack.
         let all: Vec<&Instr> = f.blocks.iter().flat_map(|b| b.instrs.iter()).collect();
         assert!(all.iter().any(|i| i.opcode == Opcode::TuplePack));
+    }
+
+    /// The temporary a non-constant tuple becomes is declared with its
+    /// elements' types when each is known, and `any` otherwise.
+    #[test]
+    fn tuple_temporaries_are_typed_when_their_elements_are() {
+        let m = parse_module(
+            r#"
+module T
+global int<64> g
+void f(addr a, any x) {
+    local ref<set<any>> s
+    local bool b
+    b = set.exists s (a, g, 80/tcp)
+    b = set.exists s (a, x)
+    b = set.exists s (a, (a, g))
+}
+"#,
+        )
+        .unwrap();
+        let f = m.function("T::f").unwrap();
+        let temps: Vec<String> = f
+            .locals
+            .iter()
+            .filter(|(n, _)| n.starts_with("@tuple_"))
+            .map(|(_, t)| t.to_string())
+            .collect();
+        assert_eq!(
+            temps,
+            [
+                "tuple<addr, int<64>, port>",
+                "any",
+                "tuple<addr, int<64>>",
+                "tuple<addr, tuple<addr, int<64>>>",
+            ]
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! This pass rewrites generic [`CInstr::Op`] instructions into direct,
 //! typed variants when operand types are statically known from the checked
-//! IR (carried through lowering as [`CFunc::slot_types`]). The specialized
+//! IR (carried through lowering as [`CFunc::slot_types`] and
+//! [`CompiledProgram::global_types`]). The specialized
 //! variants execute inline in the VM dispatch loop on `frame.slots` — no
 //! operand gathering, no tag checks beyond the one guard, no trip through
 //! the `ops::eval` megamatch — which is where the bulk of the
@@ -13,15 +14,15 @@
 //! The pass runs in three phases over each function:
 //!
 //! 1. **Per-instruction rewrites.** An op with a typed row in `crate::ops`
-//!    and a target, whose operands are each an immediate or a slot
-//!    declared with the kind its signature states (for an `any` operand,
-//!    any declared type but `any`), becomes [`CInstr::Typed`]. Which ops
-//!    have a typed form is the table of rows, not a list here; a row of
-//!    three operands stays generic. On an
+//!    whose operands are each a constant, or a slot or global declared
+//!    with the kind its signature states (for an `any` operand, any
+//!    declared type but `any`), becomes [`CInstr::Typed`], with or without
+//!    a target and whatever its arity. Which ops have a typed form is the
+//!    table of rows, not a list here. On an
 //!    `iterator<bytes>` slot that is also its destination,
 //!    `iterator.incr` then steps the slot's iterator in place — the
 //!    per-byte step of every generated parser. Besides, `assign` into a
-//!    local becomes `MoveSlot`/`LoadImm`, and a branch on a statically
+//!    local becomes `Move`, from any operand, and a branch on a statically
 //!    bool slot becomes `BrBool`. A `struct.get` into a local, or a
 //!    `struct.set` without a target, whose receiver is a slot declared
 //!    `ref<T>` (T a struct with that field) becomes `FieldGet`/`FieldSet`:
@@ -53,12 +54,13 @@
 //! match. A new typed op of any kind, container or `any` operands
 //! included, is one row there.
 //!
-//! Type guards are deliberately conservative: anything touching a global,
-//! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
-//! so exception, fiber and global-visibility semantics stay in one place.
-//! Specialized instructions still *check* operand values at run time
-//! (locals start as `Null`, an immediate may be of another type), raising
-//! the same catchable `TypeError` the generic path would.
+//! Type guards read declarations only: an operand declared `any`, slot or
+//! global, keeps the generic path, and so does a write to a global (a
+//! `GlobalStore` wrapper, left as lowered), so global-visibility semantics
+//! stay in one place; a global is read typed, never written. Specialized
+//! instructions still *check* operand values at run time (locals start as
+//! `Null`, a global may hold another kind, a constant may be of another
+//! type), raising the same catchable `TypeError` the generic path would.
 //!
 //! The pass is switched by `BuildOptions::specialize` (default on) so its
 //! effect can be measured: `repro fib` prints the on/off pair as its
@@ -67,7 +69,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, Src};
+use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, Row};
 use crate::ir::{Kind, Opcode};
 use crate::ops;
 use crate::types::Type;
@@ -78,7 +80,7 @@ use crate::value::{StructLayout, Value};
 pub struct SpecStats {
     /// Ops with a typed row replaced by `Typed`.
     pub typed: usize,
-    /// `assign` instructions replaced by `MoveSlot`/`LoadImm`.
+    /// `assign` instructions into a local replaced by `Move`.
     pub moves: usize,
     /// Branches on statically bool slots replaced by `BrBool`.
     pub branches: usize,
@@ -101,43 +103,58 @@ impl SpecStats {
 pub fn specialize_program(prog: &mut CompiledProgram) -> SpecStats {
     let mut stats = SpecStats::default();
     for f in &mut prog.funcs {
-        specialize_func(f, &prog.struct_layouts, &mut stats);
+        specialize_func(f, &prog.global_types, &prog.struct_layouts, &mut stats);
     }
     stats
 }
 
-fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stats: &mut SpecStats) {
+fn specialize_func(
+    cf: &mut CFunc,
+    global_types: &[Type],
+    layouts: &HashMap<String, StructLayout>,
+    stats: &mut SpecStats,
+) {
     let slot_types = &cf.slot_types;
     let declared = |s: u16| slot_types.get(s as usize);
     let is_bool = |s: u16| matches!(declared(s), Some(Type::Bool));
+    // The declared type of a slot or global operand; `None` for a constant.
+    let operand_type = |o: &COperand| match *o {
+        COperand::Slot(s) => declared(s),
+        COperand::Global(g) => global_types.get(g as usize),
+        COperand::Const(_) => None,
+    };
 
     // Phase 1: per-instruction rewrites.
     for instr in &mut cf.code {
         let replacement = match &*instr {
+            // `assign` needs no type guard: it copies any value, exactly
+            // like the generic path.
             CInstr::Op {
-                opcode,
+                opcode: Opcode::Assign,
                 target: Some(dst),
                 args,
                 ..
-            } => {
-                let (op, dst) = (*opcode, *dst);
-                match (op, &**args) {
-                    // `assign` needs no type guard: it copies any value,
-                    // exactly like the generic path.
-                    (Opcode::Assign, [COperand::Slot(src)]) => {
-                        stats.moves += 1;
-                        Some(CInstr::MoveSlot { dst, src: *src })
-                    }
-                    (Opcode::Assign, [COperand::Value(v)]) => {
-                        stats.moves += 1;
-                        Some(CInstr::LoadImm { dst, v: v.clone() })
-                    }
-                    _ if ops::has_typed_form(op) => typed_args(op, args, &declared).map(|args| {
-                        stats.typed += 1;
-                        CInstr::Typed { op, dst, args }
-                    }),
-                    _ => None,
-                }
+            } if args.len() == 1 => {
+                stats.moves += 1;
+                Some(CInstr::Move {
+                    dst: *dst,
+                    src: args[0],
+                })
+            }
+            CInstr::Op {
+                opcode,
+                target,
+                args,
+                ..
+            } if ops::has_typed_form(*opcode) => {
+                typed_args(*opcode, args, &operand_type).map(|args| {
+                    stats.typed += 1;
+                    CInstr::Typed(Row {
+                        op: *opcode,
+                        dst: *target,
+                        args,
+                    })
+                })
             }
             CInstr::Branch {
                 cond: COperand::Slot(s),
@@ -172,25 +189,16 @@ fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stat
                 value,
                 field,
                 ..
-            } => {
-                let value = match value {
-                    COperand::Slot(s) => Some(Src::Slot(*s)),
-                    COperand::Value(v) => Some(Src::Imm(v.clone())),
-                    COperand::Global(_) => None,
-                };
-                value
-                    .zip(struct_field(layouts, declared(*obj), field))
-                    .map(|(value, (ty, idx))| {
-                        stats.fields += 1;
-                        CInstr::FieldSet {
-                            obj: *obj,
-                            idx,
-                            value,
-                            ty,
-                            site: Box::new(instr.clone()),
-                        }
-                    })
-            }
+            } => struct_field(layouts, declared(*obj), field).map(|(ty, idx)| {
+                stats.fields += 1;
+                CInstr::FieldSet {
+                    obj: *obj,
+                    idx,
+                    value: *value,
+                    ty,
+                    site: Box::new(instr.clone()),
+                }
+            }),
             _ => None,
         };
         if let Some(r) = replacement {
@@ -203,10 +211,13 @@ fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stat
     // (lowering emits blocks linearly); only the test is replaced, the
     // branch itself stays put for explicit jump targets.
     for i in 0..cf.code.len().saturating_sub(1) {
-        let CInstr::Typed { op, dst, args } = &cf.code[i] else {
+        let CInstr::Typed(row) = &cf.code[i] else {
             continue;
         };
-        if !matches!(op.signature(), Some((_, Kind::Bool))) {
+        let Some(dst) = row.dst else {
+            continue;
+        };
+        if !matches!(row.op.signature(), Some((_, Kind::Bool))) {
             continue;
         }
         let (then_pc, else_pc) = match cf.code[i + 1] {
@@ -214,18 +225,16 @@ fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stat
                 cond,
                 then_pc,
                 else_pc,
-            } if cond == *dst => (then_pc, else_pc),
+            } if cond == dst => (then_pc, else_pc),
             CInstr::Branch {
                 cond: COperand::Slot(s),
                 then_pc,
                 else_pc,
-            } if s == *dst => (then_pc, else_pc),
+            } if s == dst => (then_pc, else_pc),
             _ => continue,
         };
         cf.code[i] = CInstr::BrIf {
-            op: *op,
-            dst: *dst,
-            args: args.clone(),
+            row: row.clone(),
             then_pc,
             else_pc,
         };
@@ -242,7 +251,7 @@ fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stat
         .code
         .windows(3)
         .enumerate()
-        .filter_map(|(i, w)| token_window(w, &declared).map(|(t, fused)| (i, t, fused)))
+        .filter_map(|(i, w)| token_window(w, &cf.consts, &declared).map(|(t, fused)| (i, t, fused)))
         .collect();
     if candidates.is_empty() {
         return;
@@ -266,30 +275,34 @@ fn specialize_func(cf: &mut CFunc, layouts: &HashMap<String, StructLayout>, stat
     }
 }
 
-/// The sources of a `Typed` instruction for `op`'s operands `args`, if each
-/// is an immediate or a slot declared with the kind `op`'s signature
-/// states. Globals and `any` slots keep the generic path, and so does a row
-/// of more operands than a `Typed` instruction holds (`string.substr`).
+/// The operands of a `Typed` instruction for `op`'s operands `args`, if
+/// each is a constant, or a slot or global whose declared type `of` has the
+/// kind `op`'s signature states (for an `any` operand, any declared type
+/// but `any`). The row's arity, its operands' places and whether it has a
+/// target are no condition: every row fits a [`Row`].
 fn typed_args<'a>(
     op: Opcode,
     args: &[COperand],
-    declared: &impl Fn(u16) -> Option<&'a Type>,
-) -> Option<[Src; 2]> {
+    of: &impl Fn(&COperand) -> Option<&'a Type>,
+) -> Option<[COperand; 3]> {
     let (params, _) = op.signature()?;
-    let mut srcs = [Src::Imm(Value::Null), Src::Imm(Value::Null)];
-    if args.len() != params.len() || params.len() > srcs.len() {
+    // A malformed op keeps the generic path, which raises its arity error.
+    if args.len() != params.len() {
         return None;
     }
-    let of_kind =
-        |s: u16, kind: &Kind| declared(s).is_some_and(|t| *t != Type::Any && kind.admits(t));
-    for ((src, arg), kind) in srcs.iter_mut().zip(args).zip(params) {
-        *src = match arg {
-            COperand::Slot(s) if of_kind(*s, kind) => Src::Slot(*s),
-            COperand::Value(v) => Src::Imm(v.clone()),
-            _ => return None,
-        };
+    let typed = |arg: &COperand, kind: &Kind| {
+        matches!(arg, COperand::Const(_))
+            || of(arg).is_some_and(|t| *t != Type::Any && kind.admits(t))
+    };
+    // Past the row's arity: never read.
+    let mut row = [COperand::Slot(0); 3];
+    for ((slot, arg), kind) in row.iter_mut().zip(args).zip(params) {
+        if !typed(arg, kind) {
+            return None;
+        }
+        *slot = *arg;
     }
-    Some(srcs)
+    Some(row)
 }
 
 /// The struct type a slot is declared as and the index of its `field`, if
@@ -311,6 +324,7 @@ fn struct_field(
 /// tuple, if the slot types allow it.
 fn token_window<'a>(
     w: &[CInstr],
+    consts: &[Value],
     declared: &impl Fn(u16) -> Option<&'a Type>,
 ) -> Option<(u16, CInstr)> {
     let [CInstr::Op {
@@ -334,12 +348,19 @@ fn token_window<'a>(
     };
     let (
         [COperand::Slot(re), COperand::Slot(it)],
-        [COperand::Slot(t0), COperand::Value(Value::Int(0))],
-        [COperand::Slot(t1), COperand::Value(Value::Int(1))],
+        [COperand::Slot(t0), COperand::Const(c0)],
+        [COperand::Slot(t1), COperand::Const(c1)],
     ) = (&**matched, &**get_id, &**get_end)
     else {
         return None;
     };
+    let index = |c: &u32| match consts[*c as usize] {
+        Value::Int(i) => Some(i),
+        _ => None,
+    };
+    if (index(c0), index(c1)) != (Some(0), Some(1)) {
+        return None;
+    }
     let typed = matches!(declared(*re), Some(Type::Regexp))
         && matches!(declared(*it), Some(Type::BytesIter))
         && matches!(declared(*end), Some(Type::BytesIter))
@@ -381,25 +402,15 @@ fn for_each_read(instr: &CInstr, f: &mut impl FnMut(u16)) {
             op(obj);
             op(value);
         }
-        CInstr::Typed { args, .. } | CInstr::BrIf { args, .. } => {
-            for src in args {
-                if let Src::Slot(s) = src {
-                    f(*s)
-                }
-            }
-        }
-        CInstr::MoveSlot { src, .. } => f(*src),
+        CInstr::Typed(row) | CInstr::BrIf { row, .. } => row.operands().iter().for_each(op),
+        CInstr::Move { src, .. } => op(src),
         CInstr::BrBool { cond, .. } => f(*cond),
         CInstr::MatchToken { re, it, .. } => {
             f(*re);
             f(*it);
         }
         CInstr::FieldGet { site, .. } | CInstr::FieldSet { site, .. } => for_each_read(site, f),
-        CInstr::LoadImm { .. }
-        | CInstr::Jump(_)
-        | CInstr::PushHandler { .. }
-        | CInstr::PopHandler
-        | CInstr::Yield => {}
+        CInstr::Jump(_) | CInstr::PushHandler { .. } | CInstr::PopHandler | CInstr::Yield => {}
     }
 }
 
@@ -430,9 +441,8 @@ fn for_each_target(instr: &CInstr, f: &mut impl FnMut(u32)) {
         | CInstr::Return(_)
         | CInstr::PopHandler
         | CInstr::Yield
-        | CInstr::Typed { .. }
-        | CInstr::MoveSlot { .. }
-        | CInstr::LoadImm { .. }
+        | CInstr::Typed(_)
+        | CInstr::Move { .. }
         | CInstr::MatchToken { .. }
         | CInstr::StructGet { .. }
         | CInstr::StructSet { .. }
@@ -480,10 +490,10 @@ done:
         assert!(
             f.code.iter().any(|i| matches!(
                 i,
-                CInstr::Typed {
+                CInstr::Typed(Row {
                     op: Opcode::IntAdd,
                     ..
-                }
+                })
             )),
             "{:#?}",
             f.code
@@ -494,7 +504,13 @@ done:
             f.code
         );
         assert!(
-            f.code.iter().any(|i| matches!(i, CInstr::LoadImm { .. })),
+            f.code.iter().any(|i| matches!(
+                i,
+                CInstr::Move {
+                    src: COperand::Const(_),
+                    ..
+                }
+            )),
             "{:#?}",
             f.code
         );
@@ -547,31 +563,97 @@ int<64> f(any x) {
     }
 
     #[test]
-    fn global_operands_and_targets_stay_generic() {
-        let (prog, _) = specialized(
+    fn global_targets_stay_generic_and_global_reads_run_typed() {
+        let (prog, stats) = specialized(
             r#"
 module M
 global int<64> g = 0
-void f() {
+global any h = 0
+int<64> f() {
+    local int<64> x
     g = int.add g 1
+    x = int.add g 2
+    x = int.add h x
+    return x
 }
 "#,
         );
         let f = prog.func("M::f").unwrap();
         // Global target: still the GlobalStore-wrapped generic op.
         assert!(
-            f.code.iter().any(|i| matches!(
-                i,
+            matches!(
+                &f.code[0],
                 CInstr::GlobalStore { inner, .. }
                     if matches!(&**inner, CInstr::Op { opcode: Opcode::IntAdd, .. })
-            )),
+            ),
             "{:#?}",
             f.code
         );
+        // A global declared `int<64>` is read typed; one declared `any` is not.
+        assert!(
+            matches!(
+                &f.code[1],
+                CInstr::Typed(Row {
+                    op: Opcode::IntAdd,
+                    dst: Some(0),
+                    args: [COperand::Global(0), COperand::Const(_), _],
+                })
+            ),
+            "{:#?}",
+            f.code
+        );
+        assert!(
+            matches!(
+                &f.code[2],
+                CInstr::Op {
+                    opcode: Opcode::IntAdd,
+                    ..
+                }
+            ),
+            "{:#?}",
+            f.code
+        );
+        assert_eq!(stats.typed, 1, "{stats:?}");
+        assert_eq!(f.code[1].render(&f.consts), "s0 = int.add g0 2");
     }
 
     #[test]
-    fn immediates_become_imm_operands() {
+    fn rows_without_target_or_of_three_operands_run_typed() {
+        let (prog, stats) = specialized(
+            r#"
+module M
+string f(ref<set<int<64>>> s, ref<vector<any>> v, string t) {
+    local string u
+    set.insert s 1
+    vector.push_back v t
+    vector.set v 0 t
+    u = string.substr t 1 2
+    return u
+}
+"#,
+        );
+        let f = prog.func("M::f").unwrap();
+        let rendered: Vec<(String, &str)> = f.code[..4]
+            .iter()
+            .map(|i| (i.render(&f.consts), i.stat_name()))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                ("set.insert s0 1".to_owned(), "spec.set.insert"),
+                ("vector.push_back s1 s2".to_owned(), "spec.vector.push_back"),
+                ("vector.set s1 0 s2".to_owned(), "spec.vector.set"),
+                ("s3 = string.substr s2 1 2".to_owned(), "spec.string.substr"),
+            ],
+            "{:#?}",
+            f.code
+        );
+        assert_eq!(stats.typed, 4, "{stats:?}");
+        assert!(matches!(&f.code[0], CInstr::Typed(Row { dst: None, .. })));
+    }
+
+    #[test]
+    fn immediates_become_constant_operands() {
         let (prog, _) = specialized(
             r#"
 module M
@@ -586,11 +668,11 @@ int<64> f(int<64> a) {
         assert!(
             f.code.iter().any(|i| matches!(
                 i,
-                CInstr::Typed {
+                CInstr::Typed(Row {
                     op: Opcode::IntAdd,
-                    args: [Src::Slot(0), Src::Imm(Value::Int(7))],
+                    args: [COperand::Slot(0), COperand::Const(c), _],
                     ..
-                }
+                }) if matches!(f.consts[*c as usize], Value::Int(7))
             )),
             "{:#?}",
             f.code
@@ -621,7 +703,7 @@ int<64> f(ref<bytes> data, any loose, int<64> k) {
             .code
             .iter()
             .filter(|i| i.stat_name().starts_with("spec.iterator."))
-            .map(CInstr::render)
+            .map(|i| i.render(&f.consts))
             .collect();
         assert_eq!(
             typed,
@@ -669,19 +751,20 @@ int<64> f(ref<bytes> data, any loose, int<64> k) {
         let stats = specialize_program(&mut spec);
         assert_eq!((stats.typed, stats.tokens), (10, 2), "{stats:?}");
         for name in ["M::sum", "M::walk", "M::token", "M::until"] {
+            let consts = &plain.func(name).unwrap().consts;
             let pf = &plain.func(name).unwrap().code;
             let sf = &spec.func(name).unwrap().code;
             for (pc, s) in sf.iter().enumerate() {
-                let text = s.render();
+                let text = s.render(consts);
                 match s {
                     CInstr::BrIf { .. } => {
                         // Fused: renders as "cmp ; branch"; the VM traces
                         // it as the two original lines.
                         let (cmp_part, br_part) = text.split_once(" ; ").unwrap();
-                        assert_eq!(pf[pc].render(), cmp_part);
+                        assert_eq!(pf[pc].render(consts), cmp_part);
                         assert!(br_part.starts_with("if s"), "{br_part}");
                     }
-                    _ => assert_eq!(pf[pc].render(), text),
+                    _ => assert_eq!(pf[pc].render(consts), text),
                 }
             }
         }

@@ -161,8 +161,8 @@ pub enum Value {
 pub struct HashKey(Value);
 
 // The representation the VM is tuned for (DESIGN.md "Value representation
-// and the operand convention"): a frame slot, a map entry and an immediate
-// operand are all built from these, so growth here is paid per instruction.
+// and the operand convention"): a frame slot, a map entry and a constant-table
+// entry are all built from these, so growth here is paid per instruction.
 const _: () = assert!(std::mem::size_of::<Value>() <= 32);
 const _: () = assert!(std::mem::align_of::<Value>() <= 8);
 const _: () = assert!(std::mem::size_of::<HashKey>() <= 32);

@@ -599,8 +599,8 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         CInstr::PushHandler { .. } | CInstr::PopHandler => "exception",
         CInstr::Yield => "yield",
         CInstr::GlobalStore { inner, .. } => cinstr_class(inner),
-        CInstr::Typed { op, .. } | CInstr::BrIf { op, .. } => opcode_class(op.mnemonic()),
-        CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
+        CInstr::Typed(row) | CInstr::BrIf { row, .. } => opcode_class(row.op.mnemonic()),
+        CInstr::Move { .. } => "assign",
         CInstr::MatchToken { .. } => "regexp",
         CInstr::StructGet { .. }
         | CInstr::StructSet { .. }
@@ -866,40 +866,33 @@ pub fn resume(prog: &CompiledProgram, ctx: &mut Context, frames: Vec<Frame>) -> 
     result
 }
 
-/// Reads an operand in place: a frame slot, a global or the instruction's
-/// own constant. Nothing is cloned — an instruction that keeps a value
-/// (a store into a container, an argument copied into a callee's frame)
-/// clones exactly that one.
-#[inline(always)]
-fn operand<'a>(globals: &'a [Value], slots: &'a [Value], op: &'a COperand) -> &'a Value {
-    match op {
-        COperand::Slot(s) => &slots[*s as usize],
-        COperand::Global(g) => &globals[*g as usize],
-        COperand::Value(v) => v,
-    }
-}
-
 /// Operand lists up to this long are gathered on the stack.
 const INLINE_OPERANDS: usize = 8;
 
-/// Gathers an instruction's operands as `&[&Value]` — the form `ops::eval`,
-/// `ops::instantiate` and host functions take — and hands them to `f`.
+/// Gathers an instruction's operands, read in place from `slots`, `consts`
+/// (the function's constant table) and `globals`, as `&[&Value]` — the form
+/// `ops::eval`, `ops::instantiate` and host functions take — and hands them
+/// to `f`. Nothing is cloned: an instruction that keeps a value (a store
+/// into a container, an argument copied into a callee's frame) clones
+/// exactly that one.
 #[inline(always)]
 fn with_operands<R>(
-    globals: &[Value],
     slots: &[Value],
+    consts: &[Value],
+    globals: &[Value],
     ops: &[COperand],
     f: impl FnOnce(&[&Value]) -> R,
 ) -> R {
+    let read = |op: &COperand| op.get(slots, consts, globals);
     if ops.len() <= INLINE_OPERANDS {
         let null = Value::Null;
         let mut buf = [&null; INLINE_OPERANDS];
         for (b, op) in buf.iter_mut().zip(ops) {
-            *b = operand(globals, slots, op);
+            *b = read(op);
         }
         f(&buf[..ops.len()])
     } else {
-        let all: Vec<&Value> = ops.iter().map(|op| operand(globals, slots, op)).collect();
+        let all: Vec<&Value> = ops.iter().map(read).collect();
         f(&all)
     }
 }
@@ -924,7 +917,8 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 
 /// Executes `instr` inline on `frame.slots` if it is a typed instruction
 /// (`Typed` … `MatchToken`, `Jump`): no operand clone, no `ops::eval`
-/// round trip; `env` is the context the rows that read network time or
+/// round trip. Its operands read `consts`, the function's constant table,
+/// and `globals`; `env` is the context the rows that read network time or
 /// register an expiring container take. `Ok(false)` means it is some
 /// other instruction. An `Err`
 /// (an operand of the wrong type, or an iterator at the end of its input —
@@ -934,12 +928,18 @@ fn fuel_cost(instr: &CInstr) -> u64 {
 /// so a `WouldBlock` leaves the fast loop uncharged and
 /// suspends on the path below.
 #[inline(always)]
-fn step_typed(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool> {
+fn step_typed(
+    frame: &mut Frame,
+    instr: &CInstr,
+    consts: &[Value],
+    globals: &[Value],
+    env: &mut Env,
+) -> RtResult<bool> {
     match instr {
-        CInstr::Typed { op, dst, args } | CInstr::BrIf { op, dst, args, .. } => {
+        CInstr::Typed(row) | CInstr::BrIf { row, .. } => {
             // A test still writes its flag slot: later reads of the
             // result stay valid.
-            let taken = ops::exec(*op, &mut frame.slots, *dst, args, env)?;
+            let taken = ops::exec(row, &mut frame.slots, consts, globals, env)?;
             frame.pc = match instr {
                 CInstr::BrIf {
                     then_pc, else_pc, ..
@@ -953,12 +953,8 @@ fn step_typed(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool
                 _ => frame.pc + 1,
             };
         }
-        CInstr::MoveSlot { dst, src } => {
-            frame.slots[*dst as usize] = frame.slots[*src as usize].clone();
-            frame.pc += 1;
-        }
-        CInstr::LoadImm { dst, v } => {
-            frame.slots[*dst as usize] = v.clone();
+        CInstr::Move { dst, src } => {
+            frame.slots[*dst as usize] = src.get(&frame.slots, consts, globals).clone();
             frame.pc += 1;
         }
         CInstr::BrBool {
@@ -993,7 +989,7 @@ fn step_typed(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool
             ty,
             ..
         } => {
-            let v = value.get(&frame.slots).clone();
+            let v = value.get(&frame.slots, consts, globals).clone();
             if field_of(&frame.slots[*obj as usize], ty, *idx, |f| *f = v).is_none() {
                 return Ok(false);
             }
@@ -1022,8 +1018,14 @@ fn field_of<R>(obj: &Value, ty: &Rc<str>, idx: u32, f: impl FnOnce(&mut Value) -
 /// [`step_typed`] for the one-at-a-time path, out of line so that the
 /// dispatch loop holds one inlined copy of the typed rows, the fast loop's.
 #[inline(never)]
-fn step_typed_once(frame: &mut Frame, instr: &CInstr, env: &mut Env) -> RtResult<bool> {
-    step_typed(frame, instr, env)
+fn step_typed_once(
+    frame: &mut Frame,
+    instr: &CInstr,
+    consts: &[Value],
+    globals: &[Value],
+    env: &mut Env,
+) -> RtResult<bool> {
+    step_typed(frame, instr, consts, globals, env)
 }
 
 /// The fast loop's `MatchToken`: writes the token id and the iterator
@@ -1124,7 +1126,12 @@ fn dispatch(
             let mut fuel = clamp;
             while let Some(instr) = cf.code.get(frame.pc as usize) {
                 let cost = fuel_cost(instr);
-                if fuel < cost || !matches!(step_typed(frame, instr, &mut ctx.env), Ok(true)) {
+                if fuel < cost
+                    || !matches!(
+                        step_typed(frame, instr, &cf.consts, &ctx.globals, &mut ctx.env),
+                        Ok(true)
+                    )
+                {
                     break;
                 }
                 fuel -= cost;
@@ -1152,7 +1159,7 @@ fn dispatch(
             // Mnemonic-based rendering keeps traces diffable against an
             // unspecialized build. A fused test-and-branch traces its test
             // here and its branch below, once the test has run.
-            let text = instr.render();
+            let text = instr.render(&cf.consts);
             let line = match text.split_once(" ; ") {
                 Some((cmp, _)) if matches!(instr, CInstr::BrIf { .. }) => cmp,
                 _ => &text,
@@ -1198,6 +1205,14 @@ fn dispatch(
             }};
         }
 
+        // Reads an operand where it lives: a frame slot, the function's
+        // constant table or the globals.
+        macro_rules! read {
+            ($op:expr) => {
+                $op.get(&frame.slots, &cf.consts, &ctx.globals)
+            };
+        }
+
         // Completes a value-producing instruction: the value moves to its
         // destination and execution goes on, or the error is raised.
         macro_rules! complete {
@@ -1231,7 +1246,7 @@ fn dispatch(
                 args,
                 idents,
             } => {
-                let result = with_operands(&ctx.globals, &frame.slots, args, |refs| {
+                let result = with_operands(&frame.slots, &cf.consts, &ctx.globals, args, |refs| {
                     ops::eval(*opcode, refs, idents, &mut ctx.env)
                 });
                 complete!(*target, result);
@@ -1244,7 +1259,7 @@ fn dispatch(
                 }
             }
             CInstr::New { target, ty, args } => {
-                let result = with_operands(&ctx.globals, &frame.slots, args, |refs| {
+                let result = with_operands(&frame.slots, &cf.consts, &ctx.globals, args, |refs| {
                     ops::instantiate(ty, refs, &mut ctx.env)
                 });
                 complete!(Some(*target), result);
@@ -1260,8 +1275,7 @@ fn dispatch(
                 let mut callee = Frame::new(
                     prog,
                     *func,
-                    args.iter()
-                        .map(|a| operand(&ctx.globals, &frame.slots, a).clone()),
+                    args.iter().map(|a| read!(a).clone()),
                     frame_pool,
                 );
                 callee.ret_slot = *target;
@@ -1275,7 +1289,7 @@ fn dispatch(
                 host,
                 args,
             } => {
-                let result = with_operands(&ctx.globals, &frame.slots, args, |refs| {
+                let result = with_operands(&frame.slots, &cf.consts, &ctx.globals, args, |refs| {
                     call_host(&mut ctx.host_fns, &mut ctx.env, *host, name, refs)
                 });
                 complete!(*target, result);
@@ -1291,7 +1305,7 @@ fn dispatch(
                         prog,
                         body,
                         args.iter()
-                            .map(|a| operand(&ctx.globals, &caller.slots, a).clone()),
+                            .map(|a| a.get(&caller.slots, &cf.consts, &ctx.globals).clone()),
                         &mut ctx.frame_pool,
                     );
                     match run_frame(prog, ctx, first, false)? {
@@ -1310,7 +1324,7 @@ fn dispatch(
                         raise!(RtError::resource_exhausted("call depth limit exceeded"));
                     }
                 }
-                let c = match operand(&ctx.globals, &frame.slots, callable) {
+                let c = match read!(callable) {
                     Value::Callable(c) => c,
                     other => raise!(RtError::type_error(format!(
                         "callable.call on {}",
@@ -1320,9 +1334,7 @@ fn dispatch(
                 // Bound arguments first, then the call's own.
                 match prog.func_index.get(&*c.func).copied() {
                     Some(fi) => {
-                        let own = args
-                            .iter()
-                            .map(|a| operand(&ctx.globals, &frame.slots, a).clone());
+                        let own = args.iter().map(|a| read!(a).clone());
                         let mut callee =
                             Frame::new(prog, fi, c.bound.iter().cloned().chain(own), frame_pool);
                         callee.ret_slot = *target;
@@ -1333,7 +1345,7 @@ fn dispatch(
                     None => {
                         // Host-function callable.
                         let mut refs: Vec<&Value> = c.bound.iter().collect();
-                        refs.extend(args.iter().map(|a| operand(&ctx.globals, &frame.slots, a)));
+                        refs.extend(args.iter().map(|a| read!(a)));
                         let result = call_host_named(
                             &mut ctx.host_fns,
                             &ctx.host_index,
@@ -1355,10 +1367,9 @@ fn dispatch(
                 field,
                 ic,
             } => {
-                let result =
-                    ops::struct_get(operand(&ctx.globals, &frame.slots, obj), field, |t| {
-                        struct_site_index(&ctx.env, ic, t, field)
-                    });
+                let result = ops::struct_get(read!(obj), field, |t| {
+                    struct_site_index(&ctx.env, ic, t, field)
+                });
                 complete!(*target, result);
             }
             CInstr::StructSet {
@@ -1368,11 +1379,9 @@ fn dispatch(
                 field,
                 ic,
             } => {
-                let result = ops::struct_set(
-                    operand(&ctx.globals, &frame.slots, obj),
-                    operand(&ctx.globals, &frame.slots, value).clone(),
-                    |t| struct_site_index(&ctx.env, ic, t, field),
-                );
+                let result = ops::struct_set(read!(obj), read!(value).clone(), |t| {
+                    struct_site_index(&ctx.env, ic, t, field)
+                });
                 // `struct.set` evaluates to Null.
                 complete!(*target, result.map(|()| Value::Null));
             }
@@ -1384,11 +1393,13 @@ fn dispatch(
             // point for fault injection.
             CInstr::BrIf { .. } => {
                 let pc = frame.pc;
-                if let Err(e) = step_typed_once(frame, instr, &mut ctx.env) {
+                if let Err(e) =
+                    step_typed_once(frame, instr, &cf.consts, &ctx.globals, &mut ctx.env)
+                {
                     raise!(e);
                 }
                 if ctx.trace && ctx.trace_log.len() < TRACE_CAP {
-                    let text = instr.render();
+                    let text = instr.render(&cf.consts);
                     let (_, branch) = text.split_once(" ; ").expect("a fused pair");
                     ctx.trace_log
                         .push(format!("{}@{}: {branch}", cf.name, pc + 1));
@@ -1401,12 +1412,10 @@ fn dispatch(
                     ctx.profile_record(&cf.name, "control", 1);
                 }
             }
-            CInstr::Typed { .. }
-            | CInstr::MoveSlot { .. }
-            | CInstr::LoadImm { .. }
-            | CInstr::BrBool { .. }
-            | CInstr::Jump(_) => {
-                if let Err(e) = step_typed_once(frame, instr, &mut ctx.env) {
+            CInstr::Typed(_) | CInstr::Move { .. } | CInstr::BrBool { .. } | CInstr::Jump(_) => {
+                if let Err(e) =
+                    step_typed_once(frame, instr, &cf.consts, &ctx.globals, &mut ctx.env)
+                {
                     raise!(e);
                 }
             }
@@ -1422,7 +1431,7 @@ fn dispatch(
                 cond,
                 then_pc,
                 else_pc,
-            } => match operand(&ctx.globals, &frame.slots, cond).as_bool() {
+            } => match read!(cond).as_bool() {
                 Ok(true) => frame.pc = *then_pc,
                 Ok(false) => frame.pc = *else_pc,
                 Err(e) => raise!(e),
@@ -1432,7 +1441,7 @@ fn dispatch(
                 // slot; a global or a constant is copied.
                 let value = match v {
                     Some(COperand::Slot(s)) => std::mem::take(&mut frame.slots[*s as usize]),
-                    Some(op) => operand(&ctx.globals, &frame.slots, op).clone(),
+                    Some(op) => read!(op).clone(),
                     None => Value::Null,
                 };
                 let mut finished = frames.pop().expect("frame exists");

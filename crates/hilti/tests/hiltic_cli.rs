@@ -431,17 +431,15 @@ fn typed_ops_example_reaches_every_typed_instruction() {
 }
 
 /// `examples/hlt/typed_scalars.hlt` reaches a typed row of every scalar
-/// kind past integers and booleans, keeps the three-operand
-/// `string.substr` generic, and the specializer changes nothing in its
-/// trace, optimized or not.
+/// kind past integers and booleans, the three-operand `string.substr`
+/// included, and the specializer changes nothing in its trace, optimized
+/// or not.
 #[test]
 fn typed_scalars_example_reaches_a_row_of_every_kind() {
     let f = example("typed_scalars.hlt");
     let typed: Vec<String> = stats_buckets(&f, "spec.")
         .into_iter()
-        .filter(|b| {
-            !b.starts_with("spec.int.") && !b.starts_with("spec.br") && b != "spec.load.imm"
-        })
+        .filter(|b| !b.starts_with("spec.int.") && !b.starts_with("spec.br") && b != "spec.move")
         .collect();
     assert_eq!(
         typed,
@@ -458,12 +456,12 @@ fn typed_scalars_example_reaches_a_row_of_every_kind() {
             "spec.port.number",
             "spec.regexp.match_prefix",
             "spec.string.concat",
+            "spec.string.substr",
             "spec.string.to_bytes",
             "spec.time.add",
             "spec.time.from_double",
         ]
     );
-    assert_eq!(stats_buckets(&f, "string.substr"), ["string.substr"]);
     assert_trace_ignores_specializer(&f);
 }
 
@@ -553,18 +551,16 @@ fn unpack_example_runs_its_rows_typed() {
     }
 }
 
-/// `examples/hlt/containers.hlt` runs every two-operand container row it
-/// uses typed (each under `spec.<mnemonic>`) and its three-operand rows
-/// generic, and the specializer changes nothing in its trace, optimized or
-/// not, nor where a run out of fuel stops.
+/// `examples/hlt/containers.hlt` runs every container row it uses typed
+/// (each under `spec.<mnemonic>`), three-operand rows included, and the
+/// specializer changes nothing in its trace, optimized or not, nor where a
+/// run out of fuel stops.
 #[test]
 fn containers_example_runs_container_rows_typed() {
     let f = example("containers.hlt");
     let typed: Vec<String> = stats_buckets(&f, "spec.")
         .into_iter()
-        .filter(|b| {
-            !b.starts_with("spec.int.") && !b.starts_with("spec.br") && b != "spec.load.imm"
-        })
+        .filter(|b| !b.starts_with("spec.int.") && !b.starts_with("spec.br") && b != "spec.move")
         .collect();
     assert_eq!(
         typed,
@@ -587,9 +583,13 @@ fn containers_example_runs_container_rows_typed() {
             "spec.map.clear",
             "spec.map.exists",
             "spec.map.get",
+            "spec.map.get_default",
+            "spec.map.insert",
             "spec.map.keys",
             "spec.map.remove",
             "spec.map.size",
+            "spec.map.timeout",
+            "spec.select",
             "spec.set.clear",
             "spec.set.exists",
             "spec.set.insert",
@@ -604,20 +604,63 @@ fn containers_example_runs_container_rows_typed() {
             "spec.vector.pop_back",
             "spec.vector.push_back",
             "spec.vector.reserve",
+            "spec.vector.set",
         ]
     );
-    for generic in [
-        "map.insert",
-        "map.get_default",
-        "map.timeout",
-        "vector.set",
-        "select",
-    ] {
-        assert_eq!(stats_buckets(&f, generic), [generic]);
-    }
     assert_trace_ignores_specializer(&f);
     // Out of fuel at every count up to the whole run, each configuration
     // stops at the same instruction: same output, same error.
+    let at_fuel = |n: u64, extra: &[&str]| {
+        let out = hiltic()
+            .args(["run", "--fuel", &n.to_string()])
+            .args(extra)
+            .arg(&f)
+            .output()
+            .unwrap();
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    for n in 1.. {
+        let on = at_fuel(n, &[]);
+        assert_eq!(on, at_fuel(n, &["--no-specialize"]), "fuel {n}");
+        assert_eq!(on, at_fuel(n, &["--interp"]), "fuel {n}");
+        if on.0 == Some(0) {
+            break;
+        }
+    }
+}
+
+/// `examples/hlt/operands.hlt` runs a row of each operand shape typed: a
+/// global read, rows without a target, rows of three operands and a
+/// constant in each operand place. The specializer changes nothing in its
+/// trace, optimized or not, nor where a run out of fuel stops.
+#[test]
+fn operands_example_runs_every_operand_shape_typed() {
+    let f = example("operands.hlt");
+    for bucket in [
+        "spec.bytes.trim",
+        "spec.int.add",
+        "spec.map.insert",
+        "spec.select",
+        "spec.set.exists",
+        "spec.set.insert",
+        "spec.string.substr",
+        "spec.vector.push_back",
+        "spec.vector.set",
+    ] {
+        assert_eq!(stats_buckets(&f, bucket), [bucket]);
+    }
+    // The reads of `base` and `seen` are operands of typed rows.
+    let out = hiltic().args(["dump-bytecode", &f]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let dump = String::from_utf8_lossy(&out.stdout);
+    for (op, global) in [("IntAdd", "Global(0)"), ("SetInsert", "Global(1)")] {
+        assert!(
+            dump.lines()
+                .any(|l| l.contains(&format!("Typed(Row {{ op: {op},")) && l.contains(global)),
+            "{op} on {global}: {dump}"
+        );
+    }
+    assert_trace_ignores_specializer(&f);
     let at_fuel = |n: u64, extra: &[&str]| {
         let out = hiltic()
             .args(["run", "--fuel", &n.to_string()])
@@ -681,6 +724,17 @@ const EXAMPLES: &[(&str, &str, i32, &str, &str)] = &[
         0,
         "True\nTrue\n7\nTrue\nFalse\n{(1, a), 3, a, ab, b}\n[3, a, ab, b, (1, a)]\n\
          caught Hilti::TypeError\n",
+        "",
+    ),
+    (
+        "operands.hlt",
+        "Main::run",
+        0,
+        "seen True False 16 [ an,  op, and, d o, ds , era, last, nd , nds, ope, per, ran, s a]\n\
+         vector [first, seen True False, era, ran, and, nds, ds , s a,  an, and, nd , d o,  op, \
+         ope, per, seen True False 16 [ an,  op, and, d o, ds , era, last, nd , nds, ope, per, \
+         ran, s a]] 40 16\n\
+         rands\n",
         "",
     ),
     (

@@ -16,6 +16,9 @@
 #   opcost           — per-statement script cost table (printed, not gated)
 #   parsecost        — per-PDU instructions and allocations of the BinPAC++
 #                      parsers (printed, not gated)
+#   reach            — static typed / generic instruction counts of the
+#                      bundled scripts, the firewall and both grammars after
+#                      specialization (printed, not gated)
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate from traced runs
 #                      and validate
 #   benchmark smoke  — the repo benchmark (BENCHMARK.json) builds, passes its
@@ -63,6 +66,11 @@ target/release/repro opcost
 # DNS and HTTP traces, instructions split by VM tier. Printed, not gated:
 # the allocation pins in crates/binpac/tests/alloc_budget.rs gate.
 target/release/repro parsecost
+
+# What the specializer makes of the bundled scripts, the firewall's
+# per-packet function and both grammars: static counts of typed, generic
+# and global-store instructions. Printed, not gated.
+target/release/repro reach
 
 # Repro artifacts: regenerate the figure JSON at the smallest scale and
 # check each document carries all four component keys. Failures are
